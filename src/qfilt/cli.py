@@ -77,7 +77,7 @@ def _run_kalman_demo(p, seed, workers):
 def _run_qubit_filter(p, seed, workers):
     model = traj.qubit_model(p["kappa"], p["B"])
     rho0 = pure_to_density(spin_coherent(0.5, np.pi / 2, 0.0))
-    every = max(1, int(round(p["store_every"])))
+    every = max(1, p["store_every"])
     rec = traj.simulate_truth(model, rho0, p["T"], p["dt"], seed,
                               observables={"sx": SIGMA_X, "sz": SIGMA_Z})
     n = len(rec.dY)
@@ -92,7 +92,7 @@ def _run_qubit_filter(p, seed, workers):
 
 def _run_param_ensemble(p, seed, workers):
     values = p["B_values"]
-    every = max(1, int(round(p["store_every"])))
+    every = max(1, p["store_every"])
     out = est.qubit_finite_set_batch(p["kappa"], values, p["B_true"], p["T"], p["dt"],
                                      seed, n_seeds=1, store_every=every)
     w = out["weights"][:, 0, :]
@@ -105,13 +105,22 @@ def _run_param_ensemble(p, seed, workers):
     }
 
 
+def _truth_seed(seed: int) -> np.random.SeedSequence:
+    """Seed of the simulated truth record: the first spawned child of
+    ``seed``, whose stream is distinct from the filter's ``rng_stream(seed)``
+    by construction.  (A tag such as ``(seed, 0)`` is not: numpy seeds it
+    with the same stream as ``seed``.)"""
+    return np.random.SeedSequence(seed).spawn(1)[0]
+
+
 def _run_particle_filter(p, seed, workers):
-    record = est.simulate_qubit_record(p["kappa"], p["B_true"], p["T"], p["dt"], (seed, "truth"))
+    record = est.simulate_qubit_record(p["kappa"], p["B_true"], p["T"], p["dt"],
+                                       _truth_seed(seed))
     model = est.QubitMagnetometerModel(
         kappa=p["kappa"], prior=("gaussian", p["prior_mean"], p["prior_var"]))
-    res = est.particle_filter_run(model, record, int(p["N"]), p["a"], p["h"],
+    res = est.particle_filter_run(model, record, p["N"], p["a"], p["h"],
                                   p["threshold"], seed)
-    every = max(1, int(round(p["store_every"])))
+    every = max(1, p["store_every"])
     idx = np.arange(0, len(res["mean_trace"]), every)
     cols = [record.times[idx], res["mean_trace"][idx], res["sd_trace"][idx]]
     return {
@@ -132,14 +141,14 @@ def _run_magnetometer_fisher(p, seed, workers):
     tasks = []
     for F in p["F_values"]:
         for K in p["K_values"]:
-            for k in range(int(p["n_seeds"])):
+            for k in range(p["n_seeds"]):
                 tasks.append((F, K, p["M"], p["B"], p["deltaB"], p["T"], p["dt"], seed, k))
     results = _parallel_map(_fisher_task, tasks, workers)
     i = 0
     for F in p["F_values"]:
         for K in p["K_values"]:
-            infos = np.array(results[i:i + int(p["n_seeds"])])
-            i += int(p["n_seeds"])
+            infos = np.array(results[i:i + p["n_seeds"]])
+            i += p["n_seeds"]
             mean, std = infos.mean(), (infos.std(ddof=1) if len(infos) > 1 else 0.0)
             rows.append((F, K, mean, std, mag.cramer_rao_bound(mean),
                          mean ** -1.5 * std / 2.0))
@@ -157,7 +166,7 @@ def _run_magnetometer_kalman(p, seed, workers):
     model = mag.smallangle_kalman_model(params)
     state = kalman.KalmanState(estimate=np.zeros(2),
                                covariance=np.diag([0.0, p["prior_var"]]))
-    every = max(1, int(round(p["store_every"])))
+    every = max(1, p["store_every"])
     steps = len(record.dY)
     out_t, out_th, out_B, out_v = [], [], [], []
     for i in range(steps):
@@ -175,45 +184,37 @@ def _run_magnetometer_kalman(p, seed, workers):
     }
 
 
-def _qec_traj_task(args):
-    (name, gamma, kappa, lmax, T, dt, seed, k, controller) = args
-    code = qec.build_code(name)
+def _qec_batch(p, seed, controller):
+    """All n_traj closed-loop trajectories in one lockstep batch; trajectory
+    k draws from the stream (seed, k)."""
+    if controller not in ("truncated", "full", "none"):
+        raise ConfigError("controller must be truncated, full or none")
+    code = qec.build_code(p["code"])
     basis = qec.build_truncated_basis(code) if controller == "truncated" else None
-    out = qec.run_feedback_batch(code, gamma, kappa, lmax, T, dt, (seed, "qec", k), 1,
-                                 controller=controller, basis=basis, record_every=10)
-    res = {"times": out["times"], "codespace": out["codespace"][0],
-           "codeword": out["codeword"][0]}
-    if "policy_agreement" in out:
-        res["agreement"] = float(out["policy_agreement"][0])
-    return res
+    return qec.run_feedback_batch(code, p["gamma"], p["kappa"], p["lambda_max"], p["T"],
+                                  p["dt"], seed, p["n_traj"], controller=controller,
+                                  basis=basis, record_every=10)
 
 
 def _run_qec(p, seed, workers):
-    n_traj = int(p["n_traj"])
-    tasks = [(p["code"], p["gamma"], p["kappa"], p["lambda_max"], p["T"], p["dt"],
-              seed, k, p["controller"]) for k in range(n_traj)]
-    results = _parallel_map(_qec_traj_task, tasks, workers)
-    times = results[0]["times"]
-    cs = np.stack([r["codespace"] for r in results])
-    cw = np.stack([r["codeword"] for r in results])
+    n_traj = p["n_traj"]
+    out = _qec_batch(p, seed, p["controller"])
+    cs, cw = out["codespace"], out["codeword"]
     header = ["time", "codespace_mean", "codeword_mean"] \
         + [f"codespace_{k}" for k in range(n_traj)]
-    cols = [times, cs.mean(axis=0), cw.mean(axis=0)] + [cs[k] for k in range(n_traj)]
+    cols = [out["times"], cs.mean(axis=0), cw.mean(axis=0)] + [cs[k] for k in range(n_traj)]
     summary = {"mean_final_codespace": float(cs[:, -1].mean()),
                "mean_final_codeword": float(cw[:, -1].mean())}
-    if "agreement" in results[0]:
-        summary["mean_policy_agreement"] = float(np.mean([r["agreement"] for r in results]))
+    if "policy_agreement" in out:
+        summary["mean_policy_agreement"] = float(out["policy_agreement"].mean())
     return {"files": {"qec_run.csv": (header, cols)}, "summary": summary}
 
 
 def _run_qec_benchmark(p, seed, workers):
-    n_traj = int(p["n_traj"])
-    tasks = [(p["code"], p["gamma"], p["kappa"], p["lambda_max"], p["T"], p["dt"],
-              seed, k, "truncated") for k in range(n_traj)]
-    results = _parallel_map(_qec_traj_task, tasks, workers)
-    times = results[0]["times"]
-    cw = np.stack([r["codeword"] for r in results]).mean(axis=0)
-    cs = np.stack([r["codespace"] for r in results]).mean(axis=0)
+    out = _qec_batch(p, seed, "truncated")
+    times = out["times"]
+    cw = out["codeword"].mean(axis=0)
+    cs = out["codespace"].mean(axis=0)
     discrete = qec.codeword_fidelity_discrete(times, p["gamma"])
     cols = [times, cs, cw, discrete]
     return {
@@ -221,12 +222,12 @@ def _run_qec_benchmark(p, seed, workers):
                   (["time", "codespace_feedback", "codeword_feedback", "codeword_discrete"], cols)},
         "summary": {"final_codeword_feedback": float(cw[-1]),
                     "final_codeword_discrete": float(discrete[-1]),
-                    "mean_policy_agreement": float(np.mean([r["agreement"] for r in results]))},
+                    "mean_policy_agreement": float(out["policy_agreement"].mean())},
     }
 
 
 def _run_collective_cat(p, seed, workers):
-    N = int(p["N"])
+    N = p["N"]
     label = p["channel"]
     if label == "sigma_z":
         sym = col.SpinChannel(s_z=1.0, rate=p["Gamma"])
@@ -237,7 +238,7 @@ def _run_collective_cat(p, seed, workers):
     else:
         raise ConfigError("channel must be sigma_z or sigma_minus")
     steps = int(round(p["T"] / p["dt"]))
-    every = max(1, int(round(p["store_every"])))
+    every = max(1, p["store_every"])
     ref = col.cat_state(N)
     states = {"sym": col.cat_state(N), "coll": col.cat_state(N)}
     rows = {"t": [], "sym": [], "coll": [], "topJ": []}
@@ -260,7 +261,7 @@ def _run_collective_cat(p, seed, workers):
 
 
 def _run_collective_squeeze(p, seed, workers):
-    N = int(p["N"])
+    N = p["N"]
     lam = p["Lambda"]
     H = ((-1j * lam, "++"), (1j * lam, "--"))
     channels = {
@@ -270,7 +271,7 @@ def _run_collective_squeeze(p, seed, workers):
     }
     states = {k: col.coherent_top(N) for k in channels}
     steps = int(round(p["T"] / p["dt"]))
-    every = max(1, int(round(p["store_every"])))
+    every = max(1, p["store_every"])
     rows = {"t": [], "free": [], "sym": [], "coll": []}
     for i in range(steps):
         for k, ch in channels.items():
@@ -312,7 +313,7 @@ EXPERIMENTS = {
             "B": (float, 0.0, "magnetic field"),
             "T": (float, 10.0, "integration horizon (units 1/kappa)"),
             "dt": (float, 1e-5, "time step"),
-            "store_every": (float, 100, "record every k-th step"),
+            "store_every": (int, 100, "record every k-th step"),
         },
     },
     "param-ensemble": {
@@ -324,7 +325,7 @@ EXPERIMENTS = {
             "B_true": (float, 2.0, "true field value"),
             "T": (float, 10.0, "integration horizon"),
             "dt": (float, 1e-5, "time step"),
-            "store_every": (float, 1000, "record every k-th step"),
+            "store_every": (int, 1000, "record every k-th step"),
         },
     },
     "particle-filter": {
@@ -333,7 +334,7 @@ EXPERIMENTS = {
         "schema": {
             "kappa": (float, 1.0, "measurement strength"),
             "B_true": (float, 5.0, "true field value"),
-            "N": (float, 200, "particle count"),
+            "N": (int, 200, "particle count"),
             "T": (float, 2.0, "integration horizon"),
             "dt": (float, 1e-4, "time step"),
             "a": (float, 0.98, "kernel mean-reversion factor"),
@@ -341,7 +342,7 @@ EXPERIMENTS = {
             "threshold": (float, 2.0 / 3.0, "resample when N_eff/N drops below"),
             "prior_mean": (float, 0.0, "Gaussian prior mean"),
             "prior_var": (float, 10.0, "Gaussian prior variance"),
-            "store_every": (float, 100, "record every k-th step"),
+            "store_every": (int, 100, "record every k-th step"),
         },
     },
     "magnetometer-fisher": {
@@ -355,7 +356,7 @@ EXPERIMENTS = {
             "deltaB": (float, 1e-3, "finite-difference offset"),
             "T": (float, 1.0, "integration horizon"),
             "dt": (float, 1e-4, "time step"),
-            "n_seeds": (float, 4, "noise realizations per point"),
+            "n_seeds": (int, 4, "noise realizations per point"),
         },
     },
     "magnetometer-kalman": {
@@ -369,7 +370,7 @@ EXPERIMENTS = {
             "prior_var": (float, 10.0, "initial field variance"),
             "T": (float, 1.0, "integration horizon"),
             "dt": (float, 1e-4, "time step"),
-            "store_every": (float, 10, "record every k-th step"),
+            "store_every": (int, 10, "record every k-th step"),
         },
     },
     "qec-run": {
@@ -383,7 +384,7 @@ EXPERIMENTS = {
             "lambda_max": (float, 200.0, "maximum feedback strength"),
             "T": (float, 0.05, "integration horizon (units 1/gamma)"),
             "dt": (float, 1e-5, "time step"),
-            "n_traj": (float, 2, "trajectory count"),
+            "n_traj": (int, 2, "trajectory count"),
         },
     },
     "qec-benchmark": {
@@ -396,31 +397,31 @@ EXPERIMENTS = {
             "lambda_max": (float, 200.0, "maximum feedback strength"),
             "T": (float, 0.1, "integration horizon (units 1/gamma)"),
             "dt": (float, 1e-5, "time step"),
-            "n_traj": (float, 4, "trajectory count"),
+            "n_traj": (int, 4, "trajectory count"),
         },
     },
     "collective-cat": {
         "doc": "cat-state fidelity decay: symmetric-local vs collective channel",
         "runner": _run_collective_cat,
         "schema": {
-            "N": (float, 10, "qubit count"),
+            "N": (int, 10, "qubit count"),
             "channel": (str, "sigma_z", "sigma_z or sigma_minus"),
             "Gamma": (float, 1.0, "decoherence rate"),
             "T": (float, 0.2, "integration horizon (units 1/Gamma)"),
             "dt": (float, 1e-3, "time step"),
-            "store_every": (float, 10, "record every k-th step"),
+            "store_every": (int, 10, "record every k-th step"),
         },
     },
     "collective-squeeze": {
         "doc": "counter-twisting squeezing under symmetric vs collective decay",
         "runner": _run_collective_squeeze,
         "schema": {
-            "N": (float, 100, "qubit count"),
+            "N": (int, 100, "qubit count"),
             "Lambda": (float, 1.0, "twisting strength"),
             "Gamma": (float, 0.2, "decoherence rate"),
             "T": (float, 0.03, "integration horizon"),
             "dt": (float, 1e-4, "time step"),
-            "store_every": (float, 10, "record every k-th step"),
+            "store_every": (int, 10, "record every k-th step"),
         },
     },
 }
@@ -577,6 +578,9 @@ def main(argv=None) -> int:
         return 1
     try:
         manifest = run_experiment(args.experiment, params, args.seed, args.workers, args.out)
+    except ConfigError as e:
+        sys.stderr.write(f"config error: {e}\n")
+        return 1
     except FloatingPointError as e:
         sys.stderr.write(f"numeric failure: {e}\n")
         return 2

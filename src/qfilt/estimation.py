@@ -153,10 +153,7 @@ def ensemble_step(model, ens: ParticleEnsemble, dM: float, dt: float) -> Particl
     if total <= 0.0 or not np.isfinite(total):
         raise DegenerateEnsembleError("all particle weights collapsed to zero")
     if ens.state_kind == "bloch":
-        B = ens.params
-        k = model.kappa
-        states = ens.states + (-2.0 * B + k * np.sin(2.0 * ens.states)) * dt \
-            + 2.0 * np.sqrt(k) * np.cos(ens.states) * dW
+        states = _bloch_advance(ens.states, ens.params, model.kappa, dW, dt)
     else:
         H = model.H0 * ens.params[:, None, None]
         if model.H_base is not None:
@@ -166,6 +163,13 @@ def ensemble_step(model, ens: ParticleEnsemble, dM: float, dt: float) -> Particl
         dY = dW + c * dt
         states, _ = sme_step_batch(H, model.L, ens.states, dY, dt)
     return replace(ens, weights=w / total, states=states)
+
+
+def _bloch_advance(theta, B, kappa: float, dW, dt: float):
+    """Bloch-angle filters at fields B driven by a given innovation dW:
+    theta += (-2B + kappa sin 2 theta) dt + 2 sqrt(kappa) cos(theta) dW."""
+    return theta + (-2.0 * B + kappa * np.sin(2.0 * theta)) * dt \
+        + 2.0 * np.sqrt(kappa) * np.cos(theta) * dW
 
 
 def effective_sample_size(weights: np.ndarray) -> float:
@@ -335,13 +339,64 @@ def simulate_qubit_record(kappa: float, B_true: float, T: float, dt: float, seed
                             expectations={"sz": sz}, seed=seed)
 
 
-def _truth_rngs(seed, n_seeds: int, streams: int = 2):
+def _truth_rngs(seed, n_seeds: int):
     """Independent (truth, resample) generator pairs for each seed slot."""
     pairs = []
     for k in range(n_seeds):
-        children = np.random.SeedSequence(entropy=(seed, k)).spawn(streams)
+        children = np.random.SeedSequence(entropy=(seed, k)).spawn(2)
         pairs.append(tuple(np.random.default_rng(c) for c in children))
     return pairs
+
+
+def _qubit_bank_lockstep(kappa: float, B: np.ndarray, B_true: float, T: float, dt: float,
+                         rng_pairs: list, chunk: int, store_every: int = 0,
+                         resample: tuple | None = None) -> dict:
+    """Truth Bloch-angle filter at B_true plus a weighted bank of Bloch-angle
+    filters at fields B[s] for every seed slot s, all in lockstep.
+
+    Slot s draws its truth noise from rng_pairs[s][0].  With resample =
+    (a, h, threshold), a slot whose N_eff/N drops below threshold is
+    Liu-West resampled from rng_pairs[s][1].  Returns final weights, fields
+    and resample counts, plus weight snapshots every store_every steps.
+    """
+    n_seeds, n = B.shape
+    steps = int(round(T / dt))
+    sqk = np.sqrt(kappa)
+    sqdt = np.sqrt(dt)
+    theta_true = np.zeros(n_seeds)
+    theta = np.zeros((n_seeds, n))
+    w = np.full((n_seeds, n), 1.0 / n)
+    n_resamples = np.zeros(n_seeds, dtype=int)
+    snap_times, snaps = [], []
+    done = 0
+    while done < steps:
+        m = min(chunk, steps - done)
+        noise = np.stack([pair[0].standard_normal(m) for pair in rng_pairs]) * sqdt
+        for i in range(m):
+            dM = 2.0 * sqk * np.sin(theta_true) * dt + noise[:, i]
+            theta_true = bloch_angle_step(theta_true, dM, B_true, kappa, dt)
+            c = 2.0 * sqk * np.sin(theta)
+            cbar = np.einsum("sn,sn->s", w, c)
+            dW = dM - cbar * dt
+            theta = _bloch_advance(theta, B, kappa, dW[:, None], dt)
+            w = w * (1.0 + (c - cbar[:, None]) * dW[:, None])
+            w = np.clip(w, 0.0, None)
+            w = w / w.sum(axis=1, keepdims=True)
+            if resample is not None:
+                a, h, threshold = resample
+                neff = 1.0 / np.einsum("sn,sn->s", w, w)
+                for s in np.nonzero(neff < threshold * n)[0]:
+                    ens = ParticleEnsemble(weights=w[s], params=B[s], states=theta[s],
+                                           state_kind="bloch")
+                    ens = liu_west_resample(ens, a, h, rng_pairs[s][1])
+                    w[s], B[s], theta[s] = ens.weights, ens.params, ens.states
+                    n_resamples[s] += 1
+            if store_every and (done + i + 1) % store_every == 0:
+                snap_times.append((done + i + 1) * dt)
+                snaps.append(w.copy())
+        done += m
+    return {"weights": w, "B": B, "n_resamples": n_resamples,
+            "snap_times": np.array(snap_times), "snaps": np.array(snaps)}
 
 
 def qubit_finite_set_batch(kappa: float, B_values, B_true: float, T: float, dt: float,
@@ -353,39 +408,13 @@ def qubit_finite_set_batch(kappa: float, B_values, B_true: float, T: float, dt: 
     record.  Returns the final weight matrix (n_seeds, len(B_values)) and,
     if store_every > 0, weight snapshots of shape (n_snaps, n_seeds, n).
     """
-    B = np.asarray(B_values, dtype=float)
-    n = len(B)
-    steps = int(round(T / dt))
-    sqk = np.sqrt(kappa)
-    rngs = [p[0] for p in _truth_rngs(seed, n_seeds, streams=1)]
-    theta_true = np.zeros(n_seeds)
-    theta = np.zeros((n_seeds, n))
-    w = np.full((n_seeds, n), 1.0 / n)
-    sqdt = np.sqrt(dt)
-    snap_times, snaps = [], []
-    done = 0
-    while done < steps:
-        m = min(chunk, steps - done)
-        noise = np.stack([r.standard_normal(m) for r in rngs]) * sqdt
-        for i in range(m):
-            dM = 2.0 * sqk * np.sin(theta_true) * dt + noise[:, i]
-            theta_true = bloch_angle_step(theta_true, dM, B_true, kappa, dt)
-            c = 2.0 * sqk * np.sin(theta)
-            cbar = np.einsum("sn,sn->s", w, c)
-            dW = dM - cbar * dt
-            theta = theta + (-2.0 * B[None, :] + kappa * np.sin(2.0 * theta)) * dt \
-                + 2.0 * sqk * np.cos(theta) * dW[:, None]
-            w = w * (1.0 + (c - cbar[:, None]) * dW[:, None])
-            w = np.clip(w, 0.0, None)
-            w = w / w.sum(axis=1, keepdims=True)
-            if store_every and (done + i + 1) % store_every == 0:
-                snap_times.append((done + i + 1) * dt)
-                snaps.append(w.copy())
-        done += m
-    out = {"final_weights": w}
+    B = np.broadcast_to(np.asarray(B_values, dtype=float), (n_seeds, len(B_values)))
+    run = _qubit_bank_lockstep(kappa, B, B_true, T, dt, _truth_rngs(seed, n_seeds), chunk,
+                               store_every=store_every)
+    out = {"final_weights": run["weights"]}
     if store_every:
-        out["times"] = np.array(snap_times)
-        out["weights"] = np.array(snaps)
+        out["times"] = run["snap_times"]
+        out["weights"] = run["snaps"]
     return out
 
 
@@ -397,38 +426,11 @@ def qubit_particle_filter_batch(kappa: float, prior: tuple, B_true: float, N: in
 
     Returns per-seed final estimates, uncertainties and resample counts.
     """
-    steps = int(round(T / dt))
-    sqk = np.sqrt(kappa)
-    sqdt = np.sqrt(dt)
-    rng_pairs = _truth_rngs(seed, n_seeds, streams=2)
+    rng_pairs = _truth_rngs(seed, n_seeds)
     B = np.stack([sample_prior(prior, N, pair[1])[0] for pair in rng_pairs])
-    theta = np.zeros((n_seeds, N))
-    w = np.full((n_seeds, N), 1.0 / N)
-    theta_true = np.zeros(n_seeds)
-    n_resamples = np.zeros(n_seeds, dtype=int)
-    done = 0
-    while done < steps:
-        m = min(chunk, steps - done)
-        noise = np.stack([pair[0].standard_normal(m) for pair in rng_pairs]) * sqdt
-        for i in range(m):
-            dM = 2.0 * sqk * np.sin(theta_true) * dt + noise[:, i]
-            theta_true = bloch_angle_step(theta_true, dM, B_true, kappa, dt)
-            c = 2.0 * sqk * np.sin(theta)
-            cbar = np.einsum("sn,sn->s", w, c)
-            dW = dM - cbar * dt
-            theta = theta + (-2.0 * B + kappa * np.sin(2.0 * theta)) * dt \
-                + 2.0 * sqk * np.cos(theta) * dW[:, None]
-            w = w * (1.0 + (c - cbar[:, None]) * dW[:, None])
-            w = np.clip(w, 0.0, None)
-            w = w / w.sum(axis=1, keepdims=True)
-            neff = 1.0 / np.einsum("sn,sn->s", w, w)
-            for s in np.nonzero(neff < threshold * N)[0]:
-                ens = ParticleEnsemble(weights=w[s], params=B[s], states=theta[s],
-                                       state_kind="bloch")
-                ens = liu_west_resample(ens, a, h, rng_pairs[s][1])
-                w[s], B[s], theta[s] = ens.weights, ens.params, ens.states
-                n_resamples[s] += 1
-        done += m
+    run = _qubit_bank_lockstep(kappa, B, B_true, T, dt, rng_pairs, chunk,
+                               resample=(a, h, threshold))
+    w, B = run["weights"], run["B"]
     est = np.einsum("sn,sn->s", w, B)
     var = np.einsum("sn,sn->s", w, (B - est[:, None]) ** 2)
-    return {"estimates": est, "uncertainties": np.sqrt(var), "n_resamples": n_resamples}
+    return {"estimates": est, "uncertainties": np.sqrt(var), "n_resamples": run["n_resamples"]}

@@ -110,6 +110,22 @@ def kalman_correlated_step(model: LinearModel, state: KalmanState, dz: float, t:
     return KalmanState(estimate=x_next, covariance=V_next)
 
 
+def _doubled_rk4(A, B, C, D):
+    """One classical RK4 step Z -> Z' of length h for the doubled linear
+    system d/dt [X; Y] = [[A, B B^T], [C^T (D D^T)^{-1} C, -A^T]] [X; Y]."""
+    gain = C.T @ np.linalg.inv(D @ D.T) @ C
+    block = np.block([[A, B @ B.T], [gain, -A.T]])
+
+    def step(Z: np.ndarray, h: float) -> np.ndarray:
+        k1 = block @ Z
+        k2 = block @ (Z + 0.5 * h * k1)
+        k3 = block @ (Z + 0.5 * h * k2)
+        k4 = block @ (Z + h * k3)
+        return Z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    return step
+
+
 def riccati_solve(A, B, C, D, P0, t: float, dt: float = 1e-3) -> np.ndarray:
     """Solve the Riccati ODE with constant coefficients up to time t.
 
@@ -127,8 +143,7 @@ def riccati_solve(A, B, C, D, P0, t: float, dt: float = 1e-3) -> np.ndarray:
     D = np.atleast_2d(np.asarray(D, dtype=float))
     P0 = np.atleast_2d(np.asarray(P0, dtype=float))
     n = A.shape[0]
-    gain = C.T @ np.linalg.inv(D @ D.T) @ C
-    block = np.block([[A, B @ B.T], [gain, -A.T]])
+    rk4 = _doubled_rk4(A, B, C, D)
 
     if t == 0:
         return P0.copy()
@@ -137,11 +152,7 @@ def riccati_solve(A, B, C, D, P0, t: float, dt: float = 1e-3) -> np.ndarray:
     Z = np.vstack([P0, np.eye(n)])
     det_sign = 1.0
     for i in range(steps):
-        k1 = block @ Z
-        k2 = block @ (Z + 0.5 * h * k1)
-        k3 = block @ (Z + 0.5 * h * k2)
-        k4 = block @ (Z + h * k3)
-        Z = Z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        Z = rk4(Z, h)
         Y = Z[n:]
         # Y starts at the identity; a vanishing or sign-flipped determinant
         # means the propagation crossed a singularity of P = X Y^{-1}
@@ -168,11 +179,6 @@ PARAMETER_MODEL = LinearModel(
 )
 
 
-def _riccati_block(A, B, C, D) -> np.ndarray:
-    gain = C.T @ np.linalg.inv(D @ D.T) @ C
-    return np.block([[A, B @ B.T], [gain, -A.T]])
-
-
 def brownian_parameter_demo(xi_true: float, T: float, dt: float, seed,
                             prior_var: float = 1e5,
                             noise_scale: float = 1.0) -> dict[str, np.ndarray]:
@@ -192,7 +198,7 @@ def brownian_parameter_demo(xi_true: float, T: float, dt: float, seed,
         diffusion=lambda t, x, j: np.array([1.0]),
     )
     A, B, C, D = PARAMETER_MODEL.matrices(0.0)
-    block = _riccati_block(A, B, C, D)
+    rk4 = _doubled_rk4(A, B, C, D)
     rng = rng_stream(seed)
     steps = int(round(T / dt))
     rec = {
@@ -216,11 +222,7 @@ def brownian_parameter_demo(xi_true: float, T: float, dt: float, seed,
         x = euler_step(truth_sys, x, i * dt, dt, np.array([dW]))
         innovation = dy - (C @ pi)[0] * dt
         pi = pi + A @ pi * dt + P @ C.T[:, 0] * innovation
-        k1 = block @ Z
-        k2 = block @ (Z + 0.5 * dt * k1)
-        k3 = block @ (Z + 0.5 * dt * k2)
-        k4 = block @ (Z + dt * k3)
-        Z = Z + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        Z = rk4(Z, dt)
         P_next = Z[:2] @ np.linalg.inv(Z[2:])
         # re-normalize (P = X Y^{-1} is invariant under Z -> Z R): keeps the
         # doubled system well-conditioned over long horizons

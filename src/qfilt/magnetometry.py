@@ -17,10 +17,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import anticommutator, dag, expm_hermitian, pure_to_density, spin_coherent, spin_operators
+from .operators import anticommutator, dag, pure_to_density, spin_coherent, spin_operators
 from .kalman import LinearModel
 from .estimation import EstimationModel, particle_filter_run
-from .trajectory import DiffusiveModel, TrajectoryRecord, sse_step_batch
+from .trajectory import DiffusiveModel, TrajectoryRecord, sme_step, sse_step_batch
 from .sde import rng_stream
 
 __all__ = [
@@ -71,73 +71,50 @@ def _spin(params: DoublePassParams) -> dict[str, np.ndarray]:
     return _spin_cached(int(round(2 * params.F)))
 
 
+@lru_cache(maxsize=64)
 def double_pass_model(params: DoublePassParams) -> DiffusiveModel:
-    """Equivalent (H, L) pair of the double-pass interaction."""
+    """Equivalent (H, L) pair of the double-pass interaction.
+
+    Built once per parameter set; the returned arrays are read-only.
+    """
     ops = _spin(params)
     Fy, Fz = ops["Jy"], ops["Jz"]
     L = np.sqrt(params.M) * Fz + 1j * np.sqrt(params.K) * Fy
     H = -params.gamma * params.B * Fy \
         - np.sqrt(params.K * params.M) * anticommutator(Fz, Fy) / 2.0
+    for a in (H, L):
+        a.setflags(write=False)
     return DiffusiveModel(H=H, L=L)
 
 
 def double_pass_sme_step(params: DoublePassParams, rho: np.ndarray, dZ: float, dt: float) -> np.ndarray:
-    """One Euler step of the double-pass quantum filter in its explicit form:
+    """One Euler step of the double-pass quantum filter, which in explicit
+    form reads
 
         d rho = i gamma B [Fy, rho] dt + i sqrt(KM) [Fy, {Fz, rho}] dt
               + M D[Fz] rho dt + K D[Fy] rho dt
               + (sqrt(M) M[Fz] rho + i sqrt(K) [Fy, rho]) dW,
-        dW = dZ - 2 sqrt(M) Tr[Fz rho] dt.
+        dW = dZ - 2 sqrt(M) Tr[Fz rho] dt;
+
+    this is the generic filter sme_step for the pair double_pass_model.
     """
-    ops = _spin(params)
-    Fy, Fz = ops["Jy"], ops["Jz"]
-    M, K = params.M, params.K
-    fz_mean = np.trace(Fz @ rho).real
-    dW = dZ - 2.0 * np.sqrt(M) * fz_mean * dt
-    comm_y = Fy @ rho - rho @ Fy
-    drho = 1j * params.gamma * params.B * comm_y * dt
-    ac = Fz @ rho + rho @ Fz
-    drho += 1j * np.sqrt(K * M) * (Fy @ ac - ac @ Fy) * dt
-    drho += M * (Fz @ rho @ Fz - 0.5 * (Fz @ Fz @ rho + rho @ Fz @ Fz)) * dt
-    drho += K * (Fy @ rho @ Fy - 0.5 * (Fy @ Fy @ rho + rho @ Fy @ Fy)) * dt
-    drho += (np.sqrt(M) * (ac - 2.0 * fz_mean * rho) + 1j * np.sqrt(K) * comm_y) * dW
-    out = rho + drho
-    out = 0.5 * (out + dag(out))
-    tr = np.trace(out).real
-    if not np.isfinite(tr):
-        raise FloatingPointError("non-finite density matrix in double_pass_sme_step")
-    return out / tr
+    return sme_step(double_pass_model(params), rho, dZ, dt)
 
 
 def double_pass_sse_step(params: DoublePassParams, psi: np.ndarray, dW, dt: float) -> np.ndarray:
-    """Pure-state unraveling of the double-pass filter:
+    """Pure-state unraveling of the double-pass filter, the generic
+    sse_step_batch for the pair double_pass_model.  On states with
+    <Fy> = 0 (such as real-amplitude states, which the +x coherent state
+    starts in and the flow preserves) it reads
 
         d psi = [ i gamma B Fy - (M/2)(Fz - <Fz>)^2
                   + i sqrt(KM) Fy (Fz + <Fz>) - (K/2) Fy^2 ] psi dt
               + [ sqrt(M)(Fz - <Fz>) + i sqrt(K) Fy ] psi dW.
+
+    Accepts one state or a stack of states.
     """
-    ops = _spin(params)
-    Fy, Fz = ops["Jy"], ops["Jz"]
-    M, K = params.M, params.K
-    squeeze = psi.ndim == 1
-    if squeeze:
-        psi = psi[None, :]
-    fz_mean = np.einsum("bi,ij,bj->b", psi.conj(), Fz, psi).real
-    Fzpsi = psi @ Fz.T
-    Fypsi = psi @ Fy.T
-    dev = Fzpsi - fz_mean[:, None] * psi
-    dpsi = 1j * params.gamma * params.B * Fypsi * dt
-    dpsi += -0.5 * M * ((dev @ Fz.T) - fz_mean[:, None] * dev) * dt
-    dpsi += 1j * np.sqrt(K * M) * ((Fzpsi + fz_mean[:, None] * psi) @ Fy.T) * dt
-    dpsi += -0.5 * K * (Fypsi @ Fy.T) * dt
-    dW = np.broadcast_to(np.asarray(dW, dtype=float), (psi.shape[0],))
-    dpsi += (np.sqrt(M) * dev + 1j * np.sqrt(K) * Fypsi) * dW[:, None]
-    out = psi + dpsi
-    norm = np.linalg.norm(out, axis=1)
-    if not np.all(np.isfinite(norm)):
-        raise FloatingPointError("non-finite state in double_pass_sse_step")
-    out = out / norm[:, None]
-    return out[0] if squeeze else out
+    model = double_pass_model(params)
+    return sse_step_batch(model.H, model.L, psi, dW, dt)
 
 
 def coherent_x(F: float) -> np.ndarray:
@@ -178,11 +155,10 @@ def fisher_information_fd(params: DoublePassParams, deltaB: float, T: float, dt:
     steps = int(round(T / dt))
     rng = rng_stream(seed)
     dWs = rng.standard_normal(steps) * np.sqrt(dt)
-    offsets = (0.0, deltaB, -deltaB)
-    states = [psi.copy() for _ in offsets]
+    shifted = [replace(params, B=params.B + dB) for dB in (0.0, deltaB, -deltaB)]
+    states = [psi.copy() for _ in shifted]
     for i in range(steps):
-        for k, dB in enumerate(offsets):
-            p = replace(params, B=params.B + dB)
+        for k, p in enumerate(shifted):
             states[k] = double_pass_sse_step(p, states[k], dWs[i], dt)
     rho0 = pure_to_density(states[0])
     drho = (pure_to_density(states[1]) - pure_to_density(states[2])) / (2.0 * deltaB)
@@ -333,12 +309,10 @@ def q_function(psi: np.ndarray, theta_grid: np.ndarray, phi_grid: np.ndarray) ->
 def magnetometry_estimation_model(params: DoublePassParams, prior: tuple) -> EstimationModel:
     """Particle-filter model for an unknown field B: H = B * (-gamma Fy) plus
     the field-independent double-pass terms."""
-    ops = _spin(params)
-    Fy, Fz = ops["Jy"], ops["Jz"]
-    L = np.sqrt(params.M) * Fz + 1j * np.sqrt(params.K) * Fy
-    H_base = -np.sqrt(params.K * params.M) * anticommutator(Fz, Fy) / 2.0
+    base = double_pass_model(replace(params, B=0.0))
     rho0 = pure_to_density(coherent_x(params.F))
-    return EstimationModel(H0=-params.gamma * Fy, L=L, prior=prior, rho0=rho0, H_base=H_base)
+    return EstimationModel(H0=-params.gamma * _spin(params)["Jy"], L=base.L, prior=prior,
+                           rho0=rho0, H_base=base.H)
 
 
 def magnetometry_particle_filter(params: DoublePassParams, record: TrajectoryRecord,

@@ -81,9 +81,9 @@ def _single_label(n: int, qubit: int, axis: str) -> str:
 class StabilizerCode:
     """Code data: generators, syndrome projectors and recovery table.
 
-    ``projectors[0]`` is the codespace projector; ``error_class[c]`` maps
-    feedback/noise channel c (ordered qubit-major, axes X,Y,Z) to the index
-    of the syndrome space a sigma_c error maps the codespace into.
+    ``projectors[0]`` is the codespace projector; ``syndrome_hop[c, s]`` is
+    the index of the syndrome space a sigma_c error (channels ordered
+    qubit-major, axes X,Y,Z) moves syndrome space s into.
     """
 
     name: str
@@ -94,7 +94,7 @@ class StabilizerCode:
     channel_labels: list  # strings like "IXIII"
     projectors: np.ndarray  # (S, d, d)
     syndrome_keys: list  # tuples of +-1, one per projector
-    error_class: np.ndarray  # (3n,) -> projector index
+    syndrome_hop: np.ndarray  # (3n, S) -> projector index
     recovery: dict  # syndrome tuple -> Pauli-string label
     logical_z: str
 
@@ -109,6 +109,11 @@ class StabilizerCode:
     @property
     def n_syndromes(self) -> int:
         return len(self.syndrome_keys)
+
+    @property
+    def error_class(self) -> np.ndarray:
+        """Syndrome space each channel's error maps the codespace into."""
+        return self.syndrome_hop[:, 0]
 
     def syndrome_outcomes(self) -> np.ndarray:
         """h[l, s] = outcome of measuring g_l on syndrome space s (+-1)."""
@@ -140,19 +145,20 @@ def build_code(name: str) -> StabilizerCode:
     keys = [plus]
     projectors = [pi0]
     recovery = {plus: "I" * n}
-    error_class = np.zeros(len(labels), dtype=int)
     for c, (lab, key) in enumerate(zip(labels, syndromes)):
         if key not in keys:
             keys.append(key)
             sig = single_paulis[c]
             projectors.append(sig @ pi0 @ sig)
             recovery[key] = lab
-        error_class[c] = keys.index(key)
+    # an error flips the outcomes of the generators it anticommutes with
+    hop = np.array([[keys.index(tuple(a * b for a, b in zip(key, key_e))) for key in keys]
+                    for key_e in syndromes])
     return StabilizerCode(
         name=name, n=n, generators=list(generators), gen_ops=gen_ops,
         single_paulis=single_paulis, channel_labels=labels,
         projectors=np.stack(projectors), syndrome_keys=keys,
-        error_class=error_class, recovery=recovery, logical_z=spec["logical_z"])
+        syndrome_hop=hop, recovery=recovery, logical_z=spec["logical_z"])
 
 
 def logical_zero(code: StabilizerCode) -> np.ndarray:
@@ -211,13 +217,10 @@ def wonham_transition_matrix(code: StabilizerCode, gamma: float) -> np.ndarray:
     Lambda = gamma sum_errors (T_e - I) over the single-qubit Pauli errors."""
     S = code.n_syndromes
     lam = np.zeros((S, S))
-    for c in range(len(code.channel_labels)):
-        key_e = tuple(1 if _strings_commute(code.channel_labels[c], g) else -1
-                      for g in code.generators)
-        for s, key in enumerate(code.syndrome_keys):
-            target = tuple(a * b for a, b in zip(key, key_e))
-            lam[code.syndrome_keys.index(target), s] += gamma
-            lam[s, s] -= gamma
+    cols = np.arange(S)
+    for targets in code.syndrome_hop:
+        lam[targets, cols] += gamma
+        lam[cols, cols] -= gamma
     return lam
 
 
@@ -320,8 +323,6 @@ def build_truncated_basis(code: StabilizerCode, verify_tol: float = 1e-10) -> Tr
     pair_sign = {}
     for c in range(n_chan):
         sig = code.single_paulis[c]
-        key_e = tuple(1 if _strings_commute(code.channel_labels[c], g) else -1
-                      for g in code.generators)
         for s in range(S):
             if (s, c) in pair_index:
                 continue
@@ -330,8 +331,7 @@ def build_truncated_basis(code: StabilizerCode, verify_tol: float = 1e-10) -> Tr
                 pair_index[(s, c)] = -1
                 pair_sign[(s, c)] = 0.0
                 continue
-            target_key = tuple(a * b for a, b in zip(code.syndrome_keys[s], key_e))
-            s2 = code.syndrome_keys.index(target_key)
+            s2 = code.syndrome_hop[c, s]
             idx = len(mats)
             mats.append(C)
             descr.append(f"i[{code.channel_labels[c]}, P[{s}]]")
@@ -464,25 +464,19 @@ def untruncated_closure_dim(code: StabilizerCode) -> int:
     def coset_key(w: str) -> str:
         return min(_string_product(s, w) for s in stab_strings)
 
-    def syndrome_index(key: tuple) -> int:
-        return code.syndrome_keys.index(key)
-
     seen = {(s, identity) for s in range(code.n_syndromes)}
     frontier = list(seen)
     while frontier:
         new_frontier = []
         for s, w in frontier:
             for c, lab in enumerate(code.channel_labels):
-                key_e = tuple(1 if _strings_commute(lab, g) else -1
-                              for g in code.generators)
-                trivial = all(v == 1 for v in key_e)
+                trivial = code.error_class[c] == 0
                 if trivial and _strings_commute(lab, w):
                     continue  # commutator vanishes identically
                 w2 = coset_key(_string_product(lab, w))
                 targets = [(s, w2)]
                 if not trivial:
-                    moved = tuple(a * b for a, b in zip(code.syndrome_keys[s], key_e))
-                    targets.append((syndrome_index(moved), w2))
+                    targets.append((int(code.syndrome_hop[c, s]), w2))
                 for t in targets:
                     if t not in seen:
                         seen.add(t)
@@ -506,20 +500,10 @@ def truncated_filter_step(basis: TruncatedBasis, p: np.ndarray, dQ: np.ndarray,
                           dt: float) -> tuple[np.ndarray, np.ndarray]:
     """One Euler step of the truncated filter; returns (p', lambdas) with the
     feedback strengths computed from the incoming state (zero-order hold)."""
-    S = basis.n_syndromes
     lambdas = truncated_policy(basis, p, lambda_max)
-    drift = gamma * basis.drift_noise @ p + kappa * basis.drift_meas @ p
-    drift += np.einsum("c,cab,b->a", lambdas, basis.feedback, p)
-    means = basis.h_outcomes @ p[:S]
-    dW = np.asarray(dQ, dtype=float) - 2.0 * np.sqrt(kappa) * means * dt
-    stoch = np.sqrt(kappa) * ((np.einsum("lab,b->la", basis.meas_H, p)
-                               - 2.0 * means[:, None] * p[None, :]).T @ dW)
-    out = p + drift * dt + stoch
-    out[:S] = np.clip(out[:S], 0.0, None)
-    total = out[:S].sum()
-    if total <= 0 or not np.isfinite(total):
-        raise FloatingPointError("truncated filter state degenerated")
-    return out / total, lambdas
+    out = _truncated_step_batch(basis, p[None], np.asarray(dQ, dtype=float)[None],
+                                gamma, kappa, lambdas[None], dt)
+    return out[0], lambdas
 
 
 def codeword_fidelity_discrete(t, gamma: float):

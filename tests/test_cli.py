@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qfilt import cli
+from qfilt.sde import rng_stream
 
 
 ALL_EXPERIMENTS = [
@@ -60,16 +61,47 @@ class TestListAndSchemas:
 
 class TestRun:
     def test_byte_identical_outputs(self, tmp_path):
-        args = ["run", "qubit-filter", "--seed", "7", "--set", "T=0.02"]
-        d1, d2 = os.path.join(tmp_path, "a"), os.path.join(tmp_path, "b")
-        assert cli.main(args + ["--out", d1]) == 0
-        assert cli.main(args + ["--out", d2]) == 0
-        for name in ("qubit_filter.csv", "qubit-filter.manifest.json"):
-            with open(os.path.join(d1, name), "rb") as f:
-                a = f.read()
-            with open(os.path.join(d2, name), "rb") as f:
-                b = f.read()
-            assert a == b, name
+        cases = {
+            "qubit-filter": ["T=0.02"],
+            "particle-filter": ["T=0.02", "N=20", "store_every=10"],
+            "qec-run": ["code=bitflip3", "T=0.0002"],
+            "qec-benchmark": ["code=bitflip3", "T=0.0002", "n_traj=2"],
+        }
+        for experiment, sets in cases.items():
+            args = ["run", experiment, "--seed", "7"]
+            for item in sets:
+                args += ["--set", item]
+            d1 = os.path.join(tmp_path, experiment, "a")
+            d2 = os.path.join(tmp_path, experiment, "b")
+            assert cli.main(args + ["--out", d1]) == 0, experiment
+            assert cli.main(args + ["--out", d2]) == 0, experiment
+            names = sorted(os.listdir(d1))
+            assert f"{experiment}.manifest.json" in names and len(names) == 2
+            for name in names:
+                with open(os.path.join(d1, name), "rb") as f:
+                    a = f.read()
+                with open(os.path.join(d2, name), "rb") as f:
+                    b = f.read()
+                assert a == b, name
+
+    def test_particle_filter_truth_stream_is_not_the_filter_stream(self):
+        truth = rng_stream(cli._truth_seed(7)).standard_normal(8)
+        assert not np.allclose(truth, rng_stream(7).standard_normal(8))
+        assert np.array_equal(truth, rng_stream(cli._truth_seed(7)).standard_normal(8))
+
+    def test_integer_keys(self, tmp_path, capsys):
+        params = cli.resolve_params("particle-filter", {"N": "30"})
+        assert params["N"] == 30 and isinstance(params["N"], int)
+        for experiment, key in (("particle-filter", "N"), ("qec-run", "n_traj"),
+                                ("magnetometer-fisher", "n_seeds"),
+                                ("qubit-filter", "store_every")):
+            with pytest.raises(cli.ConfigError, match=key):
+                cli.resolve_params(experiment, {key: "2.7"})
+        code = cli.main(["run", "collective-cat", "--set", "N=2.7",
+                         "--out", str(tmp_path)])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
 
     def test_manifest_contents(self, tmp_path):
         out = str(tmp_path)
@@ -120,6 +152,11 @@ class TestRun:
                          "--out", str(tmp_path)])
         assert code == 1
         assert "nope" in capsys.readouterr().err
+        # a bad value that only the runner can check
+        code = cli.main(["run", "qec-run", "--set", "controller=bogus",
+                         "--out", str(tmp_path)])
+        assert code == 1
+        assert "controller" in capsys.readouterr().err
 
     def test_qec_benchmark_defaults_mirror_operating_point(self):
         schema = cli.EXPERIMENTS["qec-benchmark"]["schema"]

@@ -99,6 +99,24 @@ class TestDoublePassFilters:
             psi = mag.double_pass_sse_step(p, psi, rng.normal() * 1e-2, 1e-4)
         assert np.max(np.abs(psi.imag)) < 1e-10
 
+    def test_complex_amplitude_sse_matches_sme(self):
+        # a coherent state off the x-z plane has <Fy> != 0; the pure-state
+        # filter must still track the density filter of double_pass_model
+        p = mag.DoublePassParams(F=2.0, M=1.0, K=0.5, B=0.3)
+        model = mag.double_pass_model(p)
+        psi = op.spin_coherent(p.F, 1.1, 0.8)
+        assert abs(np.real(psi.conj() @ spin_ops(p.F)["Jy"] @ psi)) > 0.5
+        rho = op.pure_to_density(psi)
+        Lsig = model.L + op.dag(model.L)
+        rng = np.random.default_rng(6)
+        dt = 1e-5
+        for _ in range(2000):
+            dW = rng.choice([-1.0, 1.0]) * np.sqrt(dt)
+            dZ = np.trace(Lsig @ rho).real * dt + dW
+            rho = traj.sme_step(model, rho, dZ, dt)
+            psi = mag.double_pass_sse_step(p, psi, dW, dt)
+        assert np.max(np.abs(op.pure_to_density(psi) - rho)) < 1e-5
+
 
 class TestStratonovichForm:
     def test_ito_sse_converts_to_analytic_stratonovich(self):
