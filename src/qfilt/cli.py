@@ -35,6 +35,7 @@ from . import magnetometry as mag
 from . import qec
 from . import trajectory as traj
 from .operators import SIGMA_X, SIGMA_Z, pure_to_density, spin_coherent
+from .sde import stream_seed
 
 
 class ConfigError(Exception):
@@ -105,17 +106,10 @@ def _run_param_ensemble(p, seed, workers):
     }
 
 
-def _truth_seed(seed: int) -> np.random.SeedSequence:
-    """Seed of the simulated truth record: the first spawned child of
-    ``seed``, whose stream is distinct from the filter's ``rng_stream(seed)``
-    by construction.  (A tag such as ``(seed, 0)`` is not: numpy seeds it
-    with the same stream as ``seed``.)"""
-    return np.random.SeedSequence(seed).spawn(1)[0]
-
-
 def _run_particle_filter(p, seed, workers):
+    # the truth record draws from stream (seed, 0), the filter from the root
     record = est.simulate_qubit_record(p["kappa"], p["B_true"], p["T"], p["dt"],
-                                       _truth_seed(seed))
+                                       stream_seed(seed, 0))
     model = est.QubitMagnetometerModel(
         kappa=p["kappa"], prior=("gaussian", p["prior_mean"], p["prior_var"]))
     res = est.particle_filter_run(model, record, p["N"], p["a"], p["h"],
@@ -133,7 +127,7 @@ def _run_particle_filter(p, seed, workers):
 def _fisher_task(args):
     F, K, M, B, deltaB, T, dt, seed, k = args
     params = mag.DoublePassParams(F=F, M=M, K=K, B=B)
-    return mag.fisher_information_fd(params, deltaB, T, dt, (seed, k))
+    return mag.fisher_information_fd(params, deltaB, T, dt, stream_seed(seed, k))
 
 
 def _run_magnetometer_fisher(p, seed, workers):
@@ -581,8 +575,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         sys.stderr.write(f"config error: {e}\n")
         return 1
-    except FloatingPointError as e:
-        sys.stderr.write(f"numeric failure: {e}\n")
+    except (ValueError, ArithmeticError, np.linalg.LinAlgError,
+            est.DegenerateEnsembleError) as e:
+        sys.stderr.write(f"numeric failure in {args.experiment}: {type(e).__name__}: {e}\n")
         return 2
     sys.stdout.write(json.dumps(manifest["summary"], sort_keys=True) + "\n")
     return 0

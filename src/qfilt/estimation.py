@@ -25,7 +25,7 @@ import numpy as np
 
 from .operators import dag
 from .trajectory import TrajectoryRecord, bloch_angle_step, sme_step_batch
-from .sde import rng_stream
+from .sde import rng_stream, stream_seed
 
 __all__ = [
     "ParticleEnsemble",
@@ -152,24 +152,17 @@ def ensemble_step(model, ens: ParticleEnsemble, dM: float, dt: float) -> Particl
     total = w.sum()
     if total <= 0.0 or not np.isfinite(total):
         raise DegenerateEnsembleError("all particle weights collapsed to zero")
+    # dY_i chosen so the per-particle filter's internal innovation equals the
+    # shared dW
+    dY = dW + c * dt
     if ens.state_kind == "bloch":
-        states = _bloch_advance(ens.states, ens.params, model.kappa, dW, dt)
+        states = bloch_angle_step(ens.states, dY, ens.params, model.kappa, dt)
     else:
         H = model.H0 * ens.params[:, None, None]
         if model.H_base is not None:
             H = H + model.H_base
-        # dY_i chosen so the per-particle filter's internal innovation equals
-        # the shared dW
-        dY = dW + c * dt
         states, _ = sme_step_batch(H, model.L, ens.states, dY, dt)
     return replace(ens, weights=w / total, states=states)
-
-
-def _bloch_advance(theta, B, kappa: float, dW, dt: float):
-    """Bloch-angle filters at fields B driven by a given innovation dW:
-    theta += (-2B + kappa sin 2 theta) dt + 2 sqrt(kappa) cos(theta) dW."""
-    return theta + (-2.0 * B + kappa * np.sin(2.0 * theta)) * dt \
-        + 2.0 * np.sqrt(kappa) * np.cos(theta) * dW
 
 
 def effective_sample_size(weights: np.ndarray) -> float:
@@ -227,13 +220,15 @@ def _init_ensemble(model, N: int, rng) -> ParticleEnsemble:
 
 
 def particle_filter_run(model, record: TrajectoryRecord, N: int, a: float, h: float,
-                        threshold: float, seed) -> dict:
+                        threshold: float, seed, store_every: int = 0) -> dict:
     """Resampling quantum particle filter over a stored measurement record.
 
     Initializes N particles from the model prior, steps the ensemble through
     every increment of the record, and resamples whenever N_eff/N drops below
-    ``threshold``.  Returns the posterior trace (mean and sd per step), the
-    final estimate and uncertainty, and the resample count.  Deterministic
+    ``threshold`` (never if it is 0).  Returns the posterior trace (mean and
+    sd per step), the final estimate and uncertainty, and the resample count;
+    with store_every > 0, also the particle weights every store_every steps
+    ("snap_times", "snap_weights" of shape (n_snaps, N)).  Deterministic
     given (record, seed).
     """
     rng = rng_stream(seed)
@@ -244,6 +239,7 @@ def particle_filter_run(model, record: TrajectoryRecord, N: int, a: float, h: fl
     sds = np.zeros(steps + 1)
     means[0], sds[0] = ens.mean(), np.sqrt(ens.variance())
     n_resamples = 0
+    snaps = []
     for i in range(steps):
         ens = ensemble_step(model, ens, record.dY[i], dt)
         if threshold > 0 and effective_sample_size(ens.weights) < threshold * N:
@@ -251,7 +247,9 @@ def particle_filter_run(model, record: TrajectoryRecord, N: int, a: float, h: fl
             n_resamples += 1
         means[i + 1] = ens.mean()
         sds[i + 1] = np.sqrt(ens.variance())
-    return {
+        if store_every and (i + 1) % store_every == 0:
+            snaps.append(ens.weights)
+    out = {
         "estimate": means[-1],
         "uncertainty": sds[-1],
         "mean_trace": means,
@@ -259,6 +257,10 @@ def particle_filter_run(model, record: TrajectoryRecord, N: int, a: float, h: fl
         "n_resamples": n_resamples,
         "ensemble": ens,
     }
+    if store_every:
+        out["snap_times"] = record.times[store_every::store_every]
+        out["snap_weights"] = np.array(snaps).reshape(len(snaps), N)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +319,9 @@ def extended_estimation_operators(H0: np.ndarray, L: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Vectorized qubit-magnetometer harnesses.  These evolve many seeds in
-# lockstep using the scalar Bloch-angle filter; the single-seed behavior
-# matches ensemble_step / particle_filter_run and is cross-checked in tests.
+# Qubit-magnetometer harnesses.  Seed slot k simulates its own truth record
+# and runs particle_filter_run on it; a finite-set estimator is the particle
+# filter on a fixed support that never resamples.
 
 
 def simulate_qubit_record(kappa: float, B_true: float, T: float, dt: float, seed) -> TrajectoryRecord:
@@ -339,98 +341,44 @@ def simulate_qubit_record(kappa: float, B_true: float, T: float, dt: float, seed
                             expectations={"sz": sz}, seed=seed)
 
 
-def _truth_rngs(seed, n_seeds: int):
-    """Independent (truth, resample) generator pairs for each seed slot."""
-    pairs = []
-    for k in range(n_seeds):
-        children = np.random.SeedSequence(entropy=(seed, k)).spawn(2)
-        pairs.append(tuple(np.random.default_rng(c) for c in children))
-    return pairs
-
-
-def _qubit_bank_lockstep(kappa: float, B: np.ndarray, B_true: float, T: float, dt: float,
-                         rng_pairs: list, chunk: int, store_every: int = 0,
-                         resample: tuple | None = None) -> dict:
-    """Truth Bloch-angle filter at B_true plus a weighted bank of Bloch-angle
-    filters at fields B[s] for every seed slot s, all in lockstep.
-
-    Slot s draws its truth noise from rng_pairs[s][0].  With resample =
-    (a, h, threshold), a slot whose N_eff/N drops below threshold is
-    Liu-West resampled from rng_pairs[s][1].  Returns final weights, fields
-    and resample counts, plus weight snapshots every store_every steps.
-    """
-    n_seeds, n = B.shape
-    steps = int(round(T / dt))
-    sqk = np.sqrt(kappa)
-    sqdt = np.sqrt(dt)
-    theta_true = np.zeros(n_seeds)
-    theta = np.zeros((n_seeds, n))
-    w = np.full((n_seeds, n), 1.0 / n)
-    n_resamples = np.zeros(n_seeds, dtype=int)
-    snap_times, snaps = [], []
-    done = 0
-    while done < steps:
-        m = min(chunk, steps - done)
-        noise = np.stack([pair[0].standard_normal(m) for pair in rng_pairs]) * sqdt
-        for i in range(m):
-            dM = 2.0 * sqk * np.sin(theta_true) * dt + noise[:, i]
-            theta_true = bloch_angle_step(theta_true, dM, B_true, kappa, dt)
-            c = 2.0 * sqk * np.sin(theta)
-            cbar = np.einsum("sn,sn->s", w, c)
-            dW = dM - cbar * dt
-            theta = _bloch_advance(theta, B, kappa, dW[:, None], dt)
-            w = w * (1.0 + (c - cbar[:, None]) * dW[:, None])
-            w = np.clip(w, 0.0, None)
-            w = w / w.sum(axis=1, keepdims=True)
-            if resample is not None:
-                a, h, threshold = resample
-                neff = 1.0 / np.einsum("sn,sn->s", w, w)
-                for s in np.nonzero(neff < threshold * n)[0]:
-                    ens = ParticleEnsemble(weights=w[s], params=B[s], states=theta[s],
-                                           state_kind="bloch")
-                    ens = liu_west_resample(ens, a, h, rng_pairs[s][1])
-                    w[s], B[s], theta[s] = ens.weights, ens.params, ens.states
-                    n_resamples[s] += 1
-            if store_every and (done + i + 1) % store_every == 0:
-                snap_times.append((done + i + 1) * dt)
-                snaps.append(w.copy())
-        done += m
-    return {"weights": w, "B": B, "n_resamples": n_resamples,
-            "snap_times": np.array(snap_times), "snaps": np.array(snaps)}
+def _seed_slots(model: QubitMagnetometerModel, B_true: float, T: float, dt: float, N: int,
+                a: float, h: float, threshold: float, seed, n_seeds: int,
+                store_every: int = 0) -> list:
+    """particle_filter_run for each seed slot k on a truth record at B_true
+    drawn from stream (seed, k); the filter draws from stream (seed, k, 1)."""
+    return [particle_filter_run(
+        model, simulate_qubit_record(model.kappa, B_true, T, dt, stream_seed(seed, k)),
+        N, a, h, threshold, stream_seed(seed, k, 1), store_every) for k in range(n_seeds)]
 
 
 def qubit_finite_set_batch(kappa: float, B_values, B_true: float, T: float, dt: float,
-                           seed, n_seeds: int, chunk: int = 50_000,
-                           store_every: int = 0) -> dict:
-    """Run the finite-set ensemble filter for many seeds in lockstep.
+                           seed, n_seeds: int, store_every: int = 0) -> dict:
+    """Finite-set ensemble filter on the candidate fields B_values, one run
+    per seed slot.
 
-    Truth is the Bloch-angle filter at B_true; each seed produces its own
-    record.  Returns the final weight matrix (n_seeds, len(B_values)) and,
-    if store_every > 0, weight snapshots of shape (n_snaps, n_seeds, n).
+    Returns the final weight matrix (n_seeds, len(B_values)) and, if
+    store_every > 0, snapshot "times" and "weights" of shape
+    (n_snaps, n_seeds, len(B_values)).
     """
-    B = np.broadcast_to(np.asarray(B_values, dtype=float), (n_seeds, len(B_values)))
-    run = _qubit_bank_lockstep(kappa, B, B_true, T, dt, _truth_rngs(seed, n_seeds), chunk,
-                               store_every=store_every)
-    out = {"final_weights": run["weights"]}
+    model = QubitMagnetometerModel(kappa=kappa, prior=("finite", B_values))
+    runs = _seed_slots(model, B_true, T, dt, len(B_values), a=1.0, h=0.0, threshold=0.0,
+                       seed=seed, n_seeds=n_seeds, store_every=store_every)
+    out = {"final_weights": np.array([r["ensemble"].weights for r in runs])}
     if store_every:
-        out["times"] = run["snap_times"]
-        out["weights"] = run["snaps"]
+        out["times"] = runs[0]["snap_times"]
+        out["weights"] = np.stack([r["snap_weights"] for r in runs], axis=1)
     return out
 
 
 def qubit_particle_filter_batch(kappa: float, prior: tuple, B_true: float, N: int,
                                 T: float, dt: float, a: float, h: float,
-                                threshold: float, seed, n_seeds: int,
-                                chunk: int = 50_000) -> dict:
-    """Resampling quantum particle filter for many seeds in lockstep.
+                                threshold: float, seed, n_seeds: int) -> dict:
+    """Resampling quantum particle filter, one run per seed slot.
 
     Returns per-seed final estimates, uncertainties and resample counts.
     """
-    rng_pairs = _truth_rngs(seed, n_seeds)
-    B = np.stack([sample_prior(prior, N, pair[1])[0] for pair in rng_pairs])
-    run = _qubit_bank_lockstep(kappa, B, B_true, T, dt, rng_pairs, chunk,
-                               resample=(a, h, threshold))
-    w, B = run["weights"], run["B"]
-    est = np.einsum("sn,sn->s", w, B)
-    var = np.einsum("sn,sn->s", w, (B - est[:, None]) ** 2)
-    return {"estimates": est, "uncertainties": np.sqrt(var), "n_resamples": run["n_resamples"]}
+    model = QubitMagnetometerModel(kappa=kappa, prior=prior)
+    runs = _seed_slots(model, B_true, T, dt, N, a, h, threshold, seed, n_seeds)
+    return {"estimates": np.array([r["estimate"] for r in runs]),
+            "uncertainties": np.array([r["uncertainty"] for r in runs]),
+            "n_resamples": np.array([r["n_resamples"] for r in runs])}

@@ -21,7 +21,7 @@ from .operators import anticommutator, dag, pure_to_density, spin_coherent, spin
 from .kalman import LinearModel
 from .estimation import EstimationModel, particle_filter_run
 from .trajectory import DiffusiveModel, TrajectoryRecord, sme_step, sse_step_batch
-from .sde import rng_stream
+from .sde import rng_stream, stream_seed
 
 __all__ = [
     "DoublePassParams",
@@ -178,7 +178,7 @@ def fisher_information_mean(params: DoublePassParams, deltaB: float, T: float, d
     Returns the mean and spread of the conditional information, the bound
     derived from the mean, and the error bar sigma = I^{-3/2} sigma[I|Z] / 2.
     """
-    infos = np.array([fisher_information_fd(params, deltaB, T, dt, (seed, k))
+    infos = np.array([fisher_information_fd(params, deltaB, T, dt, stream_seed(seed, k))
                       for k in range(n_seeds)])
     mean_info = infos.mean()
     std_info = infos.std(ddof=1) if n_seeds > 1 else 0.0

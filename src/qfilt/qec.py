@@ -83,7 +83,8 @@ class StabilizerCode:
 
     ``projectors[0]`` is the codespace projector; ``syndrome_hop[c, s]`` is
     the index of the syndrome space a sigma_c error (channels ordered
-    qubit-major, axes X,Y,Z) moves syndrome space s into.
+    qubit-major, axes X,Y,Z) moves syndrome space s into, and
+    ``hop_generator`` is the unit-rate Markov generator of those hops.
     """
 
     name: str
@@ -95,6 +96,8 @@ class StabilizerCode:
     projectors: np.ndarray  # (S, d, d)
     syndrome_keys: list  # tuples of +-1, one per projector
     syndrome_hop: np.ndarray  # (3n, S) -> projector index
+    hop_generator: np.ndarray  # (S, S), sum over errors of (T_e - I)
+    outcomes: np.ndarray  # (l, S) +-1 outcome of generator l per syndrome space
     recovery: dict  # syndrome tuple -> Pauli-string label
     logical_z: str
 
@@ -117,8 +120,7 @@ class StabilizerCode:
 
     def syndrome_outcomes(self) -> np.ndarray:
         """h[l, s] = outcome of measuring g_l on syndrome space s (+-1)."""
-        return np.array([[key[l] for key in self.syndrome_keys]
-                         for l in range(self.n_generators)], dtype=float)
+        return self.outcomes
 
 
 def build_code(name: str) -> StabilizerCode:
@@ -154,11 +156,17 @@ def build_code(name: str) -> StabilizerCode:
     # an error flips the outcomes of the generators it anticommutes with
     hop = np.array([[keys.index(tuple(a * b for a, b in zip(key, key_e))) for key in keys]
                     for key_e in syndromes])
+    # each error permutes the syndrome spaces
+    generator = -len(hop) * np.eye(len(keys))
+    for targets in hop:
+        generator[targets, np.arange(len(keys))] += 1.0
     return StabilizerCode(
         name=name, n=n, generators=list(generators), gen_ops=gen_ops,
         single_paulis=single_paulis, channel_labels=labels,
         projectors=np.stack(projectors), syndrome_keys=keys,
-        syndrome_hop=hop, recovery=recovery, logical_z=spec["logical_z"])
+        syndrome_hop=hop, hop_generator=generator,
+        outcomes=np.array(keys, dtype=float).T, recovery=recovery,
+        logical_z=spec["logical_z"])
 
 
 def logical_zero(code: StabilizerCode) -> np.ndarray:
@@ -215,13 +223,7 @@ def feedback_policy(code: StabilizerCode, rho: np.ndarray, lambda_max: float,
 def wonham_transition_matrix(code: StabilizerCode, gamma: float) -> np.ndarray:
     """Markov generator of syndrome hopping under the depolarizing channel,
     Lambda = gamma sum_errors (T_e - I) over the single-qubit Pauli errors."""
-    S = code.n_syndromes
-    lam = np.zeros((S, S))
-    cols = np.arange(S)
-    for targets in code.syndrome_hop:
-        lam[targets, cols] += gamma
-        lam[cols, cols] -= gamma
-    return lam
+    return gamma * code.hop_generator
 
 
 def wonham_step(code: StabilizerCode, p: np.ndarray, dQ: np.ndarray,

@@ -1,10 +1,14 @@
 """Generic Ito SDE integration with reproducible Wiener paths.
 
 The integrators accept systems in Ito form only; Stratonovich systems must be
-converted first with :func:`stratonovich_to_ito`.  Wiener increments are
-generated from numpy's seeded ``default_rng``; trajectory ``k`` of a batch
-should use the stream ``(seed, k)`` so batches are reproducible regardless of
-scheduling.
+converted first with :func:`stratonovich_to_ito`.  Every random stream in the
+package comes from :func:`rng_stream`: ``rng_stream(seed)`` is the root stream
+of ``seed`` and ``rng_stream(seed, *tags)`` the stream that
+``SeedSequence(seed).spawn`` would hand to child ``tags`` (child ``k``, then its
+child ``j``, ...).  Trajectory ``k`` of a batch uses ``rng_stream(seed, k)``,
+so batches are reproducible regardless of scheduling, and distinct tag tuples
+never share a stream.  Functions that take a seed also accept the
+:func:`stream_seed` of a tagged stream.
 
 Complex-valued states can be handled by the caller through
 :func:`realify` / :func:`unrealify`, which interleave real and imaginary
@@ -23,6 +27,7 @@ __all__ = [
     "WienerPath",
     "wiener_increments",
     "rng_stream",
+    "stream_seed",
     "euler_step",
     "euler_path",
     "predictor_corrector_step",
@@ -61,27 +66,38 @@ class WienerPath:
 
     dt: float
     increments: np.ndarray
-    seed: int | tuple
+    seed: np.random.SeedSequence
 
     @property
     def steps(self) -> int:
         return self.increments.shape[1]
 
 
-def rng_stream(seed, k: int | None = None) -> np.random.Generator:
-    """Deterministic generator for trajectory k of a batch seeded by ``seed``."""
-    return np.random.default_rng(seed if k is None else (seed, k))
+def stream_seed(seed, *tags: int) -> np.random.SeedSequence:
+    """Seed of the stream tagged ``tags`` under ``seed`` (an int, a tuple of
+    ints, or a SeedSequence whose spawn key the tags extend)."""
+    if isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + tags,
+                                      pool_size=seed.pool_size)
+    return np.random.SeedSequence(seed, spawn_key=tags)
+
+
+def rng_stream(seed, *tags: int) -> np.random.Generator:
+    """Generator of the stream tagged ``tags`` under ``seed``; with no tags,
+    the root stream, as ``default_rng(seed)`` draws it."""
+    return np.random.default_rng(stream_seed(seed, *tags))
 
 
 def wiener_increments(m: int, steps: int, dt: float, seed, k: int | None = None) -> WienerPath:
-    """Draw an m-channel Wiener path of iid normal(0, dt) increments."""
+    """Draw an m-channel Wiener path of iid normal(0, dt) increments from
+    ``rng_stream(seed)``, or from ``rng_stream(seed, k)`` for trajectory k."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    rng = rng_stream(seed, k)
-    dw = rng.standard_normal((m, steps)) * np.sqrt(dt)
-    return WienerPath(dt=dt, increments=dw, seed=seed if k is None else (seed, k))
+    tags = () if k is None else (k,)
+    dw = rng_stream(seed, *tags).standard_normal((m, steps)) * np.sqrt(dt)
+    return WienerPath(dt=dt, increments=dw, seed=stream_seed(seed, *tags))
 
 
 def _require_ito(system: SdeSystem) -> None:

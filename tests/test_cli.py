@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qfilt import cli
-from qfilt.sde import rng_stream
+from qfilt.sde import rng_stream, stream_seed
 
 
 ALL_EXPERIMENTS = [
@@ -59,35 +59,85 @@ class TestListAndSchemas:
             cli.parse_config_text("just words\n")
 
 
+def _assert_same_bytes(d1, d2, experiment):
+    names = sorted(os.listdir(d1))
+    assert f"{experiment}.manifest.json" in names and len(names) == 2
+    assert sorted(os.listdir(d2)) == names
+    for name in names:
+        with open(os.path.join(d1, name), "rb") as f:
+            a = f.read()
+        with open(os.path.join(d2, name), "rb") as f:
+            b = f.read()
+        assert a == b, name
+
+
 class TestRun:
+    # every experiment at a tiny horizon
+    BYTE_CASES = {
+        "kalman-demo": ["T=0.05"],
+        "qubit-filter": ["T=0.02"],
+        "param-ensemble": ["T=0.002", "store_every=10"],
+        "particle-filter": ["T=0.02", "N=20", "store_every=10"],
+        "magnetometer-fisher": ["T=0.0005", "F_values=2,3", "n_seeds=2"],
+        "magnetometer-kalman": ["T=0.001", "store_every=1"],
+        "qec-run": ["code=bitflip3", "T=0.0002"],
+        "qec-benchmark": ["code=bitflip3", "T=0.0002", "n_traj=2"],
+        "collective-cat": ["N=4", "T=0.005", "store_every=1"],
+        "collective-squeeze": ["N=6", "T=0.0005", "dt=0.0001", "store_every=1"],
+    }
+
+    @staticmethod
+    def _args(experiment):
+        args = ["run", experiment, "--seed", "7"]
+        for item in TestRun.BYTE_CASES[experiment]:
+            args += ["--set", item]
+        return args
+
     def test_byte_identical_outputs(self, tmp_path):
-        cases = {
-            "qubit-filter": ["T=0.02"],
-            "particle-filter": ["T=0.02", "N=20", "store_every=10"],
-            "qec-run": ["code=bitflip3", "T=0.0002"],
-            "qec-benchmark": ["code=bitflip3", "T=0.0002", "n_traj=2"],
-        }
-        for experiment, sets in cases.items():
-            args = ["run", experiment, "--seed", "7"]
-            for item in sets:
-                args += ["--set", item]
+        assert sorted(self.BYTE_CASES) == sorted(ALL_EXPERIMENTS)
+        for experiment in self.BYTE_CASES:
+            args = self._args(experiment)
             d1 = os.path.join(tmp_path, experiment, "a")
             d2 = os.path.join(tmp_path, experiment, "b")
             assert cli.main(args + ["--out", d1]) == 0, experiment
             assert cli.main(args + ["--out", d2]) == 0, experiment
-            names = sorted(os.listdir(d1))
-            assert f"{experiment}.manifest.json" in names and len(names) == 2
-            for name in names:
-                with open(os.path.join(d1, name), "rb") as f:
-                    a = f.read()
-                with open(os.path.join(d2, name), "rb") as f:
-                    b = f.read()
-                assert a == b, name
+            _assert_same_bytes(d1, d2, experiment)
 
-    def test_particle_filter_truth_stream_is_not_the_filter_stream(self):
-        truth = rng_stream(cli._truth_seed(7)).standard_normal(8)
+    def test_fisher_bytes_independent_of_workers(self, tmp_path):
+        args = self._args("magnetometer-fisher")
+        d1 = os.path.join(tmp_path, "w1")
+        d2 = os.path.join(tmp_path, "w2")
+        assert cli.main(args + ["--workers", "1", "--out", d1]) == 0
+        assert cli.main(args + ["--workers", "2", "--out", d2]) == 0
+        _assert_same_bytes(d1, d2, "magnetometer-fisher")
+
+    def test_particle_filter_truth_stream_is_not_the_filter_stream(self, monkeypatch):
+        seeds = []
+        simulate = cli.est.simulate_qubit_record
+
+        def spy(kappa, B_true, T, dt, seed):
+            seeds.append(seed)
+            return simulate(kappa, B_true, T, dt, seed)
+
+        monkeypatch.setattr(cli.est, "simulate_qubit_record", spy)
+        params = cli.resolve_params("particle-filter", {"T": "0.001", "N": "5"})
+        cli.EXPERIMENTS["particle-filter"]["runner"](params, 7, 1)
+        # the truth record draws from stream (7, 0); the filter from the root
+        truth = rng_stream(seeds[0]).standard_normal(8)
+        assert np.array_equal(truth, rng_stream(7, 0).standard_normal(8))
         assert not np.allclose(truth, rng_stream(7).standard_normal(8))
-        assert np.array_equal(truth, rng_stream(cli._truth_seed(7)).standard_normal(8))
+
+    def test_runner_failure_exit_code(self, tmp_path, capsys):
+        cases = (("qubit-filter", "dt=0", "ZeroDivisionError"),
+                 ("magnetometer-fisher", "deltaB=0", "ValueError"),
+                 ("kalman-demo", "dt=-0.001", "ValueError"))
+        for experiment, item, exc in cases:
+            code = cli.main(["run", experiment, "--set", item,
+                             "--out", os.path.join(tmp_path, experiment)])
+            assert code == 2, experiment
+            err = capsys.readouterr().err
+            assert err.startswith(f"numeric failure in {experiment}: {exc}")
+            assert err.count("\n") == 1
 
     def test_integer_keys(self, tmp_path, capsys):
         params = cli.resolve_params("particle-filter", {"N": "30"})

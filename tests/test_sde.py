@@ -20,6 +20,11 @@ class TestWienerIncrements:
         b = sde.wiener_increments(1, 100, 1e-3, seed=42, k=1)
         assert not np.allclose(a.increments, b.increments)
 
+    def test_path_records_its_stream_seed(self):
+        a = sde.wiener_increments(1, 50, 1e-3, seed=42, k=3)
+        draws = sde.rng_stream(a.seed).standard_normal(50) * np.sqrt(1e-3)
+        assert np.array_equal(a.increments[0], draws)
+
     def test_variance(self):
         # chi-square bound: sample variance of n iid N(0, dt) draws is within
         # 1% of dt for n = 1e6 (sd of the ratio is sqrt(2/n) ~ 0.14%)
@@ -33,6 +38,37 @@ class TestWienerIncrements:
             sde.wiener_increments(1, 10, 0.0, seed=0)
         with pytest.raises(ValueError):
             sde.wiener_increments(1, 0, 1e-3, seed=0)
+
+
+class TestRngStream:
+    def test_root_stream_is_default_rng(self):
+        assert np.array_equal(sde.rng_stream(7).standard_normal(8),
+                              np.random.default_rng(7).standard_normal(8))
+
+    def test_tag_zero_is_not_the_root(self):
+        # an entropy tuple (7, 0) would replay default_rng(7)
+        assert not np.allclose(sde.rng_stream(7, 0).standard_normal(8),
+                               sde.rng_stream(7).standard_normal(8))
+
+    def test_distinct_tags_give_distinct_streams(self):
+        tags = [(), (0,), (1,), (2,), (0, 0), (0, 1), (1, 0), (1, 1)]
+        draws = [sde.rng_stream(7, *t).standard_normal(8) for t in tags]
+        for i in range(len(draws)):
+            for j in range(i):
+                assert not np.allclose(draws[i], draws[j]), (tags[i], tags[j])
+        other = sde.rng_stream(8, 0).standard_normal(8)
+        assert not np.allclose(other, draws[1])
+
+    def test_tags_are_spawned_children(self):
+        children = np.random.SeedSequence(7).spawn(2)
+        grandchild = children[1].spawn(1)[0]
+        assert np.array_equal(sde.rng_stream(7, 1).standard_normal(8),
+                              np.random.default_rng(children[1]).standard_normal(8))
+        assert np.array_equal(sde.rng_stream(7, 1, 0).standard_normal(8),
+                              np.random.default_rng(grandchild).standard_normal(8))
+        # a stream seed handed to a function extends its tags there
+        assert np.array_equal(sde.rng_stream(sde.stream_seed(7, 1), 0).standard_normal(8),
+                              sde.rng_stream(7, 1, 0).standard_normal(8))
 
 
 class TestEulerStep:
