@@ -288,14 +288,22 @@ def _floats(text):
     return [float(x) for x in str(text).split(",") if x.strip() != ""]
 
 
+def _positive(text) -> float:
+    """A finite float > 0: time steps and horizons."""
+    value = float(text)
+    if not 0.0 < value < float("inf"):
+        raise ValueError(f"{value} is not a positive finite number")
+    return value
+
+
 EXPERIMENTS = {
     "kalman-demo": {
         "doc": "Brownian-forcing parameter estimation with the Kalman-Bucy filter",
         "runner": _run_kalman_demo,
         "schema": {
             "xi_true": (float, 1.0, "true forcing parameter"),
-            "T": (float, 10.0, "integration horizon"),
-            "dt": (float, 1e-3, "time step"),
+            "T": (_positive, 10.0, "integration horizon"),
+            "dt": (_positive, 1e-3, "time step"),
             "prior_var": (float, 1e5, "initial parameter variance"),
         },
     },
@@ -305,8 +313,8 @@ EXPERIMENTS = {
         "schema": {
             "kappa": (float, 1.0, "measurement strength"),
             "B": (float, 0.0, "magnetic field"),
-            "T": (float, 10.0, "integration horizon (units 1/kappa)"),
-            "dt": (float, 1e-5, "time step"),
+            "T": (_positive, 10.0, "integration horizon (units 1/kappa)"),
+            "dt": (_positive, 1e-5, "time step"),
             "store_every": (int, 100, "record every k-th step"),
         },
     },
@@ -317,8 +325,8 @@ EXPERIMENTS = {
             "kappa": (float, 1.0, "measurement strength"),
             "B_values": (_floats, "2,5,8,12", "candidate field values (units kappa)"),
             "B_true": (float, 2.0, "true field value"),
-            "T": (float, 10.0, "integration horizon"),
-            "dt": (float, 1e-5, "time step"),
+            "T": (_positive, 10.0, "integration horizon"),
+            "dt": (_positive, 1e-5, "time step"),
             "store_every": (int, 1000, "record every k-th step"),
         },
     },
@@ -329,8 +337,8 @@ EXPERIMENTS = {
             "kappa": (float, 1.0, "measurement strength"),
             "B_true": (float, 5.0, "true field value"),
             "N": (int, 200, "particle count"),
-            "T": (float, 2.0, "integration horizon"),
-            "dt": (float, 1e-4, "time step"),
+            "T": (_positive, 2.0, "integration horizon"),
+            "dt": (_positive, 1e-4, "time step"),
             "a": (float, 0.98, "kernel mean-reversion factor"),
             "h": (float, 1e-3, "kernel bandwidth factor"),
             "threshold": (float, 2.0 / 3.0, "resample when N_eff/N drops below"),
@@ -348,8 +356,8 @@ EXPERIMENTS = {
             "M": (float, 1.0, "first-pass strength"),
             "B": (float, 0.0, "operating field"),
             "deltaB": (float, 1e-3, "finite-difference offset"),
-            "T": (float, 1.0, "integration horizon"),
-            "dt": (float, 1e-4, "time step"),
+            "T": (_positive, 1.0, "integration horizon"),
+            "dt": (_positive, 1e-4, "time step"),
             "n_seeds": (int, 4, "noise realizations per point"),
         },
     },
@@ -362,8 +370,8 @@ EXPERIMENTS = {
             "K": (float, 0.0, "second-pass strength"),
             "B_true": (float, 0.0, "true field value"),
             "prior_var": (float, 10.0, "initial field variance"),
-            "T": (float, 1.0, "integration horizon"),
-            "dt": (float, 1e-4, "time step"),
+            "T": (_positive, 1.0, "integration horizon"),
+            "dt": (_positive, 1e-4, "time step"),
             "store_every": (int, 10, "record every k-th step"),
         },
     },
@@ -376,8 +384,8 @@ EXPERIMENTS = {
             "gamma": (float, 1.0, "depolarizing rate"),
             "kappa": (float, 100.0, "measurement strength"),
             "lambda_max": (float, 200.0, "maximum feedback strength"),
-            "T": (float, 0.05, "integration horizon (units 1/gamma)"),
-            "dt": (float, 1e-5, "time step"),
+            "T": (_positive, 0.05, "integration horizon (units 1/gamma)"),
+            "dt": (_positive, 1e-5, "time step"),
             "n_traj": (int, 2, "trajectory count"),
         },
     },
@@ -389,8 +397,8 @@ EXPERIMENTS = {
             "gamma": (float, 1.0, "depolarizing rate"),
             "kappa": (float, 100.0, "measurement strength"),
             "lambda_max": (float, 200.0, "maximum feedback strength"),
-            "T": (float, 0.1, "integration horizon (units 1/gamma)"),
-            "dt": (float, 1e-5, "time step"),
+            "T": (_positive, 0.1, "integration horizon (units 1/gamma)"),
+            "dt": (_positive, 1e-5, "time step"),
             "n_traj": (int, 4, "trajectory count"),
         },
     },
@@ -401,8 +409,8 @@ EXPERIMENTS = {
             "N": (int, 10, "qubit count"),
             "channel": (str, "sigma_z", "sigma_z or sigma_minus"),
             "Gamma": (float, 1.0, "decoherence rate"),
-            "T": (float, 0.2, "integration horizon (units 1/Gamma)"),
-            "dt": (float, 1e-3, "time step"),
+            "T": (_positive, 0.2, "integration horizon (units 1/Gamma)"),
+            "dt": (_positive, 1e-3, "time step"),
             "store_every": (int, 10, "record every k-th step"),
         },
     },
@@ -413,8 +421,8 @@ EXPERIMENTS = {
             "N": (int, 100, "qubit count"),
             "Lambda": (float, 1.0, "twisting strength"),
             "Gamma": (float, 0.2, "decoherence rate"),
-            "T": (float, 0.03, "integration horizon"),
-            "dt": (float, 1e-4, "time step"),
+            "T": (_positive, 0.03, "integration horizon"),
+            "dt": (_positive, 1e-4, "time step"),
             "store_every": (int, 10, "record every k-th step"),
         },
     },

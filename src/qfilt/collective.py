@@ -15,6 +15,17 @@ the A/B/D ladder tables and the multiplicity ratios alpha_J / d_J.  The
 g-tensor's z-component is the angular-momentum convention (sigma_z / 2);
 Pauli-z channel coefficients are rescaled internally.
 
+The generator is linear and time-invariant, and each of its pieces (the
+Hamiltonian commutator, C rho C^dag - {C^dag C, rho}/2, the anticommutator
+and s_I terms and the g-tensor bilinear) is a sum of rank-one terms
+    out[J_out][dst] += alpha_M * rho[J][src] * beta_M'
+that shift a slice of one input block into the same block or a J +- 1 block.
+Spin-operator words are banded (J_+, J_-, J_z are single bands), so each
+block's terms are built once from O(2J+1) band vectors and cached per
+(generator, 2J); stepping never forms a dense operator or a matmul, and
+skips input blocks that are exactly zero.  This is the Dicke-basis
+bookkeeping of PIQS (Shammah et al., PRA 98, 063815 (2018)).
+
 Blocks are keyed by 2J (integers avoid half-integer keys).
 """
 
@@ -108,10 +119,6 @@ class CollectiveDensity:
         return float(sum(irrep_degeneracy(tj / 2.0, self.N) * np.trace(b).real
                          for tj, b in self.blocks.items()))
 
-    def hermitize(self) -> None:
-        for tj, b in self.blocks.items():
-            self.blocks[tj] = 0.5 * (b + b.conj().T)
-
 
 @dataclass(frozen=True)
 class SpinChannel:
@@ -140,29 +147,31 @@ class CollectiveChannel:
 
 
 # ladder coefficient tables of the three-term identity; q in {+, -, z} and
-# the z entry is in the angular-momentum (sigma_z / 2) convention
+# the z entry is in the angular-momentum (sigma_z / 2) convention.  M may be
+# a scalar (g_tensor_apply) or an array of projections (the compiled
+# generator).
 def _A(q: str, J: float, M: float) -> float:
     if q == "+":
-        return np.sqrt(max((J - M) * (J + M + 1.0), 0.0))
+        return np.sqrt(np.maximum((J - M) * (J + M + 1.0), 0.0))
     if q == "-":
-        return np.sqrt(max((J + M) * (J - M + 1.0), 0.0))
+        return np.sqrt(np.maximum((J + M) * (J - M + 1.0), 0.0))
     return M
 
 
 def _B(q: str, J: float, M: float) -> float:
     if q == "+":
-        return np.sqrt(max((J - M) * (J - M - 1.0), 0.0))
+        return np.sqrt(np.maximum((J - M) * (J - M - 1.0), 0.0))
     if q == "-":
-        return -np.sqrt(max((J + M) * (J + M - 1.0), 0.0))
-    return np.sqrt(max((J + M) * (J - M), 0.0))
+        return -np.sqrt(np.maximum((J + M) * (J + M - 1.0), 0.0))
+    return np.sqrt(np.maximum((J + M) * (J - M), 0.0))
 
 
 def _D(q: str, J: float, M: float) -> float:
     if q == "+":
-        return -np.sqrt(max((J + M + 1.0) * (J + M + 2.0), 0.0))
+        return -np.sqrt(np.maximum((J + M + 1.0) * (J + M + 2.0), 0.0))
     if q == "-":
-        return np.sqrt(max((J - M + 1.0) * (J - M + 2.0), 0.0))
-    return np.sqrt(max((J + M + 1.0) * (J - M + 1.0), 0.0))
+        return np.sqrt(np.maximum((J - M + 1.0) * (J - M + 2.0), 0.0))
+    return np.sqrt(np.maximum((J + M + 1.0) * (J - M + 1.0), 0.0))
 
 
 _M_SHIFT = {"+": 1.0, "-": -1.0, "z": 0.0}
@@ -216,177 +225,321 @@ def block_spin_ops(two_j: int) -> dict:
     return out
 
 
+# ---------------------------------------------------------------------------
+# banded block operators
+#
+# An operator on the 2J+1 block is a dict of bands {k: v} with A[i, i + k] =
+# v[i], each v of length 2J+1 and zero where i + k leaves the block.  Every
+# word over the spin letters is banded, with |k| at most the word length.
+
+_COMPILE_CACHE = 1024
+
+
+def _shift(v: np.ndarray, k: int) -> np.ndarray:
+    """w[i] = v[i + k], zero where i + k is out of range."""
+    if k == 0:
+        return v
+    w = np.zeros_like(v)
+    if k > 0:
+        w[:-k] = v[k:]
+    else:
+        w[-k:] = v[:k]
+    return w
+
+
+def _bands_of(A: np.ndarray) -> dict:
+    """The nonzero diagonals of a block operator, as bands."""
+    d = len(A)
+    out = {}
+    for k in range(1 - d, d):
+        diag = np.diagonal(A, k)
+        if diag.any():
+            v = np.zeros(d, dtype=complex)
+            v[max(0, -k):max(0, -k) + len(diag)] = diag
+            out[k] = v
+    return out
+
+
+@lru_cache(maxsize=256)
+def _letter_bands(two_j: int) -> dict:
+    ops = spin_operators(two_j / 2.0)
+    names = {"+": "Jplus", "-": "Jminus", "z": "Jz", "x": "Jx", "y": "Jy"}
+    return {ch: _bands_of(ops[name]) for ch, name in names.items()}
+
+
+def _band_product(a: dict, b: dict, dim: int) -> dict:
+    out = {}
+    for k, u in a.items():
+        for l, v in b.items():
+            if abs(k + l) < dim:
+                term = u * _shift(v, k)
+                out[k + l] = out[k + l] + term if k + l in out else term
+    return out
+
+
+def _band_sum(pairs) -> dict:
+    """sum_n c_n B_n over (c_n, bands of B_n), skipping zero coefficients."""
+    out = {}
+    for c, bands in pairs:
+        if c == 0:
+            continue
+        for k, v in bands.items():
+            out[k] = out[k] + c * v if k in out else c * v
+    return out
+
+
+@lru_cache(maxsize=_COMPILE_CACHE)
+def _word_bands(word: str, two_j: int) -> dict:
+    """Bands of one word (read-only vectors; the cached dict is shared)."""
+    letters = _letter_bands(two_j)
+    bands = {0: np.ones(two_j + 1, dtype=complex)}
+    for ch in word:
+        bands = _band_product(bands, letters[ch], two_j + 1)
+    for v in bands.values():
+        v.setflags(write=False)
+    return bands
+
+
+def _adjoint(bands: dict) -> dict:
+    """A^dag[i + k, i] = conj(A[i, i + k]): band k of A is band -k of A^dag."""
+    return {-k: np.conj(_shift(v, -k)) for k, v in bands.items()}
+
+
 def collective_operator(word_coeffs, two_j: int) -> np.ndarray:
     """Polynomial in the block spin operators from (coeff, word) pairs, where
     a word is a string over {+, -, z, x, y} applied left to right, e.g.
     (1.0, "++") is J_+^2 and (0.5, "") is half the identity."""
-    ops = block_spin_ops(two_j)
     dim = two_j + 1
     out = np.zeros((dim, dim), dtype=complex)
-    for coeff, word in word_coeffs:
-        term = np.eye(dim, dtype=complex)
-        for ch in word:
-            term = term @ ops[ch]
-        out += coeff * term
+    flat = out.reshape(-1)
+    for k, v in _band_sum((c, _word_bands(w, two_j)) for c, w in word_coeffs).items():
+        lo = max(0, -k)
+        flat[lo * (dim + 1) + k::dim + 1][:dim - abs(k)] = v[lo:lo + dim - abs(k)]
     return out
 
 
 # ---------------------------------------------------------------------------
-# g-tensor application, vectorized per block
+# the compiled generator
+#
+# Every term of the generator maps one input block to one output block as
+#     out[2J_out][dst] += alpha * in[2J][src] * beta,
+# alpha a column and beta a row of O(2J+1) coefficients, or None for ones.
+# A row factor (off, v) moves row p of the input to row p + off of the
+# output with weight v[p]; a column factor does the same for columns.  A
+# left product A rho has one row factor per band of A, a right product
+# rho B one column factor per band of B, and a sandwich one term per pair.
+# H and C are read off their collective_operator blocks, once per block.
+
+_WHOLE = (slice(None), slice(None), None)
 
 
-@lru_cache(maxsize=512)
-def _pair_tables(q: str, r: str, two_j: int, N: int):
-    """Coefficient matrices of the (q, r) bilinear for the input block 2J:
-    three (dim_in, dim_in) tables whose (M, M') entry multiplies the shifted
-    element in the J, J-1, J+1 output blocks."""
+def _left(bands: dict) -> list:
+    """Row factors of rho -> A rho: row p + k feeds row p with A[p, p + k]."""
+    return [(-k, _shift(v, -k)) for k, v in bands.items()]
+
+
+def _right(bands: dict) -> list:
+    """Column factors of rho -> rho B: column p feeds column p + k with B[p, p + k]."""
+    return list(bands.items())
+
+
+def _factor(off: int, v: np.ndarray, dim_in: int, dim_out: int):
+    """(dst, src, weights) of a factor, trimmed to its nonzero weights that
+    land in the output block; None if there are none."""
+    lo, hi = max(0, -off), min(dim_in, dim_out - off)
+    nz = np.flatnonzero(v[lo:hi]) if lo < hi else ()
+    if len(nz) == 0:
+        return None
+    lo, hi = lo + int(nz[0]), lo + int(nz[-1]) + 1
+    return slice(lo + off, hi + off), slice(lo, hi), v[lo:hi]
+
+
+def _terms(two_j_in: int, two_j_out: int, rows, cols) -> list:
+    """Rank-one terms of sum_rc R_r rho C_c; rows/cols None is the identity."""
+    d_in, d_out = two_j_in + 1, two_j_out + 1
+
+    def factors(pairs):
+        if pairs is None:
+            return [_WHOLE]
+        return [f for f in (_factor(off, v, d_in, d_out) for off, v in pairs) if f]
+
+    out = []
+    for dr, sr, a in factors(rows):
+        for dc, sc, b in factors(cols):
+            out.append((two_j_out, (dr, dc), (sr, sc),
+                        None if a is None else a[:, None], None if b is None else b[None, :]))
+    return out
+
+
+def _words_key(word_coeffs) -> tuple:
+    """Hashable form of (coeff, word) pairs, lists included."""
+    return tuple((complex(c), str(w)) for c, w in word_coeffs)
+
+
+@lru_cache(maxsize=_COMPILE_CACHE)
+def _hamiltonian_terms(words: tuple, two_j: int) -> tuple:
+    """-i [H, rho] on block 2J."""
+    H = _bands_of(collective_operator(words, two_j))
+    return tuple(_terms(two_j, two_j, _left(_band_sum([(-1j, H)])), None)
+                 + _terms(two_j, two_j, None, _right(_band_sum([(1j, H)]))))
+
+
+@lru_cache(maxsize=_COMPILE_CACHE)
+def _collective_channel_terms(words: tuple, two_j: int) -> tuple:
+    """C rho C^dag - {C^dag C, rho} / 2 on block 2J."""
+    C = _bands_of(collective_operator(words, two_j))
+    Cd = _adjoint(C)
+    half = _band_sum([(-0.5, _band_product(Cd, C, two_j + 1))])
+    return tuple(_terms(two_j, two_j, _left(C), _right(Cd))
+                 + _terms(two_j, two_j, _left(half), None)
+                 + _terms(two_j, two_j, None, _right(half)))
+
+
+@lru_cache(maxsize=_COMPILE_CACHE)
+def _spin_channel_terms(s: tuple, N: int, two_j: int) -> tuple:
+    """sum_n L[s^(n)] rho on input block 2J, s = (s_I, s_+, s_-, s_z)."""
+    sI, sp, sm, sz = s
+    # S_N = sum_n s^dag s = c_id N I + c_p J_+ + c_m J_- + c_z Jz_pauli,
+    # Jz_pauli = 2 Jz
+    c_id = 0.5 * abs(sm) ** 2 + 0.5 * abs(sp) ** 2 + abs(sI) ** 2 + abs(sz) ** 2
+    c_p = np.conj(sm) * sI - np.conj(sm) * sz + np.conj(sI) * sp + np.conj(sz) * sp
+    c_m = np.conj(sI) * sm + np.conj(sp) * sI + np.conj(sp) * sz - np.conj(sz) * sm
+    c_z = 0.5 * abs(sm) ** 2 - 0.5 * abs(sp) ** 2 + np.conj(sI) * sz + np.conj(sz) * sI
+    # -{S_N, rho}/2 plus the identity-involving part of sum_n s rho s^dag:
+    # |s_I|^2 N rho + sum_q (s_q s_I^* J_q rho + s_I s_q^* rho J_q^dag),
+    # folded into one left and one right band operator
+    Id, Jp, Jm, Jz = (_word_bands(word, two_j) for word in ("", "+", "-", "z"))
+    left = _band_sum([(-0.5 * c_id * N + abs(sI) ** 2 * N, Id),
+                      (-0.5 * c_p + sp * np.conj(sI), Jp),
+                      (-0.5 * c_m + sm * np.conj(sI), Jm),
+                      (-c_z + 2.0 * sz * np.conj(sI), Jz)])
+    right = _band_sum([(-0.5 * c_id * N, Id),
+                       (-0.5 * c_p + sI * np.conj(sm), Jp),
+                       (-0.5 * c_m + sI * np.conj(sp), Jm),
+                       (-c_z + 2.0 * sI * np.conj(sz), Jz)])
+    terms = _terms(two_j, two_j, _left(left), None) + _terms(two_j, two_j, None, _right(right))
+    # non-collective bilinear sum_qr s_q s_r^* sum_n sigma_q rho sigma_r^dag
+    # by the three-term identity (sigma_z = 2 * angular-momentum z); each
+    # output block is a sandwich whose row factors carry s_q and whose column
+    # factors carry s_r^*.  The identity's coefficients act on the
+    # 1/d_J-normalized effective elements; blocks here carry the d_J-weighted
+    # trace convention, so the block-changing terms pick up d_in / d_out.
+    svec = {q: v for q, v in (("+", sp), ("-", sm), ("z", 2.0 * sz)) if v != 0}
     J = two_j / 2.0
-    dim = two_j + 1
-    m = J - np.arange(dim)
+    m = J - np.arange(two_j + 1)
     dJ = irrep_degeneracy(J, N)
-    aJ = alpha_cumulative(J, N)
-    aJ1 = alpha_cumulative(J + 1, N)
-    Aq = np.array([_A(q, J, mm) for mm in m])
-    Ar = np.array([_A(r, J, mm) for mm in m])
-    Bq = np.array([_B(q, J, mm) for mm in m])
-    Br = np.array([_B(r, J, mm) for mm in m])
-    Dq = np.array([_D(q, J, mm) for mm in m])
-    Dr = np.array([_D(r, J, mm) for mm in m])
-    same = np.outer(Aq, Ar) * ((1.0 + (aJ1 / dJ) * (2 * J + 1) / (J + 1)) / (2 * J)) \
-        if J > 0 else np.zeros((dim, dim))
-    # the identity's coefficients act on the 1/d_J-normalized effective
-    # elements; blocks here carry the d_J-weighted trace convention, so the
-    # block-changing terms pick up a multiplicity ratio d_in / d_out
-    d_down = irrep_degeneracy(J - 1.0, N)
-    d_up = irrep_degeneracy(J + 1.0, N)
-    down = np.outer(Bq, Br) * (aJ / (dJ * 2.0 * J)) * (dJ / d_down) \
-        if (J > 0 and d_down > 0) else np.zeros((dim, dim))
-    up = np.outer(Dq, Dr) * (aJ1 / (dJ * 2.0 * (J + 1.0))) * (dJ / d_up) \
-        if d_up > 0 else np.zeros((dim, dim))
-    for t in (same, down, up):
-        t.setflags(write=False)
-    return same, down, up
+    aJ, aJ1 = alpha_cumulative(J, N), alpha_cumulative(J + 1, N)
+    d_down, d_up = irrep_degeneracy(J - 1.0, N), irrep_degeneracy(J + 1.0, N)
+    outputs = []  # (block step, ladder table, prefactor)
+    if J > 0:
+        outputs.append((0, _A, (1.0 + (aJ1 / dJ) * (2 * J + 1) / (J + 1)) / (2 * J)))
+        if d_down > 0:
+            outputs.append((-1, _B, (aJ / (dJ * 2.0 * J)) * (dJ / d_down)))
+    if d_up > 0:
+        outputs.append((1, _D, (aJ1 / (dJ * 2.0 * (J + 1.0))) * (dJ / d_up)))
+    for step, table, pref in outputs:
+        ladder = {q: table(q, J, m) for q in svec}
+        rows = [(step - int(_M_SHIFT[q]), pref * sq * ladder[q]) for q, sq in svec.items()]
+        cols = [(step - int(_M_SHIFT[r]), np.conj(sr) * ladder[r]) for r, sr in svec.items()]
+        terms += _terms(two_j, two_j + 2 * step, rows, cols)
+    return tuple(terms)
 
 
-def _place_shifted(dst: np.ndarray, src: np.ndarray, q: str, r: str, two_j_in: int,
-                   two_j_out: int) -> None:
-    """dst[J_out, M + shift_q, M' + shift_r] += src[J_in, M, M'] elementwise.
-
-    Rows of a block are ordered M = J, J-1, ..., -J, so raising the
-    projection by one moves an entry up one row in a block of the same J and
-    the row offset between blocks comes from the J difference.
-    """
-    dim_in = two_j_in + 1
-    dim_out = two_j_out + 1
-    # row index of projection M in a block: J - M
-    # target row: J_out - (M + shift_q) = (J_out - J_in) - shift_q + row_in
-    off_r = (two_j_out - two_j_in) // 2 - int(_M_SHIFT[q])
-    off_c = (two_j_out - two_j_in) // 2 - int(_M_SHIFT[r])
-    r0, r1 = max(0, off_r), min(dim_out, dim_in + off_r)
-    c0, c1 = max(0, off_c), min(dim_out, dim_in + off_c)
-    if r0 >= r1 or c0 >= c1:
-        return
-    dst[r0:r1, c0:c1] += src[r0 - off_r:r1 - off_r, c0 - off_c:c1 - off_c]
-
-
-def _bilinear_apply(svec: dict, rho: CollectiveDensity, out: CollectiveDensity) -> None:
-    """Accumulate sum_qr s_q s_r^* sum_n sigma_q rho sigma_r^dag into out."""
-    N = rho.N
-    pairs = [(q, r, svec[q] * np.conj(svec[r]))
-             for q in ("+", "-", "z") for r in ("+", "-", "z")
-             if svec[q] != 0 and svec[r] != 0]
+def _accumulate(terms_of, rho: CollectiveDensity, out: CollectiveDensity, scale=1.0) -> None:
+    """out += scale * G rho for the generator G whose terms for input block
+    2J are terms_of(2J).  Exactly-zero input blocks add nothing and are
+    skipped."""
     for two_j, block in rho.blocks.items():
-        for q, r, weight in pairs:
-            same, down, up = _pair_tables(q, r, two_j, N)
-            for tables, two_j_out in ((same, two_j), (down, two_j - 2), (up, two_j + 2)):
-                if two_j_out < 0 or two_j_out not in out.blocks:
-                    continue
-                src = weight * tables * block
-                _place_shifted(out.blocks[two_j_out], src, q, r, two_j, two_j_out)
+        if not block.any():
+            continue
+        if scale != 1.0:
+            block = scale * block
+        for two_j_out, dst, src, a, b in terms_of(two_j):
+            t = block[src]
+            if a is not None:
+                t = a * t
+            if b is not None:
+                t = t * b
+            out.blocks[two_j_out][dst] += t
 
 
-def symmetric_lindblad_apply(channel: SpinChannel, rho: CollectiveDensity) -> CollectiveDensity:
+def symmetric_lindblad_apply(channel: SpinChannel, rho: CollectiveDensity,
+                             out: CollectiveDensity | None = None,
+                             scale: float = 1.0) -> CollectiveDensity:
     """Derivative of rho under the symmetric channel sum_n L[s^(n)] at unit
-    rate (multiply by channel.rate for the physical rate).
+    rate (multiply by channel.rate for the physical rate).  With ``out``,
+    ``scale`` times the derivative is added into it and it is returned.
 
     Uses S_N = sum_n s^dag s expanded in collective operators for the
     anticommutator part, collective terms for everything involving s_I, and
     the g-tensor identity for the non-collective bilinear.
     """
     N = rho.N
-    sI, sp, sm, sz = channel.s_I, channel.s_plus, channel.s_minus, channel.s_z
-    out = CollectiveDensity.zeros(N)
-    # S_N = c_id N I + c_p J_+ + c_m J_- + c_z Jz_pauli,  Jz_pauli = 2 Jz
-    c_id = 0.5 * abs(sm) ** 2 + 0.5 * abs(sp) ** 2 + abs(sI) ** 2 + abs(sz) ** 2
-    c_p = np.conj(sm) * sI - np.conj(sm) * sz + np.conj(sI) * sp + np.conj(sz) * sp
-    c_m = np.conj(sI) * sm + np.conj(sp) * sI + np.conj(sp) * sz - np.conj(sz) * sm
-    c_z = 0.5 * abs(sm) ** 2 - 0.5 * abs(sp) ** 2 + np.conj(sI) * sz + np.conj(sz) * sI
-    for two_j, block in rho.blocks.items():
-        ops = block_spin_ops(two_j)
-        S = c_id * N * np.eye(two_j + 1) + c_p * ops["+"] + c_m * ops["-"] \
-            + 2.0 * c_z * ops["z"]
-        out.blocks[two_j] += -0.5 * (S @ block + block @ S)
-        # identity-involving part of sum_n s rho s^dag: |s_I|^2 N rho
-        # + sum_q (s_q s_I^* J_q rho + s_I s_q^* rho J_q^dag)
-        out.blocks[two_j] += abs(sI) ** 2 * N * block
-        for q, sq in (("+", sp), ("-", sm), ("z", sz)):
-            Jq = 2.0 * ops["z"] if q == "z" else ops[q]
-            if sq != 0 and sI != 0:
-                out.blocks[two_j] += sq * np.conj(sI) * (Jq @ block)
-                out.blocks[two_j] += sI * np.conj(sq) * (block @ Jq.conj().T)
-    # non-collective bilinear; sigma_z = 2 * (angular-momentum z)
-    svec = {"+": sp, "-": sm, "z": 2.0 * sz}
-    _bilinear_apply(svec, rho, out)
+    out = CollectiveDensity.zeros(N) if out is None else out
+    key = tuple(complex(x) for x in (channel.s_I, channel.s_plus, channel.s_minus, channel.s_z))
+    _accumulate(lambda two_j: _spin_channel_terms(key, N, two_j), rho, out, scale)
     return out
 
 
-def collective_lindblad_apply(channel: CollectiveChannel, rho: CollectiveDensity) -> CollectiveDensity:
-    """Block-diagonal dissipator L[C] rho for a collective operator C."""
-    out = CollectiveDensity.zeros(rho.N)
-    for two_j, block in rho.blocks.items():
-        C = collective_operator(channel.word_coeffs, two_j)
-        CdC = C.conj().T @ C
-        out.blocks[two_j] = C @ block @ C.conj().T \
-            - 0.5 * (CdC @ block + block @ CdC)
+def collective_lindblad_apply(channel: CollectiveChannel, rho: CollectiveDensity,
+                              out: CollectiveDensity | None = None,
+                              scale: float = 1.0) -> CollectiveDensity:
+    """Block-diagonal dissipator L[C] rho for a collective operator C; ``out``
+    and ``scale`` as in symmetric_lindblad_apply."""
+    out = CollectiveDensity.zeros(rho.N) if out is None else out
+    key = _words_key(channel.word_coeffs)
+    _accumulate(lambda two_j: _collective_channel_terms(key, two_j), rho, out, scale)
     return out
 
 
 def master_rhs(H_coeffs, channels, rho: CollectiveDensity) -> CollectiveDensity:
     """d rho / dt = -i [H, rho] + sum_k Gamma_k L_k rho with H given as
-    (coeff, word) pairs applied per block."""
+    (coeff, word) pairs applied per block.  Blocks missing from rho.blocks
+    count as zero; the result has every block."""
     out = CollectiveDensity.zeros(rho.N)
     if H_coeffs:
-        for two_j, block in rho.blocks.items():
-            H = collective_operator(H_coeffs, two_j)
-            out.blocks[two_j] += -1j * (H @ block - block @ H)
+        key = _words_key(H_coeffs)
+        _accumulate(lambda two_j: _hamiltonian_terms(key, two_j), rho, out)
     for ch in channels:
         if isinstance(ch, SpinChannel):
-            deriv = symmetric_lindblad_apply(ch, rho)
+            symmetric_lindblad_apply(ch, rho, out, ch.rate)
         else:
-            deriv = collective_lindblad_apply(ch, rho)
-        for two_j in out.blocks:
-            out.blocks[two_j] += ch.rate * deriv.blocks[two_j]
+            collective_lindblad_apply(ch, rho, out, ch.rate)
     return out
 
 
 def collective_master_step(H_coeffs, channels, rho: CollectiveDensity, dt: float) -> CollectiveDensity:
-    """One fixed-step RK4 step of the master equation."""
+    """One fixed-step RK4 step of the master equation.
 
-    def add(a: CollectiveDensity, b: CollectiveDensity, w: float) -> CollectiveDensity:
-        return CollectiveDensity(N=a.N, blocks={k: a.blocks[k] + w * b.blocks[k]
-                                                for k in a.blocks})
+    Only the blocks that can be nonzero are stepped: those of rho, and at
+    each stage the blocks the stage derivative reaches, looked for among
+    the J +- 1 neighbours of the stage state (no term moves a block
+    further).  Every other block of the result is exactly zero.
+    """
+    N = rho.N
 
-    k1 = master_rhs(H_coeffs, channels, rho)
-    k2 = master_rhs(H_coeffs, channels, add(rho, k1, dt / 2.0))
-    k3 = master_rhs(H_coeffs, channels, add(rho, k2, dt / 2.0))
-    k4 = master_rhs(H_coeffs, channels, add(rho, k3, dt))
-    out = rho.copy()
-    for k in out.blocks:
-        out.blocks[k] = rho.blocks[k] + (dt / 6.0) * (
-            k1.blocks[k] + 2.0 * k2.blocks[k] + 2.0 * k3.blocks[k] + k4.blocks[k])
-        if not np.all(np.isfinite(out.blocks[k])):
+    def nonzero(x, keys):
+        return {tj for tj in keys if x.blocks[tj].any()}
+
+    support = nonzero(rho, rho.blocks)
+    state = CollectiveDensity(N=N, blocks={tj: rho.blocks[tj] for tj in support})
+    ks = []
+    for w in (dt / 2.0, dt / 2.0, dt, None):
+        k = master_rhs(H_coeffs, channels, state)
+        ks.append(k)
+        support |= nonzero(k, {t for tj in state.blocks for t in (tj - 2, tj, tj + 2)
+                               if t in k.blocks})
+        if w is not None:
+            state = CollectiveDensity(N=N, blocks={tj: rho.blocks[tj] + w * k.blocks[tj]
+                                                   for tj in support})
+    k1, k2, k3, k4 = ks
+    out = CollectiveDensity.zeros(N)
+    for tj in support:
+        block = rho.blocks[tj] + (dt / 6.0) * (
+            k1.blocks[tj] + 2.0 * k2.blocks[tj] + 2.0 * k3.blocks[tj] + k4.blocks[tj])
+        if not np.all(np.isfinite(block)):
             raise FloatingPointError("non-finite block in collective_master_step")
-    out.hermitize()
+        out.blocks[tj] = 0.5 * (block + block.conj().T)
     return out
 
 
@@ -414,11 +567,11 @@ def expectation(rho: CollectiveDensity, word_coeffs) -> complex:
     """<C> = sum_J d_J tr(C_J rho_J) for a collective operator polynomial."""
     total = 0.0 + 0.0j
     for two_j, block in rho.blocks.items():
-        d = irrep_degeneracy(two_j / 2.0, rho.N)
-        if d == 0:
+        if not block.any():
             continue
-        C = collective_operator(word_coeffs, two_j)
-        total += d * np.trace(C @ block)
+        d = irrep_degeneracy(two_j / 2.0, rho.N)
+        # tr(C rho) = sum_ij C_ij rho_ji
+        total += d * np.sum(collective_operator(word_coeffs, two_j) * block.T)
     return total
 
 
@@ -445,7 +598,7 @@ def fidelity_with(rho: CollectiveDensity, ref: CollectiveDensity) -> float:
     total = 0.0
     for two_j, block in rho.blocks.items():
         d = irrep_degeneracy(two_j / 2.0, rho.N)
-        total += d * np.trace(ref.blocks[two_j] @ block).real
+        total += d * np.sum(ref.blocks[two_j] * block.T).real
     return float(total)
 
 

@@ -128,9 +128,7 @@ class TestRun:
         assert not np.allclose(truth, rng_stream(7).standard_normal(8))
 
     def test_runner_failure_exit_code(self, tmp_path, capsys):
-        cases = (("qubit-filter", "dt=0", "ZeroDivisionError"),
-                 ("magnetometer-fisher", "deltaB=0", "ValueError"),
-                 ("kalman-demo", "dt=-0.001", "ValueError"))
+        cases = (("magnetometer-fisher", "deltaB=0", "ValueError"),)
         for experiment, item, exc in cases:
             code = cli.main(["run", experiment, "--set", item,
                              "--out", os.path.join(tmp_path, experiment)])
@@ -138,6 +136,16 @@ class TestRun:
             err = capsys.readouterr().err
             assert err.startswith(f"numeric failure in {experiment}: {exc}")
             assert err.count("\n") == 1
+
+    def test_nonpositive_step_or_horizon_is_config_error(self, tmp_path, capsys):
+        cases = (("qubit-filter", "dt=0"), ("kalman-demo", "dt=-0.001"),
+                 ("collective-cat", "T=0"), ("qubit-filter", "dt=nan"))
+        for experiment, item in cases:
+            out = os.path.join(tmp_path, experiment)
+            code = cli.main(["run", experiment, "--set", item, "--out", out])
+            assert code == 1, (experiment, item)
+            assert item.split("=")[0] in capsys.readouterr().err
+            assert not os.path.exists(out)
 
     def test_integer_keys(self, tmp_path, capsys):
         params = cli.resolve_params("particle-filter", {"N": "30"})

@@ -261,6 +261,123 @@ class TestMasterStep:
         assert abs(col.irrep_population(state, 2.0) - 1.0) < 1e-9
 
 
+def random_hermitian_blocks(N, seed):
+    rng = np.random.default_rng(seed)
+    rho = col.CollectiveDensity.zeros(N)
+    for tj in rho.blocks:
+        a = rng.standard_normal((tj + 1, tj + 1)) + 1j * rng.standard_normal((tj + 1, tj + 1))
+        rho.blocks[tj] = a + a.conj().T
+    return rho
+
+
+def collective_sum(X, two_j, N):
+    """sum_n X^(n) on block 2J for a single-qubit operator X, from its
+    Hilbert-Schmidt components on I, sigma_+, sigma_-, sigma_z."""
+    def hs(B):
+        return np.trace(B.conj().T @ X) / np.trace(B.conj().T @ B)
+    return col.collective_operator([(N * hs(np.eye(2)), ""), (hs(SIGMA_PLUS), "+"),
+                                    (hs(SIGMA_MINUS), "-"), (2.0 * hs(SIGMA_Z), "z")], two_j)
+
+
+def dense_reference_rhs(H, channels, rho):
+    """The generator from dense collective_operator matmuls and the scalar
+    g-tensor identity, element by element."""
+    N = rho.N
+    out = {tj: np.zeros_like(b) for tj, b in rho.blocks.items()}
+    for tj, b in rho.blocks.items():
+        Hj = col.collective_operator(H, tj)
+        out[tj] += -1j * (Hj @ b - b @ Hj)
+    for ch in channels:
+        if isinstance(ch, col.CollectiveChannel):
+            for tj, b in rho.blocks.items():
+                C = col.collective_operator(ch.word_coeffs, tj)
+                CdC = C.conj().T @ C
+                out[tj] += ch.rate * (C @ b @ C.conj().T - 0.5 * (CdC @ b + b @ CdC))
+            continue
+        sI = ch.s_I
+        s = (sI * np.eye(2) + ch.s_plus * SIGMA_PLUS + ch.s_minus * SIGMA_MINUS
+             + ch.s_z * SIGMA_Z)
+        # sum_n s rho s^dag = N |s_I|^2 rho + s_I^* K rho + s_I rho K^dag
+        # + sum_n s' rho s'^dag, with s' = s - s_I and K = sum_n s'^(n)
+        for tj, b in rho.blocks.items():
+            S = collective_sum(s.conj().T @ s, tj, N)
+            K = collective_sum(s - sI * np.eye(2), tj, N)
+            out[tj] += ch.rate * (-0.5 * (S @ b + b @ S) + abs(sI) ** 2 * N * b
+                                  + np.conj(sI) * K @ b + sI * b @ K.conj().T)
+        svec = {"+": ch.s_plus, "-": ch.s_minus, "z": 2.0 * ch.s_z}  # sigma_z = 2 Jz
+        for tj, b in rho.blocks.items():
+            J = tj / 2.0
+            for i in range(tj + 1):
+                for j in range(tj + 1):
+                    for q, sq in svec.items():
+                        for r, sr in svec.items():
+                            for Jo, Mo, Mpo, cf in col.g_tensor_apply(q, r, J, J - i, J - j, N):
+                                # d_J-weighted blocks: block changes carry d_in / d_out
+                                ratio = col.irrep_degeneracy(J, N) / col.irrep_degeneracy(Jo, N)
+                                out[int(round(2 * Jo))][int(round(Jo - Mo)), int(round(Jo - Mpo))] \
+                                    += ch.rate * sq * np.conj(sr) * cf * ratio * b[i, j]
+    return out
+
+
+class TestCompiledGenerator:
+    @pytest.mark.parametrize("two_j", range(9))
+    def test_collective_operator_matches_matmul_chain(self, two_j):
+        ops = col.block_spin_ops(two_j)
+        for word in ("", "+", "-", "z", "x", "y", "yy", "++", "+-z", "xyz+", "zz-y"):
+            expect = np.eye(two_j + 1, dtype=complex)
+            for ch in word:
+                expect = expect @ ops[ch]
+            got = col.collective_operator([(0.5 - 0.25j, word)], two_j)
+            assert np.max(np.abs(got - (0.5 - 0.25j) * expect), initial=0.0) \
+                <= 1e-12 * max(1.0, np.max(np.abs(expect)))
+
+    @pytest.mark.parametrize("N", [11, 12])
+    def test_master_rhs_matches_dense_reference(self, N):
+        H = ((0.7, "++"), (0.7, "--"), (0.2, "z"), (0.1 - 0.3j, "xy"))
+        channels = [
+            col.SpinChannel(s_I=0.4 - 0.2j, s_plus=0.3 + 0.1j, s_minus=1.0, s_z=0.5j, rate=0.7),
+            col.SpinChannel(s_I=0.8, s_z=-0.6, rate=1.3),  # identity and z branches only
+            col.CollectiveChannel(word_coeffs=((1.0, "-"), (0.3j, "zx")), rate=0.5),
+        ]
+        rho = random_hermitian_blocks(N, N)
+        got = col.master_rhs(H, channels, rho)
+        expect = dense_reference_rhs(H, channels, rho)
+        scale = max(np.max(np.abs(b)) for b in expect.values())
+        for tj in rho.blocks:
+            assert np.max(np.abs(got.blocks[tj] - expect[tj])) <= 1e-12 * scale
+
+    def test_block_diagonal_generator_stays_in_top_block(self):
+        N = 10
+        H = ((-1j, "++"), (1j, "--"), (0.3, "z"))
+        ch = col.CollectiveChannel(word_coeffs=((1.0, "-"),), rate=0.5)
+        state = col.coherent_top(N)
+        for _ in range(10):
+            state = col.collective_master_step(H, [ch], state, 1e-2)
+        assert state.blocks[N].any()
+        for tj, b in state.blocks.items():
+            if tj != N:
+                assert not b.any()
+
+    def test_one_step_moves_at_most_four_blocks_down(self):
+        # each RK4 stage moves population one block further down
+        N = 12
+        state = col.collective_master_step(None, [col.SpinChannel(s_minus=1.0)],
+                                           col.coherent_top(N), 1e-2)
+        assert state.blocks[N - 8].any()
+        for tj, b in state.blocks.items():
+            if tj < N - 8:
+                assert not b.any()
+
+    def test_word_coeffs_given_as_lists(self):
+        rho = random_collective(5, 11)
+        as_list = col.CollectiveChannel(word_coeffs=[(1.0, "-")])
+        as_tuple = col.CollectiveChannel(word_coeffs=((1.0, "-"),))
+        a = col.master_rhs([[0.5, "z"]], [as_list], rho)
+        b = col.master_rhs(((0.5, "z"),), [as_tuple], rho)
+        for tj in rho.blocks:
+            assert np.array_equal(a.blocks[tj], b.blocks[tj])
+
+
 class TestStatesAndObservables:
     def test_cat_state_normalized(self):
         rho = col.cat_state(6)
