@@ -78,7 +78,7 @@ def _run_kalman_demo(p, seed, workers):
 def _run_qubit_filter(p, seed, workers):
     model = traj.qubit_model(p["kappa"], p["B"])
     rho0 = pure_to_density(spin_coherent(0.5, np.pi / 2, 0.0))
-    every = max(1, p["store_every"])
+    every = p["store_every"]
     rec = traj.simulate_truth(model, rho0, p["T"], p["dt"], seed,
                               observables={"sx": SIGMA_X, "sz": SIGMA_Z})
     n = len(rec.dY)
@@ -93,9 +93,8 @@ def _run_qubit_filter(p, seed, workers):
 
 def _run_param_ensemble(p, seed, workers):
     values = p["B_values"]
-    every = max(1, p["store_every"])
     out = est.qubit_finite_set_batch(p["kappa"], values, p["B_true"], p["T"], p["dt"],
-                                     seed, n_seeds=1, store_every=every)
+                                     seed, n_seeds=1, store_every=p["store_every"])
     w = out["weights"][:, 0, :]
     header = ["time"] + [f"w_B={_fmt(v)}" for v in values]
     cols = [out["times"]] + [w[:, i] for i in range(len(values))]
@@ -114,8 +113,7 @@ def _run_particle_filter(p, seed, workers):
         kappa=p["kappa"], prior=("gaussian", p["prior_mean"], p["prior_var"]))
     res = est.particle_filter_run(model, record, p["N"], p["a"], p["h"],
                                   p["threshold"], seed)
-    every = max(1, p["store_every"])
-    idx = np.arange(0, len(res["mean_trace"]), every)
+    idx = np.arange(0, len(res["mean_trace"]), p["store_every"])
     cols = [record.times[idx], res["mean_trace"][idx], res["sd_trace"][idx]]
     return {
         "files": {"particle_filter.csv": (["time", "B_mean", "B_sd"], cols)},
@@ -160,7 +158,7 @@ def _run_magnetometer_kalman(p, seed, workers):
     model = mag.smallangle_kalman_model(params)
     state = kalman.KalmanState(estimate=np.zeros(2),
                                covariance=np.diag([0.0, p["prior_var"]]))
-    every = max(1, p["store_every"])
+    every = p["store_every"]
     steps = len(record.dY)
     out_t, out_th, out_B, out_v = [], [], [], []
     for i in range(steps):
@@ -181,13 +179,11 @@ def _run_magnetometer_kalman(p, seed, workers):
 def _qec_batch(p, seed, controller):
     """All n_traj closed-loop trajectories in one lockstep batch; trajectory
     k draws from the stream (seed, k)."""
-    if controller not in ("truncated", "full", "none"):
-        raise ConfigError("controller must be truncated, full or none")
     code = qec.build_code(p["code"])
     basis = qec.build_truncated_basis(code) if controller == "truncated" else None
     return qec.run_feedback_batch(code, p["gamma"], p["kappa"], p["lambda_max"], p["T"],
                                   p["dt"], seed, p["n_traj"], controller=controller,
-                                  basis=basis, record_every=10)
+                                  basis=basis, record_every=_QEC_RECORD_EVERY)
 
 
 def _run_qec(p, seed, workers):
@@ -222,17 +218,14 @@ def _run_qec_benchmark(p, seed, workers):
 
 def _run_collective_cat(p, seed, workers):
     N = p["N"]
-    label = p["channel"]
-    if label == "sigma_z":
+    if p["channel"] == "sigma_z":
         sym = col.SpinChannel(s_z=1.0, rate=p["Gamma"])
         coll = col.CollectiveChannel(word_coeffs=((2.0, "z"),), rate=p["Gamma"])
-    elif label == "sigma_minus":
+    else:
         sym = col.SpinChannel(s_minus=1.0, rate=p["Gamma"])
         coll = col.CollectiveChannel(word_coeffs=((1.0, "-"),), rate=p["Gamma"])
-    else:
-        raise ConfigError("channel must be sigma_z or sigma_minus")
     steps = int(round(p["T"] / p["dt"]))
-    every = max(1, p["store_every"])
+    every = p["store_every"]
     ref = col.cat_state(N)
     states = {"sym": col.cat_state(N), "coll": col.cat_state(N)}
     rows = {"t": [], "sym": [], "coll": [], "topJ": []}
@@ -265,7 +258,7 @@ def _run_collective_squeeze(p, seed, workers):
     }
     states = {k: col.coherent_top(N) for k in channels}
     steps = int(round(p["T"] / p["dt"]))
-    every = max(1, p["store_every"])
+    every = p["store_every"]
     rows = {"t": [], "free": [], "sym": [], "coll": []}
     for i in range(steps):
         for k, ch in channels.items():
@@ -296,6 +289,27 @@ def _positive(text) -> float:
     return value
 
 
+def _positive_int(text) -> int:
+    """An integer >= 1: record strides."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{value} is not a positive integer")
+    return value
+
+
+def _choice(*options):
+    """Converter accepting exactly one of the given names."""
+    def conv(text) -> str:
+        if text not in options:
+            raise ValueError(f"{text!r} is not one of {', '.join(options)}")
+        return text
+    return conv
+
+
+_QEC_RECORD_EVERY = 10
+
+# "stride" gives the record stride of runners that write rows only at
+# multiples of it: a horizon shorter than one stride would record nothing
 EXPERIMENTS = {
     "kalman-demo": {
         "doc": "Brownian-forcing parameter estimation with the Kalman-Bucy filter",
@@ -315,10 +329,11 @@ EXPERIMENTS = {
             "B": (float, 0.0, "magnetic field"),
             "T": (_positive, 10.0, "integration horizon (units 1/kappa)"),
             "dt": (_positive, 1e-5, "time step"),
-            "store_every": (int, 100, "record every k-th step"),
+            "store_every": (_positive_int, 100, "record every k-th step"),
         },
     },
     "param-ensemble": {
+        "stride": lambda p: p["store_every"],
         "doc": "finite-set magnetic field estimation on a monitored qubit",
         "runner": _run_param_ensemble,
         "schema": {
@@ -327,7 +342,7 @@ EXPERIMENTS = {
             "B_true": (float, 2.0, "true field value"),
             "T": (_positive, 10.0, "integration horizon"),
             "dt": (_positive, 1e-5, "time step"),
-            "store_every": (int, 1000, "record every k-th step"),
+            "store_every": (_positive_int, 1000, "record every k-th step"),
         },
     },
     "particle-filter": {
@@ -344,7 +359,7 @@ EXPERIMENTS = {
             "threshold": (float, 2.0 / 3.0, "resample when N_eff/N drops below"),
             "prior_mean": (float, 0.0, "Gaussian prior mean"),
             "prior_var": (float, 10.0, "Gaussian prior variance"),
-            "store_every": (int, 100, "record every k-th step"),
+            "store_every": (_positive_int, 100, "record every k-th step"),
         },
     },
     "magnetometer-fisher": {
@@ -362,6 +377,7 @@ EXPERIMENTS = {
         },
     },
     "magnetometer-kalman": {
+        "stride": lambda p: p["store_every"],
         "doc": "small-angle Kalman field estimate on a double-pass record",
         "runner": _run_magnetometer_kalman,
         "schema": {
@@ -372,15 +388,16 @@ EXPERIMENTS = {
             "prior_var": (float, 10.0, "initial field variance"),
             "T": (_positive, 1.0, "integration horizon"),
             "dt": (_positive, 1e-4, "time step"),
-            "store_every": (int, 10, "record every k-th step"),
+            "store_every": (_positive_int, 10, "record every k-th step"),
         },
     },
     "qec-run": {
+        "stride": lambda p: _QEC_RECORD_EVERY,
         "doc": "continuous error correction trajectories with feedback",
         "runner": _run_qec,
         "schema": {
-            "code": (str, "fivequbit", "code name (fivequbit or bitflip3)"),
-            "controller": (str, "truncated", "feedback controller: truncated/full/none"),
+            "code": (_choice(*qec._CODES), "fivequbit", "code name (fivequbit or bitflip3)"),
+            "controller": (_choice("truncated", "full", "none"), "truncated", "truncated, full or none"),
             "gamma": (float, 1.0, "depolarizing rate"),
             "kappa": (float, 100.0, "measurement strength"),
             "lambda_max": (float, 200.0, "maximum feedback strength"),
@@ -390,10 +407,11 @@ EXPERIMENTS = {
         },
     },
     "qec-benchmark": {
+        "stride": lambda p: _QEC_RECORD_EVERY,
         "doc": "feedback vs discrete-time codeword fidelity for the five-qubit code",
         "runner": _run_qec_benchmark,
         "schema": {
-            "code": (str, "fivequbit", "code name"),
+            "code": (_choice(*qec._CODES), "fivequbit", "code name (fivequbit or bitflip3)"),
             "gamma": (float, 1.0, "depolarizing rate"),
             "kappa": (float, 100.0, "measurement strength"),
             "lambda_max": (float, 200.0, "maximum feedback strength"),
@@ -403,18 +421,20 @@ EXPERIMENTS = {
         },
     },
     "collective-cat": {
+        "stride": lambda p: p["store_every"],
         "doc": "cat-state fidelity decay: symmetric-local vs collective channel",
         "runner": _run_collective_cat,
         "schema": {
             "N": (int, 10, "qubit count"),
-            "channel": (str, "sigma_z", "sigma_z or sigma_minus"),
+            "channel": (_choice("sigma_z", "sigma_minus"), "sigma_z", "sigma_z or sigma_minus"),
             "Gamma": (float, 1.0, "decoherence rate"),
             "T": (_positive, 0.2, "integration horizon (units 1/Gamma)"),
             "dt": (_positive, 1e-3, "time step"),
-            "store_every": (int, 10, "record every k-th step"),
+            "store_every": (_positive_int, 10, "record every k-th step"),
         },
     },
     "collective-squeeze": {
+        "stride": lambda p: p["store_every"],
         "doc": "counter-twisting squeezing under symmetric vs collective decay",
         "runner": _run_collective_squeeze,
         "schema": {
@@ -423,7 +443,7 @@ EXPERIMENTS = {
             "Gamma": (float, 0.2, "decoherence rate"),
             "T": (_positive, 0.03, "integration horizon"),
             "dt": (_positive, 1e-4, "time step"),
-            "store_every": (int, 10, "record every k-th step"),
+            "store_every": (_positive_int, 10, "record every k-th step"),
         },
     },
 }
@@ -468,8 +488,12 @@ def resolve_params(experiment: str, raw: dict) -> dict:
             except (TypeError, ValueError):
                 raise ConfigError(f"bad value for key {key!r}: {raw[key]!r}") from None
         else:
-            params[key] = conv(default) if not isinstance(default, str) or conv is not str \
-                else default
+            params[key] = conv(default)
+    stride = EXPERIMENTS[experiment].get("stride", lambda p: 0)(params)
+    steps = int(round(params["T"] / params["dt"]))
+    if steps < stride:
+        raise ConfigError(f"key 'T': {steps} steps of dt={params['dt']:g} are fewer than"
+                          f" the record stride {stride}, so no row would be recorded")
     return params
 
 
@@ -580,9 +604,6 @@ def main(argv=None) -> int:
         return 1
     try:
         manifest = run_experiment(args.experiment, params, args.seed, args.workers, args.out)
-    except ConfigError as e:
-        sys.stderr.write(f"config error: {e}\n")
-        return 1
     except (ValueError, ArithmeticError, np.linalg.LinAlgError,
             est.DegenerateEnsembleError) as e:
         sys.stderr.write(f"numeric failure in {args.experiment}: {type(e).__name__}: {e}\n")

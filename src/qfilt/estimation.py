@@ -161,7 +161,7 @@ def ensemble_step(model, ens: ParticleEnsemble, dM: float, dt: float) -> Particl
         H = model.H0 * ens.params[:, None, None]
         if model.H_base is not None:
             H = H + model.H_base
-        states, _ = sme_step_batch(H, model.L, ens.states, dY, dt)
+        states = sme_step_batch(H, model.L, ens.states, dY, dt)
     return replace(ens, weights=w / total, states=states)
 
 

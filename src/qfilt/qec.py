@@ -3,7 +3,10 @@
 Stabilizer generators are measured continuously at strength kappa while a
 symmetric depolarizing channel acts at rate gamma and a feedback Hamiltonian
 H_t = sum lambda_c sigma_c (single-qubit Paulis, bang-bang strengths) steers
-the state back toward the codespace.  The conditional state follows
+the state back toward the codespace.  The conditional state follows the
+generic SME of ``trajectory.sme_step_batch`` with the generators as the
+monitored channels L_l = sqrt(kappa) g_l and the depolarizing term as its
+unmonitored generator:
 
     d rho = gamma sum_c D[sigma_c] rho dt + kappa sum_l D[g_l] rho dt
           + sqrt(kappa) sum_l H[g_l] rho (dQ_l - 2 sqrt(kappa) Tr[g_l rho] dt)
@@ -29,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import commutator, dag, pauli_string
+from .operators import commutator, pauli_string
 from .sde import rng_stream
+from .trajectory import sme_step_batch
 
 __all__ = [
     "StabilizerCode",
@@ -85,6 +89,8 @@ class StabilizerCode:
     the index of the syndrome space a sigma_c error (channels ordered
     qubit-major, axes X,Y,Z) moves syndrome space s into, and
     ``hop_generator`` is the unit-rate Markov generator of those hops.
+    ``policy_ops[c]`` is -i [Pi_0, sigma_c], whose expectation is the
+    feedback-policy signal of channel c.
     """
 
     name: str
@@ -100,6 +106,7 @@ class StabilizerCode:
     outcomes: np.ndarray  # (l, S) +-1 outcome of generator l per syndrome space
     recovery: dict  # syndrome tuple -> Pauli-string label
     logical_z: str
+    policy_ops: np.ndarray  # (3n, d, d)
 
     @property
     def dim(self) -> int:
@@ -166,7 +173,7 @@ def build_code(name: str) -> StabilizerCode:
         projectors=np.stack(projectors), syndrome_keys=keys,
         syndrome_hop=hop, hop_generator=generator,
         outcomes=np.array(keys, dtype=float).T, recovery=recovery,
-        logical_z=spec["logical_z"])
+        logical_z=spec["logical_z"], policy_ops=-1j * (pi0 @ single_paulis - single_paulis @ pi0))
 
 
 def logical_zero(code: StabilizerCode) -> np.ndarray:
@@ -213,11 +220,13 @@ def feedback_policy(code: StabilizerCode, rho: np.ndarray, lambda_max: float,
     Closed-loop runs instead use the raw float sign of the signal, which
     keeps the feedback effectively always on; see run_feedback_batch.
     """
-    pi0 = code.projectors[0]
-    P = code.single_paulis
-    comm = pi0 @ P - P @ pi0  # (3n, d, d), [Pi_0, sigma_c]
-    vals = (-1j * np.einsum("kij,ji->k", comm, rho)).real
+    vals = _full_signal(code, rho)
     return lambda_max * np.sign(np.where(np.abs(vals) <= dead_zone, 0.0, vals))
+
+
+def _full_signal(code: StabilizerCode, rho: np.ndarray) -> np.ndarray:
+    """Tr[-i [Pi_0, sigma_c] rho] per channel, for one state or a stack."""
+    return np.einsum("cij,...ji->...c", code.policy_ops, rho).real
 
 
 def wonham_transition_matrix(code: StabilizerCode, gamma: float) -> np.ndarray:
@@ -492,9 +501,14 @@ def truncated_policy(basis: TruncatedBasis, p: np.ndarray, lambda_max: float,
     """Feedback strengths from the truncated state: the coefficient of the
     merged first-level element for (codespace, channel) is exactly
     Tr[-i [Pi_0, sigma_c] rho].  Dead-zone semantics as in feedback_policy."""
-    vals = np.where(basis.policy_index >= 0,
-                    basis.policy_sign * p[basis.policy_index], 0.0)
+    vals = _truncated_signal(basis, p)
     return lambda_max * np.sign(np.where(np.abs(vals) <= dead_zone, 0.0, vals))
+
+
+def _truncated_signal(basis: TruncatedBasis, p: np.ndarray) -> np.ndarray:
+    """The full-state policy signal read off a truncated state or a stack of
+    them; 0 for channels whose commutator vanishes identically."""
+    return np.where(basis.policy_index >= 0, basis.policy_sign * p[..., basis.policy_index], 0.0)
 
 
 def truncated_filter_step(basis: TruncatedBasis, p: np.ndarray, dQ: np.ndarray,
@@ -528,27 +542,12 @@ def fidelity_metrics(rho: np.ndarray, code: StabilizerCode, psi0: np.ndarray) ->
 def _full_step_batch(code: StabilizerCode, rho: np.ndarray, dQ: np.ndarray,
                      gamma: float, kappa: float, lambdas: np.ndarray,
                      dt: float) -> np.ndarray:
-    """Vectorized full-filter Euler step over a batch of trajectories."""
+    """Vectorized full-filter Euler step over a batch of trajectories: the
+    generic SME with feedback Hamiltonian and depolarizing generator."""
     P = code.single_paulis
-    G = code.gen_ops
-    n_chan = P.shape[0]
-    drho = gamma * (_depolarize_batch(code.n, rho) - n_chan * rho) * dt
-    Grho = np.matmul(G[None], rho[:, None])  # (B, l, d, d)
-    t = np.matmul(Grho, G[None])
-    drho += kappa * (t.sum(axis=1) - G.shape[0] * rho) * dt
-    signals = np.einsum("blii->bl", Grho).real
-    dW = dQ - 2.0 * np.sqrt(kappa) * signals * dt
-    cond = Grho + np.swapaxes(Grho, -1, -2).conj() \
-        - 2.0 * signals[:, :, None, None] * rho[:, None]
-    drho += np.sqrt(kappa) * np.einsum("bl,blij->bij", dW, cond)
-    H = np.einsum("bc,cij->bij", lambdas, P)
-    drho += -1j * (np.matmul(H, rho) - np.matmul(rho, H)) * dt
-    out = rho + drho
-    out = 0.5 * (out + np.swapaxes(out, -1, -2).conj())
-    tr = np.einsum("bii->b", out).real
-    if not np.all(np.isfinite(tr)):
-        raise FloatingPointError("non-finite density matrix in full filter batch")
-    return out / tr[:, None, None]
+    H = (lambdas @ P.reshape(P.shape[0], -1)).reshape(rho.shape)
+    depol = gamma * (_depolarize_batch(code.n, rho) - P.shape[0] * rho)
+    return sme_step_batch(H, np.sqrt(kappa) * code.gen_ops, rho, dQ, dt, unmonitored=depol)
 
 
 def _truncated_step_batch(basis: TruncatedBasis, p: np.ndarray, dQ: np.ndarray,
@@ -578,11 +577,6 @@ def _bang_bang(vals: np.ndarray, lambda_max: float) -> np.ndarray:
     return lambda_max * signs
 
 
-def _policy_batch_full(comm0: np.ndarray, rho: np.ndarray, lambda_max: float) -> np.ndarray:
-    vals = np.einsum("cij,bji->bc", comm0, rho).real
-    return _bang_bang(vals, lambda_max)
-
-
 def run_feedback_batch(code: StabilizerCode, gamma: float, kappa: float,
                        lambda_max: float, T: float, dt: float, seed, n_traj: int,
                        controller: str = "truncated",
@@ -602,6 +596,8 @@ def run_feedback_batch(code: StabilizerCode, gamma: float, kappa: float,
     Returns time grid, per-trajectory codespace/codeword fidelity traces of
     shape (n_traj, n_records), and per-trajectory policy agreement.
     """
+    if controller not in ("truncated", "full", "none"):
+        raise ValueError(f"unknown controller {controller!r}; choose truncated, full or none")
     if controller == "truncated" and basis is None:
         raise ValueError("truncated controller requires a basis")
     psi0 = logical_zero(code)
@@ -613,9 +609,7 @@ def run_feedback_batch(code: StabilizerCode, gamma: float, kappa: float,
     sqdt = np.sqrt(dt)
     rngs = [rng_stream(seed, k) for k in range(n_traj)]
     p = np.broadcast_to(basis.initial_state(rho0), (n_traj, basis.size)).copy() \
-        if basis is not None else None
-    comm0 = -1j * (code.projectors[0] @ code.single_paulis
-                   - code.single_paulis @ code.projectors[0])
+        if controller == "truncated" else None
     times, cs_fid, cw_fid = [], [], []
     agree = np.zeros(n_traj)
     agree_steps = 0
@@ -628,20 +622,16 @@ def run_feedback_batch(code: StabilizerCode, gamma: float, kappa: float,
             if controller == "none":
                 lambdas = np.zeros((n_traj, n_chan))
             elif controller == "full":
-                lambdas = _policy_batch_full(comm0, rho, lambda_max)
+                lambdas = _bang_bang(_full_signal(code, rho), lambda_max)
             else:
-                vals = np.where(basis.policy_index[None, :] >= 0,
-                                basis.policy_sign[None, :] * p[:, basis.policy_index],
-                                0.0)
-                lambdas = np.where(basis.policy_index[None, :] >= 0,
-                                   _bang_bang(vals, lambda_max), 0.0)
-                full_l = _policy_batch_full(comm0, rho, lambda_max)
-                agree += np.mean(full_l == lambdas, axis=1)
+                lambdas = np.where(basis.policy_index >= 0,
+                                   _bang_bang(_truncated_signal(basis, p), lambda_max), 0.0)
+                agree += np.mean(_bang_bang(_full_signal(code, rho), lambda_max) == lambdas, axis=1)
                 agree_steps += 1
             signals = np.einsum("lij,bji->bl", code.gen_ops, rho).real
             dQ = 2.0 * np.sqrt(kappa) * signals * dt + noise[:, i]
             rho = _full_step_batch(code, rho, dQ, gamma, kappa, lambdas, dt)
-            if p is not None and controller != "full":
+            if p is not None:
                 p = _truncated_step_batch(basis, p, dQ, gamma, kappa, lambdas, dt)
             if (done + i + 1) % record_every == 0:
                 times.append((done + i + 1) * dt)

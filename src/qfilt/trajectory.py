@@ -10,6 +10,12 @@ The filter for a system with Hamiltonian H and coupling operator L is
 and its pure-state unraveling is d|psi> = A |psi> dt + B |psi> dW with
 B = L - <L> and A = -iH - (L^dag L - 2 <L^dag> L + <L><L^dag>) / 2.
 
+``sme_step_batch`` also takes a stack of monitored channels L_l, each with
+its own increment dY_l (the terms above summed over l), and an optional
+unmonitored generator term computed by the caller, such as the depolarizing
+channel of the QEC filter, so every density-matrix filter in the package
+is stepped by this one kernel.
+
 Steps renormalize trace/norm and re-Hermitize every step; Euler-Maruyama is
 the default scheme with dt = 1e-5 in the problem's inverse-rate units.
 The batched variants evolve a stack of states in lockstep and are the compute
@@ -99,39 +105,50 @@ def _batched(rho: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def sme_step_batch(H: np.ndarray, L: np.ndarray, rho: np.ndarray,
-                   dY: np.ndarray | float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+                   dY: np.ndarray | float, dt: float,
+                   unmonitored: np.ndarray | None = None) -> np.ndarray:
     """One Euler step of the quantum filter on a stack of density matrices.
 
-    H may be a single matrix or one per batch slot (leading axis); L is
-    shared.  Returns (rho', dW) where dW is per slot.  Trace is renormalized
-    and Hermiticity enforced after the step.
+    L is one coupling operator (d, d) or a stack of l monitored channels
+    (l, d, d), shared by every slot; dY is a scalar (one slot), one increment
+    per slot (B,) or one per slot and channel (B, l).  H may be a single
+    matrix or one per batch slot (leading axis).  The step is written as
+
+        rho' = rho + A rho + rho A^dag + sum_l L_l rho L_l^dag dt
+               - (sum_l s_l dW_l) rho,
+        A = -(i H + sum_l L_l^dag L_l / 2) dt + sum_l dW_l L_l,
+
+    with s_l = Tr[(L_l + L_l^dag) rho] and dW_l = dY_l - s_l dt, which is
+    the Euler step of the SME term by term (the first-order part of the
+    Kraus form M rho M^dag with M = I + A).  ``unmonitored``, if given, is a
+    caller-computed generator term per slot (B, d, d), added times dt.
+    Trace is renormalized and Hermiticity enforced after the step.
     """
     rho, squeeze = _batched(rho)
-    Ld = dag(L)
-    LdL = Ld @ L
-    Lsig = L + Ld
-    signal = np.einsum("ij,bji->b", Lsig, rho).real
-    dW = np.asarray(dY) - signal * dt
-    Lrho = L @ rho
-    drho = (-1j) * (H @ rho - rho @ H) * dt
-    drho += (Lrho @ Ld - 0.5 * (LdL @ rho + rho @ LdL)) * dt
-    cond = Lrho + np.swapaxes(Lrho, -1, -2).conj() - signal[:, None, None] * rho
-    drho += cond * dW[:, None, None]
-    out = rho + drho
+    Ls = L[None] if L.ndim == 2 else L
+    Lds = np.swapaxes(Ls, -1, -2).conj()
+    signal = np.einsum("lij,bji->bl", Ls + Lds, rho).real
+    dW = np.asarray(dY, dtype=float).reshape(signal.shape) - signal * dt
+    A = (-1j * H - 0.5 * (Lds @ Ls).sum(axis=0)) * dt \
+        + (dW @ Ls.reshape(len(Ls), -1)).reshape(rho.shape)
+    Arho = A @ rho
+    out = rho + Arho + np.swapaxes(Arho, -1, -2).conj() \
+        - np.einsum("bl,bl->b", signal, dW)[:, None, None] * rho
+    for Lk, Lkd in zip(Ls, Lds):
+        out += (Lk @ rho @ Lkd) * dt
+    if unmonitored is not None:
+        out += unmonitored * dt
     out = 0.5 * (out + np.swapaxes(out, -1, -2).conj())
     tr = np.einsum("bii->b", out).real
     if not np.all(np.isfinite(tr)):
         raise FloatingPointError("non-finite density matrix in sme_step")
     out = out / tr[:, None, None]
-    if squeeze:
-        return out[0], dW[0]
-    return out, dW
+    return out[0] if squeeze else out
 
 
 def sme_step(model: DiffusiveModel, rho: np.ndarray, dY: float, dt: float) -> np.ndarray:
     """Advance the conditional density matrix by one measurement increment dY."""
-    out, _ = sme_step_batch(model.H, model.L, rho, dY, dt)
-    return out
+    return sme_step_batch(model.H, model.L, rho, dY, dt)
 
 
 def sse_step_batch(H: np.ndarray, L: np.ndarray, psi: np.ndarray,
@@ -187,7 +204,7 @@ def simulate_truth(model: DiffusiveModel, rho0: np.ndarray, T: float, dt: float,
     for i in range(steps):
         signal = np.trace(Lsig @ rho).real
         dY[i] = signal * dt + dWs[i]
-        rho, _ = sme_step_batch(model.H, model.L, rho, dY[i], dt)
+        rho = sme_step_batch(model.H, model.L, rho, dY[i], dt)
         for k, op in observables.items():
             exps[k][i + 1] = np.trace(op @ rho).real
     return TrajectoryRecord(
@@ -219,7 +236,7 @@ def simulate_truth_batch(model: DiffusiveModel, rho0: np.ndarray, T: float, dt: 
         for i in range(m):
             signal = np.einsum("ij,bji->b", Lsig, rho).real
             dY = signal * dt + noise[:, i]
-            rho, _ = sme_step_batch(model.H, model.L, rho, dY, dt)
+            rho = sme_step_batch(model.H, model.L, rho, dY, dt)
             if store_every and (done + i + 1) % store_every == 0:
                 for k, op in observables.items():
                     snaps[k].append(np.einsum("ij,bji->b", op, rho).real)

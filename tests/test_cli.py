@@ -147,6 +147,27 @@ class TestRun:
             assert item.split("=")[0] in capsys.readouterr().err
             assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("experiment,items,key", [
+        ("collective-cat", ["T=0.0001"], "T"),
+        ("magnetometer-kalman", ["T=0.0001"], "T"),
+        ("qec-run", ["code=bitflip3", "T=0.00005", "n_traj=1"], "T"),
+        ("collective-squeeze", ["N=10", "T=0.0001"], "T"),
+        ("param-ensemble", ["T=0.00001", "store_every=5"], "T"),
+        ("qubit-filter", ["store_every=0"], "store_every"),
+        ("particle-filter", ["store_every=-3"], "store_every"),
+    ])
+    def test_horizon_shorter_than_stride_is_config_error(self, tmp_path, capsys,
+                                                         experiment, items, key):
+        out = os.path.join(tmp_path, experiment)
+        args = ["run", experiment, "--out", out]
+        for item in items:
+            args += ["--set", item]
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"'{key}'" in err
+        assert err.count("\n") == 1
+        assert not os.path.exists(out)
+
     def test_integer_keys(self, tmp_path, capsys):
         params = cli.resolve_params("particle-filter", {"N": "30"})
         assert params["N"] == 30 and isinstance(params["N"], int)
@@ -210,11 +231,16 @@ class TestRun:
                          "--out", str(tmp_path)])
         assert code == 1
         assert "nope" in capsys.readouterr().err
-        # a bad value that only the runner can check
+        # a bad value for a choice key
         code = cli.main(["run", "qec-run", "--set", "controller=bogus",
                          "--out", str(tmp_path)])
         assert code == 1
         assert "controller" in capsys.readouterr().err
+        out = os.path.join(tmp_path, "bogus-code")
+        code = cli.main(["run", "qec-benchmark", "--set", "code=bogus", "--out", out])
+        assert code == 1
+        assert "code" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_qec_benchmark_defaults_mirror_operating_point(self):
         schema = cli.EXPERIMENTS["qec-benchmark"]["schema"]

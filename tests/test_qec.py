@@ -109,6 +109,32 @@ class TestFullFilter:
         slope = np.trace(five.projectors[0] @ drho).real / 1e-6
         assert abs(slope + 3 * 5 * gamma) < 1e-6 * abs(3 * 5 * gamma) + 1e-3
 
+    def test_all_terms_match_superoperator_reference(self, five):
+        # depolarizing, measurement and feedback at once against a per-term
+        # reference: D/M per generator, brute-force sum_c sigma rho sigma -
+        # 15 rho, and -i[sum lambda sigma, rho]
+        gamma, kappa, dt = 1.3, 40.0, 1e-5
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        lambdas = rng.choice([-150.0, 150.0], size=15)
+        dQ = rng.standard_normal(4) * np.sqrt(dt)
+        out = qec.full_filter_step(five, rho, dQ, gamma, kappa, lambdas, dt)
+        P = five.single_paulis
+        H = np.einsum("c,cij->ij", lambdas, P)
+        depol = sum(s @ rho @ s for s in P) - 15 * rho
+        drho = (gamma * depol - 1j * (H @ rho - rho @ H)) * dt
+        for l, g in enumerate(five.gen_ops):
+            L = np.sqrt(kappa) * g
+            signal = np.trace((L + op.dag(L)) @ rho).real
+            drho += op.lindblad_D(L, rho) * dt \
+                + op.measurement_M(L, rho) * (dQ[l] - signal * dt)
+        expect = rho + drho
+        expect = 0.5 * (expect + op.dag(expect))
+        expect /= np.trace(expect).real
+        assert np.max(np.abs(out - expect)) <= 1e-12
+
 
 class TestFeedbackPolicy:
     def test_maximally_mixed_gives_zero(self, five):
@@ -372,6 +398,13 @@ class TestClosedLoop:
                                           basis=five_basis)
         assert out["codespace"][-1] > 0.5
         assert out["policy_agreement"] > 0.9
+
+    def test_unknown_controller_rejected(self, bitflip):
+        basis = qec.build_truncated_basis(bitflip)
+        for b in (None, basis):
+            with pytest.raises(ValueError, match="controller"):
+                qec.run_feedback_batch(bitflip, 1.0, 100.0, 200.0, T=1e-4, dt=1e-5,
+                                       seed=0, n_traj=1, controller="bogus", basis=b)
 
     def test_shared_noise_across_controllers(self, five, five_basis):
         # identical streams: a no-feedback run and a truncated-controller run

@@ -67,6 +67,31 @@ class TestSmeStep:
             + op.measurement_M(model.L, rho) * (dY - signal * 1e-5)
         assert abs(np.trace(rho + drho) - 1.0) < 5 * (1e-5) ** 2
 
+    def test_channel_stack_matches_superoperator_sum(self):
+        # l = 3 monitored channels, per-slot H and an unmonitored generator
+        # term against the sum of D[L_l] dt + M[L_l] dW_l over the channels
+        d, l, B, dt = 4, 3, 5, 1e-4
+        rng = np.random.default_rng(11)
+        Hs = np.stack([random_model(d, 20 + k).H for k in range(B)])
+        Ls = np.stack([random_model(d, 30 + k).L for k in range(l)])
+        rhos = np.stack([op.pure_to_density(random_pure(d, 40 + k)) for k in range(B)])
+        U = rng.standard_normal((B, d, d)) + 1j * rng.standard_normal((B, d, d))
+        U = U + np.swapaxes(U, -1, -2).conj()
+        U -= np.einsum("bii->b", U)[:, None, None] * np.eye(d) / d
+        dY = rng.standard_normal((B, l)) * np.sqrt(dt)
+        out = traj.sme_step_batch(Hs, Ls, rhos, dY, dt, unmonitored=U)
+        for b in range(B):
+            rho = rhos[b]
+            drho = (-1j * (Hs[b] @ rho - rho @ Hs[b]) + U[b]) * dt
+            for k in range(l):
+                signal = np.trace((Ls[k] + op.dag(Ls[k])) @ rho).real
+                drho += op.lindblad_D(Ls[k], rho) * dt \
+                    + op.measurement_M(Ls[k], rho) * (dY[b, k] - signal * dt)
+            expect = rho + drho
+            expect = 0.5 * (expect + op.dag(expect))
+            expect /= np.trace(expect).real
+            assert np.max(np.abs(out[b] - expect)) <= 1e-13
+
     def test_ensemble_average_matches_master_equation(self):
         # 500 trajectories of the conditional state average to the
         # deterministic Lindblad solution
@@ -82,7 +107,7 @@ class TestSmeStep:
         for _ in range(int(t_final / dt)):
             signal = np.einsum("ij,bji->b", Lsig, rho).real
             dY = signal * dt + rng.standard_normal(n_traj) * np.sqrt(dt)
-            rho, _ = traj.sme_step_batch(model.H, model.L, rho, dY, dt)
+            rho = traj.sme_step_batch(model.H, model.L, rho, dY, dt)
         mean = rho.mean(axis=0)
         oracle = master_equation_oracle(model.H, model.L, rho0, t_final)
         assert np.max(np.abs(mean - oracle)) < 0.02
