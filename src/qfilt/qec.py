@@ -305,8 +305,9 @@ class TruncatedBasis:
 
 
 def _vec_r(X: np.ndarray) -> np.ndarray:
-    v = X.ravel()
-    return np.concatenate([v.real, v.imag])
+    """Real vectors [Re X, Im X] of a stack of operators (m, d, d) -> (m, 2 d^2)."""
+    v = X.reshape(len(X), -1)
+    return np.concatenate([v.real, v.imag], axis=1)
 
 
 def build_truncated_basis(code: StabilizerCode, verify_tol: float = 1e-10) -> TruncatedBasis:
@@ -360,15 +361,13 @@ def build_truncated_basis(code: StabilizerCode, verify_tol: float = 1e-10) -> Tr
 
     E = len(mats)
     element_mats = np.stack(mats)
-    basis_vecs = np.stack([_vec_r(X) for X in mats])  # (E, 2 d^2)
+    basis_vecs = _vec_r(element_mats)  # (E, 2 d^2)
     gram = basis_vecs @ basis_vecs.T
     gram_inv = np.linalg.inv(gram)
 
-    def expand(X: np.ndarray) -> tuple[np.ndarray, float]:
-        coeff = gram_inv @ (basis_vecs @ _vec_r(X))
-        recon = np.tensordot(coeff, element_mats, axes=1)
-        resid = np.max(np.abs(X - recon))
-        return coeff, resid
+    def project(X: np.ndarray) -> np.ndarray:
+        """Coefficients (m, E) of a stack of operators (m, d, d)."""
+        return (gram_inv @ (basis_vecs @ _vec_r(X).T)).T
 
     worst_exact = 0.0
     drift_noise = np.zeros((E, E))
@@ -377,33 +376,30 @@ def build_truncated_basis(code: StabilizerCode, verify_tol: float = 1e-10) -> Tr
     feedback = np.zeros((n_chan, E, E))
     P = code.single_paulis
     G = code.gen_ops
+    l_gen = code.n_generators
     for a in range(E):
+        # every action on element a, expanded as one stack: noise, measurement
+        # drift, one measurement term per generator, one feedback per channel
         X = element_mats[a]
-        act = np.einsum("kij,kjl->il", P, np.matmul(X[None], P)) - n_chan * X
-        coeff, r = expand(act)
-        worst_exact = max(worst_exact, r)
-        drift_noise[a] = coeff
-        act = np.einsum("kij,kjl->il", G, np.matmul(X[None], G)) - len(G) * X
-        coeff, r = expand(act)
-        worst_exact = max(worst_exact, r)
-        drift_meas[a] = coeff
-        for l in range(code.n_generators):
-            coeff, r = expand(G[l] @ X + X @ G[l])
-            worst_exact = max(worst_exact, r)
-            meas_H[l, a] = coeff
-        for c in range(n_chan):
-            act = 1j * commutator(P[c], X)
-            coeff, r = expand(act)
-            if a < S:
-                worst_exact = max(worst_exact, r)
-            else:
-                # second-level truncation: keep the projection, but it must
-                # be idempotent
-                recon = np.tensordot(coeff, element_mats, axes=1)
-                coeff2, _ = expand(recon)
-                if np.max(np.abs(coeff - coeff2)) > verify_tol:
-                    raise RuntimeError("projection not idempotent in basis construction")
-            feedback[c, a] = coeff
+        acts = np.concatenate([
+            [(P @ X @ P).sum(axis=0) - n_chan * X, (G @ X @ G).sum(axis=0) - len(G) * X],
+            G @ X + X @ G,
+            1j * commutator(P, X)])
+        coeff = project(acts)
+        recon = np.tensordot(coeff, element_mats, axes=1)
+        resid = np.max(np.abs(acts - recon), axis=(1, 2))
+        drift_noise[a], drift_meas[a] = coeff[0], coeff[1]
+        meas_H[:, a] = coeff[2:2 + l_gen]
+        feedback[:, a] = coeff[2 + l_gen:]
+        if a < S:
+            worst_exact = max(worst_exact, resid.max())
+        else:
+            worst_exact = max(worst_exact, resid[:2 + l_gen].max())
+            # second-level truncation: keep the projection of the feedback
+            # actions, but it must be idempotent
+            fb = slice(2 + l_gen, None)
+            if np.max(np.abs(coeff[fb] - project(recon[fb]))) > verify_tol:
+                raise RuntimeError("projection not idempotent in basis construction")
     if worst_exact > verify_tol:
         raise RuntimeError(
             f"truncated-basis closure verification failed: residual {worst_exact:.3e}")
@@ -545,7 +541,9 @@ def _full_step_batch(code: StabilizerCode, rho: np.ndarray, dQ: np.ndarray,
     """Vectorized full-filter Euler step over a batch of trajectories: the
     generic SME with feedback Hamiltonian and depolarizing generator."""
     P = code.single_paulis
-    H = (lambdas @ P.reshape(P.shape[0], -1)).reshape(rho.shape)
+    # real strengths times the real view of the Paulis: the complex product
+    # is large enough for BLAS to split it across threads, the real one is not
+    H = (lambdas @ P.reshape(P.shape[0], -1).view(float)).view(complex).reshape(rho.shape)
     depol = gamma * (_depolarize_batch(code.n, rho) - P.shape[0] * rho)
     return sme_step_batch(H, np.sqrt(kappa) * code.gen_ops, rho, dQ, dt, unmonitored=depol)
 
@@ -555,11 +553,14 @@ def _truncated_step_batch(basis: TruncatedBasis, p: np.ndarray, dQ: np.ndarray,
                           dt: float) -> np.ndarray:
     S = basis.n_syndromes
     drift = p @ (gamma * basis.drift_noise + kappa * basis.drift_meas).T
-    fb = np.tensordot(p, basis.feedback, axes=([1], [2]))  # (B, channels, E)
+    # one (B, E) @ (E, E) product per generator: a single product over all of
+    # them is large enough for BLAS to split it across threads, whose cost
+    # then depends on a second core being free; the bits are the same
+    fb = np.stack([p @ F.T for F in basis.feedback], axis=1)  # (B, channels, E)
     drift += np.einsum("bc,bca->ba", lambdas, fb)
     means = p[:, :S] @ basis.h_outcomes.T
     dW = dQ - 2.0 * np.sqrt(kappa) * means * dt
-    hp = np.tensordot(p, basis.meas_H, axes=([1], [2]))  # (B, l, E)
+    hp = np.stack([p @ M.T for M in basis.meas_H], axis=1)  # (B, l, E)
     stoch = np.einsum("bl,bla->ba", dW, hp - 2.0 * means[:, :, None] * p[:, None, :])
     out = p + drift * dt + np.sqrt(kappa) * stoch
     out[:, :S] = np.clip(out[:, :S], 0.0, None)
