@@ -5,8 +5,9 @@ symmetric depolarizing channel acts at rate gamma and a feedback Hamiltonian
 H_t = sum lambda_c sigma_c (single-qubit Paulis, bang-bang strengths) steers
 the state back toward the codespace.  The conditional state follows the
 generic SME of ``trajectory.sme_step_batch`` with the generators as the
-monitored channels L_l = sqrt(kappa) g_l and the depolarizing term as its
-unmonitored generator:
+monitored channels L_l = sqrt(kappa) g_l and the single-qubit Paulis as
+unmonitored channels sqrt(gamma) sigma_c, compiled once per run; all are
+Pauli strings, so the kernel applies them as signed permutations:
 
     d rho = gamma sum_c D[sigma_c] rho dt + kappa sum_l D[g_l] rho dt
           + sqrt(kappa) sum_l H[g_l] rho (dQ_l - 2 sqrt(kappa) Tr[g_l rho] dt)
@@ -21,7 +22,8 @@ the syndrome projectors under the feedback commutators to first level and
 merging the pairs that act identically yields the truncated filter, whose
 basis elements are Pauli-sandwiched syndrome projectors.  Construction is
 automated and every generator matrix is verified against the exact
-superoperator action in the full 2^n space.
+superoperator action in the full 2^n space; the truncated filter steps from
+the generator matrices' nonzero entries only.
 """
 
 from __future__ import annotations
@@ -29,12 +31,13 @@ from __future__ import annotations
 import hashlib
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .operators import commutator, pauli_string
 from .sde import rng_stream
-from .trajectory import sme_step_batch
+from .trajectory import Channels, compile_channels, sme_step_batch
 
 __all__ = [
     "StabilizerCode",
@@ -129,6 +132,13 @@ class StabilizerCode:
         """h[l, s] = outcome of measuring g_l on syndrome space s (+-1)."""
         return self.outcomes
 
+    @cached_property
+    def signal_rows(self) -> np.ndarray:
+        """Real rows (3n + l, 2 d^2) of ``policy_ops`` then ``gen_ops``, so
+        that ``_real_flat(rho) @ signal_rows.T`` gives the policy signals and
+        the generator expectations Tr[g_l rho] in one product."""
+        return _real_rows(np.concatenate([self.policy_ops, self.gen_ops]))
+
 
 def build_code(name: str) -> StabilizerCode:
     """Construct one of the named codes: "bitflip3" or "fivequbit"."""
@@ -176,6 +186,17 @@ def build_code(name: str) -> StabilizerCode:
         logical_z=spec["logical_z"], policy_ops=-1j * (pi0 @ single_paulis - single_paulis @ pi0))
 
 
+def _real_rows(ops: np.ndarray) -> np.ndarray:
+    """Rows r (m, 2 d^2) with _real_flat(rho) @ r.T = Re Tr[op rho] per op:
+    Re(O_ij rho_ji) pairs [Re, Im] of rho_ji with [Re, -Im] of O_ij."""
+    return np.ascontiguousarray(np.swapaxes(ops, -1, -2).conj()).reshape(len(ops), -1).view(float)
+
+
+def _real_flat(rho: np.ndarray) -> np.ndarray:
+    """Real view (..., 2 d^2) of one state or a stack, for ``_real_rows``."""
+    return np.ascontiguousarray(rho).reshape(*rho.shape[:-2], -1).view(float)
+
+
 def logical_zero(code: StabilizerCode) -> np.ndarray:
     """Encoded |0>: the +1 eigenvector of the logical Z inside the codespace."""
     zbar = pauli_string(code.logical_z)
@@ -186,28 +207,12 @@ def logical_zero(code: StabilizerCode) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def _depolarize_batch(n: int, rho: np.ndarray) -> np.ndarray:
-    """sum_c sigma_c rho sigma_c over all 3n single-qubit Paulis, using the
-    per-qubit identity sum_{x,y,z} sigma rho sigma = 2 Tr_m[rho] (x) I_m - rho."""
-    b = rho.shape[0]
-    out = -n * rho
-    for m in range(n):
-        left = 2 ** m
-        right = 2 ** (n - m - 1)
-        view = rho.reshape(b, left, 2, right, left, 2, right)
-        traced = view[:, :, 0, :, :, 0, :] + view[:, :, 1, :, :, 1, :]
-        emb = np.zeros((b, left, 2, right, left, 2, right), dtype=rho.dtype)
-        emb[:, :, 0, :, :, 0, :] = traced
-        emb[:, :, 1, :, :, 1, :] = traced
-        out += 2.0 * emb.reshape(rho.shape)
-    return out
-
-
 def full_filter_step(code: StabilizerCode, rho: np.ndarray, dQ: np.ndarray,
                      gamma: float, kappa: float, lambdas: np.ndarray, dt: float) -> np.ndarray:
     """One Euler step of the full 2^n-dimensional filter (docstring above)."""
-    out = _full_step_batch(code, rho[None], np.asarray(dQ, dtype=float)[None],
-                           gamma, kappa, np.asarray(lambdas, dtype=float)[None], dt)
+    out = _full_step_batch(code, _channels(code, gamma, kappa), rho[None],
+                           np.asarray(dQ, dtype=float)[None],
+                           np.asarray(lambdas, dtype=float)[None], dt)
     return out[0]
 
 
@@ -220,13 +225,8 @@ def feedback_policy(code: StabilizerCode, rho: np.ndarray, lambda_max: float,
     Closed-loop runs instead use the raw float sign of the signal, which
     keeps the feedback effectively always on; see run_feedback_batch.
     """
-    vals = _full_signal(code, rho)
+    vals = (_real_flat(rho) @ code.signal_rows.T)[..., :len(code.policy_ops)]
     return lambda_max * np.sign(np.where(np.abs(vals) <= dead_zone, 0.0, vals))
-
-
-def _full_signal(code: StabilizerCode, rho: np.ndarray) -> np.ndarray:
-    """Tr[-i [Pi_0, sigma_c] rho] per channel, for one state or a stack."""
-    return np.einsum("cij,...ji->...c", code.policy_ops, rho).real
 
 
 def wonham_transition_matrix(code: StabilizerCode, gamma: float) -> np.ndarray:
@@ -294,6 +294,20 @@ class TruncatedBasis:
     policy_sign: np.ndarray
     h_outcomes: np.ndarray  # (l, S)
     verification_residual: float
+
+    @cached_property
+    def terms(self) -> tuple:
+        """The nonzero entries of every generator matrix, built on first use,
+        as (k, a', value, rows, starts): entry j adds c_k value_j p_a' to
+        element a, the entries of each a contiguous from ``starts``, with k
+        over [noise, measurement drift, feedback channels, generators]."""
+        mats = [self.drift_noise, self.drift_meas, *self.feedback, *self.meas_H]
+        k, a, a2 = np.concatenate([(np.full(np.count_nonzero(M), j), *np.nonzero(M))
+                                   for j, M in enumerate(mats)], axis=1)
+        value = np.concatenate([M[M != 0] for M in mats])
+        order = np.argsort(a, kind="stable")
+        rows, starts = np.unique(a[order], return_index=True)
+        return k[order], a2[order], value[order], rows, starts
 
     @property
     def size(self) -> int:
@@ -535,38 +549,46 @@ def fidelity_metrics(rho: np.ndarray, code: StabilizerCode, psi0: np.ndarray) ->
     }
 
 
-def _full_step_batch(code: StabilizerCode, rho: np.ndarray, dQ: np.ndarray,
-                     gamma: float, kappa: float, lambdas: np.ndarray,
-                     dt: float) -> np.ndarray:
+def _channels(code: StabilizerCode, gamma: float, kappa: float) -> Channels:
+    """The full filter's channels, compiled for one (gamma, kappa): the
+    generators monitored at sqrt(kappa), the single-qubit Paulis unmonitored
+    at sqrt(gamma).  All are Pauli strings, so they step as permutations."""
+    return compile_channels(np.sqrt(kappa) * code.gen_ops, np.sqrt(gamma) * code.single_paulis)
+
+
+def _full_step_batch(code: StabilizerCode, channels: Channels, rho: np.ndarray, dQ: np.ndarray,
+                     lambdas: np.ndarray, dt: float, signal: np.ndarray | None = None) -> np.ndarray:
     """Vectorized full-filter Euler step over a batch of trajectories: the
-    generic SME with feedback Hamiltonian and depolarizing generator."""
+    generic SME with the compiled channels and the feedback Hamiltonian."""
     P = code.single_paulis
     # real strengths times the real view of the Paulis: the complex product
     # is large enough for BLAS to split it across threads, the real one is not
     H = (lambdas @ P.reshape(P.shape[0], -1).view(float)).view(complex).reshape(rho.shape)
-    depol = gamma * (_depolarize_batch(code.n, rho) - P.shape[0] * rho)
-    return sme_step_batch(H, np.sqrt(kappa) * code.gen_ops, rho, dQ, dt, unmonitored=depol)
+    return sme_step_batch(H, channels, rho, dQ, dt, signal=signal)
 
 
 def _truncated_step_batch(basis: TruncatedBasis, p: np.ndarray, dQ: np.ndarray,
                           gamma: float, kappa: float, lambdas: np.ndarray,
                           dt: float) -> np.ndarray:
+    """One Euler step of the truncated filter from the sparse ``terms``:
+    dp = (gamma N + kappa M + sum_c lambda_c F_c) p dt
+         + sqrt(kappa) sum_l (H_l - 2 m_l) p dW_l,
+    with m_l = h_l^T p and dW_l = dQ_l - 2 sqrt(kappa) m_l dt; the syndrome
+    block is clipped at zero and the state renormalized by its sum."""
     S = basis.n_syndromes
-    drift = p @ (gamma * basis.drift_noise + kappa * basis.drift_meas).T
-    # one (B, E) @ (E, E) product per generator: a single product over all of
-    # them is large enough for BLAS to split it across threads, whose cost
-    # then depends on a second core being free; the bits are the same
-    fb = np.stack([p @ F.T for F in basis.feedback], axis=1)  # (B, channels, E)
-    drift += np.einsum("bc,bca->ba", lambdas, fb)
     means = p[:, :S] @ basis.h_outcomes.T
     dW = dQ - 2.0 * np.sqrt(kappa) * means * dt
-    hp = np.stack([p @ M.T for M in basis.meas_H], axis=1)  # (B, l, E)
-    stoch = np.einsum("bl,bla->ba", dW, hp - 2.0 * means[:, :, None] * p[:, None, :])
-    out = p + drift * dt + np.sqrt(kappa) * stoch
+    k, a2, value, rows, starts = basis.terms
+    coef = np.concatenate([np.broadcast_to([gamma * dt, kappa * dt], (len(p), 2)),
+                           lambdas * dt, np.sqrt(kappa) * dW], axis=1)
+    lin = np.zeros_like(p)
+    lin[:, rows] = np.add.reduceat(coef[:, k] * value * p[:, a2], starts, axis=1)
+    out = p + lin - 2.0 * np.sqrt(kappa) * np.sum(dW * means, axis=1)[:, None] * p
     out[:, :S] = np.clip(out[:, :S], 0.0, None)
     total = out[:, :S].sum(axis=1)
-    if np.any(total <= 0) or not np.all(np.isfinite(total)):
-        raise FloatingPointError("truncated filter state degenerated")
+    bad = np.flatnonzero((total <= 0) | ~np.isfinite(total))
+    if bad.size:
+        raise FloatingPointError(f"truncated filter state degenerated at slots {bad.tolist()}")
     return out / total[:, None]
 
 
@@ -595,12 +617,16 @@ def run_feedback_batch(code: StabilizerCode, gamma: float, kappa: float,
     the full state are also recorded for agreement statistics.
 
     Returns time grid, per-trajectory codespace/codeword fidelity traces of
-    shape (n_traj, n_records), and per-trajectory policy agreement.
+    shape (n_traj, n_records), and per-trajectory policy agreement.  The
+    channels are compiled once per run; a FloatingPointError from either
+    filter is raised again naming the step, its time and the batch slots.
     """
     if controller not in ("truncated", "full", "none"):
         raise ValueError(f"unknown controller {controller!r}; choose truncated, full or none")
     if controller == "truncated" and basis is None:
         raise ValueError("truncated controller requires a basis")
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1, got {record_every}")
     psi0 = logical_zero(code)
     rho0 = np.outer(psi0, psi0.conj())
     rho = np.broadcast_to(rho0, (n_traj,) + rho0.shape).copy()
@@ -609,9 +635,11 @@ def run_feedback_batch(code: StabilizerCode, gamma: float, kappa: float,
     n_chan = len(code.channel_labels)
     sqdt = np.sqrt(dt)
     rngs = [rng_stream(seed, k) for k in range(n_traj)]
+    channels = _channels(code, gamma, kappa)
+    fidelity_rows = _real_rows(np.stack([code.projectors[0], rho0]))
     p = np.broadcast_to(basis.initial_state(rho0), (n_traj, basis.size)).copy() \
         if controller == "truncated" else None
-    times, cs_fid, cw_fid = [], [], []
+    times, fidelities = [], []
     agree = np.zeros(n_traj)
     agree_steps = 0
     chunk = 20_000
@@ -620,29 +648,35 @@ def run_feedback_batch(code: StabilizerCode, gamma: float, kappa: float,
         m = min(chunk, steps - done)
         noise = np.stack([r.standard_normal((m, l_gen)) for r in rngs]) * sqdt
         for i in range(m):
+            # policy signals and generator expectations Tr[g_l rho], one product
+            vals = _real_flat(rho) @ code.signal_rows.T
             if controller == "none":
                 lambdas = np.zeros((n_traj, n_chan))
             elif controller == "full":
-                lambdas = _bang_bang(_full_signal(code, rho), lambda_max)
+                lambdas = _bang_bang(vals[:, :n_chan], lambda_max)
             else:
                 lambdas = np.where(basis.policy_index >= 0,
                                    _bang_bang(_truncated_signal(basis, p), lambda_max), 0.0)
-                agree += np.mean(_bang_bang(_full_signal(code, rho), lambda_max) == lambdas, axis=1)
+                agree += np.mean(_bang_bang(vals[:, :n_chan], lambda_max) == lambdas, axis=1)
                 agree_steps += 1
-            signals = np.einsum("lij,bji->bl", code.gen_ops, rho).real
-            dQ = 2.0 * np.sqrt(kappa) * signals * dt + noise[:, i]
-            rho = _full_step_batch(code, rho, dQ, gamma, kappa, lambdas, dt)
-            if p is not None:
-                p = _truncated_step_batch(basis, p, dQ, gamma, kappa, lambdas, dt)
+            signal = 2.0 * np.sqrt(kappa) * vals[:, n_chan:]
+            dQ = signal * dt + noise[:, i]
+            try:
+                rho = _full_step_batch(code, channels, rho, dQ, lambdas, dt, signal)
+                if p is not None:
+                    p = _truncated_step_batch(basis, p, dQ, gamma, kappa, lambdas, dt)
+            except FloatingPointError as err:
+                k = done + i
+                raise FloatingPointError(f"{err}, at step {k} (t = {k * dt:.6g})") from err
             if (done + i + 1) % record_every == 0:
                 times.append((done + i + 1) * dt)
-                cs_fid.append(np.einsum("ij,bji->b", code.projectors[0], rho).real)
-                cw_fid.append(np.einsum("ij,bji->b", rho0, rho).real)
+                fidelities.append(_real_flat(rho) @ fidelity_rows.T)
         done += m
+    fidelities = np.array(fidelities).reshape(len(times), n_traj, 2)
     out = {
         "times": np.array(times),
-        "codespace": np.array(cs_fid).T,
-        "codeword": np.array(cw_fid).T,
+        "codespace": fidelities[..., 0].T,
+        "codeword": fidelities[..., 1].T,
         "final_rho": rho,
     }
     if agree_steps:
@@ -674,44 +708,32 @@ def run_feedback_trajectory(code: StabilizerCode, gamma: float, kappa: float,
 # basis cache
 
 
-def save_basis(basis: TruncatedBasis, path: str) -> None:
-    """Write the basis to an .npz with a content checksum."""
-    arrays = {
-        "element_mats": basis.element_mats,
-        "drift_noise": basis.drift_noise,
-        "drift_meas": basis.drift_meas,
-        "meas_H": basis.meas_H,
-        "feedback": basis.feedback,
-        "policy_index": basis.policy_index,
-        "policy_sign": basis.policy_sign,
-        "h_outcomes": basis.h_outcomes,
-    }
+_CACHED_ARRAYS = ("element_mats", "drift_noise", "drift_meas", "meas_H", "feedback",
+                  "policy_index", "policy_sign", "h_outcomes")
+
+
+def _digest(arrays: dict) -> str:
     digest = hashlib.sha256()
     for k in sorted(arrays):
         digest.update(np.ascontiguousarray(arrays[k]).tobytes())
+    return digest.hexdigest()
+
+
+def save_basis(basis: TruncatedBasis, path: str) -> None:
+    """Write the basis to an .npz with a content checksum."""
+    arrays = {k: getattr(basis, k) for k in _CACHED_ARRAYS}
     np.savez_compressed(
         path, version=1, code_name=basis.code.name,
         n_syndromes=basis.n_syndromes, descr=np.array(basis.element_descr),
-        residual=basis.verification_residual, checksum=digest.hexdigest(), **arrays)
+        residual=basis.verification_residual, checksum=_digest(arrays), **arrays)
 
 
 def load_basis(path: str) -> TruncatedBasis:
     with np.load(path, allow_pickle=False) as z:
-        arrays = {k: z[k] for k in
-                  ("element_mats", "drift_noise", "drift_meas", "meas_H",
-                   "feedback", "policy_index", "policy_sign", "h_outcomes")}
-        digest = hashlib.sha256()
-        for k in sorted(arrays):
-            digest.update(np.ascontiguousarray(arrays[k]).tobytes())
-        if digest.hexdigest() != str(z["checksum"]):
+        arrays = {k: z[k] for k in _CACHED_ARRAYS}
+        if _digest(arrays) != str(z["checksum"]):
             raise ValueError(f"basis cache {path} failed its checksum")
-        code = build_code(str(z["code_name"]))
         return TruncatedBasis(
-            code=code, element_mats=arrays["element_mats"],
-            element_descr=[str(s) for s in z["descr"]],
-            n_syndromes=int(z["n_syndromes"]),
-            drift_noise=arrays["drift_noise"], drift_meas=arrays["drift_meas"],
-            meas_H=arrays["meas_H"], feedback=arrays["feedback"],
-            policy_index=arrays["policy_index"], policy_sign=arrays["policy_sign"],
-            h_outcomes=arrays["h_outcomes"],
-            verification_residual=float(z["residual"]))
+            code=build_code(str(z["code_name"])), element_descr=[str(s) for s in z["descr"]],
+            n_syndromes=int(z["n_syndromes"]), verification_residual=float(z["residual"]),
+            **arrays)

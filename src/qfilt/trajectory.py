@@ -12,9 +12,12 @@ B = L - <L> and A = -iH - (L^dag L - 2 <L^dag> L + <L><L^dag>) / 2.
 
 ``sme_step_batch`` also takes a stack of monitored channels L_l, each with
 its own increment dY_l (the terms above summed over l), and an optional
-unmonitored generator term computed by the caller, such as the depolarizing
-channel of the QEC filter, so every density-matrix filter in the package
-is stepped by this one kernel.
+unmonitored generator term computed by the caller, so every density-matrix
+filter in the package is stepped by this one kernel.  Channels compiled once
+by ``compile_channels`` carry their constant operators and may add
+unmonitored Lindblad channels; when every channel has one nonzero per row
+(every Pauli string does), L rho L^dag and the signal are flat index takes
+with a phase table, O(d^2) per channel instead of O(d^3).
 
 Steps renormalize trace/norm and re-Hermitize every step; Euler-Maruyama is
 the default scheme with dt = 1e-5 in the problem's inverse-rate units.
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,9 +39,11 @@ from .sde import rng_stream
 
 __all__ = [
     "DEFAULT_DT",
+    "Channels",
     "DiffusiveModel",
     "TrajectoryRecord",
     "qubit_model",
+    "compile_channels",
     "sme_step",
     "sme_step_batch",
     "sse_step",
@@ -104,15 +110,82 @@ def _batched(rho: np.ndarray) -> tuple[np.ndarray, bool]:
     return rho, False
 
 
-def sme_step_batch(H: np.ndarray, L: np.ndarray, rho: np.ndarray,
-                   dY: np.ndarray | float, dt: float,
-                   unmonitored: np.ndarray | None = None) -> np.ndarray:
+class Channels(NamedTuple):
+    """Lindblad channels compiled once for ``sme_step_batch``.
+
+    ``L`` holds the l monitored channels (l, d, d) and ``Ld`` their adjoints;
+    ``K`` is half the sum of L^dag L over the monitored and the unmonitored
+    channels.  When every channel has at most one nonzero per row (a monomial
+    matrix such as any Pauli string), L_ij = phi_i delta_{j, pi(i)}, so
+
+        (L rho L^dag)_ij = phi_i phi_j^* rho_{pi(i) pi(j)},
+        Tr[(L + L^dag) rho] = 2 Re sum_i phi_i rho_{pi(i) i}  (rho Hermitian),
+
+    and ``jumps`` holds one (flat index, weight table) pair per distinct
+    permutation, the tables of channels sharing it summed (index None for the
+    identity), with ``signal_index``/``signal_phase`` the (l, d) flat
+    positions and factors of the signal.  Otherwise ``jumps`` is the dense
+    (operators, adjoints) pair and ``signal_index`` is None.
+    """
+
+    L: np.ndarray
+    Ld: np.ndarray
+    K: np.ndarray
+    jumps: tuple
+    signal_index: np.ndarray | None = None
+    signal_phase: np.ndarray | None = None
+
+    def signal(self, rho: np.ndarray) -> np.ndarray:
+        """Tr[(L_l + L_l^dag) rho] per slot and monitored channel, (B, l)."""
+        if self.signal_index is None:
+            return np.einsum("lij,bji->bl", self.L + self.Ld, rho).real
+        flat = rho.reshape(len(rho), -1)
+        return (np.take(flat, self.signal_index, axis=1) * self.signal_phase).sum(axis=-1).real
+
+    def add_jumps(self, out: np.ndarray, rho: np.ndarray, dt: float) -> None:
+        """out += sum over every channel of L rho L^dag dt."""
+        if self.signal_index is None:
+            for Lk, Lkd in zip(*self.jumps):
+                out += (Lk @ rho @ Lkd) * dt
+            return
+        flat, dest = rho.reshape(len(rho), -1), out.reshape(len(out), -1)
+        for index, table in self.jumps:
+            dest += (flat if index is None else np.take(flat, index, axis=1)) * (table * dt)
+
+
+def compile_channels(L: np.ndarray, unmonitored: np.ndarray | None = None) -> Channels:
+    """Compile monitored channels L (d, d) or (l, d, d), and unmonitored
+    Lindblad channels (u, d, d) that add D[U] rho dt with no record, for
+    ``sme_step_batch``; the signed-permutation form is used when it applies."""
+    Ls = L[None] if L.ndim == 2 else np.asarray(L)
+    Lds = np.swapaxes(Ls, -1, -2).conj()
+    ops = Ls if unmonitored is None else np.concatenate([Ls, unmonitored])
+    l, d = len(Ls), ops.shape[-1]
+    nonzero = ops != 0
+    if nonzero.sum(axis=-1).max() > 1:
+        opsd = np.swapaxes(ops, -1, -2).conj()
+        return Channels(Ls, Lds, 0.5 * (opsd @ ops).sum(axis=0), (ops, opsd))
+    perm = nonzero.argmax(axis=-1)
+    phase = np.take_along_axis(ops, perm[..., None], axis=-1)[..., 0]
+    K = np.diag(0.5 * np.bincount(perm.ravel(), (phase * phase.conj()).real.ravel(), d))
+    groups = {}
+    for pk, ph in zip(perm, phase):
+        groups.setdefault(pk.tobytes(), [pk, 0.0])[1] += np.outer(ph, ph.conj()).ravel()
+    jumps = tuple((None if np.array_equal(pk, np.arange(d)) else (pk[:, None] * d + pk).ravel(),
+                   table) for pk, table in groups.values())
+    return Channels(Ls, Lds, K, jumps, perm[:l] * d + np.arange(d), 2.0 * phase[:l])
+
+
+def sme_step_batch(H: np.ndarray, L: np.ndarray | Channels, rho: np.ndarray,
+                   dY: np.ndarray | float, dt: float, unmonitored: np.ndarray | None = None,
+                   signal: np.ndarray | None = None) -> np.ndarray:
     """One Euler step of the quantum filter on a stack of density matrices.
 
-    L is one coupling operator (d, d) or a stack of l monitored channels
-    (l, d, d), shared by every slot; dY is a scalar (one slot), one increment
-    per slot (B,) or one per slot and channel (B, l).  H may be a single
-    matrix or one per batch slot (leading axis).  The step is written as
+    L is one coupling operator (d, d), a stack of l monitored channels
+    (l, d, d) or channels compiled once by ``compile_channels``, shared by
+    every slot; dY is a scalar (one slot), one increment per slot (B,) or one
+    per slot and channel (B, l).  H may be a single matrix or one per batch
+    slot (leading axis).  The step is written as
 
         rho' = rho + A rho + rho A^dag + sum_l L_l rho L_l^dag dt
                - (sum_l s_l dW_l) rho,
@@ -120,28 +193,37 @@ def sme_step_batch(H: np.ndarray, L: np.ndarray, rho: np.ndarray,
 
     with s_l = Tr[(L_l + L_l^dag) rho] and dW_l = dY_l - s_l dt, which is
     the Euler step of the SME term by term (the first-order part of the
-    Kraus form M rho M^dag with M = I + A).  ``unmonitored``, if given, is a
-    caller-computed generator term per slot (B, d, d), added times dt.
-    Trace is renormalized and Hermiticity enforced after the step.
+    Kraus form M rho M^dag with M = I + A); compiled unmonitored channels
+    enter the jump sum and A's L^dag L sum but carry no dW.  A plain array
+    is stepped densely, its L^dag and sum L^dag L formed on every call;
+    compiled signed-permutation channels form L rho L^dag and s_l as flat
+    takes (see ``Channels``).
+    ``signal``, if given, is s_l (B, l) from a caller that already has it.
+    ``unmonitored``, if given, is a caller-computed generator term per slot
+    (B, d, d), added times dt.  Trace is renormalized and Hermiticity
+    enforced after the step; a non-finite trace raises FloatingPointError
+    naming the batch slots.
     """
     rho, squeeze = _batched(rho)
-    Ls = L[None] if L.ndim == 2 else L
-    Lds = np.swapaxes(Ls, -1, -2).conj()
-    signal = np.einsum("lij,bji->bl", Ls + Lds, rho).real
+    if not isinstance(L, Channels):
+        Ls = L[None] if L.ndim == 2 else L
+        Lds = np.swapaxes(Ls, -1, -2).conj()
+        L = Channels(Ls, Lds, 0.5 * (Lds @ Ls).sum(axis=0), (Ls, Lds))
+    if signal is None:
+        signal = L.signal(rho)
     dW = np.asarray(dY, dtype=float).reshape(signal.shape) - signal * dt
-    A = (-1j * H - 0.5 * (Lds @ Ls).sum(axis=0)) * dt \
-        + (dW @ Ls.reshape(len(Ls), -1)).reshape(rho.shape)
+    A = (-1j * H - L.K) * dt + (dW @ L.L.reshape(len(L.L), -1)).reshape(rho.shape)
     Arho = A @ rho
     out = rho + Arho + np.swapaxes(Arho, -1, -2).conj() \
         - np.einsum("bl,bl->b", signal, dW)[:, None, None] * rho
-    for Lk, Lkd in zip(Ls, Lds):
-        out += (Lk @ rho @ Lkd) * dt
+    L.add_jumps(out, rho, dt)
     if unmonitored is not None:
         out += unmonitored * dt
     out = 0.5 * (out + np.swapaxes(out, -1, -2).conj())
     tr = np.einsum("bii->b", out).real
     if not np.all(np.isfinite(tr)):
-        raise FloatingPointError("non-finite density matrix in sme_step")
+        raise FloatingPointError(
+            f"non-finite density matrix in sme_step at slots {np.flatnonzero(~np.isfinite(tr)).tolist()}")
     out = out / tr[:, None, None]
     return out[0] if squeeze else out
 

@@ -6,6 +6,7 @@ from scipy.integrate import solve_ivp
 
 from qfilt import operators as op
 from qfilt import qec
+from qfilt import trajectory as traj
 from qfilt.sde import rng_stream
 
 
@@ -22,6 +23,26 @@ def five_basis(five):
 @pytest.fixture(scope="module")
 def bitflip():
     return qec.build_code("bitflip3")
+
+
+def dense_truncated_step(basis, p, dQ, gamma, kappa, lambdas, dt):
+    """The truncated filter step from dense generator products."""
+    S = basis.n_syndromes
+    drift = p @ (gamma * basis.drift_noise + kappa * basis.drift_meas).T
+    drift += np.einsum("bc,cae,be->ba", lambdas, basis.feedback, p)
+    means = p[:, :S] @ basis.h_outcomes.T
+    dW = dQ - 2.0 * np.sqrt(kappa) * means * dt
+    hp = np.einsum("lae,be->bla", basis.meas_H, p)
+    stoch = np.einsum("bl,bla->ba", dW, hp - 2.0 * means[:, :, None] * p[:, None, :])
+    out = p + drift * dt + np.sqrt(kappa) * stoch
+    out[:, :S] = np.clip(out[:, :S], 0.0, None)
+    return out / out[:, :S].sum(axis=1)[:, None]
+
+
+def random_states(d, B, rng):
+    a = rng.standard_normal((B, d, d)) + 1j * rng.standard_normal((B, d, d))
+    rho = a @ np.swapaxes(a, -1, -2).conj()
+    return rho / np.einsum("bii->b", rho).real[:, None, None]
 
 
 class TestBuildCode:
@@ -346,6 +367,28 @@ class TestTruncatedFilterStep:
         assert np.array_equal(lam, np.zeros(15))
 
 
+    @pytest.mark.parametrize("name", ["fivequbit", "bitflip3"])
+    def test_sparse_step_matches_dense_generators(self, name, five_basis):
+        code = qec.build_code(name)
+        basis = five_basis if name == "fivequbit" else qec.build_truncated_basis(code)
+        gamma, kappa, dt, B = 1.3, 40.0, 1e-5, 5
+        rng = np.random.default_rng(12)
+        p = np.stack([basis.initial_state(r) for r in random_states(code.dim, B, rng)])
+        lambdas = rng.choice([-150.0, 150.0], size=(B, len(code.channel_labels)))
+        dQ = rng.standard_normal((B, code.n_generators)) * np.sqrt(dt)
+        out = qec._truncated_step_batch(basis, p, dQ, gamma, kappa, lambdas, dt)
+        expect = dense_truncated_step(basis, p, dQ, gamma, kappa, lambdas, dt)
+        assert np.max(np.abs(out - expect)) <= 1e-14
+
+    def test_degenerate_state_names_its_slots(self, five_basis):
+        p = np.zeros((3, 136))
+        p[:, 0] = 1.0
+        dQ = np.zeros((3, 4))
+        dQ[2, 0] = np.nan
+        with pytest.raises(FloatingPointError, match=r"slots \[2\]"):
+            qec._truncated_step_batch(five_basis, p, dQ, 1.0, 100.0, np.zeros((3, 15)), 1e-5)
+
+
 class TestDiscreteFidelity:
     def test_at_zero(self):
         assert qec.codeword_fidelity_discrete(0.0, 1.0) == pytest.approx(1.0, abs=1e-15)
@@ -405,6 +448,58 @@ class TestClosedLoop:
             with pytest.raises(ValueError, match="controller"):
                 qec.run_feedback_batch(bitflip, 1.0, 100.0, 200.0, T=1e-4, dt=1e-5,
                                        seed=0, n_traj=1, controller="bogus", basis=b)
+
+    def test_short_loop_matches_dense_kernel(self, five, five_basis):
+        # the truncated-controller loop against the same loop written with
+        # plain-array sme_step_batch calls, a brute-force depolarizing term,
+        # einsum signals and the dense truncated step
+        gamma, kappa, lam, dt, steps, n_traj, seed = 1.0, 100.0, 200.0, 1e-5, 30, 2, 9
+        out = qec.run_feedback_batch(five, gamma, kappa, lam, steps * dt, dt, seed, n_traj,
+                                     controller="truncated", basis=five_basis, record_every=3)
+        psi0 = qec.logical_zero(five)
+        rho0 = np.outer(psi0, psi0.conj())
+        rho = np.broadcast_to(rho0, (n_traj, 32, 32)).copy()
+        p = np.broadcast_to(five_basis.initial_state(rho0), (n_traj, 136)).copy()
+        noise = np.stack([rng_stream(seed, k).standard_normal((steps, 4))
+                          for k in range(n_traj)]) * np.sqrt(dt)
+        P = five.single_paulis
+        idx, sign = five_basis.policy_index, five_basis.policy_sign
+
+        def bang(v):
+            return lam * np.where(v == 0.0, 1.0, np.sign(v))
+
+        agree = np.zeros(n_traj)
+        codespace, codeword = [], []
+        for i in range(steps):
+            full = np.einsum("cij,bji->bc", five.policy_ops, rho).real
+            lambdas = np.where(idx >= 0, bang(np.where(idx >= 0, sign * p[:, idx], 0.0)), 0.0)
+            agree += np.mean(bang(full) == lambdas, axis=1)
+            dQ = 2.0 * np.sqrt(kappa) * np.einsum("lij,bji->bl", five.gen_ops, rho).real * dt \
+                + noise[:, i]
+            H = np.einsum("bc,cij->bij", lambdas, P)
+            depol = gamma * (sum(s @ rho @ s for s in P) - 15 * rho)
+            p = dense_truncated_step(five_basis, p, dQ, gamma, kappa, lambdas, dt)
+            rho = traj.sme_step_batch(H, np.sqrt(kappa) * five.gen_ops, rho, dQ, dt,
+                                      unmonitored=depol)
+            if (i + 1) % 3 == 0:
+                codespace.append(np.einsum("ij,bji->b", five.projectors[0], rho).real)
+                codeword.append(np.einsum("ij,bji->b", rho0, rho).real)
+        for got, expect in ((out["codespace"], np.array(codespace).T),
+                            (out["codeword"], np.array(codeword).T),
+                            (out["final_rho"], rho)):
+            assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+        assert np.array_equal(out["policy_agreement"], agree / steps)
+
+    def test_record_every_must_be_positive(self, bitflip):
+        for record_every in (0, -2):
+            with pytest.raises(ValueError, match="record_every"):
+                qec.run_feedback_batch(bitflip, 1.0, 100.0, 200.0, T=1e-4, dt=1e-5, seed=0,
+                                       n_traj=1, controller="full", record_every=record_every)
+
+    def test_failure_names_step_time_and_slots(self, bitflip):
+        with pytest.raises(FloatingPointError, match=r"slots \[0, 1\], at step 0 \(t = 0\)"):
+            qec.run_feedback_batch(bitflip, np.nan, 100.0, 200.0, T=1e-4, dt=1e-5, seed=0,
+                                   n_traj=2, controller="full")
 
     def test_shared_noise_across_controllers(self, five, five_basis):
         # identical streams: a no-feedback run and a truncated-controller run

@@ -136,6 +136,78 @@ class TestSmeStep:
         assert min_purity > 1.0 - 1e-4
 
 
+def random_density(d, B, rng):
+    a = rng.standard_normal((B, d, d)) + 1j * rng.standard_normal((B, d, d))
+    rho = a @ np.swapaxes(a, -1, -2).conj()
+    return rho / np.einsum("bii->b", rho).real[:, None, None]
+
+
+def random_paulis(n, count, rng):
+    labels = ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(count)]
+    labels[0] = "Y" + labels[0][1:]  # at least one string with a Y
+    return np.stack([op.pauli_string(lab) for lab in labels])
+
+
+def lindblad_sum(U, rho):
+    """sum_u D[U_u] rho per slot, the dense reference of unmonitored channels."""
+    return sum(Uk @ rho @ op.dag(Uk) - 0.5 * (op.dag(Uk) @ Uk @ rho + rho @ op.dag(Uk) @ Uk)
+               for Uk in U)
+
+
+class TestCompiledChannels:
+    @pytest.mark.parametrize("n,B,with_unmonitored", [
+        (3, 1, False), (3, 8, True), (5, 1, True), (5, 8, False), (5, 8, True)])
+    def test_permutation_path_matches_dense(self, n, B, with_unmonitored):
+        # random Pauli strings (with Y, so complex phases) as monitored and
+        # unmonitored channels, per-slot H, against the plain-array dense step
+        d, dt = 2 ** n, 1e-4
+        rng = np.random.default_rng(100 * n + B)
+        Ls = random_paulis(n, 4, rng) * rng.uniform(0.5, 3.0, size=(4, 1, 1))
+        U = random_paulis(n, 6, rng) * rng.uniform(0.5, 2.0, size=(6, 1, 1)) \
+            if with_unmonitored else None
+        a = rng.standard_normal((B, d, d)) + 1j * rng.standard_normal((B, d, d))
+        H = a + np.swapaxes(a, -1, -2).conj()
+        rho = random_density(d, B, rng)
+        dY = rng.standard_normal((B, 4)) * np.sqrt(dt)
+        channels = traj.compile_channels(Ls, U)
+        assert channels.signal_index is not None
+        out = traj.sme_step_batch(H, channels, rho, dY, dt)
+        gen = None if U is None else lindblad_sum(U, rho)
+        expect = traj.sme_step_batch(H, Ls, rho, dY, dt, unmonitored=gen)
+        assert np.max(np.abs(out - expect)) <= 1e-13
+        signal = np.einsum("lij,bji->bl", Ls + np.swapaxes(Ls, -1, -2).conj(), rho).real
+        assert np.max(np.abs(channels.signal(rho) - signal)) <= 1e-13
+
+    def test_shared_permutations_are_grouped(self):
+        # X_m and Y_m flip the same bit, every Z_m is diagonal: the 15
+        # single-qubit Paulis of five qubits need five takes and one diagonal
+        paulis = np.stack([op.pauli_string("I" * m + ax + "I" * (4 - m))
+                           for m in range(5) for ax in "XYZ"])
+        channels = traj.compile_channels(paulis[:1], paulis)
+        indices = [index for index, _ in channels.jumps]
+        assert len(indices) == 6 and sum(index is None for index in indices) == 1
+
+    def test_non_monomial_channel_stays_dense(self):
+        L = op.SIGMA_MINUS + 0.3 * op.SIGMA_Z
+        channels = traj.compile_channels(L, np.sqrt(0.4) * op.SIGMA_X[None])
+        assert channels.signal_index is None
+        rng = np.random.default_rng(3)
+        rho = random_density(2, 3, rng)
+        dY = rng.standard_normal(3) * 1e-2
+        out = traj.sme_step_batch(op.SIGMA_Y, channels, rho, dY, 1e-4)
+        gen = lindblad_sum(np.sqrt(0.4) * op.SIGMA_X[None], rho)
+        expect = traj.sme_step_batch(op.SIGMA_Y, L, rho, dY, 1e-4, unmonitored=gen)
+        assert np.max(np.abs(out - expect)) <= 1e-13
+
+    def test_nonfinite_step_names_its_slots(self):
+        rng = np.random.default_rng(4)
+        rho = random_density(2, 3, rng)
+        dY = np.array([0.01, np.nan, -0.02])
+        for L in (op.SIGMA_Z, traj.compile_channels(op.SIGMA_Z)):
+            with pytest.raises(FloatingPointError, match=r"slots \[1\]"):
+                traj.sme_step_batch(op.SIGMA_Y, L, rho, dY, 1e-4)
+
+
 class TestSseStep:
     def test_free_state_unchanged(self):
         model = traj.DiffusiveModel(H=np.zeros((3, 3), dtype=complex),
