@@ -278,7 +278,11 @@ def _run_collective_squeeze(p, seed, workers):
 
 
 def _floats(text):
-    return [float(x) for x in str(text).split(",") if x.strip() != ""]
+    """A non-empty comma-separated list of floats."""
+    values = [float(x) for x in str(text).split(",") if x.strip() != ""]
+    if not values:
+        raise ValueError("the list is empty")
+    return values
 
 
 def _positive(text) -> float:
@@ -290,11 +294,21 @@ def _positive(text) -> float:
 
 
 def _positive_int(text) -> int:
-    """An integer >= 1: record strides."""
+    """An integer >= 1: counts and record strides."""
     value = int(text)
     if value < 1:
         raise ValueError(f"{value} is not a positive integer")
     return value
+
+
+def _between(lo, hi=float("inf")):
+    """Converter accepting a float in [lo, hi]."""
+    def conv(text) -> float:
+        value = float(text)
+        if not lo <= value <= hi:
+            raise ValueError(f"{value} is not in [{lo}, {hi}]")
+        return value
+    return conv
 
 
 def _choice(*options):
@@ -351,11 +365,11 @@ EXPERIMENTS = {
         "schema": {
             "kappa": (float, 1.0, "measurement strength"),
             "B_true": (float, 5.0, "true field value"),
-            "N": (int, 200, "particle count"),
+            "N": (_positive_int, 200, "particle count"),
             "T": (_positive, 2.0, "integration horizon"),
             "dt": (_positive, 1e-4, "time step"),
-            "a": (float, 0.98, "kernel mean-reversion factor"),
-            "h": (float, 1e-3, "kernel bandwidth factor"),
+            "a": (_between(0.0, 1.0), 0.98, "kernel mean-reversion factor in [0, 1]"),
+            "h": (_between(0.0), 1e-3, "kernel bandwidth factor, at least 0"),
             "threshold": (float, 2.0 / 3.0, "resample when N_eff/N drops below"),
             "prior_mean": (float, 0.0, "Gaussian prior mean"),
             "prior_var": (float, 10.0, "Gaussian prior variance"),
@@ -373,7 +387,7 @@ EXPERIMENTS = {
             "deltaB": (float, 1e-3, "finite-difference offset"),
             "T": (_positive, 1.0, "integration horizon"),
             "dt": (_positive, 1e-4, "time step"),
-            "n_seeds": (int, 4, "noise realizations per point"),
+            "n_seeds": (_positive_int, 4, "noise realizations per point"),
         },
     },
     "magnetometer-kalman": {
@@ -403,7 +417,7 @@ EXPERIMENTS = {
             "lambda_max": (float, 200.0, "maximum feedback strength"),
             "T": (_positive, 0.05, "integration horizon (units 1/gamma)"),
             "dt": (_positive, 1e-5, "time step"),
-            "n_traj": (int, 2, "trajectory count"),
+            "n_traj": (_positive_int, 2, "trajectory count"),
         },
     },
     "qec-benchmark": {
@@ -417,7 +431,7 @@ EXPERIMENTS = {
             "lambda_max": (float, 200.0, "maximum feedback strength"),
             "T": (_positive, 0.1, "integration horizon (units 1/gamma)"),
             "dt": (_positive, 1e-5, "time step"),
-            "n_traj": (int, 4, "trajectory count"),
+            "n_traj": (_positive_int, 4, "trajectory count"),
         },
     },
     "collective-cat": {
@@ -425,7 +439,7 @@ EXPERIMENTS = {
         "doc": "cat-state fidelity decay: symmetric-local vs collective channel",
         "runner": _run_collective_cat,
         "schema": {
-            "N": (int, 10, "qubit count"),
+            "N": (_positive_int, 10, "qubit count"),
             "channel": (_choice("sigma_z", "sigma_minus"), "sigma_z", "sigma_z or sigma_minus"),
             "Gamma": (float, 1.0, "decoherence rate"),
             "T": (_positive, 0.2, "integration horizon (units 1/Gamma)"),
@@ -438,7 +452,7 @@ EXPERIMENTS = {
         "doc": "counter-twisting squeezing under symmetric vs collective decay",
         "runner": _run_collective_squeeze,
         "schema": {
-            "N": (int, 100, "qubit count"),
+            "N": (_positive_int, 100, "qubit count"),
             "Lambda": (float, 1.0, "twisting strength"),
             "Gamma": (float, 0.2, "decoherence rate"),
             "T": (_positive, 0.03, "integration horizon"),

@@ -40,7 +40,6 @@ __all__ = [
     "extended_estimation_operators",
     "simulate_qubit_record",
     "qubit_finite_set_batch",
-    "qubit_particle_filter_batch",
 ]
 
 
@@ -341,44 +340,23 @@ def simulate_qubit_record(kappa: float, B_true: float, T: float, dt: float, seed
                             expectations={"sz": sz}, seed=seed)
 
 
-def _seed_slots(model: QubitMagnetometerModel, B_true: float, T: float, dt: float, N: int,
-                a: float, h: float, threshold: float, seed, n_seeds: int,
-                store_every: int = 0) -> list:
-    """particle_filter_run for each seed slot k on a truth record at B_true
-    drawn from stream (seed, k); the filter draws from stream (seed, k, 1)."""
-    return [particle_filter_run(
-        model, simulate_qubit_record(model.kappa, B_true, T, dt, stream_seed(seed, k)),
-        N, a, h, threshold, stream_seed(seed, k, 1), store_every) for k in range(n_seeds)]
-
-
 def qubit_finite_set_batch(kappa: float, B_values, B_true: float, T: float, dt: float,
                            seed, n_seeds: int, store_every: int = 0) -> dict:
     """Finite-set ensemble filter on the candidate fields B_values, one run
-    per seed slot.
+    per seed slot: slot k filters a truth record at B_true drawn from stream
+    (seed, k), and its filter draws from stream (seed, k, 1).
 
     Returns the final weight matrix (n_seeds, len(B_values)) and, if
     store_every > 0, snapshot "times" and "weights" of shape
     (n_snaps, n_seeds, len(B_values)).
     """
     model = QubitMagnetometerModel(kappa=kappa, prior=("finite", B_values))
-    runs = _seed_slots(model, B_true, T, dt, len(B_values), a=1.0, h=0.0, threshold=0.0,
-                       seed=seed, n_seeds=n_seeds, store_every=store_every)
+    runs = [particle_filter_run(
+        model, simulate_qubit_record(kappa, B_true, T, dt, stream_seed(seed, k)),
+        len(B_values), a=1.0, h=0.0, threshold=0.0, seed=stream_seed(seed, k, 1),
+        store_every=store_every) for k in range(n_seeds)]
     out = {"final_weights": np.array([r["ensemble"].weights for r in runs])}
     if store_every:
         out["times"] = runs[0]["snap_times"]
         out["weights"] = np.stack([r["snap_weights"] for r in runs], axis=1)
     return out
-
-
-def qubit_particle_filter_batch(kappa: float, prior: tuple, B_true: float, N: int,
-                                T: float, dt: float, a: float, h: float,
-                                threshold: float, seed, n_seeds: int) -> dict:
-    """Resampling quantum particle filter, one run per seed slot.
-
-    Returns per-seed final estimates, uncertainties and resample counts.
-    """
-    model = QubitMagnetometerModel(kappa=kappa, prior=prior)
-    runs = _seed_slots(model, B_true, T, dt, N, a, h, threshold, seed, n_seeds)
-    return {"estimates": np.array([r["estimate"] for r in runs]),
-            "uncertainties": np.array([r["uncertainty"] for r in runs]),
-            "n_resamples": np.array([r["n_resamples"] for r in runs])}

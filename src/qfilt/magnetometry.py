@@ -21,7 +21,7 @@ from .operators import anticommutator, dag, pure_to_density, spin_coherent, spin
 from .kalman import LinearModel
 from .estimation import EstimationModel, particle_filter_run
 from .trajectory import DiffusiveModel, TrajectoryRecord, sme_step, sse_step_batch
-from .sde import rng_stream, stream_seed
+from .sde import rng_stream
 
 __all__ = [
     "DoublePassParams",
@@ -31,7 +31,6 @@ __all__ = [
     "double_pass_sse_step",
     "simulate_double_pass_truth",
     "fisher_information_fd",
-    "fisher_information_mean",
     "cramer_rao_bound",
     "projection_innovation",
     "projection_filter_step",
@@ -169,26 +168,6 @@ def fisher_information_fd(params: DoublePassParams, deltaB: float, T: float, dt:
 def cramer_rao_bound(info: float) -> float:
     """Estimator deviation lower bound (1/2) <(d rho/dB)^2>^{-1/2}."""
     return 0.5 / np.sqrt(info)
-
-
-def fisher_information_mean(params: DoublePassParams, deltaB: float, T: float, dt: float,
-                            seed, n_seeds: int) -> dict:
-    """Average the conditional Fisher information over noise realizations.
-
-    Returns the mean and spread of the conditional information, the bound
-    derived from the mean, and the error bar sigma = I^{-3/2} sigma[I|Z] / 2.
-    """
-    infos = np.array([fisher_information_fd(params, deltaB, T, dt, stream_seed(seed, k))
-                      for k in range(n_seeds)])
-    mean_info = infos.mean()
-    std_info = infos.std(ddof=1) if n_seeds > 1 else 0.0
-    return {
-        "info_mean": mean_info,
-        "info_std": std_info,
-        "infos": infos,
-        "bound": cramer_rao_bound(mean_info),
-        "bound_sigma": mean_info ** -1.5 * std_info / 2.0,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ __all__ = [
     "commutator",
     "anticommutator",
     "expect",
-    "is_hermitian",
     "expm_hermitian",
     "spin_operators",
     "pauli_string",
@@ -37,8 +36,6 @@ __all__ = [
     "measurement_M",
     "spin_coherent",
     "pure_to_density",
-    "normalize_state",
-    "normalize_density",
 ]
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -73,10 +70,6 @@ def expect(op: np.ndarray, state: np.ndarray) -> complex:
     if state.ndim == 1:
         return complex(state.conj() @ op @ state)
     return complex(np.trace(op @ state))
-
-
-def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.max(np.abs(a - dag(a))) < tol)
 
 
 def expm_hermitian(h: np.ndarray, scale: complex = 1.0) -> np.ndarray:
@@ -173,12 +166,3 @@ def spin_coherent(j: float, theta: float, phi: float) -> np.ndarray:
 def pure_to_density(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
-
-def normalize_state(psi: np.ndarray) -> np.ndarray:
-    return psi / np.linalg.norm(psi)
-
-
-def normalize_density(rho: np.ndarray) -> np.ndarray:
-    """Re-Hermitize and renormalize the trace; used after Euler steps."""
-    rho = 0.5 * (rho + dag(rho))
-    return rho / np.trace(rho).real

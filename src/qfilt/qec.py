@@ -28,8 +28,6 @@ the generator matrices' nonzero entries only.
 
 from __future__ import annotations
 
-import hashlib
-import io
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,16 +47,12 @@ __all__ = [
     "wonham_transition_matrix",
     "wonham_step",
     "build_truncated_basis",
-    "restrict_to_codespace_coupled",
     "untruncated_closure_dim",
     "truncated_basis_size",
     "truncated_filter_step",
     "truncated_policy",
     "codeword_fidelity_discrete",
     "fidelity_metrics",
-    "run_feedback_trajectory",
-    "save_basis",
-    "load_basis",
 ]
 
 _CODES = {
@@ -427,31 +421,6 @@ def build_truncated_basis(code: StabilizerCode, verify_tol: float = 1e-10) -> Tr
         h_outcomes=code.syndrome_outcomes(), verification_residual=worst_exact)
 
 
-def restrict_to_codespace_coupled(basis: TruncatedBasis) -> TruncatedBasis:
-    """Further truncation keeping only the syndrome projectors and the
-    feedback coefficients coupled to the codespace (31 elements for the
-    five-qubit code).  Degrades fidelity measurably; kept for comparison."""
-    code = basis.code
-    S = basis.n_syndromes
-    keep = list(range(S)) + sorted({int(i) for i in basis.policy_index if i >= 0})
-    keep_arr = np.array(keep)
-    sub = TruncatedBasis(
-        code=code,
-        element_mats=basis.element_mats[keep_arr],
-        element_descr=[basis.element_descr[i] for i in keep],
-        n_syndromes=S,
-        drift_noise=basis.drift_noise[np.ix_(keep_arr, keep_arr)],
-        drift_meas=basis.drift_meas[np.ix_(keep_arr, keep_arr)],
-        meas_H=basis.meas_H[:, keep_arr[:, None], keep_arr[None, :]],
-        feedback=basis.feedback[:, keep_arr[:, None], keep_arr[None, :]],
-        policy_index=np.array([keep.index(int(i)) if i >= 0 else -1
-                               for i in basis.policy_index]),
-        policy_sign=basis.policy_sign.copy(),
-        h_outcomes=basis.h_outcomes,
-        verification_residual=basis.verification_residual)
-    return sub
-
-
 _PAULI_PRODUCT = {
     ("I", "I"): "I", ("I", "X"): "X", ("I", "Y"): "Y", ("I", "Z"): "Z",
     ("X", "I"): "X", ("X", "X"): "I", ("X", "Y"): "Z", ("X", "Z"): "Y",
@@ -683,57 +652,3 @@ def run_feedback_batch(code: StabilizerCode, gamma: float, kappa: float,
         out["policy_agreement"] = agree / agree_steps
     return out
 
-
-def run_feedback_trajectory(code: StabilizerCode, gamma: float, kappa: float,
-                            lambda_max: float, T: float, dt: float, seed,
-                            controller: str = "truncated",
-                            basis: TruncatedBasis | None = None,
-                            record_every: int = 10) -> dict:
-    """Single closed-loop trajectory; see run_feedback_batch."""
-    out = run_feedback_batch(code, gamma, kappa, lambda_max, T, dt, seed, 1,
-                             controller=controller, basis=basis,
-                             record_every=record_every)
-    res = {
-        "times": out["times"],
-        "codespace": out["codespace"][0],
-        "codeword": out["codeword"][0],
-        "final_rho": out["final_rho"][0],
-    }
-    if "policy_agreement" in out:
-        res["policy_agreement"] = float(out["policy_agreement"][0])
-    return res
-
-
-# ---------------------------------------------------------------------------
-# basis cache
-
-
-_CACHED_ARRAYS = ("element_mats", "drift_noise", "drift_meas", "meas_H", "feedback",
-                  "policy_index", "policy_sign", "h_outcomes")
-
-
-def _digest(arrays: dict) -> str:
-    digest = hashlib.sha256()
-    for k in sorted(arrays):
-        digest.update(np.ascontiguousarray(arrays[k]).tobytes())
-    return digest.hexdigest()
-
-
-def save_basis(basis: TruncatedBasis, path: str) -> None:
-    """Write the basis to an .npz with a content checksum."""
-    arrays = {k: getattr(basis, k) for k in _CACHED_ARRAYS}
-    np.savez_compressed(
-        path, version=1, code_name=basis.code.name,
-        n_syndromes=basis.n_syndromes, descr=np.array(basis.element_descr),
-        residual=basis.verification_residual, checksum=_digest(arrays), **arrays)
-
-
-def load_basis(path: str) -> TruncatedBasis:
-    with np.load(path, allow_pickle=False) as z:
-        arrays = {k: z[k] for k in _CACHED_ARRAYS}
-        if _digest(arrays) != str(z["checksum"]):
-            raise ValueError(f"basis cache {path} failed its checksum")
-        return TruncatedBasis(
-            code=build_code(str(z["code_name"])), element_descr=[str(s) for s in z["descr"]],
-            n_syndromes=int(z["n_syndromes"]), verification_residual=float(z["residual"]),
-            **arrays)

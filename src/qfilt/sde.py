@@ -9,10 +9,6 @@ child ``j``, ...).  Trajectory ``k`` of a batch uses ``rng_stream(seed, k)``,
 so batches are reproducible regardless of scheduling, and distinct tag tuples
 never share a stream.  Functions that take a seed also accept the
 :func:`stream_seed` of a tagged stream.
-
-Complex-valued states can be handled by the caller through
-:func:`realify` / :func:`unrealify`, which interleave real and imaginary
-parts; the integrators themselves only see real vectors.
 """
 
 from __future__ import annotations
@@ -33,8 +29,6 @@ __all__ = [
     "predictor_corrector_step",
     "stratonovich_to_ito",
     "ito_to_stratonovich",
-    "realify",
-    "unrealify",
 ]
 
 ITO = "ito"
@@ -201,15 +195,3 @@ def stratonovich_to_ito(system: SdeSystem) -> SdeSystem:
         return _sys.drift(t, x) + _drift_correction(_sys, t, x)
 
     return SdeSystem(system.state_dim, system.noise_dim, drift, system.diffusion, ITO)
-
-
-def realify(z: np.ndarray) -> np.ndarray:
-    """Interleave a complex vector as [re0, im0, re1, im1, ...]."""
-    out = np.empty(2 * len(z))
-    out[0::2] = z.real
-    out[1::2] = z.imag
-    return out
-
-
-def unrealify(x: np.ndarray) -> np.ndarray:
-    return x[0::2] + 1j * x[1::2]

@@ -28,7 +28,6 @@ independent trajectory and must use its own noise stream.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -49,7 +48,6 @@ __all__ = [
     "sse_step",
     "sse_step_batch",
     "simulate_truth",
-    "simulate_truth_batch",
     "bloch_angle_step",
 ]
 
@@ -92,16 +90,6 @@ class TrajectoryRecord:
     dW: np.ndarray
     expectations: dict[str, np.ndarray] = field(default_factory=dict)
     seed: object = None
-
-    def to_csv(self) -> str:
-        names = list(self.expectations)
-        buf = io.StringIO()
-        buf.write(",".join(["time", "dY", "dW"] + names) + "\n")
-        n = len(self.dY)
-        cols = [self.times[:n], self.dY, self.dW] + [self.expectations[k][:n] for k in names]
-        for row in zip(*cols):
-            buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        return buf.getvalue()
 
 
 def _batched(rho: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -291,44 +279,6 @@ def simulate_truth(model: DiffusiveModel, rho0: np.ndarray, T: float, dt: float,
             exps[k][i + 1] = np.trace(op @ rho).real
     return TrajectoryRecord(
         times=np.arange(steps + 1) * dt, dY=dY, dW=dWs, expectations=exps, seed=seed)
-
-
-def simulate_truth_batch(model: DiffusiveModel, rho0: np.ndarray, T: float, dt: float,
-                         seed, n_traj: int,
-                         observables: dict[str, np.ndarray] | None = None,
-                         store_every: int = 0) -> dict[str, np.ndarray]:
-    """Evolve n_traj independent truth trajectories in lockstep.
-
-    Trajectory k uses the noise stream (seed, k).  Returns final expectation
-    values per observable (and optionally snapshots every ``store_every``
-    steps) without storing the per-step records.
-    """
-    observables = observables or {}
-    steps = int(round(T / dt))
-    rho = np.broadcast_to(np.asarray(rho0, dtype=complex), (n_traj,) + rho0.shape).copy()
-    Lsig = model.L + dag(model.L)
-    rngs = [rng_stream(seed, k) for k in range(n_traj)]
-    sqdt = np.sqrt(dt)
-    snaps = {k: [] for k in observables} if store_every else None
-    chunk = 50_000
-    done = 0
-    while done < steps:
-        m = min(chunk, steps - done)
-        noise = np.stack([r.standard_normal(m) for r in rngs]) * sqdt
-        for i in range(m):
-            signal = np.einsum("ij,bji->b", Lsig, rho).real
-            dY = signal * dt + noise[:, i]
-            rho = sme_step_batch(model.H, model.L, rho, dY, dt)
-            if store_every and (done + i + 1) % store_every == 0:
-                for k, op in observables.items():
-                    snaps[k].append(np.einsum("ij,bji->b", op, rho).real)
-        done += m
-    out = {}
-    for k, op in observables.items():
-        out[k] = np.einsum("ij,bji->b", op, rho).real
-        if store_every:
-            out[k + "_snapshots"] = np.array(snaps[k])
-    return out
 
 
 def bloch_angle_step(theta, dM, B: float, kappa: float, dt: float):

@@ -139,12 +139,20 @@ class TestRun:
 
     def test_nonpositive_step_or_horizon_is_config_error(self, tmp_path, capsys):
         cases = (("qubit-filter", "dt=0"), ("kalman-demo", "dt=-0.001"),
-                 ("collective-cat", "T=0"), ("qubit-filter", "dt=nan"))
+                 ("collective-cat", "T=0"), ("qubit-filter", "dt=nan"),
+                 # counts, lists and the resampling kernel's ranges
+                 ("particle-filter", "N=0"), ("collective-cat", "N=0"),
+                 ("collective-squeeze", "N=-2"), ("qec-run", "n_traj=0"),
+                 ("qec-benchmark", "n_traj=0"), ("magnetometer-fisher", "n_seeds=0"),
+                 ("param-ensemble", "B_values="), ("magnetometer-fisher", "F_values="),
+                 ("particle-filter", "a=1.5"), ("particle-filter", "h=-0.001"))
         for experiment, item in cases:
             out = os.path.join(tmp_path, experiment)
             code = cli.main(["run", experiment, "--set", item, "--out", out])
             assert code == 1, (experiment, item)
-            assert item.split("=")[0] in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("config error") and f"'{item.split('=')[0]}'" in err
+            assert err.count("\n") == 1
             assert not os.path.exists(out)
 
     @pytest.mark.parametrize("experiment,items,key", [

@@ -267,10 +267,3 @@ class TestBatchHarnesses:
             theta_true = traj.bloch_angle_step(theta_true, dM, B_true, kappa, dt)
             ens = est.ensemble_step(model, ens, dM, dt)
         assert np.max(np.abs(out["final_weights"][0] - ens.weights)) < 1e-12
-
-    def test_particle_filter_batch_shapes(self):
-        out = est.qubit_particle_filter_batch(
-            kappa=1.0, prior=("gaussian", 0.0, 4.0), B_true=2.0, N=20,
-            T=0.01, dt=1e-4, a=0.98, h=1e-3, threshold=0.9, seed=22, n_seeds=3)
-        assert out["estimates"].shape == (3,)
-        assert np.all(out["uncertainties"] >= 0.0)

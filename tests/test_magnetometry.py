@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from qfilt import magnetometry as mag
 from qfilt import operators as op
@@ -211,14 +210,6 @@ class TestFisherInformation:
         drho = (op.pure_to_density(states[-dB]) - op.pure_to_density(states[dB])) / (-2 * dB)
         swapped = np.trace(drho @ drho @ op.pure_to_density(states[0.0])).real
         assert abs(base - swapped) < 1e-12
-
-    def test_mean_reporting(self):
-        p = mag.DoublePassParams(F=1.0, M=1.0, K=0.0, B=0.0)
-        out = mag.fisher_information_mean(p, 1e-3, T=0.2, dt=1e-3, seed=5, n_seeds=3)
-        assert out["info_mean"] > 0
-        assert out["bound"] == mag.cramer_rao_bound(out["info_mean"])
-        assert out["bound_sigma"] == pytest.approx(
-            out["info_mean"] ** -1.5 * out["info_std"] / 2.0)
 
 
 class TestProjectionFilter:

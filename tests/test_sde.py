@@ -213,9 +213,3 @@ class TestConversion:
             tot_a += xa
             tot_b += xb
         assert abs(tot_a - tot_b) / 30 < 1e-6 + 10 * dt
-
-
-class TestRealify:
-    def test_round_trip(self):
-        z = np.array([1 + 2j, -0.5 + 0.25j, 3.0 + 0j])
-        assert np.array_equal(sde.unrealify(sde.realify(z)), z)
