@@ -277,16 +277,21 @@ def _run_collective_squeeze(p, seed, workers):
     }
 
 
-def _floats(text):
-    """A non-empty comma-separated list of floats."""
-    values = [float(x) for x in str(text).split(",") if x.strip() != ""]
-    if not values:
-        raise ValueError("the list is empty")
-    return values
+def _floats(lo=float("-inf")):
+    """Converter accepting a non-empty comma-separated list of floats >= lo."""
+    def conv(text) -> list:
+        values = [float(x) for x in str(text).split(",") if x.strip() != ""]
+        if not values:
+            raise ValueError("the list is empty")
+        if not all(v >= lo for v in values):
+            raise ValueError(f"{values} has an entry below {lo}")
+        return values
+    return conv
 
 
 def _positive(text) -> float:
-    """A finite float > 0: time steps and horizons."""
+    """A finite float > 0: time steps, horizons and the measurement strength
+    the Bloch-angle filter divides by."""
     value = float(text)
     if not 0.0 < value < float("inf"):
         raise ValueError(f"{value} is not a positive finite number")
@@ -311,6 +316,10 @@ def _between(lo, hi=float("inf")):
     return conv
 
 
+# rates, strengths and variances
+_nonnegative = _between(0.0)
+
+
 def _choice(*options):
     """Converter accepting exactly one of the given names."""
     def conv(text) -> str:
@@ -332,14 +341,14 @@ EXPERIMENTS = {
             "xi_true": (float, 1.0, "true forcing parameter"),
             "T": (_positive, 10.0, "integration horizon"),
             "dt": (_positive, 1e-3, "time step"),
-            "prior_var": (float, 1e5, "initial parameter variance"),
+            "prior_var": (_nonnegative, 1e5, "initial parameter variance"),
         },
     },
     "qubit-filter": {
         "doc": "continuously monitored qubit trajectory (collapse from +x)",
         "runner": _run_qubit_filter,
         "schema": {
-            "kappa": (float, 1.0, "measurement strength"),
+            "kappa": (_nonnegative, 1.0, "measurement strength"),
             "B": (float, 0.0, "magnetic field"),
             "T": (_positive, 10.0, "integration horizon (units 1/kappa)"),
             "dt": (_positive, 1e-5, "time step"),
@@ -351,8 +360,8 @@ EXPERIMENTS = {
         "doc": "finite-set magnetic field estimation on a monitored qubit",
         "runner": _run_param_ensemble,
         "schema": {
-            "kappa": (float, 1.0, "measurement strength"),
-            "B_values": (_floats, "2,5,8,12", "candidate field values (units kappa)"),
+            "kappa": (_positive, 1.0, "measurement strength"),
+            "B_values": (_floats(), "2,5,8,12", "candidate field values (units kappa)"),
             "B_true": (float, 2.0, "true field value"),
             "T": (_positive, 10.0, "integration horizon"),
             "dt": (_positive, 1e-5, "time step"),
@@ -363,16 +372,16 @@ EXPERIMENTS = {
         "doc": "resampling quantum particle filter for the qubit magnetometer",
         "runner": _run_particle_filter,
         "schema": {
-            "kappa": (float, 1.0, "measurement strength"),
+            "kappa": (_positive, 1.0, "measurement strength"),
             "B_true": (float, 5.0, "true field value"),
             "N": (_positive_int, 200, "particle count"),
             "T": (_positive, 2.0, "integration horizon"),
             "dt": (_positive, 1e-4, "time step"),
             "a": (_between(0.0, 1.0), 0.98, "kernel mean-reversion factor in [0, 1]"),
             "h": (_between(0.0), 1e-3, "kernel bandwidth factor, at least 0"),
-            "threshold": (float, 2.0 / 3.0, "resample when N_eff/N drops below"),
+            "threshold": (_between(0.0, 1.0), 2.0 / 3.0, "resample when N_eff/N drops below"),
             "prior_mean": (float, 0.0, "Gaussian prior mean"),
-            "prior_var": (float, 10.0, "Gaussian prior variance"),
+            "prior_var": (_nonnegative, 10.0, "Gaussian prior variance"),
             "store_every": (_positive_int, 100, "record every k-th step"),
         },
     },
@@ -380,9 +389,9 @@ EXPERIMENTS = {
         "doc": "finite-difference Fisher information of the double-pass magnetometer",
         "runner": _run_magnetometer_fisher,
         "schema": {
-            "F_values": (_floats, "10,20", "collective spin sizes"),
-            "K_values": (_floats, "0,0.0001", "second-pass strengths"),
-            "M": (float, 1.0, "first-pass strength"),
+            "F_values": (_floats(0.5), "10,20", "collective spin sizes, at least 1/2"),
+            "K_values": (_floats(0.0), "0,0.0001", "second-pass strengths"),
+            "M": (_nonnegative, 1.0, "first-pass strength"),
             "B": (float, 0.0, "operating field"),
             "deltaB": (float, 1e-3, "finite-difference offset"),
             "T": (_positive, 1.0, "integration horizon"),
@@ -395,11 +404,11 @@ EXPERIMENTS = {
         "doc": "small-angle Kalman field estimate on a double-pass record",
         "runner": _run_magnetometer_kalman,
         "schema": {
-            "F": (float, 10.0, "collective spin size"),
-            "M": (float, 1.0, "first-pass strength"),
-            "K": (float, 0.0, "second-pass strength"),
+            "F": (_between(0.5), 10.0, "collective spin size, at least 1/2"),
+            "M": (_nonnegative, 1.0, "first-pass strength"),
+            "K": (_nonnegative, 0.0, "second-pass strength"),
             "B_true": (float, 0.0, "true field value"),
-            "prior_var": (float, 10.0, "initial field variance"),
+            "prior_var": (_nonnegative, 10.0, "initial field variance"),
             "T": (_positive, 1.0, "integration horizon"),
             "dt": (_positive, 1e-4, "time step"),
             "store_every": (_positive_int, 10, "record every k-th step"),
@@ -412,8 +421,8 @@ EXPERIMENTS = {
         "schema": {
             "code": (_choice(*qec._CODES), "fivequbit", "code name (fivequbit or bitflip3)"),
             "controller": (_choice("truncated", "full", "none"), "truncated", "truncated, full or none"),
-            "gamma": (float, 1.0, "depolarizing rate"),
-            "kappa": (float, 100.0, "measurement strength"),
+            "gamma": (_nonnegative, 1.0, "depolarizing rate"),
+            "kappa": (_nonnegative, 100.0, "measurement strength"),
             "lambda_max": (float, 200.0, "maximum feedback strength"),
             "T": (_positive, 0.05, "integration horizon (units 1/gamma)"),
             "dt": (_positive, 1e-5, "time step"),
@@ -426,8 +435,8 @@ EXPERIMENTS = {
         "runner": _run_qec_benchmark,
         "schema": {
             "code": (_choice(*qec._CODES), "fivequbit", "code name (fivequbit or bitflip3)"),
-            "gamma": (float, 1.0, "depolarizing rate"),
-            "kappa": (float, 100.0, "measurement strength"),
+            "gamma": (_nonnegative, 1.0, "depolarizing rate"),
+            "kappa": (_nonnegative, 100.0, "measurement strength"),
             "lambda_max": (float, 200.0, "maximum feedback strength"),
             "T": (_positive, 0.1, "integration horizon (units 1/gamma)"),
             "dt": (_positive, 1e-5, "time step"),
@@ -441,7 +450,7 @@ EXPERIMENTS = {
         "schema": {
             "N": (_positive_int, 10, "qubit count"),
             "channel": (_choice("sigma_z", "sigma_minus"), "sigma_z", "sigma_z or sigma_minus"),
-            "Gamma": (float, 1.0, "decoherence rate"),
+            "Gamma": (_nonnegative, 1.0, "decoherence rate"),
             "T": (_positive, 0.2, "integration horizon (units 1/Gamma)"),
             "dt": (_positive, 1e-3, "time step"),
             "store_every": (_positive_int, 10, "record every k-th step"),
@@ -454,7 +463,7 @@ EXPERIMENTS = {
         "schema": {
             "N": (_positive_int, 100, "qubit count"),
             "Lambda": (float, 1.0, "twisting strength"),
-            "Gamma": (float, 0.2, "decoherence rate"),
+            "Gamma": (_nonnegative, 0.2, "decoherence rate"),
             "T": (_positive, 0.03, "integration horizon"),
             "dt": (_positive, 1e-4, "time step"),
             "store_every": (_positive_int, 10, "record every k-th step"),

@@ -22,11 +22,15 @@ and s_I terms and the g-tensor bilinear) is a sum of rank-one terms
 that shift a slice of one input block into the same block or a J +- 1 block.
 Spin-operator words are banded (J_+, J_-, J_z are single bands), so each
 block's terms are built once from O(2J+1) band vectors and cached per
-(generator, 2J); stepping never forms a dense operator or a matmul, and
-skips input blocks that are exactly zero.  This is the Dicke-basis
-bookkeeping of PIQS (Shammah et al., PRA 98, 063815 (2018)).
+(generator, 2J); neither compiling nor stepping forms a dense operator or a
+matmul.  This is the Dicke-basis bookkeeping of PIQS (Shammah et al., PRA 98,
+063815 (2018)).
 
-Blocks are keyed by 2J (integers avoid half-integer keys).
+Blocks are keyed by 2J (integers avoid half-integer keys) and stored sparse:
+a valid 2J missing from a state's blocks is an exactly-zero block.  Stepping
+allocates, reads and writes only the blocks a state occupies and the J +- 1
+blocks its derivative reaches, so a state in the top block of N = 100 costs
+one block per step, not 51.
 """
 
 from __future__ import annotations
@@ -102,7 +106,10 @@ def collective_dim(N: int) -> int:
 
 @dataclass
 class CollectiveDensity:
-    """Block-diagonal effective density matrix: blocks[2J] is (2J+1) x (2J+1)."""
+    """Block-diagonal effective density matrix: blocks[2J] is (2J+1) x (2J+1).
+
+    A valid 2J missing from ``blocks`` is an exactly-zero block; ``zeros``
+    stores every block, for callers that write into them."""
 
     N: int
     blocks: dict = field(default_factory=dict)
@@ -247,24 +254,25 @@ def _shift(v: np.ndarray, k: int) -> np.ndarray:
     return w
 
 
-def _bands_of(A: np.ndarray) -> dict:
-    """The nonzero diagonals of a block operator, as bands."""
-    d = len(A)
-    out = {}
-    for k in range(1 - d, d):
-        diag = np.diagonal(A, k)
-        if diag.any():
-            v = np.zeros(d, dtype=complex)
-            v[max(0, -k):max(0, -k) + len(diag)] = diag
-            out[k] = v
-    return out
+# each letter's spin matrix and the offsets of its possibly nonzero diagonals
+_LETTERS = {"+": ("Jplus", (1,)), "-": ("Jminus", (-1,)), "z": ("Jz", (0,)),
+            "x": ("Jx", (-1, 1)), "y": ("Jy", (-1, 1))}
 
 
 @lru_cache(maxsize=256)
 def _letter_bands(two_j: int) -> dict:
+    """Bands of the spin letters, read off operators.spin_operators at their
+    known offsets (ascending), all-zero bands dropped."""
     ops = spin_operators(two_j / 2.0)
-    names = {"+": "Jplus", "-": "Jminus", "z": "Jz", "x": "Jx", "y": "Jy"}
-    return {ch: _bands_of(ops[name]) for ch, name in names.items()}
+    out = {}
+    for ch, (name, offsets) in _LETTERS.items():
+        out[ch] = {}
+        for k in offsets:
+            diag = np.diagonal(ops[name], k)
+            if diag.any():
+                v = out[ch][k] = np.zeros(two_j + 1, dtype=complex)
+                v[max(0, -k):max(0, -k) + len(diag)] = diag
+    return out
 
 
 def _band_product(a: dict, b: dict, dim: int) -> dict:
@@ -300,6 +308,13 @@ def _word_bands(word: str, two_j: int) -> dict:
     return bands
 
 
+def _operator_bands(words: tuple, two_j: int) -> dict:
+    """Bands of sum_n c_n word_n in ascending offset order, all-zero bands
+    dropped: the bands collective_operator writes, without the dense block."""
+    bands = _band_sum((c, _word_bands(w, two_j)) for c, w in words)
+    return {k: bands[k] for k in sorted(bands) if bands[k].any()}
+
+
 def _adjoint(bands: dict) -> dict:
     """A^dag[i + k, i] = conj(A[i, i + k]): band k of A is band -k of A^dag."""
     return {-k: np.conj(_shift(v, -k)) for k, v in bands.items()}
@@ -328,7 +343,7 @@ def collective_operator(word_coeffs, two_j: int) -> np.ndarray:
 # output with weight v[p]; a column factor does the same for columns.  A
 # left product A rho has one row factor per band of A, a right product
 # rho B one column factor per band of B, and a sandwich one term per pair.
-# H and C are read off their collective_operator blocks, once per block.
+# H and C are the band sums of their words, built once per block.
 
 _WHOLE = (slice(None), slice(None), None)
 
@@ -379,7 +394,7 @@ def _words_key(word_coeffs) -> tuple:
 @lru_cache(maxsize=_COMPILE_CACHE)
 def _hamiltonian_terms(words: tuple, two_j: int) -> tuple:
     """-i [H, rho] on block 2J."""
-    H = _bands_of(collective_operator(words, two_j))
+    H = _operator_bands(words, two_j)
     return tuple(_terms(two_j, two_j, _left(_band_sum([(-1j, H)])), None)
                  + _terms(two_j, two_j, None, _right(_band_sum([(1j, H)]))))
 
@@ -387,7 +402,7 @@ def _hamiltonian_terms(words: tuple, two_j: int) -> tuple:
 @lru_cache(maxsize=_COMPILE_CACHE)
 def _collective_channel_terms(words: tuple, two_j: int) -> tuple:
     """C rho C^dag - {C^dag C, rho} / 2 on block 2J."""
-    C = _bands_of(collective_operator(words, two_j))
+    C = _operator_bands(words, two_j)
     Cd = _adjoint(C)
     half = _band_sum([(-0.5, _band_product(Cd, C, two_j + 1))])
     return tuple(_terms(two_j, two_j, _left(C), _right(Cd))
@@ -448,7 +463,8 @@ def _spin_channel_terms(s: tuple, N: int, two_j: int) -> tuple:
 def _accumulate(terms_of, rho: CollectiveDensity, out: CollectiveDensity, scale=1.0) -> None:
     """out += scale * G rho for the generator G whose terms for input block
     2J are terms_of(2J).  Exactly-zero input blocks add nothing and are
-    skipped."""
+    skipped; an output block missing from out is allocated at its first
+    write."""
     for two_j, block in rho.blocks.items():
         if not block.any():
             continue
@@ -460,7 +476,10 @@ def _accumulate(terms_of, rho: CollectiveDensity, out: CollectiveDensity, scale=
                 t = a * t
             if b is not None:
                 t = t * b
-            out.blocks[two_j_out][dst] += t
+            acc = out.blocks.get(two_j_out)
+            if acc is None:
+                acc = out.blocks[two_j_out] = np.zeros((two_j_out + 1,) * 2, dtype=complex)
+            acc[dst] += t
 
 
 def symmetric_lindblad_apply(channel: SpinChannel, rho: CollectiveDensity,
@@ -475,7 +494,7 @@ def symmetric_lindblad_apply(channel: SpinChannel, rho: CollectiveDensity,
     the g-tensor identity for the non-collective bilinear.
     """
     N = rho.N
-    out = CollectiveDensity.zeros(N) if out is None else out
+    out = CollectiveDensity(N=N) if out is None else out
     key = tuple(complex(x) for x in (channel.s_I, channel.s_plus, channel.s_minus, channel.s_z))
     _accumulate(lambda two_j: _spin_channel_terms(key, N, two_j), rho, out, scale)
     return out
@@ -486,7 +505,7 @@ def collective_lindblad_apply(channel: CollectiveChannel, rho: CollectiveDensity
                               scale: float = 1.0) -> CollectiveDensity:
     """Block-diagonal dissipator L[C] rho for a collective operator C; ``out``
     and ``scale`` as in symmetric_lindblad_apply."""
-    out = CollectiveDensity.zeros(rho.N) if out is None else out
+    out = CollectiveDensity(N=rho.N) if out is None else out
     key = _words_key(channel.word_coeffs)
     _accumulate(lambda two_j: _collective_channel_terms(key, two_j), rho, out, scale)
     return out
@@ -495,8 +514,8 @@ def collective_lindblad_apply(channel: CollectiveChannel, rho: CollectiveDensity
 def master_rhs(H_coeffs, channels, rho: CollectiveDensity) -> CollectiveDensity:
     """d rho / dt = -i [H, rho] + sum_k Gamma_k L_k rho with H given as
     (coeff, word) pairs applied per block.  Blocks missing from rho.blocks
-    count as zero; the result has every block."""
-    out = CollectiveDensity.zeros(rho.N)
+    count as zero; the result holds only the blocks some term writes to."""
+    out = CollectiveDensity(N=rho.N)
     if H_coeffs:
         key = _words_key(H_coeffs)
         _accumulate(lambda two_j: _hamiltonian_terms(key, two_j), rho, out)
@@ -511,16 +530,24 @@ def master_rhs(H_coeffs, channels, rho: CollectiveDensity) -> CollectiveDensity:
 def collective_master_step(H_coeffs, channels, rho: CollectiveDensity, dt: float) -> CollectiveDensity:
     """One fixed-step RK4 step of the master equation.
 
-    Only the blocks that can be nonzero are stepped: those of rho, and at
-    each stage the blocks the stage derivative reaches, looked for among
-    the J +- 1 neighbours of the stage state (no term moves a block
-    further).  Every other block of the result is exactly zero.
+    Only the support is stored and stepped: the nonzero blocks of rho, and
+    at each stage the nonzero blocks the stage derivative reaches, looked for
+    among the J +- 1 neighbours of the stage state (no term moves a block
+    further).  The result holds exactly the support, in ascending 2J order;
+    every other block is exactly zero.
     """
     N = rho.N
 
     def nonzero(x, keys):
-        return {tj for tj in keys if x.blocks[tj].any()}
+        return {tj for tj in keys if tj in x.blocks and x.blocks[tj].any()}
 
+    def block(x, tj):
+        # a missing block adds like a zero block: the scalar broadcasts
+        return x.blocks.get(tj, 0.0)
+
+    # the support is a set, built in the same order at every step: its
+    # iteration order sets the order of the stage states' blocks, and with
+    # it the order in which values are added into each output block
     support = nonzero(rho, rho.blocks)
     state = CollectiveDensity(N=N, blocks={tj: rho.blocks[tj] for tj in support})
     ks = []
@@ -528,18 +555,18 @@ def collective_master_step(H_coeffs, channels, rho: CollectiveDensity, dt: float
         k = master_rhs(H_coeffs, channels, state)
         ks.append(k)
         support |= nonzero(k, {t for tj in state.blocks for t in (tj - 2, tj, tj + 2)
-                               if t in k.blocks})
+                               if 0 <= t <= N})
         if w is not None:
-            state = CollectiveDensity(N=N, blocks={tj: rho.blocks[tj] + w * k.blocks[tj]
+            state = CollectiveDensity(N=N, blocks={tj: block(rho, tj) + w * block(k, tj)
                                                    for tj in support})
     k1, k2, k3, k4 = ks
-    out = CollectiveDensity.zeros(N)
-    for tj in support:
-        block = rho.blocks[tj] + (dt / 6.0) * (
-            k1.blocks[tj] + 2.0 * k2.blocks[tj] + 2.0 * k3.blocks[tj] + k4.blocks[tj])
-        if not np.all(np.isfinite(block)):
+    out = CollectiveDensity(N=N)
+    for tj in sorted(support):
+        b = block(rho, tj) + (dt / 6.0) * (
+            block(k1, tj) + 2.0 * block(k2, tj) + 2.0 * block(k3, tj) + block(k4, tj))
+        if not np.all(np.isfinite(b)):
             raise FloatingPointError("non-finite block in collective_master_step")
-        out.blocks[tj] = 0.5 * (block + block.conj().T)
+        out.blocks[tj] = 0.5 * (b + b.conj().T)
     return out
 
 
@@ -549,18 +576,16 @@ def collective_master_step(H_coeffs, channels, rho: CollectiveDensity, dt: float
 
 def coherent_top(N: int) -> CollectiveDensity:
     """|N/2, +N/2> in the top block."""
-    rho = CollectiveDensity.zeros(N)
-    rho.blocks[N][0, 0] = 1.0
-    return rho
+    top = np.zeros((N + 1, N + 1), dtype=complex)
+    top[0, 0] = 1.0
+    return CollectiveDensity(N=N, blocks={N: top})
 
 
 def cat_state(N: int) -> CollectiveDensity:
     """(|N/2, +N/2> + |N/2, -N/2>)/sqrt(2), entirely in the top block."""
-    rho = CollectiveDensity.zeros(N)
     psi = np.zeros(N + 1, dtype=complex)
     psi[0] = psi[-1] = 1.0 / np.sqrt(2.0)
-    rho.blocks[N] = np.outer(psi, psi.conj())
-    return rho
+    return CollectiveDensity(N=N, blocks={N: np.outer(psi, psi.conj())})
 
 
 def expectation(rho: CollectiveDensity, word_coeffs) -> complex:
@@ -586,17 +611,23 @@ def squeezing_xi2(rho: CollectiveDensity) -> float:
 
 
 def irrep_population(rho: CollectiveDensity, J: float) -> float:
-    """N_J = tr[P_J rho] = d_J sum_M rho_{J,M,M}."""
+    """N_J = tr[P_J rho] = d_J sum_M rho_{J,M,M}; 0.0 for a valid J with no
+    stored block."""
     two_j = int(round(2 * J))
-    if two_j not in rho.blocks:
+    if not (0 <= two_j <= rho.N and (rho.N - two_j) % 2 == 0):
         raise ValueError(f"no block with J={J} for N={rho.N}")
+    if two_j not in rho.blocks:
+        return 0.0
     return irrep_degeneracy(J, rho.N) * float(np.trace(rho.blocks[two_j]).real)
 
 
 def fidelity_with(rho: CollectiveDensity, ref: CollectiveDensity) -> float:
-    """tr[rho_ref rho] in the physical trace."""
+    """tr[rho_ref rho] in the physical trace; blocks missing from either
+    state add nothing."""
     total = 0.0
     for two_j, block in rho.blocks.items():
+        if two_j not in ref.blocks:
+            continue
         d = irrep_degeneracy(two_j / 2.0, rho.N)
         total += d * np.sum(ref.blocks[two_j] * block.T).real
     return float(total)
@@ -659,11 +690,13 @@ def irrep_embeddings(N: int) -> dict:
 
 def embed_collective(rho: CollectiveDensity) -> np.ndarray:
     """Full 2^N density matrix with every degenerate irrep populated
-    identically by the effective block."""
+    identically by the effective block; missing blocks are zero."""
     sectors = irrep_embeddings(rho.N)
     dim = 2 ** rho.N
     out = np.zeros((dim, dim), dtype=complex)
     for two_j, vlist in sectors.items():
+        if two_j not in rho.blocks:
+            continue
         block = rho.blocks[two_j]
         for V in vlist:
             out += V @ block @ V.conj().T

@@ -32,6 +32,7 @@ __all__ = [
     "EstimationModel",
     "QubitMagnetometerModel",
     "DegenerateEnsembleError",
+    "sample_prior",
     "ensemble_step",
     "effective_sample_size",
     "liu_west_resample",

@@ -26,6 +26,7 @@ from .sde import rng_stream
 __all__ = [
     "DoublePassParams",
     "GaussianProjectionState",
+    "coherent_x",
     "double_pass_model",
     "double_pass_sme_step",
     "double_pass_sse_step",

@@ -51,6 +51,7 @@ __all__ = [
     "truncated_basis_size",
     "truncated_filter_step",
     "truncated_policy",
+    "run_feedback_batch",
     "codeword_fidelity_discrete",
     "fidelity_metrics",
 ]

@@ -145,7 +145,17 @@ class TestRun:
                  ("collective-squeeze", "N=-2"), ("qec-run", "n_traj=0"),
                  ("qec-benchmark", "n_traj=0"), ("magnetometer-fisher", "n_seeds=0"),
                  ("param-ensemble", "B_values="), ("magnetometer-fisher", "F_values="),
-                 ("particle-filter", "a=1.5"), ("particle-filter", "h=-0.001"))
+                 ("particle-filter", "a=1.5"), ("particle-filter", "h=-0.001"),
+                 # rates, strengths, variances, spin sizes and the resampling threshold
+                 ("collective-cat", "Gamma=-1"), ("collective-squeeze", "Gamma=-1"),
+                 ("qubit-filter", "kappa=-1"), ("particle-filter", "kappa=0"),
+                 ("param-ensemble", "kappa=-1"), ("qec-run", "kappa=-1"),
+                 ("qec-benchmark", "gamma=-1"), ("magnetometer-fisher", "M=-1"),
+                 ("magnetometer-kalman", "K=-1"), ("magnetometer-fisher", "K_values=0,-1"),
+                 ("kalman-demo", "prior_var=-1"), ("particle-filter", "prior_var=-1"),
+                 ("magnetometer-kalman", "prior_var=-1"), ("magnetometer-fisher", "F_values=0.2"),
+                 ("magnetometer-fisher", "F_values=10,0.4"), ("magnetometer-kalman", "F=0.2"),
+                 ("particle-filter", "threshold=-1"), ("particle-filter", "threshold=1.5"))
         for experiment, item in cases:
             out = os.path.join(tmp_path, experiment)
             code = cli.main(["run", experiment, "--set", item, "--out", out])

@@ -461,3 +461,99 @@ class TestEmbeddings:
         rho = random_collective(3, 41)
         full = col.embed_collective(rho)
         assert abs(np.trace(full).real - 1.0) < 1e-12
+
+
+def zero_filled(rho):
+    """rho with every block stored, the missing ones as zeros."""
+    full = col.CollectiveDensity.zeros(rho.N)
+    for tj, b in rho.blocks.items():
+        full.blocks[tj] = b.copy()
+    return full
+
+
+class TestSparseBlocks:
+    N = 12
+    GENERATORS = {
+        "hamiltonian": (((-1j, "++"), (1j, "--"), (0.3, "z")), []),
+        "spin": (None, [col.SpinChannel(s_plus=0.2, s_minus=1.0, s_z=0.3j, rate=0.7)]),
+        "collective": (None, [col.CollectiveChannel(word_coeffs=((1.0, "-"), (0.2j, "zx")))]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    def test_sparse_and_zero_filled_steps_agree(self, kind):
+        H, channels = self.GENERATORS[kind]
+        sparse = col.coherent_top(self.N)
+        dense = zero_filled(sparse)
+        assert list(sparse.blocks) == [self.N]
+        for _ in range(20):
+            sparse = col.collective_master_step(H, channels, sparse, 1e-2)
+            dense = col.collective_master_step(H, channels, dense, 1e-2)
+            assert list(sparse.blocks) == list(dense.blocks)
+            for tj, b in sparse.blocks.items():
+                assert np.array_equal(b, dense.blocks[tj])
+
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    def test_result_holds_exactly_the_reached_blocks(self, kind):
+        H, channels = self.GENERATORS[kind]
+        # block-diagonal generators stay in the top block; the symmetric
+        # channel reaches one block further down per RK4 stage
+        reach = 4 if kind == "spin" else 0
+        state = col.coherent_top(self.N)
+        for step in range(1, 4):
+            state = col.collective_master_step(H, channels, state, 1e-2)
+            lowest = max(self.N % 2, self.N - 2 * reach * step)
+            assert list(state.blocks) == list(range(lowest, self.N + 1, 2))
+            assert all(b.any() for b in state.blocks.values())
+
+    def test_master_rhs_writes_only_reached_blocks(self):
+        rho = col.coherent_top(self.N)
+        out = col.master_rhs(None, [col.SpinChannel(s_minus=1.0)], rho)
+        assert sorted(out.blocks) == [self.N - 2, self.N]
+        ch = col.CollectiveChannel(word_coeffs=((1.0, "-"),))
+        assert list(col.collective_lindblad_apply(ch, rho).blocks) == [self.N]
+
+    def test_observables_treat_missing_blocks_as_zero(self):
+        # N = 5 stays in the top block; one N = 12 step reaches 2J = 4..12
+        for N, ch in ((5, col.CollectiveChannel(word_coeffs=((1.0, "-"),))),
+                      (self.N, col.SpinChannel(s_minus=1.0, s_z=0.5))):
+            state = col.collective_master_step(((0.4, "++"), (0.4, "--")), [ch],
+                                               col.cat_state(N), 1e-2)
+            assert len(state.blocks) < len(col.CollectiveDensity.zeros(N).blocks)
+            dense = zero_filled(state)
+            ref, ref_dense = col.cat_state(N), zero_filled(col.cat_state(N))
+            fids = {col.fidelity_with(a, b) for a in (state, dense) for b in (ref, ref_dense)}
+            assert len(fids) == 1
+            for tj in range(N % 2, N + 1, 2):
+                assert col.irrep_population(state, tj / 2.0) \
+                    == col.irrep_population(dense, tj / 2.0)
+            for word in ([(1.0, "z")], [(1.0, "yy")], [(0.5j, "+-"), (1.0, "x")]):
+                assert col.expectation(state, word) == col.expectation(dense, word)
+            if N <= 6:
+                assert np.array_equal(col.embed_collective(state), col.embed_collective(dense))
+
+    def test_irrep_population_of_missing_and_invalid_blocks(self):
+        rho = col.coherent_top(6)
+        assert col.irrep_population(rho, 2.0) == 0.0
+        assert col.irrep_population(rho, 3.0) == 1.0
+        for J in (0.5, 3.5, -1.0):
+            with pytest.raises(ValueError):
+                col.irrep_population(rho, J)
+
+    @pytest.mark.parametrize("two_j", list(range(13)) + [100])
+    def test_letter_bands_match_a_scan_of_every_diagonal(self, two_j):
+        from qfilt.operators import spin_operators
+        ops = spin_operators(two_j / 2.0)
+        names = {"+": "Jplus", "-": "Jminus", "z": "Jz", "x": "Jx", "y": "Jy"}
+        got = col._letter_bands(two_j)
+        assert list(got) == list(names)
+        d = two_j + 1
+        for ch, name in names.items():
+            expect = {}
+            for k in range(1 - d, d):
+                diag = np.diagonal(ops[name], k)
+                if diag.any():
+                    expect[k] = np.zeros(d, dtype=complex)
+                    expect[k][max(0, -k):max(0, -k) + len(diag)] = diag
+            assert list(got[ch]) == list(expect)
+            for k, v in expect.items():
+                assert np.array_equal(got[ch][k], v)

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 
 import qfilt
@@ -14,3 +15,20 @@ def test_every_exported_name_resolves():
         if stale:
             missing[info.name] = stale
     assert not missing
+
+
+def test_every_public_definition_is_exported():
+    # a public function or class missing from __all__ is left out of
+    # `from qfilt.<module> import *`
+    unlisted = {}
+    for info in pkgutil.iter_modules(qfilt.__path__):
+        module = importlib.import_module(f"qfilt.{info.name}")
+        if not hasattr(module, "__all__"):
+            continue
+        defined = [n for n, obj in vars(module).items()
+                   if not n.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+                   and obj.__module__ == module.__name__]
+        missing = sorted(set(defined) - set(module.__all__))
+        if missing:
+            unlisted[info.name] = missing
+    assert not unlisted
