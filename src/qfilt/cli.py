@@ -290,8 +290,8 @@ def _floats(lo=float("-inf")):
 
 
 def _positive(text) -> float:
-    """A finite float > 0: time steps, horizons and the measurement strength
-    the Bloch-angle filter divides by."""
+    """A finite float > 0: time steps, horizons and the Bloch-angle filters'
+    measurement strength."""
     value = float(text)
     if not 0.0 < value < float("inf"):
         raise ValueError(f"{value} is not a positive finite number")
@@ -378,7 +378,7 @@ EXPERIMENTS = {
             "T": (_positive, 2.0, "integration horizon"),
             "dt": (_positive, 1e-4, "time step"),
             "a": (_between(0.0, 1.0), 0.98, "kernel mean-reversion factor in [0, 1]"),
-            "h": (_between(0.0), 1e-3, "kernel bandwidth factor, at least 0"),
+            "h": (_nonnegative, 1e-3, "kernel bandwidth factor, at least 0"),
             "threshold": (_between(0.0, 1.0), 2.0 / 3.0, "resample when N_eff/N drops below"),
             "prior_mean": (float, 0.0, "Gaussian prior mean"),
             "prior_var": (_nonnegative, 10.0, "Gaussian prior variance"),

@@ -254,6 +254,19 @@ def _shift(v: np.ndarray, k: int) -> np.ndarray:
     return w
 
 
+def _bands_at(A: np.ndarray, offsets) -> dict:
+    """The diagonals of a block operator at the given offsets, as bands in
+    ascending offset order; all-zero diagonals are dropped.  Any diagonal
+    not listed must be zero."""
+    out = {}
+    for k in sorted(offsets):
+        diag = np.diagonal(A, k)
+        if diag.any():
+            v = out[k] = np.zeros(len(A), dtype=complex)
+            v[max(0, -k):max(0, -k) + len(diag)] = diag
+    return out
+
+
 # each letter's spin matrix and the offsets of its possibly nonzero diagonals
 _LETTERS = {"+": ("Jplus", (1,)), "-": ("Jminus", (-1,)), "z": ("Jz", (0,)),
             "x": ("Jx", (-1, 1)), "y": ("Jy", (-1, 1))}
@@ -261,18 +274,8 @@ _LETTERS = {"+": ("Jplus", (1,)), "-": ("Jminus", (-1,)), "z": ("Jz", (0,)),
 
 @lru_cache(maxsize=256)
 def _letter_bands(two_j: int) -> dict:
-    """Bands of the spin letters, read off operators.spin_operators at their
-    known offsets (ascending), all-zero bands dropped."""
     ops = spin_operators(two_j / 2.0)
-    out = {}
-    for ch, (name, offsets) in _LETTERS.items():
-        out[ch] = {}
-        for k in offsets:
-            diag = np.diagonal(ops[name], k)
-            if diag.any():
-                v = out[ch][k] = np.zeros(two_j + 1, dtype=complex)
-                v[max(0, -k):max(0, -k) + len(diag)] = diag
-    return out
+    return {ch: _bands_at(ops[name], offsets) for ch, (name, offsets) in _LETTERS.items()}
 
 
 def _band_product(a: dict, b: dict, dim: int) -> dict:
@@ -308,13 +311,6 @@ def _word_bands(word: str, two_j: int) -> dict:
     return bands
 
 
-def _operator_bands(words: tuple, two_j: int) -> dict:
-    """Bands of sum_n c_n word_n in ascending offset order, all-zero bands
-    dropped: the bands collective_operator writes, without the dense block."""
-    bands = _band_sum((c, _word_bands(w, two_j)) for c, w in words)
-    return {k: bands[k] for k in sorted(bands) if bands[k].any()}
-
-
 def _adjoint(bands: dict) -> dict:
     """A^dag[i + k, i] = conj(A[i, i + k]): band k of A is band -k of A^dag."""
     return {-k: np.conj(_shift(v, -k)) for k, v in bands.items()}
@@ -343,7 +339,8 @@ def collective_operator(word_coeffs, two_j: int) -> np.ndarray:
 # output with weight v[p]; a column factor does the same for columns.  A
 # left product A rho has one row factor per band of A, a right product
 # rho B one column factor per band of B, and a sandwich one term per pair.
-# H and C are the band sums of their words, built once per block.
+# H and C are read off their collective_operator blocks at the offsets
+# their words reach, once per block.
 
 _WHOLE = (slice(None), slice(None), None)
 
@@ -384,6 +381,12 @@ def _terms(two_j_in: int, two_j_out: int, rows, cols) -> list:
             out.append((two_j_out, (dr, dc), (sr, sc),
                         None if a is None else a[:, None], None if b is None else b[None, :]))
     return out
+
+
+def _operator_bands(words: tuple, two_j: int) -> dict:
+    """Bands of the polynomial given by (coeff, word) pairs on block 2J."""
+    offsets = {k for c, w in words if c != 0 for k in _word_bands(w, two_j)}
+    return _bands_at(collective_operator(words, two_j), offsets)
 
 
 def _words_key(word_coeffs) -> tuple:
@@ -614,7 +617,7 @@ def irrep_population(rho: CollectiveDensity, J: float) -> float:
     """N_J = tr[P_J rho] = d_J sum_M rho_{J,M,M}; 0.0 for a valid J with no
     stored block."""
     two_j = int(round(2 * J))
-    if not (0 <= two_j <= rho.N and (rho.N - two_j) % 2 == 0):
+    if two_j not in range(rho.N % 2, rho.N + 1, 2):
         raise ValueError(f"no block with J={J} for N={rho.N}")
     if two_j not in rho.blocks:
         return 0.0
