@@ -290,8 +290,8 @@ def _floats(lo=float("-inf")):
 
 
 def _positive(text) -> float:
-    """A finite float > 0: time steps, horizons and the Bloch-angle filters'
-    measurement strength."""
+    """A finite float > 0: time steps, horizons, the Bloch-angle filters'
+    measurement strength and the Fisher finite-difference offset."""
     value = float(text)
     if not 0.0 < value < float("inf"):
         raise ValueError(f"{value} is not a positive finite number")
@@ -393,7 +393,7 @@ EXPERIMENTS = {
             "K_values": (_floats(0.0), "0,0.0001", "second-pass strengths"),
             "M": (_nonnegative, 1.0, "first-pass strength"),
             "B": (float, 0.0, "operating field"),
-            "deltaB": (float, 1e-3, "finite-difference offset"),
+            "deltaB": (_positive, 1e-3, "finite-difference offset"),
             "T": (_positive, 1.0, "integration horizon"),
             "dt": (_positive, 1e-4, "time step"),
             "n_seeds": (_positive_int, 4, "noise realizations per point"),
@@ -626,7 +626,11 @@ def main(argv=None) -> int:
         sys.stderr.write(f"config error: {e}\n")
         return 1
     try:
-        manifest = run_experiment(args.experiment, params, args.seed, args.workers, args.out)
+        # overflow and invalid values surface as one exit-2 line from the
+        # kernels' finite checks, not as numpy warnings printed before it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            manifest = run_experiment(args.experiment, params, args.seed, args.workers,
+                                      args.out)
     except (ValueError, ArithmeticError, np.linalg.LinAlgError,
             est.DegenerateEnsembleError) as e:
         sys.stderr.write(f"numeric failure in {args.experiment}: {type(e).__name__}: {e}\n")

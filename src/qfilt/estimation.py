@@ -1,8 +1,10 @@
 """Bayesian parameter estimation from continuous measurement records.
 
 A parameter xi entering the Hamiltonian as H = H_base + xi * H0 is estimated
-by an ensemble of weighted "quantum particles" (xi_i, rho_i).  All particles
-are driven by the shared innovation
+by an ensemble of weighted "quantum particles" (xi_i, rho_i), where the base
+model (H_base, L) is a ``DiffusiveModel`` compiled once: every particle steps
+its channels and reads its signal from them.  All particles are driven by the
+shared innovation
 
     dW = dM - sum_i p_i Tr[(L + L^dag) rho_i] dt,
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .operators import dag
-from .trajectory import TrajectoryRecord, bloch_angle_step, sme_step_batch
+from .trajectory import DiffusiveModel, TrajectoryRecord, bloch_angle_step, sme_step_batch
 from .sde import rng_stream, stream_seed
 
 __all__ = [
@@ -84,18 +86,18 @@ class ParticleEnsemble:
 
 @dataclass(frozen=True)
 class EstimationModel:
-    """Parameter-coupled model H = H_base + xi * H0 with coupling operator L.
+    """Parameter-coupled model H = base.H + xi * H0 with coupling base.L.
 
-    ``prior`` is one of ("finite", values, weights), ("gaussian", mu, var) or
-    ("uniform", lo, hi).  ``rho0`` is the known initial conditional state
-    shared by every particle.
+    ``base`` is the model at xi = 0; every particle steps its compiled
+    ``channels``.  ``prior`` is one of ("finite", values, weights),
+    ("gaussian", mu, var) or ("uniform", lo, hi).  ``rho0`` is the known
+    initial conditional state shared by every particle.
     """
 
+    base: DiffusiveModel
     H0: np.ndarray
-    L: np.ndarray
     prior: tuple
     rho0: np.ndarray
-    H_base: np.ndarray | None = None
 
     def __post_init__(self):
         if np.max(np.abs(self.H0 - dag(self.H0))) > 1e-10 * max(1.0, np.max(np.abs(self.H0))):
@@ -105,11 +107,10 @@ class EstimationModel:
 @dataclass(frozen=True)
 class QubitMagnetometerModel:
     """Monitored qubit with H = B sigma_y, L = sqrt(kappa) sigma_z, states
-    parameterized by the Bloch angle from +x (initially theta0 = 0)."""
+    parameterized by the Bloch angle from +x (initially 0)."""
 
     kappa: float
     prior: tuple
-    theta0: float = 0.0
 
 
 def sample_prior(prior: tuple, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -134,8 +135,7 @@ def _signals(model, ens: ParticleEnsemble) -> np.ndarray:
     """Per-particle expectation of the measured observable L + L^dag."""
     if ens.state_kind == "bloch":
         return 2.0 * np.sqrt(model.kappa) * np.sin(ens.states)
-    Lsig = model.L + dag(model.L)
-    return np.einsum("ij,bji->b", Lsig, ens.states).real
+    return model.base.channels.signal(ens.states)[:, 0]
 
 
 def ensemble_step(model, ens: ParticleEnsemble, dM: float, dt: float) -> ParticleEnsemble:
@@ -158,10 +158,9 @@ def ensemble_step(model, ens: ParticleEnsemble, dM: float, dt: float) -> Particl
     if ens.state_kind == "bloch":
         states = bloch_angle_step(ens.states, dY, ens.params, model.kappa, dt)
     else:
-        H = model.H0 * ens.params[:, None, None]
-        if model.H_base is not None:
-            H = H + model.H_base
-        states = sme_step_batch(H, model.L, ens.states, dY, dt)
+        H = model.H0 * ens.params[:, None, None] + model.base.H
+        states = sme_step_batch(H, model.base.channels, ens.states, dY, dt,
+                                signal=c[:, None])
     return replace(ens, weights=w / total, states=states)
 
 
@@ -213,7 +212,7 @@ def _init_ensemble(model, N: int, rng) -> ParticleEnsemble:
         params, weights = sample_prior(model.prior, N, rng)
         return ParticleEnsemble(
             weights=weights, params=params,
-            states=np.full(N, model.theta0, dtype=float), state_kind="bloch")
+            states=np.zeros(N), state_kind="bloch")
     params, weights = sample_prior(model.prior, N, rng)
     states = np.broadcast_to(model.rho0, (N,) + model.rho0.shape).astype(complex).copy()
     return ParticleEnsemble(weights=weights, params=params, states=states)
@@ -267,16 +266,13 @@ def particle_filter_run(model, record: TrajectoryRecord, N: int, a: float, h: fl
 # observability
 
 
-def _heisenberg_generator(H: np.ndarray, L: np.ndarray, X: np.ndarray) -> np.ndarray:
-    LdL = dag(L) @ L
-    return 1j * (H @ X - X @ H) + dag(L) @ X @ L - 0.5 * (LdL @ X + X @ LdL)
+# a new direction is kept when its residual after Gram-Schmidt exceeds this
+# share of its norm: far above the ~1e-15 rounding of the products, far below
+# any physical coupling ratio
+_RANK_TOL = 1e-9
 
 
-def _k_map(L: np.ndarray, X: np.ndarray) -> np.ndarray:
-    return dag(L) @ X + X @ L
-
-
-def observable_space_dim(H: np.ndarray, L: np.ndarray, rank_tol: float = 1e-9) -> tuple[int, np.ndarray]:
+def observable_space_dim(H: np.ndarray, L: np.ndarray) -> tuple[int, np.ndarray]:
     """Dimension and Hilbert-Schmidt-orthonormal basis of the observable space.
 
     Iterates Z_0 = span{I}, Z_n = span{Z_{n-1}, generator[Z_{n-1}], K[Z_{n-1}]}
@@ -284,20 +280,22 @@ def observable_space_dim(H: np.ndarray, L: np.ndarray, rank_tol: float = 1e-9) -
     iff the returned dimension equals dim^2 of the ambient operator space.
     """
     d = H.shape[0]
+    Ld = dag(L)
+    LdL = Ld @ L
     vecs = [np.eye(d, dtype=complex).ravel() / np.sqrt(d)]
     frontier = [np.eye(d, dtype=complex)]
     while True:
         new_ops = []
         for X in frontier:
-            new_ops.append(_heisenberg_generator(H, L, X))
-            new_ops.append(_k_map(L, X))
+            new_ops.append(1j * (H @ X - X @ H) + Ld @ X @ L - 0.5 * (LdL @ X + X @ LdL))
+            new_ops.append(Ld @ X + X @ L)
         frontier = []
         for op in new_ops:
             v = op.ravel().astype(complex)
             for b in vecs:
                 v = v - (b.conj() @ v) * b
             norm = np.linalg.norm(v)
-            if norm > rank_tol * max(1.0, np.linalg.norm(op)):
+            if norm > _RANK_TOL * max(1.0, np.linalg.norm(op)):
                 v = v / norm
                 vecs.append(v)
                 frontier.append(v.reshape(d, d))

@@ -114,7 +114,7 @@ def double_pass_sse_step(params: DoublePassParams, psi: np.ndarray, dW, dt: floa
     Accepts one state or a stack of states.
     """
     model = double_pass_model(params)
-    return sse_step_batch(model.H, model.L, psi, dW, dt)
+    return sse_step_batch(model.H, model.channels, psi, dW, dt)
 
 
 def coherent_x(F: float) -> np.ndarray:
@@ -122,13 +122,13 @@ def coherent_x(F: float) -> np.ndarray:
     return spin_coherent(F, np.pi / 2.0, 0.0)
 
 
-def simulate_double_pass_truth(params: DoublePassParams, T: float, dt: float, seed,
-                               psi0: np.ndarray | None = None) -> TrajectoryRecord:
+def simulate_double_pass_truth(params: DoublePassParams, T: float, dt: float,
+                               seed) -> TrajectoryRecord:
     """Generate a measurement record dZ = 2 sqrt(M) <Fz> dt + dW by evolving
     the pure-state filter with fresh noise from the +x coherent state."""
     ops = _spin(params)
     Fz = ops["Jz"]
-    psi = coherent_x(params.F) if psi0 is None else psi0.copy()
+    psi = coherent_x(params.F)
     steps = int(round(T / dt))
     rng = rng_stream(seed)
     dWs = rng.standard_normal(steps) * np.sqrt(dt)
@@ -144,22 +144,25 @@ def simulate_double_pass_truth(params: DoublePassParams, T: float, dt: float, se
 
 
 def fisher_information_fd(params: DoublePassParams, deltaB: float, T: float, dt: float,
-                          seed, psi0: np.ndarray | None = None) -> float:
+                          seed) -> float:
     """Conditional Fisher information of the field by central finite
-    differences: co-evolve trajectories at B, B+deltaB and B-deltaB on one
-    noise realization and return Tr[((rho+ - rho-) / (2 deltaB))^2 rho_0].
+    differences: co-evolve trajectories at B, B+deltaB and B-deltaB from the
+    +x coherent state on one noise realization, as one batch of three slots
+    sharing the coupling's compiled channels, and return
+    Tr[((rho+ - rho-) / (2 deltaB))^2 rho_0].
     """
     if deltaB <= 0:
         raise ValueError("deltaB must be positive")
-    psi = coherent_x(params.F) if psi0 is None else psi0
     steps = int(round(T / dt))
     rng = rng_stream(seed)
     dWs = rng.standard_normal(steps) * np.sqrt(dt)
-    shifted = [replace(params, B=params.B + dB) for dB in (0.0, deltaB, -deltaB)]
-    states = [psi.copy() for _ in shifted]
+    models = [double_pass_model(replace(params, B=params.B + dB))
+              for dB in (0.0, deltaB, -deltaB)]
+    H = np.stack([m.H for m in models])
+    channels = models[0].channels  # L does not depend on B
+    states = np.stack([coherent_x(params.F)] * len(models))
     for i in range(steps):
-        for k, p in enumerate(shifted):
-            states[k] = double_pass_sse_step(p, states[k], dWs[i], dt)
+        states = sse_step_batch(H, channels, states, dWs[i], dt)
     rho0 = pure_to_density(states[0])
     drho = (pure_to_density(states[1]) - pure_to_density(states[2])) / (2.0 * deltaB)
     info = np.trace(drho @ drho @ rho0).real
@@ -288,11 +291,10 @@ def q_function(psi: np.ndarray, theta_grid: np.ndarray, phi_grid: np.ndarray) ->
 
 def magnetometry_estimation_model(params: DoublePassParams, prior: tuple) -> EstimationModel:
     """Particle-filter model for an unknown field B: H = B * (-gamma Fy) plus
-    the field-independent double-pass terms."""
-    base = double_pass_model(replace(params, B=0.0))
-    rho0 = pure_to_density(coherent_x(params.F))
-    return EstimationModel(H0=-params.gamma * _spin(params)["Jy"], L=base.L, prior=prior,
-                           rho0=rho0, H_base=base.H)
+    the field-independent double-pass terms of the B = 0 model."""
+    return EstimationModel(base=double_pass_model(replace(params, B=0.0)),
+                           H0=-params.gamma * _spin(params)["Jy"], prior=prior,
+                           rho0=pure_to_density(coherent_x(params.F)))
 
 
 def magnetometry_particle_filter(params: DoublePassParams, record: TrajectoryRecord,

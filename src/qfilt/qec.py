@@ -68,6 +68,12 @@ _CODES = {
 }
 
 _PAULI_AXES = "XYZ"
+# policy signals at or below this are rounding of an exactly zero signal
+# (block-diagonal states), so they give no feedback
+_DEAD_ZONE = 1e-14
+# largest residual a truncated-basis generator may leave against the exact
+# superoperator action: room for rounding, where the bundled codes leave 0
+_VERIFY_TOL = 1e-10
 
 
 def _strings_commute(a: str, b: str) -> bool:
@@ -122,10 +128,6 @@ class StabilizerCode:
     def error_class(self) -> np.ndarray:
         """Syndrome space each channel's error maps the codespace into."""
         return self.syndrome_hop[:, 0]
-
-    def syndrome_outcomes(self) -> np.ndarray:
-        """h[l, s] = outcome of measuring g_l on syndrome space s (+-1)."""
-        return self.outcomes
 
     @cached_property
     def signal_rows(self) -> np.ndarray:
@@ -211,8 +213,7 @@ def full_filter_step(code: StabilizerCode, rho: np.ndarray, dQ: np.ndarray,
     return out[0]
 
 
-def feedback_policy(code: StabilizerCode, rho: np.ndarray, lambda_max: float,
-                    dead_zone: float = 1e-14) -> np.ndarray:
+def feedback_policy(code: StabilizerCode, rho: np.ndarray, lambda_max: float) -> np.ndarray:
     """lambda_c = lambda_max * sgn(Tr[-i [Pi_0, sigma_c] rho]), with
     sgn(0) := 0: signals inside the numerical dead zone give no feedback, so
     exactly block-diagonal states (codespace, maximally mixed) get lambda = 0.
@@ -221,7 +222,7 @@ def feedback_policy(code: StabilizerCode, rho: np.ndarray, lambda_max: float,
     keeps the feedback effectively always on; see run_feedback_batch.
     """
     vals = (_real_flat(rho) @ code.signal_rows.T)[..., :len(code.policy_ops)]
-    return lambda_max * np.sign(np.where(np.abs(vals) <= dead_zone, 0.0, vals))
+    return lambda_max * np.sign(np.where(np.abs(vals) <= _DEAD_ZONE, 0.0, vals))
 
 
 def wonham_transition_matrix(code: StabilizerCode, gamma: float) -> np.ndarray:
@@ -240,7 +241,7 @@ def wonham_step(code: StabilizerCode, p: np.ndarray, dQ: np.ndarray,
     with h_l the +-1 outcomes of generator l per syndrome space.  Output is
     clipped at zero and renormalized.
     """
-    h = code.syndrome_outcomes()
+    h = code.outcomes
     lam = wonham_transition_matrix(code, gamma)
     p = np.asarray(p, dtype=float)
     means = h @ p
@@ -280,14 +281,12 @@ class TruncatedBasis:
     code: StabilizerCode
     element_mats: np.ndarray  # (E, d, d)
     element_descr: list  # human-readable descriptors
-    n_syndromes: int
     drift_noise: np.ndarray
     drift_meas: np.ndarray
     meas_H: np.ndarray  # (l, E, E)
     feedback: np.ndarray  # (3n, E, E)
     policy_index: np.ndarray
     policy_sign: np.ndarray
-    h_outcomes: np.ndarray  # (l, S)
     verification_residual: float
 
     @cached_property
@@ -319,7 +318,7 @@ def _vec_r(X: np.ndarray) -> np.ndarray:
     return np.concatenate([v.real, v.imag], axis=1)
 
 
-def build_truncated_basis(code: StabilizerCode, verify_tol: float = 1e-10) -> TruncatedBasis:
+def build_truncated_basis(code: StabilizerCode) -> TruncatedBasis:
     """Automated first-level truncation.
 
     1. Start from the syndrome projectors.
@@ -331,7 +330,7 @@ def build_truncated_basis(code: StabilizerCode, verify_tol: float = 1e-10) -> Tr
        pair is kept.
 
     All generator matrices are verified against the exact superoperator
-    action in the full space; closure is exact (residual <= verify_tol) for
+    action in the full space; closure is exact (residual <= _VERIFY_TOL) for
     the noise and measurement channels and for feedback acting on the
     syndrome projectors.
     """
@@ -407,19 +406,19 @@ def build_truncated_basis(code: StabilizerCode, verify_tol: float = 1e-10) -> Tr
             # second-level truncation: keep the projection of the feedback
             # actions, but it must be idempotent
             fb = slice(2 + l_gen, None)
-            if np.max(np.abs(coeff[fb] - project(recon[fb]))) > verify_tol:
+            if np.max(np.abs(coeff[fb] - project(recon[fb]))) > _VERIFY_TOL:
                 raise RuntimeError("projection not idempotent in basis construction")
-    if worst_exact > verify_tol:
+    if worst_exact > _VERIFY_TOL:
         raise RuntimeError(
             f"truncated-basis closure verification failed: residual {worst_exact:.3e}")
 
     policy_index = np.array([pair_index[(0, c)] for c in range(n_chan)])
     policy_sign = np.array([pair_sign[(0, c)] for c in range(n_chan)])
     return TruncatedBasis(
-        code=code, element_mats=element_mats, element_descr=descr, n_syndromes=S,
+        code=code, element_mats=element_mats, element_descr=descr,
         drift_noise=drift_noise, drift_meas=drift_meas, meas_H=meas_H,
         feedback=feedback, policy_index=policy_index, policy_sign=policy_sign,
-        h_outcomes=code.syndrome_outcomes(), verification_residual=worst_exact)
+        verification_residual=worst_exact)
 
 
 _PAULI_PRODUCT = {
@@ -476,13 +475,12 @@ def untruncated_closure_dim(code: StabilizerCode) -> int:
     return len(seen)
 
 
-def truncated_policy(basis: TruncatedBasis, p: np.ndarray, lambda_max: float,
-                     dead_zone: float = 1e-14) -> np.ndarray:
+def truncated_policy(basis: TruncatedBasis, p: np.ndarray, lambda_max: float) -> np.ndarray:
     """Feedback strengths from the truncated state: the coefficient of the
     merged first-level element for (codespace, channel) is exactly
     Tr[-i [Pi_0, sigma_c] rho].  Dead-zone semantics as in feedback_policy."""
     vals = _truncated_signal(basis, p)
-    return lambda_max * np.sign(np.where(np.abs(vals) <= dead_zone, 0.0, vals))
+    return lambda_max * np.sign(np.where(np.abs(vals) <= _DEAD_ZONE, 0.0, vals))
 
 
 def _truncated_signal(basis: TruncatedBasis, p: np.ndarray) -> np.ndarray:
@@ -545,8 +543,8 @@ def _truncated_step_batch(basis: TruncatedBasis, p: np.ndarray, dQ: np.ndarray,
          + sqrt(kappa) sum_l (H_l - 2 m_l) p dW_l,
     with m_l = h_l^T p and dW_l = dQ_l - 2 sqrt(kappa) m_l dt; the syndrome
     block is clipped at zero and the state renormalized by its sum."""
-    S = basis.n_syndromes
-    means = p[:, :S] @ basis.h_outcomes.T
+    S = basis.code.n_syndromes
+    means = p[:, :S] @ basis.code.outcomes.T
     dW = dQ - 2.0 * np.sqrt(kappa) * means * dt
     k, a2, value, rows, starts = basis.terms
     coef = np.concatenate([np.broadcast_to([gamma * dt, kappa * dt], (len(p), 2)),

@@ -17,7 +17,10 @@ filter in the package is stepped by this one kernel.  Channels compiled once
 by ``compile_channels`` carry their constant operators and may add
 unmonitored Lindblad channels; when every channel has one nonzero per row
 (every Pauli string does), L rho L^dag and the signal are flat index takes
-with a phase table, O(d^2) per channel instead of O(d^3).
+with a phase table, O(d^2) per channel instead of O(d^3).  A
+``DiffusiveModel`` compiles its coupling once (``channels``), and every
+density-matrix and pure-state filter of a model steps those channels and
+reads its signal from them.
 
 Steps renormalize trace/norm and re-Hermitize every step; Euler-Maruyama is
 the default scheme with dt = 1e-5 in the problem's inverse-rate units.
@@ -29,6 +32,7 @@ independent trajectory and must use its own noise stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -56,7 +60,10 @@ DEFAULT_DT = 1e-5
 
 @dataclass(frozen=True)
 class DiffusiveModel:
-    """Hamiltonian/coupling pair of one diffusive measurement channel."""
+    """Hamiltonian/coupling pair of one diffusive measurement channel, the
+    compiled filter model: ``channels`` holds L, L^dag, L^dag L / 2 and the
+    signal factors of Tr[(L + L^dag) rho], compiled on first use and kept
+    for the model's lifetime.  H and L must not be mutated afterwards."""
 
     H: np.ndarray
     L: np.ndarray
@@ -70,6 +77,10 @@ class DiffusiveModel:
     @property
     def dim(self) -> int:
         return self.H.shape[0]
+
+    @cached_property
+    def channels(self) -> Channels:
+        return compile_channels(self.L)
 
 
 def qubit_model(kappa: float, B: float) -> DiffusiveModel:
@@ -183,7 +194,8 @@ def sme_step_batch(H: np.ndarray, L: np.ndarray | Channels, rho: np.ndarray,
     the Euler step of the SME term by term (the first-order part of the
     Kraus form M rho M^dag with M = I + A); compiled unmonitored channels
     enter the jump sum and A's L^dag L sum but carry no dW.  A plain array
-    is stepped densely, its L^dag and sum L^dag L formed on every call;
+    is stepped densely, its L^dag and sum L^dag L formed on every call (the
+    dense reference; the package's filters pass compiled channels);
     compiled signed-permutation channels form L rho L^dag and s_l as flat
     takes (see ``Channels``).
     ``signal``, if given, is s_l (B, l) from a caller that already has it.
@@ -218,26 +230,29 @@ def sme_step_batch(H: np.ndarray, L: np.ndarray | Channels, rho: np.ndarray,
 
 def sme_step(model: DiffusiveModel, rho: np.ndarray, dY: float, dt: float) -> np.ndarray:
     """Advance the conditional density matrix by one measurement increment dY."""
-    return sme_step_batch(model.H, model.L, rho, dY, dt)
+    return sme_step_batch(model.H, model.channels, rho, dY, dt)
 
 
-def sse_step_batch(H: np.ndarray, L: np.ndarray, psi: np.ndarray,
+def sse_step_batch(H: np.ndarray, channels: Channels, psi: np.ndarray,
                    dW: np.ndarray | float, dt: float) -> np.ndarray:
     """One Euler step of the stochastic Schrodinger equation on a stack of
-    state vectors, driven directly by the innovation increment dW."""
+    state vectors, driven directly by the innovation increment dW.
+
+    ``channels`` is one compiled coupling (``DiffusiveModel.channels``): L is
+    read as ``channels.L[0]`` and L^dag L / 2 as ``channels.K``, so a call
+    forms no operator product.  H may be a single matrix or one per slot.
+    """
     squeeze = psi.ndim == 1
     if squeeze:
         psi = psi[None, :]
-    Ld = dag(L)
-    LdL = Ld @ L
-    Lpsi = psi @ L.T
+    Lpsi = psi @ channels.L[0].T
     expL = np.einsum("bi,bi->b", psi.conj(), Lpsi)
     expLd = expL.conj()
     dW = np.broadcast_to(np.asarray(dW, dtype=float), (psi.shape[0],))
     Hpsi = psi @ H.T if H.ndim == 2 else np.einsum("bij,bj->bi", H, psi)
     dpsi = (-1j) * Hpsi * dt
-    dpsi -= 0.5 * (psi @ LdL.T - 2.0 * expLd[:, None] * Lpsi
-                   + (expL * expLd)[:, None] * psi) * dt
+    dpsi -= (psi @ channels.K.T - expLd[:, None] * Lpsi
+             + 0.5 * (expL * expLd)[:, None] * psi) * dt
     dpsi += (Lpsi - expL[:, None] * psi) * dW[:, None]
     out = psi + dpsi
     norm = np.linalg.norm(out, axis=1)
@@ -249,7 +264,7 @@ def sse_step_batch(H: np.ndarray, L: np.ndarray, psi: np.ndarray,
 
 def sse_step(model: DiffusiveModel, psi: np.ndarray, dW: float, dt: float) -> np.ndarray:
     """Advance the pure conditional state by one innovation increment dW."""
-    return sse_step_batch(model.H, model.L, psi, dW, dt)
+    return sse_step_batch(model.H, model.channels, psi, dW, dt)
 
 
 def simulate_truth(model: DiffusiveModel, rho0: np.ndarray, T: float, dt: float,
@@ -265,16 +280,16 @@ def simulate_truth(model: DiffusiveModel, rho0: np.ndarray, T: float, dt: float,
     steps = int(round(T / dt))
     rng = rng_stream(seed)
     rho = np.array(rho0, dtype=complex)
-    Lsig = model.L + dag(model.L)
+    channels = model.channels
     dY = np.zeros(steps)
     dWs = rng.standard_normal(steps) * np.sqrt(dt)
     exps = {k: np.zeros(steps + 1) for k in observables}
     for k, op in observables.items():
         exps[k][0] = np.trace(op @ rho).real
     for i in range(steps):
-        signal = np.trace(Lsig @ rho).real
-        dY[i] = signal * dt + dWs[i]
-        rho = sme_step_batch(model.H, model.L, rho, dY[i], dt)
+        signal = channels.signal(rho[None])
+        dY[i] = signal[0, 0] * dt + dWs[i]
+        rho = sme_step_batch(model.H, channels, rho, dY[i], dt, signal=signal)
         for k, op in observables.items():
             exps[k][i + 1] = np.trace(op @ rho).real
     return TrajectoryRecord(

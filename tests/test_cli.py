@@ -127,15 +127,20 @@ class TestRun:
         assert np.array_equal(truth, rng_stream(7, 0).standard_normal(8))
         assert not np.allclose(truth, rng_stream(7).standard_normal(8))
 
-    def test_runner_failure_exit_code(self, tmp_path, capsys):
-        cases = (("magnetometer-fisher", "deltaB=0", "ValueError"),)
-        for experiment, item, exc in cases:
-            code = cli.main(["run", experiment, "--set", item,
+    def test_runner_failure_exit_code(self, tmp_path, capsys, recwarn):
+        # numpy's overflow warnings must not print ahead of the one line
+        cases = (("collective-cat", ["Gamma=1e300"], "FloatingPointError"),
+                 ("qubit-filter", ["kappa=1e300", "T=0.001"], "FloatingPointError"))
+        for experiment, items, exc in cases:
+            sets = [arg for item in items for arg in ("--set", item)]
+            code = cli.main(["run", experiment, *sets,
                              "--out", os.path.join(tmp_path, experiment)])
             assert code == 2, experiment
             err = capsys.readouterr().err
             assert err.startswith(f"numeric failure in {experiment}: {exc}")
             assert err.count("\n") == 1
+            # pytest records warnings instead of printing them
+            assert not recwarn.list, (experiment, [str(w.message) for w in recwarn])
 
     def test_nonpositive_step_or_horizon_is_config_error(self, tmp_path, capsys):
         cases = (("qubit-filter", "dt=0"), ("kalman-demo", "dt=-0.001"),
@@ -155,7 +160,9 @@ class TestRun:
                  ("kalman-demo", "prior_var=-1"), ("particle-filter", "prior_var=-1"),
                  ("magnetometer-kalman", "prior_var=-1"), ("magnetometer-fisher", "F_values=0.2"),
                  ("magnetometer-fisher", "F_values=10,0.4"), ("magnetometer-kalman", "F=0.2"),
-                 ("particle-filter", "threshold=-1"), ("particle-filter", "threshold=1.5"))
+                 ("particle-filter", "threshold=-1"), ("particle-filter", "threshold=1.5"),
+                 # the Fisher finite-difference offset
+                 ("magnetometer-fisher", "deltaB=0"))
         for experiment, item in cases:
             out = os.path.join(tmp_path, experiment)
             code = cli.main(["run", experiment, "--set", item, "--out", out])

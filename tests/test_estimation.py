@@ -11,7 +11,7 @@ from qfilt.sde import rng_stream
 
 def qubit_estimation_model(kappa=1.0, prior=("finite", [0.5, 1.5])):
     rho0 = op.pure_to_density(op.spin_coherent(0.5, np.pi / 2, 0.0))
-    return est.EstimationModel(H0=op.SIGMA_Y, L=np.sqrt(kappa) * op.SIGMA_Z,
+    return est.EstimationModel(base=traj.qubit_model(kappa, 0.0), H0=op.SIGMA_Y,
                                prior=prior, rho0=rho0)
 
 
@@ -23,7 +23,7 @@ class TestEnsembleStep:
         ens = est.ParticleEnsemble(weights=np.array([1.0]), params=np.array([B]),
                                    states=rho0[None].copy())
         rho_ref = rho0.copy()
-        filt = traj.DiffusiveModel(H=B * op.SIGMA_Y, L=model.L)
+        filt = traj.DiffusiveModel(H=B * op.SIGMA_Y, L=model.base.L)
         rng = rng_stream(0)
         for _ in range(200):
             dM = rng.normal() * 1e-2

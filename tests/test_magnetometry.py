@@ -1,5 +1,6 @@
 import numpy as np
 
+from qfilt import estimation as est
 from qfilt import magnetometry as mag
 from qfilt import operators as op
 from qfilt import sde
@@ -211,6 +212,21 @@ class TestFisherInformation:
         swapped = np.trace(drho @ drho @ op.pure_to_density(states[0.0])).real
         assert abs(base - swapped) < 1e-12
 
+    def test_batched_shifts_match_three_filters(self):
+        # the three co-evolved fields against three separate filters
+        p = mag.DoublePassParams(F=1.5, M=0.8, K=0.3, B=0.2)
+        dB, T, dt, seed = 1e-3, 0.01, 1e-4, 5
+        info = mag.fisher_information_fd(p, dB, T, dt, seed)
+        shifted = [mag.DoublePassParams(F=1.5, M=0.8, K=0.3, B=0.2 + off)
+                   for off in (0.0, dB, -dB)]
+        states = [mag.coherent_x(p.F)] * 3
+        for dW in rng_stream(seed).standard_normal(int(round(T / dt))) * np.sqrt(dt):
+            states = [mag.double_pass_sse_step(q, s, dW, dt) for q, s in zip(shifted, states)]
+        rho0, rho_p, rho_m = map(op.pure_to_density, states)
+        drho = (rho_p - rho_m) / (2 * dB)
+        expect = np.trace(drho @ drho @ rho0).real
+        assert expect > 0 and abs(info - expect) <= 1e-9 * expect
+
 
 class TestProjectionFilter:
     def test_no_measurement_freezes_squeezing(self):
@@ -360,6 +376,31 @@ class TestMagnetometryParticleFilter:
         out1 = mag.magnetometry_particle_filter(p1, rec1, N=40, a=0.98, h=1e-3,
                                                 threshold=0.5, seed=12, prior=prior)
         assert not np.allclose(out0["sd_trace"], out1["sd_trace"])
+
+    def test_density_ensemble_matches_dense_kernel(self):
+        # three particles on the double-pass base (K > 0, so base.H != 0)
+        # against the shared-innovation update written with plain-array steps
+        p = mag.DoublePassParams(F=1.0, M=1.2, K=0.4, B=0.0)
+        model = mag.magnetometry_estimation_model(p, ("finite", [0.3, -0.5, 1.1]))
+        assert np.max(np.abs(model.base.H)) > 0
+        ens = est.ParticleEnsemble(weights=np.array([0.2, 0.5, 0.3]),
+                                   params=np.array([0.3, -0.5, 1.1]),
+                                   states=np.stack([model.rho0] * 3))
+        Lsig = model.base.L + op.dag(model.base.L)
+        H = model.H0 * ens.params[:, None, None] + model.base.H
+        w, states = ens.weights, ens.states
+        rng = np.random.default_rng(15)
+        dt = 1e-4
+        for _ in range(40):
+            dM = rng.normal() * np.sqrt(dt)
+            ens = est.ensemble_step(model, ens, dM, dt)
+            c = np.einsum("ij,bji->b", Lsig, states).real
+            dW = dM - (w @ c) * dt
+            w = w * (1.0 + (c - w @ c) * dW)
+            w = w / w.sum()
+            states = traj.sme_step_batch(H, model.base.L, states, dW + c * dt, dt)
+            assert np.max(np.abs(ens.states - states)) <= 1e-13
+            assert np.max(np.abs(ens.weights - w)) <= 1e-13
 
     def test_posterior_sd_shrinks_on_average(self):
         # average over seeds of the posterior sd decreases with time, with

@@ -25,10 +25,10 @@ def bitflip():
 
 def dense_truncated_step(basis, p, dQ, gamma, kappa, lambdas, dt):
     """The truncated filter step from dense generator products."""
-    S = basis.n_syndromes
+    S = basis.code.n_syndromes
     drift = p @ (gamma * basis.drift_noise + kappa * basis.drift_meas).T
     drift += np.einsum("bc,cae,be->ba", lambdas, basis.feedback, p)
-    means = p[:, :S] @ basis.h_outcomes.T
+    means = p[:, :S] @ basis.code.outcomes.T
     dW = dQ - 2.0 * np.sqrt(kappa) * means * dt
     hp = np.einsum("lae,be->bla", basis.meas_H, p)
     stoch = np.einsum("bl,bla->ba", dW, hp - 2.0 * means[:, :, None] * p[:, None, :])
@@ -93,7 +93,7 @@ class TestFullFilter:
 
     def test_syndrome_eigenstate_fixed_under_measurement(self, five):
         rho = np.outer(qec.logical_zero(five), qec.logical_zero(five).conj())
-        h = five.syndrome_outcomes()[:, 0]
+        h = five.outcomes[:, 0]
         kappa = 50.0
         # zero innovation: dQ equals the expected signal
         dQ = 2.0 * np.sqrt(kappa) * h * 1e-5
@@ -195,7 +195,7 @@ class TestWonham:
         assert np.max(np.abs(out - p)) < 1e-14
 
     def test_outcome_signs(self, five):
-        h = five.syndrome_outcomes()
+        h = five.outcomes
         assert h.shape == (4, 16)
         assert np.all(np.isin(h, [-1.0, 1.0]))
         assert np.all(h[:, 0] == 1.0)
@@ -215,7 +215,7 @@ class TestWonham:
         # kicks are 2 sqrt(kappa dt), so halving dt by 100 should cut the
         # worst gap by well over half.
         kappa = 100.0
-        h = five.syndrome_outcomes()
+        h = five.outcomes
 
         def worst_gap(dt, steps, seed):
             rng = rng_stream((77, seed))
@@ -248,7 +248,7 @@ class TestWonham:
         # fraction of records with p_truth > 0.99 exceeds 95%; at t = 1/kappa
         # localization is still incomplete (fraction near 40%).
         kappa = 100.0
-        h = five.syndrome_outcomes()
+        h = five.outcomes
         rng = rng_stream(99)
         n = 4000
         for T, lo, hi in ((0.03, 0.95, 1.0), (0.01, 0.25, 0.55)):
@@ -269,7 +269,7 @@ class TestWonham:
         kappa = 30.0
         dt = 1e-4
         n_seeds = 2000
-        h = five.syndrome_outcomes()
+        h = five.outcomes
         p0 = np.full(16, 1.0 / 16.0)
         finals = np.zeros((n_seeds, 16))
         for seed in range(n_seeds):
@@ -307,7 +307,7 @@ class TestTruncatedBasis:
         # closure gives 4 syndrome projectors + 12 merged commutators, not
         # the perfect-code count
         basis = qec.build_truncated_basis(bitflip)
-        assert basis.n_syndromes == 4
+        assert basis.code.n_syndromes == 4
         assert basis.size == 16
         assert basis.verification_residual <= 1e-10
         # Z channels have identically vanishing policy coefficients

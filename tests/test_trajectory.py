@@ -275,6 +275,60 @@ class TestSimulateTruth:
         assert np.array_equal(np.array(replay), rec.expectations["sz"])
 
 
+class TestCompiledModel:
+    def test_model_compiles_once(self, monkeypatch):
+        calls = []
+        compile_channels = traj.compile_channels
+
+        def spy(*args):
+            calls.append(args)
+            return compile_channels(*args)
+
+        monkeypatch.setattr(traj, "compile_channels", spy)
+        model = random_model(3, 41)
+        rho0 = op.pure_to_density(random_pure(3, 42))
+        traj.simulate_truth(model, rho0, 50 * 1e-4, 1e-4, seed=43)
+        rho, psi = rho0, random_pure(3, 44)
+        for dY in (0.01, -0.02, 0.005):
+            rho = traj.sme_step(model, rho, dY, 1e-4)
+            psi = traj.sse_step(model, psi, dY, 1e-4)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("model", [traj.qubit_model(2.3, 0.7), random_model(4, 45)],
+                             ids=["qubit", "dense4"])
+    def test_simulate_truth_matches_dense_kernel(self, model):
+        # a loop of plain-array steps, each with its own signal Tr[(L+L^dag) rho]
+        dt, steps, seed = 1e-4, 60, 46
+        rho0 = op.pure_to_density(random_pure(model.dim, 47))
+        rec = traj.simulate_truth(model, rho0, steps * dt, dt, seed,
+                                  observables={"x": model.H})
+        dW = rng_stream(seed).standard_normal(steps) * np.sqrt(dt)
+        Lsig = model.L + op.dag(model.L)
+        rho, dY, x = rho0, [], [np.trace(model.H @ rho0).real]
+        for i in range(steps):
+            dY.append(np.trace(Lsig @ rho).real * dt + dW[i])
+            rho = traj.sme_step_batch(model.H, model.L, rho, dY[-1], dt)
+            x.append(np.trace(model.H @ rho).real)
+        assert np.max(np.abs(rec.dY - dY)) <= 1e-13
+        assert np.max(np.abs(rec.expectations["x"] - x)) <= 1e-13
+
+    def test_sse_step_matches_written_out_step(self):
+        # per-slot H, the drift written with L^dag L formed in the test
+        model, dt = random_model(4, 48), 1e-4
+        H = np.stack([model.H, 0.5 * model.H])
+        psi = np.stack([random_pure(4, 49), random_pure(4, 50)])
+        dW = np.array([0.01, -0.007])
+        out = traj.sse_step_batch(H, model.channels, psi, dW, dt)
+        L, LdL = model.L, op.dag(model.L) @ model.L
+        for b in range(2):
+            v = psi[b]
+            eL = v.conj() @ L @ v
+            step = v + (-1j * H[b] @ v - 0.5 * (LdL @ v - 2 * eL.conj() * (L @ v)
+                                                 + abs(eL) ** 2 * v)) * dt \
+                + (L @ v - eL * v) * dW[b]
+            assert np.max(np.abs(out[b] - step / np.linalg.norm(step))) <= 1e-13
+
+
 class TestBlochAngle:
     def test_collapse_fixed_point(self):
         theta = np.pi / 2

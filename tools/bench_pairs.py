@@ -6,7 +6,9 @@ parent first and odd-indexed seeds the change first, so slow drift of the
 host does not favour one side.  The pairs and a summary are merged into the
 JSON file given by ``--out`` (created if missing), keyed by workload:
 
-    pairs[W]    one record per seed with both sides' end-to-end metrics
+    pairs[W]    one record per seed with both sides' end-to-end metrics and
+                per-job best times (``job_best_s``, each job's fastest
+                untraced repetition), so a record shows which job moved
     summary[W]  per metric: median and quartiles of each side, the ratio of
                 the medians (change / parent) and how many pairs the change
                 wins
@@ -43,20 +45,27 @@ def parse_seeds(text: str) -> list:
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> tuple:
-    """(machine block, result line) of one perfbench run in checkout."""
+    """(machine block, result line, per-job best seconds) of one perfbench run
+    in checkout; the best times come from the run's full record in
+    perfbench/.out/."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     lines = proc.stdout.strip().splitlines()
     machine = next(line for line in lines if line.startswith("machine: "))
     machine = dict(re.findall(r"(\w+)=(.*?)(?= \w+=|$)", machine[len("machine: "):]))
-    return machine, json.loads(lines[-1])
+    path = os.path.join(checkout, "perfbench", ".out",
+                        f"result-{workload}-seed{seed}-trace{trace}.json")
+    with open(path) as f:
+        reps = json.load(f)["untraced_reps"]
+    return machine, json.loads(lines[-1]), {job: min(r["jobs"][job] for r in reps)
+                                            for job in reps[0]["jobs"]}
 
 
-def end_to_end(result: dict) -> dict:
+def end_to_end(result: dict, job_best: dict) -> dict:
     record = {name: result["metrics"][name]["value"] for name in METRICS}
     record.update(correct=result["correct"], failed=result["failed"],
-                  attempted=result["attempted"])
+                  attempted=result["attempted"], job_best_s=job_best)
     return record
 
 
@@ -105,14 +114,14 @@ def main(argv=None) -> int:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         record = {"seed": seed, "first": order[0]}
         for side in order:
-            machine, result = run_once(sides[side], args.workload, seed, args.seconds,
-                                       args.trace)
+            machine, result, job_best = run_once(sides[side], args.workload, seed,
+                                                 args.seconds, args.trace)
             if args.trace:
                 record[side] = {"seed": seed, "correct": result["correct"],
                                 "metrics": {k: m["value"] for k, m in result["metrics"].items()
                                             if m["value"]}}
             else:
-                record[side] = end_to_end(result)
+                record[side] = end_to_end(result, job_best)
             print(f"{args.workload} seed {seed} {side}: "
                   + (f"correct={result['correct']}" if args.trace else json.dumps(record[side])),
                   flush=True)
