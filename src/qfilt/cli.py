@@ -94,14 +94,14 @@ def _run_qubit_filter(p, seed, workers):
 def _run_param_ensemble(p, seed, workers):
     values = p["B_values"]
     out = est.qubit_finite_set_batch(p["kappa"], values, p["B_true"], p["T"], p["dt"],
-                                     seed, n_seeds=1, store_every=p["store_every"])
-    w = out["weights"][:, 0, :]
+                                     seed, store_every=p["store_every"])
+    w = out["weights"]
     header = ["time"] + [f"w_B={_fmt(v)}" for v in values]
     cols = [out["times"]] + [w[:, i] for i in range(len(values))]
     return {
         "files": {"param_ensemble.csv": (header, cols)},
         "summary": {"final_weights": {str(v): float(x)
-                                      for v, x in zip(values, out["final_weights"][0])}},
+                                      for v, x in zip(values, out["final_weights"])}},
     }
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "dag",
     "commutator",
     "anticommutator",
-    "expect",
     "expm_hermitian",
     "spin_operators",
     "pauli_string",
@@ -63,13 +62,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
-
-
-def expect(op: np.ndarray, state: np.ndarray) -> complex:
-    """Expectation value of ``op`` in a pure state (1-d) or density matrix."""
-    if state.ndim == 1:
-        return complex(state.conj() @ op @ state)
-    return complex(np.trace(op @ state))
 
 
 def expm_hermitian(h: np.ndarray, scale: complex = 1.0) -> np.ndarray:

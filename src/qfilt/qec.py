@@ -29,7 +29,7 @@ the generator matrices' nonzero entries only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -44,11 +44,9 @@ __all__ = [
     "logical_zero",
     "full_filter_step",
     "feedback_policy",
-    "wonham_transition_matrix",
     "wonham_step",
     "build_truncated_basis",
     "untruncated_closure_dim",
-    "truncated_basis_size",
     "truncated_filter_step",
     "truncated_policy",
     "run_feedback_batch",
@@ -76,19 +74,30 @@ _DEAD_ZONE = 1e-14
 _VERIFY_TOL = 1e-10
 
 
-def _strings_commute(a: str, b: str) -> bool:
-    clashes = sum(1 for x, y in zip(a, b) if x != "I" and y != "I" and x != y)
-    return clashes % 2 == 0
-
-
 def _single_label(n: int, qubit: int, axis: str) -> str:
     return "I" * qubit + axis + "I" * (n - qubit - 1)
 
 
+def _pauli_mask(label: str) -> int:
+    """A Pauli string with its phase dropped, as one int: bit q is set where
+    qubit q has an X part (X or Y), bit n + q where it has a Z part (Z or
+    Y), so the product of two strings is the XOR of their masks."""
+    n = len(label)
+    return sum((p in "XY") << q | (p in "ZY") << (n + q) for q, p in enumerate(label))
+
+
+def _anticommute(a: int, b: int, n: int) -> int:
+    """1 if the n-qubit strings with masks a and b anticommute: the parity
+    of (x_a & z_b) ^ (z_a & x_b)."""
+    return ((a & (b >> n)) ^ ((a >> n) & b)).bit_count() & 1
+
+
 @dataclass(frozen=True)
 class StabilizerCode:
-    """Code data: generators, syndrome projectors and recovery table.
+    """Code data: generators, syndrome projectors and syndrome hops.
 
+    There is one syndrome space per sign pattern of the l generators, 2^l
+    in all; ``outcomes[j, s]`` is the +-1 outcome of generator j on space s.
     ``projectors[0]`` is the codespace projector; ``syndrome_hop[c, s]`` is
     the index of the syndrome space a sigma_c error (channels ordered
     qubit-major, axes X,Y,Z) moves syndrome space s into, and
@@ -103,12 +112,10 @@ class StabilizerCode:
     gen_ops: np.ndarray  # (l, d, d)
     single_paulis: np.ndarray  # (3n, d, d)
     channel_labels: list  # strings like "IXIII"
-    projectors: np.ndarray  # (S, d, d)
-    syndrome_keys: list  # tuples of +-1, one per projector
-    syndrome_hop: np.ndarray  # (3n, S) -> projector index
-    hop_generator: np.ndarray  # (S, S), sum over errors of (T_e - I)
-    outcomes: np.ndarray  # (l, S) +-1 outcome of generator l per syndrome space
-    recovery: dict  # syndrome tuple -> Pauli-string label
+    projectors: np.ndarray  # (2^l, d, d)
+    syndrome_hop: np.ndarray  # (3n, 2^l) -> projector index
+    hop_generator: np.ndarray  # (2^l, 2^l), sum over errors of (T_e - I)
+    outcomes: np.ndarray  # (l, 2^l) +-1 outcome of generator l per syndrome space
     logical_z: str
     policy_ops: np.ndarray  # (3n, d, d)
 
@@ -122,7 +129,7 @@ class StabilizerCode:
 
     @property
     def n_syndromes(self) -> int:
-        return len(self.syndrome_keys)
+        return len(self.projectors)
 
     @property
     def error_class(self) -> np.ndarray:
@@ -138,7 +145,13 @@ class StabilizerCode:
 
 
 def build_code(name: str) -> StabilizerCode:
-    """Construct one of the named codes: "bitflip3" or "fivequbit"."""
+    """Construct one of the codes in ``_CODES`` from its generators.
+
+    A syndrome is the bit set of the generators an error anticommutes with,
+    and an error moves syndrome s to s ^ e.  The 2^l syndromes are ordered
+    trivial first, then those of single-qubit errors in channel order, then
+    the rest ascending; the projector of each is prod_j (I +- g_j) / 2.
+    """
     try:
         spec = _CODES[name]
     except KeyError:
@@ -147,39 +160,28 @@ def build_code(name: str) -> StabilizerCode:
     n = len(generators[0])
     d = 2 ** n
     gen_ops = np.stack([pauli_string(g) for g in generators])
-    # codespace projector: product of (I + g)/2
-    pi0 = np.eye(d, dtype=complex)
-    for g in gen_ops:
-        pi0 = pi0 @ (np.eye(d, dtype=complex) + g) / 2.0
-
     labels = [_single_label(n, q, ax) for q in range(n) for ax in _PAULI_AXES]
     single_paulis = np.stack([pauli_string(lab) for lab in labels])
-    syndromes = [tuple(1 if _strings_commute(lab, g) else -1 for g in generators)
-                 for lab in labels]
-
-    plus = tuple(1 for _ in generators)
-    keys = [plus]
-    projectors = [pi0]
-    recovery = {plus: "I" * n}
-    for c, (lab, key) in enumerate(zip(labels, syndromes)):
-        if key not in keys:
-            keys.append(key)
-            sig = single_paulis[c]
-            projectors.append(sig @ pi0 @ sig)
-            recovery[key] = lab
-    # an error flips the outcomes of the generators it anticommutes with
-    hop = np.array([[keys.index(tuple(a * b for a, b in zip(key, key_e))) for key in keys]
-                    for key_e in syndromes])
+    l, gen_masks = len(generators), [_pauli_mask(g) for g in generators]
+    errors = [sum(_anticommute(_pauli_mask(lab), g, n) << j for j, g in enumerate(gen_masks))
+              for lab in labels]
+    seen = list(dict.fromkeys([0, *errors]))
+    order = seen + sorted(set(range(2 ** l)) - set(seen))
+    index = {syndrome: k for k, syndrome in enumerate(order)}
+    hop = np.array([[index[s ^ e] for s in order] for e in errors])
+    outcomes = np.array([[1.0 - 2.0 * (s >> j & 1) for s in order] for j in range(l)])
+    projectors = np.stack([reduce(np.matmul, [(np.eye(d) + hj * g) / 2.0
+                                              for g, hj in zip(gen_ops, h)])
+                           for h in outcomes.T])
     # each error permutes the syndrome spaces
-    generator = -len(hop) * np.eye(len(keys))
+    generator = -len(hop) * np.eye(2 ** l)
     for targets in hop:
-        generator[targets, np.arange(len(keys))] += 1.0
+        generator[targets, np.arange(2 ** l)] += 1.0
+    pi0 = projectors[0]
     return StabilizerCode(
         name=name, n=n, generators=list(generators), gen_ops=gen_ops,
-        single_paulis=single_paulis, channel_labels=labels,
-        projectors=np.stack(projectors), syndrome_keys=keys,
-        syndrome_hop=hop, hop_generator=generator,
-        outcomes=np.array(keys, dtype=float).T, recovery=recovery,
+        single_paulis=single_paulis, channel_labels=labels, projectors=projectors,
+        syndrome_hop=hop, hop_generator=generator, outcomes=outcomes,
         logical_z=spec["logical_z"], policy_ops=-1j * (pi0 @ single_paulis - single_paulis @ pi0))
 
 
@@ -225,12 +227,6 @@ def feedback_policy(code: StabilizerCode, rho: np.ndarray, lambda_max: float) ->
     return lambda_max * np.sign(np.where(np.abs(vals) <= _DEAD_ZONE, 0.0, vals))
 
 
-def wonham_transition_matrix(code: StabilizerCode, gamma: float) -> np.ndarray:
-    """Markov generator of syndrome hopping under the depolarizing channel,
-    Lambda = gamma sum_errors (T_e - I) over the single-qubit Pauli errors."""
-    return gamma * code.hop_generator
-
-
 def wonham_step(code: StabilizerCode, p: np.ndarray, dQ: np.ndarray,
                 gamma: float, kappa: float, dt: float) -> np.ndarray:
     """Syndrome-probability filter:
@@ -242,11 +238,10 @@ def wonham_step(code: StabilizerCode, p: np.ndarray, dQ: np.ndarray,
     clipped at zero and renormalized.
     """
     h = code.outcomes
-    lam = wonham_transition_matrix(code, gamma)
     p = np.asarray(p, dtype=float)
     means = h @ p
     dW = np.asarray(dQ, dtype=float) - 2.0 * np.sqrt(kappa) * means * dt
-    dp = lam @ p * dt
+    dp = gamma * code.hop_generator @ p * dt
     dp += 2.0 * np.sqrt(kappa) * ((h - means[:, None]) * p[None, :]).T @ dW
     out = np.clip(p + dp, 0.0, None)
     total = out.sum()
@@ -257,12 +252,6 @@ def wonham_step(code: StabilizerCode, p: np.ndarray, dQ: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # truncated filter
-
-
-def truncated_basis_size(n: int) -> int:
-    """(2 + 9 n (n+1)) / 2: element count of the fully truncated filter for a
-    perfect non-degenerate code on n qubits (136 at n = 5)."""
-    return (2 + 9 * n * (n + 1)) // 2
 
 
 @dataclass
@@ -421,19 +410,6 @@ def build_truncated_basis(code: StabilizerCode) -> TruncatedBasis:
         verification_residual=worst_exact)
 
 
-_PAULI_PRODUCT = {
-    ("I", "I"): "I", ("I", "X"): "X", ("I", "Y"): "Y", ("I", "Z"): "Z",
-    ("X", "I"): "X", ("X", "X"): "I", ("X", "Y"): "Z", ("X", "Z"): "Y",
-    ("Y", "I"): "Y", ("Y", "X"): "Z", ("Y", "Y"): "I", ("Y", "Z"): "X",
-    ("Z", "I"): "Z", ("Z", "X"): "Y", ("Z", "Y"): "X", ("Z", "Z"): "I",
-}
-
-
-def _string_product(a: str, b: str) -> str:
-    """Pauli-string product with the overall phase dropped."""
-    return "".join(_PAULI_PRODUCT[pair] for pair in zip(a, b))
-
-
 def untruncated_closure_dim(code: StabilizerCode) -> int:
     """Number of distinct feedback-coefficient terms needed to close the
     filter dynamics without truncation.
@@ -445,25 +421,20 @@ def untruncated_closure_dim(code: StabilizerCode) -> int:
     16 + 1008 = 1024 terms, no smaller than the full density matrix.
     """
     n = code.n
-    identity = "I" * n
-    stab_strings = [identity]
+    stabilizers = [0]
     for g in code.generators:
-        stab_strings += [_string_product(s, g) for s in stab_strings]
-    stab_strings = sorted(set(stab_strings))
-
-    def coset_key(w: str) -> str:
-        return min(_string_product(s, w) for s in stab_strings)
-
-    seen = {(s, identity) for s in range(code.n_syndromes)}
+        stabilizers += [s ^ _pauli_mask(g) for s in stabilizers]
+    errors = [_pauli_mask(lab) for lab in code.channel_labels]
+    seen = {(s, 0) for s in range(code.n_syndromes)}
     frontier = list(seen)
     while frontier:
         new_frontier = []
         for s, w in frontier:
-            for c, lab in enumerate(code.channel_labels):
+            for c, e in enumerate(errors):
                 trivial = code.error_class[c] == 0
-                if trivial and _strings_commute(lab, w):
+                if trivial and not _anticommute(e, w, n):
                     continue  # commutator vanishes identically
-                w2 = coset_key(_string_product(lab, w))
+                w2 = min(e ^ w ^ st for st in stabilizers)  # coset representative
                 targets = [(s, w2)]
                 if not trivial:
                     targets.append((int(code.syndrome_hop[c, s]), w2))

@@ -41,7 +41,6 @@ from .operators import SIGMA_Y, SIGMA_Z, dag
 from .sde import rng_stream
 
 __all__ = [
-    "DEFAULT_DT",
     "Channels",
     "DiffusiveModel",
     "TrajectoryRecord",
@@ -54,8 +53,6 @@ __all__ = [
     "simulate_truth",
     "bloch_angle_step",
 ]
-
-DEFAULT_DT = 1e-5
 
 
 @dataclass(frozen=True)

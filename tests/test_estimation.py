@@ -57,6 +57,32 @@ class TestEnsembleStep:
         assert np.max(np.abs(np.sin(bloch.states) - sz_dense)) < 1e-3
         assert np.max(np.abs(bloch.weights - dens.weights)) < 1e-3
 
+    @pytest.mark.parametrize("kind", ["density", "bloch"])
+    def test_weights_track_joint_filter(self, kind):
+        # the exact Bayesian filter embeds the parameter in the state,
+        # rho = sum_i p_i |B_i><B_i| (x) rho_i, and is an ordinary SME; the
+        # ensemble's weights must follow its block traces on one record
+        kappa, B_values, dt = 1.0, np.array([2.0, 5.0, 8.0, 12.0]), 2e-5
+        model = qubit_estimation_model(kappa, ("finite", B_values))
+        record = traj.simulate_truth(traj.qubit_model(kappa, 2.0), model.rho0, 0.3, dt, seed=3)
+        Hext, Lext = est.extended_estimation_operators(model.H0, model.base.L, B_values)
+        joint = traj.DiffusiveModel(H=Hext, L=Lext)
+        rho = np.kron(np.eye(4) / 4.0, model.rho0)
+        if kind == "bloch":
+            model = est.QubitMagnetometerModel(kappa=kappa, prior=("finite", B_values))
+            states = np.zeros(4)
+        else:
+            states = np.broadcast_to(model.rho0, (4, 2, 2)).copy()
+        ens = est.ParticleEnsemble(weights=np.full(4, 0.25), params=B_values.copy(),
+                                   states=states, state_kind=kind)
+        worst = 0.0
+        for dM in record.dY:
+            ens = est.ensemble_step(model, ens, dM, dt)
+            rho = traj.sme_step(joint, rho, dM, dt)
+            blocks = np.einsum("iaia->i", rho.reshape(4, 2, 4, 2)).real
+            worst = max(worst, np.max(np.abs(ens.weights - blocks)))
+        assert worst < 2e-3
+
     def test_weights_clip_and_renormalize(self):
         model = qubit_estimation_model(prior=("finite", [0.0, 5.0]))
         ens = est.ParticleEnsemble(weights=np.array([0.999, 0.001]),
@@ -68,7 +94,7 @@ class TestEnsembleStep:
 
     def test_exchangeability(self):
         # permuting particle order permutes the outputs and leaves the
-        # shared innovation unchanged (up to float summation order)
+        # ensemble mean signal unchanged (up to float summation order)
         model = qubit_estimation_model(prior=("finite", [0.5, 1.0, 2.0]))
         w = np.array([0.2, 0.3, 0.5])
         B = np.array([0.5, 1.0, 2.0])
@@ -252,7 +278,7 @@ class TestBatchHarnesses:
         B_values = [2.0, 5.0]
         T, dt = 0.02, 1e-4
         out = est.qubit_finite_set_batch(kappa, B_values, B_true, T, dt,
-                                         seed=21, n_seeds=1)
+                                         seed=21)
         # replay: the same truth noise stream drives the public API path
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(21, 0)).spawn(1)[0])
         steps = int(round(T / dt))
@@ -266,4 +292,4 @@ class TestBatchHarnesses:
             dM = 2.0 * np.sqrt(kappa) * np.sin(theta_true) * dt + noise[i]
             theta_true = traj.bloch_angle_step(theta_true, dM, B_true, kappa, dt)
             ens = est.ensemble_step(model, ens, dM, dt)
-        assert np.max(np.abs(out["final_weights"][0] - ens.weights)) < 1e-12
+        assert np.max(np.abs(out["final_weights"] - ens.weights)) < 1e-12

@@ -379,26 +379,30 @@ class TestMagnetometryParticleFilter:
 
     def test_density_ensemble_matches_dense_kernel(self):
         # three particles on the double-pass base (K > 0, so base.H != 0)
-        # against the shared-innovation update written with plain-array steps
+        # against a plain-array Euler step of the joint filter on
+        # sum_i p_i |i><i| (x) rho_i: weights are its block traces, states
+        # its normalized blocks
         p = mag.DoublePassParams(F=1.0, M=1.2, K=0.4, B=0.0)
         model = mag.magnetometry_estimation_model(p, ("finite", [0.3, -0.5, 1.1]))
         assert np.max(np.abs(model.base.H)) > 0
         ens = est.ParticleEnsemble(weights=np.array([0.2, 0.5, 0.3]),
                                    params=np.array([0.3, -0.5, 1.1]),
                                    states=np.stack([model.rho0] * 3))
-        Lsig = model.base.L + op.dag(model.base.L)
-        H = model.H0 * ens.params[:, None, None] + model.base.H
+        Hext, Lext = est.extended_estimation_operators(model.H0, model.base.L, ens.params)
+        Hext = Hext + np.kron(np.eye(3), model.base.H)
+        d = len(model.rho0)
         w, states = ens.weights, ens.states
         rng = np.random.default_rng(15)
         dt = 1e-4
         for _ in range(40):
             dM = rng.normal() * np.sqrt(dt)
             ens = est.ensemble_step(model, ens, dM, dt)
-            c = np.einsum("ij,bji->b", Lsig, states).real
-            dW = dM - (w @ c) * dt
-            w = w * (1.0 + (c - w @ c) * dW)
-            w = w / w.sum()
-            states = traj.sme_step_batch(H, model.base.L, states, dW + c * dt, dt)
+            joint = np.zeros((3, d, 3, d), dtype=complex)
+            joint[np.arange(3), :, np.arange(3), :] = w[:, None, None] * states
+            joint = traj.sme_step_batch(Hext, Lext, joint.reshape(3 * d, 3 * d), dM, dt)
+            blocks = joint.reshape(3, d, 3, d)[np.arange(3), :, np.arange(3), :]
+            w = np.einsum("bii->b", blocks).real
+            states = blocks / w[:, None, None]
             assert np.max(np.abs(ens.states - states)) <= 1e-13
             assert np.max(np.abs(ens.weights - w)) <= 1e-13
 

@@ -1,6 +1,8 @@
 import importlib
 import inspect
+import os
 import pkgutil
+import re
 
 import qfilt
 
@@ -32,3 +34,11 @@ def test_every_public_definition_is_exported():
         if missing:
             unlisted[info.name] = missing
     assert not unlisted
+
+
+def test_version_matches_pyproject():
+    # read with a regex: tomllib needs Python 3.11 and the package supports 3.10
+    path = os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")
+    with open(path, encoding="utf-8") as f:
+        version = re.search(r'^version\s*=\s*"([^"]+)"', f.read(), re.MULTILINE).group(1)
+    assert version == qfilt.__version__

@@ -60,11 +60,28 @@ class TestBuildCode:
             assert np.max(np.abs(P[i] @ P[i] - P[i])) < 1e-12
         assert np.max(np.abs(P[0] @ P[3])) < 1e-12
 
-    def test_bitflip_recovery_table(self, bitflip):
-        assert bitflip.recovery[(1, -1)] == "IIX"
-        assert bitflip.recovery[(-1, 1)] == "XII"
-        assert bitflip.recovery[(-1, -1)] == "IXI"
-        assert bitflip.recovery[(1, 1)] == "III"
+    def test_steane_code_builds_every_syndrome_space(self, monkeypatch):
+        # a non-perfect code: 21 single-qubit errors reach only some of the 64
+        # syndromes, so the projectors come from the full group of sign patterns
+        monkeypatch.setitem(qec._CODES, "steane7", {
+            "generators": ["IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ"],
+            "logical_z": "ZZZZZZZ"})
+        code = qec.build_code("steane7")
+        P = code.projectors
+        assert P.shape == (64, 128, 128)
+        assert np.max(np.abs(P.sum(axis=0) - np.eye(128))) < 1e-12
+        assert np.max(np.abs(P @ P - P)) < 1e-12
+        assert np.max(np.abs(P - np.swapaxes(P, -1, -2).conj())) < 1e-12
+        # Tr[P_s P_t] = 0 for s != t makes Hermitian projectors orthogonal
+        flat = P.reshape(64, -1)
+        assert np.max(np.abs(flat.conj() @ flat.T - 2.0 * np.eye(64))) < 1e-12
+        # sigma_c P_s sigma_c, from each Pauli's permutation and phases
+        perm = np.abs(code.single_paulis).argmax(axis=-1)
+        phase = np.take_along_axis(code.single_paulis, perm[..., None], axis=-1)[..., 0]
+        for c in range(21):
+            moved = phase[c][:, None] * P[:, perm[c]][:, :, perm[c]] * phase[c].conj()
+            assert np.max(np.abs(moved - P[code.syndrome_hop[c]])) < 1e-12
+        assert np.max(np.abs(code.hop_generator.sum(axis=0))) < 1e-12
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -78,7 +95,7 @@ class TestBuildCode:
         assert np.linalg.norm(zbar @ psi - psi) < 1e-12
 
     def test_wonham_transition_matrix(self, five):
-        lam = qec.wonham_transition_matrix(five, 0.7)
+        lam = 0.7 * five.hop_generator
         expect = 0.7 * (np.ones((16, 16)) - 16.0 * np.eye(16))
         assert np.allclose(lam, expect)
         assert np.max(np.abs(lam.sum(axis=0))) < 1e-12
@@ -200,11 +217,10 @@ class TestWonham:
         assert np.all(np.isin(h, [-1.0, 1.0]))
         assert np.all(h[:, 0] == 1.0)
         # syndrome of channel c flips exactly the generators the error
-        # anticommutes with
-        for c, lab in enumerate(five.channel_labels):
+        # anticommutes with, g sigma = -sigma g
+        for c, sig in enumerate(five.single_paulis):
             s = five.error_class[c]
-            expect = [1.0 if qec._strings_commute(lab, g) else -1.0
-                      for g in five.generators]
+            expect = [-1.0 if np.allclose(g @ sig, -sig @ g) else 1.0 for g in five.gen_ops]
             assert np.array_equal(h[:, s], expect)
 
     def test_matches_static_bayes_posterior(self, five):
@@ -290,10 +306,6 @@ class TestWonham:
 class TestTruncatedBasis:
     def test_element_count_fivequbit(self, five_basis):
         assert five_basis.size == 136
-        assert qec.truncated_basis_size(5) == 136
-
-    def test_formula_values(self):
-        assert qec.truncated_basis_size(3) == 55
 
     def test_construction_verified(self, five_basis):
         assert five_basis.verification_residual <= 1e-10
