@@ -3,17 +3,21 @@
 Stabilizer generators are measured continuously at strength kappa while a
 symmetric depolarizing channel acts at rate gamma and a feedback Hamiltonian
 H_t = sum lambda_c sigma_c (single-qubit Paulis, bang-bang strengths) steers
-the state back toward the codespace.  The conditional state follows the
-generic SME of ``trajectory.sme_step_batch`` with the generators as the
-monitored channels L_l = sqrt(kappa) g_l and the single-qubit Paulis as
-unmonitored channels sqrt(gamma) sigma_c, compiled once per run; all are
-Pauli strings, so the kernel applies them as signed permutations:
+the state back toward the codespace.  The conditional state follows
 
     d rho = gamma sum_c D[sigma_c] rho dt + kappa sum_l D[g_l] rho dt
           + sqrt(kappa) sum_l H[g_l] rho (dQ_l - 2 sqrt(kappa) Tr[g_l rho] dt)
           - i [H_t, rho] dt
 
 with D[P] rho = P rho P - rho and H[g] rho = g rho + rho g - 2 Tr[g rho] rho.
+Every operator in it is a Pauli string, so the full 2^n filter holds the
+state as its 4^n real Pauli coefficients r_P = Tr[P rho] (``_PauliFrame``,
+built once per code): both dissipators are one diagonal decay
+-2 (kappa #{l: g_l anticommutes with P} + gamma #{c: sigma_c does}) r_P dt,
+each back-action g rho + rho g and each feedback commutator -i[sigma_c, rho]
+moves r_{P g} onto r_P with a fixed sign, the trace is r_I and every
+expectation is a fixed real row.  The Euler step taken is the first-order
+part of the Kraus form of Rouchon & Ralph, PRA 91, 012118 (2015).
 The feedback policy maximizes codespace fidelity:
 lambda_c = lambda_max * sgn(Tr[-i [Pi_0, sigma_c] rho]), with sgn(0) = 0.
 
@@ -35,7 +39,6 @@ import numpy as np
 
 from .operators import commutator, pauli_string
 from .sde import rng_stream
-from .trajectory import Channels, compile_channels, sme_step_batch
 
 __all__ = [
     "StabilizerCode",
@@ -72,10 +75,6 @@ _DEAD_ZONE = 1e-14
 # largest residual a truncated-basis generator may leave against the exact
 # superoperator action: room for rounding, where the bundled codes leave 0
 _VERIFY_TOL = 1e-10
-
-
-def _single_label(n: int, qubit: int, axis: str) -> str:
-    return "I" * qubit + axis + "I" * (n - qubit - 1)
 
 
 def _pauli_mask(label: str) -> int:
@@ -137,11 +136,9 @@ class StabilizerCode:
         return self.syndrome_hop[:, 0]
 
     @cached_property
-    def signal_rows(self) -> np.ndarray:
-        """Real rows (3n + l, 2 d^2) of ``policy_ops`` then ``gen_ops``, so
-        that ``_real_flat(rho) @ signal_rows.T`` gives the policy signals and
-        the generator expectations Tr[g_l rho] in one product."""
-        return _real_rows(np.concatenate([self.policy_ops, self.gen_ops]))
+    def pauli(self) -> _PauliFrame:
+        """The Pauli-coefficient tables of the full filter, built on first use."""
+        return _PauliFrame(self)
 
 
 def build_code(name: str) -> StabilizerCode:
@@ -160,7 +157,7 @@ def build_code(name: str) -> StabilizerCode:
     n = len(generators[0])
     d = 2 ** n
     gen_ops = np.stack([pauli_string(g) for g in generators])
-    labels = [_single_label(n, q, ax) for q in range(n) for ax in _PAULI_AXES]
+    labels = ["I" * q + ax + "I" * (n - q - 1) for q in range(n) for ax in _PAULI_AXES]
     single_paulis = np.stack([pauli_string(lab) for lab in labels])
     l, gen_masks = len(generators), [_pauli_mask(g) for g in generators]
     errors = [sum(_anticommute(_pauli_mask(lab), g, n) << j for j, g in enumerate(gen_masks))
@@ -185,34 +182,23 @@ def build_code(name: str) -> StabilizerCode:
         logical_z=spec["logical_z"], policy_ops=-1j * (pi0 @ single_paulis - single_paulis @ pi0))
 
 
-def _real_rows(ops: np.ndarray) -> np.ndarray:
-    """Rows r (m, 2 d^2) with _real_flat(rho) @ r.T = Re Tr[op rho] per op:
-    Re(O_ij rho_ji) pairs [Re, Im] of rho_ji with [Re, -Im] of O_ij."""
-    return np.ascontiguousarray(np.swapaxes(ops, -1, -2).conj()).reshape(len(ops), -1).view(float)
-
-
-def _real_flat(rho: np.ndarray) -> np.ndarray:
-    """Real view (..., 2 d^2) of one state or a stack, for ``_real_rows``."""
-    return np.ascontiguousarray(rho).reshape(*rho.shape[:-2], -1).view(float)
-
-
 def logical_zero(code: StabilizerCode) -> np.ndarray:
     """Encoded |0>: the +1 eigenvector of the logical Z inside the codespace."""
-    zbar = pauli_string(code.logical_z)
-    d = code.dim
-    proj = code.projectors[0] @ (np.eye(d) + zbar) / 2.0
-    w, v = np.linalg.eigh(proj)
-    psi = v[:, -1]
+    proj = code.projectors[0] @ (np.eye(code.dim) + pauli_string(code.logical_z)) / 2.0
+    psi = np.linalg.eigh(proj)[1][:, -1]
     return psi / np.linalg.norm(psi)
 
 
 def full_filter_step(code: StabilizerCode, rho: np.ndarray, dQ: np.ndarray,
                      gamma: float, kappa: float, lambdas: np.ndarray, dt: float) -> np.ndarray:
-    """One Euler step of the full 2^n-dimensional filter (docstring above)."""
-    out = _full_step_batch(code, _channels(code, gamma, kappa), rho[None],
-                           np.asarray(dQ, dtype=float)[None],
-                           np.asarray(lambdas, dtype=float)[None], dt)
-    return out[0]
+    """One Euler step of the full 2^n-dimensional filter (docstring above),
+    taken on the Pauli coefficients of rho."""
+    frame = code.pauli
+    r = frame.to_pauli(rho[None])
+    signal = 2.0 * np.sqrt(kappa) * (r @ frame.rows)[:, len(code.policy_ops):]
+    return frame.to_density(_pauli_step(frame, r, np.asarray(dQ, dtype=float)[None],
+                                        np.asarray(lambdas, dtype=float)[None], signal,
+                                        frame.keep(gamma, kappa, dt), kappa, dt))[0]
 
 
 def feedback_policy(code: StabilizerCode, rho: np.ndarray, lambda_max: float) -> np.ndarray:
@@ -223,7 +209,7 @@ def feedback_policy(code: StabilizerCode, rho: np.ndarray, lambda_max: float) ->
     Closed-loop runs instead use the raw float sign of the signal, which
     keeps the feedback effectively always on; see run_feedback_batch.
     """
-    vals = (_real_flat(rho) @ code.signal_rows.T)[..., :len(code.policy_ops)]
+    vals = (code.pauli.to_pauli(rho) @ code.pauli.rows)[..., :len(code.policy_ops)]
     return lambda_max * np.sign(np.where(np.abs(vals) <= _DEAD_ZONE, 0.0, vals))
 
 
@@ -328,27 +314,23 @@ def build_truncated_basis(code: StabilizerCode) -> TruncatedBasis:
     n_chan = len(code.channel_labels)
     mats = [code.projectors[s].astype(complex) for s in range(S)]
     descr = [f"P[{s}]" for s in range(S)]
-    pair_index = {}
-    pair_sign = {}
+    pair = {}  # (syndrome, channel) -> (element index, sign)
     for c in range(n_chan):
         sig = code.single_paulis[c]
         for s in range(S):
-            if (s, c) in pair_index:
+            if (s, c) in pair:
                 continue
             C = 1j * commutator(sig, code.projectors[s])
             if np.max(np.abs(C)) < 1e-12:
-                pair_index[(s, c)] = -1
-                pair_sign[(s, c)] = 0.0
+                pair[(s, c)] = (-1, 0.0)
                 continue
             s2 = code.syndrome_hop[c, s]
             idx = len(mats)
             mats.append(C)
             descr.append(f"i[{code.channel_labels[c]}, P[{s}]]")
-            pair_index[(s, c)] = idx
-            pair_sign[(s, c)] = 1.0
+            pair[(s, c)] = (idx, 1.0)
             if s2 != s:
-                pair_index[(s2, c)] = idx
-                pair_sign[(s2, c)] = -1.0
+                pair[(s2, c)] = (idx, -1.0)
                 # merged-pair relation: i[sigma, Pi_s] = -i[sigma, Pi_s']
                 C2 = 1j * commutator(sig, code.projectors[s2])
                 if np.max(np.abs(C2 + C)) > 1e-10:
@@ -401,8 +383,7 @@ def build_truncated_basis(code: StabilizerCode) -> TruncatedBasis:
         raise RuntimeError(
             f"truncated-basis closure verification failed: residual {worst_exact:.3e}")
 
-    policy_index = np.array([pair_index[(0, c)] for c in range(n_chan)])
-    policy_sign = np.array([pair_sign[(0, c)] for c in range(n_chan)])
+    policy_index, policy_sign = map(np.array, zip(*[pair[(0, c)] for c in range(n_chan)]))
     return TruncatedBasis(
         code=code, element_mats=element_mats, element_descr=descr,
         drift_noise=drift_noise, drift_meas=drift_meas, meas_H=meas_H,
@@ -420,7 +401,6 @@ def untruncated_closure_dim(code: StabilizerCode) -> int:
     feedback commutators.  For the five-qubit code this reaches
     16 + 1008 = 1024 terms, no smaller than the full density matrix.
     """
-    n = code.n
     stabilizers = [0]
     for g in code.generators:
         stabilizers += [s ^ _pauli_mask(g) for s in stabilizers]
@@ -432,12 +412,10 @@ def untruncated_closure_dim(code: StabilizerCode) -> int:
         for s, w in frontier:
             for c, e in enumerate(errors):
                 trivial = code.error_class[c] == 0
-                if trivial and not _anticommute(e, w, n):
+                if trivial and not _anticommute(e, w, code.n):
                     continue  # commutator vanishes identically
                 w2 = min(e ^ w ^ st for st in stabilizers)  # coset representative
-                targets = [(s, w2)]
-                if not trivial:
-                    targets.append((int(code.syndrome_hop[c, s]), w2))
+                targets = [(s, w2)] if trivial else [(s, w2), (int(code.syndrome_hop[c, s]), w2)]
                 for t in targets:
                     if t not in seen:
                         seen.add(t)
@@ -488,22 +466,86 @@ def fidelity_metrics(rho: np.ndarray, code: StabilizerCode, psi0: np.ndarray) ->
     }
 
 
-def _channels(code: StabilizerCode, gamma: float, kappa: float) -> Channels:
-    """The full filter's channels, compiled for one (gamma, kappa): the
-    generators monitored at sqrt(kappa), the single-qubit Paulis unmonitored
-    at sqrt(gamma).  All are Pauli strings, so they step as permutations."""
-    return compile_channels(np.sqrt(kappa) * code.gen_ops, np.sqrt(gamma) * code.single_paulis)
+class _PauliFrame:
+    """Index and sign tables of a code's full filter on the 4^n real Pauli
+    coefficients r_m = Tr[P_m rho], with m a ``_pauli_mask`` (bit q the X
+    part of qubit q, bit n + q its Z part) and P_m = prod_q i^{x_q z_q}
+    X_q^{x_q} Z_q^{z_q}, so that P_m P_e = i^w(m, e) P_{m ^ e}.  No rate
+    enters a table.
+
+    The channels k are the single-qubit Paulis sigma_c, then the generators
+    g_l, with masks e_k.  Tr[P_m X_k rho] = 2 s_k(m) r_{m ^ e_k}, with the
+    sign s_k(m) the real part of -i i^w(m, e_k) for X_c = -i[sigma_c, .] and
+    of i^w(m, e_k) for X_l = g_l . + . g_l (so 0 where P_m and sigma_c
+    commute, or P_m and g_l anticommute).  ``index[k]`` holds the position of
+    s_k(m) r_{m ^ e_k} in the concatenation [r, -r, 0], so that one gather
+    applies the signs.  ``counts`` holds, per m, the number of generators
+    and of single-qubit Paulis anticommuting with P_m (odd w).  ``rows``
+    (4^n, 3n + l) gives the policy signals then Tr[g_l rho] as r @ rows.
+
+    rho and r convert through the X-shift gather M[x, j] = rho[j, j ^ x~],
+    x~ the bit-reversed x (``pauli_string`` puts qubit 0 in the most
+    significant factor): r_(x, z) = i^{|x & z|} sum_j (-1)^{|z~ & j|} M[x, j].
+    """
+
+    def __init__(self, code: StabilizerCode):
+        n, d, j = code.n, code.dim, np.arange(code.dim)
+        pop = np.array([v.bit_count() for v in range(d)])  # every argument below is < d
+        rev = sum((j >> q & 1) << (n - 1 - q) for q in range(n))
+        self.gather = (j * d + (j ^ rev[:, None])).ravel()
+        self.scatter = np.empty_like(self.gather)
+        self.scatter[self.gather] = np.arange(d * d)
+        self.hadamard = 1.0 - 2.0 * (pop[rev[:, None] & j] & 1)
+        self.phase = 1j ** pop[j[:, None] & j]
+        n_chan, m = len(code.channel_labels), np.arange(d * d)
+        e = np.array([_pauli_mask(lab) for lab in code.channel_labels + code.generators])[:, None]
+        x, z, xe, ze = m & (d - 1), m >> n, e & (d - 1), e >> n
+        w = (pop[x & z] + pop[xe & ze] + 2 * pop[z & xe] - pop[(x ^ xe) & (z ^ ze)]) % 4
+        sign = (np.where(np.arange(len(e)) < n_chan, -1j, 1.0)[:, None] * 1j ** w).real
+        self.index = np.where(sign == 0.0, 2 * d * d, (m ^ e) + (sign < 0.0) * d * d)
+        self.counts = np.stack([(w[n_chan:] & 1).sum(axis=0), (w[:n_chan] & 1).sum(axis=0)])
+        self.rows = self.to_pauli(np.concatenate([code.policy_ops, code.gen_ops])).T / d
+
+    def keep(self, gamma: float, kappa: float, dt: float) -> np.ndarray:
+        """1 plus the diagonal decay of both dissipators over one step."""
+        return 1.0 - 2.0 * dt * (kappa * self.counts[0] + gamma * self.counts[1])
+
+    def to_pauli(self, rho: np.ndarray) -> np.ndarray:
+        """Coefficients (..., 4^n) of Hermitian operators (..., d, d)."""
+        lead, d = rho.shape[:-2], rho.shape[-1]
+        M = rho.reshape(*lead, d * d)[..., self.gather].reshape(rho.shape)
+        return np.swapaxes(((M @ self.hadamard.T) * self.phase).real, -1, -2).reshape(*lead, -1)
+
+    def to_density(self, r: np.ndarray) -> np.ndarray:
+        """Operators (..., d, d) of coefficients (..., 4^n): sum_m r_m P_m / d."""
+        lead, d = r.shape[:-1], len(self.phase)
+        M = (np.swapaxes(r.reshape(*lead, d, d), -1, -2) * self.phase.conj()) @ self.hadamard
+        return (M.reshape(*lead, d * d) / d)[..., self.scatter].reshape(*lead, d, d)
 
 
-def _full_step_batch(code: StabilizerCode, channels: Channels, rho: np.ndarray, dQ: np.ndarray,
-                     lambdas: np.ndarray, dt: float, signal: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized full-filter Euler step over a batch of trajectories: the
-    generic SME with the compiled channels and the feedback Hamiltonian."""
-    P = code.single_paulis
-    # real strengths times the real view of the Paulis: the complex product
-    # is large enough for BLAS to split it across threads, the real one is not
-    H = (lambdas @ P.reshape(P.shape[0], -1).view(float)).view(complex).reshape(rho.shape)
-    return sme_step_batch(H, channels, rho, dQ, dt, signal=signal)
+def _pauli_step(frame: _PauliFrame, r: np.ndarray, dQ: np.ndarray, lambdas: np.ndarray,
+                signal: np.ndarray, keep: np.ndarray, kappa: float, dt: float) -> np.ndarray:
+    """One Euler step of the full filter on a batch of Pauli coefficients
+    (B, 4^n), given the signals s_l = 2 sqrt(kappa) Tr[g_l rho] and
+    ``_PauliFrame.keep``: with dW_l = dQ_l - s_l dt,
+
+        r' = (keep - sum_l s_l dW_l) r + 2 sum_k c_k [r, -r, 0][index_k],
+        c = [lambda_c dt, sqrt(kappa) dW_l],
+
+    divided by its trace r'_I; a non-finite trace raises FloatingPointError
+    naming the batch slots."""
+    dW = dQ - signal * dt
+    coef = 2.0 * np.concatenate([lambdas * dt, np.sqrt(kappa) * dW], axis=1)
+    out = r * (keep - np.einsum("bl,bl->b", signal, dW)[:, None])
+    # slot by slot, so that the gathered (3n + l, 4^n) temporary reuses freed
+    # heap: a (B, 3n + l, 4^n) one costs fresh pages and raises peak memory;
+    # every index is in range, and clip mode skips the bounds check
+    for row, c, dest in zip(np.concatenate([r, -r, np.zeros((len(r), 1))], axis=1), coef, out):
+        dest += c @ np.take(row, frame.index, mode="clip")
+    bad = np.flatnonzero(~np.isfinite(out[:, 0]))
+    if bad.size:
+        raise FloatingPointError(f"non-finite full filter state at slots {bad.tolist()}")
+    return out / out[:, :1]
 
 
 def _truncated_step_batch(basis: TruncatedBasis, p: np.ndarray, dQ: np.ndarray,
@@ -534,9 +576,7 @@ def _truncated_step_batch(basis: TruncatedBasis, p: np.ndarray, dQ: np.ndarray,
 def _bang_bang(vals: np.ndarray, lambda_max: float) -> np.ndarray:
     """Raw-sign bang-bang strengths; an exact float zero gets +lambda_max so
     the loop never stalls on an exactly block-diagonal state."""
-    signs = np.sign(vals)
-    signs[vals == 0.0] = 1.0
-    return lambda_max * signs
+    return lambda_max * np.where(vals == 0.0, 1.0, np.sign(vals))
 
 
 def run_feedback_batch(code: StabilizerCode, gamma: float, kappa: float,
@@ -556,9 +596,11 @@ def run_feedback_batch(code: StabilizerCode, gamma: float, kappa: float,
     the full state are also recorded for agreement statistics.
 
     Returns time grid, per-trajectory codespace/codeword fidelity traces of
-    shape (n_traj, n_records), and per-trajectory policy agreement.  The
-    channels are compiled once per run; a FloatingPointError from either
-    filter is raised again naming the step, its time and the batch slots.
+    shape (n_traj, n_records), per-trajectory policy agreement and the final
+    full states.  The full filter steps on Pauli coefficients (``_PauliFrame``)
+    and converts from and to density matrices only at the run's ends; a
+    FloatingPointError from either filter is raised again naming the step,
+    its time and the batch slots.
     """
     if controller not in ("truncated", "full", "none"):
         raise ValueError(f"unknown controller {controller!r}; choose truncated, full or none")
@@ -568,27 +610,21 @@ def run_feedback_batch(code: StabilizerCode, gamma: float, kappa: float,
         raise ValueError(f"record_every must be at least 1, got {record_every}")
     psi0 = logical_zero(code)
     rho0 = np.outer(psi0, psi0.conj())
-    rho = np.broadcast_to(rho0, (n_traj,) + rho0.shape).copy()
-    steps = int(round(T / dt))
-    l_gen = code.n_generators
-    n_chan = len(code.channel_labels)
-    sqdt = np.sqrt(dt)
-    rngs = [rng_stream(seed, k) for k in range(n_traj)]
-    channels = _channels(code, gamma, kappa)
-    fidelity_rows = _real_rows(np.stack([code.projectors[0], rho0]))
+    frame, n_chan = code.pauli, len(code.channel_labels)
+    r = np.broadcast_to(frame.to_pauli(rho0), (n_traj, code.dim ** 2)).copy()
+    keep = frame.keep(gamma, kappa, dt)
+    fidelity_rows = frame.to_pauli(np.stack([code.projectors[0], rho0])).T / code.dim
     p = np.broadcast_to(basis.initial_state(rho0), (n_traj, basis.size)).copy() \
         if controller == "truncated" else None
-    times, fidelities = [], []
-    agree = np.zeros(n_traj)
-    agree_steps = 0
-    chunk = 20_000
-    done = 0
-    while done < steps:
-        m = min(chunk, steps - done)
-        noise = np.stack([r.standard_normal((m, l_gen)) for r in rngs]) * sqdt
-        for i in range(m):
+    steps, chunk = int(round(T / dt)), 20_000
+    rngs = [rng_stream(seed, k) for k in range(n_traj)]
+    fidelities, agree, agree_steps = [], np.zeros(n_traj), 0
+    for done in range(0, steps, chunk):
+        noise = np.stack([rng.standard_normal((min(chunk, steps - done), code.n_generators))
+                          for rng in rngs]) * np.sqrt(dt)
+        for k, dV in enumerate(np.swapaxes(noise, 0, 1), done):
             # policy signals and generator expectations Tr[g_l rho], one product
-            vals = _real_flat(rho) @ code.signal_rows.T
+            vals = r @ frame.rows
             if controller == "none":
                 lambdas = np.zeros((n_traj, n_chan))
             elif controller == "full":
@@ -599,24 +635,21 @@ def run_feedback_batch(code: StabilizerCode, gamma: float, kappa: float,
                 agree += np.mean(_bang_bang(vals[:, :n_chan], lambda_max) == lambdas, axis=1)
                 agree_steps += 1
             signal = 2.0 * np.sqrt(kappa) * vals[:, n_chan:]
-            dQ = signal * dt + noise[:, i]
+            dQ = signal * dt + dV
             try:
-                rho = _full_step_batch(code, channels, rho, dQ, lambdas, dt, signal)
+                r = _pauli_step(frame, r, dQ, lambdas, signal, keep, kappa, dt)
                 if p is not None:
                     p = _truncated_step_batch(basis, p, dQ, gamma, kappa, lambdas, dt)
             except FloatingPointError as err:
-                k = done + i
                 raise FloatingPointError(f"{err}, at step {k} (t = {k * dt:.6g})") from err
-            if (done + i + 1) % record_every == 0:
-                times.append((done + i + 1) * dt)
-                fidelities.append(_real_flat(rho) @ fidelity_rows.T)
-        done += m
-    fidelities = np.array(fidelities).reshape(len(times), n_traj, 2)
+            if (k + 1) % record_every == 0:
+                fidelities.append(r @ fidelity_rows)
+    fidelities = np.array(fidelities).reshape(-1, n_traj, 2)
     out = {
-        "times": np.array(times),
+        "times": np.arange(1, len(fidelities) + 1) * record_every * dt,
         "codespace": fidelities[..., 0].T,
         "codeword": fidelities[..., 1].T,
-        "final_rho": rho,
+        "final_rho": frame.to_density(r),
     }
     if agree_steps:
         out["policy_agreement"] = agree / agree_steps

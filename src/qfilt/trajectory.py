@@ -14,13 +14,12 @@ B = L - <L> and A = -iH - (L^dag L - 2 <L^dag> L + <L><L^dag>) / 2.
 its own increment dY_l (the terms above summed over l), and an optional
 unmonitored generator term computed by the caller, so every density-matrix
 filter in the package is stepped by this one kernel.  Channels compiled once
-by ``compile_channels`` carry their constant operators and may add
-unmonitored Lindblad channels; when every channel has one nonzero per row
-(every Pauli string does), L rho L^dag and the signal are flat index takes
-with a phase table, O(d^2) per channel instead of O(d^3).  A
-``DiffusiveModel`` compiles its coupling once (``channels``), and every
-density-matrix and pure-state filter of a model steps those channels and
-reads its signal from them.
+by ``compile_channels`` carry their constant operators; when every channel
+has one nonzero per row (every Pauli string does), L rho L^dag and the
+signal are flat index takes with a phase table, O(d^2) per channel instead
+of O(d^3).  A ``DiffusiveModel`` compiles its coupling once (``channels``),
+and every density-matrix and pure-state filter of a model steps those
+channels and reads its signal from them.
 
 Steps renormalize trace/norm and re-Hermitize every step; Euler-Maruyama is
 the default scheme with dt = 1e-5 in the problem's inverse-rate units.
@@ -100,19 +99,13 @@ class TrajectoryRecord:
     seed: object = None
 
 
-def _batched(rho: np.ndarray) -> tuple[np.ndarray, bool]:
-    if rho.ndim == 2:
-        return rho[None, :, :], True
-    return rho, False
-
-
 class Channels(NamedTuple):
     """Lindblad channels compiled once for ``sme_step_batch``.
 
-    ``L`` holds the l monitored channels (l, d, d) and ``Ld`` their adjoints;
-    ``K`` is half the sum of L^dag L over the monitored and the unmonitored
-    channels.  When every channel has at most one nonzero per row (a monomial
-    matrix such as any Pauli string), L_ij = phi_i delta_{j, pi(i)}, so
+    ``L`` holds the l monitored channels (l, d, d), ``Ld`` their adjoints
+    and ``K`` half the sum of their L^dag L.  When every channel has at most
+    one nonzero per row (a monomial matrix such as any Pauli string),
+    L_ij = phi_i delta_{j, pi(i)}, so
 
         (L rho L^dag)_ij = phi_i phi_j^* rho_{pi(i) pi(j)},
         Tr[(L + L^dag) rho] = 2 Re sum_i phi_i rho_{pi(i) i}  (rho Hermitian),
@@ -149,27 +142,24 @@ class Channels(NamedTuple):
             dest += (flat if index is None else np.take(flat, index, axis=1)) * (table * dt)
 
 
-def compile_channels(L: np.ndarray, unmonitored: np.ndarray | None = None) -> Channels:
-    """Compile monitored channels L (d, d) or (l, d, d), and unmonitored
-    Lindblad channels (u, d, d) that add D[U] rho dt with no record, for
+def compile_channels(L: np.ndarray) -> Channels:
+    """Compile monitored channels L (d, d) or (l, d, d) for
     ``sme_step_batch``; the signed-permutation form is used when it applies."""
     Ls = L[None] if L.ndim == 2 else np.asarray(L)
     Lds = np.swapaxes(Ls, -1, -2).conj()
-    ops = Ls if unmonitored is None else np.concatenate([Ls, unmonitored])
-    l, d = len(Ls), ops.shape[-1]
-    nonzero = ops != 0
+    d = Ls.shape[-1]
+    nonzero = Ls != 0
     if nonzero.sum(axis=-1).max() > 1:
-        opsd = np.swapaxes(ops, -1, -2).conj()
-        return Channels(Ls, Lds, 0.5 * (opsd @ ops).sum(axis=0), (ops, opsd))
+        return Channels(Ls, Lds, 0.5 * (Lds @ Ls).sum(axis=0), (Ls, Lds))
     perm = nonzero.argmax(axis=-1)
-    phase = np.take_along_axis(ops, perm[..., None], axis=-1)[..., 0]
+    phase = np.take_along_axis(Ls, perm[..., None], axis=-1)[..., 0]
     K = np.diag(0.5 * np.bincount(perm.ravel(), (phase * phase.conj()).real.ravel(), d))
     groups = {}
     for pk, ph in zip(perm, phase):
         groups.setdefault(pk.tobytes(), [pk, 0.0])[1] += np.outer(ph, ph.conj()).ravel()
     jumps = tuple((None if np.array_equal(pk, np.arange(d)) else (pk[:, None] * d + pk).ravel(),
                    table) for pk, table in groups.values())
-    return Channels(Ls, Lds, K, jumps, perm[:l] * d + np.arange(d), 2.0 * phase[:l])
+    return Channels(Ls, Lds, K, jumps, perm * d + np.arange(d), 2.0 * phase)
 
 
 def sme_step_batch(H: np.ndarray, L: np.ndarray | Channels, rho: np.ndarray,
@@ -189,19 +179,19 @@ def sme_step_batch(H: np.ndarray, L: np.ndarray | Channels, rho: np.ndarray,
 
     with s_l = Tr[(L_l + L_l^dag) rho] and dW_l = dY_l - s_l dt, which is
     the Euler step of the SME term by term (the first-order part of the
-    Kraus form M rho M^dag with M = I + A); compiled unmonitored channels
-    enter the jump sum and A's L^dag L sum but carry no dW.  A plain array
-    is stepped densely, its L^dag and sum L^dag L formed on every call (the
-    dense reference; the package's filters pass compiled channels);
-    compiled signed-permutation channels form L rho L^dag and s_l as flat
-    takes (see ``Channels``).
+    Kraus form M rho M^dag with M = I + A).  A plain array is stepped
+    densely, its L^dag and sum L^dag L formed on every call (the dense
+    reference; the package's filters pass compiled channels); compiled
+    signed-permutation channels form L rho L^dag and s_l as flat takes (see
+    ``Channels``).
     ``signal``, if given, is s_l (B, l) from a caller that already has it.
     ``unmonitored``, if given, is a caller-computed generator term per slot
     (B, d, d), added times dt.  Trace is renormalized and Hermiticity
     enforced after the step; a non-finite trace raises FloatingPointError
     naming the batch slots.
     """
-    rho, squeeze = _batched(rho)
+    squeeze = rho.ndim == 2
+    rho = rho[None] if squeeze else rho
     if not isinstance(L, Channels):
         Ls = L[None] if L.ndim == 2 else L
         Lds = np.swapaxes(Ls, -1, -2).conj()
@@ -240,8 +230,7 @@ def sse_step_batch(H: np.ndarray, channels: Channels, psi: np.ndarray,
     forms no operator product.  H may be a single matrix or one per slot.
     """
     squeeze = psi.ndim == 1
-    if squeeze:
-        psi = psi[None, :]
+    psi = psi[None, :] if squeeze else psi
     Lpsi = psi @ channels.L[0].T
     expL = np.einsum("bi,bi->b", psi.conj(), Lpsi)
     expLd = expL.conj()
@@ -271,9 +260,9 @@ def simulate_truth(model: DiffusiveModel, rho0: np.ndarray, T: float, dt: float,
     The record is dY = Tr[(L + L^dag) rho] dt + dW_sim with dW_sim drawn iid
     normal(0, dt); this is how measurement records are generated for filters
     under test.  Stored expectations are evaluated on the trajectory states
-    (including the initial state).
+    (including the initial state), each as the elementwise sum of op^T * rho.
     """
-    observables = observables or {}
+    observables = {k: np.ascontiguousarray(op.T) for k, op in (observables or {}).items()}
     steps = int(round(T / dt))
     rng = rng_stream(seed)
     rho = np.array(rho0, dtype=complex)
@@ -281,14 +270,14 @@ def simulate_truth(model: DiffusiveModel, rho0: np.ndarray, T: float, dt: float,
     dY = np.zeros(steps)
     dWs = rng.standard_normal(steps) * np.sqrt(dt)
     exps = {k: np.zeros(steps + 1) for k in observables}
-    for k, op in observables.items():
-        exps[k][0] = np.trace(op @ rho).real
+    for k, opT in observables.items():
+        exps[k][0] = (opT * rho).sum().real
     for i in range(steps):
         signal = channels.signal(rho[None])
         dY[i] = signal[0, 0] * dt + dWs[i]
         rho = sme_step_batch(model.H, channels, rho, dY[i], dt, signal=signal)
-        for k, op in observables.items():
-            exps[k][i + 1] = np.trace(op @ rho).real
+        for k, opT in observables.items():
+            exps[k][i + 1] = (opT * rho).sum().real
     return TrajectoryRecord(
         times=np.arange(steps + 1) * dt, dY=dY, dW=dWs, expectations=exps, seed=seed)
 

@@ -172,6 +172,60 @@ class TestFullFilter:
         assert np.max(np.abs(out - expect)) <= 1e-12
 
 
+class TestPauliForm:
+    @staticmethod
+    def label(mask, n):
+        # bit q of the mask is the X part of qubit q, bit n + q its Z part
+        return "".join("IXZY"[(mask >> q & 1) | (mask >> (n + q) & 1) << 1] for q in range(n))
+
+    def test_round_trip_and_every_coefficient(self, bitflip):
+        frame = bitflip.pauli
+        rho = random_states(8, 3, np.random.default_rng(21))
+        r = frame.to_pauli(rho)
+        assert r.shape == (3, 64)
+        assert np.max(np.abs(frame.to_density(r) - rho)) <= 1e-13
+        for m in range(64):
+            P = op.pauli_string(self.label(m, 3))
+            expect = np.einsum("ij,bji->b", P, rho).real
+            assert np.max(np.abs(r[:, m] - expect)) <= 1e-13, self.label(m, 3)
+
+    @pytest.mark.parametrize("B", [1, 8])
+    @pytest.mark.parametrize("name", ["fivequbit", "bitflip3"])
+    def test_step_matches_dense_kernel(self, name, B):
+        # depolarizing, measurement and feedback at once against the
+        # plain-array sme_step_batch with a brute-force depolarizing term
+        code = qec.build_code(name)
+        n_chan, gamma, kappa, dt = len(code.channel_labels), 1.3, 40.0, 1e-5
+        rng = np.random.default_rng(30 + B)
+        rho = random_states(code.dim, B, rng)
+        lambdas = rng.choice([-150.0, 150.0], size=(B, n_chan))
+        dQ = rng.standard_normal((B, code.n_generators)) * np.sqrt(dt)
+        P = code.single_paulis
+        H = np.einsum("bc,cij->bij", lambdas, P)
+        depol = gamma * (sum(s @ rho @ s for s in P) - n_chan * rho)
+        expect = traj.sme_step_batch(H, np.sqrt(kappa) * code.gen_ops, rho, dQ, dt,
+                                     unmonitored=depol)
+        frame = code.pauli
+        signal = 2.0 * np.sqrt(kappa) * np.einsum("lij,bji->bl", code.gen_ops, rho).real
+        out = qec._pauli_step(frame, frame.to_pauli(rho), dQ, lambdas, signal,
+                              frame.keep(gamma, kappa, dt), kappa, dt)
+        assert np.max(np.abs(frame.to_density(out) - expect)) <= 1e-13
+
+    @pytest.mark.parametrize("name", ["fivequbit", "bitflip3"])
+    def test_logical_zero_policy_signals_are_exact_zeros(self, name):
+        # the closed loop's first bang-bang step reads these as exact zeros
+        code = qec.build_code(name)
+        psi = qec.logical_zero(code)
+        vals = code.pauli.to_pauli(np.outer(psi, psi.conj())) @ code.pauli.rows
+        assert np.array_equal(vals[:len(code.channel_labels)], np.zeros(len(code.channel_labels)))
+
+    def test_nonfinite_rate_names_slots_with_truncated_controller(self, five, five_basis):
+        with pytest.raises(FloatingPointError,
+                           match=r"full filter state at slots \[0, 1\], at step 0 \(t = 0\)"):
+            qec.run_feedback_batch(five, np.nan, 100.0, 200.0, T=1e-4, dt=1e-5, seed=0,
+                                   n_traj=2, controller="truncated", basis=five_basis)
+
+
 class TestFeedbackPolicy:
     def test_maximally_mixed_gives_zero(self, five):
         rho = np.eye(32, dtype=complex) / 32.0

@@ -160,8 +160,9 @@ class TestCompiledChannels:
     @pytest.mark.parametrize("n,B,with_unmonitored", [
         (3, 1, False), (3, 8, True), (5, 1, True), (5, 8, False), (5, 8, True)])
     def test_permutation_path_matches_dense(self, n, B, with_unmonitored):
-        # random Pauli strings (with Y, so complex phases) as monitored and
-        # unmonitored channels, per-slot H, against the plain-array dense step
+        # random Pauli strings (with Y, so complex phases) as monitored
+        # channels, per-slot H and optionally unmonitored channels passed as
+        # the caller-computed generator term, against the plain-array dense step
         d, dt = 2 ** n, 1e-4
         rng = np.random.default_rng(100 * n + B)
         Ls = random_paulis(n, 4, rng) * rng.uniform(0.5, 3.0, size=(4, 1, 1))
@@ -171,10 +172,10 @@ class TestCompiledChannels:
         H = a + np.swapaxes(a, -1, -2).conj()
         rho = random_density(d, B, rng)
         dY = rng.standard_normal((B, 4)) * np.sqrt(dt)
-        channels = traj.compile_channels(Ls, U)
+        channels = traj.compile_channels(Ls)
         assert channels.signal_index is not None
-        out = traj.sme_step_batch(H, channels, rho, dY, dt)
         gen = None if U is None else lindblad_sum(U, rho)
+        out = traj.sme_step_batch(H, channels, rho, dY, dt, unmonitored=gen)
         expect = traj.sme_step_batch(H, Ls, rho, dY, dt, unmonitored=gen)
         assert np.max(np.abs(out - expect)) <= 1e-13
         signal = np.einsum("lij,bji->bl", Ls + np.swapaxes(Ls, -1, -2).conj(), rho).real
@@ -185,19 +186,19 @@ class TestCompiledChannels:
         # single-qubit Paulis of five qubits need five takes and one diagonal
         paulis = np.stack([op.pauli_string("I" * m + ax + "I" * (4 - m))
                            for m in range(5) for ax in "XYZ"])
-        channels = traj.compile_channels(paulis[:1], paulis)
+        channels = traj.compile_channels(paulis)
         indices = [index for index, _ in channels.jumps]
         assert len(indices) == 6 and sum(index is None for index in indices) == 1
 
     def test_non_monomial_channel_stays_dense(self):
         L = op.SIGMA_MINUS + 0.3 * op.SIGMA_Z
-        channels = traj.compile_channels(L, np.sqrt(0.4) * op.SIGMA_X[None])
+        channels = traj.compile_channels(L)
         assert channels.signal_index is None
         rng = np.random.default_rng(3)
         rho = random_density(2, 3, rng)
         dY = rng.standard_normal(3) * 1e-2
-        out = traj.sme_step_batch(op.SIGMA_Y, channels, rho, dY, 1e-4)
         gen = lindblad_sum(np.sqrt(0.4) * op.SIGMA_X[None], rho)
+        out = traj.sme_step_batch(op.SIGMA_Y, channels, rho, dY, 1e-4, unmonitored=gen)
         expect = traj.sme_step_batch(op.SIGMA_Y, L, rho, dY, 1e-4, unmonitored=gen)
         assert np.max(np.abs(out - expect)) <= 1e-13
 
