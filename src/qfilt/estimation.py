@@ -25,6 +25,13 @@ Degeneracy is monitored with the effective sample size 1/sum(p^2) and relieved
 by Liu-West kernel resampling.  Two state representations are supported:
 dense density matrices (general) and the scalar Bloch angle of the monitored
 qubit, for which parameter and state resample jointly.
+
+A finite set of candidate fields on the monitored qubit (H = B sigma_y,
+L = sqrt(kappa) sigma_z) needs no particles: in reference-probability form
+each candidate's unnormalized pure state stays real, one step is the fixed
+2x2 map M_k = I + G_B dt + sqrt(kappa) sigma_z dY_k, and the weights are the
+likelihoods |M_n ... M_1 psi_0|^2, formed by ``finite_set_filter`` as a
+product scan with no per-step Python loop.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ __all__ = [
     "observable_space_dim",
     "extended_estimation_operators",
     "simulate_qubit_record",
+    "finite_set_filter",
     "qubit_finite_set_batch",
 ]
 
@@ -224,16 +232,14 @@ def _init_ensemble(model, N: int, rng) -> ParticleEnsemble:
 
 
 def particle_filter_run(model, record: TrajectoryRecord, N: int, a: float, h: float,
-                        threshold: float, seed, store_every: int = 0) -> dict:
+                        threshold: float, seed) -> dict:
     """Resampling quantum particle filter over a stored measurement record.
 
     Initializes N particles from the model prior, steps the ensemble through
     every increment of the record, and resamples whenever N_eff/N drops below
     ``threshold`` (never if it is 0).  Returns the posterior trace (mean and
-    sd per step), the final estimate and uncertainty, and the resample count;
-    with store_every > 0, also the particle weights every store_every steps
-    ("snap_times", "snap_weights" of shape (n_snaps, N)).  Deterministic
-    given (record, seed).
+    sd per step), the final estimate and uncertainty, and the resample count.
+    Deterministic given (record, seed).
     """
     rng = rng_stream(seed)
     dt = float(record.times[1] - record.times[0])
@@ -243,7 +249,6 @@ def particle_filter_run(model, record: TrajectoryRecord, N: int, a: float, h: fl
     sds = np.zeros(steps + 1)
     means[0], sds[0] = ens.mean(), np.sqrt(ens.variance())
     n_resamples = 0
-    snaps = []
     for i in range(steps):
         ens = ensemble_step(model, ens, record.dY[i], dt)
         if threshold > 0 and effective_sample_size(ens.weights) < threshold * N:
@@ -251,9 +256,7 @@ def particle_filter_run(model, record: TrajectoryRecord, N: int, a: float, h: fl
             n_resamples += 1
         means[i + 1] = ens.mean()
         sds[i + 1] = np.sqrt(ens.variance())
-        if store_every and (i + 1) % store_every == 0:
-            snaps.append(ens.weights)
-    out = {
+    return {
         "estimate": means[-1],
         "uncertainty": sds[-1],
         "mean_trace": means,
@@ -261,10 +264,6 @@ def particle_filter_run(model, record: TrajectoryRecord, N: int, a: float, h: fl
         "n_resamples": n_resamples,
         "ensemble": ens,
     }
-    if store_every:
-        out["snap_times"] = record.times[store_every::store_every]
-        out["snap_weights"] = np.array(snaps).reshape(len(snaps), N)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +321,104 @@ def extended_estimation_operators(H0: np.ndarray, L: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Qubit-magnetometer harnesses.  Seed slot k simulates its own truth record
-# and runs particle_filter_run on it; a finite-set estimator is the particle
-# filter on a fixed support that never resamples.
+# Qubit-magnetometer harnesses.  The finite-set estimator multiplies 2x2 maps
+# stored as component arrays (a, b, c, d) of [[a, b], [c, d]] on axis 0.
+
+# candidate-steps of 2x2 maps materialized per tree call: 2^17 maps of four
+# doubles are 4 MB (2^15 steps at four candidates), whatever the horizon
+_SCAN_MAPS = 1 << 17
+
+
+def _product(L, R) -> tuple[np.ndarray, np.ndarray]:
+    """Products L @ R of component-stacked 2x2 maps, each rescaled to max-abs
+    1, and the logs of the scales."""
+    P = np.stack([L[i] * R[j] + L[i + 1] * R[j + 2] for i in (0, 2) for j in (0, 1)])
+    scale = np.maximum(P.max(axis=0), -P.min(axis=0))
+    return P / scale, np.log(scale)
+
+
+def _tree_product(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Time-ordered products of the maps X (4, C, m, n), step order along the
+    last axis, by pairwise levels with the later step on the left: the
+    (4, C, m) products at max-abs 1 and the (C, m) logs of their scales."""
+    logs = np.zeros(X.shape[1:3])
+    while X.shape[3] > 1:
+        P, s = _product(X[..., 1::2], X[..., :-1:2])
+        logs += s.sum(axis=2)
+        X = np.concatenate([P, X[..., -1:]], axis=3) if X.shape[3] % 2 else P
+    return X[..., 0], logs
+
+
+def _prefix_products(Q: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix products Q_j ... Q_0 of the maps Q (4, C, m) with log scales
+    (C, m), by doubling strides."""
+    d = 1
+    while d < Q.shape[2]:
+        P, s = _product(Q[..., d:], Q[..., :-d])
+        Q = np.concatenate([Q[..., :d], P], axis=2)
+        logs = np.concatenate([logs[:, :d], logs[:, d:] + logs[:, :-d] + s], axis=1)
+        d *= 2
+    return Q, logs
+
+
+def finite_set_filter(kappa: float, B_values, record: TrajectoryRecord,
+                      store_every: int = 0) -> dict:
+    """Optimal estimator of a field known to take one of B_values, under a
+    uniform prior, on the monitored-qubit record (H = B sigma_y,
+    L = sqrt(kappa) sigma_z, psi_0 = +x).
+
+    Candidate i carries the unnormalized real state psi_i = M_n ... M_1 psi_0
+    of the maps M_k = I + G_B dt + sqrt(kappa) sigma_z dY_k,
+    G_B = [[-kappa/2, -B], [B, -kappa/2]], and the log-weight
+    log p_i + 2 log|psi_i|.  The maps of each ``store_every``-aligned chunk
+    are reduced by a balanced tree, several chunks per call, and the chunk
+    products are chained by a prefix scan onto the carried state psi e_1^T.
+    The Rouchon-Ralph term (1/2) L^2 (dY^2 - dt) is left out: L^2 = kappa I,
+    so to leading order it scales every candidate's state by the same factor.
+    Returns the final weights and, if store_every > 0, snapshot "times" (the
+    record times at multiples of store_every) and "weights" of shape
+    (n_snaps, len(B_values)).  Raises FloatingPointError naming the first
+    step and time of the first chunk whose product is not finite.
+    """
+    B = np.asarray(B_values, dtype=float)[:, None]
+    dt = float(record.times[1] - record.times[0])
+    steps, C = len(record.dY), len(B)
+    every, cap = store_every or steps, max(1, _SCAN_MAPS // C)
+    # psi_0 e_1^T with psi_0 = (1, 1) up to the shared 1/sqrt(2)
+    carry = np.tile(np.array([1.0, 0.0, 1.0, 0.0])[:, None, None], (1, C, 1))
+    logs = lognorms = np.zeros((C, 1))
+    snaps, start = [], 0
+    while start < steps:
+        # whole chunks per call; a chunk longer than the cap spans several calls
+        reach = cap - cap % every if every <= cap else min(cap, every - start % every)
+        seg = min(steps - start, reach, every)
+        n = min(steps - start, reach) // seg * seg
+        sdY, diag = np.sqrt(kappa) * record.dY[start:start + n], 1.0 - 0.5 * kappa * dt
+        X = np.stack(np.broadcast_arrays(diag + sdY, -B * dt, B * dt, diag - sdY))
+        Q, chunk_logs = _tree_product(X.reshape(4, C, n // seg, seg))
+        R, logs = _prefix_products(np.concatenate([carry, Q], axis=2),
+                                   np.concatenate([logs[:, -1:], chunk_logs], axis=1))
+        # column j >= 1 holds psi after chunk j; a non-finite chunk spoils every later column
+        lognorms = logs + np.log(np.hypot(R[0], R[2]))
+        bad = ~np.isfinite(lognorms).all(axis=0)
+        if bad.any():
+            step = start + seg * (int(np.argmax(bad)) - 1)
+            raise FloatingPointError(f"finite-set filter: non-finite map product in the chunk"
+                                     f" from step {step} (t = {record.times[step]:g})")
+        if store_every:
+            snaps.append(lognorms[:, 1:][:, (start + seg * np.arange(1, n // seg + 1)) % every == 0])
+        carry, start = R[..., -1:], start + n
+
+    def weights(lognorms):
+        # 2 log|psi_i| up to a shared constant; the uniform log p_i cancels
+        w = np.exp(2.0 * (lognorms - lognorms.max(axis=0)))
+        return (w / w.sum(axis=0)).T
+
+    out = {"final_weights": weights(lognorms[:, -1])}
+    if store_every:
+        out.update(times=record.times[store_every::store_every],
+                   weights=weights(np.concatenate(snaps, axis=1)))
+    return out
 
 
 def simulate_qubit_record(kappa: float, B_true: float, T: float, dt: float, seed) -> TrajectoryRecord:
@@ -346,20 +440,12 @@ def simulate_qubit_record(kappa: float, B_true: float, T: float, dt: float, seed
 
 def qubit_finite_set_batch(kappa: float, B_values, B_true: float, T: float, dt: float,
                            seed, store_every: int = 0) -> dict:
-    """Finite-set ensemble filter on the candidate fields B_values: it filters
-    a truth record at B_true drawn from stream (seed, 0), and draws from
-    stream (seed, 0, 1) itself.
+    """Finite-set estimator (``finite_set_filter``) on the candidate fields
+    B_values, run on a truth record at B_true drawn from stream (seed, 0);
+    the estimator itself draws no random numbers.
 
     Returns the final weights (len(B_values),) and, if store_every > 0,
     snapshot "times" and "weights" of shape (n_snaps, len(B_values)).
     """
-    model = QubitMagnetometerModel(kappa=kappa, prior=("finite", B_values))
-    run = particle_filter_run(
-        model, simulate_qubit_record(kappa, B_true, T, dt, stream_seed(seed, 0)),
-        len(B_values), a=1.0, h=0.0, threshold=0.0, seed=stream_seed(seed, 0, 1),
-        store_every=store_every)
-    out = {"final_weights": run["ensemble"].weights}
-    if store_every:
-        out["times"] = run["snap_times"]
-        out["weights"] = run["snap_weights"]
-    return out
+    return finite_set_filter(kappa, B_values, simulate_qubit_record(
+        kappa, B_true, T, dt, stream_seed(seed, 0)), store_every)

@@ -130,7 +130,9 @@ class TestRun:
     def test_runner_failure_exit_code(self, tmp_path, capsys, recwarn):
         # numpy's overflow warnings must not print ahead of the one line
         cases = (("collective-cat", ["Gamma=1e300"], "FloatingPointError"),
-                 ("qubit-filter", ["kappa=1e300", "T=0.001"], "FloatingPointError"))
+                 ("qubit-filter", ["kappa=1e300", "T=0.001"], "FloatingPointError"),
+                 ("param-ensemble", ["B_values=1e300,2", "T=0.001", "store_every=10"],
+                  "FloatingPointError"))
         for experiment, items, exc in cases:
             sets = [arg for item in items for arg in ("--set", item)]
             code = cli.main(["run", experiment, *sets,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -272,8 +274,26 @@ class TestObservability:
         assert dim_zero < dim_pos
 
 
+def sequential_weights(kappa, B_values, dY, dt):
+    """Reference finite-set weights: the 2x2 maps I + G_B dt + sqrt(kappa)
+    sigma_z dY applied one step at a time, with the norm taken out each step."""
+    B = np.asarray(B_values, dtype=float)
+    G = -0.5 * kappa * np.eye(2) + B[:, None, None] * np.array([[0.0, -1.0], [1.0, 0.0]])
+    psi = np.full((len(B), 2), np.sqrt(0.5))
+    lognorm = np.zeros(len(B))
+    for y in dY:
+        psi = np.einsum("cij,cj->ci", np.eye(2) + G * dt + np.sqrt(kappa) * y * op.SIGMA_Z.real, psi)
+        norm = np.linalg.norm(psi, axis=1)
+        psi /= norm[:, None]
+        lognorm += np.log(norm)
+    w = np.exp(2.0 * (lognorm - lognorm.max()))
+    return w / w.sum()
+
+
 class TestBatchHarnesses:
     def test_finite_set_batch_matches_ensemble_step(self):
+        # the estimator is the product of 2x2 maps; the tree-and-scan form
+        # must agree with the maps applied one step at a time
         kappa, B_true = 1.0, 2.0
         B_values = [2.0, 5.0]
         T, dt = 0.02, 1e-4
@@ -284,12 +304,73 @@ class TestBatchHarnesses:
         steps = int(round(T / dt))
         noise = rng.standard_normal(steps) * np.sqrt(dt)
         theta_true = 0.0
-        model = est.QubitMagnetometerModel(kappa=kappa, prior=("finite", B_values))
-        ens = est.ParticleEnsemble(weights=np.full(2, 0.5),
-                                   params=np.asarray(B_values, dtype=float),
-                                   states=np.zeros(2), state_kind="bloch")
+        record = []
         for i in range(steps):
             dM = 2.0 * np.sqrt(kappa) * np.sin(theta_true) * dt + noise[i]
             theta_true = traj.bloch_angle_step(theta_true, dM, B_true, kappa, dt)
-            ens = est.ensemble_step(model, ens, dM, dt)
-        assert np.max(np.abs(out["final_weights"] - ens.weights)) < 1e-12
+            record.append(dM)
+        ref = sequential_weights(kappa, B_values, record, dt)
+        assert np.max(np.abs(out["final_weights"] - ref)) < 1e-12
+
+
+class TestFiniteSetFilter:
+    B_values = [2.0, 5.0, 8.0, 12.0]
+
+    def test_weights_track_joint_filter(self):
+        # the record and bound of TestEnsembleStep::test_weights_track_joint_filter
+        kappa, B_values, dt = 1.0, np.array(self.B_values), 2e-5
+        rho0 = op.pure_to_density(op.spin_coherent(0.5, np.pi / 2, 0.0))
+        base = traj.qubit_model(kappa, 0.0)
+        record = traj.simulate_truth(traj.qubit_model(kappa, 2.0), rho0, 0.3, dt, seed=3)
+        Hext, Lext = est.extended_estimation_operators(op.SIGMA_Y, base.L, B_values)
+        joint = traj.DiffusiveModel(H=Hext, L=Lext)
+        rho = np.kron(np.eye(4) / 4.0, rho0)
+        snaps = est.finite_set_filter(kappa, B_values, record, store_every=1)["weights"]
+        worst = 0.0
+        for k, dM in enumerate(record.dY):
+            rho = traj.sme_step(joint, rho, dM, dt)
+            blocks = np.einsum("iaia->i", rho.reshape(4, 2, 4, 2)).real
+            worst = max(worst, np.max(np.abs(snaps[k] - blocks)))
+        assert worst < 2e-3
+
+    @pytest.mark.parametrize("cap", [None, 64])
+    def test_chunking_does_not_change_weights(self, cap, monkeypatch):
+        # 2,503 steps: no chunk length divides them; with 64 candidate-steps
+        # per call (16 steps), chunks of 100 steps and the whole run span calls
+        if cap:
+            monkeypatch.setattr(est, "_SCAN_MAPS", cap)
+        record = est.simulate_qubit_record(1.0, 2.0, 0.02503, 1e-5, seed=(21, 0))
+        assert len(record.dY) == 2503
+        ref = sequential_weights(1.0, self.B_values, record.dY, 1e-5)
+        every_step = est.finite_set_filter(1.0, self.B_values, record, 1)["weights"]
+        for every in (1, 7, 100, 0):
+            out = est.finite_set_filter(1.0, self.B_values, record, every)
+            assert np.max(np.abs(out["final_weights"] - ref)) < 1e-12, every
+            if every:
+                assert np.array_equal(out["times"], record.times[every::every])
+                assert out["weights"].shape == (len(out["times"]), 4)
+                assert np.max(np.abs(out["weights"] - every_step[every - 1::every])) < 1e-12
+            else:
+                assert "weights" not in out
+
+    @pytest.mark.parametrize("every", [0, 1000])
+    def test_memory_stays_below_the_full_map_stack(self, every):
+        steps, dt = 100_000, 1e-5
+        dY = rng_stream(4).standard_normal(steps) * np.sqrt(dt)
+        record = traj.TrajectoryRecord(times=np.arange(steps + 1) * dt, dY=dY, dW=dY)
+        tracemalloc.start()
+        try:
+            est.finite_set_filter(1.0, self.B_values, record, every)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a (steps, 4, 2, 2) float64 stack of every map
+        assert peak < steps * 4 * 4 * 8
+
+    @pytest.mark.parametrize("every,step", [(0, 0), (1, 150), (7, 147)])
+    def test_nonfinite_increment_names_its_chunk(self, every, step):
+        record = est.simulate_qubit_record(1.0, 2.0, 0.02, 1e-4, seed=(21, 0))
+        record.dY[150] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError) as info:
+            est.finite_set_filter(1.0, self.B_values, record, every)
+        assert f"from step {step} (t = {record.times[step]:g})" in str(info.value)
