@@ -48,11 +48,21 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _column(column) -> tuple[str, list]:
+    """(format field, values) of one CSV column, formatted as ``_fmt``
+    formats each entry: a float64 array is written by one ".17g" field over
+    its ``tolist()``, any other column as its ``_fmt`` strings."""
+    if isinstance(column, np.ndarray) and issubclass(column.dtype.type, float):
+        return "{:.17g}", column.tolist()
+    return "{}", [_fmt(v) for v in column]
+
+
 def write_csv(path: str, header: list, columns: list, manifest_name: str) -> None:
+    fields, values = zip(*map(_column, columns))
+    line = ",".join(fields) + "\n"
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+        f.writelines(line.format(*row) for row in zip(*values))
         f.write(f"# manifest: {manifest_name}\n")
 
 
@@ -80,7 +90,7 @@ def _run_qubit_filter(p, seed, workers):
     rho0 = pure_to_density(spin_coherent(0.5, np.pi / 2, 0.0))
     every = p["store_every"]
     rec = traj.simulate_truth(model, rho0, p["T"], p["dt"], seed,
-                              observables={"sx": SIGMA_X, "sz": SIGMA_Z})
+                              observables={"sx": SIGMA_X, "sz": SIGMA_Z}, store_every=every)
     n = len(rec.dY)
     idx = np.arange(0, n, every)
     cols = [rec.times[idx], rec.dY[idx], rec.dW[idx],

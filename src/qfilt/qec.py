@@ -25,19 +25,21 @@ Tracking only syndrome-space probabilities gives the Wonham filter; closing
 the syndrome projectors under the feedback commutators to first level and
 merging the pairs that act identically yields the truncated filter, whose
 basis elements are Pauli-sandwiched syndrome projectors.  Construction is
-automated and every generator matrix is verified against the exact
-superoperator action in the full 2^n space; the truncated filter steps from
-the generator matrices' nonzero entries only.
+automated on the elements' 4^n Pauli coefficients, where every action is a
+gather or a diagonal of ``_PauliFrame``, and every generator matrix is
+verified against that exact superoperator action; the truncated filter steps
+from the generator matrices' nonzero entries only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import chain
 
 import numpy as np
 
-from .operators import commutator, pauli_string
+from .operators import pauli_string
 from .sde import rng_stream
 
 __all__ = [
@@ -137,7 +139,8 @@ class StabilizerCode:
 
     @cached_property
     def pauli(self) -> _PauliFrame:
-        """The Pauli-coefficient tables of the full filter, built on first use."""
+        """The Pauli-coefficient tables of the full filter and the truncated
+        basis, built on first use."""
         return _PauliFrame(self)
 
 
@@ -245,16 +248,19 @@ class TruncatedBasis:
     """Basis elements and precomputed generators of the truncated filter.
 
     Elements 0..S-1 are the syndrome projectors; the rest are the merged
-    first-level feedback coefficients i[sigma_c, Pi_s].  ``policy_index`` and
-    ``policy_sign`` locate, per feedback channel, the element whose
-    coefficient is Tr[-i [Pi_0, sigma_c] rho] (index -1 when the commutator
-    vanishes identically).  Generator matrices act on the coefficient vector:
-    drift_noise (unit gamma), drift_meas (unit kappa), meas_H (per
-    generator), feedback (per channel, unit lambda).
+    first-level feedback coefficients i[sigma_c, Pi_s].  Each element X_a is
+    held as its real Pauli coefficients R_am = ``coefficients[a, m]`` =
+    Tr[P_m X_a] in the ``_PauliFrame`` order of its code, so that
+    X_a = sum_m R_am P_m / d.
+    ``policy_index`` and ``policy_sign`` locate, per feedback channel, the
+    element whose coefficient is Tr[-i [Pi_0, sigma_c] rho] (index -1 when
+    the commutator vanishes identically).  Generator matrices act on the
+    coefficient vector: drift_noise (unit gamma), drift_meas (unit kappa),
+    meas_H (per generator), feedback (per channel, unit lambda).
     """
 
     code: StabilizerCode
-    element_mats: np.ndarray  # (E, d, d)
+    coefficients: np.ndarray  # (E, 4^n)
     element_descr: list  # human-readable descriptors
     drift_noise: np.ndarray
     drift_meas: np.ndarray
@@ -280,21 +286,24 @@ class TruncatedBasis:
 
     @property
     def size(self) -> int:
-        return self.element_mats.shape[0]
+        return len(self.coefficients)
 
     def initial_state(self, rho: np.ndarray) -> np.ndarray:
-        """Coefficient vector Tr[Pi_a rho] of a full-space density matrix."""
-        return np.einsum("aij,ji->a", self.element_mats, rho).real
+        """Coefficient vector Tr[X_a rho] = sum_m R_am Tr[P_m rho] / d of a
+        full-space density matrix."""
+        return self.coefficients @ self.code.pauli.to_pauli(rho) / self.code.dim
 
 
-def _vec_r(X: np.ndarray) -> np.ndarray:
-    """Real vectors [Re X, Im X] of a stack of operators (m, d, d) -> (m, 2 d^2)."""
-    v = X.reshape(len(X), -1)
-    return np.concatenate([v.real, v.imag], axis=1)
+def _signed_table(X: np.ndarray) -> np.ndarray:
+    """Rows of Pauli coefficients X (m, 4^n) as the (2 * 4^n + 1, m) table
+    2 [X^T, -X^T, 0], whose row ``_PauliFrame.index[k, m']`` is coefficient
+    m' of channel k's action on every row: X_c = -i[sigma_c, .] and
+    X_l = g_l . + . g_l."""
+    return 2.0 * np.concatenate([X.T, -X.T, np.zeros((1, len(X)))])
 
 
 def build_truncated_basis(code: StabilizerCode) -> TruncatedBasis:
-    """Automated first-level truncation.
+    """Automated first-level truncation, on real Pauli coefficients.
 
     1. Start from the syndrome projectors.
     2. Feedback commutators i[sigma_c, Pi_s] introduce first-level terms;
@@ -304,91 +313,83 @@ def build_truncated_basis(code: StabilizerCode) -> TruncatedBasis:
        to s', and i[sigma_c, Pi_s] = -i[sigma_c, Pi_s'], so only one of each
        pair is kept.
 
-    All generator matrices are verified against the exact superoperator
-    action in the full space; closure is exact (residual <= _VERIFY_TOL) for
-    the noise and measurement channels and for feedback acting on the
-    syndrome projectors.
+    Every action expanded on the elements is a diagonal or a signed XOR map
+    of the code's ``_PauliFrame``: both dissipators decay r_m by -2 ``counts``,
+    and {g_l, X} and i[sigma_c, X] are gathers by its ``index`` rows.  The
+    Hilbert-Schmidt product of two elements is the dot product of their
+    coefficients over d, and ||dr||_1 / d bounds every matrix entry of an
+    operator dr, so the residual is a bound on the entrywise error of the
+    exact superoperator action in the full space.  Closure is verified
+    (residual <= _VERIFY_TOL) for the noise and measurement channels and for
+    feedback acting on the syndrome projectors.
     """
-    d = code.dim
-    S = code.n_syndromes
-    n_chan = len(code.channel_labels)
-    mats = [code.projectors[s].astype(complex) for s in range(S)]
-    descr = [f"P[{s}]" for s in range(S)]
+    d, S, l = code.dim, code.n_syndromes, code.n_generators
+    frame, n_chan = code.pauli, len(code.channel_labels)
+    proj = frame.to_pauli(code.projectors)
+    table = _signed_table(proj)
+    rows, descr = list(proj), [f"P[{s}]" for s in range(S)]
     pair = {}  # (syndrome, channel) -> (element index, sign)
     for c in range(n_chan):
-        sig = code.single_paulis[c]
+        comm = -table[frame.index[c]].T  # i[sigma_c, Pi_s] for every s
         for s in range(S):
             if (s, c) in pair:
                 continue
-            C = 1j * commutator(sig, code.projectors[s])
-            if np.max(np.abs(C)) < 1e-12:
+            if np.abs(comm[s]).sum() < 1e-12 * d:
                 pair[(s, c)] = (-1, 0.0)
                 continue
             s2 = code.syndrome_hop[c, s]
-            idx = len(mats)
-            mats.append(C)
+            pair[(s, c)] = (len(rows), 1.0)
+            rows.append(comm[s])
             descr.append(f"i[{code.channel_labels[c]}, P[{s}]]")
-            pair[(s, c)] = (idx, 1.0)
             if s2 != s:
-                pair[(s2, c)] = (idx, -1.0)
+                pair[(s2, c)] = (len(rows) - 1, -1.0)
                 # merged-pair relation: i[sigma, Pi_s] = -i[sigma, Pi_s']
-                C2 = 1j * commutator(sig, code.projectors[s2])
-                if np.max(np.abs(C2 + C)) > 1e-10:
+                if np.abs(comm[s] + comm[s2]).sum() > 1e-10 * d:
                     raise RuntimeError(
                         f"pair-merge relation violated for channel {code.channel_labels[c]},"
                         f" syndromes {s},{s2}")
 
-    E = len(mats)
-    element_mats = np.stack(mats)
-    basis_vecs = _vec_r(element_mats)  # (E, 2 d^2)
-    gram = basis_vecs @ basis_vecs.T
-    gram_inv = np.linalg.inv(gram)
+    R = np.array(rows)
+    E, inside = len(R), R.any(axis=0)
+    # the projections need only the columns some element occupies
+    R_in = R[:, inside]
+    gram_inv = np.linalg.inv(R_in @ R_in.T)
 
-    def project(X: np.ndarray) -> np.ndarray:
-        """Coefficients (m, E) of a stack of operators (m, d, d)."""
-        return (gram_inv @ (basis_vecs @ _vec_r(X).T)).T
+    def project(AT: np.ndarray) -> np.ndarray:
+        """Basis coefficients (m, E) of m operators, given the columns inside
+        of their Pauli coefficients, transposed (columns inside, m)."""
+        return (gram_inv @ (R_in @ AT)).T
 
-    worst_exact = 0.0
-    drift_noise = np.zeros((E, E))
-    drift_meas = np.zeros((E, E))
-    meas_H = np.zeros((code.n_generators, E, E))
-    feedback = np.zeros((n_chan, E, E))
-    P = code.single_paulis
-    G = code.gen_ops
-    l_gen = code.n_generators
-    for a in range(E):
-        # every action on element a, expanded as one stack: noise, measurement
-        # drift, one measurement term per generator, one feedback per channel
-        X = element_mats[a]
-        acts = np.concatenate([
-            [(P @ X @ P).sum(axis=0) - n_chan * X, (G @ X @ G).sum(axis=0) - len(G) * X],
-            G @ X + X @ G,
-            1j * commutator(P, X)])
-        coeff = project(acts)
-        recon = np.tensordot(coeff, element_mats, axes=1)
-        resid = np.max(np.abs(acts - recon), axis=(1, 2))
-        drift_noise[a], drift_meas[a] = coeff[0], coeff[1]
-        meas_H[:, a] = coeff[2:2 + l_gen]
-        feedback[:, a] = coeff[2 + l_gen:]
-        if a < S:
-            worst_exact = max(worst_exact, resid.max())
-        else:
-            worst_exact = max(worst_exact, resid[:2 + l_gen].max())
+    table = _signed_table(R)
+    decay = -2.0 * frame.counts[:, :, None]
+    # each action on every element, one at a time: noise sum_c sigma_c X sigma_c
+    # - 3n X, measurement drift sum_l g_l X g_l - l X, {g_l, X} per generator
+    # and i[sigma_c, X] = -X_c(X) per channel
+    actions = chain((decay[j] * R.T for j in (1, 0)),
+                    (table[frame.index[k]] for k in range(n_chan, n_chan + l)),
+                    (-table[frame.index[c]] for c in range(n_chan)))
+    gens, worst = np.empty((2 + l + n_chan, E, E)), 0.0
+    for j, AT in enumerate(actions):
+        gens[j] = coeff = project(AT[inside])
+        recon = coeff @ R_in
+        AT[inside] -= recon.T
+        resid = np.abs(AT, out=AT).sum(axis=0) / d
+        if j >= 2 + l:
             # second-level truncation: keep the projection of the feedback
-            # actions, but it must be idempotent
-            fb = slice(2 + l_gen, None)
-            if np.max(np.abs(coeff[fb] - project(recon[fb]))) > _VERIFY_TOL:
+            # actions on first-level elements, but it must be idempotent
+            resid = resid[:S]
+            if np.max(np.abs(coeff[S:] - project(recon[S:].T))) > _VERIFY_TOL:
                 raise RuntimeError("projection not idempotent in basis construction")
-    if worst_exact > _VERIFY_TOL:
+        worst = max(worst, resid.max())
+    if worst > _VERIFY_TOL:
         raise RuntimeError(
-            f"truncated-basis closure verification failed: residual {worst_exact:.3e}")
+            f"truncated-basis closure verification failed: residual {worst:.3e}")
 
     policy_index, policy_sign = map(np.array, zip(*[pair[(0, c)] for c in range(n_chan)]))
     return TruncatedBasis(
-        code=code, element_mats=element_mats, element_descr=descr,
-        drift_noise=drift_noise, drift_meas=drift_meas, meas_H=meas_H,
-        feedback=feedback, policy_index=policy_index, policy_sign=policy_sign,
-        verification_residual=worst_exact)
+        code=code, coefficients=R, element_descr=descr, drift_noise=gens[0],
+        drift_meas=gens[1], meas_H=gens[2:2 + l], feedback=gens[2 + l:],
+        policy_index=policy_index, policy_sign=policy_sign, verification_residual=worst)
 
 
 def untruncated_closure_dim(code: StabilizerCode) -> int:

@@ -254,14 +254,18 @@ def sse_step(model: DiffusiveModel, psi: np.ndarray, dW: float, dt: float) -> np
 
 
 def simulate_truth(model: DiffusiveModel, rho0: np.ndarray, T: float, dt: float,
-                   seed, observables: dict[str, np.ndarray] | None = None) -> TrajectoryRecord:
+                   seed, observables: dict[str, np.ndarray] | None = None,
+                   store_every: int = 1) -> TrajectoryRecord:
     """Simulate a measurement record by driving the filter with fresh noise.
 
     The record is dY = Tr[(L + L^dag) rho] dt + dW_sim with dW_sim drawn iid
     normal(0, dt); this is how measurement records are generated for filters
-    under test.  Stored expectations are evaluated on the trajectory states
-    (including the initial state), each as the elementwise sum of op^T * rho.
+    under test.  Stored expectations are evaluated on the trajectory states,
+    each as the elementwise sum of op^T * rho: on states 0, store_every,
+    2 store_every, ... and on the final state, with nan on the others.
     """
+    if store_every < 1:
+        raise ValueError(f"store_every must be at least 1, got {store_every}")
     observables = {k: np.ascontiguousarray(op.T) for k, op in (observables or {}).items()}
     steps = int(round(T / dt))
     rng = rng_stream(seed)
@@ -269,15 +273,16 @@ def simulate_truth(model: DiffusiveModel, rho0: np.ndarray, T: float, dt: float,
     channels = model.channels
     dY = np.zeros(steps)
     dWs = rng.standard_normal(steps) * np.sqrt(dt)
-    exps = {k: np.zeros(steps + 1) for k in observables}
+    exps = {k: np.full(steps + 1, np.nan) for k in observables}
     for k, opT in observables.items():
         exps[k][0] = (opT * rho).sum().real
     for i in range(steps):
         signal = channels.signal(rho[None])
         dY[i] = signal[0, 0] * dt + dWs[i]
         rho = sme_step_batch(model.H, channels, rho, dY[i], dt, signal=signal)
-        for k, opT in observables.items():
-            exps[k][i + 1] = (opT * rho).sum().real
+        if (i + 1) % store_every == 0 or i + 1 == steps:
+            for k, opT in observables.items():
+                exps[k][i + 1] = (opT * rho).sum().real
     return TrajectoryRecord(
         times=np.arange(steps + 1) * dt, dY=dY, dW=dWs, expectations=exps, seed=seed)
 

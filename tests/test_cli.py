@@ -286,6 +286,32 @@ class TestRun:
         assert np.all(data[:, 1] > 0)
 
 
+class TestWriteCsv:
+    def test_rows_match_per_entry_format(self, tmp_path):
+        # every entry as _fmt writes it, one line per row
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.1, 1e-300, 2.5e17]
+        columns = [
+            np.array(special),  # float64 array
+            [float(v) for v in special],  # Python floats
+            [np.float64(v) for v in special],  # numpy scalars in a list
+            np.array(special, dtype=np.float32),
+            np.arange(-3, 4),  # int64 array
+            [7, -1, 0, 2 ** 70, 3, 4, 5],  # Python ints
+            np.array(["a", "b", "nan", "-0.0", "e", "f", "g"]),  # numpy str array
+            ["x", "y", "z", "", "1.5", "w", "v"],
+        ]
+        header = [f"c{k}" for k in range(len(columns))]
+        path = tmp_path / "t.csv"
+        cli.write_csv(str(path), header, columns, "m.json")
+        expect = [",".join(header)]
+        expect += [",".join(cli._fmt(v) for v in row) for row in zip(*columns)]
+        expect += ["# manifest: m.json"]
+        assert path.read_text() == "\n".join(expect) + "\n"
+        assert path.read_text().splitlines()[1].startswith("nan,nan,nan,nan,-3,7,a,x")
+        # float32 entries are not floats, so _fmt writes their str
+        assert path.read_text().splitlines()[4].startswith("-0,-0,-0,-0.0,0,")
+
+
 class TestRate:
     def test_rate_postprocessing(self, tmp_path, capsys):
         out = str(tmp_path)

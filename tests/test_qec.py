@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -41,6 +43,47 @@ def random_states(d, B, rng):
     a = rng.standard_normal((B, d, d)) + 1j * rng.standard_normal((B, d, d))
     rho = a @ np.swapaxes(a, -1, -2).conj()
     return rho / np.einsum("bii->b", rho).real[:, None, None]
+
+
+def dense_truncated_basis(code):
+    """The truncated basis built on dense 2^n x 2^n matrices, independent of
+    the Pauli tables: the elements, then every action on each (the sums
+    P X P and G X G, {g_l, X} and i[sigma_c, X]) projected with the
+    Hilbert-Schmidt Gram of the dense elements.  Returns (elements,
+    descriptors, policy_index, policy_sign, [noise, measurement drift,
+    meas_H..., feedback...])."""
+    S, n_chan = code.n_syndromes, len(code.channel_labels)
+    P, G = code.single_paulis, code.gen_ops
+    mats, descr, pair = list(code.projectors.astype(complex)), [f"P[{s}]" for s in range(S)], {}
+    for c in range(n_chan):
+        for s in range(S):
+            if (s, c) in pair:
+                continue
+            C = 1j * op.commutator(P[c], code.projectors[s])
+            if np.max(np.abs(C)) < 1e-12:
+                pair[(s, c)] = (-1, 0.0)
+                continue
+            pair[(s, c)] = (len(mats), 1.0)
+            pair[(code.syndrome_hop[c, s], c)] = (len(mats), -1.0)
+            mats.append(C)
+            descr.append(f"i[{code.channel_labels[c]}, P[{s}]]")
+    X = np.stack(mats)
+
+    def vec(A):
+        v = A.reshape(len(A), -1)
+        return np.concatenate([v.real, v.imag], axis=1)
+
+    B = vec(X)
+    gram_inv = np.linalg.inv(B @ B.T)
+    gens = np.zeros((2 + len(G) + n_chan, len(X), len(X)))
+    for a, Xa in enumerate(X):
+        acts = np.concatenate([
+            [(P @ Xa @ P).sum(axis=0) - n_chan * Xa, (G @ Xa @ G).sum(axis=0) - len(G) * Xa],
+            G @ Xa + Xa @ G,
+            1j * op.commutator(P, Xa)])
+        gens[:, a] = (gram_inv @ (B @ vec(acts).T)).T
+    policy_index, policy_sign = map(np.array, zip(*[pair[(0, c)] for c in range(n_chan)]))
+    return X, descr, policy_index, policy_sign, gens
 
 
 class TestBuildCode:
@@ -380,6 +423,44 @@ class TestTruncatedBasis:
         z_channels = [c for c, lab in enumerate(bitflip.channel_labels)
                       if lab.strip("I") == "Z"]
         assert all(basis.policy_index[c] == -1 for c in z_channels)
+
+    @pytest.mark.parametrize("name", ["bitflip3", "fivequbit"])
+    def test_matches_dense_reference(self, name, five_basis):
+        code = qec.build_code(name)
+        basis = five_basis if name == "fivequbit" else qec.build_truncated_basis(code)
+        X, descr, policy_index, policy_sign, gens = dense_truncated_basis(code)
+        got = [basis.drift_noise, basis.drift_meas, *basis.meas_H, *basis.feedback]
+        assert len(got) == len(gens)
+        for M, expect in zip(got, gens):
+            assert np.max(np.abs(M - expect)) <= 1e-12
+        assert basis.element_descr == descr
+        assert np.array_equal(basis.policy_index, policy_index)
+        assert np.array_equal(basis.policy_sign, policy_sign)
+        for rho in random_states(code.dim, 4, np.random.default_rng(5)):
+            expect = np.einsum("aij,ji->a", X, rho).real
+            assert np.max(np.abs(basis.initial_state(rho) - expect)) <= 1e-14
+
+    def test_pair_merge_check_raises(self, five):
+        # channel 0 hops the codespace into the syndrome of channel 1's error
+        hop = five.syndrome_hop.copy()
+        hop[0, 0] = hop[1, 0]
+        with pytest.raises(RuntimeError, match="pair-merge relation violated for channel XIIII"):
+            qec.build_truncated_basis(dataclasses.replace(five, syndrome_hop=hop))
+
+    def test_closure_check_raises(self, five):
+        # a measured Pauli outside the stabilizer group takes the syndrome
+        # projectors off the span of the basis
+        code = dataclasses.replace(five, generators=["XIIII", *five.generators[1:]])
+        with pytest.raises(RuntimeError, match="closure verification failed"):
+            qec.build_truncated_basis(code)
+
+    def test_idempotency_check_raises(self, five, monkeypatch):
+        # an inverse Gram matrix off by a factor 1 + 1e-6 projects the
+        # feedback actions on first-level elements non-idempotently
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda gram: inv(gram) * (1.0 + 1e-6))
+        with pytest.raises(RuntimeError, match="projection not idempotent"):
+            qec.build_truncated_basis(five)
 
     def test_passive_tracking_without_feedback_is_exact(self, five, five_basis):
         # noise + measurement close exactly on the basis: coefficients track

@@ -275,6 +275,24 @@ class TestSimulateTruth:
             replay.append(np.trace(op.SIGMA_Z @ rho).real)
         assert np.array_equal(np.array(replay), rec.expectations["sz"])
 
+    def test_store_every_evaluates_stored_and_final_rows(self):
+        model = traj.qubit_model(1.0, 0.2)
+        rho0 = op.pure_to_density(op.spin_coherent(0.5, np.pi / 2, 0.0))
+        obs = {"sx": op.SIGMA_X, "sz": op.SIGMA_Z}
+        full = traj.simulate_truth(model, rho0, 0.0205, 1e-4, seed=8, observables=obs)
+        part = traj.simulate_truth(model, rho0, 0.0205, 1e-4, seed=8, observables=obs,
+                                   store_every=7)
+        rows = np.append(np.arange(0, 206, 7), 205)  # 205 steps, not a multiple of 7
+        assert np.array_equal(part.dY, full.dY) and np.array_equal(part.times, full.times)
+        for k in obs:
+            assert np.array_equal(part.expectations[k][rows], full.expectations[k][rows])
+            assert np.all(np.isnan(np.delete(part.expectations[k], rows)))
+
+    def test_store_every_must_be_positive(self):
+        model = traj.qubit_model(1.0, 0.2)
+        with pytest.raises(ValueError, match="store_every"):
+            traj.simulate_truth(model, np.eye(2) / 2, 0.01, 1e-4, seed=8, store_every=0)
+
 
 class TestCompiledModel:
     def test_model_compiles_once(self, monkeypatch):
