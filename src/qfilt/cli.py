@@ -168,17 +168,17 @@ def _run_magnetometer_kalman(p, seed, workers):
     model = mag.smallangle_kalman_model(params)
     state = kalman.KalmanState(estimate=np.zeros(2),
                                covariance=np.diag([0.0, p["prior_var"]]))
-    every = p["store_every"]
+    dt, every = p["dt"], p["store_every"]
     steps = len(record.dY)
-    out_t, out_th, out_B, out_v = [], [], [], []
+    # row i: the estimate and covariance after step i + 1
+    states = np.empty((steps, 6))
     for i in range(steps):
-        state = kalman.kalman_correlated_step(model, state, record.dY[i], i * p["dt"], p["dt"])
-        if (i + 1) % every == 0:
-            out_t.append((i + 1) * p["dt"])
-            out_th.append(state.estimate[0])
-            out_B.append(state.estimate[1])
-            out_v.append(state.covariance[1, 1])
-    cols = [np.array(out_t), np.array(out_th), np.array(out_B), np.array(out_v)]
+        state = kalman.kalman_correlated_step(model, state, record.dY[i], i * dt, dt)
+        states[i, :2] = state.estimate
+        states[i, 2:] = state.covariance.ravel()
+    kalman.raise_if_nonfinite("Kalman state", states, dt)
+    rows = states[every - 1::every]
+    cols = [np.arange(every, steps + 1, every) * dt, rows[:, 0], rows[:, 1], rows[:, 5]]
     return {
         "files": {"magnetometer_kalman.csv":
                   (["time", "theta_est", "B_est", "B_var"], cols)},

@@ -36,6 +36,7 @@ product scan with no per-step Python loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -327,6 +328,9 @@ def extended_estimation_operators(H0: np.ndarray, L: np.ndarray,
 # candidate-steps of 2x2 maps materialized per tree call: 2^17 maps of four
 # doubles are 4 MB (2^15 steps at four candidates), whatever the horizon
 _SCAN_MAPS = 1 << 17
+# chunks per call: the prefix scan holds a few (4, candidates, chunks) arrays,
+# so short chunks (a small store_every) must not fill a call with columns
+_SCAN_CHUNKS = 1 << 12
 
 
 def _product(L, R) -> tuple[np.ndarray, np.ndarray]:
@@ -390,7 +394,8 @@ def finite_set_filter(kappa: float, B_values, record: TrajectoryRecord,
     snaps, start = [], 0
     while start < steps:
         # whole chunks per call; a chunk longer than the cap spans several calls
-        reach = cap - cap % every if every <= cap else min(cap, every - start % every)
+        reach = (min(cap - cap % every, _SCAN_CHUNKS * every) if every <= cap
+                 else min(cap, every - start % every))
         seg = min(steps - start, reach, every)
         n = min(steps - start, reach) // seg * seg
         sdY, diag = np.sqrt(kappa) * record.dY[start:start + n], 1.0 - 0.5 * kappa * dt
@@ -423,19 +428,20 @@ def finite_set_filter(kappa: float, B_values, record: TrajectoryRecord,
 
 def simulate_qubit_record(kappa: float, B_true: float, T: float, dt: float, seed) -> TrajectoryRecord:
     """Measurement record of a monitored qubit starting from +x, generated by
-    the scalar Bloch-angle filter driven with fresh noise."""
+    the scalar Bloch-angle filter driven with fresh noise, stepped on Python
+    floats."""
     steps = int(round(T / dt))
     rng = rng_stream(seed)
     dW = rng.standard_normal(steps) * np.sqrt(dt)
+    amplitude = 2.0 * math.sqrt(kappa)
     theta = 0.0
-    dY = np.zeros(steps)
-    sz = np.zeros(steps + 1)
-    for i in range(steps):
-        dY[i] = 2.0 * np.sqrt(kappa) * np.sin(theta) * dt + dW[i]
-        theta = bloch_angle_step(theta, dY[i], B_true, kappa, dt)
-        sz[i + 1] = np.sin(theta)
-    return TrajectoryRecord(times=np.arange(steps + 1) * dt, dY=dY, dW=dW,
-                            expectations={"sz": sz}, seed=seed)
+    dY, sz = [], [0.0]
+    for w in dW.tolist():
+        dY.append(amplitude * math.sin(theta) * dt + w)
+        theta = bloch_angle_step(theta, dY[-1], B_true, kappa, dt)
+        sz.append(math.sin(theta))
+    return TrajectoryRecord(times=np.arange(steps + 1) * dt, dY=np.array(dY), dW=dW,
+                            expectations={"sz": np.array(sz)}, seed=seed)
 
 
 def qubit_finite_set_batch(kappa: float, B_values, B_true: float, T: float, dt: float,

@@ -105,7 +105,7 @@ def euler_step(system: SdeSystem, x: np.ndarray, t: float, dt: float, dW: np.nda
     out = x + system.drift(t, x) * dt
     for j in range(system.noise_dim):
         out = out + system.diffusion(t, x, j) * dW[j]
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise FloatingPointError("non-finite state produced by euler_step")
     return out
 

@@ -30,6 +30,7 @@ independent trajectory and must use its own noise stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -294,10 +295,12 @@ def bloch_angle_step(theta, dM, B: float, kappa: float, dt: float):
         d theta = -2B dt + kappa sin(2 theta) dt + 2 sqrt(kappa) cos(theta) dW,
         dW = dM - 2 sqrt(kappa) sin(theta) dt.
 
-    Accepts scalars or equally-shaped arrays.
+    Accepts scalars or equally-shaped arrays; a float theta is stepped with
+    ``math``, which skips numpy's per-call dispatch in scalar loops.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    dW = dM - 2.0 * np.sqrt(kappa) * np.sin(theta) * dt
-    return (theta - 2.0 * B * dt + kappa * np.sin(2.0 * theta) * dt
-            + 2.0 * np.sqrt(kappa) * np.cos(theta) * dW)
+    m = math if isinstance(theta, float) else np
+    dW = dM - 2.0 * m.sqrt(kappa) * m.sin(theta) * dt
+    return (theta - 2.0 * B * dt + kappa * m.sin(2.0 * theta) * dt
+            + 2.0 * m.sqrt(kappa) * m.cos(theta) * dW)

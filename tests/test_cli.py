@@ -132,7 +132,15 @@ class TestRun:
         cases = (("collective-cat", ["Gamma=1e300"], "FloatingPointError"),
                  ("qubit-filter", ["kappa=1e300", "T=0.001"], "FloatingPointError"),
                  ("param-ensemble", ["B_values=1e300,2", "T=0.001", "store_every=10"],
-                  "FloatingPointError"))
+                  "FloatingPointError"),
+                 # the Kalman runs name the first bad step and its time
+                 ("magnetometer-kalman", ["T=0.01", "prior_var=1e300"],
+                  "FloatingPointError: non-finite Kalman state at step 2 (t = 0.0002)"),
+                 ("kalman-demo", ["xi_true=1e308", "T=2"],
+                  "FloatingPointError: non-finite state produced by euler_step at step 1798"
+                  " (t = 1.798)"),
+                 # RK4 at dt = 50 is far outside its stable range
+                 ("kalman-demo", ["dt=50", "T=500"], "LinAlgError: Y singular at step "))
         for experiment, items, exc in cases:
             sets = [arg for item in items for arg in ("--set", item)]
             code = cli.main(["run", experiment, *sets,

@@ -367,6 +367,28 @@ class TestFiniteSetFilter:
         # a (steps, 4, 2, 2) float64 stack of every map
         assert peak < steps * 4 * 4 * 8
 
+    def test_memory_bounded_at_every_step(self, monkeypatch):
+        # store_every = 1 makes every step a chunk; the cap on chunks per call
+        # keeps the prefix scan's arrays small without changing the weights
+        steps, dt = 100_000, 1e-5
+        dY = rng_stream(4).standard_normal(steps) * np.sqrt(dt)
+        record = traj.TrajectoryRecord(times=np.arange(steps + 1) * dt, dY=dY, dW=dY)
+
+        def run(every):
+            tracemalloc.start()
+            try:
+                out = est.finite_set_filter(1.0, self.B_values, record, every)
+                return out, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        out, peak = run(1)
+        assert peak < 2 * run(1000)[1]
+        monkeypatch.setattr(est, "_SCAN_CHUNKS", steps)
+        uncapped = est.finite_set_filter(1.0, self.B_values, record, 1)
+        for key in ("final_weights", "weights"):
+            assert np.max(np.abs(out[key] - uncapped[key])) < 1e-12, key
+
     @pytest.mark.parametrize("every,step", [(0, 0), (1, 150), (7, 147)])
     def test_nonfinite_increment_names_its_chunk(self, every, step):
         record = est.simulate_qubit_record(1.0, 2.0, 0.02, 1e-4, seed=(21, 0))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qfilt import kalman
-from qfilt.sde import rng_stream
+from qfilt.sde import SdeSystem, euler_step, rng_stream
 
 
 def paper_covariance(t, prior_var):
@@ -49,6 +49,32 @@ class TestKalmanStep:
         state = kalman.KalmanState(estimate=np.zeros(1), covariance=np.zeros((1, 1)))
         with pytest.raises(ValueError):
             kalman.kalman_step(model, state, np.array([0.0]), 0.0, 1e-3)
+
+    def test_correlated_step_rejects_constant_singular_D_at_first_step(self):
+        model = kalman.LinearModel(A=np.zeros((1, 1)), B=np.ones((1, 1)),
+                                   C=np.ones((1, 1)), D=np.zeros((1, 1)))
+        state = kalman.KalmanState(estimate=np.zeros(1), covariance=np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="singular observation matrix D"):
+            kalman.kalman_correlated_step(model, state, 0.0, 0.0, 1e-3)
+
+    @pytest.mark.parametrize("step", [kalman.kalman_step, kalman.kalman_correlated_step])
+    def test_callable_D_checked_at_each_t(self, step):
+        # D vanishes from t = 0.5 on: the steps before it pass
+        model = kalman.LinearModel(A=np.zeros((1, 1)), B=np.ones((1, 1)), C=np.ones((1, 1)),
+                                   D=lambda t: [[1.0 if t < 0.5 else 0.0]])
+        state = kalman.KalmanState(estimate=np.zeros(1), covariance=np.zeros((1, 1)))
+        for i in range(5):
+            state = step(model, state, np.array([0.0]), i * 0.1, 0.1)
+        with pytest.raises(ValueError, match="at t=0.5"):
+            step(model, state, np.array([0.0]), 0.5, 0.1)
+
+    def test_constant_entries_compiled_once(self):
+        model = kalman.LinearModel(A=np.zeros((2, 2)), B=np.ones((2, 1)),
+                                   C=np.ones((1, 2)), D=2.0 * np.eye(1))
+        A, B, C, D, Dinv = model.at(0.0)
+        again = model.at(1.0)
+        assert all(x is y for x, y in zip((A, B, C, D, Dinv), again))
+        assert np.array_equal(Dinv, [[0.5]]) and not Dinv.flags.writeable
 
     def test_covariance_symmetry_long_run(self):
         model = kalman.PARAMETER_MODEL
@@ -135,6 +161,72 @@ class TestBrownianParameterDemo:
         innov = innov - innov.mean()
         corr = np.dot(innov[1:], innov[:-1]) / np.dot(innov, innov)
         assert abs(corr) < 5.0 / np.sqrt(len(innov))
+
+
+def _doubled_rk4(A, B, C, D):
+    """The former per-step RK4 of the doubled system, as a closure over its
+    stage evaluations."""
+    gain = C.T @ np.linalg.inv(D @ D.T) @ C
+    block = np.block([[A, B @ B.T], [gain, -A.T]])
+
+    def step(Z, h):
+        k1 = block @ Z
+        k2 = block @ (Z + 0.5 * h * k1)
+        k3 = block @ (Z + 0.5 * h * k2)
+        k4 = block @ (Z + h * k3)
+        return Z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    return step
+
+
+def reference_demo(xi_true, T, dt, seed, prior_var=1e5, noise_scale=1.0):
+    """The former demo: one RK4 step of the doubled system, renormalized to
+    [P; I], and a vector estimate update inside the record loop, with the
+    noise drawn one pair at a time."""
+    truth_sys = SdeSystem(state_dim=1, noise_dim=1, drift=lambda t, x: np.array([xi_true]),
+                          diffusion=lambda t, x, j: np.array([1.0]))
+    A, B, C, D = kalman.PARAMETER_MODEL.matrices(0.0)
+    rk4 = _doubled_rk4(A, B, C, D)
+    rng = rng_stream(seed)
+    steps = int(round(T / dt))
+    rec = {key: np.zeros(steps + 1) for key in ("dY", "x_true", "x_est", "xi_est")}
+    rec["P"] = np.zeros((steps + 1, 2, 2))
+    Z = np.vstack([np.diag([0.0, prior_var]), np.eye(2)])
+    rec["P"][0] = Z[:2]
+    pi, x, sqdt = np.zeros(2), np.zeros(1), np.sqrt(dt)
+    for i in range(steps):
+        P = rec["P"][i]
+        dW = noise_scale * rng.standard_normal() * sqdt
+        dV = noise_scale * rng.standard_normal() * sqdt
+        dy = x[0] * dt + dV
+        x = euler_step(truth_sys, x, i * dt, dt, np.array([dW]))
+        innovation = dy - (C @ pi)[0] * dt
+        pi = pi + A @ pi * dt + P @ C.T[:, 0] * innovation
+        Z = rk4(Z, dt)
+        P_next = Z[:2] @ np.linalg.inv(Z[2:])
+        Z = np.vstack([P_next, np.eye(2)])
+        rec["dY"][i + 1], rec["x_true"][i + 1] = dy, x[0]
+        rec["x_est"][i + 1], rec["xi_est"][i + 1] = pi
+        rec["P"][i + 1] = 0.5 * (P_next + P_next.T)
+    return rec
+
+
+class TestCovariancePass:
+    def test_matches_per_step_rk4_loop(self):
+        new = kalman.brownian_parameter_demo(1.0, 10.0, 1e-3, seed=9)
+        ref = reference_demo(1.0, 10.0, 1e-3, seed=9)
+        assert np.all(np.abs(new["P"] - ref["P"]) <= 1e-12 * np.abs(ref["P"]))
+        assert new["dY"].tobytes() == ref["dY"].tobytes()
+        assert new["x_true"].tobytes() == ref["x_true"].tobytes()
+        for key in ("x_est", "xi_est"):
+            assert np.max(np.abs(new[key] - ref[key])) < 1e-10, key
+
+    def test_propagator_is_one_rk4_step(self):
+        A, B, C, D = kalman.PARAMETER_MODEL.matrices(0.0)
+        Z = np.vstack([np.array([[0.3, 0.1], [0.1, 2.0]]), np.eye(2)])
+        for h in (1e-3, 0.1):
+            M = kalman._doubled_propagator(A, B, C, D, h)
+            assert np.max(np.abs(M @ Z - _doubled_rk4(A, B, C, D)(Z, h))) < 1e-14
 
 
 def _batch_estimates(xi_true, T, dt, n_seeds, prior_var=1e5):
