@@ -160,9 +160,21 @@ def kalman_correlated_step(model: LinearModel, state: KalmanState, dz: float, t:
 def _doubled_propagator(A, B, C, D, h: float) -> np.ndarray:
     """The classical RK4 step Z -> M Z of length h for the doubled linear
     system d/dt [X; Y] = K [X; Y], K = [[A, B B^T], [C^T (D D^T)^{-1} C, -A^T]]:
-    M = I + hK + (hK)^2/2 + (hK)^3/6 + (hK)^4/24."""
+    M = I + hK + (hK)^2/2 + (hK)^3/6 + (hK)^4/24 = R(hK).
+
+    Raises ValueError, naming h, unless M contracts every decaying mode of
+    K: |R(h lambda)| < 1 for each eigenvalue lambda with Re lambda < 0.  Real
+    parts within 1e-6 max |h lambda| of zero count as neutral, since a
+    defective zero eigenvalue is computed only to about sqrt(eps).
+    """
     gain = C.T @ np.linalg.inv(D @ D.T) @ C
     hK = h * np.block([[A, B @ B.T], [gain, -A.T]])
+    z = np.linalg.eigvals(hK)
+    z = z[z.real < -1e-6 * np.abs(z).max()]
+    growth = np.abs(1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0)
+    if np.any(growth >= 1.0):
+        raise ValueError(f"dt = {h:g} is outside the RK4 stability range of the covariance"
+                         f" propagator: a decaying mode grows by {growth.max():.4g} per step")
     hK2 = hK @ hK
     return np.eye(len(hK)) + hK + hK2 / 2.0 + hK2 @ hK / 6.0 + hK2 @ hK2 / 24.0
 
@@ -175,6 +187,9 @@ def riccati_solve(A, B, C, D, P0, t: float, dt: float = 1e-3) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        If the RK4 step h does not contract every decaying mode of the
+        doubled system (see ``_doubled_propagator``).
     np.linalg.LinAlgError
         If Y(t) becomes singular along the way (message carries the time).
     """
@@ -266,9 +281,12 @@ def brownian_parameter_demo(xi_true: float, T: float, dt: float, seed,
     record loop (it does not depend on the record).  The noise is drawn as
     one (steps, 2) array of (dW, dV) pairs, and the estimate is updated on
     scalars.  Returns a record with keys 't', 'dY', 'x_true', 'x_est',
-    'xi_est', 'P' (stacked covariances).  Raises FloatingPointError at the
-    first non-finite covariance, truth or estimate, and LinAlgError where
-    the covariance pass meets a singular Y, each naming its step and t.
+    'xi_est', 'P' (stacked covariances).  Raises ValueError, naming dt,
+    before the pass if RK4 at dt does not contract every decaying mode of
+    the doubled system (``_doubled_propagator``), then FloatingPointError at
+    the first non-finite covariance, truth or estimate, and LinAlgError
+    where the covariance pass meets a singular Y, each naming its step and
+    t.
     """
     drift, diffusion = np.array([xi_true]), np.array([1.0])
     truth_sys = SdeSystem(state_dim=1, noise_dim=1, drift=lambda t, x: drift,

@@ -18,8 +18,16 @@ each back-action g rho + rho g and each feedback commutator -i[sigma_c, rho]
 moves r_{P g} onto r_P with a fixed sign, the trace is r_I and every
 expectation is a fixed real row.  The Euler step taken is the first-order
 part of the Kraus form of Rouchon & Ralph, PRA 91, 012118 (2015).
-The feedback policy maximizes codespace fidelity:
-lambda_c = lambda_max * sgn(Tr[-i [Pi_0, sigma_c] rho]), with sgn(0) = 0.
+
+The closed loop's feedback is bang-bang on the policy signal
+s_c = Tr[-i [Pi_0, sigma_c] rho], whose sign says which way sigma_c pushes
+the codespace fidelity: lambda_c = lambda_max * sgn(s_c), where an exact
+zero signal gets +lambda_max; the truncated controller reads s_c off its
+state and gives 0 to channels whose commutator vanishes identically.
+
+A code is held as the Pauli masks of its 2^l-element stabilizer group and
+a +-1 sign table, never as dense 2^n x 2^n matrices: each syndrome
+projector has +-d / 2^l Pauli coefficients on the group and none elsewhere.
 
 Tracking only syndrome-space probabilities gives the Wonham filter; closing
 the syndrome projectors under the feedback commutators to first level and
@@ -34,7 +42,7 @@ from the generator matrices' nonzero entries only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -48,12 +56,10 @@ __all__ = [
     "build_code",
     "logical_zero",
     "full_filter_step",
-    "feedback_policy",
     "wonham_step",
     "build_truncated_basis",
     "untruncated_closure_dim",
     "truncated_filter_step",
-    "truncated_policy",
     "run_feedback_batch",
     "codeword_fidelity_discrete",
     "fidelity_metrics",
@@ -71,9 +77,6 @@ _CODES = {
 }
 
 _PAULI_AXES = "XYZ"
-# policy signals at or below this are rounding of an exactly zero signal
-# (block-diagonal states), so they give no feedback
-_DEAD_ZONE = 1e-14
 # largest residual a truncated-basis generator may leave against the exact
 # superoperator action: room for rounding, where the bundled codes leave 0
 _VERIFY_TOL = 1e-10
@@ -87,38 +90,45 @@ def _pauli_mask(label: str) -> int:
     return sum((p in "XY") << q | (p in "ZY") << (n + q) for q, p in enumerate(label))
 
 
-def _anticommute(a: int, b: int, n: int) -> int:
-    """1 if the n-qubit strings with masks a and b anticommute: the parity
-    of (x_a & z_b) ^ (z_a & x_b)."""
-    return ((a & (b >> n)) ^ ((a >> n) & b)).bit_count() & 1
+def _phase(a, b, n: int, pop=int.bit_count):
+    """w in 0..3 with P_a P_b = i^w P_{a ^ b}, where P_m = prod_q i^{x_q z_q}
+    X_q^{x_q} Z_q^{z_q} is the Hermitian string of mask m:
+    w = |x_a & z_a| + |x_b & z_b| + 2 |z_a & x_b| - |x_{a^b} & z_{a^b}|.
+    w is odd exactly where the strings anticommute.  Takes ints, or int
+    arrays with ``pop`` a popcount lookup."""
+    low = (1 << n) - 1
+    xa, za, xb, zb = a & low, a >> n, b & low, b >> n
+    return (pop(xa & za) + pop(xb & zb) + 2 * pop(za & xb) - pop((xa ^ xb) & (za ^ zb))) % 4
 
 
 @dataclass(frozen=True)
 class StabilizerCode:
-    """Code data: generators, syndrome projectors and syndrome hops.
+    """Code data: generators, stabilizer group and syndrome hops, as Pauli
+    masks and sign tables, with no dense operator.
 
-    There is one syndrome space per sign pattern of the l generators, 2^l
-    in all; ``outcomes[j, s]`` is the +-1 outcome of generator j on space s.
-    ``projectors[0]`` is the codespace projector; ``syndrome_hop[c, s]`` is
-    the index of the syndrome space a sigma_c error (channels ordered
-    qubit-major, axes X,Y,Z) moves syndrome space s into, and
-    ``hop_generator`` is the unit-rate Markov generator of those hops.
-    ``policy_ops[c]`` is -i [Pi_0, sigma_c], whose expectation is the
-    feedback-policy signal of channel c.
+    ``group[a]`` is the ``_pauli_mask`` of the product of the generators j
+    with bit j of a set, 2^l elements in all.  There is one syndrome space
+    per sign pattern of the l generators, also 2^l; ``outcomes[j, s]`` is the
+    +-1 outcome of generator j on space s, and space 0 is the codespace.
+    Its projector Pi_s = prod_j (I +- g_j) / 2 = 2^-l sum_a signs[a, s] P_a,
+    with P_a the Hermitian string of mask ``group[a]``, so ``signs`` holds
+    the group element's own sign times its generators' outcomes.
+    ``syndrome_hop[c, s]`` is the index of the syndrome space a sigma_c
+    error (channels ordered qubit-major, axes X,Y,Z) moves syndrome space s
+    into, and ``hop_generator`` is the unit-rate Markov generator of those
+    hops.
     """
 
     name: str
     n: int
     generators: list
-    gen_ops: np.ndarray  # (l, d, d)
-    single_paulis: np.ndarray  # (3n, d, d)
     channel_labels: list  # strings like "IXIII"
-    projectors: np.ndarray  # (2^l, d, d)
-    syndrome_hop: np.ndarray  # (3n, 2^l) -> projector index
+    group: np.ndarray  # (2^l,) stabilizer-group masks
+    signs: np.ndarray  # (2^l, 2^l) +-1, group element x syndrome space
+    syndrome_hop: np.ndarray  # (3n, 2^l) -> syndrome space index
     hop_generator: np.ndarray  # (2^l, 2^l), sum over errors of (T_e - I)
     outcomes: np.ndarray  # (l, 2^l) +-1 outcome of generator l per syndrome space
     logical_z: str
-    policy_ops: np.ndarray  # (3n, d, d)
 
     @property
     def dim(self) -> int:
@@ -130,7 +140,7 @@ class StabilizerCode:
 
     @property
     def n_syndromes(self) -> int:
-        return len(self.projectors)
+        return self.signs.shape[1]
 
     @property
     def error_class(self) -> np.ndarray:
@@ -143,6 +153,14 @@ class StabilizerCode:
         basis, built on first use."""
         return _PauliFrame(self)
 
+    def projector_rows(self, count: int | None = None) -> np.ndarray:
+        """Pauli coefficients Tr[P_m Pi_s] (count, 4^n) of the first
+        ``count`` syndrome projectors, all by default: d / 2^l times
+        ``signs``, placed on the group masks."""
+        rows = np.zeros((count or self.n_syndromes, self.dim ** 2))
+        rows[:, self.group] = self.dim / len(self.group) * self.signs[:, :len(rows)].T
+        return rows
+
 
 def build_code(name: str) -> StabilizerCode:
     """Construct one of the codes in ``_CODES`` from its generators.
@@ -150,7 +168,9 @@ def build_code(name: str) -> StabilizerCode:
     A syndrome is the bit set of the generators an error anticommutes with,
     and an error moves syndrome s to s ^ e.  The 2^l syndromes are ordered
     trivial first, then those of single-qubit errors in channel order, then
-    the rest ascending; the projector of each is prod_j (I +- g_j) / 2.
+    the rest ascending.  The group doubles over the generators, its masks
+    on plain ints: the commuting product (+-P_a) g_j is +-i^w P_{a ^ g_j}
+    with w = 0 or 2, and its sign row takes g_j's outcomes.
     """
     try:
         spec = _CODES[name]
@@ -158,36 +178,34 @@ def build_code(name: str) -> StabilizerCode:
         raise ValueError(f"unknown code {name!r}; choose from {sorted(_CODES)}") from None
     generators = spec["generators"]
     n = len(generators[0])
-    d = 2 ** n
-    gen_ops = np.stack([pauli_string(g) for g in generators])
     labels = ["I" * q + ax + "I" * (n - q - 1) for q in range(n) for ax in _PAULI_AXES]
-    single_paulis = np.stack([pauli_string(lab) for lab in labels])
     l, gen_masks = len(generators), [_pauli_mask(g) for g in generators]
-    errors = [sum(_anticommute(_pauli_mask(lab), g, n) << j for j, g in enumerate(gen_masks))
+    errors = [sum((_phase(_pauli_mask(lab), g, n) & 1) << j for j, g in enumerate(gen_masks))
               for lab in labels]
     seen = list(dict.fromkeys([0, *errors]))
     order = seen + sorted(set(range(2 ** l)) - set(seen))
     index = {syndrome: k for k, syndrome in enumerate(order)}
     hop = np.array([[index[s ^ e] for s in order] for e in errors])
     outcomes = np.array([[1.0 - 2.0 * (s >> j & 1) for s in order] for j in range(l)])
-    projectors = np.stack([reduce(np.matmul, [(np.eye(d) + hj * g) / 2.0
-                                              for g, hj in zip(gen_ops, h)])
-                           for h in outcomes.T])
+    group, signs = [0], np.ones((1, 2 ** l))
+    for g, h in zip(gen_masks, outcomes):
+        flips = np.array([1.0 - _phase(m, g, n) for m in group])
+        signs = np.concatenate([signs, flips[:, None] * signs * h])
+        group += [m ^ g for m in group]
     # each error permutes the syndrome spaces
     generator = -len(hop) * np.eye(2 ** l)
     for targets in hop:
         generator[targets, np.arange(2 ** l)] += 1.0
-    pi0 = projectors[0]
     return StabilizerCode(
-        name=name, n=n, generators=list(generators), gen_ops=gen_ops,
-        single_paulis=single_paulis, channel_labels=labels, projectors=projectors,
-        syndrome_hop=hop, hop_generator=generator, outcomes=outcomes,
-        logical_z=spec["logical_z"], policy_ops=-1j * (pi0 @ single_paulis - single_paulis @ pi0))
+        name=name, n=n, generators=list(generators), channel_labels=labels,
+        group=np.array(group), signs=signs, syndrome_hop=hop, hop_generator=generator,
+        outcomes=outcomes, logical_z=spec["logical_z"])
 
 
 def logical_zero(code: StabilizerCode) -> np.ndarray:
     """Encoded |0>: the +1 eigenvector of the logical Z inside the codespace."""
-    proj = code.projectors[0] @ (np.eye(code.dim) + pauli_string(code.logical_z)) / 2.0
+    pi0 = code.pauli.to_density(code.projector_rows(1))[0]
+    proj = pi0 @ (np.eye(code.dim) + pauli_string(code.logical_z)) / 2.0
     psi = np.linalg.eigh(proj)[1][:, -1]
     return psi / np.linalg.norm(psi)
 
@@ -198,22 +216,10 @@ def full_filter_step(code: StabilizerCode, rho: np.ndarray, dQ: np.ndarray,
     taken on the Pauli coefficients of rho."""
     frame = code.pauli
     r = frame.to_pauli(rho[None])
-    signal = 2.0 * np.sqrt(kappa) * (r @ frame.rows)[:, len(code.policy_ops):]
+    signal = 2.0 * np.sqrt(kappa) * (r @ frame.rows)[:, len(code.channel_labels):]
     return frame.to_density(_pauli_step(frame, r, np.asarray(dQ, dtype=float)[None],
                                         np.asarray(lambdas, dtype=float)[None], signal,
                                         frame.keep(gamma, kappa, dt), kappa, dt))[0]
-
-
-def feedback_policy(code: StabilizerCode, rho: np.ndarray, lambda_max: float) -> np.ndarray:
-    """lambda_c = lambda_max * sgn(Tr[-i [Pi_0, sigma_c] rho]), with
-    sgn(0) := 0: signals inside the numerical dead zone give no feedback, so
-    exactly block-diagonal states (codespace, maximally mixed) get lambda = 0.
-
-    Closed-loop runs instead use the raw float sign of the signal, which
-    keeps the feedback effectively always on; see run_feedback_batch.
-    """
-    vals = (code.pauli.to_pauli(rho) @ code.pauli.rows)[..., :len(code.policy_ops)]
-    return lambda_max * np.sign(np.where(np.abs(vals) <= _DEAD_ZONE, 0.0, vals))
 
 
 def wonham_step(code: StabilizerCode, p: np.ndarray, dQ: np.ndarray,
@@ -305,7 +311,7 @@ def _signed_table(X: np.ndarray) -> np.ndarray:
 def build_truncated_basis(code: StabilizerCode) -> TruncatedBasis:
     """Automated first-level truncation, on real Pauli coefficients.
 
-    1. Start from the syndrome projectors.
+    1. Start from the syndrome projectors' Pauli rows.
     2. Feedback commutators i[sigma_c, Pi_s] introduce first-level terms;
        second-level terms (feedback acting on first-level elements) are
        discarded by Hilbert-Schmidt projection onto the retained span.
@@ -325,7 +331,7 @@ def build_truncated_basis(code: StabilizerCode) -> TruncatedBasis:
     """
     d, S, l = code.dim, code.n_syndromes, code.n_generators
     frame, n_chan = code.pauli, len(code.channel_labels)
-    proj = frame.to_pauli(code.projectors)
+    proj = code.projector_rows()
     table = _signed_table(proj)
     rows, descr = list(proj), [f"P[{s}]" for s in range(S)]
     pair = {}  # (syndrome, channel) -> (element index, sign)
@@ -402,9 +408,7 @@ def untruncated_closure_dim(code: StabilizerCode) -> int:
     feedback commutators.  For the five-qubit code this reaches
     16 + 1008 = 1024 terms, no smaller than the full density matrix.
     """
-    stabilizers = [0]
-    for g in code.generators:
-        stabilizers += [s ^ _pauli_mask(g) for s in stabilizers]
+    stabilizers = code.group.tolist()
     errors = [_pauli_mask(lab) for lab in code.channel_labels]
     seen = {(s, 0) for s in range(code.n_syndromes)}
     frontier = list(seen)
@@ -413,7 +417,7 @@ def untruncated_closure_dim(code: StabilizerCode) -> int:
         for s, w in frontier:
             for c, e in enumerate(errors):
                 trivial = code.error_class[c] == 0
-                if trivial and not _anticommute(e, w, code.n):
+                if trivial and not _phase(e, w, code.n) & 1:
                     continue  # commutator vanishes identically
                 w2 = min(e ^ w ^ st for st in stabilizers)  # coset representative
                 targets = [(s, w2)] if trivial else [(s, w2), (int(code.syndrome_hop[c, s]), w2)]
@@ -425,18 +429,12 @@ def untruncated_closure_dim(code: StabilizerCode) -> int:
     return len(seen)
 
 
-def truncated_policy(basis: TruncatedBasis, p: np.ndarray, lambda_max: float) -> np.ndarray:
-    """Feedback strengths from the truncated state: the coefficient of the
-    merged first-level element for (codespace, channel) is exactly
-    Tr[-i [Pi_0, sigma_c] rho].  Dead-zone semantics as in feedback_policy."""
-    vals = _truncated_signal(basis, p)
-    return lambda_max * np.sign(np.where(np.abs(vals) <= _DEAD_ZONE, 0.0, vals))
-
-
-def _truncated_signal(basis: TruncatedBasis, p: np.ndarray) -> np.ndarray:
-    """The full-state policy signal read off a truncated state or a stack of
-    them; 0 for channels whose commutator vanishes identically."""
-    return np.where(basis.policy_index >= 0, basis.policy_sign * p[..., basis.policy_index], 0.0)
+def _truncated_policy(basis: TruncatedBasis, p: np.ndarray, lambda_max: float) -> np.ndarray:
+    """The loop's feedback strengths from a truncated state or a stack of
+    them: ``_bang_bang`` of the policy signal read off the state, and 0 for
+    channels whose commutator vanishes identically."""
+    signal = basis.policy_sign * p[..., basis.policy_index]
+    return np.where(basis.policy_index >= 0, _bang_bang(signal, lambda_max), 0.0)
 
 
 def truncated_filter_step(basis: TruncatedBasis, p: np.ndarray, dQ: np.ndarray,
@@ -444,7 +442,7 @@ def truncated_filter_step(basis: TruncatedBasis, p: np.ndarray, dQ: np.ndarray,
                           dt: float) -> tuple[np.ndarray, np.ndarray]:
     """One Euler step of the truncated filter; returns (p', lambdas) with the
     feedback strengths computed from the incoming state (zero-order hold)."""
-    lambdas = truncated_policy(basis, p, lambda_max)
+    lambdas = _truncated_policy(basis, p, lambda_max)
     out = _truncated_step_batch(basis, p[None], np.asarray(dQ, dtype=float)[None],
                                 gamma, kappa, lambdas[None], dt)
     return out[0], lambdas
@@ -459,11 +457,11 @@ def codeword_fidelity_discrete(t, gamma: float):
 
 
 def fidelity_metrics(rho: np.ndarray, code: StabilizerCode, psi0: np.ndarray) -> dict:
-    """Codespace fidelity Tr[Pi_0 rho] and codeword fidelity Tr[rho_0 rho]."""
-    rho0 = np.outer(psi0, psi0.conj())
+    """Codespace fidelity Tr[Pi_0 rho], from Pi_0's Pauli row, and codeword
+    fidelity <psi0| rho |psi0>."""
     return {
-        "codespace": float(np.trace(code.projectors[0] @ rho).real),
-        "codeword": float(np.trace(rho0 @ rho).real),
+        "codespace": float(code.projector_rows(1)[0] @ code.pauli.to_pauli(rho)) / code.dim,
+        "codeword": float((psi0.conj() @ rho @ psi0).real),
     }
 
 
@@ -471,8 +469,8 @@ class _PauliFrame:
     """Index and sign tables of a code's full filter on the 4^n real Pauli
     coefficients r_m = Tr[P_m rho], with m a ``_pauli_mask`` (bit q the X
     part of qubit q, bit n + q its Z part) and P_m = prod_q i^{x_q z_q}
-    X_q^{x_q} Z_q^{z_q}, so that P_m P_e = i^w(m, e) P_{m ^ e}.  No rate
-    enters a table.
+    X_q^{x_q} Z_q^{z_q}, so that P_m P_e = i^w(m, e) P_{m ^ e} (``_phase``).
+    No rate enters a table.
 
     The channels k are the single-qubit Paulis sigma_c, then the generators
     g_l, with masks e_k.  Tr[P_m X_k rho] = 2 s_k(m) r_{m ^ e_k}, with the
@@ -482,7 +480,9 @@ class _PauliFrame:
     s_k(m) r_{m ^ e_k} in the concatenation [r, -r, 0], so that one gather
     applies the signs.  ``counts`` holds, per m, the number of generators
     and of single-qubit Paulis anticommuting with P_m (odd w).  ``rows``
-    (4^n, 3n + l) gives the policy signals then Tr[g_l rho] as r @ rows.
+    (4^n, 3n + l) gives the policy signals then Tr[g_l rho] as r @ rows: the
+    coefficients of -i[Pi_0, sigma_c] = -X_c(Pi_0), gathered from Pi_0's
+    row, and one-hot columns at the generators' masks, each over d.
 
     rho and r convert through the X-shift gather M[x, j] = rho[j, j ^ x~],
     x~ the bit-reversed x (``pauli_string`` puts qubit 0 in the most
@@ -500,12 +500,16 @@ class _PauliFrame:
         self.phase = 1j ** pop[j[:, None] & j]
         n_chan, m = len(code.channel_labels), np.arange(d * d)
         e = np.array([_pauli_mask(lab) for lab in code.channel_labels + code.generators])[:, None]
-        x, z, xe, ze = m & (d - 1), m >> n, e & (d - 1), e >> n
-        w = (pop[x & z] + pop[xe & ze] + 2 * pop[z & xe] - pop[(x ^ xe) & (z ^ ze)]) % 4
+        w = _phase(m, e, n, pop.__getitem__)
         sign = (np.where(np.arange(len(e)) < n_chan, -1j, 1.0)[:, None] * 1j ** w).real
         self.index = np.where(sign == 0.0, 2 * d * d, (m ^ e) + (sign < 0.0) * d * d)
         self.counts = np.stack([(w[n_chan:] & 1).sum(axis=0), (w[:n_chan] & 1).sum(axis=0)])
-        self.rows = self.to_pauli(np.concatenate([code.policy_ops, code.gen_ops])).T / d
+        # policy columns i[sigma_c, Pi_0] gathered from Pi_0's row, then the
+        # generators' one-hot columns
+        cols = np.zeros((len(e), d * d))
+        cols[:n_chan] = -_signed_table(code.projector_rows(1))[self.index[:n_chan], 0]
+        cols[np.arange(n_chan, len(e)), e[n_chan:, 0]] = d
+        self.rows = cols.T / d
 
     def keep(self, gamma: float, kappa: float, dt: float) -> np.ndarray:
         """1 plus the diagonal decay of both dissipators over one step."""
@@ -614,7 +618,7 @@ def run_feedback_batch(code: StabilizerCode, gamma: float, kappa: float,
     frame, n_chan = code.pauli, len(code.channel_labels)
     r = np.broadcast_to(frame.to_pauli(rho0), (n_traj, code.dim ** 2)).copy()
     keep = frame.keep(gamma, kappa, dt)
-    fidelity_rows = frame.to_pauli(np.stack([code.projectors[0], rho0])).T / code.dim
+    fidelity_rows = np.stack([code.projector_rows(1)[0], frame.to_pauli(rho0)]).T / code.dim
     p = np.broadcast_to(basis.initial_state(rho0), (n_traj, basis.size)).copy() \
         if controller == "truncated" else None
     steps, chunk = int(round(T / dt)), 20_000
@@ -631,8 +635,7 @@ def run_feedback_batch(code: StabilizerCode, gamma: float, kappa: float,
             elif controller == "full":
                 lambdas = _bang_bang(vals[:, :n_chan], lambda_max)
             else:
-                lambdas = np.where(basis.policy_index >= 0,
-                                   _bang_bang(_truncated_signal(basis, p), lambda_max), 0.0)
+                lambdas = _truncated_policy(basis, p, lambda_max)
                 agree += np.mean(_bang_bang(vals[:, :n_chan], lambda_max) == lambdas, axis=1)
                 agree_steps += 1
             signal = 2.0 * np.sqrt(kappa) * vals[:, n_chan:]

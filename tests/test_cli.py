@@ -139,8 +139,13 @@ class TestRun:
                  ("kalman-demo", ["xi_true=1e308", "T=2"],
                   "FloatingPointError: non-finite state produced by euler_step at step 1798"
                   " (t = 1.798)"),
-                 # RK4 at dt = 50 is far outside its stable range
-                 ("kalman-demo", ["dt=50", "T=500"], "LinAlgError: Y singular at step "))
+                 # RK4 grows the decaying mode of the covariance propagator from
+                 # dt = 2.785 on: dt = 5 ran to a wrong covariance, dt = 50 to a
+                 # singular Y
+                 ("kalman-demo", ["dt=5", "T=100"], "ValueError: dt = 5 is outside the RK4"
+                  " stability range of the covariance propagator"),
+                 ("kalman-demo", ["dt=50", "T=500"], "ValueError: dt = 50 is outside the RK4"
+                  " stability range of the covariance propagator"))
         for experiment, items, exc in cases:
             sets = [arg for item in items for arg in ("--set", item)]
             code = cli.main(["run", experiment, *sets,

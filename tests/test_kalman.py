@@ -154,6 +154,14 @@ class TestBrownianParameterDemo:
         assert np.array_equal(a["P"], b["P"])
         assert not np.array_equal(a["dY"], b["dY"])
 
+    def test_dt_at_the_rk4_stability_edge(self):
+        # RK4's factor on the decaying mode of K (eigenvalue -1), |R(-dt)|,
+        # reaches 1 at dt = 2.785
+        rec = kalman.brownian_parameter_demo(1.0, 27.8, 2.78, seed=0)
+        assert np.all(np.isfinite(rec["P"]))
+        with pytest.raises(ValueError, match=r"dt = 2\.8 is outside the RK4 stability range"):
+            kalman.brownian_parameter_demo(1.0, 28.0, 2.8, seed=0)
+
     def test_innovation_whiteness(self):
         # lag-1 autocorrelation of the innovations within 5 sigma of zero
         rec = kalman.brownian_parameter_demo(1.0, 100.0, 1e-3, seed=11)

@@ -1,4 +1,6 @@
 import dataclasses
+from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +25,30 @@ def five_basis(five):
 @pytest.fixture(scope="module")
 def bitflip():
     return qec.build_code("bitflip3")
+
+
+def dense_reference(code):
+    """The code's dense operators from pauli_string products, independent of
+    its masks and sign table: the syndrome projectors prod_j (I +- g_j) / 2,
+    the single-qubit Paulis sigma_c, the generators g_l and the policy
+    operators -i[Pi_0, sigma_c]."""
+    G = np.stack([op.pauli_string(g) for g in code.generators])
+    P = np.stack([op.pauli_string(lab) for lab in code.channel_labels])
+    eye = np.eye(code.dim)
+    proj = np.stack([reduce(np.matmul, [(eye + h * g) / 2.0 for g, h in zip(G, hs)])
+                     for hs in code.outcomes.T])
+    return SimpleNamespace(gen_ops=G, single_paulis=P, projectors=proj,
+                           policy_ops=-1j * (proj[0] @ P - P @ proj[0]))
+
+
+@pytest.fixture(scope="module")
+def five_dense(five):
+    return dense_reference(five)
+
+
+def dense_projectors(code):
+    """The syndrome projectors expanded from the code's Pauli rows."""
+    return code.pauli.to_density(code.projector_rows())
 
 
 def dense_truncated_step(basis, p, dQ, gamma, kappa, lambdas, dt):
@@ -53,13 +79,14 @@ def dense_truncated_basis(code):
     descriptors, policy_index, policy_sign, [noise, measurement drift,
     meas_H..., feedback...])."""
     S, n_chan = code.n_syndromes, len(code.channel_labels)
-    P, G = code.single_paulis, code.gen_ops
-    mats, descr, pair = list(code.projectors.astype(complex)), [f"P[{s}]" for s in range(S)], {}
+    ref = dense_reference(code)
+    P, G = ref.single_paulis, ref.gen_ops
+    mats, descr, pair = list(ref.projectors.astype(complex)), [f"P[{s}]" for s in range(S)], {}
     for c in range(n_chan):
         for s in range(S):
             if (s, c) in pair:
                 continue
-            C = 1j * op.commutator(P[c], code.projectors[s])
+            C = 1j * op.commutator(P[c], ref.projectors[s])
             if np.max(np.abs(C)) < 1e-12:
                 pair[(s, c)] = (-1, 0.0)
                 continue
@@ -90,15 +117,26 @@ class TestBuildCode:
     def test_fivequbit_structure(self, five):
         assert five.n == 5
         assert five.n_syndromes == 16
-        ranks = [int(round(np.trace(P).real)) for P in five.projectors]
+        # the identity coefficient of Pi_s is its trace
+        ranks = [int(round(t)) for t in five.projector_rows()[:, 0]]
         assert ranks == [2] * 16
+
+    @pytest.mark.parametrize("name", ["fivequbit", "bitflip3"])
+    def test_projector_rows_match_dense_products(self, name):
+        code = qec.build_code(name)
+        ref = dense_reference(code)
+        assert np.max(np.abs(dense_projectors(code) - ref.projectors)) < 1e-12
+        assert np.array_equal(code.projector_rows(1), code.projector_rows()[:1])
+        # the frame's rows: policy signals, then Tr[g_l rho]
+        expect = code.pauli.to_pauli(np.concatenate([ref.policy_ops, ref.gen_ops])).T / code.dim
+        assert np.max(np.abs(code.pauli.rows - expect)) < 1e-12
 
     def test_projector_completeness(self, five, bitflip):
         for code in (five, bitflip):
-            assert np.max(np.abs(code.projectors.sum(axis=0) - np.eye(code.dim))) < 1e-12
+            assert np.max(np.abs(dense_projectors(code).sum(axis=0) - np.eye(code.dim))) < 1e-12
 
     def test_projectors_idempotent_orthogonal(self, five):
-        P = five.projectors
+        P = dense_projectors(five)
         for i in range(16):
             assert np.max(np.abs(P[i] @ P[i] - P[i])) < 1e-12
         assert np.max(np.abs(P[0] @ P[3])) < 1e-12
@@ -110,8 +148,10 @@ class TestBuildCode:
             "generators": ["IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ"],
             "logical_z": "ZZZZZZZ"})
         code = qec.build_code("steane7")
-        P = code.projectors
+        ref = dense_reference(code)
+        P = dense_projectors(code)
         assert P.shape == (64, 128, 128)
+        assert np.max(np.abs(P - ref.projectors)) < 1e-12
         assert np.max(np.abs(P.sum(axis=0) - np.eye(128))) < 1e-12
         assert np.max(np.abs(P @ P - P)) < 1e-12
         assert np.max(np.abs(P - np.swapaxes(P, -1, -2).conj())) < 1e-12
@@ -119,21 +159,37 @@ class TestBuildCode:
         flat = P.reshape(64, -1)
         assert np.max(np.abs(flat.conj() @ flat.T - 2.0 * np.eye(64))) < 1e-12
         # sigma_c P_s sigma_c, from each Pauli's permutation and phases
-        perm = np.abs(code.single_paulis).argmax(axis=-1)
-        phase = np.take_along_axis(code.single_paulis, perm[..., None], axis=-1)[..., 0]
+        perm = np.abs(ref.single_paulis).argmax(axis=-1)
+        phase = np.take_along_axis(ref.single_paulis, perm[..., None], axis=-1)[..., 0]
         for c in range(21):
             moved = phase[c][:, None] * P[:, perm[c]][:, :, perm[c]] * phase[c].conj()
             assert np.max(np.abs(moved - P[code.syndrome_hop[c]])) < 1e-12
         assert np.max(np.abs(code.hop_generator.sum(axis=0))) < 1e-12
 
+    def test_shor_code_builds_without_its_pauli_frame(self, monkeypatch):
+        # a degenerate [[9,1,3]] code: 256 syndrome spaces, of which the
+        # codespace and the 27 single-qubit errors reach 22; nothing in the
+        # build may touch the 4^9-coefficient frame
+        monkeypatch.setitem(qec._CODES, "shor9", {
+            "generators": ["ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII",
+                           "IIIIIIZZI", "IIIIIIIZZ", "XXXXXXIII", "IIIXXXXXX"],
+            "logical_z": "XXXXXXXXX"})
+        code = qec.build_code("shor9")
+        assert code.n_syndromes == 256
+        assert len({0, *code.error_class.tolist()}) == 22
+        for row in code.syndrome_hop:
+            assert np.array_equal(np.sort(row), np.arange(256))
+        assert np.max(np.abs(code.hop_generator.sum(axis=0))) < 1e-12
+        assert "pauli" not in vars(code)
+
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             qec.build_code("steane")
 
-    def test_logical_zero(self, five):
+    def test_logical_zero(self, five, five_dense):
         psi = qec.logical_zero(five)
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
-        assert abs(np.real(psi.conj() @ five.projectors[0] @ psi) - 1.0) < 1e-12
+        assert abs(np.real(psi.conj() @ five_dense.projectors[0] @ psi) - 1.0) < 1e-12
         zbar = op.pauli_string(five.logical_z)
         assert np.linalg.norm(zbar @ psi - psi) < 1e-12
 
@@ -160,13 +216,13 @@ class TestFullFilter:
         out = qec.full_filter_step(five, rho, dQ, 0.0, kappa, np.zeros(15), 1e-5)
         assert np.max(np.abs(out - rho)) < 1e-12
 
-    def test_depolarizing_matches_master_equation(self, five):
+    def test_depolarizing_matches_master_equation(self, five, five_dense):
         # kappa = lambda = 0: deterministic depolarizing decay; compare the
         # codespace fidelity against a scipy master-equation oracle
         gamma = 1.0
         psi = qec.logical_zero(five)
         rho0 = np.outer(psi, psi.conj())
-        P = five.single_paulis
+        P = five_dense.single_paulis
 
         def rhs(_, y):
             rho = y.reshape(32, 32)
@@ -185,10 +241,10 @@ class TestFullFilter:
         # initial slope of the codespace fidelity is -3 n gamma
         drho = qec.full_filter_step(five, rho0, np.zeros(4), gamma, 0.0,
                                     np.zeros(15), 1e-6) - rho0
-        slope = np.trace(five.projectors[0] @ drho).real / 1e-6
+        slope = np.trace(five_dense.projectors[0] @ drho).real / 1e-6
         assert abs(slope + 3 * 5 * gamma) < 1e-6 * abs(3 * 5 * gamma) + 1e-3
 
-    def test_all_terms_match_superoperator_reference(self, five):
+    def test_all_terms_match_superoperator_reference(self, five, five_dense):
         # depolarizing, measurement and feedback at once against a per-term
         # reference: D/M per generator, brute-force sum_c sigma rho sigma -
         # 15 rho, and -i[sum lambda sigma, rho]
@@ -200,11 +256,11 @@ class TestFullFilter:
         lambdas = rng.choice([-150.0, 150.0], size=15)
         dQ = rng.standard_normal(4) * np.sqrt(dt)
         out = qec.full_filter_step(five, rho, dQ, gamma, kappa, lambdas, dt)
-        P = five.single_paulis
+        P = five_dense.single_paulis
         H = np.einsum("c,cij->ij", lambdas, P)
         depol = sum(s @ rho @ s for s in P) - 15 * rho
         drho = (gamma * depol - 1j * (H @ rho - rho @ H)) * dt
-        for l, g in enumerate(five.gen_ops):
+        for l, g in enumerate(five_dense.gen_ops):
             L = np.sqrt(kappa) * g
             signal = np.trace((L + op.dag(L)) @ rho).real
             drho += op.lindblad_D(L, rho) * dt \
@@ -243,13 +299,14 @@ class TestPauliForm:
         rho = random_states(code.dim, B, rng)
         lambdas = rng.choice([-150.0, 150.0], size=(B, n_chan))
         dQ = rng.standard_normal((B, code.n_generators)) * np.sqrt(dt)
-        P = code.single_paulis
+        ref = dense_reference(code)
+        P = ref.single_paulis
         H = np.einsum("bc,cij->bij", lambdas, P)
         depol = gamma * (sum(s @ rho @ s for s in P) - n_chan * rho)
-        expect = traj.sme_step_batch(H, np.sqrt(kappa) * code.gen_ops, rho, dQ, dt,
+        expect = traj.sme_step_batch(H, np.sqrt(kappa) * ref.gen_ops, rho, dQ, dt,
                                      unmonitored=depol)
         frame = code.pauli
-        signal = 2.0 * np.sqrt(kappa) * np.einsum("lij,bji->bl", code.gen_ops, rho).real
+        signal = 2.0 * np.sqrt(kappa) * np.einsum("lij,bji->bl", ref.gen_ops, rho).real
         out = qec._pauli_step(frame, frame.to_pauli(rho), dQ, lambdas, signal,
                               frame.keep(gamma, kappa, dt), kappa, dt)
         assert np.max(np.abs(frame.to_density(out) - expect)) <= 1e-13
@@ -270,36 +327,31 @@ class TestPauliForm:
 
 
 class TestFeedbackPolicy:
-    def test_maximally_mixed_gives_zero(self, five):
-        rho = np.eye(32, dtype=complex) / 32.0
-        lam = qec.feedback_policy(five, rho, 200.0)
-        assert np.array_equal(lam, np.zeros(15))
-
-    def test_codespace_gives_zero(self, five):
-        rho = np.outer(qec.logical_zero(five), qec.logical_zero(five).conj())
-        lam = qec.feedback_policy(five, rho, 200.0)
-        assert np.array_equal(lam, np.zeros(15))
-
-    def test_matches_trace_formula(self, five):
+    def test_matches_trace_formula(self, five, five_dense):
+        # the full controller's rule: bang-bang of the signals r @ rows
         rng = np.random.default_rng(0)
         a = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
         rho = a @ a.conj().T
         rho /= np.trace(rho).real
-        lam = qec.feedback_policy(five, rho, 7.0)
-        pi0 = five.projectors[0]
+        vals = five.pauli.to_pauli(rho) @ five.pauli.rows
+        lam = qec._bang_bang(vals[:15], 7.0)
+        pi0 = five_dense.projectors[0]
         for c in range(15):
-            sig = five.single_paulis[c]
+            sig = five_dense.single_paulis[c]
             val = np.trace(-1j * (pi0 @ sig - sig @ pi0) @ rho).real
             assert lam[c] == 7.0 * np.sign(val)
 
     def test_truncated_policy_reads_coefficients(self, five, five_basis):
+        # the truncated controller's strengths, read off the truncated state,
+        # against the full controller's from the same state
         rng = np.random.default_rng(1)
         a = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
         rho = a @ a.conj().T
         rho /= np.trace(rho).real
         p = five_basis.initial_state(rho)
-        assert np.array_equal(qec.truncated_policy(five_basis, p, 3.0),
-                              qec.feedback_policy(five, rho, 3.0))
+        _, lam = qec.truncated_filter_step(five_basis, p, np.zeros(4), 0.0, 0.0, 3.0, 1e-5)
+        vals = five.pauli.to_pauli(rho) @ five.pauli.rows
+        assert np.array_equal(lam, qec._bang_bang(vals[:15], 3.0))
 
 
 class TestWonham:
@@ -308,16 +360,16 @@ class TestWonham:
         out = qec.wonham_step(five, p, np.zeros(4), 1.0, 0.0, 1e-3)
         assert np.max(np.abs(out - p)) < 1e-14
 
-    def test_outcome_signs(self, five):
+    def test_outcome_signs(self, five, five_dense):
         h = five.outcomes
         assert h.shape == (4, 16)
         assert np.all(np.isin(h, [-1.0, 1.0]))
         assert np.all(h[:, 0] == 1.0)
         # syndrome of channel c flips exactly the generators the error
         # anticommutes with, g sigma = -sigma g
-        for c, sig in enumerate(five.single_paulis):
+        for c, sig in enumerate(five_dense.single_paulis):
             s = five.error_class[c]
-            expect = [-1.0 if np.allclose(g @ sig, -sig @ g) else 1.0 for g in five.gen_ops]
+            expect = [-1.0 if np.allclose(g @ sig, -sig @ g) else 1.0 for g in five_dense.gen_ops]
             assert np.array_equal(h[:, s], expect)
 
     def test_matches_static_bayes_posterior(self, five):
@@ -462,7 +514,7 @@ class TestTruncatedBasis:
         with pytest.raises(RuntimeError, match="projection not idempotent"):
             qec.build_truncated_basis(five)
 
-    def test_passive_tracking_without_feedback_is_exact(self, five, five_basis):
+    def test_passive_tracking_without_feedback_is_exact(self, five, five_basis, five_dense):
         # noise + measurement close exactly on the basis: coefficients track
         # the full filter to machine precision
         rng = rng_stream(3)
@@ -472,7 +524,7 @@ class TestTruncatedBasis:
         worst = 0.0
         for _ in range(500):
             dV = rng.standard_normal(4) * np.sqrt(dt)
-            sig = np.einsum("lij,ji->l", five.gen_ops, rho).real
+            sig = np.einsum("lij,ji->l", five_dense.gen_ops, rho).real
             dQ = 2.0 * np.sqrt(kappa) * sig * dt + dV
             rho = qec.full_filter_step(five, rho, dQ, gamma, kappa, np.zeros(15), dt)
             p, _ = qec.truncated_filter_step(five_basis, p, dQ, gamma, kappa, 0.0, dt)
@@ -572,7 +624,7 @@ class TestClosedLoop:
                 qec.run_feedback_batch(bitflip, 1.0, 100.0, 200.0, T=1e-4, dt=1e-5,
                                        seed=0, n_traj=1, controller="bogus", basis=b)
 
-    def test_short_loop_matches_dense_kernel(self, five, five_basis):
+    def test_short_loop_matches_dense_kernel(self, five, five_basis, five_dense):
         # the truncated-controller loop against the same loop written with
         # plain-array sme_step_batch calls, a brute-force depolarizing term,
         # einsum signals and the dense truncated step
@@ -585,7 +637,7 @@ class TestClosedLoop:
         p = np.broadcast_to(five_basis.initial_state(rho0), (n_traj, 136)).copy()
         noise = np.stack([rng_stream(seed, k).standard_normal((steps, 4))
                           for k in range(n_traj)]) * np.sqrt(dt)
-        P = five.single_paulis
+        P = five_dense.single_paulis
         idx, sign = five_basis.policy_index, five_basis.policy_sign
 
         def bang(v):
@@ -594,18 +646,18 @@ class TestClosedLoop:
         agree = np.zeros(n_traj)
         codespace, codeword = [], []
         for i in range(steps):
-            full = np.einsum("cij,bji->bc", five.policy_ops, rho).real
+            full = np.einsum("cij,bji->bc", five_dense.policy_ops, rho).real
             lambdas = np.where(idx >= 0, bang(np.where(idx >= 0, sign * p[:, idx], 0.0)), 0.0)
             agree += np.mean(bang(full) == lambdas, axis=1)
-            dQ = 2.0 * np.sqrt(kappa) * np.einsum("lij,bji->bl", five.gen_ops, rho).real * dt \
-                + noise[:, i]
+            signal = np.einsum("lij,bji->bl", five_dense.gen_ops, rho).real
+            dQ = 2.0 * np.sqrt(kappa) * signal * dt + noise[:, i]
             H = np.einsum("bc,cij->bij", lambdas, P)
             depol = gamma * (sum(s @ rho @ s for s in P) - 15 * rho)
             p = dense_truncated_step(five_basis, p, dQ, gamma, kappa, lambdas, dt)
-            rho = traj.sme_step_batch(H, np.sqrt(kappa) * five.gen_ops, rho, dQ, dt,
+            rho = traj.sme_step_batch(H, np.sqrt(kappa) * five_dense.gen_ops, rho, dQ, dt,
                                       unmonitored=depol)
             if (i + 1) % 3 == 0:
-                codespace.append(np.einsum("ij,bji->b", five.projectors[0], rho).real)
+                codespace.append(np.einsum("ij,bji->b", five_dense.projectors[0], rho).real)
                 codeword.append(np.einsum("ij,bji->b", rho0, rho).real)
         for got, expect in ((out["codespace"], np.array(codespace).T),
                             (out["codeword"], np.array(codeword).T),
