@@ -22,6 +22,7 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -226,6 +227,16 @@ def _run_qec_benchmark(p, seed, workers):
     }
 
 
+def _collective_step(H, channels, rho, name, i, dt):
+    """Step i of the state called ``name``; a FloatingPointError is raised
+    again naming the state, the step and the time it reaches."""
+    try:
+        return col.collective_master_step(H, channels, rho, dt)
+    except FloatingPointError as err:
+        raise FloatingPointError(f"{err}, in state {name} at step {i + 1}"
+                                 f" (t = {(i + 1) * dt:.6g})") from err
+
+
 def _run_collective_cat(p, seed, workers):
     N = p["N"]
     if p["channel"] == "sigma_z":
@@ -240,8 +251,8 @@ def _run_collective_cat(p, seed, workers):
     states = {"sym": col.cat_state(N), "coll": col.cat_state(N)}
     rows = {"t": [], "sym": [], "coll": [], "topJ": []}
     for i in range(steps):
-        states["sym"] = col.collective_master_step(None, [sym], states["sym"], p["dt"])
-        states["coll"] = col.collective_master_step(None, [coll], states["coll"], p["dt"])
+        for k, ch in (("sym", sym), ("coll", coll)):
+            states[k] = _collective_step(None, [ch], states[k], k, i, p["dt"])
         if (i + 1) % every == 0:
             rows["t"].append((i + 1) * p["dt"])
             rows["sym"].append(col.fidelity_with(states["sym"], ref))
@@ -272,7 +283,7 @@ def _run_collective_squeeze(p, seed, workers):
     rows = {"t": [], "free": [], "sym": [], "coll": []}
     for i in range(steps):
         for k, ch in channels.items():
-            states[k] = col.collective_master_step(H, ch, states[k], p["dt"])
+            states[k] = _collective_step(H, ch, states[k], k, i, p["dt"])
         if (i + 1) % every == 0:
             rows["t"].append((i + 1) * p["dt"])
             for k in channels:
@@ -287,10 +298,19 @@ def _run_collective_squeeze(p, seed, workers):
     }
 
 
+def _finite(text) -> float:
+    """A finite float: inf and nan are config errors, not numeric failures
+    at the first step."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
+
+
 def _floats(lo=float("-inf")):
-    """Converter accepting a non-empty comma-separated list of floats >= lo."""
+    """Converter accepting a non-empty comma-separated list of finite floats >= lo."""
     def conv(text) -> list:
-        values = [float(x) for x in str(text).split(",") if x.strip() != ""]
+        values = [_finite(x) for x in str(text).split(",") if x.strip() != ""]
         if not values:
             raise ValueError("the list is empty")
         if not all(v >= lo for v in values):
@@ -317,9 +337,9 @@ def _positive_int(text) -> int:
 
 
 def _between(lo, hi=float("inf")):
-    """Converter accepting a float in [lo, hi]."""
+    """Converter accepting a finite float in [lo, hi]."""
     def conv(text) -> float:
-        value = float(text)
+        value = _finite(text)
         if not lo <= value <= hi:
             raise ValueError(f"{value} is not in [{lo}, {hi}]")
         return value
@@ -348,7 +368,7 @@ EXPERIMENTS = {
         "doc": "Brownian-forcing parameter estimation with the Kalman-Bucy filter",
         "runner": _run_kalman_demo,
         "schema": {
-            "xi_true": (float, 1.0, "true forcing parameter"),
+            "xi_true": (_finite, 1.0, "true forcing parameter"),
             "T": (_positive, 10.0, "integration horizon"),
             "dt": (_positive, 1e-3, "time step"),
             "prior_var": (_nonnegative, 1e5, "initial parameter variance"),
@@ -359,7 +379,7 @@ EXPERIMENTS = {
         "runner": _run_qubit_filter,
         "schema": {
             "kappa": (_nonnegative, 1.0, "measurement strength"),
-            "B": (float, 0.0, "magnetic field"),
+            "B": (_finite, 0.0, "magnetic field"),
             "T": (_positive, 10.0, "integration horizon (units 1/kappa)"),
             "dt": (_positive, 1e-5, "time step"),
             "store_every": (_positive_int, 100, "record every k-th step"),
@@ -372,7 +392,7 @@ EXPERIMENTS = {
         "schema": {
             "kappa": (_positive, 1.0, "measurement strength"),
             "B_values": (_floats(), "2,5,8,12", "candidate field values (units kappa)"),
-            "B_true": (float, 2.0, "true field value"),
+            "B_true": (_finite, 2.0, "true field value"),
             "T": (_positive, 10.0, "integration horizon"),
             "dt": (_positive, 1e-5, "time step"),
             "store_every": (_positive_int, 1000, "record every k-th step"),
@@ -383,14 +403,14 @@ EXPERIMENTS = {
         "runner": _run_particle_filter,
         "schema": {
             "kappa": (_positive, 1.0, "measurement strength"),
-            "B_true": (float, 5.0, "true field value"),
+            "B_true": (_finite, 5.0, "true field value"),
             "N": (_positive_int, 200, "particle count"),
             "T": (_positive, 2.0, "integration horizon"),
             "dt": (_positive, 1e-4, "time step"),
             "a": (_between(0.0, 1.0), 0.98, "kernel mean-reversion factor in [0, 1]"),
             "h": (_nonnegative, 1e-3, "kernel bandwidth factor, at least 0"),
             "threshold": (_between(0.0, 1.0), 2.0 / 3.0, "resample when N_eff/N drops below"),
-            "prior_mean": (float, 0.0, "Gaussian prior mean"),
+            "prior_mean": (_finite, 0.0, "Gaussian prior mean"),
             "prior_var": (_nonnegative, 10.0, "Gaussian prior variance"),
             "store_every": (_positive_int, 100, "record every k-th step"),
         },
@@ -402,7 +422,7 @@ EXPERIMENTS = {
             "F_values": (_floats(0.5), "10,20", "collective spin sizes, at least 1/2"),
             "K_values": (_floats(0.0), "0,0.0001", "second-pass strengths"),
             "M": (_nonnegative, 1.0, "first-pass strength"),
-            "B": (float, 0.0, "operating field"),
+            "B": (_finite, 0.0, "operating field"),
             "deltaB": (_positive, 1e-3, "finite-difference offset"),
             "T": (_positive, 1.0, "integration horizon"),
             "dt": (_positive, 1e-4, "time step"),
@@ -417,7 +437,7 @@ EXPERIMENTS = {
             "F": (_between(0.5), 10.0, "collective spin size, at least 1/2"),
             "M": (_nonnegative, 1.0, "first-pass strength"),
             "K": (_nonnegative, 0.0, "second-pass strength"),
-            "B_true": (float, 0.0, "true field value"),
+            "B_true": (_finite, 0.0, "true field value"),
             "prior_var": (_nonnegative, 10.0, "initial field variance"),
             "T": (_positive, 1.0, "integration horizon"),
             "dt": (_positive, 1e-4, "time step"),
@@ -433,7 +453,7 @@ EXPERIMENTS = {
             "controller": (_choice("truncated", "full", "none"), "truncated", "truncated, full or none"),
             "gamma": (_nonnegative, 1.0, "depolarizing rate"),
             "kappa": (_nonnegative, 100.0, "measurement strength"),
-            "lambda_max": (float, 200.0, "maximum feedback strength"),
+            "lambda_max": (_finite, 200.0, "maximum feedback strength"),
             "T": (_positive, 0.05, "integration horizon (units 1/gamma)"),
             "dt": (_positive, 1e-5, "time step"),
             "n_traj": (_positive_int, 2, "trajectory count"),
@@ -447,7 +467,7 @@ EXPERIMENTS = {
             "code": (_choice(*qec._CODES), "fivequbit", "code name (fivequbit or bitflip3)"),
             "gamma": (_nonnegative, 1.0, "depolarizing rate"),
             "kappa": (_nonnegative, 100.0, "measurement strength"),
-            "lambda_max": (float, 200.0, "maximum feedback strength"),
+            "lambda_max": (_finite, 200.0, "maximum feedback strength"),
             "T": (_positive, 0.1, "integration horizon (units 1/gamma)"),
             "dt": (_positive, 1e-5, "time step"),
             "n_traj": (_positive_int, 4, "trajectory count"),
@@ -472,7 +492,7 @@ EXPERIMENTS = {
         "runner": _run_collective_squeeze,
         "schema": {
             "N": (_positive_int, 100, "qubit count"),
-            "Lambda": (float, 1.0, "twisting strength"),
+            "Lambda": (_finite, 1.0, "twisting strength"),
             "Gamma": (_nonnegative, 0.2, "decoherence rate"),
             "T": (_positive, 0.03, "integration horizon"),
             "dt": (_positive, 1e-4, "time step"),

@@ -31,6 +31,14 @@ a valid 2J missing from a state's blocks is an exactly-zero block.  Stepping
 allocates, reads and writes only the blocks a state occupies and the J +- 1
 blocks its derivative reaches, so a state in the top block of N = 100 costs
 one block per step, not 51.
+
+The dtype follows the data.  A block's compiled terms are stored real when
+none of their factors has an imaginary part, as for the counter-twisting
+Hamiltonian, sigma_- decay, sigma_z dephasing and J_- decay; coherent_top
+and cat_state are real.  Each evaluation of the generator picks one output
+dtype from the state and every generator in it, so a real state under real
+generators steps in real arithmetic (the same numbers as its complex copy,
+at half the memory traffic) and anything complex promotes it.
 """
 
 from __future__ import annotations
@@ -109,7 +117,9 @@ class CollectiveDensity:
     """Block-diagonal effective density matrix: blocks[2J] is (2J+1) x (2J+1).
 
     A valid 2J missing from ``blocks`` is an exactly-zero block; ``zeros``
-    stores every block, for callers that write into them."""
+    stores every block (complex), for callers that write into them.  Blocks
+    may be real or complex: a real state steps in real arithmetic while its
+    generators are real, and the dtype follows the data (see master_rhs)."""
 
     N: int
     blocks: dict = field(default_factory=dict)
@@ -142,6 +152,9 @@ class SpinChannel:
     def __post_init__(self):
         if self.rate < 0:
             raise ValueError("rate must be non-negative")
+        # the compile caches' key, built once per channel
+        object.__setattr__(self, "_key", tuple(complex(x) for x in (
+            self.s_I, self.s_plus, self.s_minus, self.s_z)))
 
 
 @dataclass(frozen=True)
@@ -151,6 +164,9 @@ class CollectiveChannel:
 
     word_coeffs: tuple
     rate: float = 1.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "_key", _words_key(self.word_coeffs))
 
 
 # ladder coefficient tables of the three-term identity; q in {+, -, z} and
@@ -394,12 +410,35 @@ def _words_key(word_coeffs) -> tuple:
     return tuple((complex(c), str(w)) for c, w in word_coeffs)
 
 
+_REAL, _COMPLEX = np.dtype(float), np.dtype(complex)
+
+
+def _common_dtype(dtypes: list) -> np.dtype:
+    """float64, or complex128 if any of the dtypes is complex."""
+    return _COMPLEX if any(d.kind == "c" for d in dtypes) else _REAL
+
+
+def _term_list(terms: list) -> tuple:
+    """(dtype, terms) of one block's term list.  When no factor has a nonzero
+    imaginary part, every factor is stored as its real part (the same
+    numbers), so that a real state steps in real arithmetic."""
+    factors = [f for *_, a, b in terms for f in (a, b) if f is not None]
+    if any(f.imag.any() for f in factors):
+        return _COMPLEX, tuple(terms)
+
+    def real(f):
+        return None if f is None else np.ascontiguousarray(f.real)
+
+    return _REAL, tuple((o, dst, src, real(a), real(b))
+                                  for o, dst, src, a, b in terms)
+
+
 @lru_cache(maxsize=_COMPILE_CACHE)
 def _hamiltonian_terms(words: tuple, two_j: int) -> tuple:
     """-i [H, rho] on block 2J."""
     H = _operator_bands(words, two_j)
-    return tuple(_terms(two_j, two_j, _left(_band_sum([(-1j, H)])), None)
-                 + _terms(two_j, two_j, None, _right(_band_sum([(1j, H)]))))
+    return _term_list(_terms(two_j, two_j, _left(_band_sum([(-1j, H)])), None)
+                      + _terms(two_j, two_j, None, _right(_band_sum([(1j, H)]))))
 
 
 @lru_cache(maxsize=_COMPILE_CACHE)
@@ -408,9 +447,9 @@ def _collective_channel_terms(words: tuple, two_j: int) -> tuple:
     C = _operator_bands(words, two_j)
     Cd = _adjoint(C)
     half = _band_sum([(-0.5, _band_product(Cd, C, two_j + 1))])
-    return tuple(_terms(two_j, two_j, _left(C), _right(Cd))
-                 + _terms(two_j, two_j, _left(half), None)
-                 + _terms(two_j, two_j, None, _right(half)))
+    return _term_list(_terms(two_j, two_j, _left(C), _right(Cd))
+                      + _terms(two_j, two_j, _left(half), None)
+                      + _terms(two_j, two_j, None, _right(half)))
 
 
 @lru_cache(maxsize=_COMPILE_CACHE)
@@ -460,20 +499,39 @@ def _spin_channel_terms(s: tuple, N: int, two_j: int) -> tuple:
         rows = [(step - int(_M_SHIFT[q]), pref * sq * ladder[q]) for q, sq in svec.items()]
         cols = [(step - int(_M_SHIFT[r]), np.conj(sr) * ladder[r]) for r, sr in svec.items()]
         terms += _terms(two_j, two_j + 2 * step, rows, cols)
-    return tuple(terms)
+    return _term_list(terms)
+
+
+def _hamiltonian_terms_of(H_coeffs):
+    """terms_of(2J) of -i [H, .] for H given as (coeff, word) pairs."""
+    key = _words_key(H_coeffs)
+    return lambda two_j: _hamiltonian_terms(key, two_j)
+
+
+def _channel_terms_of(channel, N: int):
+    """terms_of(2J) of one channel at unit rate."""
+    key = channel._key
+    if isinstance(channel, SpinChannel):
+        return lambda two_j: _spin_channel_terms(key, N, two_j)
+    return lambda two_j: _collective_channel_terms(key, two_j)
 
 
 def _accumulate(terms_of, rho: CollectiveDensity, out: CollectiveDensity, scale=1.0) -> None:
-    """out += scale * G rho for the generator G whose terms for input block
-    2J are terms_of(2J).  Exactly-zero input blocks add nothing and are
-    skipped; an output block missing from out is allocated at its first
-    write."""
-    for two_j, block in rho.blocks.items():
-        if not block.any():
-            continue
+    """out += scale * G rho for the generator G whose (dtype, terms) for
+    input block 2J are terms_of(2J).  Every output block takes one dtype,
+    the common type of rho's blocks, G's factors and out's blocks: an output
+    block missing from out is allocated with it at its first write, and a
+    narrower block already in out is replaced by a promoted copy first."""
+    work = [(block, terms_of(two_j)) for two_j, block in rho.blocks.items()]
+    dtype = _common_dtype([block.dtype for block, _ in work] + [dt for _, (dt, _) in work]
+                          + [acc.dtype for acc in out.blocks.values()])
+    for two_j, acc in out.blocks.items():
+        if acc.dtype != dtype:
+            out.blocks[two_j] = acc.astype(dtype)
+    for block, (_, terms) in work:
         if scale != 1.0:
             block = scale * block
-        for two_j_out, dst, src, a, b in terms_of(two_j):
+        for two_j_out, dst, src, a, b in terms:
             t = block[src]
             if a is not None:
                 t = a * t
@@ -481,7 +539,7 @@ def _accumulate(terms_of, rho: CollectiveDensity, out: CollectiveDensity, scale=
                 t = t * b
             acc = out.blocks.get(two_j_out)
             if acc is None:
-                acc = out.blocks[two_j_out] = np.zeros((two_j_out + 1,) * 2, dtype=complex)
+                acc = out.blocks[two_j_out] = np.zeros((two_j_out + 1,) * 2, dtype=dtype)
             acc[dst] += t
 
 
@@ -491,37 +549,46 @@ def symmetric_lindblad_apply(channel: SpinChannel, rho: CollectiveDensity,
     """Derivative of rho under the symmetric channel sum_n L[s^(n)] at unit
     rate (multiply by channel.rate for the physical rate).  With ``out``,
     ``scale`` times the derivative is added into it and it is returned.
+    The result is real when rho and the channel's terms are (see
+    _accumulate).
 
     Uses S_N = sum_n s^dag s expanded in collective operators for the
     anticommutator part, collective terms for everything involving s_I, and
     the g-tensor identity for the non-collective bilinear.
     """
-    N = rho.N
-    out = CollectiveDensity(N=N) if out is None else out
-    key = tuple(complex(x) for x in (channel.s_I, channel.s_plus, channel.s_minus, channel.s_z))
-    _accumulate(lambda two_j: _spin_channel_terms(key, N, two_j), rho, out, scale)
+    out = CollectiveDensity(N=rho.N) if out is None else out
+    _accumulate(_channel_terms_of(channel, rho.N), rho, out, scale)
     return out
 
 
 def collective_lindblad_apply(channel: CollectiveChannel, rho: CollectiveDensity,
                               out: CollectiveDensity | None = None,
                               scale: float = 1.0) -> CollectiveDensity:
-    """Block-diagonal dissipator L[C] rho for a collective operator C; ``out``
-    and ``scale`` as in symmetric_lindblad_apply."""
+    """Block-diagonal dissipator L[C] rho for a collective operator C; ``out``,
+    ``scale`` and the dtype as in symmetric_lindblad_apply."""
     out = CollectiveDensity(N=rho.N) if out is None else out
-    key = _words_key(channel.word_coeffs)
-    _accumulate(lambda two_j: _collective_channel_terms(key, two_j), rho, out, scale)
+    _accumulate(_channel_terms_of(channel, rho.N), rho, out, scale)
     return out
 
 
 def master_rhs(H_coeffs, channels, rho: CollectiveDensity) -> CollectiveDensity:
     """d rho / dt = -i [H, rho] + sum_k Gamma_k L_k rho with H given as
     (coeff, word) pairs applied per block.  Blocks missing from rho.blocks
-    count as zero; the result holds only the blocks some term writes to."""
+    count as zero; the result holds only the blocks some term writes to.
+
+    The output dtype is set once, from rho and every generator's terms on
+    rho's blocks: real when all of them are real, else complex, in which
+    case a real rho is promoted before the first term is written."""
+    H = _hamiltonian_terms_of(H_coeffs) if H_coeffs else None
+    parts = [_channel_terms_of(ch, rho.N) for ch in channels] + ([H] if H else [])
+    dtype = _common_dtype([b.dtype for b in rho.blocks.values()]
+                          + [terms_of(tj)[0] for terms_of in parts for tj in rho.blocks])
+    if any(b.dtype != dtype for b in rho.blocks.values()):
+        rho = CollectiveDensity(N=rho.N, blocks={tj: b.astype(dtype)
+                                                 for tj, b in rho.blocks.items()})
     out = CollectiveDensity(N=rho.N)
-    if H_coeffs:
-        key = _words_key(H_coeffs)
-        _accumulate(lambda two_j: _hamiltonian_terms(key, two_j), rho, out)
+    if H:
+        _accumulate(H, rho, out)
     for ch in channels:
         if isinstance(ch, SpinChannel):
             symmetric_lindblad_apply(ch, rho, out, ch.rate)
@@ -568,7 +635,7 @@ def collective_master_step(H_coeffs, channels, rho: CollectiveDensity, dt: float
         b = block(rho, tj) + (dt / 6.0) * (
             block(k1, tj) + 2.0 * block(k2, tj) + 2.0 * block(k3, tj) + block(k4, tj))
         if not np.all(np.isfinite(b)):
-            raise FloatingPointError("non-finite block in collective_master_step")
+            raise FloatingPointError(f"non-finite block 2J = {tj} in collective_master_step")
         out.blocks[tj] = 0.5 * (b + b.conj().T)
     return out
 
@@ -579,16 +646,16 @@ def collective_master_step(H_coeffs, channels, rho: CollectiveDensity, dt: float
 
 def coherent_top(N: int) -> CollectiveDensity:
     """|N/2, +N/2> in the top block."""
-    top = np.zeros((N + 1, N + 1), dtype=complex)
+    top = np.zeros((N + 1, N + 1))
     top[0, 0] = 1.0
     return CollectiveDensity(N=N, blocks={N: top})
 
 
 def cat_state(N: int) -> CollectiveDensity:
     """(|N/2, +N/2> + |N/2, -N/2>)/sqrt(2), entirely in the top block."""
-    psi = np.zeros(N + 1, dtype=complex)
+    psi = np.zeros(N + 1)
     psi[0] = psi[-1] = 1.0 / np.sqrt(2.0)
-    return CollectiveDensity(N=N, blocks={N: np.outer(psi, psi.conj())})
+    return CollectiveDensity(N=N, blocks={N: np.outer(psi, psi)})
 
 
 def expectation(rho: CollectiveDensity, word_coeffs) -> complex:

@@ -130,6 +130,13 @@ class TestRun:
     def test_runner_failure_exit_code(self, tmp_path, capsys, recwarn):
         # numpy's overflow warnings must not print ahead of the one line
         cases = (("collective-cat", ["Gamma=1e300"], "FloatingPointError"),
+                 # the collective runs name the block, the state, the step and t
+                 ("collective-cat", ["Gamma=1e300", "channel=sigma_minus"],
+                  "FloatingPointError: non-finite block 2J = 2 in collective_master_step,"
+                  " in state sym at step 1 (t = 0.001)"),
+                 ("collective-squeeze", ["Gamma=1e308", "store_every=1"],
+                  "FloatingPointError: non-finite block 2J = 92 in collective_master_step,"
+                  " in state sym at step 1 (t = 0.0001)"),
                  ("qubit-filter", ["kappa=1e300", "T=0.001"], "FloatingPointError"),
                  ("param-ensemble", ["B_values=1e300,2", "T=0.001", "store_every=10"],
                   "FloatingPointError"),
@@ -156,6 +163,24 @@ class TestRun:
             assert err.count("\n") == 1
             # pytest records warnings instead of printing them
             assert not recwarn.list, (experiment, [str(w.message) for w in recwarn])
+
+    @pytest.mark.parametrize("experiment,key", [
+        # _between, _floats and plain-float keys
+        ("collective-squeeze", "Gamma"), ("particle-filter", "a"),
+        ("param-ensemble", "B_values"), ("magnetometer-fisher", "K_values"),
+        ("collective-squeeze", "Lambda"), ("qubit-filter", "B"),
+        ("param-ensemble", "B_true"), ("kalman-demo", "xi_true"),
+        ("qec-run", "lambda_max"), ("particle-filter", "prior_mean"),
+    ])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_nonfinite_value_is_config_error(self, tmp_path, capsys, experiment, key, value):
+        if key.endswith("_values"):
+            value = f"1,{value}"
+        out = os.path.join(tmp_path, experiment)
+        assert cli.main(["run", experiment, "--set", f"{key}={value}", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: bad value for key '{key}': '{value}'\n"
+        assert not os.path.exists(out)
 
     def test_nonpositive_step_or_horizon_is_config_error(self, tmp_path, capsys):
         cases = (("qubit-filter", "dt=0"), ("kalman-demo", "dt=-0.001"),

@@ -557,3 +557,76 @@ class TestSparseBlocks:
             assert list(got[ch]) == list(expect)
             for k, v in expect.items():
                 assert np.array_equal(got[ch][k], v)
+
+
+def as_complex(rho):
+    return col.CollectiveDensity(N=rho.N, blocks={tj: b.astype(complex)
+                                                  for tj, b in rho.blocks.items()})
+
+
+class TestRealArithmetic:
+    """A real state under generators with real factors steps in real
+    arithmetic, bit for bit as its complex copy; anything complex promotes."""
+
+    N = 12
+    SQUEEZE_H = ((-1j, "++"), (1j, "--"))
+    REAL = {
+        "squeeze-free": (SQUEEZE_H, [], col.coherent_top),
+        "squeeze-sym": (SQUEEZE_H, [col.SpinChannel(s_minus=1.0, rate=0.2)], col.coherent_top),
+        "squeeze-coll": (SQUEEZE_H, [col.CollectiveChannel(((1.0, "-"),), rate=0.2)],
+                         col.coherent_top),
+        "cat-sym-sigma_z": (None, [col.SpinChannel(s_z=1.0)], col.cat_state),
+        "cat-coll-sigma_z": (None, [col.CollectiveChannel(((2.0, "z"),))], col.cat_state),
+        "cat-sym-sigma_minus": (None, [col.SpinChannel(s_minus=1.0)], col.cat_state),
+        "cat-coll-sigma_minus": (None, [col.CollectiveChannel(((1.0, "-"),))], col.cat_state),
+    }
+    # each generator has complex factors; the real squeezing H next to a
+    # complex channel checks that the output dtype is chosen for the whole call
+    MIXED = {
+        "H-x": (((0.7, "x"),), []),
+        "H-x-real-channel": (((0.7, "x"),), [col.SpinChannel(s_minus=1.0, rate=0.2)]),
+        "spin-i-minus": (SQUEEZE_H, [col.SpinChannel(s_minus=1j, s_z=0.3)]),
+        "spin-complex-identity": (SQUEEZE_H, [col.SpinChannel(s_I=0.2 + 0.1j, s_minus=1.0)]),
+        "collective-i-minus": (SQUEEZE_H, [col.CollectiveChannel(((1j, "-"),))]),
+    }
+
+    @staticmethod
+    def assert_same(real, cplx):
+        assert list(real.blocks) == list(cplx.blocks)
+        for tj, b in real.blocks.items():
+            assert np.array_equal(b, cplx.blocks[tj])
+
+    @pytest.mark.parametrize("kind", sorted(REAL))
+    def test_real_state_matches_its_complex_copy(self, kind):
+        H, channels, make = self.REAL[kind]
+        real = make(self.N)
+        cplx = as_complex(real)
+        for _ in range(5):
+            real = col.collective_master_step(H, channels, real, 1e-2)
+            cplx = col.collective_master_step(H, channels, cplx, 1e-2)
+            assert all(b.dtype == np.float64 for b in real.blocks.values())
+            assert all(b.dtype == np.complex128 and not b.imag.any()
+                       for b in cplx.blocks.values())
+            self.assert_same(real, cplx)
+
+    @pytest.mark.parametrize("kind", sorted(MIXED))
+    def test_complex_factors_promote_a_real_state(self, kind):
+        H, channels = self.MIXED[kind]
+        real = col.coherent_top(self.N)
+        cplx = as_complex(real)
+        for _ in range(5):
+            real = col.collective_master_step(H, channels, real, 1e-2)
+            cplx = col.collective_master_step(H, channels, cplx, 1e-2)
+            assert all(b.dtype == np.complex128 for b in real.blocks.values())
+            self.assert_same(real, cplx)
+
+    def test_apply_promotes_a_real_out(self):
+        rho = col.cat_state(self.N)
+        real_out = col.symmetric_lindblad_apply(col.SpinChannel(s_minus=1.0), rho)
+        assert all(b.dtype == np.float64 for b in real_out.blocks.values())
+        cplx_out = col.symmetric_lindblad_apply(col.SpinChannel(s_minus=1.0), as_complex(rho))
+        ch = col.CollectiveChannel(((1j, "-"), (0.5, "z")))
+        col.collective_lindblad_apply(ch, rho, real_out, 0.3)
+        col.collective_lindblad_apply(ch, as_complex(rho), cplx_out, 0.3)
+        assert all(b.dtype == np.complex128 for b in real_out.blocks.values())
+        self.assert_same(real_out, cplx_out)
