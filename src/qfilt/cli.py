@@ -361,8 +361,9 @@ def _choice(*options):
 
 _QEC_RECORD_EVERY = 10
 
-# "stride" gives the record stride of runners that write rows only at
-# multiples of it: a horizon shorter than one stride would record nothing
+# every run takes at least one step; "stride" gives the record stride of
+# runners that write rows only at multiples of it, so that a horizon shorter
+# than one stride, which would record nothing, is rejected too
 EXPERIMENTS = {
     "kalman-demo": {
         "doc": "Brownian-forcing parameter estimation with the Kalman-Bucy filter",
@@ -505,7 +506,9 @@ EXPERIMENTS = {
 def _parallel_map(fn, tasks, workers):
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
+    # the pool may start all its processes at once, so ask for no more than
+    # there are tasks
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as ex:
         return list(ex.map(fn, tasks))
 
 
@@ -542,11 +545,11 @@ def resolve_params(experiment: str, raw: dict) -> dict:
                 raise ConfigError(f"bad value for key {key!r}: {raw[key]!r}") from None
         else:
             params[key] = conv(default)
-    stride = EXPERIMENTS[experiment].get("stride", lambda p: 0)(params)
+    stride = EXPERIMENTS[experiment].get("stride", lambda p: 1)(params)
     steps = int(round(params["T"] / params["dt"]))
     if steps < stride:
         raise ConfigError(f"key 'T': {steps} steps of dt={params['dt']:g} are fewer than"
-                          f" the record stride {stride}, so no row would be recorded")
+                          f" {stride}, the fewest this experiment accepts")
     return params
 
 
@@ -602,14 +605,21 @@ def convergence_rate(csv_paths: list, alpha: float = 0.95):
             wcols = [i for i, h in enumerate(header) if h.startswith("w_")]
             if not wcols:
                 raise ConfigError(f"{path}: no weight columns (w_*) found")
-            for line in f:
+            for lineno, line in enumerate(f, 2):
                 if line.startswith("#"):
                     continue
-                vals = [float(x) for x in line.strip().split(",")]
-                rows.append((vals[0], max(vals[i] for i in wcols)))
+                try:
+                    vals = [float(x) for x in line.strip().split(",")]
+                    rows.append((vals[0], max(vals[i] for i in wcols)))
+                except (ValueError, IndexError):
+                    raise ConfigError(f"{path}: line {lineno} is not a row of"
+                                      f" {len(header)} numbers") from None
         t = np.array([r[0] for r in rows])
         if times is None:
             times = t
+        elif not np.array_equal(t, times):
+            raise ConfigError(f"{path}: its {len(t)} rows do not have the times of the"
+                              f" {len(times)} rows of {csv_paths[0]}")
         traces.append(np.array([1.0 if r[1] > alpha else 0.0 for r in rows]))
     return times, np.mean(traces, axis=0)
 

@@ -57,7 +57,6 @@ __all__ = [
     "CollectiveChannel",
     "irrep_degeneracy",
     "alpha_cumulative",
-    "collective_dim",
     "g_tensor_apply",
     "block_spin_ops",
     "collective_operator",
@@ -101,15 +100,6 @@ def alpha_cumulative(J: float, N: int) -> int:
     if two_j < 0 or two_j > N or (N - two_j) % 2 != 0 or abs(2 * J - two_j) > 1e-9:
         return 0
     return comb(N, (N - two_j) // 2)
-
-
-def collective_dim(N: int) -> int:
-    """sum_J (2J+1): (N+3)(N+1)/4 for odd N, (N+2)^2/4 for even N."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if N % 2 == 0:
-        return (N + 2) ** 2 // 4
-    return (N + 3) * (N + 1) // 4
 
 
 @dataclass
@@ -166,6 +156,8 @@ class CollectiveChannel:
     rate: float = 1.0
 
     def __post_init__(self):
+        if self.rate < 0:
+            raise ValueError("rate must be non-negative")
         object.__setattr__(self, "_key", _words_key(self.word_coeffs))
 
 

@@ -1,12 +1,13 @@
-"""Kalman-Bucy filtering for linear-Gaussian models and matrix Riccati solving.
+"""Kalman-Bucy filtering for linear-Gaussian models: the correlated-noise
+filter step and the Brownian-forcing parameter demo.
 
 A ``LinearModel`` is compiled once: its constant entries are converted once,
 and a constant D is checked and inverted once.  Callable entries are
-evaluated, and a callable D checked, at every queried t.  The filter steps
-advance by explicit Euler with per-step re-symmetrization of the covariance.
+evaluated, and a callable D checked, at every queried t.  The filter step
+advances by explicit Euler with per-step re-symmetrization of the covariance.
 
-The Riccati equation is solved by the standard linearization trick: write
-P = X Y^{-1} and integrate the doubled linear system
+The demo's Riccati equation is solved by the standard linearization trick:
+write P = X Y^{-1} and integrate the doubled linear system
 
     d/dt [X; Y] = K [X; Y],    K = [[A, B B^T], [C^T (D D^T)^{-1} C, -A^T]].
 
@@ -29,11 +30,8 @@ from .sde import SdeSystem, euler_step, rng_stream
 __all__ = [
     "LinearModel",
     "KalmanState",
-    "kalman_step",
     "kalman_correlated_step",
     "raise_if_nonfinite",
-    "riccati_rhs",
-    "riccati_solve",
     "brownian_parameter_demo",
 ]
 
@@ -109,33 +107,6 @@ def raise_if_nonfinite(what: str, rows, dt: float) -> None:
         raise FloatingPointError(f"non-finite {what} at step {step} (t = {step * dt:g})")
 
 
-def riccati_rhs(A, B, C, D, P) -> np.ndarray:
-    """dP/dt = A P + P A^T - P C^T (D D^T)^{-1} C P + B B^T."""
-    gain = C.T @ np.linalg.inv(D @ D.T) @ C
-    return A @ P + P @ A.T - P @ gain @ P + B @ B.T
-
-
-def kalman_step(model: LinearModel, state: KalmanState, dy: np.ndarray, t: float, dt: float) -> KalmanState:
-    """One Euler step of the Kalman-Bucy filter.
-
-    Innovations dVbar = D^{-1} (dy - C pi dt); estimate update
-    d pi = A pi dt + K dVbar with K = P (D^{-1} C)^T; covariance advanced one
-    Euler step of the Riccati equation, whose gain term P C^T (D D^T)^{-1} C P
-    is K K^T, and re-symmetrized.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    A, B, C, _, Dinv = model.at(t)
-    pi = np.asarray(state.estimate, dtype=float)
-    P = state.covariance
-    K = P @ (Dinv @ C).T
-    innovation = Dinv @ (np.atleast_1d(dy) - C @ pi * dt)
-    pi_next = pi + A @ pi * dt + K @ innovation
-    P_next = P + (A @ P + P @ A.T - K @ K.T + B @ B.T) * dt
-    P_next = 0.5 * (P_next + P_next.T)
-    return KalmanState(estimate=pi_next, covariance=P_next)
-
-
 def kalman_correlated_step(model: LinearModel, state: KalmanState, dz: float, t: float, dt: float) -> KalmanState:
     """Kalman step for the case where one white noise drives both the system
     and the observation: dX = A X dt + B dW, dZ = C X dt + D dW.
@@ -177,52 +148,6 @@ def _doubled_propagator(A, B, C, D, h: float) -> np.ndarray:
                          f" propagator: a decaying mode grows by {growth.max():.4g} per step")
     hK2 = hK @ hK
     return np.eye(len(hK)) + hK + hK2 / 2.0 + hK2 @ hK / 6.0 + hK2 @ hK2 / 24.0
-
-
-def riccati_solve(A, B, C, D, P0, t: float, dt: float = 1e-3) -> np.ndarray:
-    """Solve the Riccati ODE with constant coefficients up to time t.
-
-    Propagates the doubled linear system for (X, Y) with X0 = P0, Y0 = I by
-    the fixed-step RK4 propagator and returns P(t) = X Y^{-1}.
-
-    Raises
-    ------
-    ValueError
-        If the RK4 step h does not contract every decaying mode of the
-        doubled system (see ``_doubled_propagator``).
-    np.linalg.LinAlgError
-        If Y(t) becomes singular along the way (message carries the time).
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    D = np.atleast_2d(np.asarray(D, dtype=float))
-    P0 = np.atleast_2d(np.asarray(P0, dtype=float))
-    n = A.shape[0]
-
-    if t == 0:
-        return P0.copy()
-    steps = max(1, int(round(t / dt)))
-    h = t / steps
-    M = _doubled_propagator(A, B, C, D, h)
-    Z = np.vstack([P0, np.eye(n)])
-    det_sign = 1.0
-    for i in range(steps):
-        Z = M @ Z
-        Y = Z[n:]
-        # Y starts at the identity; a vanishing or sign-flipped determinant
-        # means the propagation crossed a singularity of P = X Y^{-1}
-        sign, _ = np.linalg.slogdet(Y)
-        if sign == 0.0 or sign != det_sign or np.linalg.cond(Y) > 1e14:
-            raise np.linalg.LinAlgError(
-                f"Y(t) singular at t={ (i + 1) * h :.6g} in Riccati propagation")
-        if (i + 1) % 100 == 0:
-            # P = X Y^{-1} is invariant under Z -> Z R; reset to [P; I] to
-            # keep the exponentially growing doubled system well-conditioned
-            Z = np.vstack([Z[:n] @ np.linalg.inv(Y), np.eye(n)])
-    X, Y = Z[:n], Z[n:]
-    P = X @ np.linalg.inv(Y)
-    return 0.5 * (P + P.T)
 
 
 # Matrices of the Brownian-forcing parameter estimation model: the augmented

@@ -1,6 +1,6 @@
 """Double-pass atomic magnetometer: exact filters, Fisher-information bounds,
-the Gaussian projection filter, the small-angle Kalman model and the
-Q-function diagnostic.
+the small-angle Kalman model and the resampling particle filter for the
+field.
 
 A probe beam crosses the collective spin twice, giving the dipole operator
 L = sqrt(M) Fz + i sqrt(K) Fy and Hamiltonian
@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import anticommutator, dag, pure_to_density, spin_coherent, spin_operators
+from .operators import anticommutator, pure_to_density, spin_coherent, spin_operators
 from .kalman import LinearModel
 from .estimation import EstimationModel, particle_filter_run
 from .trajectory import DiffusiveModel, TrajectoryRecord, sme_step, sse_step_batch
@@ -25,7 +25,6 @@ from .sde import rng_stream
 
 __all__ = [
     "DoublePassParams",
-    "GaussianProjectionState",
     "coherent_x",
     "double_pass_model",
     "double_pass_sme_step",
@@ -33,12 +32,7 @@ __all__ = [
     "simulate_double_pass_truth",
     "fisher_information_fd",
     "cramer_rao_bound",
-    "projection_innovation",
-    "projection_filter_step",
-    "squeezing_log_closed_form",
     "smallangle_kalman_model",
-    "smallangle_variance_rhs",
-    "q_function",
     "magnetometry_estimation_model",
     "magnetometry_particle_filter",
 ]
@@ -175,58 +169,15 @@ def cramer_rao_bound(info: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# projection filter on the rotated/squeezed Gaussian family
-
-
-@dataclass(frozen=True)
-class GaussianProjectionState:
-    """Rotation angle theta and squeezing parameter xi of the two-parameter
-    Gaussian family exp(-i theta Fy) exp(-2i xi (Fz Fy + Fy Fz)) |F, +Fx>."""
-
-    theta: float
-    xi: float
-
-
-def projection_innovation(state: GaussianProjectionState, dZ: float,
-                          params: DoublePassParams, dt: float) -> float:
-    """dW = dZ + 2 F sqrt(M) sin(theta) dt (the family has <Fz> = -F sin theta)."""
-    return dZ + 2.0 * params.F * np.sqrt(params.M) * np.sin(state.theta) * dt
-
-
-def projection_filter_step(state: GaussianProjectionState, dW: float,
-                           params: DoublePassParams, t: float, dt: float) -> GaussianProjectionState:
-    """Ito form of the projection filter:
-
-        d theta = [B gamma - (M/4) e^{-16 F xi} sin(2 theta)
-                   + 2 F sqrt(KM) sin(theta)] dt
-                - [sqrt(M) e^{-8 F xi} cos(theta) + sqrt(K)] dW
-        d xi    = (M/4) e^{-8 F xi} cos^2(theta) dt.
-
-    xi is non-decreasing along the flow.
-    """
-    F, M, K = params.F, params.M, params.K
-    th, xi = state.theta, state.xi
-    dtheta = (params.B * params.gamma
-              - 0.25 * M * np.exp(-16.0 * F * xi) * np.sin(2.0 * th)
-              + 2.0 * F * np.sqrt(K * M) * np.sin(th)) * dt \
-        - (np.sqrt(M) * np.exp(-8.0 * F * xi) * np.cos(th) + np.sqrt(K)) * dW
-    dxi = 0.25 * M * np.exp(-8.0 * F * xi) * np.cos(th) ** 2 * dt
-    return GaussianProjectionState(theta=th + dtheta, xi=xi + dxi)
-
-
-def squeezing_log_closed_form(F: float, M: float, t) -> np.ndarray:
-    """Decoupled small-angle solution xi_t = ln(1 + 2 F M t) / (8 F)."""
-    return np.log1p(2.0 * F * M * np.asarray(t)) / (8.0 * F)
-
-
-# ---------------------------------------------------------------------------
 # small-angle Kalman model
 
 
 def smallangle_kalman_model(params: DoublePassParams) -> LinearModel:
     """Linear model for X = [theta, B] in the small-angle regime; system and
     observation share one white noise, so use it with the correlated-noise
-    Kalman step."""
+    Kalman step.  K enters the variance flow A V + V A^T + B B^T -
+    (B + V C^T)(B + V C^T)^T only through 2 F sqrt(KM) in A and -sqrt(K) in
+    B, and the two cancel: the variances do not depend on K."""
     F, M, K, gamma = params.F, params.M, params.K, params.gamma
     sqKM = np.sqrt(K * M)
 
@@ -240,53 +191,6 @@ def smallangle_kalman_model(params: DoublePassParams) -> LinearModel:
     C = np.array([[-2.0 * np.sqrt(M) * F, 0.0]])
     D = np.array([[1.0]])
     return LinearModel(A=A, B=Bmat, C=C, D=D)
-
-
-def smallangle_variance_rhs(params: DoublePassParams, V: np.ndarray, t: float) -> np.ndarray:
-    """Explicit flow of the variances (Delta theta^2, Delta B^2, Delta thetaB):
-
-        d(Dth2)/dt  = -M Dth2 [ (1 + 4F + 8F^2 M t)/(1 + 2FMt)^2 + 4F^2 Dth2 ]
-                      + 2 gamma DthB
-        d(DB2)/dt   = -4 F^2 M DthB^2
-        d(DthB)/dt  = gamma DB2 - M/(2 (1+2FMt)^2)
-                      [ 1 + 4F + 8F^2 M t + 8F^2 (1+2FMt)^2 Dth2 ] DthB
-
-    independent of the second-pass strength K.
-    """
-    F, M, gamma = params.F, params.M, params.gamma
-    u = 1.0 + 2.0 * F * M * t
-    poly = 1.0 + 4.0 * F + 8.0 * F * F * M * t
-    dth2, dthb, db2 = V[0, 0], V[0, 1], V[1, 1]
-    d_dth2 = -M * dth2 * (poly / u**2 + 4.0 * F * F * dth2) + 2.0 * gamma * dthb
-    d_db2 = -4.0 * F * F * M * dthb * dthb
-    d_dthb = gamma * db2 - M / (2.0 * u**2) * (poly + 8.0 * F * F * u**2 * dth2) * dthb
-    return np.array([[d_dth2, d_dthb], [d_dthb, d_db2]])
-
-
-# ---------------------------------------------------------------------------
-# diagnostics and field estimation
-
-
-def q_function(psi: np.ndarray, theta_grid: np.ndarray, phi_grid: np.ndarray) -> np.ndarray:
-    """Husimi-style overlap Q(theta, phi) = |<theta, phi | psi>|^2 with the
-    spin-coherent states, evaluated on the outer product of the two grids.
-
-    Returns an array of shape (len(theta_grid), len(phi_grid)); values lie in
-    [0, 1] and integrate to 4 pi / (2F + 1) over the sphere.
-    """
-    dim = len(psi)
-    j = (dim - 1) / 2.0
-    ops = spin_operators(j)
-    w, v = np.linalg.eigh(ops["Jy"])
-    top = np.zeros(dim, dtype=complex)
-    top[0] = 1.0
-    vt = dag(v) @ top
-    # columns: exp(-i theta Jy) |j, j> for each theta
-    rotated = v @ (np.exp(-1j * np.outer(w, theta_grid)) * vt[:, None])
-    m = j - np.arange(dim)
-    # <theta,phi|psi> = sum_m conj(rotated_m) e^{+i m phi} psi_m
-    overlap = (rotated.conj() * psi[:, None]).T @ np.exp(1j * np.outer(m, phi_grid))
-    return np.abs(overlap) ** 2
 
 
 def magnetometry_estimation_model(params: DoublePassParams, prior: tuple) -> EstimationModel:

@@ -29,9 +29,8 @@ A code is held as the Pauli masks of its 2^l-element stabilizer group and
 a +-1 sign table, never as dense 2^n x 2^n matrices: each syndrome
 projector has +-d / 2^l Pauli coefficients on the group and none elsewhere.
 
-Tracking only syndrome-space probabilities gives the Wonham filter; closing
-the syndrome projectors under the feedback commutators to first level and
-merging the pairs that act identically yields the truncated filter, whose
+Closing the syndrome projectors under the feedback commutators to first level
+and merging the pairs that act identically yields the truncated filter, whose
 basis elements are Pauli-sandwiched syndrome projectors.  Construction is
 automated on the elements' 4^n Pauli coefficients, where every action is a
 gather or a diagonal of ``_PauliFrame``, and every generator matrix is
@@ -56,13 +55,11 @@ __all__ = [
     "build_code",
     "logical_zero",
     "full_filter_step",
-    "wonham_step",
     "build_truncated_basis",
     "untruncated_closure_dim",
     "truncated_filter_step",
     "run_feedback_batch",
     "codeword_fidelity_discrete",
-    "fidelity_metrics",
 ]
 
 _CODES = {
@@ -115,8 +112,7 @@ class StabilizerCode:
     the group element's own sign times its generators' outcomes.
     ``syndrome_hop[c, s]`` is the index of the syndrome space a sigma_c
     error (channels ordered qubit-major, axes X,Y,Z) moves syndrome space s
-    into, and ``hop_generator`` is the unit-rate Markov generator of those
-    hops.
+    into.
     """
 
     name: str
@@ -126,7 +122,6 @@ class StabilizerCode:
     group: np.ndarray  # (2^l,) stabilizer-group masks
     signs: np.ndarray  # (2^l, 2^l) +-1, group element x syndrome space
     syndrome_hop: np.ndarray  # (3n, 2^l) -> syndrome space index
-    hop_generator: np.ndarray  # (2^l, 2^l), sum over errors of (T_e - I)
     outcomes: np.ndarray  # (l, 2^l) +-1 outcome of generator l per syndrome space
     logical_z: str
 
@@ -192,13 +187,9 @@ def build_code(name: str) -> StabilizerCode:
         flips = np.array([1.0 - _phase(m, g, n) for m in group])
         signs = np.concatenate([signs, flips[:, None] * signs * h])
         group += [m ^ g for m in group]
-    # each error permutes the syndrome spaces
-    generator = -len(hop) * np.eye(2 ** l)
-    for targets in hop:
-        generator[targets, np.arange(2 ** l)] += 1.0
     return StabilizerCode(
         name=name, n=n, generators=list(generators), channel_labels=labels,
-        group=np.array(group), signs=signs, syndrome_hop=hop, hop_generator=generator,
+        group=np.array(group), signs=signs, syndrome_hop=hop,
         outcomes=outcomes, logical_z=spec["logical_z"])
 
 
@@ -220,29 +211,6 @@ def full_filter_step(code: StabilizerCode, rho: np.ndarray, dQ: np.ndarray,
     return frame.to_density(_pauli_step(frame, r, np.asarray(dQ, dtype=float)[None],
                                         np.asarray(lambdas, dtype=float)[None], signal,
                                         frame.keep(gamma, kappa, dt), kappa, dt))[0]
-
-
-def wonham_step(code: StabilizerCode, p: np.ndarray, dQ: np.ndarray,
-                gamma: float, kappa: float, dt: float) -> np.ndarray:
-    """Syndrome-probability filter:
-
-        dp = Lambda p dt + 2 sqrt(kappa) sum_l (H_l - h_l^T p I) p dW_l,
-        dW_l = dQ_l - 2 sqrt(kappa) (h_l^T p) dt
-
-    with h_l the +-1 outcomes of generator l per syndrome space.  Output is
-    clipped at zero and renormalized.
-    """
-    h = code.outcomes
-    p = np.asarray(p, dtype=float)
-    means = h @ p
-    dW = np.asarray(dQ, dtype=float) - 2.0 * np.sqrt(kappa) * means * dt
-    dp = gamma * code.hop_generator @ p * dt
-    dp += 2.0 * np.sqrt(kappa) * ((h - means[:, None]) * p[None, :]).T @ dW
-    out = np.clip(p + dp, 0.0, None)
-    total = out.sum()
-    if total <= 0 or not np.isfinite(total):
-        raise FloatingPointError("Wonham filter state degenerated")
-    return out / total
 
 
 # ---------------------------------------------------------------------------
@@ -454,15 +422,6 @@ def codeword_fidelity_discrete(t, gamma: float):
     equals 1 at t = 0 and decays monotonically to 1/64."""
     x = np.asarray(t, dtype=float) * gamma
     return np.exp(-20.0 * x) * (3.0 + np.exp(4.0 * x)) ** 4 * (4.0 * np.exp(4.0 * x) - 3.0) / 256.0
-
-
-def fidelity_metrics(rho: np.ndarray, code: StabilizerCode, psi0: np.ndarray) -> dict:
-    """Codespace fidelity Tr[Pi_0 rho], from Pi_0's Pauli row, and codeword
-    fidelity <psi0| rho |psi0>."""
-    return {
-        "codespace": float(code.projector_rows(1)[0] @ code.pauli.to_pauli(rho)) / code.dim,
-        "codeword": float((psi0.conj() @ rho @ psi0).real),
-    }
 
 
 class _PauliFrame:

@@ -1,7 +1,7 @@
 """Generic Ito SDE integration with reproducible Wiener paths.
 
-The integrators accept systems in Ito form only; Stratonovich systems must be
-converted first with :func:`stratonovich_to_ito`.  Every random stream in the
+Every system is read in Ito form: a Stratonovich system must be passed with
+its Ito drift a + (1/2) sum_{j,k} b_j^k d(b_j)/dx^k.  Every random stream in the
 package comes from :func:`rng_stream`: ``rng_stream(seed)`` is the root stream
 of ``seed`` and ``rng_stream(seed, *tags)`` the stream that
 ``SeedSequence(seed).spawn`` would hand to child ``tags`` (child ``k``, then its
@@ -26,13 +26,7 @@ __all__ = [
     "stream_seed",
     "euler_step",
     "euler_path",
-    "predictor_corrector_step",
-    "stratonovich_to_ito",
-    "ito_to_stratonovich",
 ]
-
-ITO = "ito"
-STRATONOVICH = "stratonovich"
 
 
 @dataclass(frozen=True)
@@ -47,11 +41,6 @@ class SdeSystem:
     noise_dim: int
     drift: Callable[[float, np.ndarray], np.ndarray]
     diffusion: Callable[[float, np.ndarray, int], np.ndarray]
-    interpretation: str = ITO
-
-    def __post_init__(self):
-        if self.interpretation not in (ITO, STRATONOVICH):
-            raise ValueError(f"unknown interpretation {self.interpretation!r}")
 
 
 @dataclass(frozen=True)
@@ -94,14 +83,8 @@ def wiener_increments(m: int, steps: int, dt: float, seed, k: int | None = None)
     return WienerPath(dt=dt, increments=dw, seed=stream_seed(seed, *tags))
 
 
-def _require_ito(system: SdeSystem) -> None:
-    if system.interpretation != ITO:
-        raise ValueError("integrators accept Ito systems only; convert first")
-
-
 def euler_step(system: SdeSystem, x: np.ndarray, t: float, dt: float, dW: np.ndarray) -> np.ndarray:
     """One Euler-Maruyama step x' = x + a dt + sum_j b_j dW_j."""
-    _require_ito(system)
     out = x + system.drift(t, x) * dt
     for j in range(system.noise_dim):
         out = out + system.diffusion(t, x, j) * dW[j]
@@ -121,77 +104,3 @@ def euler_path(system: SdeSystem, x0: np.ndarray, t0: float, path: WienerPath) -
         t += path.dt
         out[i + 1] = x
     return out
-
-
-def predictor_corrector_step(system: SdeSystem, x: np.ndarray, dt: float, dW: float) -> np.ndarray:
-    """Order-2.0 weak predictor-corrector step for autonomous scalar-noise systems.
-
-    Supporting values Y± = x + a dt ± b sqrt(dt), predictor
-    Xbar = x + (a(Y) + a(x)) dt / 2 + phi with Y = x + a dt + b dW, and the
-    corrector uses the same phi, where
-
-        phi = [b(Y+) + b(Y-) + 2 b(x)] dW / 4
-            + [b(Y+) - b(Y-)] [(dW)^2 - dt] / (4 sqrt(dt))
-
-    Time-dependent coefficients and multiple channels are unsupported: the
-    multi-channel variant is a different scheme and is deliberately not
-    guessed at; callers should fall back to euler_step.
-    """
-    _require_ito(system)
-    if system.noise_dim != 1:
-        raise ValueError("predictor-corrector supports a single noise channel only")
-    dW = float(np.asarray(dW).reshape(()))
-    a = lambda y: system.drift(0.0, y)
-    b = lambda y: system.diffusion(0.0, y, 0)
-    sqdt = np.sqrt(dt)
-    ax = a(x)
-    bx = b(x)
-    ups_p = x + ax * dt + bx * sqdt
-    ups_m = x + ax * dt - bx * sqdt
-    phi = 0.25 * (b(ups_p) + b(ups_m) + 2.0 * bx) * dW \
-        + 0.25 * (b(ups_p) - b(ups_m)) * ((dW * dW - dt) / sqdt)
-    ups = x + ax * dt + bx * dW
-    x_pred = x + 0.5 * (a(ups) + ax) * dt + phi
-    out = x + 0.5 * (a(x_pred) + ax) * dt + phi
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("non-finite state produced by predictor_corrector_step")
-    return out
-
-
-def _drift_correction(system: SdeSystem, t: float, x: np.ndarray) -> np.ndarray:
-    """(1/2) sum_{j,k} b_j^k d(b_j)/dx^k by central finite differences."""
-    n = system.state_dim
-    corr = np.zeros(n)
-    for j in range(system.noise_dim):
-        bj = system.diffusion(t, x, j)
-        for k in range(n):
-            h = 1e-6 * (1.0 + abs(x[k]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[k] += h
-            xm[k] -= h
-            dbdxk = (system.diffusion(t, xp, j) - system.diffusion(t, xm, j)) / (2.0 * h)
-            corr += 0.5 * bj[k] * dbdxk
-    return corr
-
-
-def ito_to_stratonovich(system: SdeSystem) -> SdeSystem:
-    """Equivalent Stratonovich system: abar = a - (1/2) sum_k b^k db/dx^k."""
-    if system.interpretation != ITO:
-        raise ValueError("expected an Ito system")
-
-    def drift(t, x, _sys=system):
-        return _sys.drift(t, x) - _drift_correction(_sys, t, x)
-
-    return SdeSystem(system.state_dim, system.noise_dim, drift, system.diffusion, STRATONOVICH)
-
-
-def stratonovich_to_ito(system: SdeSystem) -> SdeSystem:
-    """Equivalent Ito system: a = abar + (1/2) sum_k b^k db/dx^k."""
-    if system.interpretation != STRATONOVICH:
-        raise ValueError("expected a Stratonovich system")
-
-    def drift(t, x, _sys=system):
-        return _sys.drift(t, x) + _drift_correction(_sys, t, x)
-
-    return SdeSystem(system.state_dim, system.noise_dim, drift, system.diffusion, ITO)

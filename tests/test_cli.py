@@ -220,6 +220,9 @@ class TestRun:
         ("param-ensemble", ["T=0.00001", "store_every=5"], "T"),
         ("qubit-filter", ["store_every=0"], "store_every"),
         ("particle-filter", ["store_every=-3"], "store_every"),
+        # every experiment takes at least one step
+        ("particle-filter", ["T=0.00001", "dt=0.0001"], "T"),
+        ("magnetometer-fisher", ["T=0.00001", "dt=0.0001"], "T"),
     ])
     def test_horizon_shorter_than_stride_is_config_error(self, tmp_path, capsys,
                                                          experiment, items, key):
@@ -232,6 +235,28 @@ class TestRun:
         assert err.startswith("config error") and f"'{key}'" in err
         assert err.count("\n") == 1
         assert not os.path.exists(out)
+
+    def test_worker_pool_no_larger_than_the_task_list(self, monkeypatch):
+        # a process pool may start all its workers at the first submit
+        asked = []
+
+        class StubPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", StubPool)
+        assert cli._parallel_map(abs, [-1, -2, -3], 5000) == [1, 2, 3]
+        assert cli._parallel_map(abs, [-1, -2, -3], 2) == [1, 2, 3]
+        assert asked == [3, 2]
 
     def test_integer_keys(self, tmp_path, capsys):
         params = cli.resolve_params("particle-filter", {"N": "30"})
@@ -363,3 +388,20 @@ class TestRate:
         assert lines[0] == "time,rate"
         rates = [float(l.split(",")[1]) for l in lines[1:]]
         assert all(r in (0.0, 1.0) for r in rates)
+
+    def test_bad_input_is_one_config_error_line(self, tmp_path, capsys):
+        header = "time,w_B=2,w_B=5\n"
+        files = {"short.csv": header + "0.1,0.5,0.5\n0.2,0.6,0.4\n",
+                 "long.csv": header + "0.1,0.5,0.5\n0.2,0.6,0.4\n0.3,0.7,0.3\n",
+                 "text.csv": header + "0.1,0.5,0.5\n0.2,high,0.4\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text + "# manifest: m.json\n")
+        cases = ((["short.csv", "long.csv"], "long.csv: its 3 rows do not have the times"),
+                 (["text.csv"], "text.csv: line 3 is not a row of 3 numbers"))
+        for names, message in cases:
+            assert cli.main(["rate", *(str(tmp_path / n) for n in names)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and message in err
+            assert err.count("\n") == 1
+        assert cli.main(["rate", str(tmp_path / "short.csv"), str(tmp_path / "short.csv")]) == 0
+        assert capsys.readouterr().out == "time,rate\n0.10000000000000001,0\n0.20000000000000001,0\n"

@@ -67,14 +67,6 @@ class TestCounting:
         assert col.irrep_degeneracy(0.5, 4) == 0  # parity mismatch
         assert col.alpha_cumulative(6.0, 10) == 0
 
-    def test_collective_dim(self):
-        assert col.collective_dim(2) == 4
-        assert col.collective_dim(3) == 6
-        assert col.collective_dim(100) == 2601
-        for N in range(1, 12):
-            expect = sum(tj + 1 for tj in range(N % 2, N + 1, 2))
-            assert col.collective_dim(N) == expect
-
 
 class TestGTensor:
     def test_single_spin_reduction(self):
@@ -106,6 +98,11 @@ class TestGTensor:
             col.g_tensor_apply("z", "z", 1.0, 2.0, 0.0, 4)
         with pytest.raises(ValueError):
             col.g_tensor_apply("z", "z", 0.5, 0.5, 0.5, 4)  # parity mismatch
+        # a negative rate is rejected by either kind of channel
+        for channel, kwargs in ((col.SpinChannel, {"s_minus": 1.0}),
+                                (col.CollectiveChannel, {"word_coeffs": ((1.0, "-"),)})):
+            with pytest.raises(ValueError, match="rate must be non-negative"):
+                channel(rate=-1.0, **kwargs)
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_against_full_space_oracle(self, N):

@@ -16,40 +16,18 @@ def paper_covariance(t, prior_var):
     ])
 
 
-def infinite_prior_covariance(t):
-    c = 1.0 / np.tanh(t)
-    return np.array([
-        [t / (t * c - 1.0), 1.0 / (t * c - 1.0)],
-        [1.0 / (t * c - 1.0), 1.0 / (t - np.tanh(t))],
-    ])
+class TestRiccatiSolve:
+    @pytest.mark.parametrize("t", [0.5, 1.0, 3.0])
+    def test_matches_paper_closed_form(self, t):
+        # the covariance pass of the demo solves the Riccati flow of
+        # PARAMETER_MODEL from P0 = diag(0, v)
+        v = 1e5
+        P = kalman.brownian_parameter_demo(0.0, t, 1e-3, seed=0, prior_var=v)["P"][-1]
+        expect = paper_covariance(t, v)
+        assert np.max(np.abs(P - expect) / np.abs(expect)) < 1e-6
 
 
 class TestKalmanStep:
-    def test_no_information_is_static(self):
-        model = kalman.LinearModel(A=np.zeros((2, 2)), B=np.zeros((2, 1)),
-                                   C=np.zeros((1, 2)), D=np.eye(1))
-        state = kalman.KalmanState(estimate=np.array([1.0, -2.0]),
-                                   covariance=np.diag([0.5, 0.25]))
-        out = kalman.kalman_step(model, state, np.array([0.3]), 0.0, 0.01)
-        assert np.allclose(out.estimate, state.estimate)
-        assert np.allclose(out.covariance, state.covariance)
-
-    def test_scalar_steady_state(self):
-        # A=0, B=1, C=1, D=1: the algebraic Riccati root solves 1 - P^2 = 0
-        model = kalman.LinearModel(A=np.zeros((1, 1)), B=np.ones((1, 1)),
-                                   C=np.ones((1, 1)), D=np.ones((1, 1)))
-        state = kalman.KalmanState(estimate=np.zeros(1), covariance=np.zeros((1, 1)))
-        for i in range(20_000):
-            state = kalman.kalman_step(model, state, np.array([0.0]), i * 1e-3, 1e-3)
-        assert abs(state.covariance[0, 0] - 1.0) < 1e-3
-
-    def test_singular_D_rejected(self):
-        model = kalman.LinearModel(A=np.zeros((1, 1)), B=np.ones((1, 1)),
-                                   C=np.ones((1, 1)), D=np.zeros((1, 1)))
-        state = kalman.KalmanState(estimate=np.zeros(1), covariance=np.zeros((1, 1)))
-        with pytest.raises(ValueError):
-            kalman.kalman_step(model, state, np.array([0.0]), 0.0, 1e-3)
-
     def test_correlated_step_rejects_constant_singular_D_at_first_step(self):
         model = kalman.LinearModel(A=np.zeros((1, 1)), B=np.ones((1, 1)),
                                    C=np.ones((1, 1)), D=np.zeros((1, 1)))
@@ -57,7 +35,7 @@ class TestKalmanStep:
         with pytest.raises(ValueError, match="singular observation matrix D"):
             kalman.kalman_correlated_step(model, state, 0.0, 0.0, 1e-3)
 
-    @pytest.mark.parametrize("step", [kalman.kalman_step, kalman.kalman_correlated_step])
+    @pytest.mark.parametrize("step", [kalman.kalman_correlated_step])
     def test_callable_D_checked_at_each_t(self, step):
         # D vanishes from t = 0.5 on: the steps before it pass
         model = kalman.LinearModel(A=np.zeros((1, 1)), B=np.ones((1, 1)), C=np.ones((1, 1)),
@@ -75,64 +53,6 @@ class TestKalmanStep:
         again = model.at(1.0)
         assert all(x is y for x, y in zip((A, B, C, D, Dinv), again))
         assert np.array_equal(Dinv, [[0.5]]) and not Dinv.flags.writeable
-
-    def test_covariance_symmetry_long_run(self):
-        model = kalman.PARAMETER_MODEL
-        state = kalman.KalmanState(estimate=np.zeros(2), covariance=np.diag([0.0, 1.0]))
-        rng = rng_stream(3)
-        worst = 0.0
-        for i in range(100_000):
-            state = kalman.kalman_step(model, state, np.array([rng.normal() * 0.03]),
-                                       i * 1e-3, 1e-3)
-            P = state.covariance
-            worst = max(worst, abs(P[0, 1] - P[1, 0]))
-        assert worst < 1e-10
-        assert P[0, 0] > -1e-9 and P[1, 1] > -1e-9
-
-
-class TestRiccatiSolve:
-    def test_static(self):
-        P0 = np.diag([0.3, 0.7])
-        P = kalman.riccati_solve(np.zeros((2, 2)), np.zeros((2, 1)),
-                                 np.zeros((1, 2)), np.eye(1), P0, 2.0)
-        assert np.allclose(P, P0, atol=1e-12)
-
-    @pytest.mark.parametrize("t", [0.5, 1.0, 3.0])
-    def test_matches_paper_closed_form(self, t):
-        A = [[0.0, 1.0], [0.0, 0.0]]
-        B = [[1.0], [0.0]]
-        C = [[1.0, 0.0]]
-        D = [[1.0]]
-        v = 1e5
-        P = kalman.riccati_solve(A, B, C, D, np.diag([0.0, v]), t)
-        expect = paper_covariance(t, v)
-        assert np.max(np.abs(P - expect) / np.abs(expect)) < 1e-6
-
-    def test_infinite_prior_limit(self):
-        A = [[0.0, 1.0], [0.0, 0.0]]
-        P = kalman.riccati_solve(A, [[1.0], [0.0]], [[1.0, 0.0]], [[1.0]],
-                                 np.diag([0.0, 1e8]), 1.0)
-        assert np.max(np.abs(P - infinite_prior_covariance(1.0))) < 1e-4
-
-    def test_residual_by_finite_difference(self):
-        A = np.array([[0.0, 1.0], [0.0, 0.0]])
-        B = np.array([[1.0], [0.0]])
-        C = np.array([[1.0, 0.0]])
-        D = np.eye(1)
-        t, eps = 0.8, 1e-5
-        P0 = np.diag([0.0, 1e3])
-        Pm = kalman.riccati_solve(A, B, C, D, P0, t - eps)
-        Pp = kalman.riccati_solve(A, B, C, D, P0, t + eps)
-        P = kalman.riccati_solve(A, B, C, D, P0, t)
-        dP = (Pp - Pm) / (2 * eps)
-        resid = dP - kalman.riccati_rhs(A, B, C, D, P)
-        assert np.max(np.abs(resid)) < 1e-6
-
-    def test_singular_propagation_detected(self):
-        # dP/dt = -P^2 from P0 = -1 blows up at t = 1
-        with pytest.raises(np.linalg.LinAlgError):
-            kalman.riccati_solve([[0.0]], [[0.0]], [[1.0]], [[1.0]],
-                                 [[-1.0]], 2.0)
 
 
 class TestBrownianParameterDemo:

@@ -4,9 +4,8 @@ import pytest
 from qfilt import sde
 
 
-def make_system(drift, diffusion, n=1, m=1, interpretation=sde.ITO):
-    return sde.SdeSystem(state_dim=n, noise_dim=m, drift=drift,
-                         diffusion=diffusion, interpretation=interpretation)
+def make_system(drift, diffusion, n=1, m=1):
+    return sde.SdeSystem(state_dim=n, noise_dim=m, drift=drift, diffusion=diffusion)
 
 
 class TestWienerIncrements:
@@ -83,12 +82,6 @@ class TestEulerStep:
         out = sde.euler_step(sys, np.array([2.0]), 0.0, 0.1, np.array([0.3]))
         assert np.allclose(out, [2.1])
 
-    def test_rejects_stratonovich(self):
-        sys = make_system(lambda t, x: np.zeros(1), lambda t, x, j: np.zeros(1),
-                          interpretation=sde.STRATONOVICH)
-        with pytest.raises(ValueError):
-            sde.euler_step(sys, np.zeros(1), 0.0, 0.1, np.zeros(1))
-
     def test_gbm_strong_order_half(self):
         # dX = X dW has the exact solution X0 exp(W_T - T/2); the strong
         # error at T = 1 scales like dt^0.5 over seeds
@@ -135,81 +128,3 @@ class TestEulerStep:
         sys = make_system(lambda t, x: np.array([np.nan]), lambda t, x, j: np.zeros(1))
         with pytest.raises(FloatingPointError):
             sde.euler_step(sys, np.zeros(1), 0.0, 0.1, np.zeros(1))
-
-
-class TestPredictorCorrector:
-    def test_zero_system(self):
-        sys = make_system(lambda t, x: np.zeros(1), lambda t, x, j: np.zeros(1))
-        out = sde.predictor_corrector_step(sys, np.array([0.7]), 0.1, 0.2)
-        assert np.allclose(out, [0.7])
-
-    def test_reduces_to_trapezoidal_chain(self):
-        # with b = 0 the step is the trapezoidal corrector evaluated at the
-        # Heun predictor
-        a = lambda y: -y
-        sys = make_system(lambda t, x: a(x), lambda t, x, j: np.zeros(1))
-        x = np.array([1.7])
-        dt = 0.05
-        heun = x + 0.5 * (a(x + a(x) * dt) + a(x)) * dt
-        expect = x + 0.5 * (a(heun) + a(x)) * dt
-        out = sde.predictor_corrector_step(sys, x, dt, 0.0)
-        assert np.max(np.abs(out - expect)) < 1e-14
-
-    def test_weak_order_two_on_ou(self):
-        # dX = -X dt + dW: the scheme is affine in (x, dW) and the noise has
-        # constant coefficient, so E[X_T] equals the zero-noise iteration;
-        # compare against the exact mean exp(-T) x0 under dt halving
-        sys = make_system(lambda t, x: -x, lambda t, x, j: np.ones(1))
-
-        def mean_error(dt):
-            x = np.array([1.0])
-            for _ in range(int(round(1.0 / dt))):
-                x = sde.predictor_corrector_step(sys, x, dt, 0.0)
-            return abs(x[0] - np.exp(-1.0))
-
-        e1, e2 = mean_error(0.02), mean_error(0.01)
-        assert 3.0 < e1 / e2 < 5.0  # weak order 2: ratio ~ 4
-
-    def test_multichannel_unsupported(self):
-        sys = make_system(lambda t, x: np.zeros(1), lambda t, x, j: np.zeros(1), m=2)
-        with pytest.raises(ValueError):
-            sde.predictor_corrector_step(sys, np.zeros(1), 0.1, 0.0)
-
-
-class TestConversion:
-    def test_constant_diffusion_unchanged(self):
-        sys = make_system(lambda t, x: 2.0 * x, lambda t, x, j: np.array([3.0]))
-        strat = sde.ito_to_stratonovich(sys)
-        x = np.array([0.8])
-        assert np.max(np.abs(strat.drift(0.0, x) - sys.drift(0.0, x))) < 1e-9
-
-    def test_linear_diffusion_correction(self):
-        # b(x) = x, a = 0 in Ito: the Stratonovich drift is -x/2
-        sys = make_system(lambda t, x: np.zeros(1), lambda t, x, j: x)
-        strat = sde.ito_to_stratonovich(sys)
-        for x0 in (0.5, -1.2, 3.0):
-            got = strat.drift(0.0, np.array([x0]))
-            assert abs(got[0] + 0.5 * x0) < 1e-6
-
-    def test_round_trip(self):
-        sys = make_system(lambda t, x: np.sin(x), lambda t, x, j: np.cos(x) + 2.0,
-                          n=1)
-        back = sde.stratonovich_to_ito(sde.ito_to_stratonovich(sys))
-        x = np.array([0.37])
-        h = 1e-6 * (1 + abs(x[0]))
-        assert np.max(np.abs(back.drift(0.0, x) - sys.drift(0.0, x))) < 10 * h * h
-
-    def test_conversion_expectation_consistency(self):
-        # integrating the Ito form directly and the re-converted form give
-        # the same mean to 1e-6 + O(dt)
-        sys = make_system(lambda t, x: -0.5 * x, lambda t, x, j: 0.3 * np.cos(x))
-        back = sde.stratonovich_to_ito(sde.ito_to_stratonovich(sys))
-        dt, steps = 1e-3, 500
-        tot_a = tot_b = 0.0
-        for s in range(30):
-            path = sde.wiener_increments(1, steps, dt, seed=(31, s))
-            xa = sde.euler_path(sys, np.array([1.0]), 0.0, path)[-1, 0]
-            xb = sde.euler_path(back, np.array([1.0]), 0.0, path)[-1, 0]
-            tot_a += xa
-            tot_b += xb
-        assert abs(tot_a - tot_b) / 30 < 1e-6 + 10 * dt
