@@ -22,23 +22,30 @@ and s_I terms and the g-tensor bilinear) is a sum of rank-one terms
 that shift a slice of one input block into the same block or a J +- 1 block.
 Spin-operator words are banded (J_+, J_-, J_z are single bands), so each
 block's terms are built once from O(2J+1) band vectors and cached per
-(generator, 2J); neither compiling nor stepping forms a dense operator or a
-matmul.  This is the Dicke-basis bookkeeping of PIQS (Shammah et al., PRA 98,
-063815 (2018)).
+(generator, rate, 2J), with a channel's rate folded into the factors; no
+matmul is formed.  Two kinds of term carry a dense weight instead: a left
+and a right diagonal band share one term (weight A_ii + B_jj), and a
+block-preserving term with a column factor runs on the flattened block, so
+that it costs two contiguous passes.  This is the Dicke-basis bookkeeping of
+PIQS (Shammah et al., PRA 98, 063815 (2018)).
 
 Blocks are keyed by 2J (integers avoid half-integer keys) and stored sparse:
 a valid 2J missing from a state's blocks is an exactly-zero block.  Stepping
 allocates, reads and writes only the blocks a state occupies and the J +- 1
 blocks its derivative reaches, so a state in the top block of N = 100 costs
-one block per step, not 51.
+one block per step, not 51, and the four RK4 stages are combined in place,
+one buffer per block.  Observables are read off the same cached bands:
+<C> = sum_J d_J sum_k v_k . diag(rho_J, -k) for the bands v_k of C, with no
+dense block.
 
 The dtype follows the data.  A block's compiled terms are stored real when
 none of their factors has an imaginary part, as for the counter-twisting
 Hamiltonian, sigma_- decay, sigma_z dephasing and J_- decay; coherent_top
-and cat_state are real.  Each evaluation of the generator picks one output
-dtype from the state and every generator in it, so a real state under real
-generators steps in real arithmetic (the same numbers as its complex copy,
-at half the memory traffic) and anything complex promotes it.
+and cat_state are real.  All blocks of one evaluation of the generator share
+one dtype, the first complex generator promoting what was written before
+it, so a real state under real generators steps in real arithmetic (the
+same numbers as its complex copy, at half the memory traffic) and anything
+complex promotes it.
 """
 
 from __future__ import annotations
@@ -76,22 +83,14 @@ __all__ = [
 ]
 
 
-def _two_j_values(N: int) -> list[int]:
-    start = 0 if N % 2 == 0 else 1
-    return list(range(start, N + 1, 2))
-
-
 def irrep_degeneracy(J: float, N: int) -> int:
     """Multiplicity d_J of the total-spin-J irrep of N qubits; 0 out of range.
 
-    d_J = C(N, N/2 - J) - C(N, N/2 - J - 1), equivalently
-    N! (2J+1) / ((N/2 - J)! (N/2 + J + 1)!).
+    d_J = alpha_J - alpha_{J+1} = C(N, N/2 - J) - C(N, N/2 - J - 1),
+    equivalently N! (2J+1) / ((N/2 - J)! (N/2 + J + 1)!).
     """
-    two_j = int(round(2 * J))
-    if two_j < 0 or two_j > N or (N - two_j) % 2 != 0 or abs(2 * J - two_j) > 1e-9:
-        return 0
-    a = (N - two_j) // 2
-    return comb(N, a) - (comb(N, a - 1) if a >= 1 else 0)
+    alpha = alpha_cumulative(J, N)
+    return alpha - alpha_cumulative(J + 1, N) if alpha else 0
 
 
 def alpha_cumulative(J: float, N: int) -> int:
@@ -117,7 +116,7 @@ class CollectiveDensity:
     @classmethod
     def zeros(cls, N: int) -> "CollectiveDensity":
         return cls(N=N, blocks={tj: np.zeros((tj + 1, tj + 1), dtype=complex)
-                                for tj in _two_j_values(N)})
+                                for tj in range(N % 2, N + 1, 2)})
 
     def copy(self) -> "CollectiveDensity":
         return CollectiveDensity(N=self.N, blocks={k: v.copy() for k, v in self.blocks.items()})
@@ -263,15 +262,16 @@ def _shift(v: np.ndarray, k: int) -> np.ndarray:
 
 
 def _bands_at(A: np.ndarray, offsets) -> dict:
-    """The diagonals of a block operator at the given offsets, as bands in
-    ascending offset order; all-zero diagonals are dropped.  Any diagonal
-    not listed must be zero."""
+    """The diagonals of a block operator at the given offsets, as read-only
+    bands in ascending offset order; all-zero diagonals are dropped.  Any
+    diagonal not listed must be zero."""
     out = {}
     for k in sorted(offsets):
         diag = np.diagonal(A, k)
         if diag.any():
             v = out[k] = np.zeros(len(A), dtype=complex)
             v[max(0, -k):max(0, -k) + len(diag)] = diag
+            v.setflags(write=False)
     return out
 
 
@@ -349,6 +349,14 @@ def collective_operator(word_coeffs, two_j: int) -> np.ndarray:
 # rho B one column factor per band of B, and a sandwich one term per pair.
 # H and C are read off their collective_operator blocks at the offsets
 # their words reach, once per block.
+#
+# A column factor slices each row of a block, and numpy then loops row by
+# row.  A term that has one and stays in its block is therefore stored on
+# the flattened (row-major) block instead: its dst and src boxes are two
+# equal-length ranges, and alpha * beta is laid out dense over the src
+# range, zero at the columns that lie between box rows.  Those zeros add
+# nothing to the dst range's out-of-box columns, and the term costs two
+# contiguous passes.  A flat term's dst and src are 1-tuples.
 
 _WHOLE = (slice(None), slice(None), None)
 
@@ -391,8 +399,23 @@ def _terms(two_j_in: int, two_j_out: int, rows, cols) -> list:
     return out
 
 
+def _flat(two_j: int, dst: tuple, src: tuple, a, b) -> tuple:
+    """A block-preserving term out[dst] += a * rho[src] * b on the flattened
+    block: one dense weight over the src range (see above)."""
+    d = two_j + 1
+    (r0, r1, _), (c0, c1, _), (q0, _, _), (p0, _, _) = (sl.indices(d) for sl in src + dst)
+    ab = (1.0 if a is None else a) * b
+    w = np.zeros((r1 - r0, d), ab.dtype)
+    w[:, :c1 - c0] = ab
+    w = w.reshape(-1)[:(r1 - r0 - 1) * d + c1 - c0]
+    lo, shift = r0 * d + c0, (q0 - r0) * d + p0 - c0
+    return two_j, (slice(lo + shift, lo + shift + len(w)),), (slice(lo, lo + len(w)),), w, None
+
+
+@lru_cache(maxsize=_COMPILE_CACHE)
 def _operator_bands(words: tuple, two_j: int) -> dict:
-    """Bands of the polynomial given by (coeff, word) pairs on block 2J."""
+    """Bands of the polynomial given by (coeff, word) pairs on block 2J
+    (read-only vectors; the cached dict is shared)."""
     offsets = {k for c, w in words if c != 0 for k in _word_bands(w, two_j)}
     return _bands_at(collective_operator(words, two_j), offsets)
 
@@ -405,48 +428,54 @@ def _words_key(word_coeffs) -> tuple:
 _REAL, _COMPLEX = np.dtype(float), np.dtype(complex)
 
 
-def _common_dtype(dtypes: list) -> np.dtype:
-    """float64, or complex128 if any of the dtypes is complex."""
-    return _COMPLEX if any(d.kind == "c" for d in dtypes) else _REAL
+def _two_sided(two_j: int, A: dict, B: dict) -> list:
+    """Terms of A rho + rho B.  The diagonal bands of A and B share one term
+    whose weight is A_ii + B_jj, a dense block (a column or a row when only
+    one of them has a diagonal), so the pair costs one pass, not two."""
+    terms = (_terms(two_j, two_j, _left({k: v for k, v in A.items() if k}), None)
+             + _terms(two_j, two_j, None, _right({k: v for k, v in B.items() if k})))
+    if 0 in A or 0 in B:
+        w = (A[0][:, None] if 0 in A else 0.0) + (B[0][None, :] if 0 in B else 0.0)
+        terms.append((two_j, _WHOLE[:2], _WHOLE[:2], w, None))
+    return terms
 
 
-def _term_list(terms: list) -> tuple:
-    """(dtype, terms) of one block's term list.  When no factor has a nonzero
-    imaginary part, every factor is stored as its real part (the same
-    numbers), so that a real state steps in real arithmetic."""
-    factors = [f for *_, a, b in terms for f in (a, b) if f is not None]
-    if any(f.imag.any() for f in factors):
-        return _COMPLEX, tuple(terms)
-
-    def real(f):
-        return None if f is None else np.ascontiguousarray(f.real)
-
-    return _REAL, tuple((o, dst, src, real(a), real(b))
-                                  for o, dst, src, a, b in terms)
+def _term_list(two_j: int, terms: list, scale: float = 1.0) -> tuple:
+    """(dtype, terms) of input block 2J's term list, with ``scale`` (a
+    channel's rate) folded into each term's first factor and the
+    block-preserving terms with a column factor made flat.  When no factor
+    has a nonzero imaginary part, every factor is stored as its real part
+    (the same numbers), so that a real state steps in real arithmetic."""
+    terms = [(o, dst, src, scale * a, b) if a is not None else (o, dst, src, a, scale * b)
+             for o, dst, src, a, b in terms]
+    real = not any(f is not None and f.imag.any() for *_, a, b in terms for f in (a, b))
+    if real:
+        terms = [(o, dst, src, *(None if f is None else np.ascontiguousarray(f.real)
+                                 for f in (a, b))) for o, dst, src, a, b in terms]
+    return (_REAL if real else _COMPLEX), tuple(
+        _flat(*t) if t[4] is not None and t[0] == two_j else t for t in terms)
 
 
 @lru_cache(maxsize=_COMPILE_CACHE)
 def _hamiltonian_terms(words: tuple, two_j: int) -> tuple:
     """-i [H, rho] on block 2J."""
     H = _operator_bands(words, two_j)
-    return _term_list(_terms(two_j, two_j, _left(_band_sum([(-1j, H)])), None)
-                      + _terms(two_j, two_j, None, _right(_band_sum([(1j, H)]))))
+    return _term_list(two_j, _two_sided(two_j, _band_sum([(-1j, H)]), _band_sum([(1j, H)])))
 
 
 @lru_cache(maxsize=_COMPILE_CACHE)
-def _collective_channel_terms(words: tuple, two_j: int) -> tuple:
-    """C rho C^dag - {C^dag C, rho} / 2 on block 2J."""
+def _collective_channel_terms(words: tuple, two_j: int, rate: float) -> tuple:
+    """rate (C rho C^dag - {C^dag C, rho} / 2) on block 2J."""
     C = _operator_bands(words, two_j)
     Cd = _adjoint(C)
     half = _band_sum([(-0.5, _band_product(Cd, C, two_j + 1))])
-    return _term_list(_terms(two_j, two_j, _left(C), _right(Cd))
-                      + _terms(two_j, two_j, _left(half), None)
-                      + _terms(two_j, two_j, None, _right(half)))
+    return _term_list(two_j, _terms(two_j, two_j, _left(C), _right(Cd))
+                      + _two_sided(two_j, half, half), rate)
 
 
 @lru_cache(maxsize=_COMPILE_CACHE)
-def _spin_channel_terms(s: tuple, N: int, two_j: int) -> tuple:
-    """sum_n L[s^(n)] rho on input block 2J, s = (s_I, s_+, s_-, s_z)."""
+def _spin_channel_terms(s: tuple, N: int, two_j: int, rate: float) -> tuple:
+    """rate sum_n L[s^(n)] rho on input block 2J, s = (s_I, s_+, s_-, s_z)."""
     sI, sp, sm, sz = s
     # S_N = sum_n s^dag s = c_id N I + c_p J_+ + c_m J_- + c_z Jz_pauli,
     # Jz_pauli = 2 Jz
@@ -466,7 +495,7 @@ def _spin_channel_terms(s: tuple, N: int, two_j: int) -> tuple:
                        (-0.5 * c_p + sI * np.conj(sm), Jp),
                        (-0.5 * c_m + sI * np.conj(sp), Jm),
                        (-c_z + 2.0 * sI * np.conj(sz), Jz)])
-    terms = _terms(two_j, two_j, _left(left), None) + _terms(two_j, two_j, None, _right(right))
+    terms = _two_sided(two_j, left, right)
     # non-collective bilinear sum_qr s_q s_r^* sum_n sigma_q rho sigma_r^dag
     # by the three-term identity (sigma_z = 2 * angular-momentum z); each
     # output block is a sandwich whose row factors carry s_q and whose column
@@ -491,48 +520,42 @@ def _spin_channel_terms(s: tuple, N: int, two_j: int) -> tuple:
         rows = [(step - int(_M_SHIFT[q]), pref * sq * ladder[q]) for q, sq in svec.items()]
         cols = [(step - int(_M_SHIFT[r]), np.conj(sr) * ladder[r]) for r, sr in svec.items()]
         terms += _terms(two_j, two_j + 2 * step, rows, cols)
-    return _term_list(terms)
+    return _term_list(two_j, terms, rate)
 
 
-def _hamiltonian_terms_of(H_coeffs):
-    """terms_of(2J) of -i [H, .] for H given as (coeff, word) pairs."""
-    key = _words_key(H_coeffs)
-    return lambda two_j: _hamiltonian_terms(key, two_j)
-
-
-def _channel_terms_of(channel, N: int):
-    """terms_of(2J) of one channel at unit rate."""
+def _channel_terms_of(channel, N: int, rate: float):
+    """terms_of(2J) of one channel at the given rate."""
     key = channel._key
     if isinstance(channel, SpinChannel):
-        return lambda two_j: _spin_channel_terms(key, N, two_j)
-    return lambda two_j: _collective_channel_terms(key, two_j)
+        return lambda two_j: _spin_channel_terms(key, N, two_j, rate)
+    return lambda two_j: _collective_channel_terms(key, two_j, rate)
 
 
-def _accumulate(terms_of, rho: CollectiveDensity, out: CollectiveDensity, scale=1.0) -> None:
-    """out += scale * G rho for the generator G whose (dtype, terms) for
-    input block 2J are terms_of(2J).  Every output block takes one dtype,
-    the common type of rho's blocks, G's factors and out's blocks: an output
-    block missing from out is allocated with it at its first write, and a
-    narrower block already in out is replaced by a promoted copy first."""
+def _accumulate(terms_of, rho: CollectiveDensity, out: CollectiveDensity) -> None:
+    """out += G rho for the generator G whose (dtype, terms) for input block
+    2J are terms_of(2J), each looked up once.  Every output block takes one
+    dtype, the common type of rho's blocks, G's factors and out's blocks: an
+    output block missing from out is allocated with it at its first write,
+    and a narrower block already in out, or one that is not C-contiguous
+    (flat terms write through its flat view), is replaced by a promoted,
+    contiguous copy first."""
     work = [(block, terms_of(two_j)) for two_j, block in rho.blocks.items()]
-    dtype = _common_dtype([block.dtype for block, _ in work] + [dt for _, (dt, _) in work]
-                          + [acc.dtype for acc in out.blocks.values()])
+    kinds = {b.dtype.kind for b in (*rho.blocks.values(), *out.blocks.values())}
+    dtype = _COMPLEX if "c" in kinds | {dt.kind for _, (dt, _) in work} else _REAL
     for two_j, acc in out.blocks.items():
-        if acc.dtype != dtype:
-            out.blocks[two_j] = acc.astype(dtype)
+        out.blocks[two_j] = np.ascontiguousarray(acc, dtype=dtype)
     for block, (_, terms) in work:
-        if scale != 1.0:
-            block = scale * block
+        flat = block.reshape(-1)
         for two_j_out, dst, src, a, b in terms:
-            t = block[src]
+            t = (flat if len(src) == 1 else block)[src]
             if a is not None:
                 t = a * t
             if b is not None:
-                t = t * b
+                t = t * b if a is None else np.multiply(t, b, out=t)
             acc = out.blocks.get(two_j_out)
             if acc is None:
                 acc = out.blocks[two_j_out] = np.zeros((two_j_out + 1,) * 2, dtype=dtype)
-            acc[dst] += t
+            (acc.reshape(-1) if len(dst) == 1 else acc)[dst] += t
 
 
 def symmetric_lindblad_apply(channel: SpinChannel, rho: CollectiveDensity,
@@ -540,7 +563,8 @@ def symmetric_lindblad_apply(channel: SpinChannel, rho: CollectiveDensity,
                              scale: float = 1.0) -> CollectiveDensity:
     """Derivative of rho under the symmetric channel sum_n L[s^(n)] at unit
     rate (multiply by channel.rate for the physical rate).  With ``out``,
-    ``scale`` times the derivative is added into it and it is returned.
+    ``scale`` times the derivative is added into it and it is returned;
+    ``scale`` is folded into the compiled terms, which are cached per scale.
     The result is real when rho and the channel's terms are (see
     _accumulate).
 
@@ -549,7 +573,7 @@ def symmetric_lindblad_apply(channel: SpinChannel, rho: CollectiveDensity,
     the g-tensor identity for the non-collective bilinear.
     """
     out = CollectiveDensity(N=rho.N) if out is None else out
-    _accumulate(_channel_terms_of(channel, rho.N), rho, out, scale)
+    _accumulate(_channel_terms_of(channel, rho.N, scale), rho, out)
     return out
 
 
@@ -559,7 +583,7 @@ def collective_lindblad_apply(channel: CollectiveChannel, rho: CollectiveDensity
     """Block-diagonal dissipator L[C] rho for a collective operator C; ``out``,
     ``scale`` and the dtype as in symmetric_lindblad_apply."""
     out = CollectiveDensity(N=rho.N) if out is None else out
-    _accumulate(_channel_terms_of(channel, rho.N), rho, out, scale)
+    _accumulate(_channel_terms_of(channel, rho.N, scale), rho, out)
     return out
 
 
@@ -568,25 +592,30 @@ def master_rhs(H_coeffs, channels, rho: CollectiveDensity) -> CollectiveDensity:
     (coeff, word) pairs applied per block.  Blocks missing from rho.blocks
     count as zero; the result holds only the blocks some term writes to.
 
-    The output dtype is set once, from rho and every generator's terms on
-    rho's blocks: real when all of them are real, else complex, in which
-    case a real rho is promoted before the first term is written."""
-    H = _hamiltonian_terms_of(H_coeffs) if H_coeffs else None
-    parts = [_channel_terms_of(ch, rho.N) for ch in channels] + ([H] if H else [])
-    dtype = _common_dtype([b.dtype for b in rho.blocks.values()]
-                          + [terms_of(tj)[0] for terms_of in parts for tj in rho.blocks])
-    if any(b.dtype != dtype for b in rho.blocks.values()):
-        rho = CollectiveDensity(N=rho.N, blocks={tj: b.astype(dtype)
-                                                 for tj, b in rho.blocks.items()})
+    The result is real when rho and every generator's terms on rho's blocks
+    are real, else complex: the first complex generator promotes the blocks
+    written so far (see _accumulate), so all result blocks share one dtype."""
     out = CollectiveDensity(N=rho.N)
-    if H:
-        _accumulate(H, rho, out)
+    if H_coeffs:
+        key = _words_key(H_coeffs)
+        _accumulate(lambda two_j: _hamiltonian_terms(key, two_j), rho, out)
     for ch in channels:
         if isinstance(ch, SpinChannel):
             symmetric_lindblad_apply(ch, rho, out, ch.rate)
         else:
             collective_lindblad_apply(ch, rho, out, ch.rate)
     return out
+
+
+def _iadd(acc, x):
+    """acc + x, written into acc when its dtype holds the sum; a missing
+    (None) operand adds nothing."""
+    if acc is None or x is None:
+        return x if acc is None else acc
+    if not np.can_cast(x.dtype, acc.dtype):
+        return acc + x
+    acc += x
+    return acc
 
 
 def collective_master_step(H_coeffs, channels, rho: CollectiveDensity, dt: float) -> CollectiveDensity:
@@ -596,39 +625,41 @@ def collective_master_step(H_coeffs, channels, rho: CollectiveDensity, dt: float
     at each stage the nonzero blocks the stage derivative reaches, looked for
     among the J +- 1 neighbours of the stage state (no term moves a block
     further).  The result holds exactly the support, in ascending 2J order;
-    every other block is exactly zero.
+    every other block is exactly zero.  Stages are combined in place: each
+    stage derivative belongs to this step, and once the next stage state is
+    built it is scaled and added into one buffer per block, so no stage
+    derivative outlives its stage.
     """
     N = rho.N
 
     def nonzero(x, keys):
         return {tj for tj in keys if tj in x.blocks and x.blocks[tj].any()}
 
-    def block(x, tj):
-        # a missing block adds like a zero block: the scalar broadcasts
-        return x.blocks.get(tj, 0.0)
-
     # the support is a set, built in the same order at every step: its
     # iteration order sets the order of the stage states' blocks, and with
     # it the order in which values are added into each output block
     support = nonzero(rho, rho.blocks)
     state = CollectiveDensity(N=N, blocks={tj: rho.blocks[tj] for tj in support})
-    ks = []
-    for w in (dt / 2.0, dt / 2.0, dt, None):
+    acc = {}  # k1 + 2 k2 + 2 k3 + k4, summed in that order
+    for c, w in zip((1.0, 2.0, 2.0, 1.0), (dt / 2.0, dt / 2.0, dt, None)):
         k = master_rhs(H_coeffs, channels, state)
-        ks.append(k)
         support |= nonzero(k, {t for tj in state.blocks for t in (tj - 2, tj, tj + 2)
-                               if 0 <= t <= N})
+                               if 0 <= t <= N} - support)
         if w is not None:
-            state = CollectiveDensity(N=N, blocks={tj: block(rho, tj) + w * block(k, tj)
-                                                   for tj in support})
-    k1, k2, k3, k4 = ks
+            state = CollectiveDensity(N=N, blocks={tj: _iadd(
+                w * k.blocks[tj] if tj in k.blocks else None, rho.blocks.get(tj)) for tj in support})
+        for tj, x in k.blocks.items():
+            acc[tj] = _iadd(acc.get(tj), x if c == 1.0 else np.multiply(x, c, out=x))
     out = CollectiveDensity(N=N)
     for tj in sorted(support):
-        b = block(rho, tj) + (dt / 6.0) * (
-            block(k1, tj) + 2.0 * block(k2, tj) + 2.0 * block(k3, tj) + block(k4, tj))
-        if not np.all(np.isfinite(b)):
+        b = acc[tj] if tj in acc else np.zeros((tj + 1,) * 2)
+        b *= dt / 6.0
+        b = _iadd(b, rho.blocks.get(tj))
+        if not np.isfinite(b).all():
             raise FloatingPointError(f"non-finite block 2J = {tj} in collective_master_step")
-        out.blocks[tj] = 0.5 * (b + b.conj().T)
+        b += b.conj().T
+        b *= 0.5
+        out.blocks[tj] = b
     return out
 
 
@@ -651,14 +682,15 @@ def cat_state(N: int) -> CollectiveDensity:
 
 
 def expectation(rho: CollectiveDensity, word_coeffs) -> complex:
-    """<C> = sum_J d_J tr(C_J rho_J) for a collective operator polynomial."""
+    """<C> = sum_J d_J tr(C_J rho_J) for a collective operator polynomial,
+    read off C's cached bands: tr(C rho) = sum_k sum_i C[i, i + k] rho[i + k, i],
+    one dot product per band, with no dense C."""
+    key = _words_key(word_coeffs)
     total = 0.0 + 0.0j
     for two_j, block in rho.blocks.items():
-        if not block.any():
-            continue
         d = irrep_degeneracy(two_j / 2.0, rho.N)
-        # tr(C rho) = sum_ij C_ij rho_ji
-        total += d * np.sum(collective_operator(word_coeffs, two_j) * block.T)
+        total += d * sum(v[max(0, -k):][:two_j + 1 - abs(k)] @ np.diagonal(block, -k)
+                         for k, v in _operator_bands(key, two_j).items())
     return total
 
 

@@ -263,7 +263,9 @@ def simulate_truth(model: DiffusiveModel, rho0: np.ndarray, T: float, dt: float,
     normal(0, dt); this is how measurement records are generated for filters
     under test.  Stored expectations are evaluated on the trajectory states,
     each as the elementwise sum of op^T * rho: on states 0, store_every,
-    2 store_every, ... and on the final state, with nan on the others.
+    2 store_every, ... and on the final state, with nan on the others.  A
+    FloatingPointError from a step is raised again naming the step and the
+    time it reaches.
     """
     if store_every < 1:
         raise ValueError(f"store_every must be at least 1, got {store_every}")
@@ -277,13 +279,16 @@ def simulate_truth(model: DiffusiveModel, rho0: np.ndarray, T: float, dt: float,
     exps = {k: np.full(steps + 1, np.nan) for k in observables}
     for k, opT in observables.items():
         exps[k][0] = (opT * rho).sum().real
-    for i in range(steps):
-        signal = channels.signal(rho[None])
-        dY[i] = signal[0, 0] * dt + dWs[i]
-        rho = sme_step_batch(model.H, channels, rho, dY[i], dt, signal=signal)
-        if (i + 1) % store_every == 0 or i + 1 == steps:
-            for k, opT in observables.items():
-                exps[k][i + 1] = (opT * rho).sum().real
+    try:
+        for i in range(steps):
+            signal = channels.signal(rho[None])
+            dY[i] = signal[0, 0] * dt + dWs[i]
+            rho = sme_step_batch(model.H, channels, rho, dY[i], dt, signal=signal)
+            if (i + 1) % store_every == 0 or i + 1 == steps:
+                for k, opT in observables.items():
+                    exps[k][i + 1] = (opT * rho).sum().real
+    except FloatingPointError as e:
+        raise FloatingPointError(f"{e} at step {i + 1} (t = {(i + 1) * dt:g})") from None
     return TrajectoryRecord(
         times=np.arange(steps + 1) * dt, dY=dY, dW=dWs, expectations=exps, seed=seed)
 

@@ -137,7 +137,10 @@ class TestRun:
                  ("collective-squeeze", ["Gamma=1e308", "store_every=1"],
                   "FloatingPointError: non-finite block 2J = 92 in collective_master_step,"
                   " in state sym at step 1 (t = 0.0001)"),
-                 ("qubit-filter", ["kappa=1e300", "T=0.001"], "FloatingPointError"),
+                 # simulate_truth names the slots, the step and t
+                 ("qubit-filter", ["kappa=1e300", "T=0.001"],
+                  "FloatingPointError: non-finite density matrix in sme_step at slots [0]"
+                  " at step 2 (t = 2e-05)"),
                  ("param-ensemble", ["B_values=1e300,2", "T=0.001", "store_every=10"],
                   "FloatingPointError"),
                  # the Kalman runs name the first bad step and its time

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -627,3 +629,117 @@ class TestRealArithmetic:
         col.collective_lindblad_apply(ch, as_complex(rho), cplx_out, 0.3)
         assert all(b.dtype == np.complex128 for b in real_out.blocks.values())
         self.assert_same(real_out, cplx_out)
+
+
+def dense_expectation(rho, word_coeffs, absolute=False):
+    """sum_J d_J sum_ij C_ij rho_ji with C the dense collective_operator
+    block; with ``absolute``, the same sum of |C_ij rho_ji|."""
+    return sum(col.irrep_degeneracy(tj / 2.0, rho.N)
+               * np.sum((np.abs if absolute else np.asarray)(
+                   col.collective_operator(word_coeffs, tj) * b.T))
+               for tj, b in rho.blocks.items())
+
+
+def full_space_xi2(rho):
+    """xi^2 of embed_collective's 2^N state from the total spin operators."""
+    N = rho.N
+    full = col.embed_collective(rho)
+    Jy = sum(embed_single((SIGMA_PLUS - SIGMA_MINUS) / 2j, n, N) for n in range(N))
+    Jz = sum(embed_single(SIGMA_Z / 2.0, n, N) for n in range(N))
+
+    def mean(op):
+        return np.trace(op @ full).real
+
+    return N * (mean(Jy @ Jy) - mean(Jy) ** 2) / mean(Jz) ** 2
+
+
+class TestBandExpectation:
+    """expectation reads <C> off C's cached bands, with no dense block."""
+
+    WORDS = ([(1.0, "z")], [(1.0, "yy")], [(1.0, "y")], [(0.5j, "+-"), (1.0, "x")])
+    SQUEEZE_H = ((-1j, "++"), (1j, "--"))
+
+    @pytest.mark.parametrize("N", [12, 100])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_the_dense_contraction(self, N, kind):
+        rho = random_collective(N, N + 3)
+        if kind == "real":
+            rho = col.CollectiveDensity(N=N, blocks={tj: np.ascontiguousarray(b.real)
+                                                     for tj, b in rho.blocks.items()})
+        assert len(rho.blocks) == N // 2 + 1
+        for word in self.WORDS:
+            got, expect = col.expectation(rho, word), dense_expectation(rho, word)
+            scale = abs(expect)
+            if kind == "real" and word == [(1.0, "y")]:
+                # <Jy> of a real symmetric state is zero; both sums are
+                # rounding, so compare them with the size of their terms
+                scale = dense_expectation(rho, word, absolute=True)
+                assert abs(expect) <= 1e-15 * scale
+            assert abs(got - expect) <= 1e-13 * scale, word
+
+    @pytest.mark.parametrize("channels", [
+        [], [col.SpinChannel(s_minus=1.0, rate=0.2)],
+        [col.CollectiveChannel(((1.0, "-"),), rate=0.2)]], ids=["free", "sym", "coll"])
+    def test_xi2_matches_the_full_space_state(self, channels):
+        state = col.coherent_top(6)
+        for _ in range(3):
+            state = col.collective_master_step(self.SQUEEZE_H, channels, state, 0.01)
+        xi2 = col.squeezing_xi2(state)
+        assert xi2 < 0.9
+        assert abs(xi2 - full_space_xi2(state)) <= 1e-10
+
+
+class TestFoldedAndMergedTerms:
+    """A channel's rate is folded into its compiled factors, a left and a
+    right diagonal band share one term, and block-preserving terms with a
+    column factor run on the flattened block."""
+
+    N = 12
+    UNIT = {
+        "spin": col.SpinChannel(s_minus=1.0, s_z=0.5),
+        "spin-complex": col.SpinChannel(s_I=0.3, s_plus=0.2j, s_minus=1.0),
+        "collective": col.CollectiveChannel(((1.0, "-"), (0.3, "z"))),
+        "collective-complex": col.CollectiveChannel(((1.0, "-"), (0.2j, "zx"))),
+    }
+
+    @staticmethod
+    def apply(channel, rho, out=None):
+        if isinstance(channel, col.SpinChannel):
+            return col.symmetric_lindblad_apply(channel, rho, out)
+        return col.collective_lindblad_apply(channel, rho, out)
+
+    @pytest.mark.parametrize("kind", sorted(UNIT))
+    def test_rate_scales_the_unit_rate_derivative(self, kind):
+        unit = self.UNIT[kind]
+        rho = random_collective(self.N, 5)
+        got = col.master_rhs(None, [dataclasses.replace(unit, rate=0.2)], rho)
+        ref = self.apply(unit, rho)
+        assert sorted(got.blocks) == sorted(ref.blocks)
+        for tj, b in ref.blocks.items():
+            assert np.max(np.abs(got.blocks[tj] - 0.2 * b)) <= 1e-14 * np.max(np.abs(b))
+
+    def test_diagonal_pair_is_one_dense_term(self):
+        whole = (slice(None), slice(None))
+        for kind, channel in self.UNIT.items():
+            if isinstance(channel, col.SpinChannel):
+                _, terms = col._spin_channel_terms(channel._key, self.N, self.N, 1.0)
+            else:
+                _, terms = col._collective_channel_terms(channel._key, self.N, 1.0)
+            merged = [t for t in terms if t[1] == whole]
+            assert len(merged) == 1, kind
+            assert merged[0][3].shape == (self.N + 1, self.N + 1) and merged[0][4] is None
+
+    @pytest.mark.parametrize("kind", sorted(UNIT))
+    def test_fortran_ordered_blocks_in_and_out(self, kind):
+        # flat terms read and write through flat views, which a
+        # non-C-contiguous block does not have
+        unit = self.UNIT[kind]
+        rho = random_collective(self.N, 6)
+        ref = self.apply(unit, rho)
+        f_rho = col.CollectiveDensity(N=self.N, blocks={tj: np.asfortranarray(b)
+                                                        for tj, b in rho.blocks.items()})
+        out = col.CollectiveDensity(N=self.N, blocks={
+            tj: np.zeros((tj + 1, tj + 1), dtype=complex, order="F") for tj in ref.blocks})
+        self.apply(unit, f_rho, out)
+        for tj, b in ref.blocks.items():
+            assert np.array_equal(out.blocks[tj], b)

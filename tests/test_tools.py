@@ -1,0 +1,80 @@
+import importlib.util
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(__file__), "..", "tools", "bench_pairs.py")
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def run(steps_per_s, correct=True, failed=0):
+    return {"steps_per_s": steps_per_s, "setup_s": 0.2, "peak_rss_mb": 36.0,
+            "correct": correct, "failed": failed, "attempted": 10, "job_best_s": {}}
+
+
+def pair(seed, parent, change):
+    return {"seed": seed, "first": "parent", "parent": parent, "change": change}
+
+
+class TestSummarize:
+    def test_all_correct_pairs(self):
+        pairs = [pair(1, run(100.0), run(120.0)), pair(2, run(110.0), run(121.0)),
+                 pair(3, run(90.0), run(80.0))]
+        summary = bench_pairs.summarize(pairs)
+        assert summary["incorrect_runs"] == {"parent": 0, "change": 0}
+        s = summary["steps_per_s"]
+        assert s["pairs"] == 3 and s["change_better_pairs"] == 2
+        assert s["parent"]["median"] == 100.0 and s["change"]["median"] == 120.0
+        assert s["ratio_of_medians"] == pytest.approx(1.2)
+
+    def test_incorrect_runs_are_counted_and_left_out(self):
+        # a fast run whose outputs failed their checks must not count as a win
+        pairs = [pair(1, run(100.0), run(120.0)), pair(2, run(100.0), run(900.0, correct=False)),
+                 pair(3, run(100.0, failed=2), run(110.0)), pair(4, run(100.0), run(130.0))]
+        summary = bench_pairs.summarize(pairs)
+        assert summary["incorrect_runs"] == {"parent": 1, "change": 1}
+        s = summary["steps_per_s"]
+        assert s["pairs"] == 2 and s["change_better_pairs"] == 2
+        assert s["change"]["median"] == 125.0
+
+    def test_no_correct_pair_leaves_only_the_counts(self):
+        summary = bench_pairs.summarize([pair(1, run(100.0), run(120.0, correct=False))])
+        assert summary == {"incorrect_runs": {"parent": 0, "change": 1}}
+
+    def test_trace_records_have_no_failed_count(self):
+        assert bench_pairs.incorrect({"seed": 1, "correct": False, "metrics": {}})
+        assert not bench_pairs.incorrect({"seed": 1, "correct": True, "metrics": {}})
+
+
+class TestMain:
+    @staticmethod
+    def fake_run(monkeypatch, bad_side):
+        def run_once(checkout, workload, seed, seconds, trace):
+            side = os.path.basename(checkout)
+            result = {"correct": side != bad_side, "failed": 0, "attempted": 5,
+                      "metrics": {name: {"value": 1.0} for name in bench_pairs.METRICS}}
+            return {"cpus": "2"}, result, {"job": 0.01}
+
+        monkeypatch.setattr(bench_pairs, "run_once", run_once)
+        monkeypatch.setattr(bench_pairs, "package_version",
+                            lambda checkout: "v-" + os.path.basename(checkout))
+        monkeypatch.setattr(bench_pairs, "git_head", lambda checkout: None)
+
+    @pytest.mark.parametrize("bad_side,code", [(None, 0), ("parent", 0), ("change", 1)])
+    def test_exit_code_and_record(self, tmp_path, monkeypatch, capsys, bad_side, code):
+        self.fake_run(monkeypatch, bad_side)
+        out = str(tmp_path / "bench.json")
+        argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w",
+                "--seeds", "1-2", "--seconds", "1", "--out", out]
+        assert bench_pairs.main(argv) == code
+        with open(out) as f:
+            bench = bench_pairs.json.load(f)
+        assert bench["version"] == "v-change" and bench["parent_version"] == "v-parent"
+        expect = {"parent": 0, "change": 0}
+        if bad_side:
+            expect[bad_side] = 2
+        assert bench["summary"]["w"]["incorrect_runs"] == expect
+        assert f"w incorrect runs (in no statistic): parent {expect['parent']}, " \
+               f"change {expect['change']}" in capsys.readouterr().out

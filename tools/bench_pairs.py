@@ -11,9 +11,17 @@ JSON file given by ``--out`` (created if missing), keyed by workload:
                 untraced repetition), so a record shows which job moved
     summary[W]  per metric: median and quartiles of each side, the ratio of
                 the medians (change / parent) and how many pairs the change
-                wins
+                wins, over the pairs whose runs are both correct; and
+                ``incorrect_runs``, per side, the runs that reported
+                ``correct: false`` or failed jobs, which no statistic counts
     trace_W     with --trace 1: both sides' per-layer metrics (nonzero ones)
                 for the first seed only
+
+The record holds the package version of both checkouts (``version``,
+``parent_version``) and the parent's git commit where it has one.  perfbench
+exits 0 when an output check fails, so the tool checks each run's result: it
+exits 1, after writing the record, if any run in the change checkout was
+incorrect.
 
 Usage:
     python tools/bench_pairs.py PARENT CHANGE --workload W --seeds A-B
@@ -74,15 +82,25 @@ def quartiles(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def incorrect(run: dict) -> bool:
+    """A run whose outputs failed their checks or that had failed jobs."""
+    return not run["correct"] or run.get("failed", 0) > 0
+
+
 def summarize(pairs: list) -> dict:
-    out = {}
-    for name, better in METRICS.items():
-        parent = [p["parent"][name] for p in pairs]
-        change = [p["change"][name] for p in pairs]
+    """Per metric, the statistics over the pairs whose runs are both correct
+    (none if there are no such pairs), and per side the number of incorrect
+    runs."""
+    valid = [p for p in pairs if not incorrect(p["parent"]) and not incorrect(p["change"])]
+    out = {"incorrect_runs": {side: sum(incorrect(p[side]) for p in pairs)
+                              for side in ("parent", "change")}}
+    for name, better in METRICS.items() if valid else ():
+        parent = [p["parent"][name] for p in valid]
+        change = [p["change"][name] for p in valid]
         wins = sum((c > p) if better == "higher" else (c < p) for p, c in zip(parent, change))
         out[name] = {"parent": quartiles(parent), "change": quartiles(change),
                      "ratio_of_medians": statistics.median(change) / statistics.median(parent),
-                     "change_better_pairs": wins, "pairs": len(pairs)}
+                     "change_better_pairs": wins, "pairs": len(valid)}
     return out
 
 
@@ -132,6 +150,7 @@ def main(argv=None) -> int:
         with open(args.out) as f:
             bench = json.load(f)
     bench.update(version=package_version(sides["change"]),
+                 parent_version=package_version(sides["parent"]),
                  parent_commit=git_head(sides["parent"]), machine=machine)
     if args.trace:
         bench[f"trace_{args.workload.replace('-', '_')}"] = {
@@ -145,17 +164,22 @@ def main(argv=None) -> int:
         kept = [p for p in bench.get("pairs", {}).get(args.workload, []) if p["seed"] not in seeds]
         bench.setdefault("pairs", {})[args.workload] = sorted(kept + pairs,
                                                               key=lambda p: p["seed"])
-        bench.setdefault("summary", {})[args.workload] = summarize(
+        summary = bench.setdefault("summary", {})[args.workload] = summarize(
             bench["pairs"][args.workload])
-        for name, s in bench["summary"][args.workload].items():
-            print(f"{args.workload} {name}: parent median {s['parent']['median']:.6g}, "
-                  f"change median {s['change']['median']:.6g}, ratio "
-                  f"{s['ratio_of_medians']:.3f}, change better in "
-                  f"{s['change_better_pairs']}/{s['pairs']}")
+        for name in METRICS:
+            if name in summary:
+                s = summary[name]
+                print(f"{args.workload} {name}: parent median {s['parent']['median']:.6g}, "
+                      f"change median {s['change']['median']:.6g}, ratio "
+                      f"{s['ratio_of_medians']:.3f}, change better in "
+                      f"{s['change_better_pairs']}/{s['pairs']}")
+        bad = summary["incorrect_runs"]
+        print(f"{args.workload} incorrect runs (in no statistic): parent {bad['parent']}, "
+              f"change {bad['change']}")
     with open(args.out, "w") as f:
         json.dump(bench, f, indent=1)
         f.write("\n")
-    return 0
+    return 1 if any(incorrect(p["change"]) for p in pairs) else 0
 
 
 if __name__ == "__main__":
