@@ -122,7 +122,8 @@ def _run_particle_filter(p, seed, workers):
                                        stream_seed(seed, 0))
     model = est.QubitMagnetometerModel(
         kappa=p["kappa"], prior=("gaussian", p["prior_mean"], p["prior_var"]))
-    res = est.particle_filter_run(model, record, p["N"], p["a"], p["h"],
+    # the Liu-West bandwidth h^2 = 1 - a^2 keeps the cloud's variance
+    res = est.particle_filter_run(model, record, p["N"], p["a"], math.sqrt(1.0 - p["a"] ** 2),
                                   p["threshold"], seed)
     idx = np.arange(0, len(res["mean_trace"]), p["store_every"])
     cols = [record.times[idx], res["mean_trace"][idx], res["sd_trace"][idx]]
@@ -402,14 +403,15 @@ EXPERIMENTS = {
     "particle-filter": {
         "doc": "resampling quantum particle filter for the qubit magnetometer",
         "runner": _run_particle_filter,
+        "retired": {"h": "the kernel bandwidth now follows from a as sqrt(1 - a^2)"},
         "schema": {
             "kappa": (_positive, 1.0, "measurement strength"),
             "B_true": (_finite, 5.0, "true field value"),
             "N": (_positive_int, 200, "particle count"),
             "T": (_positive, 2.0, "integration horizon"),
             "dt": (_positive, 1e-4, "time step"),
-            "a": (_between(0.0, 1.0), 0.98, "kernel mean-reversion factor in [0, 1]"),
-            "h": (_nonnegative, 1e-3, "kernel bandwidth factor, at least 0"),
+            "a": (_between(0.0, 1.0), 0.97,
+                  "kernel mean-reversion factor in [0, 1]; the bandwidth is sqrt(1 - a^2)"),
             "threshold": (_between(0.0, 1.0), 2.0 / 3.0, "resample when N_eff/N drops below"),
             "prior_mean": (_finite, 0.0, "Gaussian prior mean"),
             "prior_var": (_nonnegative, 10.0, "Gaussian prior variance"),
@@ -533,6 +535,9 @@ def resolve_params(experiment: str, raw: dict) -> dict:
         schema = EXPERIMENTS[experiment]["schema"]
     except KeyError:
         raise ConfigError(f"unknown experiment {experiment!r}") from None
+    for key, why in EXPERIMENTS[experiment].get("retired", {}).items():
+        if key in raw:
+            raise ConfigError(f"config key {key!r} is no longer accepted: {why}")
     unknown = set(raw) - set(schema)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")

@@ -65,7 +65,6 @@ __all__ = [
     "irrep_degeneracy",
     "alpha_cumulative",
     "g_tensor_apply",
-    "block_spin_ops",
     "collective_operator",
     "symmetric_lindblad_apply",
     "collective_lindblad_apply",
@@ -225,17 +224,6 @@ def g_tensor_apply(q: str, r: str, J: float, M: float, Mp: float, N: int) -> lis
         coeff = (aJ1 / (dJ * 2.0 * (J + 1.0))) * _D(q, J, M) * _D(r, J, Mp)
         if coeff != 0.0:
             out.append((J + 1, Mq, Mpr, coeff))
-    return out
-
-
-@lru_cache(maxsize=64)
-def block_spin_ops(two_j: int) -> dict:
-    """Read-only spin matrices of the 2J+1 block, keyed '+', '-', 'z', 'x', 'y'."""
-    ops = spin_operators(two_j / 2.0)
-    out = {"+": ops["Jplus"], "-": ops["Jminus"], "z": ops["Jz"],
-           "x": ops["Jx"], "y": ops["Jy"]}
-    for a in out.values():
-        a.setflags(write=False)
     return out
 
 

@@ -71,14 +71,13 @@ class DegenerateEnsembleError(RuntimeError):
 class ParticleEnsemble:
     """Weighted set of (parameter, conditional state) pairs.
 
-    ``states`` is (N, d, d) complex for state_kind="density" or (N,) float
-    Bloch angles for state_kind="bloch".
+    ``states`` is (N, d, d) complex density matrices or (N,) float Bloch
+    angles; the kind follows from ``states.ndim``.
     """
 
     weights: np.ndarray
     params: np.ndarray
     states: np.ndarray
-    state_kind: str = "density"
 
     def __post_init__(self):
         n = len(self.weights)
@@ -86,8 +85,6 @@ class ParticleEnsemble:
             raise ValueError("weights, params and states must have equal length")
         if abs(self.weights.sum() - 1.0) > 1e-9 or np.any(self.weights < 0):
             raise ValueError("weights must be a normalized probability vector")
-        if self.state_kind not in ("density", "bloch"):
-            raise ValueError(f"unknown state_kind {self.state_kind!r}")
 
     @property
     def count(self) -> int:
@@ -106,8 +103,8 @@ class EstimationModel:
     """Parameter-coupled model H = base.H + xi * H0 with coupling base.L.
 
     ``base`` is the model at xi = 0; every particle steps its compiled
-    ``channels``.  ``prior`` is one of ("finite", values, weights),
-    ("gaussian", mu, var) or ("uniform", lo, hi).  ``rho0`` is the known
+    ``channels``.  ``prior`` is ("finite", values, weights) or
+    ("gaussian", mu, var).  ``rho0`` is the known
     initial conditional state shared by every particle.
     """
 
@@ -142,15 +139,12 @@ def sample_prior(prior: tuple, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     if kind == "gaussian":
         mu, var = prior[1], prior[2]
         return mu + np.sqrt(var) * rng.standard_normal(n), np.full(n, 1.0 / n)
-    if kind == "uniform":
-        lo, hi = prior[1], prior[2]
-        return rng.uniform(lo, hi, size=n), np.full(n, 1.0 / n)
     raise ValueError(f"unknown prior kind {prior[0]!r}")
 
 
 def _signals(model, ens: ParticleEnsemble) -> np.ndarray:
     """Per-particle expectation of the measured observable L + L^dag."""
-    if ens.state_kind == "bloch":
+    if ens.states.ndim == 1:
         return 2.0 * np.sqrt(model.kappa) * np.sin(ens.states)
     return model.base.channels.signal(ens.states)[:, 0]
 
@@ -168,7 +162,7 @@ def ensemble_step(model, ens: ParticleEnsemble, dM: float, dt: float) -> Particl
     total = w.sum()
     if total <= 0.0 or not np.isfinite(total):
         raise DegenerateEnsembleError("all particle weights collapsed to zero")
-    if ens.state_kind == "bloch":
+    if ens.states.ndim == 1:
         states = bloch_angle_step(ens.states, dM, ens.params, model.kappa, dt)
     else:
         H = model.H0 * ens.params[:, None, None] + model.base.H
@@ -201,7 +195,7 @@ def liu_west_resample(ens: ParticleEnsemble, a: float, h: float, rng) -> Particl
         raise DegenerateEnsembleError("cannot resample an ensemble with zero weight")
     n = ens.count
     idx = rng.choice(n, size=n, p=ens.weights / total)
-    if ens.state_kind == "bloch":
+    if ens.states.ndim == 1:
         xy = np.stack([ens.params, ens.states], axis=1)
         mean = ens.weights @ xy
         centered = xy - mean
@@ -216,19 +210,15 @@ def liu_west_resample(ens: ParticleEnsemble, a: float, h: float, rng) -> Particl
         sd = h * np.sqrt(ens.variance())
         params = a * ens.params[idx] + (1.0 - a) * mean + sd * rng.standard_normal(n)
         states = ens.states[idx].copy()
-    return ParticleEnsemble(
-        weights=np.full(n, 1.0 / n), params=params, states=states,
-        state_kind=ens.state_kind)
+    return ParticleEnsemble(weights=np.full(n, 1.0 / n), params=params, states=states)
 
 
 def _init_ensemble(model, N: int, rng) -> ParticleEnsemble:
-    if isinstance(model, QubitMagnetometerModel):
-        params, weights = sample_prior(model.prior, N, rng)
-        return ParticleEnsemble(
-            weights=weights, params=params,
-            states=np.zeros(N), state_kind="bloch")
     params, weights = sample_prior(model.prior, N, rng)
-    states = np.broadcast_to(model.rho0, (N,) + model.rho0.shape).astype(complex).copy()
+    if isinstance(model, QubitMagnetometerModel):
+        states = np.zeros(N)
+    else:
+        states = np.broadcast_to(model.rho0, (N,) + model.rho0.shape).astype(complex).copy()
     return ParticleEnsemble(weights=weights, params=params, states=states)
 
 
@@ -435,13 +425,11 @@ def simulate_qubit_record(kappa: float, B_true: float, T: float, dt: float, seed
     dW = rng.standard_normal(steps) * np.sqrt(dt)
     amplitude = 2.0 * math.sqrt(kappa)
     theta = 0.0
-    dY, sz = [], [0.0]
+    dY = []
     for w in dW.tolist():
         dY.append(amplitude * math.sin(theta) * dt + w)
         theta = bloch_angle_step(theta, dY[-1], B_true, kappa, dt)
-        sz.append(math.sin(theta))
-    return TrajectoryRecord(times=np.arange(steps + 1) * dt, dY=np.array(dY), dW=dW,
-                            expectations={"sz": np.array(sz)}, seed=seed)
+    return TrajectoryRecord(times=np.arange(steps + 1) * dt, dY=np.array(dY), dW=dW)
 
 
 def qubit_finite_set_batch(kappa: float, B_values, B_true: float, T: float, dt: float,

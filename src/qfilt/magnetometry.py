@@ -1,6 +1,6 @@
-"""Double-pass atomic magnetometer: exact filters, Fisher-information bounds,
-the small-angle Kalman model and the resampling particle filter for the
-field.
+"""Double-pass atomic magnetometer: the exact model and its pure-state
+filter, Fisher-information bounds, the small-angle Kalman model and the
+particle-filter model for the field.
 
 A probe beam crosses the collective spin twice, giving the dipole operator
 L = sqrt(M) Fz + i sqrt(K) Fy and Hamiltonian
@@ -19,22 +19,20 @@ import numpy as np
 
 from .operators import anticommutator, pure_to_density, spin_coherent, spin_operators
 from .kalman import LinearModel
-from .estimation import EstimationModel, particle_filter_run
-from .trajectory import DiffusiveModel, TrajectoryRecord, sme_step, sse_step_batch
+from .estimation import EstimationModel
+from .trajectory import DiffusiveModel, TrajectoryRecord, sse_step_batch
 from .sde import rng_stream
 
 __all__ = [
     "DoublePassParams",
     "coherent_x",
     "double_pass_model",
-    "double_pass_sme_step",
     "double_pass_sse_step",
     "simulate_double_pass_truth",
     "fisher_information_fd",
     "cramer_rao_bound",
     "smallangle_kalman_model",
     "magnetometry_estimation_model",
-    "magnetometry_particle_filter",
 ]
 
 
@@ -81,20 +79,6 @@ def double_pass_model(params: DoublePassParams) -> DiffusiveModel:
     return DiffusiveModel(H=H, L=L)
 
 
-def double_pass_sme_step(params: DoublePassParams, rho: np.ndarray, dZ: float, dt: float) -> np.ndarray:
-    """One Euler step of the double-pass quantum filter, which in explicit
-    form reads
-
-        d rho = i gamma B [Fy, rho] dt + i sqrt(KM) [Fy, {Fz, rho}] dt
-              + M D[Fz] rho dt + K D[Fy] rho dt
-              + (sqrt(M) M[Fz] rho + i sqrt(K) [Fy, rho]) dW,
-        dW = dZ - 2 sqrt(M) Tr[Fz rho] dt;
-
-    this is the generic filter sme_step for the pair double_pass_model.
-    """
-    return sme_step(double_pass_model(params), rho, dZ, dt)
-
-
 def double_pass_sse_step(params: DoublePassParams, psi: np.ndarray, dW, dt: float) -> np.ndarray:
     """Pure-state unraveling of the double-pass filter, the generic
     sse_step_batch for the pair double_pass_model.  On states with
@@ -119,7 +103,9 @@ def coherent_x(F: float) -> np.ndarray:
 def simulate_double_pass_truth(params: DoublePassParams, T: float, dt: float,
                                seed) -> TrajectoryRecord:
     """Generate a measurement record dZ = 2 sqrt(M) <Fz> dt + dW by evolving
-    the pure-state filter with fresh noise from the +x coherent state."""
+    the pure-state filter with fresh noise from the +x coherent state.  A
+    FloatingPointError from a step is raised again naming the step and the
+    time it reaches."""
     ops = _spin(params)
     Fz = ops["Jz"]
     psi = coherent_x(params.F)
@@ -129,12 +115,15 @@ def simulate_double_pass_truth(params: DoublePassParams, T: float, dt: float,
     dZ = np.zeros(steps)
     fz = np.zeros(steps + 1)
     fz[0] = np.einsum("i,ij,j->", psi.conj(), Fz, psi).real
-    for i in range(steps):
-        dZ[i] = 2.0 * np.sqrt(params.M) * fz[i] * dt + dWs[i]
-        psi = double_pass_sse_step(params, psi, dWs[i], dt)
-        fz[i + 1] = np.einsum("i,ij,j->", psi.conj(), Fz, psi).real
+    try:
+        for i in range(steps):
+            dZ[i] = 2.0 * np.sqrt(params.M) * fz[i] * dt + dWs[i]
+            psi = double_pass_sse_step(params, psi, dWs[i], dt)
+            fz[i + 1] = np.einsum("i,ij,j->", psi.conj(), Fz, psi).real
+    except FloatingPointError as e:
+        raise FloatingPointError(f"{e} at step {i + 1} (t = {(i + 1) * dt:g})") from None
     return TrajectoryRecord(times=np.arange(steps + 1) * dt, dY=dZ, dW=dWs,
-                            expectations={"Fz": fz}, seed=seed)
+                            expectations={"Fz": fz})
 
 
 def fisher_information_fd(params: DoublePassParams, deltaB: float, T: float, dt: float,
@@ -143,7 +132,8 @@ def fisher_information_fd(params: DoublePassParams, deltaB: float, T: float, dt:
     differences: co-evolve trajectories at B, B+deltaB and B-deltaB from the
     +x coherent state on one noise realization, as one batch of three slots
     sharing the coupling's compiled channels, and return
-    Tr[((rho+ - rho-) / (2 deltaB))^2 rho_0].
+    Tr[((rho+ - rho-) / (2 deltaB))^2 rho_0].  A FloatingPointError from a
+    step is raised again naming the step and the time it reaches.
     """
     if deltaB <= 0:
         raise ValueError("deltaB must be positive")
@@ -155,8 +145,11 @@ def fisher_information_fd(params: DoublePassParams, deltaB: float, T: float, dt:
     H = np.stack([m.H for m in models])
     channels = models[0].channels  # L does not depend on B
     states = np.stack([coherent_x(params.F)] * len(models))
-    for i in range(steps):
-        states = sse_step_batch(H, channels, states, dWs[i], dt)
+    try:
+        for i in range(steps):
+            states = sse_step_batch(H, channels, states, dWs[i], dt)
+    except FloatingPointError as e:
+        raise FloatingPointError(f"{e} at step {i + 1} (t = {(i + 1) * dt:g})") from None
     rho0 = pure_to_density(states[0])
     drho = (pure_to_density(states[1]) - pure_to_density(states[2])) / (2.0 * deltaB)
     info = np.trace(drho @ drho @ rho0).real
@@ -200,10 +193,3 @@ def magnetometry_estimation_model(params: DoublePassParams, prior: tuple) -> Est
                            H0=-params.gamma * _spin(params)["Jy"], prior=prior,
                            rho0=pure_to_density(coherent_x(params.F)))
 
-
-def magnetometry_particle_filter(params: DoublePassParams, record: TrajectoryRecord,
-                                 N: int, a: float, h: float, threshold: float,
-                                 seed, prior: tuple) -> dict:
-    """Resampling quantum particle filter for the double-pass magnetometer."""
-    model = magnetometry_estimation_model(params, prior)
-    return particle_filter_run(model, record, N, a, h, threshold, seed)

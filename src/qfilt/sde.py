@@ -1,7 +1,9 @@
-"""Generic Ito SDE integration with reproducible Wiener paths.
+"""Generic Ito SDE steps and the package's reproducible random streams.
 
 Every system is read in Ito form: a Stratonovich system must be passed with
-its Ito drift a + (1/2) sum_{j,k} b_j^k d(b_j)/dx^k.  Every random stream in the
+its Ito drift a + (1/2) sum_{j,k} b_j^k d(b_j)/dx^k.  ``euler_step`` takes one
+Euler-Maruyama step on increments the caller draws; a path is a loop of
+steps over normal(0, dt) draws from one stream.  Every random stream in the
 package comes from :func:`rng_stream`: ``rng_stream(seed)`` is the root stream
 of ``seed`` and ``rng_stream(seed, *tags)`` the stream that
 ``SeedSequence(seed).spawn`` would hand to child ``tags`` (child ``k``, then its
@@ -20,12 +22,9 @@ import numpy as np
 
 __all__ = [
     "SdeSystem",
-    "WienerPath",
-    "wiener_increments",
     "rng_stream",
     "stream_seed",
     "euler_step",
-    "euler_path",
 ]
 
 
@@ -43,19 +42,6 @@ class SdeSystem:
     diffusion: Callable[[float, np.ndarray, int], np.ndarray]
 
 
-@dataclass(frozen=True)
-class WienerPath:
-    """Pre-drawn Wiener increments, shape (noise_dim, steps)."""
-
-    dt: float
-    increments: np.ndarray
-    seed: np.random.SeedSequence
-
-    @property
-    def steps(self) -> int:
-        return self.increments.shape[1]
-
-
 def stream_seed(seed, *tags: int) -> np.random.SeedSequence:
     """Seed of the stream tagged ``tags`` under ``seed`` (an int, a tuple of
     ints, or a SeedSequence whose spawn key the tags extend)."""
@@ -71,18 +57,6 @@ def rng_stream(seed, *tags: int) -> np.random.Generator:
     return np.random.default_rng(stream_seed(seed, *tags))
 
 
-def wiener_increments(m: int, steps: int, dt: float, seed, k: int | None = None) -> WienerPath:
-    """Draw an m-channel Wiener path of iid normal(0, dt) increments from
-    ``rng_stream(seed)``, or from ``rng_stream(seed, k)`` for trajectory k."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    tags = () if k is None else (k,)
-    dw = rng_stream(seed, *tags).standard_normal((m, steps)) * np.sqrt(dt)
-    return WienerPath(dt=dt, increments=dw, seed=stream_seed(seed, *tags))
-
-
 def euler_step(system: SdeSystem, x: np.ndarray, t: float, dt: float, dW: np.ndarray) -> np.ndarray:
     """One Euler-Maruyama step x' = x + a dt + sum_j b_j dW_j."""
     out = x + system.drift(t, x) * dt
@@ -92,15 +66,3 @@ def euler_step(system: SdeSystem, x: np.ndarray, t: float, dt: float, dW: np.nda
         raise FloatingPointError("non-finite state produced by euler_step")
     return out
 
-
-def euler_path(system: SdeSystem, x0: np.ndarray, t0: float, path: WienerPath) -> np.ndarray:
-    """Integrate along a WienerPath; returns array of shape (steps+1, n)."""
-    out = np.empty((path.steps + 1, len(x0)))
-    out[0] = x0
-    x = np.asarray(x0, dtype=float)
-    t = t0
-    for i in range(path.steps):
-        x = euler_step(system, x, t, path.dt, path.increments[:, i])
-        t += path.dt
-        out[i + 1] = x
-    return out

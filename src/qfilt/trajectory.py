@@ -13,19 +13,19 @@ B = L - <L> and A = -iH - (L^dag L - 2 <L^dag> L + <L><L^dag>) / 2.
 ``sme_step_batch`` also takes a stack of monitored channels L_l, each with
 its own increment dY_l (the terms above summed over l), and an optional
 unmonitored generator term computed by the caller, so every density-matrix
-filter in the package is stepped by this one kernel.  Channels compiled once
-by ``compile_channels`` carry their constant operators; when every channel
-has one nonzero per row (every Pauli string does), L rho L^dag and the
-signal are flat index takes with a phase table, O(d^2) per channel instead
-of O(d^3).  A ``DiffusiveModel`` compiles its coupling once (``channels``),
-and every density-matrix and pure-state filter of a model steps those
-channels and reads its signal from them.
+filter in the package is stepped by this one kernel, and every pure-state
+filter by ``sse_step_batch``.  ``compile_channels`` holds each coupling in
+one dense form, L, L^dag, half the sum of L^dag L and the signal operator
+L + L^dag, whether it comes from a plain array or a model.  A
+``DiffusiveModel`` compiles its coupling once (``channels``), and every
+density-matrix and pure-state filter of a model steps those channels and
+reads its signal from them.
 
-Steps renormalize trace/norm and re-Hermitize every step; Euler-Maruyama is
-the default scheme with dt = 1e-5 in the problem's inverse-rate units.
-The batched variants evolve a stack of states in lockstep and are the compute
-kernel for ensembles and trajectory batches; each batch slot is an
-independent trajectory and must use its own noise stream.
+Both kernels step a stack of states in lockstep, one trajectory per slot,
+each of which must draw from its own noise stream; a single state is a
+stack of one.  Steps renormalize trace/norm and re-Hermitize every step;
+Euler-Maruyama is the scheme, with dt = 1e-5 by default in the problem's
+inverse-rate units.
 """
 
 from __future__ import annotations
@@ -46,9 +46,7 @@ __all__ = [
     "TrajectoryRecord",
     "qubit_model",
     "compile_channels",
-    "sme_step",
     "sme_step_batch",
-    "sse_step",
     "sse_step_batch",
     "simulate_truth",
     "bloch_angle_step",
@@ -59,8 +57,8 @@ __all__ = [
 class DiffusiveModel:
     """Hamiltonian/coupling pair of one diffusive measurement channel, the
     compiled filter model: ``channels`` holds L, L^dag, L^dag L / 2 and the
-    signal factors of Tr[(L + L^dag) rho], compiled on first use and kept
-    for the model's lifetime.  H and L must not be mutated afterwards."""
+    signal operator L + L^dag, compiled on first use and kept for the
+    model's lifetime.  H and L must not be mutated afterwards."""
 
     H: np.ndarray
     L: np.ndarray
@@ -97,70 +95,28 @@ class TrajectoryRecord:
     dY: np.ndarray
     dW: np.ndarray
     expectations: dict[str, np.ndarray] = field(default_factory=dict)
-    seed: object = None
 
 
 class Channels(NamedTuple):
-    """Lindblad channels compiled once for ``sme_step_batch``.
-
-    ``L`` holds the l monitored channels (l, d, d), ``Ld`` their adjoints
-    and ``K`` half the sum of their L^dag L.  When every channel has at most
-    one nonzero per row (a monomial matrix such as any Pauli string),
-    L_ij = phi_i delta_{j, pi(i)}, so
-
-        (L rho L^dag)_ij = phi_i phi_j^* rho_{pi(i) pi(j)},
-        Tr[(L + L^dag) rho] = 2 Re sum_i phi_i rho_{pi(i) i}  (rho Hermitian),
-
-    and ``jumps`` holds one (flat index, weight table) pair per distinct
-    permutation, the tables of channels sharing it summed (index None for the
-    identity), with ``signal_index``/``signal_phase`` the (l, d) flat
-    positions and factors of the signal.  Otherwise ``jumps`` is the dense
-    (operators, adjoints) pair and ``signal_index`` is None.
-    """
+    """Lindblad channels compiled once for the filter steps: ``L`` holds
+    the l monitored channels (l, d, d), ``Ld`` their adjoints, ``K`` half
+    the sum of their L^dag L and ``S`` the signal operators L + L^dag."""
 
     L: np.ndarray
     Ld: np.ndarray
     K: np.ndarray
-    jumps: tuple
-    signal_index: np.ndarray | None = None
-    signal_phase: np.ndarray | None = None
+    S: np.ndarray
 
     def signal(self, rho: np.ndarray) -> np.ndarray:
         """Tr[(L_l + L_l^dag) rho] per slot and monitored channel, (B, l)."""
-        if self.signal_index is None:
-            return np.einsum("lij,bji->bl", self.L + self.Ld, rho).real
-        flat = rho.reshape(len(rho), -1)
-        return (np.take(flat, self.signal_index, axis=1) * self.signal_phase).sum(axis=-1).real
-
-    def add_jumps(self, out: np.ndarray, rho: np.ndarray, dt: float) -> None:
-        """out += sum over every channel of L rho L^dag dt."""
-        if self.signal_index is None:
-            for Lk, Lkd in zip(*self.jumps):
-                out += (Lk @ rho @ Lkd) * dt
-            return
-        flat, dest = rho.reshape(len(rho), -1), out.reshape(len(out), -1)
-        for index, table in self.jumps:
-            dest += (flat if index is None else np.take(flat, index, axis=1)) * (table * dt)
+        return np.einsum("lij,bji->bl", self.S, rho).real
 
 
 def compile_channels(L: np.ndarray) -> Channels:
-    """Compile monitored channels L (d, d) or (l, d, d) for
-    ``sme_step_batch``; the signed-permutation form is used when it applies."""
+    """Compile monitored channels L (d, d) or (l, d, d) for ``sme_step_batch``."""
     Ls = L[None] if L.ndim == 2 else np.asarray(L)
     Lds = np.swapaxes(Ls, -1, -2).conj()
-    d = Ls.shape[-1]
-    nonzero = Ls != 0
-    if nonzero.sum(axis=-1).max() > 1:
-        return Channels(Ls, Lds, 0.5 * (Lds @ Ls).sum(axis=0), (Ls, Lds))
-    perm = nonzero.argmax(axis=-1)
-    phase = np.take_along_axis(Ls, perm[..., None], axis=-1)[..., 0]
-    K = np.diag(0.5 * np.bincount(perm.ravel(), (phase * phase.conj()).real.ravel(), d))
-    groups = {}
-    for pk, ph in zip(perm, phase):
-        groups.setdefault(pk.tobytes(), [pk, 0.0])[1] += np.outer(ph, ph.conj()).ravel()
-    jumps = tuple((None if np.array_equal(pk, np.arange(d)) else (pk[:, None] * d + pk).ravel(),
-                   table) for pk, table in groups.values())
-    return Channels(Ls, Lds, K, jumps, perm * d + np.arange(d), 2.0 * phase)
+    return Channels(Ls, Lds, 0.5 * (Lds @ Ls).sum(axis=0), Ls + Lds)
 
 
 def sme_step_batch(H: np.ndarray, L: np.ndarray | Channels, rho: np.ndarray,
@@ -180,11 +136,8 @@ def sme_step_batch(H: np.ndarray, L: np.ndarray | Channels, rho: np.ndarray,
 
     with s_l = Tr[(L_l + L_l^dag) rho] and dW_l = dY_l - s_l dt, which is
     the Euler step of the SME term by term (the first-order part of the
-    Kraus form M rho M^dag with M = I + A).  A plain array is stepped
-    densely, its L^dag and sum L^dag L formed on every call (the dense
-    reference; the package's filters pass compiled channels); compiled
-    signed-permutation channels form L rho L^dag and s_l as flat takes (see
-    ``Channels``).
+    Kraus form M rho M^dag with M = I + A).  A plain array is compiled on
+    every call; the package's filters pass channels compiled once.
     ``signal``, if given, is s_l (B, l) from a caller that already has it.
     ``unmonitored``, if given, is a caller-computed generator term per slot
     (B, d, d), added times dt.  Trace is renormalized and Hermiticity
@@ -194,9 +147,7 @@ def sme_step_batch(H: np.ndarray, L: np.ndarray | Channels, rho: np.ndarray,
     squeeze = rho.ndim == 2
     rho = rho[None] if squeeze else rho
     if not isinstance(L, Channels):
-        Ls = L[None] if L.ndim == 2 else L
-        Lds = np.swapaxes(Ls, -1, -2).conj()
-        L = Channels(Ls, Lds, 0.5 * (Lds @ Ls).sum(axis=0), (Ls, Lds))
+        L = compile_channels(L)
     if signal is None:
         signal = L.signal(rho)
     dW = np.asarray(dY, dtype=float).reshape(signal.shape) - signal * dt
@@ -204,21 +155,17 @@ def sme_step_batch(H: np.ndarray, L: np.ndarray | Channels, rho: np.ndarray,
     Arho = A @ rho
     out = rho + Arho + np.swapaxes(Arho, -1, -2).conj() \
         - np.einsum("bl,bl->b", signal, dW)[:, None, None] * rho
-    L.add_jumps(out, rho, dt)
+    for Lk, Lkd in zip(L.L, L.Ld):
+        out += (Lk @ rho @ Lkd) * dt
     if unmonitored is not None:
         out += unmonitored * dt
     out = 0.5 * (out + np.swapaxes(out, -1, -2).conj())
     tr = np.einsum("bii->b", out).real
     if not np.all(np.isfinite(tr)):
         raise FloatingPointError(
-            f"non-finite density matrix in sme_step at slots {np.flatnonzero(~np.isfinite(tr)).tolist()}")
+            f"non-finite density matrix in sme_step_batch at slots {np.flatnonzero(~np.isfinite(tr)).tolist()}")
     out = out / tr[:, None, None]
     return out[0] if squeeze else out
-
-
-def sme_step(model: DiffusiveModel, rho: np.ndarray, dY: float, dt: float) -> np.ndarray:
-    """Advance the conditional density matrix by one measurement increment dY."""
-    return sme_step_batch(model.H, model.channels, rho, dY, dt)
 
 
 def sse_step_batch(H: np.ndarray, channels: Channels, psi: np.ndarray,
@@ -228,7 +175,8 @@ def sse_step_batch(H: np.ndarray, channels: Channels, psi: np.ndarray,
 
     ``channels`` is one compiled coupling (``DiffusiveModel.channels``): L is
     read as ``channels.L[0]`` and L^dag L / 2 as ``channels.K``, so a call
-    forms no operator product.  H may be a single matrix or one per slot.
+    forms no operator product.  H may be a single matrix or one per slot.  A
+    non-finite norm raises FloatingPointError naming the batch slots.
     """
     squeeze = psi.ndim == 1
     psi = psi[None, :] if squeeze else psi
@@ -244,14 +192,10 @@ def sse_step_batch(H: np.ndarray, channels: Channels, psi: np.ndarray,
     out = psi + dpsi
     norm = np.linalg.norm(out, axis=1)
     if not np.all(np.isfinite(norm)):
-        raise FloatingPointError("non-finite state vector in sse_step")
+        raise FloatingPointError(
+            f"non-finite state vector in sse_step_batch at slots {np.flatnonzero(~np.isfinite(norm)).tolist()}")
     out = out / norm[:, None]
     return out[0] if squeeze else out
-
-
-def sse_step(model: DiffusiveModel, psi: np.ndarray, dW: float, dt: float) -> np.ndarray:
-    """Advance the pure conditional state by one innovation increment dW."""
-    return sse_step_batch(model.H, model.channels, psi, dW, dt)
 
 
 def simulate_truth(model: DiffusiveModel, rho0: np.ndarray, T: float, dt: float,
@@ -290,7 +234,7 @@ def simulate_truth(model: DiffusiveModel, rho0: np.ndarray, T: float, dt: float,
     except FloatingPointError as e:
         raise FloatingPointError(f"{e} at step {i + 1} (t = {(i + 1) * dt:g})") from None
     return TrajectoryRecord(
-        times=np.arange(steps + 1) * dt, dY=dY, dW=dWs, expectations=exps, seed=seed)
+        times=np.arange(steps + 1) * dt, dY=dY, dW=dWs, expectations=exps)
 
 
 def bloch_angle_step(theta, dM, B: float, kappa: float, dt: float):

@@ -137,12 +137,21 @@ class TestRun:
                  ("collective-squeeze", ["Gamma=1e308", "store_every=1"],
                   "FloatingPointError: non-finite block 2J = 92 in collective_master_step,"
                   " in state sym at step 1 (t = 0.0001)"),
-                 # simulate_truth names the slots, the step and t
+                 # simulate_truth names the slots, the step and t; the kernel checks
+                 # the real trace, which stays finite while step 2 makes the
+                 # imaginary parts non-finite, so step 3 raises
                  ("qubit-filter", ["kappa=1e300", "T=0.001"],
-                  "FloatingPointError: non-finite density matrix in sme_step at slots [0]"
-                  " at step 2 (t = 2e-05)"),
+                  "FloatingPointError: non-finite density matrix in sme_step_batch at slots [0]"
+                  " at step 3 (t = 3e-05)"),
                  ("param-ensemble", ["B_values=1e300,2", "T=0.001", "store_every=10"],
                   "FloatingPointError"),
+                 # the double-pass truth and Fisher runs name the slots, the step and t
+                 ("magnetometer-kalman", ["M=1e200", "T=0.001"],
+                  "FloatingPointError: non-finite state vector in sse_step_batch at slots [0]"
+                  " at step 1 (t = 0.0001)\n"),
+                 ("magnetometer-fisher", ["M=1e200", "T=0.001"],
+                  "FloatingPointError: non-finite state vector in sse_step_batch at slots [0, 1, 2]"
+                  " at step 1 (t = 0.0001)\n"),
                  # the Kalman runs name the first bad step and its time
                  ("magnetometer-kalman", ["T=0.01", "prior_var=1e300"],
                   "FloatingPointError: non-finite Kalman state at step 2 (t = 0.0002)"),
@@ -214,6 +223,15 @@ class TestRun:
             assert err.startswith("config error") and f"'{item.split('=')[0]}'" in err
             assert err.count("\n") == 1
             assert not os.path.exists(out)
+
+    def test_retired_kernel_bandwidth_is_config_error(self, tmp_path, capsys):
+        out = os.path.join(tmp_path, "pf")
+        code = cli.main(["run", "particle-filter", "--set", "h=0.199", "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("config error: config key 'h' is no longer accepted: the kernel"
+                       " bandwidth now follows from a as sqrt(1 - a^2)\n")
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("experiment,items,key", [
         ("collective-cat", ["T=0.0001"], "T"),

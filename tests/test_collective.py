@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qfilt import collective as col
-from qfilt.operators import SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z
+from qfilt.operators import SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, spin_operators
 
 PAULI_HALF = {"+": SIGMA_PLUS, "-": SIGMA_MINUS, "z": SIGMA_Z / 2.0}
 
@@ -321,7 +321,9 @@ def dense_reference_rhs(H, channels, rho):
 class TestCompiledGenerator:
     @pytest.mark.parametrize("two_j", range(9))
     def test_collective_operator_matches_matmul_chain(self, two_j):
-        ops = col.block_spin_ops(two_j)
+        spin = spin_operators(two_j / 2.0)
+        ops = {"+": spin["Jplus"], "-": spin["Jminus"], "z": spin["Jz"],
+               "x": spin["Jx"], "y": spin["Jy"]}
         for word in ("", "+", "-", "z", "x", "y", "yy", "++", "+-z", "xyz+", "zz-y"):
             expect = np.eye(two_j + 1, dtype=complex)
             for ch in word:
@@ -540,7 +542,6 @@ class TestSparseBlocks:
 
     @pytest.mark.parametrize("two_j", list(range(13)) + [100])
     def test_letter_bands_match_a_scan_of_every_diagonal(self, two_j):
-        from qfilt.operators import spin_operators
         ops = spin_operators(two_j / 2.0)
         names = {"+": "Jplus", "-": "Jminus", "z": "Jz", "x": "Jx", "y": "Jy"}
         got = col._letter_bands(two_j)

@@ -30,7 +30,7 @@ class TestEnsembleStep:
         for _ in range(200):
             dM = rng.normal() * 1e-2
             ens = est.ensemble_step(model, ens, dM, 1e-4)
-            rho_ref = traj.sme_step(filt, rho_ref, dM, 1e-4)
+            rho_ref = traj.sme_step_batch(filt.H, filt.channels, rho_ref, dM, 1e-4)
             assert abs(ens.weights[0] - 1.0) < 1e-15
         assert np.max(np.abs(ens.states[0] - rho_ref)) < 1e-13
 
@@ -46,7 +46,7 @@ class TestEnsembleStep:
             states=np.broadcast_to(model_d.rho0, (2, 2, 2)).copy())
         bloch = est.ParticleEnsemble(
             weights=np.full(2, 0.5), params=B_values.copy(),
-            states=np.zeros(2), state_kind="bloch")
+            states=np.zeros(2))
         rng = rng_stream(1)
         dt = 1e-4
         noise = rng.choice([-1.0, 1.0], size=3000) * np.sqrt(dt)
@@ -76,11 +76,11 @@ class TestEnsembleStep:
         else:
             states = np.broadcast_to(model.rho0, (4, 2, 2)).copy()
         ens = est.ParticleEnsemble(weights=np.full(4, 0.25), params=B_values.copy(),
-                                   states=states, state_kind=kind)
+                                   states=states)
         worst = 0.0
         for dM in record.dY:
             ens = est.ensemble_step(model, ens, dM, dt)
-            rho = traj.sme_step(joint, rho, dM, dt)
+            rho = traj.sme_step_batch(joint.H, joint.channels, rho, dM, dt)
             blocks = np.einsum("iaia->i", rho.reshape(4, 2, 4, 2)).real
             worst = max(worst, np.max(np.abs(ens.weights - blocks)))
         assert worst < 2e-3
@@ -156,8 +156,7 @@ class TestLiuWestResample:
         else:
             rho = op.pure_to_density(op.spin_coherent(0.5, np.pi / 2, 0.0))
             states = np.broadcast_to(rho, (n, 2, 2)).copy()
-        return est.ParticleEnsemble(weights=w, params=params, states=states,
-                                    state_kind=kind)
+        return est.ParticleEnsemble(weights=w, params=params, states=states)
 
     def test_point_mass_limit(self):
         # a = 1, h = 0: pure multinomial resampling, support within parents
@@ -188,7 +187,7 @@ class TestLiuWestResample:
         rng = np.random.default_rng(7)
         out = est.liu_west_resample(ens, a=0.9, h=np.sqrt(1 - 0.81), rng=rng)
         # thetas move with their parameters: children stay near the joint cloud
-        assert out.state_kind == "bloch"
+        assert out.states.ndim == 1
         assert out.states.shape == ens.states.shape
         assert abs(np.mean(out.states) - np.average(ens.states, weights=ens.weights)) < 0.2
 
@@ -328,7 +327,7 @@ class TestFiniteSetFilter:
         snaps = est.finite_set_filter(kappa, B_values, record, store_every=1)["weights"]
         worst = 0.0
         for k, dM in enumerate(record.dY):
-            rho = traj.sme_step(joint, rho, dM, dt)
+            rho = traj.sme_step_batch(joint.H, joint.channels, rho, dM, dt)
             blocks = np.einsum("iaia->i", rho.reshape(4, 2, 4, 2)).real
             worst = max(worst, np.max(np.abs(snaps[k] - blocks)))
         assert worst < 2e-3

@@ -55,15 +55,30 @@ class TestDoublePassModel:
 
 class TestDoublePassFilters:
     def test_explicit_form_equals_generic(self):
+        # the thesis's explicit double-pass filter
+        #   d rho = i gamma B [Fy, rho] dt + i sqrt(KM) [Fy, {Fz, rho}] dt
+        #         + M D[Fz] rho dt + K D[Fy] rho dt
+        #         + (sqrt(M) M[Fz] rho + i sqrt(K) [Fy, rho]) dW,
+        #   dW = dZ - 2 sqrt(M) Tr[Fz rho] dt,
+        # against the generic filter on double_pass_model's channels
         p = mag.DoublePassParams(F=2.0, M=1.3, K=0.4, B=0.7)
         model = mag.double_pass_model(p)
+        Fy, Fz = spin_ops(p.F)["Jy"], spin_ops(p.F)["Jz"]
         rho = op.pure_to_density(mag.coherent_x(p.F))
         rng = np.random.default_rng(1)
         dt = 1e-5
         for _ in range(100):
             dZ = rng.normal() * np.sqrt(dt)
-            a = mag.double_pass_sme_step(p, rho, dZ, dt)
-            b = traj.sme_step(model, rho, dZ, dt)
+            dW = dZ - 2.0 * np.sqrt(p.M) * np.trace(Fz @ rho).real * dt
+            drift = 1j * p.gamma * p.B * op.commutator(Fy, rho) \
+                + 1j * np.sqrt(p.K * p.M) * op.commutator(Fy, op.anticommutator(Fz, rho)) \
+                + p.M * op.lindblad_D(Fz, rho) + p.K * op.lindblad_D(Fy, rho)
+            kick = np.sqrt(p.M) * op.measurement_M(Fz, rho) \
+                + 1j * np.sqrt(p.K) * op.commutator(Fy, rho)
+            b = rho + drift * dt + kick * dW
+            b = 0.5 * (b + op.dag(b))
+            b /= np.trace(b).real
+            a = traj.sme_step_batch(model.H, model.channels, rho, dZ, dt)
             assert np.max(np.abs(a - b)) < 1e-12
             rho = a
 
@@ -97,6 +112,7 @@ class TestDoublePassFilters:
 
     def test_sse_sme_consistency(self):
         p = mag.DoublePassParams(F=5.0, M=1.0, K=0.2, B=0.5)
+        model = mag.double_pass_model(p)
         psi = mag.coherent_x(p.F)
         rho = op.pure_to_density(psi)
         ops = spin_ops(p.F)
@@ -105,7 +121,7 @@ class TestDoublePassFilters:
         for _ in range(5000):
             dW = rng.choice([-1.0, 1.0]) * np.sqrt(dt)
             dZ = 2.0 * np.sqrt(p.M) * np.trace(ops["Jz"] @ rho).real * dt + dW
-            rho = mag.double_pass_sme_step(p, rho, dZ, dt)
+            rho = traj.sme_step_batch(model.H, model.channels, rho, dZ, dt)
             psi = mag.double_pass_sse_step(p, psi, dW, dt)
         assert np.max(np.abs(op.pure_to_density(psi) - rho)) < 1e-4
 
@@ -132,7 +148,7 @@ class TestDoublePassFilters:
         for _ in range(2000):
             dW = rng.choice([-1.0, 1.0]) * np.sqrt(dt)
             dZ = np.trace(Lsig @ rho).real * dt + dW
-            rho = traj.sme_step(model, rho, dZ, dt)
+            rho = traj.sme_step_batch(model.H, model.channels, rho, dZ, dt)
             psi = mag.double_pass_sse_step(p, psi, dW, dt)
         assert np.max(np.abs(op.pure_to_density(psi) - rho)) < 1e-5
 
@@ -223,9 +239,9 @@ class TestMagnetometryParticleFilter:
     def test_single_particle_at_truth(self):
         p = mag.DoublePassParams(F=1.0, M=1.0, K=0.0, B=0.8)
         record = mag.simulate_double_pass_truth(p, T=0.2, dt=1e-3, seed=9)
-        out = mag.magnetometry_particle_filter(p, record, N=1, a=0.98, h=1e-3,
-                                               threshold=0.5, seed=10,
-                                               prior=("finite", [0.8]))
+        model = mag.magnetometry_estimation_model(p, ("finite", [0.8]))
+        out = est.particle_filter_run(model, record, N=1, a=0.98, h=1e-3,
+                                      threshold=0.5, seed=10)
         assert np.max(np.abs(out["mean_trace"] - 0.8)) < 1e-12
 
     def test_paired_single_vs_double_pass_runs(self):
@@ -237,10 +253,9 @@ class TestMagnetometryParticleFilter:
         rec1 = mag.simulate_double_pass_truth(p1, T=0.2, dt=1e-3, seed=11)
         assert np.array_equal(rec0.dW, rec1.dW)  # shared noise realization
         prior = ("gaussian", 0.0, 4.0)
-        out0 = mag.magnetometry_particle_filter(p0, rec0, N=40, a=0.98, h=1e-3,
-                                                threshold=0.5, seed=12, prior=prior)
-        out1 = mag.magnetometry_particle_filter(p1, rec1, N=40, a=0.98, h=1e-3,
-                                                threshold=0.5, seed=12, prior=prior)
+        out0, out1 = (est.particle_filter_run(mag.magnetometry_estimation_model(q, prior), rec,
+                                              N=40, a=0.98, h=1e-3, threshold=0.5, seed=12)
+                      for q, rec in ((p0, rec0), (p1, rec1)))
         assert not np.allclose(out0["sd_trace"], out1["sd_trace"])
 
     def test_density_ensemble_matches_dense_kernel(self):
@@ -279,9 +294,9 @@ class TestMagnetometryParticleFilter:
         sds = []
         for seed in range(20):
             rec = mag.simulate_double_pass_truth(p, T=0.3, dt=2e-3, seed=(13, seed))
-            out = mag.magnetometry_particle_filter(
-                p, rec, N=60, a=0.98, h=1e-3, threshold=2.0 / 3.0, seed=(14, seed),
-                prior=("gaussian", 0.0, 4.0))
+            out = est.particle_filter_run(
+                mag.magnetometry_estimation_model(p, ("gaussian", 0.0, 4.0)), rec,
+                N=60, a=0.98, h=1e-3, threshold=2.0 / 3.0, seed=(14, seed))
             sds.append(out["sd_trace"][::30])
         mean_sd = np.mean(sds, axis=0)
         violations = int(np.sum(np.diff(mean_sd) > 0))

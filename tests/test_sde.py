@@ -8,35 +8,14 @@ def make_system(drift, diffusion, n=1, m=1):
     return sde.SdeSystem(state_dim=n, noise_dim=m, drift=drift, diffusion=diffusion)
 
 
-class TestWienerIncrements:
-    def test_deterministic(self):
-        a = sde.wiener_increments(2, 100, 1e-3, seed=42)
-        b = sde.wiener_increments(2, 100, 1e-3, seed=42)
-        assert np.array_equal(a.increments, b.increments)
-
-    def test_streams_differ(self):
-        a = sde.wiener_increments(1, 100, 1e-3, seed=42, k=0)
-        b = sde.wiener_increments(1, 100, 1e-3, seed=42, k=1)
-        assert not np.allclose(a.increments, b.increments)
-
-    def test_path_records_its_stream_seed(self):
-        a = sde.wiener_increments(1, 50, 1e-3, seed=42, k=3)
-        draws = sde.rng_stream(a.seed).standard_normal(50) * np.sqrt(1e-3)
-        assert np.array_equal(a.increments[0], draws)
-
-    def test_variance(self):
-        # chi-square bound: sample variance of n iid N(0, dt) draws is within
-        # 1% of dt for n = 1e6 (sd of the ratio is sqrt(2/n) ~ 0.14%)
-        path = sde.wiener_increments(1, 1_000_000, 1e-3, seed=7)
-        v = path.increments.var()
-        assert abs(v / 1e-3 - 1.0) < 0.01
-        assert abs(path.increments.mean()) < 5 * np.sqrt(1e-3 / 1e6)
-
-    def test_bad_dt(self):
-        with pytest.raises(ValueError):
-            sde.wiener_increments(1, 10, 0.0, seed=0)
-        with pytest.raises(ValueError):
-            sde.wiener_increments(1, 0, 1e-3, seed=0)
+def euler_states(system, x0, dt, dW):
+    """States after each euler_step from x0 at t = 0 on the increments dW
+    (steps, noise_dim), as (steps, n)."""
+    xs, x = [], x0
+    for i, dw in enumerate(dW):
+        x = sde.euler_step(system, x, i * dt, dt, dw)
+        xs.append(x)
+    return np.array(xs)
 
 
 class TestRngStream:
@@ -91,10 +70,9 @@ class TestEulerStep:
             errs = []
             steps = int(round(1.0 / dt))
             for s in range(n_seeds):
-                path = sde.wiener_increments(1, steps, dt, seed=(999, s))
-                xs = sde.euler_path(sys, np.array([1.0]), 0.0, path)
-                w_t = path.increments.sum()
-                errs.append(abs(xs[-1, 0] - np.exp(w_t - 0.5)))
+                dW = sde.rng_stream((999, s)).standard_normal((steps, 1)) * np.sqrt(dt)
+                x = euler_states(sys, np.array([1.0]), dt, dW)[-1]
+                errs.append(abs(x[0] - np.exp(dW.sum() - 0.5)))
             return np.mean(errs)
 
         e_coarse = strong_error(1e-2)
@@ -105,9 +83,9 @@ class TestEulerStep:
 
     def test_determinism_bitwise(self):
         sys = make_system(lambda t, x: -x, lambda t, x, j: 0.5 * x)
-        path = sde.wiener_increments(1, 200, 1e-3, seed=5)
-        a = sde.euler_path(sys, np.array([1.0]), 0.0, path)
-        b = sde.euler_path(sys, np.array([1.0]), 0.0, path)
+        dW = sde.rng_stream(5).standard_normal((200, 1)) * np.sqrt(1e-3)
+        a = euler_states(sys, np.array([1.0]), 1e-3, dW)
+        b = euler_states(sys, np.array([1.0]), 1e-3, dW)
         assert np.array_equal(a, b)
 
     def test_affine_superposition(self):

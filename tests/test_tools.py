@@ -1,12 +1,51 @@
+import importlib
 import importlib.util
+import inspect
 import os
+import sys
 
 import pytest
 
-_PATH = os.path.join(os.path.dirname(__file__), "..", "tools", "bench_pairs.py")
-_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
-bench_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_pairs)
+from qfilt import cli
+from qfilt import estimation as est
+from qfilt import qec
+
+_ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+def _load(name, *path):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(_ROOT, *path))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _load("bench_pairs", "tools", "bench_pairs.py")
+workloads = _load("perfbench_workloads", "perfbench", "workloads.py")
+
+
+class TestBenchmarkPins:
+    """The benchmark wraps the functions it traces by name and calls some
+    library functions positionally; both must keep resolving."""
+
+    def test_traced_names_are_distinct_functions(self):
+        fns = [getattr(importlib.import_module("qfilt." + name.rpartition(".")[0]),
+                       name.rpartition(".")[2], None) for name in workloads.TRACED]
+        assert all(inspect.isfunction(fn) for fn in fns), \
+            [n for n, fn in zip(workloads.TRACED, fns) if not inspect.isfunction(fn)]
+        assert len({id(fn) for fn in fns}) == len(fns)
+
+    @pytest.mark.parametrize("fn,args,kwargs", [
+        (cli.run_experiment, ("qubit-filter", {}, 0, 1, "out"), {}),
+        (est.particle_filter_run, (None, None, 200, 0.98, 1e-3, 2.0 / 3.0, 0), {}),
+        (est.simulate_qubit_record, (1.0, 5.0, 3.0, 2e-3, 0), {}),
+        (qec.run_feedback_batch, (None, 1.0, 100.0, 200.0, 0.0075, 1e-5, 0, 1),
+         {"controller": "truncated", "basis": None}),
+    ], ids=["run_experiment", "particle_filter_run", "simulate_qubit_record",
+            "run_feedback_batch"])
+    def test_positional_calls_bind(self, fn, args, kwargs):
+        inspect.signature(fn).bind(*args, **kwargs)
 
 
 def run(steps_per_s, correct=True, failed=0):

@@ -42,7 +42,7 @@ class TestSmeStep:
     def test_pure_hamiltonian_step(self):
         model = traj.DiffusiveModel(H=op.SIGMA_Y, L=np.zeros((2, 2), dtype=complex))
         rho = op.pure_to_density(op.spin_coherent(0.5, np.pi / 2, 0.0))
-        out = traj.sme_step(model, rho, dY=0.123, dt=1e-4)
+        out = traj.sme_step_batch(model.H, model.channels, rho, dY=0.123, dt=1e-4)
         expect = rho + -1j * 1e-4 * (op.SIGMA_Y @ rho - rho @ op.SIGMA_Y)
         expect = 0.5 * (expect + op.dag(expect))
         expect = expect / np.trace(expect).real
@@ -55,7 +55,7 @@ class TestSmeStep:
                                     L=np.sqrt(kappa) * op.SIGMA_Z)
         plus_z = np.diag([1.0, 0.0]).astype(complex)
         for dY in (-0.3, 0.0, 0.7):
-            out = traj.sme_step(model, plus_z, dY, 1e-4)
+            out = traj.sme_step_batch(model.H, model.channels, plus_z, dY, 1e-4)
             assert np.max(np.abs(out - plus_z)) < 1e-14
 
     def test_trace_drift_before_normalization(self):
@@ -130,7 +130,7 @@ class TestSmeStep:
         noise = rng.choice([-1.0, 1.0], size=steps) * np.sqrt(dt)
         for i in range(steps):
             signal = np.trace(Lsig @ rho).real
-            rho = traj.sme_step(model, rho, signal * dt + noise[i], dt)
+            rho = traj.sme_step_batch(model.H, model.channels, rho, signal * dt + noise[i], dt)
             if (i + 1) % 100 == 0:
                 min_eig = min(min_eig, np.linalg.eigvalsh(rho).min())
                 min_purity = min(min_purity, np.trace(rho @ rho).real)
@@ -144,12 +144,6 @@ def random_density(d, B, rng):
     return rho / np.einsum("bii->b", rho).real[:, None, None]
 
 
-def random_paulis(n, count, rng):
-    labels = ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(count)]
-    labels[0] = "Y" + labels[0][1:]  # at least one string with a Y
-    return np.stack([op.pauli_string(lab) for lab in labels])
-
-
 def lindblad_sum(U, rho):
     """sum_u D[U_u] rho per slot, the dense reference of unmonitored channels."""
     return sum(Uk @ rho @ op.dag(Uk) - 0.5 * (op.dag(Uk) @ Uk @ rho + rho @ op.dag(Uk) @ Uk)
@@ -157,43 +151,10 @@ def lindblad_sum(U, rho):
 
 
 class TestCompiledChannels:
-    @pytest.mark.parametrize("n,B,with_unmonitored", [
-        (3, 1, False), (3, 8, True), (5, 1, True), (5, 8, False), (5, 8, True)])
-    def test_permutation_path_matches_dense(self, n, B, with_unmonitored):
-        # random Pauli strings (with Y, so complex phases) as monitored
-        # channels, per-slot H and optionally unmonitored channels passed as
-        # the caller-computed generator term, against the plain-array dense step
-        d, dt = 2 ** n, 1e-4
-        rng = np.random.default_rng(100 * n + B)
-        Ls = random_paulis(n, 4, rng) * rng.uniform(0.5, 3.0, size=(4, 1, 1))
-        U = random_paulis(n, 6, rng) * rng.uniform(0.5, 2.0, size=(6, 1, 1)) \
-            if with_unmonitored else None
-        a = rng.standard_normal((B, d, d)) + 1j * rng.standard_normal((B, d, d))
-        H = a + np.swapaxes(a, -1, -2).conj()
-        rho = random_density(d, B, rng)
-        dY = rng.standard_normal((B, 4)) * np.sqrt(dt)
-        channels = traj.compile_channels(Ls)
-        assert channels.signal_index is not None
-        gen = None if U is None else lindblad_sum(U, rho)
-        out = traj.sme_step_batch(H, channels, rho, dY, dt, unmonitored=gen)
-        expect = traj.sme_step_batch(H, Ls, rho, dY, dt, unmonitored=gen)
-        assert np.max(np.abs(out - expect)) <= 1e-13
-        signal = np.einsum("lij,bji->bl", Ls + np.swapaxes(Ls, -1, -2).conj(), rho).real
-        assert np.max(np.abs(channels.signal(rho) - signal)) <= 1e-13
-
-    def test_shared_permutations_are_grouped(self):
-        # X_m and Y_m flip the same bit, every Z_m is diagonal: the 15
-        # single-qubit Paulis of five qubits need five takes and one diagonal
-        paulis = np.stack([op.pauli_string("I" * m + ax + "I" * (4 - m))
-                           for m in range(5) for ax in "XYZ"])
-        channels = traj.compile_channels(paulis)
-        indices = [index for index, _ in channels.jumps]
-        assert len(indices) == 6 and sum(index is None for index in indices) == 1
-
     def test_non_monomial_channel_stays_dense(self):
         L = op.SIGMA_MINUS + 0.3 * op.SIGMA_Z
         channels = traj.compile_channels(L)
-        assert channels.signal_index is None
+        assert np.array_equal(channels.S[0], L + op.dag(L))
         rng = np.random.default_rng(3)
         rho = random_density(2, 3, rng)
         dY = rng.standard_normal(3) * 1e-2
@@ -212,11 +173,18 @@ class TestCompiledChannels:
 
 
 class TestSseStep:
+    def test_nonfinite_step_names_its_slots(self):
+        model = traj.qubit_model(1.0, 0.3)
+        psi = np.stack([random_pure(2, k) for k in range(3)])
+        dW = np.array([0.01, -0.02, np.nan])
+        with pytest.raises(FloatingPointError, match=r"in sse_step_batch at slots \[2\]"):
+            traj.sse_step_batch(model.H, model.channels, psi, dW, 1e-4)
+
     def test_free_state_unchanged(self):
         model = traj.DiffusiveModel(H=np.zeros((3, 3), dtype=complex),
                                     L=np.zeros((3, 3), dtype=complex))
         psi = random_pure(3, 2)
-        out = traj.sse_step(model, psi, dW=0.01, dt=1e-4)
+        out = traj.sse_step_batch(model.H, model.channels, psi, dW=0.01, dt=1e-4)
         assert np.max(np.abs(out - psi)) < 1e-14
 
     def test_matches_sme_per_step(self):
@@ -232,8 +200,8 @@ class TestSseStep:
             dW = rng.choice([-1.0, 1.0]) * np.sqrt(dt)
             rho = op.pure_to_density(psi)
             signal = np.trace(Lsig @ rho).real
-            rho_next = traj.sme_step(model, rho, signal * dt + dW, dt)
-            psi = traj.sse_step(model, psi, dW, dt)
+            rho_next = traj.sme_step_batch(model.H, model.channels, rho, signal * dt + dW, dt)
+            psi = traj.sse_step_batch(model.H, model.channels, psi, dW, dt)
             worst = max(worst, np.max(np.abs(op.pure_to_density(psi) - rho_next)))
         assert worst < 1e-6
 
@@ -243,7 +211,7 @@ class TestSseStep:
         psi = np.array([0.8, 0.6], dtype=complex)
         rng = np.random.default_rng(11)
         for _ in range(500):
-            psi = traj.sse_step(model, psi, rng.normal() * 1e-2, 1e-4)
+            psi = traj.sse_step_batch(model.H, model.channels, psi, rng.normal() * 1e-2, 1e-4)
         assert np.max(np.abs(psi.imag)) < 1e-13
 
 
@@ -271,7 +239,7 @@ class TestSimulateTruth:
         rho = rho0.copy()
         replay = [np.trace(op.SIGMA_Z @ rho).real]
         for dy in rec.dY:
-            rho = traj.sme_step(model, rho, dy, 1e-4)
+            rho = traj.sme_step_batch(model.H, model.channels, rho, dy, 1e-4)
             replay.append(np.trace(op.SIGMA_Z @ rho).real)
         assert np.array_equal(np.array(replay), rec.expectations["sz"])
 
@@ -309,8 +277,8 @@ class TestCompiledModel:
         traj.simulate_truth(model, rho0, 50 * 1e-4, 1e-4, seed=43)
         rho, psi = rho0, random_pure(3, 44)
         for dY in (0.01, -0.02, 0.005):
-            rho = traj.sme_step(model, rho, dY, 1e-4)
-            psi = traj.sse_step(model, psi, dY, 1e-4)
+            rho = traj.sme_step_batch(model.H, model.channels, rho, dY, 1e-4)
+            psi = traj.sse_step_batch(model.H, model.channels, psi, dY, 1e-4)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("model", [traj.qubit_model(2.3, 0.7), random_model(4, 45)],
@@ -387,7 +355,7 @@ class TestBlochAngle:
             for i in range(m):
                 signal = 2.0 * np.sqrt(kappa) * np.trace(op.SIGMA_Z @ rho).real
                 dM = signal * dt + noise[i]
-                rho = traj.sme_step(model, rho, dM, dt)
+                rho = traj.sme_step_batch(model.H, model.channels, rho, dM, dt)
                 theta = traj.bloch_angle_step(theta, dM, B, kappa, dt)
             done += m
             worst = max(worst, abs(np.sin(theta) - np.trace(op.SIGMA_Z @ rho).real))
