@@ -135,9 +135,14 @@ def _run_particle_filter(p, seed, workers):
 
 
 def _fisher_task(args):
+    """One (F, K, seed index k) task of the sweep; a FloatingPointError is
+    raised again naming the task."""
     F, K, M, B, deltaB, T, dt, seed, k = args
     params = mag.DoublePassParams(F=F, M=M, K=K, B=B)
-    return mag.fisher_information_fd(params, deltaB, T, dt, stream_seed(seed, k))
+    try:
+        return mag.fisher_information_fd(params, deltaB, T, dt, stream_seed(seed, k))
+    except FloatingPointError as err:
+        raise FloatingPointError(f"{err}, in task F = {F:g}, K = {K:g}, seed index {k}") from err
 
 
 def _run_magnetometer_fisher(p, seed, workers):

@@ -34,8 +34,15 @@ and merging the pairs that act identically yields the truncated filter, whose
 basis elements are Pauli-sandwiched syndrome projectors.  Construction is
 automated on the elements' 4^n Pauli coefficients, where every action is a
 gather or a diagonal of ``_PauliFrame``, and every generator matrix is
-verified against that exact superoperator action; the truncated filter steps
-from the generator matrices' nonzero entries only.
+verified against that exact superoperator action.
+
+The closed loop compiles both filters' steps once per call of
+``run_feedback_batch``, for its (gamma, kappa, dt): the full filter keeps its
+state in a signed buffer [r, -r, 0] that each step overwrites
+(``_FullStep``), and the truncated filter folds its constant part
+I + (gamma N + kappa M) dt into one matrix product, gathering only the
+nonzero entries of the feedback and back-action generators, whose
+coefficients change every step (``_TruncatedStep``).
 """
 
 from __future__ import annotations
@@ -206,11 +213,10 @@ def full_filter_step(code: StabilizerCode, rho: np.ndarray, dQ: np.ndarray,
     """One Euler step of the full 2^n-dimensional filter (docstring above),
     taken on the Pauli coefficients of rho."""
     frame = code.pauli
-    r = frame.to_pauli(rho[None])
-    signal = 2.0 * np.sqrt(kappa) * (r @ frame.rows)[:, len(code.channel_labels):]
-    return frame.to_density(_pauli_step(frame, r, np.asarray(dQ, dtype=float)[None],
-                                        np.asarray(lambdas, dtype=float)[None], signal,
-                                        frame.keep(gamma, kappa, dt), kappa, dt))[0]
+    full = _FullStep(frame, frame.to_pauli(rho[None]), gamma, kappa, dt)
+    signal = 2.0 * np.sqrt(kappa) * (full.r @ frame.rows)[:, len(code.channel_labels):]
+    full.step(np.asarray(dQ, dtype=float)[None], np.asarray(lambdas, dtype=float)[None], signal)
+    return frame.to_density(full.r)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -246,17 +252,19 @@ class TruncatedBasis:
 
     @cached_property
     def terms(self) -> tuple:
-        """The nonzero entries of every generator matrix, built on first use,
-        as (k, a', value, rows, starts): entry j adds c_k value_j p_a' to
-        element a, the entries of each a contiguous from ``starts``, with k
-        over [noise, measurement drift, feedback channels, generators]."""
-        mats = [self.drift_noise, self.drift_meas, *self.feedback, *self.meas_H]
+        """The nonzero entries of the generators whose coefficients vary from
+        step to step, built on first use, as (k, a', value, starts): entry j
+        adds c_k value_j p_a' to element a, the entries of each a contiguous
+        from ``starts[a]``, with k over [feedback channels, generators].
+        Every element has entries: {g_l, Pi_s} = +-2 Pi_s, and the channel
+        whose commutator i[sigma_c, Pi_s] a first-level element is moves
+        Pi_s onto it with coefficient +-1."""
+        mats = [*self.feedback, *self.meas_H]
         k, a, a2 = np.concatenate([(np.full(np.count_nonzero(M), j), *np.nonzero(M))
                                    for j, M in enumerate(mats)], axis=1)
         value = np.concatenate([M[M != 0] for M in mats])
         order = np.argsort(a, kind="stable")
-        rows, starts = np.unique(a[order], return_index=True)
-        return k[order], a2[order], value[order], rows, starts
+        return k[order], a2[order], value[order], np.unique(a[order], return_index=True)[1]
 
     @property
     def size(self) -> int:
@@ -397,12 +405,15 @@ def untruncated_closure_dim(code: StabilizerCode) -> int:
     return len(seen)
 
 
-def _truncated_policy(basis: TruncatedBasis, p: np.ndarray, lambda_max: float) -> np.ndarray:
+def _truncated_policy(basis: TruncatedBasis, p: np.ndarray, lambda_max: float,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """The loop's feedback strengths from a truncated state or a stack of
     them: ``_bang_bang`` of the policy signal read off the state, and 0 for
-    channels whose commutator vanishes identically."""
-    signal = basis.policy_sign * p[..., basis.policy_index]
-    return np.where(basis.policy_index >= 0, _bang_bang(signal, lambda_max), 0.0)
+    channels whose commutator vanishes identically; written into ``out``
+    if given."""
+    out = _bang_bang(basis.policy_sign * p[..., basis.policy_index], lambda_max, out)
+    out[..., basis.policy_index < 0] = 0.0
+    return out
 
 
 def truncated_filter_step(basis: TruncatedBasis, p: np.ndarray, dQ: np.ndarray,
@@ -411,8 +422,8 @@ def truncated_filter_step(basis: TruncatedBasis, p: np.ndarray, dQ: np.ndarray,
     """One Euler step of the truncated filter; returns (p', lambdas) with the
     feedback strengths computed from the incoming state (zero-order hold)."""
     lambdas = _truncated_policy(basis, p, lambda_max)
-    out = _truncated_step_batch(basis, p[None], np.asarray(dQ, dtype=float)[None],
-                                gamma, kappa, lambdas[None], dt)
+    out = _TruncatedStep(basis, gamma, kappa, dt)(p[None], np.asarray(dQ, dtype=float)[None],
+                                                  lambdas[None])
     return out[0], lambdas
 
 
@@ -470,10 +481,6 @@ class _PauliFrame:
         cols[np.arange(n_chan, len(e)), e[n_chan:, 0]] = d
         self.rows = cols.T / d
 
-    def keep(self, gamma: float, kappa: float, dt: float) -> np.ndarray:
-        """1 plus the diagonal decay of both dissipators over one step."""
-        return 1.0 - 2.0 * dt * (kappa * self.counts[0] + gamma * self.counts[1])
-
     def to_pauli(self, rho: np.ndarray) -> np.ndarray:
         """Coefficients (..., 4^n) of Hermitian operators (..., d, d)."""
         lead, d = rho.shape[:-2], rho.shape[-1]
@@ -487,60 +494,99 @@ class _PauliFrame:
         return (M.reshape(*lead, d * d) / d)[..., self.scatter].reshape(*lead, d, d)
 
 
-def _pauli_step(frame: _PauliFrame, r: np.ndarray, dQ: np.ndarray, lambdas: np.ndarray,
-                signal: np.ndarray, keep: np.ndarray, kappa: float, dt: float) -> np.ndarray:
-    """One Euler step of the full filter on a batch of Pauli coefficients
-    (B, 4^n), given the signals s_l = 2 sqrt(kappa) Tr[g_l rho] and
-    ``_PauliFrame.keep``: with dW_l = dQ_l - s_l dt,
+class _FullStep:
+    """The full filter's batch of Pauli coefficients r (B, 4^n), compiled
+    for one (gamma, kappa, dt): r is a view into a signed buffer
+    [r, -r, 0] (B, 2 * 4^n + 1) that every step overwrites, so each
+    channel's signed XOR map is one gather by ``_PauliFrame.index``."""
 
-        r' = (keep - sum_l s_l dW_l) r + 2 sum_k c_k [r, -r, 0][index_k],
-        c = [lambda_c dt, sqrt(kappa) dW_l],
+    def __init__(self, frame: _PauliFrame, r: np.ndarray, gamma: float, kappa: float,
+                 dt: float):
+        B, D = r.shape
+        self.index, self.dt, self.root = frame.index, dt, 2.0 * np.sqrt(kappa)
+        self.keep = 1.0 - 2.0 * dt * (kappa * frame.counts[0] + gamma * frame.counts[1])
+        self.signed = np.zeros((B, 2 * D + 1))
+        self.r, self.minus = self.signed[:, :D], self.signed[:, D:2 * D]
+        self.coef = np.empty((B, len(self.index)))
+        self.r[:] = r
+        np.negative(self.r, out=self.minus)
 
-    divided by its trace r'_I; a non-finite trace raises FloatingPointError
-    naming the batch slots."""
-    dW = dQ - signal * dt
-    coef = 2.0 * np.concatenate([lambdas * dt, np.sqrt(kappa) * dW], axis=1)
-    out = r * (keep - np.einsum("bl,bl->b", signal, dW)[:, None])
-    # slot by slot, so that the gathered (3n + l, 4^n) temporary reuses freed
-    # heap: a (B, 3n + l, 4^n) one costs fresh pages and raises peak memory;
-    # every index is in range, and clip mode skips the bounds check
-    for row, c, dest in zip(np.concatenate([r, -r, np.zeros((len(r), 1))], axis=1), coef, out):
-        dest += c @ np.take(row, frame.index, mode="clip")
-    bad = np.flatnonzero(~np.isfinite(out[:, 0]))
-    if bad.size:
-        raise FloatingPointError(f"non-finite full filter state at slots {bad.tolist()}")
-    return out / out[:, :1]
+    def step(self, dQ: np.ndarray, lambdas: np.ndarray, signal: np.ndarray) -> None:
+        """One Euler step in place, given the signals s_l = 2 sqrt(kappa)
+        Tr[g_l rho]: with dW_l = dQ_l - s_l dt,
 
+            r' = (keep - sum_l s_l dW_l) r + sum_k c_k [r, -r, 0][index_k],
+            c = [2 lambda_c dt, 2 sqrt(kappa) dW_l],
 
-def _truncated_step_batch(basis: TruncatedBasis, p: np.ndarray, dQ: np.ndarray,
-                          gamma: float, kappa: float, lambdas: np.ndarray,
-                          dt: float) -> np.ndarray:
-    """One Euler step of the truncated filter from the sparse ``terms``:
-    dp = (gamma N + kappa M + sum_c lambda_c F_c) p dt
-         + sqrt(kappa) sum_l (H_l - 2 m_l) p dW_l,
-    with m_l = h_l^T p and dW_l = dQ_l - 2 sqrt(kappa) m_l dt; the syndrome
-    block is clipped at zero and the state renormalized by its sum."""
-    S = basis.code.n_syndromes
-    means = p[:, :S] @ basis.code.outcomes.T
-    dW = dQ - 2.0 * np.sqrt(kappa) * means * dt
-    k, a2, value, rows, starts = basis.terms
-    coef = np.concatenate([np.broadcast_to([gamma * dt, kappa * dt], (len(p), 2)),
-                           lambdas * dt, np.sqrt(kappa) * dW], axis=1)
-    lin = np.zeros_like(p)
-    lin[:, rows] = np.add.reduceat(coef[:, k] * value * p[:, a2], starts, axis=1)
-    out = p + lin - 2.0 * np.sqrt(kappa) * np.sum(dW * means, axis=1)[:, None] * p
-    out[:, :S] = np.clip(out[:, :S], 0.0, None)
-    total = out[:, :S].sum(axis=1)
-    bad = np.flatnonzero((total <= 0) | ~np.isfinite(total))
-    if bad.size:
-        raise FloatingPointError(f"truncated filter state degenerated at slots {bad.tolist()}")
-    return out / total[:, None]
+        divided by its trace r'_I; a non-finite trace raises
+        FloatingPointError naming the batch slots."""
+        n_chan = lambdas.shape[1]
+        dW = dQ - signal * self.dt
+        np.multiply(lambdas, 2.0 * self.dt, out=self.coef[:, :n_chan])
+        np.multiply(dW, self.root, out=self.coef[:, n_chan:])
+        out = self.r * (self.keep - np.einsum("bl,bl->b", signal, dW)[:, None])
+        # slot by slot, so that the gathered (3n + l, 4^n) temporary reuses freed
+        # heap: a (B, 3n + l, 4^n) one costs fresh pages and raises peak memory;
+        # every index is in range, and clip mode skips the bounds check
+        for row, c, dest in zip(self.signed, self.coef, out):
+            dest += c @ row.take(self.index, mode="clip")
+        finite = np.isfinite(out[:, 0])
+        if not finite.all():
+            raise FloatingPointError(
+                f"non-finite full filter state at slots {np.flatnonzero(~finite).tolist()}")
+        np.divide(out, out[:, :1], out=self.r)
+        np.negative(self.r, out=self.minus)
 
 
-def _bang_bang(vals: np.ndarray, lambda_max: float) -> np.ndarray:
-    """Raw-sign bang-bang strengths; an exact float zero gets +lambda_max so
-    the loop never stalls on an exactly block-diagonal state."""
-    return lambda_max * np.where(vals == 0.0, 1.0, np.sign(vals))
+class _TruncatedStep:
+    """The truncated filter's Euler step, compiled for one (gamma, kappa,
+    dt): the constant part I + (gamma N + kappa M) dt is one (E, E) matrix,
+    and only the ``terms`` of the feedback and back-action generators,
+    their values scaled by dt and sqrt(kappa), are gathered per step."""
+
+    def __init__(self, basis: TruncatedBasis, gamma: float, kappa: float, dt: float):
+        self.k, self.a2, value, self.starts = basis.terms
+        fixed = np.multiply(basis.drift_noise, gamma * dt)
+        fixed += np.multiply(basis.drift_meas, kappa * dt)
+        fixed.flat[::basis.size + 1] += 1.0
+        self.fixed = fixed.T
+        self.value = value * np.where(self.k < len(basis.feedback), dt, np.sqrt(kappa))
+        self.outcomes, self.dt, self.root = basis.code.outcomes, dt, 2.0 * np.sqrt(kappa)
+
+    def __call__(self, p: np.ndarray, dQ: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+        """dp = (gamma N + kappa M + sum_c lambda_c F_c) p dt
+                + sqrt(kappa) sum_l (H_l - 2 m_l) p dW_l,
+        with m_l = h_l^T p and dW_l = dQ_l - 2 sqrt(kappa) m_l dt; the
+        syndrome block is clipped at zero and the state renormalized by its
+        sum."""
+        S = self.outcomes.shape[1]
+        means = p[:, :S] @ self.outcomes.T
+        dW = dQ - self.root * means * self.dt
+        coef = np.concatenate([lambdas, dW], axis=1)
+        out = p @ self.fixed
+        out += np.add.reduceat(coef.take(self.k, axis=1) * self.value
+                               * p.take(self.a2, axis=1), self.starts, axis=1)
+        out -= self.root * np.einsum("bl,bl->b", dW, means)[:, None] * p
+        head = out[:, :S]
+        np.clip(head, 0.0, None, out=head)
+        total = head.sum(axis=1)
+        valid = (total > 0) & np.isfinite(total)
+        if not valid.all():
+            raise FloatingPointError(
+                f"truncated filter state degenerated at slots {np.flatnonzero(~valid).tolist()}")
+        out /= total[:, None]
+        return out
+
+
+def _bang_bang(vals: np.ndarray, lambda_max: float,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Raw-sign bang-bang strengths, written into ``out`` if given; an exact
+    float zero gets +lambda_max so the loop never stalls on an exactly
+    block-diagonal state."""
+    out = np.sign(vals, out=out)
+    np.copyto(out, 1.0, where=vals == 0.0)
+    out *= lambda_max
+    return out
 
 
 def run_feedback_batch(code: StabilizerCode, gamma: float, kappa: float,
@@ -575,11 +621,15 @@ def run_feedback_batch(code: StabilizerCode, gamma: float, kappa: float,
     psi0 = logical_zero(code)
     rho0 = np.outer(psi0, psi0.conj())
     frame, n_chan = code.pauli, len(code.channel_labels)
-    r = np.broadcast_to(frame.to_pauli(rho0), (n_traj, code.dim ** 2)).copy()
-    keep = frame.keep(gamma, kappa, dt)
+    # both filters are compiled once per call and step in lockstep
+    full = _FullStep(frame, np.broadcast_to(frame.to_pauli(rho0), (n_traj, code.dim ** 2)),
+                     gamma, kappa, dt)
     fidelity_rows = np.stack([code.projector_rows(1)[0], frame.to_pauli(rho0)]).T / code.dim
-    p = np.broadcast_to(basis.initial_state(rho0), (n_traj, basis.size)).copy() \
-        if controller == "truncated" else None
+    if controller == "truncated":
+        truncated = _TruncatedStep(basis, gamma, kappa, dt)
+        p = np.broadcast_to(basis.initial_state(rho0), (n_traj, basis.size)).copy()
+    lambdas, signs = np.zeros((n_traj, n_chan)), np.empty((n_traj, n_chan))
+    same = np.empty((n_traj, n_chan), dtype=bool)
     steps, chunk = int(round(T / dt)), 20_000
     rngs = [rng_stream(seed, k) for k in range(n_traj)]
     fidelities, agree, agree_steps = [], np.zeros(n_traj), 0
@@ -588,33 +638,31 @@ def run_feedback_batch(code: StabilizerCode, gamma: float, kappa: float,
                           for rng in rngs]) * np.sqrt(dt)
         for k, dV in enumerate(np.swapaxes(noise, 0, 1), done):
             # policy signals and generator expectations Tr[g_l rho], one product
-            vals = r @ frame.rows
-            if controller == "none":
-                lambdas = np.zeros((n_traj, n_chan))
-            elif controller == "full":
-                lambdas = _bang_bang(vals[:, :n_chan], lambda_max)
-            else:
-                lambdas = _truncated_policy(basis, p, lambda_max)
-                agree += np.mean(_bang_bang(vals[:, :n_chan], lambda_max) == lambdas, axis=1)
+            vals = full.r @ frame.rows
+            if controller == "full":
+                _bang_bang(vals[:, :n_chan], lambda_max, lambdas)
+            elif controller == "truncated":
+                _truncated_policy(basis, p, lambda_max, lambdas)
+                _bang_bang(vals[:, :n_chan], lambda_max, signs)
+                agree += np.equal(signs, lambdas, out=same).sum(axis=1) / n_chan
                 agree_steps += 1
             signal = 2.0 * np.sqrt(kappa) * vals[:, n_chan:]
             dQ = signal * dt + dV
             try:
-                r = _pauli_step(frame, r, dQ, lambdas, signal, keep, kappa, dt)
-                if p is not None:
-                    p = _truncated_step_batch(basis, p, dQ, gamma, kappa, lambdas, dt)
+                full.step(dQ, lambdas, signal)
+                if controller == "truncated":
+                    p = truncated(p, dQ, lambdas)
             except FloatingPointError as err:
                 raise FloatingPointError(f"{err}, at step {k} (t = {k * dt:.6g})") from err
             if (k + 1) % record_every == 0:
-                fidelities.append(r @ fidelity_rows)
+                fidelities.append(full.r @ fidelity_rows)
     fidelities = np.array(fidelities).reshape(-1, n_traj, 2)
     out = {
         "times": np.arange(1, len(fidelities) + 1) * record_every * dt,
         "codespace": fidelities[..., 0].T,
         "codeword": fidelities[..., 1].T,
-        "final_rho": frame.to_density(r),
+        "final_rho": frame.to_density(full.r),
     }
     if agree_steps:
         out["policy_agreement"] = agree / agree_steps
     return out
-

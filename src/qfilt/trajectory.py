@@ -141,8 +141,8 @@ def sme_step_batch(H: np.ndarray, L: np.ndarray | Channels, rho: np.ndarray,
     ``signal``, if given, is s_l (B, l) from a caller that already has it.
     ``unmonitored``, if given, is a caller-computed generator term per slot
     (B, d, d), added times dt.  Trace is renormalized and Hermiticity
-    enforced after the step; a non-finite trace raises FloatingPointError
-    naming the batch slots.
+    enforced after the step; a non-finite entry, checked before the division,
+    raises FloatingPointError naming the batch slots.
     """
     squeeze = rho.ndim == 2
     rho = rho[None] if squeeze else rho
@@ -161,9 +161,11 @@ def sme_step_batch(H: np.ndarray, L: np.ndarray | Channels, rho: np.ndarray,
         out += unmonitored * dt
     out = 0.5 * (out + np.swapaxes(out, -1, -2).conj())
     tr = np.einsum("bii->b", out).real
-    if not np.all(np.isfinite(tr)):
-        raise FloatingPointError(
-            f"non-finite density matrix in sme_step_batch at slots {np.flatnonzero(~np.isfinite(tr)).tolist()}")
+    # every entry, not just the trace: a finite trace over non-finite
+    # off-diagonal parts would leave NaN after the division
+    if not np.isfinite(out).all():
+        bad = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
+        raise FloatingPointError(f"non-finite density matrix in sme_step_batch at slots {bad.tolist()}")
     out = out / tr[:, None, None]
     return out[0] if squeeze else out
 

@@ -138,20 +138,25 @@ class TestRun:
                   "FloatingPointError: non-finite block 2J = 92 in collective_master_step,"
                   " in state sym at step 1 (t = 0.0001)"),
                  # simulate_truth names the slots, the step and t; the kernel checks
-                 # the real trace, which stays finite while step 2 makes the
-                 # imaginary parts non-finite, so step 3 raises
+                 # every entry, so step 2, whose off-diagonal parts overflow under
+                 # a finite trace, raises
                  ("qubit-filter", ["kappa=1e300", "T=0.001"],
                   "FloatingPointError: non-finite density matrix in sme_step_batch at slots [0]"
-                  " at step 3 (t = 3e-05)"),
+                  " at step 2 (t = 2e-05)"),
                  ("param-ensemble", ["B_values=1e300,2", "T=0.001", "store_every=10"],
                   "FloatingPointError"),
-                 # the double-pass truth and Fisher runs name the slots, the step and t
+                 # the double-pass truth and Fisher runs name the slots, the step and t,
+                 # and a Fisher run its (F, K, seed index) task
                  ("magnetometer-kalman", ["M=1e200", "T=0.001"],
                   "FloatingPointError: non-finite state vector in sse_step_batch at slots [0]"
                   " at step 1 (t = 0.0001)\n"),
                  ("magnetometer-fisher", ["M=1e200", "T=0.001"],
                   "FloatingPointError: non-finite state vector in sse_step_batch at slots [0, 1, 2]"
-                  " at step 1 (t = 0.0001)\n"),
+                  " at step 1 (t = 0.0001), in task F = 10, K = 0, seed index 0\n"),
+                 # F = 1 runs all ten steps at this M, so the failure is a later task's
+                 ("magnetometer-fisher", ["F_values=1,20", "M=1e158", "T=0.001"],
+                  "FloatingPointError: non-finite state vector in sse_step_batch at slots [0, 1, 2]"
+                  " at step 1 (t = 0.0001), in task F = 20, K = 0, seed index 0\n"),
                  # the Kalman runs name the first bad step and its time
                  ("magnetometer-kalman", ["T=0.01", "prior_var=1e300"],
                   "FloatingPointError: non-finite Kalman state at step 2 (t = 0.0002)"),

@@ -299,9 +299,9 @@ class TestPauliForm:
                                      unmonitored=depol)
         frame = code.pauli
         signal = 2.0 * np.sqrt(kappa) * np.einsum("lij,bji->bl", ref.gen_ops, rho).real
-        out = qec._pauli_step(frame, frame.to_pauli(rho), dQ, lambdas, signal,
-                              frame.keep(gamma, kappa, dt), kappa, dt)
-        assert np.max(np.abs(frame.to_density(out) - expect)) <= 1e-13
+        full = qec._FullStep(frame, frame.to_pauli(rho), gamma, kappa, dt)
+        full.step(dQ, lambdas, signal)
+        assert np.max(np.abs(frame.to_density(full.r) - expect)) <= 1e-13
 
     @pytest.mark.parametrize("name", ["fivequbit", "bitflip3"])
     def test_logical_zero_policy_signals_are_exact_zeros(self, name):
@@ -484,8 +484,12 @@ class TestTruncatedFilterStep:
         rng = np.random.default_rng(12)
         p = np.stack([basis.initial_state(r) for r in random_states(code.dim, B, rng)])
         lambdas = rng.choice([-150.0, 150.0], size=(B, len(code.channel_labels)))
+        # lambda = 0 columns: the vanishing channels, as _truncated_policy
+        # gives them (bitflip3's Z channels), and two more
+        lambdas[:, basis.policy_index < 0] = 0.0
+        lambdas[:, [1, -1]] = 0.0
         dQ = rng.standard_normal((B, code.n_generators)) * np.sqrt(dt)
-        out = qec._truncated_step_batch(basis, p, dQ, gamma, kappa, lambdas, dt)
+        out = qec._TruncatedStep(basis, gamma, kappa, dt)(p, dQ, lambdas)
         expect = dense_truncated_step(basis, p, dQ, gamma, kappa, lambdas, dt)
         assert np.max(np.abs(out - expect)) <= 1e-14
 
@@ -495,7 +499,7 @@ class TestTruncatedFilterStep:
         dQ = np.zeros((3, 4))
         dQ[2, 0] = np.nan
         with pytest.raises(FloatingPointError, match=r"slots \[2\]"):
-            qec._truncated_step_batch(five_basis, p, dQ, 1.0, 100.0, np.zeros((3, 15)), 1e-5)
+            qec._TruncatedStep(five_basis, 1.0, 100.0, 1e-5)(p, dQ, np.zeros((3, 15)))
 
 
 class TestDiscreteFidelity:
@@ -533,46 +537,60 @@ class TestClosedLoop:
                 qec.run_feedback_batch(bitflip, 1.0, 100.0, 200.0, T=1e-4, dt=1e-5,
                                        seed=0, n_traj=1, controller="bogus", basis=b)
 
-    def test_short_loop_matches_dense_kernel(self, five, five_basis, five_dense):
-        # the truncated-controller loop against the same loop written with
-        # plain-array sme_step_batch calls, a brute-force depolarizing term,
-        # einsum signals and the dense truncated step
-        gamma, kappa, lam, dt, steps, n_traj, seed = 1.0, 100.0, 200.0, 1e-5, 30, 2, 9
-        out = qec.run_feedback_batch(five, gamma, kappa, lam, steps * dt, dt, seed, n_traj,
-                                     controller="truncated", basis=five_basis, record_every=3)
-        psi0 = qec.logical_zero(five)
+    @pytest.mark.parametrize("name,controller,n_traj", [("fivequbit", "truncated", 8),
+                                                        ("bitflip3", "full", 1)])
+    def test_short_loop_matches_dense_kernel(self, name, controller, n_traj, five_basis):
+        # the closed loop against the same loop written with plain-array
+        # sme_step_batch calls, a brute-force depolarizing term, einsum
+        # signals and the dense truncated step, at the shapes of the
+        # benchmark's qec-loop and bitflip3-loop
+        code = qec.build_code(name)
+        basis = five_basis if controller == "truncated" else None
+        ref = dense_reference(code)
+        gamma, kappa, lam, dt, steps, seed = 1.0, 100.0, 200.0, 1e-5, 30, 9
+        out = qec.run_feedback_batch(code, gamma, kappa, lam, steps * dt, dt, seed, n_traj,
+                                     controller=controller, basis=basis, record_every=3)
+        psi0 = qec.logical_zero(code)
         rho0 = np.outer(psi0, psi0.conj())
-        rho = np.broadcast_to(rho0, (n_traj, 32, 32)).copy()
-        p = np.broadcast_to(five_basis.initial_state(rho0), (n_traj, 136)).copy()
-        noise = np.stack([rng_stream(seed, k).standard_normal((steps, 4))
+        rho = np.broadcast_to(rho0, (n_traj, code.dim, code.dim)).copy()
+        noise = np.stack([rng_stream(seed, k).standard_normal((steps, code.n_generators))
                           for k in range(n_traj)]) * np.sqrt(dt)
-        P = five_dense.single_paulis
-        idx, sign = five_basis.policy_index, five_basis.policy_sign
+        P = ref.single_paulis
 
         def bang(v):
             return lam * np.where(v == 0.0, 1.0, np.sign(v))
 
+        if basis is not None:
+            p = np.broadcast_to(basis.initial_state(rho0), (n_traj, basis.size)).copy()
+            idx, sign = basis.policy_index, basis.policy_sign
         agree = np.zeros(n_traj)
         codespace, codeword = [], []
         for i in range(steps):
-            full = np.einsum("cij,bji->bc", five_dense.policy_ops, rho).real
-            lambdas = np.where(idx >= 0, bang(np.where(idx >= 0, sign * p[:, idx], 0.0)), 0.0)
-            agree += np.mean(bang(full) == lambdas, axis=1)
-            signal = np.einsum("lij,bji->bl", five_dense.gen_ops, rho).real
+            full = np.einsum("cij,bji->bc", ref.policy_ops, rho).real
+            if basis is None:
+                lambdas = bang(full)
+            else:
+                lambdas = np.where(idx >= 0, bang(np.where(idx >= 0, sign * p[:, idx], 0.0)), 0.0)
+                agree += np.mean(bang(full) == lambdas, axis=1)
+            signal = np.einsum("lij,bji->bl", ref.gen_ops, rho).real
             dQ = 2.0 * np.sqrt(kappa) * signal * dt + noise[:, i]
             H = np.einsum("bc,cij->bij", lambdas, P)
-            depol = gamma * (sum(s @ rho @ s for s in P) - 15 * rho)
-            p = dense_truncated_step(five_basis, p, dQ, gamma, kappa, lambdas, dt)
-            rho = traj.sme_step_batch(H, np.sqrt(kappa) * five_dense.gen_ops, rho, dQ, dt,
+            depol = gamma * (sum(s @ rho @ s for s in P) - len(P) * rho)
+            if basis is not None:
+                p = dense_truncated_step(basis, p, dQ, gamma, kappa, lambdas, dt)
+            rho = traj.sme_step_batch(H, np.sqrt(kappa) * ref.gen_ops, rho, dQ, dt,
                                       unmonitored=depol)
             if (i + 1) % 3 == 0:
-                codespace.append(np.einsum("ij,bji->b", five_dense.projectors[0], rho).real)
+                codespace.append(np.einsum("ij,bji->b", ref.projectors[0], rho).real)
                 codeword.append(np.einsum("ij,bji->b", rho0, rho).real)
         for got, expect in ((out["codespace"], np.array(codespace).T),
                             (out["codeword"], np.array(codeword).T),
                             (out["final_rho"], rho)):
             assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
-        assert np.array_equal(out["policy_agreement"], agree / steps)
+        if basis is None:
+            assert "policy_agreement" not in out
+        else:
+            assert np.array_equal(out["policy_agreement"], agree / steps)
 
     def test_record_every_must_be_positive(self, bitflip):
         for record_every in (0, -2):

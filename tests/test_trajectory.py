@@ -171,6 +171,19 @@ class TestCompiledChannels:
             with pytest.raises(FloatingPointError, match=r"slots \[1\]"):
                 traj.sme_step_batch(op.SIGMA_Y, L, rho, dY, 1e-4)
 
+    def test_overflowed_entry_under_finite_trace_names_its_slot(self):
+        # slot 1's off-diagonal entries overflow while its trace stays 1: the
+        # step that overflowed raises, where a trace check alone would divide
+        # and hand on a non-finite state
+        rho = random_density(2, 3, np.random.default_rng(5))
+        rho[1] = [[0.5, 1e308], [1e308, 0.5]]
+        gen = np.zeros((3, 2, 2), dtype=complex)
+        gen[1] = [[0.0, 1e308], [1e308, 0.0]]
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match=r"in sme_step_batch at slots \[1\]$"):
+            traj.sme_step_batch(np.zeros((2, 2)), np.zeros((2, 2)), rho, np.zeros(3), 1.0,
+                                unmonitored=gen)
+
 
 class TestSseStep:
     def test_nonfinite_step_names_its_slots(self):

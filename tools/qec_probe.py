@@ -1,4 +1,5 @@
-"""Measure the set-up cost of stabilizer codes, one fresh interpreter each.
+"""Measure the set-up and closed-loop step cost of stabilizer codes, one
+fresh interpreter each.
 
 For each code a child interpreter imports ``qfilt.qec``, runs
 ``build_code`` and, with ``--basis``, ``build_truncated_basis``, and prints
@@ -12,17 +13,32 @@ one JSON line:
                           with --basis: the basis build's wall time, element
                           count, verification residual and ru_maxrss after it
 
+With ``--loop`` a child instead builds the code and its truncated basis and
+times ``run_feedback_batch`` at B = 8 trajectories, one BLAS thread, with
+the full and then the truncated controller.  Each controller first runs
+ten warm-up increments (the first call builds the lazy tables and imports
+``numpy.random``), then seven runs of 200 increments each; the line holds
+
+    code, n, basis_size   the code and its truncated-basis element count
+    full_ms, truncated_ms the fastest of those runs' wall time per increment
+    policy_agreement      the truncated run's mean policy agreement
+
+The fastest run is reported because load from other processes only ever
+adds time to a run.
+
 Steane's [[7,1,3]] code (``steane7``) and Shor's [[9,1,3]] code (``shor9``)
 are patched into ``qec._CODES`` inside the child only.  Each child's
 address space is capped at ``LIMIT_MB``; a child that fails, for instance by
 running into the cap, prints its error in place of the numbers.
 
 Usage:
-    python tools/qec_probe.py [CODE ...] [--basis] [--src DIR]
+    python tools/qec_probe.py [CODE ...] [--basis | --loop] [--src DIR]
 
-CODE defaults to bitflip3 fivequbit steane7 shor9; ``--src`` is the
-directory holding the ``qfilt`` package (default: this checkout's src), so
-that another checkout can be measured with the same probe.
+CODE defaults to bitflip3 fivequbit steane7 shor9, and to bitflip3
+fivequbit steane7 with ``--loop`` (steane7's basis build peaks near
+0.8 GB); ``--src`` is the directory holding the ``qfilt`` package (default:
+this checkout's src), so that another checkout can be measured with the
+same probe.
 """
 
 from __future__ import annotations
@@ -65,17 +81,50 @@ except Exception as e:
 print(json.dumps(out))
 """
 
+LOOP_CHILD = """
+import json, resource, sys, time
+name, limit_mb, extra = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+steps, repeats, batch, dt = 200, 7, 8, 1e-5
+resource.setrlimit(resource.RLIMIT_AS, (limit_mb << 20, limit_mb << 20))
+from qfilt import qec
+qec._CODES.update(json.loads(extra))
+code = qec.build_code(name)
+basis = qec.build_truncated_basis(code)
+out = {"code": name, "n": code.n, "basis_size": basis.size}
+for controller in ("full", "truncated"):
+    def run(n_steps, seed):
+        return qec.run_feedback_batch(code, 1.0, 100.0, 200.0, n_steps * dt, dt, seed, batch,
+                                      controller=controller, basis=basis)
+    run(10, 0)
+    times = []
+    for seed in range(1, repeats + 1):
+        t = time.perf_counter()
+        res = run(steps, seed)
+        times.append((time.perf_counter() - t) / steps)
+    out[f"{controller}_ms"] = round(1e3 * min(times), 4)
+out["policy_agreement"] = round(float(res["policy_agreement"].mean()), 4)
+print(json.dumps(out))
+"""
+THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("codes", nargs="*", default=["bitflip3", "fivequbit", "steane7", "shor9"])
-    parser.add_argument("--basis", action="store_true", help="also build the truncated basis")
+    parser.add_argument("codes", nargs="*")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--basis", action="store_true", help="also build the truncated basis")
+    mode.add_argument("--loop", action="store_true",
+                      help="time the closed loop per increment instead")
     parser.add_argument("--src", default=os.path.join(os.path.dirname(__file__), "..", "src"))
     args = parser.parse_args(argv)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src))
-    for name in args.codes:
-        proc = subprocess.run([sys.executable, "-c", CHILD, name, str(int(args.basis)),
-                               str(LIMIT_MB), json.dumps(EXTRA_CODES)],
+    if args.loop:
+        env.update(dict.fromkeys(THREADS, "1"))
+    codes = args.codes or ["bitflip3", "fivequbit", "steane7"] + ["shor9"] * (not args.loop)
+    for name in codes:
+        child = [LOOP_CHILD, name] if args.loop else [CHILD, name, str(int(args.basis))]
+        proc = subprocess.run([sys.executable, "-c", *child, str(LIMIT_MB),
+                               json.dumps(EXTRA_CODES)],
                               env=env, capture_output=True, text=True)
         print(proc.stdout.strip() or json.dumps({"code": name, "error": proc.stderr.strip()}),
               flush=True)
