@@ -134,33 +134,26 @@ def _run_particle_filter(p, seed, workers):
     }
 
 
-def _fisher_task(args):
-    """One (F, K, seed index k) task of the sweep; a FloatingPointError is
-    raised again naming the task."""
-    F, K, M, B, deltaB, T, dt, seed, k = args
+def _fisher_point(args):
+    """The informations of all seeds of one (F, K) point of the sweep; a
+    FloatingPointError is raised again naming the point."""
+    F, K, M, B, deltaB, T, dt, seed, n_seeds = args
     params = mag.DoublePassParams(F=F, M=M, K=K, B=B)
+    seeds = [stream_seed(seed, k) for k in range(n_seeds)]
     try:
-        return mag.fisher_information_fd(params, deltaB, T, dt, stream_seed(seed, k))
+        return mag.fisher_information_fd(params, deltaB, T, dt, seeds)
     except FloatingPointError as err:
-        raise FloatingPointError(f"{err}, in task F = {F:g}, K = {K:g}, seed index {k}") from err
+        raise FloatingPointError(f"{err}, in point F = {F:g}, K = {K:g}") from err
 
 
 def _run_magnetometer_fisher(p, seed, workers):
+    points = [(F, K, p["M"], p["B"], p["deltaB"], p["T"], p["dt"], seed, p["n_seeds"])
+              for F in p["F_values"] for K in p["K_values"]]
     rows = []
-    tasks = []
-    for F in p["F_values"]:
-        for K in p["K_values"]:
-            for k in range(p["n_seeds"]):
-                tasks.append((F, K, p["M"], p["B"], p["deltaB"], p["T"], p["dt"], seed, k))
-    results = _parallel_map(_fisher_task, tasks, workers)
-    i = 0
-    for F in p["F_values"]:
-        for K in p["K_values"]:
-            infos = np.array(results[i:i + p["n_seeds"]])
-            i += p["n_seeds"]
-            mean, std = infos.mean(), (infos.std(ddof=1) if len(infos) > 1 else 0.0)
-            rows.append((F, K, mean, std, mag.cramer_rao_bound(mean),
-                         mean ** -1.5 * std / 2.0))
+    for (F, K, *_), infos in zip(points, _parallel_map(_fisher_point, points, workers)):
+        mean, std = infos.mean(), (infos.std(ddof=1) if len(infos) > 1 else 0.0)
+        rows.append((F, K, mean, std, mag.cramer_rao_bound(mean),
+                     mean ** -1.5 * std / 2.0))
     cols = list(map(np.array, zip(*rows)))
     return {
         "files": {"fisher_sweep.csv":
@@ -243,6 +236,21 @@ def _collective_step(H, channels, rho, name, i, dt):
                                  f" (t = {(i + 1) * dt:.6g})") from err
 
 
+def _collective_run(H, channels, states, p, observe):
+    """Advance each state of ``states`` under its channel list in
+    ``channels`` (both keyed by state name) for T / dt steps, and after
+    every ``store_every``-th step record the row (t, *observe(states)).
+    Returns the rows' columns as arrays."""
+    dt, every = p["dt"], p["store_every"]
+    rows = []
+    for i in range(int(round(p["T"] / dt))):
+        for k, ch in channels.items():
+            states[k] = _collective_step(H, ch, states[k], k, i, dt)
+        if (i + 1) % every == 0:
+            rows.append(((i + 1) * dt, *observe(states)))
+    return list(map(np.array, zip(*rows)))
+
+
 def _run_collective_cat(p, seed, workers):
     N = p["N"]
     if p["channel"] == "sigma_z":
@@ -251,21 +259,12 @@ def _run_collective_cat(p, seed, workers):
     else:
         sym = col.SpinChannel(s_minus=1.0, rate=p["Gamma"])
         coll = col.CollectiveChannel(word_coeffs=((1.0, "-"),), rate=p["Gamma"])
-    steps = int(round(p["T"] / p["dt"]))
-    every = p["store_every"]
     ref = col.cat_state(N)
-    states = {"sym": col.cat_state(N), "coll": col.cat_state(N)}
-    rows = {"t": [], "sym": [], "coll": [], "topJ": []}
-    for i in range(steps):
-        for k, ch in (("sym", sym), ("coll", coll)):
-            states[k] = _collective_step(None, [ch], states[k], k, i, p["dt"])
-        if (i + 1) % every == 0:
-            rows["t"].append((i + 1) * p["dt"])
-            rows["sym"].append(col.fidelity_with(states["sym"], ref))
-            rows["coll"].append(col.fidelity_with(states["coll"], ref))
-            rows["topJ"].append(col.irrep_population(states["sym"], N / 2.0))
-    cols = [np.array(rows["t"]), np.array(rows["sym"]), np.array(rows["coll"]),
-            np.array(rows["topJ"])]
+    cols = _collective_run(
+        None, {"sym": [sym], "coll": [coll]}, {"sym": col.cat_state(N), "coll": col.cat_state(N)},
+        p, lambda states: (col.fidelity_with(states["sym"], ref),
+                           col.fidelity_with(states["coll"], ref),
+                           col.irrep_population(states["sym"], N / 2.0)))
     return {
         "files": {"collective_cat.csv":
                   (["time", "fidelity_symmetric", "fidelity_collective", "topJ_population_symmetric"], cols)},
@@ -283,19 +282,8 @@ def _run_collective_squeeze(p, seed, workers):
         "sym": [col.SpinChannel(s_minus=1.0, rate=p["Gamma"])],
         "coll": [col.CollectiveChannel(word_coeffs=((1.0, "-"),), rate=p["Gamma"])],
     }
-    states = {k: col.coherent_top(N) for k in channels}
-    steps = int(round(p["T"] / p["dt"]))
-    every = p["store_every"]
-    rows = {"t": [], "free": [], "sym": [], "coll": []}
-    for i in range(steps):
-        for k, ch in channels.items():
-            states[k] = _collective_step(H, ch, states[k], k, i, p["dt"])
-        if (i + 1) % every == 0:
-            rows["t"].append((i + 1) * p["dt"])
-            for k in channels:
-                rows[k].append(col.squeezing_xi2(states[k]))
-    cols = [np.array(rows["t"]), np.array(rows["free"]), np.array(rows["sym"]),
-            np.array(rows["coll"])]
+    cols = _collective_run(H, channels, {k: col.coherent_top(N) for k in channels}, p,
+                           lambda states: [col.squeezing_xi2(states[k]) for k in channels])
     return {
         "files": {"collective_squeeze.csv":
                   (["time", "xi2_free", "xi2_symmetric", "xi2_collective"], cols)},

@@ -610,7 +610,7 @@ def run_feedback_batch(code: StabilizerCode, gamma: float, kappa: float,
     full states.  The full filter steps on Pauli coefficients (``_PauliFrame``)
     and converts from and to density matrices only at the run's ends; a
     FloatingPointError from either filter is raised again naming the step,
-    its time and the batch slots.
+    counted from 1, the time it reaches and the batch slots.
     """
     if controller not in ("truncated", "full", "none"):
         raise ValueError(f"unknown controller {controller!r}; choose truncated, full or none")
@@ -653,7 +653,7 @@ def run_feedback_batch(code: StabilizerCode, gamma: float, kappa: float,
                 if controller == "truncated":
                     p = truncated(p, dQ, lambdas)
             except FloatingPointError as err:
-                raise FloatingPointError(f"{err}, at step {k} (t = {k * dt:.6g})") from err
+                raise FloatingPointError(f"{err}, at step {k + 1} (t = {(k + 1) * dt:.6g})") from err
             if (k + 1) % record_every == 0:
                 fidelities.append(full.r @ fidelity_rows)
     fidelities = np.array(fidelities).reshape(-1, n_traj, 2)

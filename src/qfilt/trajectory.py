@@ -21,9 +21,11 @@ L + L^dag, whether it comes from a plain array or a model.  A
 density-matrix and pure-state filter of a model steps those channels and
 reads its signal from them.
 
-Both kernels step a stack of states in lockstep, one trajectory per slot,
-each of which must draw from its own noise stream; a single state is a
-stack of one.  Steps renormalize trace/norm and re-Hermitize every step;
+Both kernels step states in lockstep over numpy's leading axes, one
+trajectory per slot, each of which must draw from its own noise stream: a
+single state has no leading axis, a batch has one or more, and a per-slot H
+or increment broadcasts against them.  A failure names the row-major slots.
+Steps renormalize trace/norm and re-Hermitize every step;
 Euler-Maruyama is the scheme, with dt = 1e-5 by default in the problem's
 inverse-rate units.
 """
@@ -108,8 +110,9 @@ class Channels(NamedTuple):
     S: np.ndarray
 
     def signal(self, rho: np.ndarray) -> np.ndarray:
-        """Tr[(L_l + L_l^dag) rho] per slot and monitored channel, (B, l)."""
-        return np.einsum("lij,bji->bl", self.S, rho).real
+        """Tr[(L_l + L_l^dag) rho] per slot and monitored channel: the
+        states' leading axes, then l."""
+        return np.einsum("lij,...ji->...l", self.S, rho).real
 
 
 def compile_channels(L: np.ndarray) -> Channels:
@@ -119,16 +122,28 @@ def compile_channels(L: np.ndarray) -> Channels:
     return Channels(Ls, Lds, 0.5 * (Lds @ Ls).sum(axis=0), Ls + Lds)
 
 
+def _raise_nonfinite(what: str, kernel: str, finite: np.ndarray):
+    """Raise FloatingPointError naming the row-major slots where ``finite``
+    (one flag per slot, over the states' leading axes) is False; the slot
+    list is also kept as the error's ``slots``."""
+    slots = np.flatnonzero(~finite).tolist()
+    err = FloatingPointError(f"non-finite {what} in {kernel} at slots {slots}")
+    err.slots = slots
+    raise err
+
+
 def sme_step_batch(H: np.ndarray, L: np.ndarray | Channels, rho: np.ndarray,
                    dY: np.ndarray | float, dt: float, unmonitored: np.ndarray | None = None,
                    signal: np.ndarray | None = None) -> np.ndarray:
-    """One Euler step of the quantum filter on a stack of density matrices.
+    """One Euler step of the quantum filter on density matrices rho
+    (..., d, d), whose leading axes are the batch: a single state has none.
 
     L is one coupling operator (d, d), a stack of l monitored channels
     (l, d, d) or channels compiled once by ``compile_channels``, shared by
-    every slot; dY is a scalar (one slot), one increment per slot (B,) or one
-    per slot and channel (B, l).  H may be a single matrix or one per batch
-    slot (leading axis).  The step is written as
+    every slot; dY holds one increment per slot (a scalar for a single
+    state) or one per slot and channel (leading axes, then l).  H is one
+    matrix or one per slot, broadcast against the states.  The step is
+    written as
 
         rho' = rho + A rho + rho A^dag + sum_l L_l rho L_l^dag dt
                - (sum_l s_l dW_l) rho,
@@ -138,14 +153,13 @@ def sme_step_batch(H: np.ndarray, L: np.ndarray | Channels, rho: np.ndarray,
     the Euler step of the SME term by term (the first-order part of the
     Kraus form M rho M^dag with M = I + A).  A plain array is compiled on
     every call; the package's filters pass channels compiled once.
-    ``signal``, if given, is s_l (B, l) from a caller that already has it.
-    ``unmonitored``, if given, is a caller-computed generator term per slot
-    (B, d, d), added times dt.  Trace is renormalized and Hermiticity
-    enforced after the step; a non-finite entry, checked before the division,
-    raises FloatingPointError naming the batch slots.
+    ``signal``, if given, is s_l (leading axes, then l) from a caller that
+    already has it.  ``unmonitored``, if given, is a caller-computed
+    generator term per slot (..., d, d), added times dt.  Trace is
+    renormalized and Hermiticity enforced after the step; a non-finite
+    entry, checked before the division, raises FloatingPointError naming
+    the row-major batch slots.
     """
-    squeeze = rho.ndim == 2
-    rho = rho[None] if squeeze else rho
     if not isinstance(L, Channels):
         L = compile_channels(L)
     if signal is None:
@@ -154,50 +168,44 @@ def sme_step_batch(H: np.ndarray, L: np.ndarray | Channels, rho: np.ndarray,
     A = (-1j * H - L.K) * dt + (dW @ L.L.reshape(len(L.L), -1)).reshape(rho.shape)
     Arho = A @ rho
     out = rho + Arho + np.swapaxes(Arho, -1, -2).conj() \
-        - np.einsum("bl,bl->b", signal, dW)[:, None, None] * rho
+        - np.einsum("...l,...l->...", signal, dW)[..., None, None] * rho
     for Lk, Lkd in zip(L.L, L.Ld):
         out += (Lk @ rho @ Lkd) * dt
     if unmonitored is not None:
         out += unmonitored * dt
     out = 0.5 * (out + np.swapaxes(out, -1, -2).conj())
-    tr = np.einsum("bii->b", out).real
+    tr = np.einsum("...ii->...", out).real
     # every entry, not just the trace: a finite trace over non-finite
     # off-diagonal parts would leave NaN after the division
     if not np.isfinite(out).all():
-        bad = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
-        raise FloatingPointError(f"non-finite density matrix in sme_step_batch at slots {bad.tolist()}")
-    out = out / tr[:, None, None]
-    return out[0] if squeeze else out
+        _raise_nonfinite("density matrix", "sme_step_batch", np.isfinite(out).all(axis=(-2, -1)))
+    return out / tr[..., None, None]
 
 
 def sse_step_batch(H: np.ndarray, channels: Channels, psi: np.ndarray,
                    dW: np.ndarray | float, dt: float) -> np.ndarray:
-    """One Euler step of the stochastic Schrodinger equation on a stack of
-    state vectors, driven directly by the innovation increment dW.
+    """One Euler step of the stochastic Schrodinger equation on state
+    vectors psi (..., d), whose leading axes are the batch, driven directly
+    by the innovation increment dW, which broadcasts against those axes.
 
     ``channels`` is one compiled coupling (``DiffusiveModel.channels``): L is
     read as ``channels.L[0]`` and L^dag L / 2 as ``channels.K``, so a call
-    forms no operator product.  H may be a single matrix or one per slot.  A
-    non-finite norm raises FloatingPointError naming the batch slots.
+    forms no operator product.  H is one matrix or one per slot, broadcast
+    against the states.  A non-finite norm raises FloatingPointError naming
+    the row-major batch slots.
     """
-    squeeze = psi.ndim == 1
-    psi = psi[None, :] if squeeze else psi
     Lpsi = psi @ channels.L[0].T
-    expL = np.einsum("bi,bi->b", psi.conj(), Lpsi)
+    expL = np.einsum("...i,...i->...", psi.conj(), Lpsi)[..., None]
     expLd = expL.conj()
-    dW = np.broadcast_to(np.asarray(dW, dtype=float), (psi.shape[0],))
-    Hpsi = psi @ H.T if H.ndim == 2 else np.einsum("bij,bj->bi", H, psi)
+    Hpsi = psi @ H.T if H.ndim == 2 else np.einsum("...ij,...j->...i", H, psi)
     dpsi = (-1j) * Hpsi * dt
-    dpsi -= (psi @ channels.K.T - expLd[:, None] * Lpsi
-             + 0.5 * (expL * expLd)[:, None] * psi) * dt
-    dpsi += (Lpsi - expL[:, None] * psi) * dW[:, None]
+    dpsi -= (psi @ channels.K.T - expLd * Lpsi + 0.5 * (expL * expLd) * psi) * dt
+    dpsi += (Lpsi - expL * psi) * np.asarray(dW, dtype=float)[..., None]
     out = psi + dpsi
-    norm = np.linalg.norm(out, axis=1)
+    norm = np.linalg.norm(out, axis=-1)
     if not np.all(np.isfinite(norm)):
-        raise FloatingPointError(
-            f"non-finite state vector in sse_step_batch at slots {np.flatnonzero(~np.isfinite(norm)).tolist()}")
-    out = out / norm[:, None]
-    return out[0] if squeeze else out
+        _raise_nonfinite("state vector", "sse_step_batch", np.isfinite(norm))
+    return out / norm[..., None]
 
 
 def simulate_truth(model: DiffusiveModel, rho0: np.ndarray, T: float, dt: float,
@@ -227,8 +235,8 @@ def simulate_truth(model: DiffusiveModel, rho0: np.ndarray, T: float, dt: float,
         exps[k][0] = (opT * rho).sum().real
     try:
         for i in range(steps):
-            signal = channels.signal(rho[None])
-            dY[i] = signal[0, 0] * dt + dWs[i]
+            signal = channels.signal(rho)
+            dY[i] = signal[0] * dt + dWs[i]
             rho = sme_step_batch(model.H, channels, rho, dY[i], dt, signal=signal)
             if (i + 1) % store_every == 0 or i + 1 == steps:
                 for k, opT in observables.items():

@@ -146,17 +146,24 @@ class TestRun:
                  ("param-ensemble", ["B_values=1e300,2", "T=0.001", "store_every=10"],
                   "FloatingPointError"),
                  # the double-pass truth and Fisher runs name the slots, the step and t,
-                 # and a Fisher run its (F, K, seed index) task
+                 # and a Fisher run the seed indices of its slots (three per seed) and
+                 # its (F, K) point
                  ("magnetometer-kalman", ["M=1e200", "T=0.001"],
                   "FloatingPointError: non-finite state vector in sse_step_batch at slots [0]"
                   " at step 1 (t = 0.0001)\n"),
                  ("magnetometer-fisher", ["M=1e200", "T=0.001"],
-                  "FloatingPointError: non-finite state vector in sse_step_batch at slots [0, 1, 2]"
-                  " at step 1 (t = 0.0001), in task F = 10, K = 0, seed index 0\n"),
-                 # F = 1 runs all ten steps at this M, so the failure is a later task's
+                  "FloatingPointError: non-finite state vector in sse_step_batch at slots"
+                  " [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11] at step 1 (t = 0.0001),"
+                  " seed indices [0, 1, 2, 3], in point F = 10, K = 0\n"),
+                 # F = 1 runs all ten steps at this M, so the failure is a later point's
                  ("magnetometer-fisher", ["F_values=1,20", "M=1e158", "T=0.001"],
-                  "FloatingPointError: non-finite state vector in sse_step_batch at slots [0, 1, 2]"
-                  " at step 1 (t = 0.0001), in task F = 20, K = 0, seed index 0\n"),
+                  "FloatingPointError: non-finite state vector in sse_step_batch at slots"
+                  " [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11] at step 1 (t = 0.0001),"
+                  " seed indices [0, 1, 2, 3], in point F = 20, K = 0\n"),
+                 # the closed QEC loop counts steps from 1, as every other run does
+                 ("qec-run", ["code=bitflip3", "kappa=1e300", "T=0.001"],
+                  "FloatingPointError: non-finite full filter state at slots [0, 1],"
+                  " at step 4 (t = 4e-05)\n"),
                  # the Kalman runs name the first bad step and its time
                  ("magnetometer-kalman", ["T=0.01", "prior_var=1e300"],
                   "FloatingPointError: non-finite Kalman state at step 2 (t = 0.0002)"),

@@ -1,4 +1,7 @@
+import tracemalloc
+
 import numpy as np
+import pytest
 
 from qfilt import estimation as est
 from qfilt import magnetometry as mag
@@ -160,7 +163,7 @@ class TestFisherInformation:
         # that state family
         F, T = 0.5, 1.0
         p = mag.DoublePassParams(F=F, M=0.0, K=0.0, B=0.0)
-        info = mag.fisher_information_fd(p, deltaB=1e-3, T=T, dt=1e-3, seed=0)
+        info, = mag.fisher_information_fd(p, deltaB=1e-3, T=T, dt=1e-3, seeds=[0])
         ops = spin_ops(F)
         psi0 = mag.coherent_x(F)
         eps = 1e-5
@@ -175,15 +178,15 @@ class TestFisherInformation:
 
     def test_finite_difference_converged(self):
         p = mag.DoublePassParams(F=2.0, M=1.0, K=0.01, B=0.0)
-        a = mag.fisher_information_fd(p, 1e-3, T=0.5, dt=1e-4, seed=3)
-        b = mag.fisher_information_fd(p, 1e-4, T=0.5, dt=1e-4, seed=3)
+        a, = mag.fisher_information_fd(p, 1e-3, T=0.5, dt=1e-4, seeds=[3])
+        b, = mag.fisher_information_fd(p, 1e-4, T=0.5, dt=1e-4, seeds=[3])
         assert abs(a - b) / b < 0.01
 
     def test_symmetric_at_zero_field(self):
         # swapping the +deltaB / -deltaB labels leaves the estimate unchanged
         p = mag.DoublePassParams(F=1.0, M=0.5, K=0.05, B=0.0)
         dB, T, dt = 1e-3, 0.3, 1e-4
-        base = mag.fisher_information_fd(p, dB, T, dt, seed=4)
+        base, = mag.fisher_information_fd(p, dB, T, dt, seeds=[4])
         psi = mag.coherent_x(p.F)
         states = {off: psi.copy() for off in (0.0, dB, -dB)}
         rng = rng_stream((4,))
@@ -197,19 +200,53 @@ class TestFisherInformation:
         assert abs(base - swapped) < 1e-12
 
     def test_batched_shifts_match_three_filters(self):
-        # the three co-evolved fields against three separate filters
+        # the three co-evolved fields of every seed, for one seed and for a
+        # lockstep batch of three, against three separate filters on that
+        # seed's stream
         p = mag.DoublePassParams(F=1.5, M=0.8, K=0.3, B=0.2)
-        dB, T, dt, seed = 1e-3, 0.01, 1e-4, 5
-        info = mag.fisher_information_fd(p, dB, T, dt, seed)
+        dB, T, dt = 1e-3, 0.01, 1e-4
         shifted = [mag.DoublePassParams(F=1.5, M=0.8, K=0.3, B=0.2 + off)
                    for off in (0.0, dB, -dB)]
-        states = [mag.coherent_x(p.F)] * 3
-        for dW in rng_stream(seed).standard_normal(int(round(T / dt))) * np.sqrt(dt):
-            states = [mag.double_pass_sse_step(q, s, dW, dt) for q, s in zip(shifted, states)]
-        rho0, rho_p, rho_m = map(op.pure_to_density, states)
-        drho = (rho_p - rho_m) / (2 * dB)
-        expect = np.trace(drho @ drho @ rho0).real
-        assert expect > 0 and abs(info - expect) <= 1e-9 * expect
+        for seeds in ([5], [5, (2, 0), (2, 1)]):
+            infos = mag.fisher_information_fd(p, dB, T, dt, seeds)
+            assert infos.shape == (len(seeds),)
+            for seed, info in zip(seeds, infos):
+                states = [mag.coherent_x(p.F)] * 3
+                for dW in rng_stream(seed).standard_normal(int(round(T / dt))) * np.sqrt(dt):
+                    states = [mag.double_pass_sse_step(q, s, dW, dt)
+                              for q, s in zip(shifted, states)]
+                rho0, rho_p, rho_m = map(op.pure_to_density, states)
+                drho = (rho_p - rho_m) / (2 * dB)
+                expect = np.trace(drho @ drho @ rho0).real
+                assert expect > 0 and abs(info - expect) <= 1e-9 * expect
+
+    def test_failure_names_step_and_seeds(self):
+        # the kernel's check names the seeds of its slots; an error numpy
+        # raises itself under errstate(all="raise") names no slot
+        p = mag.DoublePassParams(F=2.0, M=1e200, K=0.0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                FloatingPointError, match=r"slots \[0, 1, 2, 3, 4, 5\] at step 1 \(t = 0.0001\),"
+                                          r" seed indices \[0, 1\]$"):
+            mag.fisher_information_fd(p, 1e-3, 1e-3, 1e-4, [0, 1])
+        with np.errstate(all="raise"), pytest.raises(
+                FloatingPointError, match=r"overflow.* at step 1 \(t = 0.0001\)$"):
+            mag.fisher_information_fd(p, 1e-3, 1e-3, 1e-4, [0, 1])
+
+    def test_point_allocates_no_per_seed_hamiltonian(self):
+        # the three shifted Hamiltonians broadcast over the seeds: a point's
+        # peak allocation stays below half of one (3, d, d) stack per seed
+        p = mag.DoublePassParams(F=50.0, M=1.0, K=1e-4)
+        seeds, dt = list(range(16)), 1e-4
+        mag.fisher_information_fd(p, 1e-3, dt, dt, seeds[:1])  # build the cached models
+        H_bytes = 3 * mag.double_pass_model(p).H.nbytes
+        tracemalloc.start()
+        try:
+            infos = mag.fisher_information_fd(p, 1e-3, 3 * dt, dt, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert infos.shape == (16,)
+        assert peak < len(seeds) * H_bytes / 2
 
 
 class TestSmallAngleKalman:

@@ -313,7 +313,7 @@ class TestPauliForm:
 
     def test_nonfinite_rate_names_slots_with_truncated_controller(self, five, five_basis):
         with pytest.raises(FloatingPointError,
-                           match=r"full filter state at slots \[0, 1\], at step 0 \(t = 0\)"):
+                           match=r"full filter state at slots \[0, 1\], at step 1 \(t = 1e-05\)"):
             qec.run_feedback_batch(five, np.nan, 100.0, 200.0, T=1e-4, dt=1e-5, seed=0,
                                    n_traj=2, controller="truncated", basis=five_basis)
 
@@ -333,17 +333,25 @@ class TestFeedbackPolicy:
             val = np.trace(-1j * (pi0 @ sig - sig @ pi0) @ rho).real
             assert lam[c] == 7.0 * np.sign(val)
 
-    def test_truncated_policy_reads_coefficients(self, five, five_basis):
+    def test_truncated_policy_reads_coefficients(self, five_basis):
         # the truncated controller's strengths, read off the truncated state,
-        # against the full controller's from the same state
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-        rho = a @ a.conj().T
-        rho /= np.trace(rho).real
-        p = five_basis.initial_state(rho)
-        _, lam = qec.truncated_filter_step(five_basis, p, np.zeros(4), 0.0, 0.0, 3.0, 1e-5)
-        vals = five.pauli.to_pauli(rho) @ five.pauli.rows
-        assert np.array_equal(lam, qec._bang_bang(vals[:15], 3.0))
+        # against the full controller's from the same state; a channel whose
+        # policy row is identically zero (bitflip3's Z channels) gets 0
+        bitflip = qec.build_code("bitflip3")
+        for basis in (five_basis, qec.build_truncated_basis(bitflip)):
+            code = basis.code
+            n_chan, d = len(code.channel_labels), code.dim
+            rng = np.random.default_rng(1)
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            rho = a @ a.conj().T
+            rho /= np.trace(rho).real
+            p = basis.initial_state(rho)
+            _, lam = qec.truncated_filter_step(basis, p, np.zeros(code.n_generators),
+                                               0.0, 0.0, 3.0, 1e-5)
+            vals = code.pauli.to_pauli(rho) @ code.pauli.rows
+            expect = qec._bang_bang(vals[:n_chan], 3.0)
+            expect[~code.pauli.rows[:, :n_chan].any(axis=0)] = 0.0
+            assert np.array_equal(lam, expect), code.name
 
 
 class TestWonham:
@@ -599,7 +607,7 @@ class TestClosedLoop:
                                        n_traj=1, controller="full", record_every=record_every)
 
     def test_failure_names_step_time_and_slots(self, bitflip):
-        with pytest.raises(FloatingPointError, match=r"slots \[0, 1\], at step 0 \(t = 0\)"):
+        with pytest.raises(FloatingPointError, match=r"slots \[0, 1\], at step 1 \(t = 1e-05\)"):
             qec.run_feedback_batch(bitflip, np.nan, 100.0, 200.0, T=1e-4, dt=1e-5, seed=0,
                                    n_traj=2, controller="full")
 

@@ -72,7 +72,7 @@ class TestSmeStep:
     def test_channel_stack_matches_superoperator_sum(self):
         # l = 3 monitored channels, per-slot H and an unmonitored generator
         # term against the sum of D[L_l] dt + M[L_l] dW_l over the channels
-        d, l, B, dt = 4, 3, 5, 1e-4
+        d, l, B, dt = 4, 3, 6, 1e-4
         rng = np.random.default_rng(11)
         Hs = np.stack([random_model(d, 20 + k).H for k in range(B)])
         Ls = np.stack([random_model(d, 30 + k).L for k in range(l)])
@@ -93,6 +93,15 @@ class TestSmeStep:
             expect = 0.5 * (expect + op.dag(expect))
             expect /= np.trace(expect).real
             assert np.max(np.abs(out[b] - expect)) <= 1e-13
+        # a (2, 3) stack steps as its (6,) flattening, and one H per column
+        # broadcasts over the rows as its tiling does
+        rows = traj.sme_step_batch(Hs.reshape(2, 3, d, d), Ls, rhos.reshape(2, 3, d, d),
+                                   dY.reshape(2, 3, l), dt, unmonitored=U.reshape(2, 3, d, d))
+        assert np.array_equal(rows.reshape(out.shape), out)
+        shared = traj.sme_step_batch(Hs[:3], Ls, rhos.reshape(2, 3, d, d), dY.reshape(2, 3, l),
+                                     dt, unmonitored=U.reshape(2, 3, d, d))
+        tiled = traj.sme_step_batch(np.concatenate([Hs[:3]] * 2), Ls, rhos, dY, dt, unmonitored=U)
+        assert np.array_equal(shared.reshape(tiled.shape), tiled)
 
     def test_ensemble_average_matches_master_equation(self):
         # 500 trajectories of the conditional state average to the
@@ -170,6 +179,12 @@ class TestCompiledChannels:
         for L in (op.SIGMA_Z, traj.compile_channels(op.SIGMA_Z)):
             with pytest.raises(FloatingPointError, match=r"slots \[1\]"):
                 traj.sme_step_batch(op.SIGMA_Y, L, rho, dY, 1e-4)
+        # with two leading axes the slot is the row-major index
+        rho = random_density(2, 6, rng).reshape(2, 3, 2, 2)
+        dY = np.zeros((2, 3))
+        dY[1, 1] = np.nan
+        with pytest.raises(FloatingPointError, match=r"slots \[4\]$"):
+            traj.sme_step_batch(op.SIGMA_Y, op.SIGMA_Z, rho, dY, 1e-4)
 
     def test_overflowed_entry_under_finite_trace_names_its_slot(self):
         # slot 1's off-diagonal entries overflow while its trace stays 1: the
@@ -191,6 +206,12 @@ class TestSseStep:
         psi = np.stack([random_pure(2, k) for k in range(3)])
         dW = np.array([0.01, -0.02, np.nan])
         with pytest.raises(FloatingPointError, match=r"in sse_step_batch at slots \[2\]"):
+            traj.sse_step_batch(model.H, model.channels, psi, dW, 1e-4)
+        # with two leading axes the slot is the row-major index
+        psi = np.stack([random_pure(2, k) for k in range(6)]).reshape(2, 3, 2)
+        dW = np.zeros((2, 3))
+        dW[1, 0] = np.nan
+        with pytest.raises(FloatingPointError, match=r"in sse_step_batch at slots \[3\]$"):
             traj.sse_step_batch(model.H, model.channels, psi, dW, 1e-4)
 
     def test_free_state_unchanged(self):
@@ -313,20 +334,26 @@ class TestCompiledModel:
         assert np.max(np.abs(rec.expectations["x"] - x)) <= 1e-13
 
     def test_sse_step_matches_written_out_step(self):
-        # per-slot H, the drift written with L^dag L formed in the test
+        # a (2, 3) stack: one H per column and one dW per row, each broadcast
+        # over the other axis, the drift written with L^dag L formed in the test
         model, dt = random_model(4, 48), 1e-4
-        H = np.stack([model.H, 0.5 * model.H])
-        psi = np.stack([random_pure(4, 49), random_pure(4, 50)])
-        dW = np.array([0.01, -0.007])
+        H = np.stack([model.H, 0.5 * model.H, -model.H])
+        psi = np.stack([random_pure(4, 49 + k) for k in range(6)]).reshape(2, 3, 4)
+        dW = np.array([[0.01], [-0.007]])
         out = traj.sse_step_batch(H, model.channels, psi, dW, dt)
         L, LdL = model.L, op.dag(model.L) @ model.L
-        for b in range(2):
-            v = psi[b]
-            eL = v.conj() @ L @ v
-            step = v + (-1j * H[b] @ v - 0.5 * (LdL @ v - 2 * eL.conj() * (L @ v)
-                                                 + abs(eL) ** 2 * v)) * dt \
-                + (L @ v - eL * v) * dW[b]
-            assert np.max(np.abs(out[b] - step / np.linalg.norm(step))) <= 1e-13
+        for r in range(2):
+            for c in range(3):
+                v = psi[r, c]
+                eL = v.conj() @ L @ v
+                step = v + (-1j * H[c] @ v - 0.5 * (LdL @ v - 2 * eL.conj() * (L @ v)
+                                                     + abs(eL) ** 2 * v)) * dt \
+                    + (L @ v - eL * v) * dW[r, 0]
+                assert np.max(np.abs(out[r, c] - step / np.linalg.norm(step))) <= 1e-13
+        # the same bits as the (6,) flattening with H and dW tiled per slot
+        flat = traj.sse_step_batch(np.concatenate([H] * 2), model.channels, psi.reshape(6, 4),
+                                   np.repeat(dW[:, 0], 3), dt)
+        assert np.array_equal(out.reshape(flat.shape), flat)
 
 
 class TestBlochAngle:
