@@ -68,8 +68,8 @@ def write_csv(path: str, header: list, columns: list, manifest_name: str) -> Non
 
 
 # ---------------------------------------------------------------------------
-# experiment runners; each returns {"files": {name: (header, columns)},
-# "summary": {...}} and is deterministic given (params, seed)
+# experiment runners; each returns its one CSV as (file name, header,
+# columns) and the manifest summary, and is deterministic given (params, seed)
 
 
 def _run_kalman_demo(p, seed, workers):
@@ -78,12 +78,9 @@ def _run_kalman_demo(p, seed, workers):
     cols = [rec["t"], np.concatenate([[0.0], rec["dY"][1:]]), rec["x_true"],
             rec["x_est"], rec["xi_est"],
             rec["P"][:, 0, 0], rec["P"][:, 0, 1], rec["P"][:, 1, 1]]
-    return {
-        "files": {"kalman_demo.csv":
-                  (["time", "dY", "x_true", "x_est", "xi_est", "P00", "P01", "P11"], cols)},
-        "summary": {"final_xi_est": rec["xi_est"][-1],
-                    "final_xi_sd": float(np.sqrt(rec["P"][-1, 1, 1]))},
-    }
+    return ("kalman_demo.csv", ["time", "dY", "x_true", "x_est", "xi_est", "P00", "P01", "P11"],
+            cols, {"final_xi_est": rec["xi_est"][-1],
+                   "final_xi_sd": float(np.sqrt(rec["P"][-1, 1, 1]))})
 
 
 def _run_qubit_filter(p, seed, workers):
@@ -96,10 +93,8 @@ def _run_qubit_filter(p, seed, workers):
     idx = np.arange(0, n, every)
     cols = [rec.times[idx], rec.dY[idx], rec.dW[idx],
             rec.expectations["sx"][idx], rec.expectations["sz"][idx]]
-    return {
-        "files": {"qubit_filter.csv": (["time", "dY", "dW", "sx", "sz"], cols)},
-        "summary": {"final_sz": rec.expectations["sz"][-1]},
-    }
+    return ("qubit_filter.csv", ["time", "dY", "dW", "sx", "sz"], cols,
+            {"final_sz": rec.expectations["sz"][-1]})
 
 
 def _run_param_ensemble(p, seed, workers):
@@ -109,11 +104,8 @@ def _run_param_ensemble(p, seed, workers):
     w = out["weights"]
     header = ["time"] + [f"w_B={_fmt(v)}" for v in values]
     cols = [out["times"]] + [w[:, i] for i in range(len(values))]
-    return {
-        "files": {"param_ensemble.csv": (header, cols)},
-        "summary": {"final_weights": {str(v): float(x)
-                                      for v, x in zip(values, out["final_weights"])}},
-    }
+    return ("param_ensemble.csv", header, cols,
+            {"final_weights": {str(v): float(x) for v, x in zip(values, out["final_weights"])}})
 
 
 def _run_particle_filter(p, seed, workers):
@@ -127,11 +119,9 @@ def _run_particle_filter(p, seed, workers):
                                   p["threshold"], seed)
     idx = np.arange(0, len(res["mean_trace"]), p["store_every"])
     cols = [record.times[idx], res["mean_trace"][idx], res["sd_trace"][idx]]
-    return {
-        "files": {"particle_filter.csv": (["time", "B_mean", "B_sd"], cols)},
-        "summary": {"estimate": res["estimate"], "uncertainty": res["uncertainty"],
-                    "n_resamples": res["n_resamples"]},
-    }
+    return ("particle_filter.csv", ["time", "B_mean", "B_sd"], cols,
+            {"estimate": res["estimate"], "uncertainty": res["uncertainty"],
+             "n_resamples": res["n_resamples"]})
 
 
 def _fisher_point(args):
@@ -155,11 +145,8 @@ def _run_magnetometer_fisher(p, seed, workers):
         rows.append((F, K, mean, std, mag.cramer_rao_bound(mean),
                      mean ** -1.5 * std / 2.0))
     cols = list(map(np.array, zip(*rows)))
-    return {
-        "files": {"fisher_sweep.csv":
-                  (["F", "K", "info_mean", "info_std", "bound", "bound_sigma"], cols)},
-        "summary": {"rows": len(rows)},
-    }
+    return ("fisher_sweep.csv", ["F", "K", "info_mean", "info_std", "bound", "bound_sigma"],
+            cols, {"rows": len(rows)})
 
 
 def _run_magnetometer_kalman(p, seed, workers):
@@ -179,11 +166,8 @@ def _run_magnetometer_kalman(p, seed, workers):
     kalman.raise_if_nonfinite("Kalman state", states, dt)
     rows = states[every - 1::every]
     cols = [np.arange(every, steps + 1, every) * dt, rows[:, 0], rows[:, 1], rows[:, 5]]
-    return {
-        "files": {"magnetometer_kalman.csv":
-                  (["time", "theta_est", "B_est", "B_var"], cols)},
-        "summary": {"final_B_est": cols[2][-1], "final_B_sd": float(np.sqrt(cols[3][-1]))},
-    }
+    return ("magnetometer_kalman.csv", ["time", "theta_est", "B_est", "B_var"], cols,
+            {"final_B_est": cols[2][-1], "final_B_sd": float(np.sqrt(cols[3][-1]))})
 
 
 def _qec_batch(p, seed, controller):
@@ -207,7 +191,7 @@ def _run_qec(p, seed, workers):
                "mean_final_codeword": float(cw[:, -1].mean())}
     if "policy_agreement" in out:
         summary["mean_policy_agreement"] = float(out["policy_agreement"].mean())
-    return {"files": {"qec_run.csv": (header, cols)}, "summary": summary}
+    return "qec_run.csv", header, cols, summary
 
 
 def _run_qec_benchmark(p, seed, workers):
@@ -217,35 +201,28 @@ def _run_qec_benchmark(p, seed, workers):
     cs = out["codespace"].mean(axis=0)
     discrete = qec.codeword_fidelity_discrete(times, p["gamma"])
     cols = [times, cs, cw, discrete]
-    return {
-        "files": {"qec_benchmark.csv":
-                  (["time", "codespace_feedback", "codeword_feedback", "codeword_discrete"], cols)},
-        "summary": {"final_codeword_feedback": float(cw[-1]),
-                    "final_codeword_discrete": float(discrete[-1]),
-                    "mean_policy_agreement": float(out["policy_agreement"].mean())},
-    }
-
-
-def _collective_step(H, channels, rho, name, i, dt):
-    """Step i of the state called ``name``; a FloatingPointError is raised
-    again naming the state, the step and the time it reaches."""
-    try:
-        return col.collective_master_step(H, channels, rho, dt)
-    except FloatingPointError as err:
-        raise FloatingPointError(f"{err}, in state {name} at step {i + 1}"
-                                 f" (t = {(i + 1) * dt:.6g})") from err
+    return ("qec_benchmark.csv",
+            ["time", "codespace_feedback", "codeword_feedback", "codeword_discrete"], cols,
+            {"final_codeword_feedback": float(cw[-1]),
+             "final_codeword_discrete": float(discrete[-1]),
+             "mean_policy_agreement": float(out["policy_agreement"].mean())})
 
 
 def _collective_run(H, channels, states, p, observe):
     """Advance each state of ``states`` under its channel list in
     ``channels`` (both keyed by state name) for T / dt steps, and after
     every ``store_every``-th step record the row (t, *observe(states)).
-    Returns the rows' columns as arrays."""
+    Returns the rows' columns as arrays; a FloatingPointError is raised
+    again naming the state, the step and the time it reaches."""
     dt, every = p["dt"], p["store_every"]
     rows = []
     for i in range(int(round(p["T"] / dt))):
         for k, ch in channels.items():
-            states[k] = _collective_step(H, ch, states[k], k, i, dt)
+            try:
+                states[k] = col.collective_master_step(H, ch, states[k], dt)
+            except FloatingPointError as err:
+                raise FloatingPointError(f"{err}, in state {k} at step {i + 1}"
+                                         f" (t = {(i + 1) * dt:.6g})") from err
         if (i + 1) % every == 0:
             rows.append(((i + 1) * dt, *observe(states)))
     return list(map(np.array, zip(*rows)))
@@ -265,12 +242,10 @@ def _run_collective_cat(p, seed, workers):
         p, lambda states: (col.fidelity_with(states["sym"], ref),
                            col.fidelity_with(states["coll"], ref),
                            col.irrep_population(states["sym"], N / 2.0)))
-    return {
-        "files": {"collective_cat.csv":
-                  (["time", "fidelity_symmetric", "fidelity_collective", "topJ_population_symmetric"], cols)},
-        "summary": {"final_fidelity_symmetric": float(cols[1][-1]),
-                    "final_fidelity_collective": float(cols[2][-1])},
-    }
+    return ("collective_cat.csv",
+            ["time", "fidelity_symmetric", "fidelity_collective", "topJ_population_symmetric"],
+            cols, {"final_fidelity_symmetric": float(cols[1][-1]),
+                   "final_fidelity_collective": float(cols[2][-1])})
 
 
 def _run_collective_squeeze(p, seed, workers):
@@ -284,12 +259,9 @@ def _run_collective_squeeze(p, seed, workers):
     }
     cols = _collective_run(H, channels, {k: col.coherent_top(N) for k in channels}, p,
                            lambda states: [col.squeezing_xi2(states[k]) for k in channels])
-    return {
-        "files": {"collective_squeeze.csv":
-                  (["time", "xi2_free", "xi2_symmetric", "xi2_collective"], cols)},
-        "summary": {"min_xi2_free": float(np.min(cols[1])),
-                    "min_xi2_symmetric": float(np.min(cols[2]))},
-    }
+    return ("collective_squeeze.csv", ["time", "xi2_free", "xi2_symmetric", "xi2_collective"],
+            cols, {"min_xi2_free": float(np.min(cols[1])),
+                   "min_xi2_symmetric": float(np.min(cols[2]))})
 
 
 def _finite(text) -> float:
@@ -558,20 +530,17 @@ def _canonical(params: dict) -> str:
 def run_experiment(experiment: str, params: dict, seed: int, workers: int,
                    outdir: str) -> dict:
     os.makedirs(outdir, exist_ok=True)
-    result = EXPERIMENTS[experiment]["runner"](params, seed, workers)
+    name, header, columns, summary = EXPERIMENTS[experiment]["runner"](params, seed, workers)
     manifest_name = f"{experiment}.manifest.json"
-    written = []
-    for fname, (header, columns) in result["files"].items():
-        write_csv(os.path.join(outdir, fname), header, columns, manifest_name)
-        written.append(fname)
+    write_csv(os.path.join(outdir, name), header, columns, manifest_name)
     manifest = {
         "experiment": experiment,
         "config": {k: _fmt(v) if isinstance(v, float) else v for k, v in params.items()},
         "config_hash": hashlib.sha256(_canonical(params).encode()).hexdigest(),
         "seed": seed,
         "versions": {"qfilt": __version__, "numpy": np.__version__},
-        "outputs": written,
-        "summary": result.get("summary", {}),
+        "outputs": [name],
+        "summary": summary,
     }
     with open(os.path.join(outdir, manifest_name), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)

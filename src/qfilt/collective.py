@@ -11,9 +11,11 @@ s = s_I I + s_+ sigma_+ + s_- sigma_- + s_z sigma_z splits into a collective
 anticommutator piece -{S_N, rho}/2, identity-involving collective terms, and
 a residual non-collective bilinear evaluated with the three-term g-tensor
 identity, which couples block J to J-1 and J+1 with coefficients built from
-the A/B/D ladder tables and the multiplicity ratios alpha_J / d_J.  The
-g-tensor's z-component is the angular-momentum convention (sigma_z / 2);
-Pauli-z channel coefficients are rescaled internally.
+the A/B/D ladder tables and the multiplicity ratios alpha_J / d_J.  One
+table (_g_outputs) holds each output's block step, ladder table and
+prefactor; the element-wise g_tensor_apply and the compiled generator both
+read it.  The g-tensor's z-component is the angular-momentum convention
+(sigma_z / 2); Pauli-z channel coefficients are rescaled internally.
 
 The generator is linear and time-invariant, and each of its pieces (the
 Hamiltonian commutator, C rho C^dag - {C^dag C, rho}/2, the anticommutator
@@ -190,6 +192,22 @@ def _D(q: str, J: float, M: float) -> float:
 _M_SHIFT = {"+": 1.0, "-": -1.0, "z": 0.0}
 
 
+def _g_outputs(J: float, N: int) -> list:
+    """(block step, ladder table, prefactor) of the identity's J, J-1 and J+1
+    outputs on the 1/d_J-normalized elements of block J, leaving out the
+    blocks whose multiplicity is zero."""
+    dJ = irrep_degeneracy(J, N)
+    aJ, aJ1 = alpha_cumulative(J, N), alpha_cumulative(J + 1, N)
+    out = []
+    if J > 0:
+        out.append((0, _A, (1.0 + (aJ1 / dJ) * (2.0 * J + 1.0) / (J + 1.0)) / (2.0 * J)))
+        if irrep_degeneracy(J - 1, N) > 0:
+            out.append((-1, _B, aJ / (dJ * 2.0 * J)))
+    if irrep_degeneracy(J + 1, N) > 0:
+        out.append((1, _D, aJ1 / (dJ * 2.0 * (J + 1.0))))
+    return out
+
+
 def g_tensor_apply(q: str, r: str, J: float, M: float, Mp: float, N: int) -> list:
     """Three-term expansion of sum_n sigma_q^(n) |J,M><J,M'| sigma_r^(n)^dag
     on an effective density matrix element (the 1/d_J-normalized grouping of
@@ -199,31 +217,20 @@ def g_tensor_apply(q: str, r: str, J: float, M: float, Mp: float, N: int) -> lis
     Returns at most three tuples (J_out, M_out, M'_out, coefficient) for the
     J, J-1 and J+1 output blocks; the output projections are M_q = M + 1, -1,
     or 0 for q = +, -, z (and likewise M'_r).  Out-of-range multiplicities
-    are zero, which silently drops invalid blocks.
+    are zero, which silently drops invalid blocks.  The prefactors come from
+    _g_outputs, the table the compiled generator also reads; this
+    element-wise form is the reference the compile is tested against.
     """
     if q not in _M_SHIFT or r not in _M_SHIFT:
         raise ValueError(f"channel indices must be in {{+, -, z}}, got {q!r}, {r!r}")
     if abs(M) > J or abs(Mp) > J or irrep_degeneracy(J, N) == 0:
         raise ValueError(f"invalid element (J={J}, M={M}, M'={Mp}) for N={N}")
-    Mq = M + _M_SHIFT[q]
-    Mpr = Mp + _M_SHIFT[r]
-    dJ = irrep_degeneracy(J, N)
-    aJ = alpha_cumulative(J, N)
-    aJ1 = alpha_cumulative(J + 1, N)
+    Mq, Mpr = M + _M_SHIFT[q], Mp + _M_SHIFT[r]
     out = []
-    if J > 0:
-        pref = (1.0 + (aJ1 / dJ) * (2.0 * J + 1.0) / (J + 1.0)) / (2.0 * J)
-        coeff = pref * _A(q, J, M) * _A(r, J, Mp)
-        if coeff != 0.0 and abs(Mq) <= J and abs(Mpr) <= J:
-            out.append((J, Mq, Mpr, coeff))
-        if irrep_degeneracy(J - 1, N) > 0:
-            coeff = (aJ / (dJ * 2.0 * J)) * _B(q, J, M) * _B(r, J, Mp)
-            if coeff != 0.0 and abs(Mq) <= J - 1 and abs(Mpr) <= J - 1:
-                out.append((J - 1, Mq, Mpr, coeff))
-    if irrep_degeneracy(J + 1, N) > 0:
-        coeff = (aJ1 / (dJ * 2.0 * (J + 1.0))) * _D(q, J, M) * _D(r, J, Mp)
-        if coeff != 0.0:
-            out.append((J + 1, Mq, Mpr, coeff))
+    for step, table, pref in _g_outputs(J, N):
+        coeff = pref * table(q, J, M) * table(r, J, Mp)
+        if coeff != 0.0 and abs(Mq) <= J + step and abs(Mpr) <= J + step:
+            out.append((J + step, Mq, Mpr, coeff))
     return out
 
 
@@ -494,29 +501,14 @@ def _spin_channel_terms(s: tuple, N: int, two_j: int, rate: float) -> tuple:
     J = two_j / 2.0
     m = J - np.arange(two_j + 1)
     dJ = irrep_degeneracy(J, N)
-    aJ, aJ1 = alpha_cumulative(J, N), alpha_cumulative(J + 1, N)
-    d_down, d_up = irrep_degeneracy(J - 1.0, N), irrep_degeneracy(J + 1.0, N)
-    outputs = []  # (block step, ladder table, prefactor)
-    if J > 0:
-        outputs.append((0, _A, (1.0 + (aJ1 / dJ) * (2 * J + 1) / (J + 1)) / (2 * J)))
-        if d_down > 0:
-            outputs.append((-1, _B, (aJ / (dJ * 2.0 * J)) * (dJ / d_down)))
-    if d_up > 0:
-        outputs.append((1, _D, (aJ1 / (dJ * 2.0 * (J + 1.0))) * (dJ / d_up)))
-    for step, table, pref in outputs:
+    for step, table, pref in _g_outputs(J, N):
+        if step:
+            pref = pref * (dJ / irrep_degeneracy(J + step, N))
         ladder = {q: table(q, J, m) for q in svec}
         rows = [(step - int(_M_SHIFT[q]), pref * sq * ladder[q]) for q, sq in svec.items()]
         cols = [(step - int(_M_SHIFT[r]), np.conj(sr) * ladder[r]) for r, sr in svec.items()]
         terms += _terms(two_j, two_j + 2 * step, rows, cols)
     return _term_list(two_j, terms, rate)
-
-
-def _channel_terms_of(channel, N: int, rate: float):
-    """terms_of(2J) of one channel at the given rate."""
-    key = channel._key
-    if isinstance(channel, SpinChannel):
-        return lambda two_j: _spin_channel_terms(key, N, two_j, rate)
-    return lambda two_j: _collective_channel_terms(key, two_j, rate)
 
 
 def _accumulate(terms_of, rho: CollectiveDensity, out: CollectiveDensity) -> None:
@@ -561,7 +553,7 @@ def symmetric_lindblad_apply(channel: SpinChannel, rho: CollectiveDensity,
     the g-tensor identity for the non-collective bilinear.
     """
     out = CollectiveDensity(N=rho.N) if out is None else out
-    _accumulate(_channel_terms_of(channel, rho.N, scale), rho, out)
+    _accumulate(lambda two_j: _spin_channel_terms(channel._key, rho.N, two_j, scale), rho, out)
     return out
 
 
@@ -571,7 +563,7 @@ def collective_lindblad_apply(channel: CollectiveChannel, rho: CollectiveDensity
     """Block-diagonal dissipator L[C] rho for a collective operator C; ``out``,
     ``scale`` and the dtype as in symmetric_lindblad_apply."""
     out = CollectiveDensity(N=rho.N) if out is None else out
-    _accumulate(_channel_terms_of(channel, rho.N, scale), rho, out)
+    _accumulate(lambda two_j: _collective_channel_terms(channel._key, two_j, scale), rho, out)
     return out
 
 
@@ -737,33 +729,20 @@ def irrep_embeddings(N: int) -> dict:
         for two_j, vlist in sectors.items():
             j = two_j / 2.0
             for V in vlist:
-                # couple to J = j + 1/2
-                two_J = two_j + 1
-                Jn = two_J / 2.0
-                cols = []
-                for Mn in (Jn - k for k in range(two_J + 1)):
-                    col = np.zeros(dim, dtype=complex)
-                    cup = np.sqrt((j + Mn + 0.5) / (2 * j + 1.0))
-                    cdn = np.sqrt((j - Mn + 0.5) / (2 * j + 1.0))
-                    if abs(Mn - 0.5) <= j and cup > 0:
-                        col += cup * np.kron(V[:, int(round(j - (Mn - 0.5)))], up)
-                    if abs(Mn + 0.5) <= j and cdn > 0:
-                        col += cdn * np.kron(V[:, int(round(j - (Mn + 0.5)))], dn)
-                    cols.append(col)
-                new.setdefault(two_J, []).append(np.stack(cols, axis=1))
-                # couple to J = j - 1/2
-                if two_j >= 1:
-                    two_J = two_j - 1
-                    Jn = two_J / 2.0
+                # couple to J = j + s/2, s = +-1: the |up> part of |J, M>
+                # has s sqrt((j + s M + 1/2) / (2j + 1)), the |dn> part
+                # sqrt((j - s M + 1/2) / (2j + 1))
+                for s in (1, -1) if two_j else (1,):
+                    two_J = two_j + s
                     cols = []
-                    for Mn in (Jn - k for k in range(two_J + 1)):
+                    for Mn in (two_J / 2.0 - k for k in range(two_J + 1)):
                         col = np.zeros(dim, dtype=complex)
-                        cup = -np.sqrt((j - Mn + 0.5) / (2 * j + 1.0))
-                        cdn = np.sqrt((j + Mn + 0.5) / (2 * j + 1.0))
                         if abs(Mn - 0.5) <= j:
-                            col += cup * np.kron(V[:, int(round(j - (Mn - 0.5)))], up)
+                            col += (s * np.sqrt((j + s * Mn + 0.5) / (2 * j + 1.0))
+                                    * np.kron(V[:, int(round(j - (Mn - 0.5)))], up))
                         if abs(Mn + 0.5) <= j:
-                            col += cdn * np.kron(V[:, int(round(j - (Mn + 0.5)))], dn)
+                            col += (np.sqrt((j - s * Mn + 0.5) / (2 * j + 1.0))
+                                    * np.kron(V[:, int(round(j - (Mn + 0.5)))], dn))
                         cols.append(col)
                     new.setdefault(two_J, []).append(np.stack(cols, axis=1))
         sectors = new

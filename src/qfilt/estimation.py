@@ -213,6 +213,16 @@ def liu_west_resample(ens: ParticleEnsemble, a: float, h: float, rng) -> Particl
     return ParticleEnsemble(weights=np.full(n, 1.0 / n), params=params, states=states)
 
 
+def _check_bloch_angle_dt(kappa: float, dt: float) -> None:
+    """Raise ValueError unless kappa dt < 1, the range in which the Euler
+    drift kappa sin(2 theta) contracts at its stable points theta = +-pi/2
+    (|1 - 2 kappa dt| < 1); beyond it the angle only wraps around under sin,
+    so a run would finish with no non-finite value to stop it."""
+    if kappa * dt >= 1.0:
+        raise ValueError(f"kappa * dt = {kappa * dt:g} is outside the Euler stability range"
+                         " kappa * dt < 1 of the Bloch-angle filter")
+
+
 def _init_ensemble(model, N: int, rng) -> ParticleEnsemble:
     params, weights = sample_prior(model.prior, N, rng)
     if isinstance(model, QubitMagnetometerModel):
@@ -230,10 +240,13 @@ def particle_filter_run(model, record: TrajectoryRecord, N: int, a: float, h: fl
     every increment of the record, and resamples whenever N_eff/N drops below
     ``threshold`` (never if it is 0).  Returns the posterior trace (mean and
     sd per step), the final estimate and uncertainty, and the resample count.
-    Deterministic given (record, seed).
+    Deterministic given (record, seed).  A Bloch-angle model raises
+    ValueError unless kappa dt < 1.
     """
     rng = rng_stream(seed)
     dt = float(record.times[1] - record.times[0])
+    if isinstance(model, QubitMagnetometerModel):
+        _check_bloch_angle_dt(model.kappa, dt)
     ens = _init_ensemble(model, N, rng)
     steps = len(record.dY)
     means = np.zeros(steps + 1)
@@ -372,7 +385,8 @@ def finite_set_filter(kappa: float, B_values, record: TrajectoryRecord,
     Returns the final weights and, if store_every > 0, snapshot "times" (the
     record times at multiples of store_every) and "weights" of shape
     (n_snaps, len(B_values)).  Raises FloatingPointError naming the first
-    step and time of the first chunk whose product is not finite.
+    step of the first chunk whose product is not finite, counted from 1 as in
+    every other run, and the time that step reaches.
     """
     B = np.asarray(B_values, dtype=float)[:, None]
     dt = float(record.times[1] - record.times[0])
@@ -397,7 +411,7 @@ def finite_set_filter(kappa: float, B_values, record: TrajectoryRecord,
         lognorms = logs + np.log(np.hypot(R[0], R[2]))
         bad = ~np.isfinite(lognorms).all(axis=0)
         if bad.any():
-            step = start + seg * (int(np.argmax(bad)) - 1)
+            step = start + seg * (int(np.argmax(bad)) - 1) + 1
             raise FloatingPointError(f"finite-set filter: non-finite map product in the chunk"
                                      f" from step {step} (t = {record.times[step]:g})")
         if store_every:
@@ -419,7 +433,8 @@ def finite_set_filter(kappa: float, B_values, record: TrajectoryRecord,
 def simulate_qubit_record(kappa: float, B_true: float, T: float, dt: float, seed) -> TrajectoryRecord:
     """Measurement record of a monitored qubit starting from +x, generated by
     the scalar Bloch-angle filter driven with fresh noise, stepped on Python
-    floats."""
+    floats.  Raises ValueError unless kappa dt < 1."""
+    _check_bloch_angle_dt(kappa, dt)
     steps = int(round(T / dt))
     rng = rng_stream(seed)
     dW = rng.standard_normal(steps) * np.sqrt(dt)

@@ -65,17 +65,13 @@ def _spin_cached(two_f: int) -> dict[str, np.ndarray]:
     return ops
 
 
-def _spin(params: DoublePassParams) -> dict[str, np.ndarray]:
-    return _spin_cached(int(round(2 * params.F)))
-
-
 @lru_cache(maxsize=64)
 def double_pass_model(params: DoublePassParams) -> DiffusiveModel:
     """Equivalent (H, L) pair of the double-pass interaction.
 
     Built once per parameter set; the returned arrays are read-only.
     """
-    ops = _spin(params)
+    ops = _spin_cached(int(round(2 * params.F)))
     Fy, Fz = ops["Jy"], ops["Jz"]
     L = np.sqrt(params.M) * Fz + 1j * np.sqrt(params.K) * Fy
     H = -params.gamma * params.B * Fy \
@@ -112,8 +108,7 @@ def simulate_double_pass_truth(params: DoublePassParams, T: float, dt: float,
     the pure-state filter with fresh noise from the +x coherent state.  A
     FloatingPointError from a step is raised again naming the step and the
     time it reaches."""
-    ops = _spin(params)
-    Fz = ops["Jz"]
+    Fz = _spin_cached(int(round(2 * params.F)))["Jz"]
     psi = coherent_x(params.F)
     steps = int(round(T / dt))
     rng = rng_stream(seed)
@@ -208,6 +203,7 @@ def magnetometry_estimation_model(params: DoublePassParams, prior: tuple) -> Est
     """Particle-filter model for an unknown field B: H = B * (-gamma Fy) plus
     the field-independent double-pass terms of the B = 0 model."""
     return EstimationModel(base=double_pass_model(replace(params, B=0.0)),
-                           H0=-params.gamma * _spin(params)["Jy"], prior=prior,
+                           H0=-params.gamma * _spin_cached(int(round(2 * params.F)))["Jy"],
+                           prior=prior,
                            rho0=pure_to_density(coherent_x(params.F)))
 

@@ -143,8 +143,15 @@ class TestRun:
                  ("qubit-filter", ["kappa=1e300", "T=0.001"],
                   "FloatingPointError: non-finite density matrix in sme_step_batch at slots [0]"
                   " at step 2 (t = 2e-05)"),
+                 # the finite-set estimator names the first step of the failed chunk
                  ("param-ensemble", ["B_values=1e300,2", "T=0.001", "store_every=10"],
-                  "FloatingPointError"),
+                  "FloatingPointError: finite-set filter: non-finite map product in the"
+                  " chunk from step 1 (t = 1e-05)\n"),
+                 # past kappa dt = 1 the Bloch angle only wraps around under sin,
+                 # so the truth record is refused before it is stepped
+                 ("particle-filter", ["kappa=1e300", "T=0.001"],
+                  "ValueError: kappa * dt = 1e+296 is outside the Euler stability range"
+                  " kappa * dt < 1 of the Bloch-angle filter\n"),
                  # the double-pass truth and Fisher runs name the slots, the step and t,
                  # and a Fisher run the seed indices of its slots (three per seed) and
                  # its (F, K) point
@@ -163,6 +170,9 @@ class TestRun:
                  # the closed QEC loop counts steps from 1, as every other run does
                  ("qec-run", ["code=bitflip3", "kappa=1e300", "T=0.001"],
                   "FloatingPointError: non-finite full filter state at slots [0, 1],"
+                  " at step 4 (t = 4e-05)\n"),
+                 ("qec-benchmark", ["code=bitflip3", "kappa=1e300", "T=0.001"],
+                  "FloatingPointError: non-finite full filter state at slots [0, 1, 2, 3],"
                   " at step 4 (t = 4e-05)\n"),
                  # the Kalman runs name the first bad step and its time
                  ("magnetometer-kalman", ["T=0.01", "prior_var=1e300"],

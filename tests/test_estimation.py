@@ -225,6 +225,23 @@ class TestParticleFilterRun:
         assert np.array_equal(a["mean_trace"], b["mean_trace"])
         assert a["n_resamples"] == b["n_resamples"]
 
+    @pytest.mark.parametrize("kappa,ok", [(9999.0, True), (1e4, False), (1e300, False)])
+    def test_bloch_angle_runs_need_kappa_dt_below_one(self, kappa, ok):
+        # the Euler drift kappa sin(2 theta) contracts at theta = +-pi/2 only
+        # while |1 - 2 kappa dt| < 1; the check runs once per call, on the
+        # truth record and on the filter's own kappa
+        record = est.simulate_qubit_record(1.0, 2.0, 0.002, 1e-4, seed=16)
+        model = est.QubitMagnetometerModel(kappa=kappa, prior=("gaussian", 0.0, 1.0))
+        runs = (lambda: est.simulate_qubit_record(kappa, 2.0, 0.002, 1e-4, seed=16),
+                lambda: est.particle_filter_run(model, record, N=5, a=0.98, h=1e-3,
+                                                threshold=0.5, seed=17))
+        for run in runs:
+            if ok:
+                run()
+            else:
+                with pytest.raises(ValueError, match=r"kappa \* dt = .* kappa \* dt < 1"):
+                    run()
+
 
 class TestObservability:
     def test_trivial_space(self):
@@ -394,4 +411,5 @@ class TestFiniteSetFilter:
         record.dY[150] = np.nan
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError) as info:
             est.finite_set_filter(1.0, self.B_values, record, every)
-        assert f"from step {step} (t = {record.times[step]:g})" in str(info.value)
+        # steps count from 1; t is the time the chunk's first step reaches
+        assert f"from step {step + 1} (t = {record.times[step + 1]:g})" in str(info.value)

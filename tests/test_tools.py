@@ -22,6 +22,7 @@ def _load(name, *path):
 
 
 bench_pairs = _load("bench_pairs", "tools", "bench_pairs.py")
+byte_compare = _load("byte_compare", "tools", "byte_compare.py")
 workloads = _load("perfbench_workloads", "perfbench", "workloads.py")
 
 
@@ -117,3 +118,38 @@ class TestMain:
         assert bench["summary"]["w"]["incorrect_runs"] == expect
         assert f"w incorrect runs (in no statistic): parent {expect['parent']}, " \
                f"change {expect['change']}" in capsys.readouterr().out
+
+
+class TestByteCompare:
+    def test_reads_the_cli_tests_case_table(self):
+        test_cli = _load("test_cli_cases", "tests", "test_cli.py")
+        assert byte_compare.byte_cases() == test_cli.TestRun.BYTE_CASES
+
+    @staticmethod
+    def fake_run(monkeypatch, change_csv, change_version):
+        """A run that writes one CSV and its manifest; the change side's CSV
+        bytes and qfilt version are given."""
+        def run_case(checkout, experiment, items, outdir):
+            change = os.path.basename(checkout) == "change"
+            os.makedirs(outdir)
+            with open(os.path.join(outdir, f"{experiment}.csv"), "wb") as f:
+                f.write(change_csv if change else b"t,x\n0,1\n")
+            manifest = {"experiment": experiment, "seed": 7,
+                        "versions": {"numpy": "2", "qfilt": change_version if change else "1"}}
+            with open(os.path.join(outdir, f"{experiment}.manifest.json"), "w") as f:
+                byte_compare.json.dump(manifest, f)
+            return 0
+
+        monkeypatch.setattr(byte_compare, "run_case", run_case)
+
+    @pytest.mark.parametrize("change_csv,change_version,code,line", [
+        (b"t,x\n0,1\n", "1", 0, "identical (2 files, versions.qfilt aside)"),
+        (b"t,x\n0,2\n", "1", 1, "differs: demo.csv"),
+        (b"t,x\n0,1\n", "2", 0, "identical (2 files, versions.qfilt aside)"),
+    ], ids=["identical", "one-byte-csv-change", "version-only"])
+    def test_exit_code(self, tmp_path, monkeypatch, capsys, change_csv, change_version, code,
+                       line):
+        self.fake_run(monkeypatch, change_csv, change_version)
+        argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--defaults", "demo"]
+        assert byte_compare.main(argv) == code
+        assert capsys.readouterr().out == f"demo (defaults): {line}\n"
