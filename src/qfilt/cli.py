@@ -19,7 +19,6 @@ Exit codes: 0 ok, 1 config error, 2 numeric failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -326,6 +325,7 @@ def _choice(*options):
 
 
 _QEC_RECORD_EVERY = 10
+_QEC_CODE = (_choice(*qec._CODES), "fivequbit", f"code name ({', '.join(qec._CODES)})")
 
 # every run takes at least one step; "stride" gives the record stride of
 # runners that write rows only at multiples of it, so that a horizon shorter
@@ -417,11 +417,11 @@ EXPERIMENTS = {
         "doc": "continuous error correction trajectories with feedback",
         "runner": _run_qec,
         "schema": {
-            "code": (_choice(*qec._CODES), "fivequbit", "code name (fivequbit or bitflip3)"),
+            "code": _QEC_CODE,
             "controller": (_choice("truncated", "full", "none"), "truncated", "truncated, full or none"),
             "gamma": (_nonnegative, 1.0, "depolarizing rate"),
             "kappa": (_nonnegative, 100.0, "measurement strength"),
-            "lambda_max": (_finite, 200.0, "maximum feedback strength"),
+            "lambda_max": (_nonnegative, 200.0, "maximum feedback strength"),
             "T": (_positive, 0.05, "integration horizon (units 1/gamma)"),
             "dt": (_positive, 1e-5, "time step"),
             "n_traj": (_positive_int, 2, "trajectory count"),
@@ -432,10 +432,10 @@ EXPERIMENTS = {
         "doc": "feedback vs discrete-time codeword fidelity for the five-qubit code",
         "runner": _run_qec_benchmark,
         "schema": {
-            "code": (_choice(*qec._CODES), "fivequbit", "code name (fivequbit or bitflip3)"),
+            "code": _QEC_CODE,
             "gamma": (_nonnegative, 1.0, "depolarizing rate"),
             "kappa": (_nonnegative, 100.0, "measurement strength"),
-            "lambda_max": (_finite, 200.0, "maximum feedback strength"),
+            "lambda_max": (_nonnegative, 200.0, "maximum feedback strength"),
             "T": (_positive, 0.1, "integration horizon (units 1/gamma)"),
             "dt": (_positive, 1e-5, "time step"),
             "n_traj": (_positive_int, 4, "trajectory count"),
@@ -473,6 +473,8 @@ EXPERIMENTS = {
 def _parallel_map(fn, tasks, workers):
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    # imported here, since only a pool needs it and it costs every run's import
+    import concurrent.futures
     # the pool may start all its processes at once, so ask for no more than
     # there are tasks
     with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as ex:

@@ -32,9 +32,12 @@ projector has +-d / 2^l Pauli coefficients on the group and none elsewhere.
 Closing the syndrome projectors under the feedback commutators to first level
 and merging the pairs that act identically yields the truncated filter, whose
 basis elements are Pauli-sandwiched syndrome projectors.  Construction is
-automated on the elements' 4^n Pauli coefficients, where every action is a
-gather or a diagonal of ``_PauliFrame``, and every generator matrix is
-verified against that exact superoperator action.
+automated on the elements' Pauli coefficients, held only on the columns some
+element occupies (136 of the 4^5 = 1,024 for the five-qubit code, 736 of the
+4^7 = 16,384 for Steane's), where every action is a diagonal or a signed
+gather of ``_PauliFrame`` taken only on the rows it reaches, and every
+generator matrix is verified against that exact superoperator action.  So
+the build's memory and time follow the basis size, not 4^n.
 
 The closed loop compiles both filters' steps once per call of
 ``run_feedback_batch``, for its (gamma, kappa, dt): the full filter keeps its
@@ -42,7 +45,8 @@ state in a signed buffer [r, -r, 0] that each step overwrites
 (``_FullStep``), and the truncated filter folds its constant part
 I + (gamma N + kappa M) dt into one matrix product, gathering only the
 nonzero entries of the feedback and back-action generators, whose
-coefficients change every step (``_TruncatedStep``).
+coefficients change every step (``_TruncatedStep``); the basis keeps those
+generators only as these entries.
 """
 
 from __future__ import annotations
@@ -77,6 +81,12 @@ _CODES = {
     "fivequbit": {
         "generators": ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"],
         "logical_z": "ZZZZZ",
+    },
+    # Steane's [[7,1,3]] CSS code (Steane, PRL 77, 793 (1996)): 64 syndrome
+    # spaces, of which single-qubit errors reach 22
+    "steane7": {
+        "generators": ["IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ"],
+        "logical_z": "ZZZZZZZ",
     },
 }
 
@@ -229,59 +239,50 @@ class TruncatedBasis:
 
     Elements 0..S-1 are the syndrome projectors; the rest are the merged
     first-level feedback coefficients i[sigma_c, Pi_s].  Each element X_a is
-    held as its real Pauli coefficients R_am = ``coefficients[a, m]`` =
-    Tr[P_m X_a] in the ``_PauliFrame`` order of its code, so that
-    X_a = sum_m R_am P_m / d.
+    held as its real Pauli coefficients on the columns the basis occupies:
+    R_aj = ``coefficients[a, j]`` = Tr[P_m X_a] for the ``_PauliFrame`` mask
+    m = ``columns[j]`` (ascending), every other coefficient being zero, so that
+    X_a = sum_j R_aj P_{columns[j]} / d.
     ``policy_index`` and ``policy_sign`` locate, per feedback channel, the
     element whose coefficient is Tr[-i [Pi_0, sigma_c] rho] (index -1 when
     the commutator vanishes identically).  Generator matrices act on the
-    coefficient vector: drift_noise (unit gamma), drift_meas (unit kappa),
-    meas_H (per generator), feedback (per channel, unit lambda).
+    coefficient vector: drift_noise (unit gamma) and drift_meas (unit kappa)
+    are dense; the feedback (per channel, unit lambda) and back-action (per
+    generator) generators are held only as their nonzero ``terms``, the
+    entries the step reads.
     """
 
     code: StabilizerCode
-    coefficients: np.ndarray  # (E, 4^n)
+    columns: np.ndarray  # (C,) occupied Pauli masks, ascending
+    coefficients: np.ndarray  # (E, C)
     element_descr: list  # human-readable descriptors
-    drift_noise: np.ndarray
-    drift_meas: np.ndarray
-    meas_H: np.ndarray  # (l, E, E)
-    feedback: np.ndarray  # (3n, E, E)
+    drift_noise: np.ndarray  # (E, E)
+    drift_meas: np.ndarray  # (E, E)
+    # (k, a', value, starts): entry j adds c_k value_j p_a' to element a, the
+    # entries of each a contiguous from ``starts[a]``, with k over [feedback
+    # channels, generators].  Every element has entries: {g_l, Pi_s} = +-2 Pi_s,
+    # and the channel whose commutator i[sigma_c, Pi_s] a first-level element is
+    # moves Pi_s onto it with coefficient +-1.
+    terms: tuple
     policy_index: np.ndarray
     policy_sign: np.ndarray
     verification_residual: float
-
-    @cached_property
-    def terms(self) -> tuple:
-        """The nonzero entries of the generators whose coefficients vary from
-        step to step, built on first use, as (k, a', value, starts): entry j
-        adds c_k value_j p_a' to element a, the entries of each a contiguous
-        from ``starts[a]``, with k over [feedback channels, generators].
-        Every element has entries: {g_l, Pi_s} = +-2 Pi_s, and the channel
-        whose commutator i[sigma_c, Pi_s] a first-level element is moves
-        Pi_s onto it with coefficient +-1."""
-        mats = [*self.feedback, *self.meas_H]
-        k, a, a2 = np.concatenate([(np.full(np.count_nonzero(M), j), *np.nonzero(M))
-                                   for j, M in enumerate(mats)], axis=1)
-        value = np.concatenate([M[M != 0] for M in mats])
-        order = np.argsort(a, kind="stable")
-        return k[order], a2[order], value[order], np.unique(a[order], return_index=True)[1]
 
     @property
     def size(self) -> int:
         return len(self.coefficients)
 
     def initial_state(self, rho: np.ndarray) -> np.ndarray:
-        """Coefficient vector Tr[X_a rho] = sum_m R_am Tr[P_m rho] / d of a
-        full-space density matrix."""
-        return self.coefficients @ self.code.pauli.to_pauli(rho) / self.code.dim
+        """Coefficient vector Tr[X_a rho] = sum_j R_aj Tr[P_{columns[j]} rho] / d
+        of a full-space density matrix."""
+        return self.coefficients @ self.code.pauli.to_pauli(rho)[..., self.columns] / self.code.dim
 
 
-def _signed_table(X: np.ndarray) -> np.ndarray:
-    """Rows of Pauli coefficients X (m, 4^n) as the (2 * 4^n + 1, m) table
-    2 [X^T, -X^T, 0], whose row ``_PauliFrame.index[k, m']`` is coefficient
-    m' of channel k's action on every row: X_c = -i[sigma_c, .] and
-    X_l = g_l . + . g_l."""
-    return 2.0 * np.concatenate([X.T, -X.T, np.zeros((1, len(X)))])
+def _index_signs(index: np.ndarray, D: int) -> np.ndarray:
+    """The signs s_k(m) that entries of ``_PauliFrame.index`` (over D = 4^n
+    coefficients) encode: -1 where they point into -r, 0 at the zero slot
+    2D and +1 otherwise."""
+    return np.where(index == 2 * D, 0.0, np.where(index >= D, -1.0, 1.0))
 
 
 def build_truncated_basis(code: StabilizerCode) -> TruncatedBasis:
@@ -297,7 +298,11 @@ def build_truncated_basis(code: StabilizerCode) -> TruncatedBasis:
 
     Every action expanded on the elements is a diagonal or a signed XOR map
     of the code's ``_PauliFrame``: both dissipators decay r_m by -2 ``counts``,
-    and {g_l, X} and i[sigma_c, X] are gathers by its ``index`` rows.  The
+    and {g_l, X} and i[sigma_c, X] move coefficient m ^ e_k onto m with the
+    sign its ``index`` encodes.  Nothing is held on all 4^n coefficients:
+    Pi_s occupies the 2^l group masks and i[sigma_c, Pi_s] their coset by
+    sigma_c, and each action is gathered on the occupied columns and the
+    rows it reaches from them, outside which it vanishes.  The
     Hilbert-Schmidt product of two elements is the dot product of their
     coefficients over d, and ||dr||_1 / d bounds every matrix entry of an
     operator dr, so the residual is a bound on the entrywise error of the
@@ -306,13 +311,16 @@ def build_truncated_basis(code: StabilizerCode) -> TruncatedBasis:
     feedback acting on the syndrome projectors.
     """
     d, S, l = code.dim, code.n_syndromes, code.n_generators
-    frame, n_chan = code.pauli, len(code.channel_labels)
-    proj = code.projector_rows()
-    table = _signed_table(proj)
-    rows, descr = list(proj), [f"P[{s}]" for s in range(S)]
+    frame, n_chan, D = code.pauli, len(code.channel_labels), code.dim ** 2
+    group = code.group
+    # Pi_s on the group masks, the only coefficients it has
+    proj = d / len(group) * code.signs.T
+    cols, vals, descr = [group] * S, list(proj), [f"P[{s}]" for s in range(S)]
     pair = {}  # (syndrome, channel) -> (element index, sign)
     for c in range(n_chan):
-        comm = -table[frame.index[c]].T  # i[sigma_c, Pi_s] for every s
+        # i[sigma_c, Pi_s] = -X_c(Pi_s), for every s, on the coset group ^ e_c
+        at = group ^ frame.masks[c]
+        comm = proj * (-2.0 * _index_signs(frame.index[c, at], D))
         for s in range(S):
             if (s, c) in pair:
                 continue
@@ -320,57 +328,89 @@ def build_truncated_basis(code: StabilizerCode) -> TruncatedBasis:
                 pair[(s, c)] = (-1, 0.0)
                 continue
             s2 = code.syndrome_hop[c, s]
-            pair[(s, c)] = (len(rows), 1.0)
-            rows.append(comm[s])
+            pair[(s, c)] = (len(vals), 1.0)
+            cols.append(at)
+            vals.append(comm[s].copy())
             descr.append(f"i[{code.channel_labels[c]}, P[{s}]]")
             if s2 != s:
-                pair[(s2, c)] = (len(rows) - 1, -1.0)
+                pair[(s2, c)] = (len(vals) - 1, -1.0)
                 # merged-pair relation: i[sigma, Pi_s] = -i[sigma, Pi_s']
                 if np.abs(comm[s] + comm[s2]).sum() > 1e-10 * d:
                     raise RuntimeError(
                         f"pair-merge relation violated for channel {code.channel_labels[c]},"
                         f" syndromes {s},{s2}")
 
-    R = np.array(rows)
-    E, inside = len(R), R.any(axis=0)
-    # the projections need only the columns some element occupies
-    R_in = R[:, inside]
-    gram_inv = np.linalg.inv(R_in @ R_in.T)
+    # every element has len(group) coefficient slots; the columns some
+    # element occupies are the only ones the projections need
+    E = len(vals)
+    element = np.repeat(np.arange(E), len(group))
+    cols, vals = np.concatenate(cols), np.concatenate(vals)
+    nonzero = vals != 0.0
+    slot = np.full(D, -1)  # position of an occupied mask in ``columns``, else -1
+    slot[cols[nonzero]] = 0
+    columns = np.flatnonzero(slot == 0)
+    C = len(columns)
+    slot[columns] = np.arange(C)
+    R = np.zeros((E, C))
+    R[element[nonzero], slot[cols[nonzero]]] = vals[nonzero]
+    RT = R.T.copy()  # C order, as each action's rows are gathered from it
+    gram_inv = np.linalg.inv(R @ R.T)
 
     def project(AT: np.ndarray) -> np.ndarray:
-        """Basis coefficients (m, E) of m operators, given the columns inside
-        of their Pauli coefficients, transposed (columns inside, m)."""
-        return (gram_inv @ (R_in @ AT)).T
+        """Basis coefficients (m, E) of m operators, given their Pauli
+        coefficients on ``columns``, transposed (C, m)."""
+        return (gram_inv @ (R @ AT)).T
 
-    table = _signed_table(R)
-    decay = -2.0 * frame.counts[:, :, None]
+    def gather(k: int) -> np.ndarray:
+        """Action k on every element, transposed: its coefficients on
+        ``columns``, then on the other rows it reaches (m ^ e_k for m in
+        ``columns``), 2 s_k(m) R_a,(m ^ e_k), negated for a channel."""
+        e = frame.masks[k]
+        reach = columns ^ e
+        rows = np.concatenate([columns, reach[slot[reach] < 0]])
+        pos = slot[rows ^ e]
+        scale = np.where(pos >= 0, 2.0 if k >= n_chan else -2.0, 0.0)
+        AT = RT[pos]
+        AT *= (scale * _index_signs(frame.index[k, rows], D))[:, None]
+        return AT
+
+    decay = -2.0 * frame.counts[:, columns, None]
     # each action on every element, one at a time: noise sum_c sigma_c X sigma_c
     # - 3n X, measurement drift sum_l g_l X g_l - l X, {g_l, X} per generator
     # and i[sigma_c, X] = -X_c(X) per channel
-    actions = chain((decay[j] * R.T for j in (1, 0)),
-                    (table[frame.index[k]] for k in range(n_chan, n_chan + l)),
-                    (-table[frame.index[c]] for c in range(n_chan)))
-    gens, worst = np.empty((2 + l + n_chan, E, E)), 0.0
+    order = [*range(n_chan, n_chan + l), *range(n_chan)]
+    actions = chain((decay[j] * RT for j in (1, 0)), map(gather, order))
+    drift, entries, worst = np.empty((2, E, E)), [None] * (n_chan + l), 0.0
     for j, AT in enumerate(actions):
-        gens[j] = coeff = project(AT[inside])
-        recon = coeff @ R_in
-        AT[inside] -= recon.T
+        coeff = project(AT[:C])
+        recon = coeff @ R
+        AT[:C] -= recon.T
         resid = np.abs(AT, out=AT).sum(axis=0) / d
-        if j >= 2 + l:
-            # second-level truncation: keep the projection of the feedback
-            # actions on first-level elements, but it must be idempotent
-            resid = resid[:S]
-            if np.max(np.abs(coeff[S:] - project(recon[S:].T))) > _VERIFY_TOL:
-                raise RuntimeError("projection not idempotent in basis construction")
+        if j < 2:
+            drift[j] = coeff
+        else:
+            k = order[j - 2]
+            entries[k] = (np.full(np.count_nonzero(coeff), k), *np.nonzero(coeff),
+                          coeff[coeff != 0])
+            if k < n_chan:
+                # second-level truncation: keep the projection of the feedback
+                # actions on first-level elements, but it must be idempotent
+                resid = resid[:S]
+                if np.max(np.abs(coeff[S:] - project(recon[S:].T))) > _VERIFY_TOL:
+                    raise RuntimeError("projection not idempotent in basis construction")
         worst = max(worst, resid.max())
     if worst > _VERIFY_TOL:
         raise RuntimeError(
             f"truncated-basis closure verification failed: residual {worst:.3e}")
 
+    k, a, a2, value = map(np.concatenate, zip(*entries))
+    by_element = np.argsort(a, kind="stable")
+    terms = (k[by_element], a2[by_element], value[by_element],
+             np.unique(a[by_element], return_index=True)[1])
     policy_index, policy_sign = map(np.array, zip(*[pair[(0, c)] for c in range(n_chan)]))
     return TruncatedBasis(
-        code=code, coefficients=R, element_descr=descr, drift_noise=gens[0],
-        drift_meas=gens[1], meas_H=gens[2:2 + l], feedback=gens[2 + l:],
+        code=code, columns=columns, coefficients=R, element_descr=descr,
+        drift_noise=drift[0], drift_meas=drift[1], terms=terms,
         policy_index=policy_index, policy_sign=policy_sign, verification_residual=worst)
 
 
@@ -443,16 +483,17 @@ class _PauliFrame:
     No rate enters a table.
 
     The channels k are the single-qubit Paulis sigma_c, then the generators
-    g_l, with masks e_k.  Tr[P_m X_k rho] = 2 s_k(m) r_{m ^ e_k}, with the
-    sign s_k(m) the real part of -i i^w(m, e_k) for X_c = -i[sigma_c, .] and
-    of i^w(m, e_k) for X_l = g_l . + . g_l (so 0 where P_m and sigma_c
-    commute, or P_m and g_l anticommute).  ``index[k]`` holds the position of
-    s_k(m) r_{m ^ e_k} in the concatenation [r, -r, 0], so that one gather
-    applies the signs.  ``counts`` holds, per m, the number of generators
-    and of single-qubit Paulis anticommuting with P_m (odd w).  ``rows``
-    (4^n, 3n + l) gives the policy signals then Tr[g_l rho] as r @ rows: the
-    coefficients of -i[Pi_0, sigma_c] = -X_c(Pi_0), gathered from Pi_0's
-    row, and one-hot columns at the generators' masks, each over d.
+    g_l, with masks e_k (``masks``).  Tr[P_m X_k rho] = 2 s_k(m) r_{m ^ e_k},
+    with the sign s_k(m) the real part of -i i^w(m, e_k) for
+    X_c = -i[sigma_c, .] and of i^w(m, e_k) for X_l = g_l . + . g_l (so 0
+    where P_m and sigma_c commute, or P_m and g_l anticommute).  ``index[k]``
+    holds the position of s_k(m) r_{m ^ e_k} in the concatenation
+    [r, -r, 0], so that one gather applies the signs.  ``counts`` holds, per
+    m, the number of generators and of single-qubit Paulis anticommuting
+    with P_m (odd w).  ``rows`` (4^n, 3n + l) gives the policy signals then
+    Tr[g_l rho] as r @ rows: the coefficients of -i[Pi_0, sigma_c] =
+    -X_c(Pi_0), gathered from Pi_0's row, and one-hot columns at the
+    generators' masks, each over d.
 
     rho and r convert through the X-shift gather M[x, j] = rho[j, j ^ x~],
     x~ the bit-reversed x (``pauli_string`` puts qubit 0 in the most
@@ -472,12 +513,13 @@ class _PauliFrame:
         e = np.array([_pauli_mask(lab) for lab in code.channel_labels + code.generators])[:, None]
         w = _phase(m, e, n, pop.__getitem__)
         sign = (np.where(np.arange(len(e)) < n_chan, -1j, 1.0)[:, None] * 1j ** w).real
+        self.masks = e[:, 0]
         self.index = np.where(sign == 0.0, 2 * d * d, (m ^ e) + (sign < 0.0) * d * d)
         self.counts = np.stack([(w[n_chan:] & 1).sum(axis=0), (w[:n_chan] & 1).sum(axis=0)])
-        # policy columns i[sigma_c, Pi_0] gathered from Pi_0's row, then the
-        # generators' one-hot columns
+        # policy columns i[sigma_c, Pi_0] = -X_c(Pi_0) from Pi_0's row, then
+        # the generators' one-hot columns
         cols = np.zeros((len(e), d * d))
-        cols[:n_chan] = -_signed_table(code.projector_rows(1))[self.index[:n_chan], 0]
+        cols[:n_chan] = -2.0 * sign[:n_chan] * code.projector_rows(1)[0][m ^ e[:n_chan]]
         cols[np.arange(n_chan, len(e)), e[n_chan:, 0]] = d
         self.rows = cols.T / d
 
@@ -498,13 +540,24 @@ class _FullStep:
     """The full filter's batch of Pauli coefficients r (B, 4^n), compiled
     for one (gamma, kappa, dt): r is a view into a signed buffer
     [r, -r, 0] (B, 2 * 4^n + 1) that every step overwrites, so each
-    channel's signed XOR map is one gather by ``_PauliFrame.index``."""
+    channel's signed XOR map is one gather by ``_PauliFrame.index``.
+
+    The Euler step keeps 1 - 2 dt (kappa c_0 + gamma c_1) of each
+    coefficient, with c the frame's ``counts``; where that is not positive
+    the step flips or zeroes the decaying coefficients instead of damping
+    them, so such a (gamma, kappa, dt) raises ValueError before any step."""
 
     def __init__(self, frame: _PauliFrame, r: np.ndarray, gamma: float, kappa: float,
                  dt: float):
         B, D = r.shape
         self.index, self.dt, self.root = frame.index, dt, 2.0 * np.sqrt(kappa)
-        self.keep = 1.0 - 2.0 * dt * (kappa * frame.counts[0] + gamma * frame.counts[1])
+        decay = 2.0 * dt * (kappa * frame.counts[0] + gamma * frame.counts[1])
+        if np.any(decay >= 1.0):
+            raise ValueError(
+                f"2 dt (kappa c0 + gamma c1) = {decay.max():.6g} is outside the Euler"
+                f" stability range < 1 of the full QEC filter (dt = {dt:g}, kappa = {kappa:g},"
+                f" gamma = {gamma:g})")
+        self.keep = 1.0 - decay
         self.signed = np.zeros((B, 2 * D + 1))
         self.r, self.minus = self.signed[:, :D], self.signed[:, D:2 * D]
         self.coef = np.empty((B, len(self.index)))
@@ -550,7 +603,8 @@ class _TruncatedStep:
         fixed += np.multiply(basis.drift_meas, kappa * dt)
         fixed.flat[::basis.size + 1] += 1.0
         self.fixed = fixed.T
-        self.value = value * np.where(self.k < len(basis.feedback), dt, np.sqrt(kappa))
+        self.value = value * np.where(self.k < len(basis.code.channel_labels), dt,
+                                      np.sqrt(kappa))
         self.outcomes, self.dt, self.root = basis.code.outcomes, dt, 2.0 * np.sqrt(kappa)
 
     def __call__(self, p: np.ndarray, dQ: np.ndarray, lambdas: np.ndarray) -> np.ndarray:

@@ -1,6 +1,9 @@
+import concurrent.futures
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -168,12 +171,26 @@ class TestRun:
                   " [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11] at step 1 (t = 0.0001),"
                   " seed indices [0, 1, 2, 3], in point F = 20, K = 0\n"),
                  # the closed QEC loop counts steps from 1, as every other run does
-                 ("qec-run", ["code=bitflip3", "kappa=1e300", "T=0.001"],
+                 ("qec-run", ["code=bitflip3", "controller=full", "lambda_max=1e300",
+                              "T=0.001"],
                   "FloatingPointError: non-finite full filter state at slots [0, 1],"
-                  " at step 4 (t = 4e-05)\n"),
+                  " at step 3 (t = 3e-05)\n"),
+                 ("qec-benchmark", ["code=bitflip3", "lambda_max=1e300", "T=0.001"],
+                  "FloatingPointError: truncated filter state degenerated at slots"
+                  " [0, 1, 2, 3], at step 2 (t = 2e-05)\n"),
+                 # past 2 dt (kappa c0 + gamma c1) = 1 the full filter's Euler step
+                 # flips the decaying coefficients, so it is refused before any step:
+                 # gamma = 1e8 ran to a codespace fidelity of 2.25e90
+                 ("qec-run", ["code=bitflip3", "T=0.0002", "gamma=1e8"],
+                  "ValueError: 2 dt (kappa c0 + gamma c1) = 12000 is outside the Euler"
+                  " stability range < 1 of the full QEC filter (dt = 1e-05, kappa = 100,"
+                  " gamma = 1e+08)\n"),
+                 ("qec-run", ["code=bitflip3", "kappa=1e300", "T=0.001"],
+                  "ValueError: 2 dt (kappa c0 + gamma c1) = 4e+295 is outside the Euler"
+                  " stability range < 1 of the full QEC filter"),
                  ("qec-benchmark", ["code=bitflip3", "kappa=1e300", "T=0.001"],
-                  "FloatingPointError: non-finite full filter state at slots [0, 1, 2, 3],"
-                  " at step 4 (t = 4e-05)\n"),
+                  "ValueError: 2 dt (kappa c0 + gamma c1) = 4e+295 is outside the Euler"
+                  " stability range < 1 of the full QEC filter"),
                  # the Kalman runs name the first bad step and its time
                  ("magnetometer-kalman", ["T=0.01", "prior_var=1e300"],
                   "FloatingPointError: non-finite Kalman state at step 2 (t = 0.0002)"),
@@ -232,6 +249,8 @@ class TestRun:
                  ("qec-benchmark", "gamma=-1"), ("magnetometer-fisher", "M=-1"),
                  ("magnetometer-kalman", "K=-1"), ("magnetometer-fisher", "K_values=0,-1"),
                  ("kalman-demo", "prior_var=-1"), ("particle-filter", "prior_var=-1"),
+                 # a negative bound would reverse the bang-bang rule
+                 ("qec-run", "lambda_max=-1"), ("qec-benchmark", "lambda_max=-1"),
                  ("magnetometer-kalman", "prior_var=-1"), ("magnetometer-fisher", "F_values=0.2"),
                  ("magnetometer-fisher", "F_values=10,0.4"), ("magnetometer-kalman", "F=0.2"),
                  ("particle-filter", "threshold=-1"), ("particle-filter", "threshold=1.5"),
@@ -296,10 +315,25 @@ class TestRun:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
         assert cli._parallel_map(abs, [-1, -2, -3], 5000) == [1, 2, 3]
         assert cli._parallel_map(abs, [-1, -2, -3], 2) == [1, 2, 3]
         assert asked == [3, 2]
+
+    def test_import_leaves_the_process_pool_out(self):
+        # only --workers > 1 needs concurrent.futures, and importing it (with
+        # logging) would cost every run's set-up several milliseconds
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        probe = "import sys, qfilt.cli; print(sorted(m for m in sys.modules if 'concurrent' in m))"
+        out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"
+
+    def test_qec_code_help_lists_every_code(self):
+        for experiment in ("qec-run", "qec-benchmark"):
+            _conv, default, doc = cli.EXPERIMENTS[experiment]["schema"]["code"]
+            assert doc == "code name (bitflip3, fivequbit, steane7)"
+            assert default in cli.qec._CODES
 
     def test_integer_keys(self, tmp_path, capsys):
         params = cli.resolve_params("particle-filter", {"N": "30"})

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from functools import reduce
 from types import SimpleNamespace
 
@@ -51,14 +52,26 @@ def dense_projectors(code):
     return code.pauli.to_density(code.projector_rows())
 
 
+def dense_generators(basis):
+    """The feedback (3n, E, E) and back-action (l, E, E) generators that the
+    basis holds as sparse ``terms``, expanded into dense matrices."""
+    k, a2, value, starts = basis.terms
+    a = np.repeat(np.arange(basis.size), np.diff(starts, append=len(k)))
+    n_chan = len(basis.code.channel_labels)
+    gens = np.zeros((n_chan + basis.code.n_generators, basis.size, basis.size))
+    gens[k, a, a2] = value
+    return gens[:n_chan], gens[n_chan:]
+
+
 def dense_truncated_step(basis, p, dQ, gamma, kappa, lambdas, dt):
     """The truncated filter step from dense generator products."""
     S = basis.code.n_syndromes
+    feedback, meas_H = dense_generators(basis)
     drift = p @ (gamma * basis.drift_noise + kappa * basis.drift_meas).T
-    drift += np.einsum("bc,cae,be->ba", lambdas, basis.feedback, p)
+    drift += np.einsum("bc,cae,be->ba", lambdas, feedback, p)
     means = p[:, :S] @ basis.code.outcomes.T
     dW = dQ - 2.0 * np.sqrt(kappa) * means * dt
-    hp = np.einsum("lae,be->bla", basis.meas_H, p)
+    hp = np.einsum("lae,be->bla", meas_H, p)
     stoch = np.einsum("bl,bla->ba", dW, hp - 2.0 * means[:, :, None] * p[:, None, :])
     out = p + drift * dt + np.sqrt(kappa) * stoch
     out[:, :S] = np.clip(out[:, :S], 0.0, None)
@@ -113,6 +126,41 @@ def dense_truncated_basis(code):
     return X, descr, policy_index, policy_sign, gens
 
 
+def full_table_basis(code):
+    """The truncated basis as the former build made it, every element and
+    every action held on all 4^n Pauli coefficients: the elements R
+    (E, 4^n), from commutators gathered out of the projectors' full signed
+    table, and the generator stack [noise, measurement drift, {g_l, .}...,
+    feedback...] projected from each action's (4^n, E) gather."""
+    d, S, l = code.dim, code.n_syndromes, code.n_generators
+    frame, n_chan = code.pauli, len(code.channel_labels)
+
+    def signed_table(X):
+        # row index[k, m'] of 2 [X^T, -X^T, 0] is coefficient m' of action k
+        return 2.0 * np.concatenate([X.T, -X.T, np.zeros((1, len(X)))])
+
+    table = signed_table(code.projector_rows())
+    rows, pair = list(code.projector_rows()), set()
+    for c in range(n_chan):
+        comm = -table[frame.index[c]].T
+        for s in range(S):
+            if (s, c) in pair:
+                continue
+            pair |= {(s, c), (code.syndrome_hop[c, s], c)}
+            if np.abs(comm[s]).sum() >= 1e-12 * d:
+                rows.append(comm[s])
+    R = np.array(rows)
+    inside = R.any(axis=0)
+    R_in = R[:, inside]
+    gram_inv = np.linalg.inv(R_in @ R_in.T)
+    table = signed_table(R)
+    decay = -2.0 * frame.counts[:, :, None]
+    actions = [decay[1] * R.T, decay[0] * R.T,
+               *(table[frame.index[k]] for k in range(n_chan, n_chan + l)),
+               *(-table[frame.index[c]] for c in range(n_chan))]
+    return R, np.stack([(gram_inv @ (R_in @ AT[inside])).T for AT in actions])
+
+
 class TestBuildCode:
     def test_fivequbit_structure(self, five):
         assert five.n == 5
@@ -141,12 +189,9 @@ class TestBuildCode:
             assert np.max(np.abs(P[i] @ P[i] - P[i])) < 1e-12
         assert np.max(np.abs(P[0] @ P[3])) < 1e-12
 
-    def test_steane_code_builds_every_syndrome_space(self, monkeypatch):
+    def test_steane_code_builds_every_syndrome_space(self):
         # a non-perfect code: 21 single-qubit errors reach only some of the 64
         # syndromes, so the projectors come from the full group of sign patterns
-        monkeypatch.setitem(qec._CODES, "steane7", {
-            "generators": ["IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ"],
-            "logical_z": "ZZZZZZZ"})
         code = qec.build_code("steane7")
         ref = dense_reference(code)
         P = dense_projectors(code)
@@ -422,7 +467,8 @@ class TestTruncatedBasis:
         code = qec.build_code(name)
         basis = five_basis if name == "fivequbit" else qec.build_truncated_basis(code)
         X, descr, policy_index, policy_sign, gens = dense_truncated_basis(code)
-        got = [basis.drift_noise, basis.drift_meas, *basis.meas_H, *basis.feedback]
+        feedback, meas_H = dense_generators(basis)
+        got = [basis.drift_noise, basis.drift_meas, *meas_H, *feedback]
         assert len(got) == len(gens)
         for M, expect in zip(got, gens):
             assert np.max(np.abs(M - expect)) <= 1e-12
@@ -432,6 +478,57 @@ class TestTruncatedBasis:
         for rho in random_states(code.dim, 4, np.random.default_rng(5)):
             expect = np.einsum("aij,ji->a", X, rho).real
             assert np.max(np.abs(basis.initial_state(rho) - expect)) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["bitflip3", "fivequbit"])
+    def test_terms_expand_to_the_full_table_build(self, name, five_basis):
+        # the drifts and the sparse feedback and back-action terms are the
+        # former full-table build's generators exactly, and the elements its
+        # rows on the occupied columns, with zeros everywhere else
+        code = qec.build_code(name)
+        basis = five_basis if name == "fivequbit" else qec.build_truncated_basis(code)
+        R, gens = full_table_basis(code)
+        n_chan, l = len(code.channel_labels), code.n_generators
+        assert np.array_equal(basis.drift_noise, gens[0])
+        assert np.array_equal(basis.drift_meas, gens[1])
+        feedback, meas_H = dense_generators(basis)
+        assert np.array_equal(meas_H, gens[2:2 + l])
+        assert np.array_equal(feedback, gens[2 + l:])
+        assert np.array_equal(basis.columns, np.flatnonzero(R.any(axis=0)))
+        assert np.array_equal(basis.coefficients, R[:, basis.columns])
+        k, a2, value, starts = basis.terms
+        assert np.count_nonzero(value) == len(value) == np.count_nonzero(gens[2:])
+        # every element has entries, contiguous from its start
+        assert starts[0] == 0 and len(starts) == basis.size and np.all(np.diff(starts) > 0)
+        assert np.all(k < n_chan + l) and np.all(a2 < basis.size)
+
+    def test_build_memory_follows_the_basis(self):
+        # every array of the fivequbit build lives on its 136 occupied Pauli
+        # columns; holding the elements and actions on all 4^5 coefficients
+        # peaked at 11.0 MB
+        code = qec.build_code("fivequbit")
+        tracemalloc.start()
+        try:
+            basis = qec.build_truncated_basis(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.columns.shape == (136,)
+        assert peak < 4 << 20, peak
+
+    def test_steane_basis(self):
+        # 64 syndrome spaces and 672 merged commutators on 736 of the 4^7 =
+        # 16,384 Pauli columns; on all of them the build peaked near 0.8 GB
+        code = qec.build_code("steane7")
+        tracemalloc.start()
+        try:
+            basis = qec.build_truncated_basis(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.size == 736
+        assert basis.columns.shape == (736,)
+        assert basis.verification_residual <= qec._VERIFY_TOL
+        assert peak < 100 << 20, peak
 
     def test_pair_merge_check_raises(self, five):
         # channel 0 hops the codespace into the syndrome of channel 1's error

@@ -26,19 +26,20 @@ ten warm-up increments (the first call builds the lazy tables and imports
 The fastest run is reported because load from other processes only ever
 adds time to a run.
 
-Steane's [[7,1,3]] code (``steane7``) and Shor's [[9,1,3]] code (``shor9``)
-are patched into ``qec._CODES`` inside the child only.  Each child's
-address space is capped at ``LIMIT_MB``; a child that fails, for instance by
-running into the cap, prints its error in place of the numbers.
+Shor's [[9,1,3]] code (``shor9``), and Steane's [[7,1,3]] code
+(``steane7``) where the checkout measured does not ship it, are added to
+``qec._CODES`` inside the child only.  Each child's address space is capped
+at ``LIMIT_MB``; a child that fails, for instance by running into the cap,
+prints its error in place of the numbers.
 
 Usage:
     python tools/qec_probe.py [CODE ...] [--basis | --loop] [--src DIR]
 
 CODE defaults to bitflip3 fivequbit steane7 shor9, and to bitflip3
-fivequbit steane7 with ``--loop`` (steane7's basis build peaks near
-0.8 GB); ``--src`` is the directory holding the ``qfilt`` package (default:
-this checkout's src), so that another checkout can be measured with the
-same probe.
+fivequbit steane7 with ``--loop`` (shor9's basis build stops on a singular
+Gram matrix); ``--src`` is the directory holding the ``qfilt`` package
+(default: this checkout's src), so that another checkout can be measured
+with the same probe.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ resource.setrlimit(resource.RLIMIT_AS, (limit_mb << 20, limit_mb << 20))
 rss = lambda: round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 from qfilt import qec
 out = {"code": name, "rss_import_mb": rss()}
-qec._CODES.update(json.loads(extra))
+for key, spec in json.loads(extra).items():
+    qec._CODES.setdefault(key, spec)
 try:
     t = time.perf_counter()
     code = qec.build_code(name)
@@ -87,7 +89,8 @@ name, limit_mb, extra = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 steps, repeats, batch, dt = 200, 7, 8, 1e-5
 resource.setrlimit(resource.RLIMIT_AS, (limit_mb << 20, limit_mb << 20))
 from qfilt import qec
-qec._CODES.update(json.loads(extra))
+for key, spec in json.loads(extra).items():
+    qec._CODES.setdefault(key, spec)
 code = qec.build_code(name)
 basis = qec.build_truncated_basis(code)
 out = {"code": name, "n": code.n, "basis_size": basis.size}
