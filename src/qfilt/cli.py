@@ -158,8 +158,8 @@ def _run_magnetometer_kalman(p, seed, workers):
     steps = len(record.dY)
     # row i: the estimate and covariance after step i + 1
     states = np.empty((steps, 6))
-    for i in range(steps):
-        state = kalman.kalman_correlated_step(model, state, record.dY[i], i * dt, dt)
+    for i, dz in enumerate(record.dY.tolist()):
+        state = kalman.kalman_correlated_step(model, state, dz, i * dt, dt)
         states[i, :2] = state.estimate
         states[i, 2:] = state.covariance.ravel()
     kalman.raise_if_nonfinite("Kalman state", states, dt)

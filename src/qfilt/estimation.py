@@ -37,7 +37,7 @@ product scan with no per-step Python loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +83,8 @@ class ParticleEnsemble:
         n = len(self.weights)
         if len(self.params) != n or len(self.states) != n:
             raise ValueError("weights, params and states must have equal length")
-        if abs(self.weights.sum() - 1.0) > 1e-9 or np.any(self.weights < 0):
+        # written so that a NaN weight fails both tests
+        if not (abs(self.weights.sum() - 1.0) <= 1e-9 and self.weights.min() >= 0.0):
             raise ValueError("weights must be a normalized probability vector")
 
     @property
@@ -93,8 +94,10 @@ class ParticleEnsemble:
     def mean(self) -> float:
         return float(self.weights @ self.params)
 
-    def variance(self) -> float:
-        m = self.mean()
+    def variance(self, mean: float | None = None) -> float:
+        """Weighted variance about ``mean``, by default the ensemble's own,
+        for a caller that already holds it."""
+        m = self.mean() if mean is None else mean
         return float(self.weights @ (self.params - m) ** 2)
 
 
@@ -142,42 +145,39 @@ def sample_prior(prior: tuple, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError(f"unknown prior kind {prior[0]!r}")
 
 
-def _signals(model, ens: ParticleEnsemble) -> np.ndarray:
-    """Per-particle expectation of the measured observable L + L^dag."""
-    if ens.states.ndim == 1:
-        return 2.0 * np.sqrt(model.kappa) * np.sin(ens.states)
-    return model.base.channels.signal(ens.states)[:, 0]
-
-
 def ensemble_step(model, ens: ParticleEnsemble, dM: float, dt: float) -> ParticleEnsemble:
     """Advance the full ensemble by one measurement increment dM.
 
     Each state is stepped by its quantum filter on dM (see the module
     docstring); weights are updated, clipped at zero and renormalized.
     """
-    c = _signals(model, ens)
+    # each particle's expectation of the measured observable L + L^dag
+    c = (2.0 * math.sqrt(model.kappa) * np.sin(ens.states) if ens.states.ndim == 1
+         else model.base.channels.signal(ens.states)[:, 0])
     cbar = float(ens.weights @ c)
     w = ens.weights * (1.0 + (c - cbar) * (dM - cbar * dt))
-    w = np.clip(w, 0.0, None)
+    np.maximum(w, 0.0, out=w)
     total = w.sum()
-    if total <= 0.0 or not np.isfinite(total):
+    if not 0.0 < total < math.inf:
         raise DegenerateEnsembleError("all particle weights collapsed to zero")
+    w /= total
     if ens.states.ndim == 1:
-        states = bloch_angle_step(ens.states, dM, ens.params, model.kappa, dt)
+        states = bloch_angle_step(ens.states, dM, ens.params, model.kappa, dt, signal=c)
     else:
         H = model.H0 * ens.params[:, None, None] + model.base.H
         # the joint filter's signal: each block is renormalized by its own trace
-        states = sme_step_batch(H, model.base.channels, ens.states, np.full(ens.count, dM), dt,
+        states = sme_step_batch(H, model.base.channels, ens.states, float(dM), dt,
                                 signal=np.full((ens.count, 1), cbar))
-    return replace(ens, weights=w / total, states=states)
+    return ParticleEnsemble(w, ens.params, states)
 
 
 def effective_sample_size(weights: np.ndarray) -> float:
     """N_eff = 1 / sum(p_i^2); lies in [1, N] for normalized weights."""
     weights = np.asarray(weights, dtype=float)
-    if abs(weights.sum() - 1.0) > 1e-6 or np.any(weights < 0):
+    # written so that a NaN weight fails both tests
+    if not (abs(weights.sum() - 1.0) <= 1e-6 and weights.min() >= 0.0):
         raise ValueError("weights must be normalized and non-negative")
-    return float(1.0 / np.sum(weights**2))
+    return float(1.0 / (weights ** 2).sum())
 
 
 def liu_west_resample(ens: ParticleEnsemble, a: float, h: float, rng) -> ParticleEnsemble:
@@ -218,18 +218,9 @@ def _check_bloch_angle_dt(kappa: float, dt: float) -> None:
     drift kappa sin(2 theta) contracts at its stable points theta = +-pi/2
     (|1 - 2 kappa dt| < 1); beyond it the angle only wraps around under sin,
     so a run would finish with no non-finite value to stop it."""
-    if kappa * dt >= 1.0:
+    if not kappa * dt < 1.0:  # NaN fails too
         raise ValueError(f"kappa * dt = {kappa * dt:g} is outside the Euler stability range"
                          " kappa * dt < 1 of the Bloch-angle filter")
-
-
-def _init_ensemble(model, N: int, rng) -> ParticleEnsemble:
-    params, weights = sample_prior(model.prior, N, rng)
-    if isinstance(model, QubitMagnetometerModel):
-        states = np.zeros(N)
-    else:
-        states = np.broadcast_to(model.rho0, (N,) + model.rho0.shape).astype(complex).copy()
-    return ParticleEnsemble(weights=weights, params=params, states=states)
 
 
 def particle_filter_run(model, record: TrajectoryRecord, N: int, a: float, h: float,
@@ -245,26 +236,27 @@ def particle_filter_run(model, record: TrajectoryRecord, N: int, a: float, h: fl
     """
     rng = rng_stream(seed)
     dt = float(record.times[1] - record.times[0])
-    if isinstance(model, QubitMagnetometerModel):
+    bloch = isinstance(model, QubitMagnetometerModel)
+    if bloch:
         _check_bloch_angle_dt(model.kappa, dt)
-    ens = _init_ensemble(model, N, rng)
-    steps = len(record.dY)
-    means = np.zeros(steps + 1)
-    sds = np.zeros(steps + 1)
-    means[0], sds[0] = ens.mean(), np.sqrt(ens.variance())
+    params, weights = sample_prior(model.prior, N, rng)
+    states = (np.zeros(N) if bloch
+              else np.broadcast_to(model.rho0, (N,) + model.rho0.shape).astype(complex).copy())
+    ens = ParticleEnsemble(weights=weights, params=params, states=states)
+    means, sds = [ens.mean()], [math.sqrt(ens.variance())]
     n_resamples = 0
-    for i in range(steps):
-        ens = ensemble_step(model, ens, record.dY[i], dt)
+    for dM in record.dY.tolist():
+        ens = ensemble_step(model, ens, dM, dt)
         if threshold > 0 and effective_sample_size(ens.weights) < threshold * N:
             ens = liu_west_resample(ens, a, h, rng)
             n_resamples += 1
-        means[i + 1] = ens.mean()
-        sds[i + 1] = np.sqrt(ens.variance())
+        means.append(ens.mean())
+        sds.append(math.sqrt(ens.variance(means[-1])))
     return {
         "estimate": means[-1],
         "uncertainty": sds[-1],
-        "mean_trace": means,
-        "sd_trace": sds,
+        "mean_trace": np.array(means),
+        "sd_trace": np.array(sds),
         "n_resamples": n_resamples,
         "ensemble": ens,
     }
@@ -442,8 +434,9 @@ def simulate_qubit_record(kappa: float, B_true: float, T: float, dt: float, seed
     theta = 0.0
     dY = []
     for w in dW.tolist():
-        dY.append(amplitude * math.sin(theta) * dt + w)
-        theta = bloch_angle_step(theta, dY[-1], B_true, kappa, dt)
+        signal = amplitude * math.sin(theta)
+        dY.append(signal * dt + w)
+        theta = bloch_angle_step(theta, dY[-1], B_true, kappa, dt, signal)
     return TrajectoryRecord(times=np.arange(steps + 1) * dt, dY=np.array(dY), dW=dW)
 
 

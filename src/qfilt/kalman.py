@@ -39,9 +39,11 @@ _D_CONDITION_LIMIT = 1e12
 
 
 def _at(entry, t: float) -> np.ndarray:
-    """Evaluate a constant or callable(t) matrix entry as a 2-d float array."""
-    m = entry(t) if callable(entry) else entry
-    return np.atleast_2d(np.asarray(m, dtype=float))
+    """Evaluate a callable(t) matrix entry as a float array of at least two
+    dimensions, as np.atleast_2d would, without re-wrapping one that
+    already is."""
+    m = np.asarray(entry(t), dtype=float)
+    return m if m.ndim > 1 else m.reshape(1, -1)
 
 
 def _inverse(D: np.ndarray, where: str) -> np.ndarray:
@@ -81,7 +83,7 @@ class LinearModel:
     def at(self, t: float) -> tuple:
         """(A, B, C, D, D^{-1}) at t; raises ValueError if D is singular."""
         A, B, C, D, Dinv = self._compiled
-        A, B, C = (_at(e, t) if callable(e) else e for e in (A, B, C))
+        A, B, C = [_at(e, t) if callable(e) else e for e in (A, B, C)]
         if Dinv is None:
             D = _at(D, t)
             Dinv = _inverse(D, f"at t={t}")
@@ -121,8 +123,8 @@ def kalman_correlated_step(model: LinearModel, state: KalmanState, dz: float, t:
     x = np.asarray(state.estimate, dtype=float)
     V = state.covariance
     gain = B + V @ C.T
-    innovation = Dinv @ (np.atleast_1d(dz) - C @ x * dt)
-    x_next = x + A @ x * dt + (gain @ innovation).ravel()
+    innovation = Dinv @ (dz - C @ x * dt)
+    x_next = x + A @ x * dt + gain @ innovation
     V_next = V + (A @ V + V @ A.T + B @ B.T - gain @ gain.T) * dt
     V_next = 0.5 * (V_next + V_next.T)
     return KalmanState(estimate=x_next, covariance=V_next)

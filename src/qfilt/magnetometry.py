@@ -115,12 +115,13 @@ def simulate_double_pass_truth(params: DoublePassParams, T: float, dt: float,
     dWs = rng.standard_normal(steps) * np.sqrt(dt)
     dZ = np.zeros(steps)
     fz = np.zeros(steps + 1)
-    fz[0] = np.einsum("i,ij,j->", psi.conj(), Fz, psi).real
+    fz[0] = f = np.einsum("i,ij,j->", psi.conj(), Fz, psi).real
+    amplitude = 2.0 * np.sqrt(params.M)
     try:
-        for i in range(steps):
-            dZ[i] = 2.0 * np.sqrt(params.M) * fz[i] * dt + dWs[i]
-            psi = double_pass_sse_step(params, psi, dWs[i], dt)
-            fz[i + 1] = np.einsum("i,ij,j->", psi.conj(), Fz, psi).real
+        for i, w in enumerate(dWs.tolist()):
+            dZ[i] = amplitude * f * dt + w
+            psi = double_pass_sse_step(params, psi, w, dt)
+            fz[i + 1] = f = np.einsum("i,ij,j->", psi.conj(), Fz, psi).real
     except FloatingPointError as e:
         raise FloatingPointError(f"{e} at step {i + 1} (t = {(i + 1) * dt:g})") from None
     return TrajectoryRecord(times=np.arange(steps + 1) * dt, dY=dZ, dW=dWs,
@@ -185,16 +186,17 @@ def smallangle_kalman_model(params: DoublePassParams) -> LinearModel:
     (B + V C^T)(B + V C^T)^T only through 2 F sqrt(KM) in A and -sqrt(K) in
     B, and the two cancel: the variances do not depend on K."""
     F, M, K, gamma = params.F, params.M, params.K, params.gamma
-    sqKM = np.sqrt(K * M)
+    sqM, sqK, sqKM = np.sqrt([M, K, K * M]).tolist()
+    # the t-independent factors once, grouped as the expressions below evaluate them
+    drift, rate = 2.0 * F * sqKM, 2.0 * F * M
 
     def A(t):
-        return np.array([[2.0 * F * sqKM - M / (2.0 * (1.0 + 2.0 * F * M * t) ** 2), gamma],
-                         [0.0, 0.0]])
+        return np.array([[drift - M / (2.0 * (1.0 + rate * t) ** 2), gamma], [0.0, 0.0]])
 
     def Bmat(t):
-        return np.array([[-np.sqrt(M) / (1.0 + 2.0 * F * M * t) - np.sqrt(K)], [0.0]])
+        return np.array([[-sqM / (1.0 + rate * t) - sqK], [0.0]])
 
-    C = np.array([[-2.0 * np.sqrt(M) * F, 0.0]])
+    C = np.array([[-2.0 * sqM * F, 0.0]])
     D = np.array([[1.0]])
     return LinearModel(A=A, B=Bmat, C=C, D=D)
 

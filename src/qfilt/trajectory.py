@@ -140,10 +140,10 @@ def sme_step_batch(H: np.ndarray, L: np.ndarray | Channels, rho: np.ndarray,
 
     L is one coupling operator (d, d), a stack of l monitored channels
     (l, d, d) or channels compiled once by ``compile_channels``, shared by
-    every slot; dY holds one increment per slot (a scalar for a single
-    state) or one per slot and channel (leading axes, then l).  H is one
-    matrix or one per slot, broadcast against the states.  The step is
-    written as
+    every slot; dY holds one increment per slot or one per slot and channel
+    (leading axes, then l), and a float is shared by every slot and
+    channel.  H is one matrix or one per slot, broadcast against the
+    states.  The step is written as
 
         rho' = rho + A rho + rho A^dag + sum_l L_l rho L_l^dag dt
                - (sum_l s_l dW_l) rho,
@@ -164,16 +164,19 @@ def sme_step_batch(H: np.ndarray, L: np.ndarray | Channels, rho: np.ndarray,
         L = compile_channels(L)
     if signal is None:
         signal = L.signal(rho)
-    dW = np.asarray(dY, dtype=float).reshape(signal.shape) - signal * dt
+    if not isinstance(dY, float):
+        dY = np.asarray(dY, dtype=float).reshape(signal.shape)
+    dW = dY - signal * dt
     A = (-1j * H - L.K) * dt + (dW @ L.L.reshape(len(L.L), -1)).reshape(rho.shape)
     Arho = A @ rho
-    out = rho + Arho + np.swapaxes(Arho, -1, -2).conj() \
+    out = rho + Arho + Arho.swapaxes(-1, -2).conj() \
         - np.einsum("...l,...l->...", signal, dW)[..., None, None] * rho
     for Lk, Lkd in zip(L.L, L.Ld):
         out += (Lk @ rho @ Lkd) * dt
     if unmonitored is not None:
         out += unmonitored * dt
-    out = 0.5 * (out + np.swapaxes(out, -1, -2).conj())
+    out = 0.5 * (out + out.swapaxes(-1, -2).conj())
+    # einsum, not ndarray.trace, whose sum order differs from d = 4 on
     tr = np.einsum("...ii->...", out).real
     # every entry, not just the trace: a finite trace over non-finite
     # off-diagonal parts would leave NaN after the division
@@ -200,12 +203,17 @@ def sse_step_batch(H: np.ndarray, channels: Channels, psi: np.ndarray,
     Hpsi = psi @ H.T if H.ndim == 2 else np.einsum("...ij,...j->...i", H, psi)
     dpsi = (-1j) * Hpsi * dt
     dpsi -= (psi @ channels.K.T - expLd * Lpsi + 0.5 * (expL * expLd) * psi) * dt
-    dpsi += (Lpsi - expL * psi) * np.asarray(dW, dtype=float)[..., None]
+    if not isinstance(dW, float):
+        dW = np.asarray(dW, dtype=float)[..., None]
+    dpsi += (Lpsi - expL * psi) * dW
     out = psi + dpsi
-    norm = np.linalg.norm(out, axis=-1)
-    if not np.all(np.isfinite(norm)):
+    # np.linalg.norm's own reduction, without its dispatch
+    norm = np.sqrt((out.conj() * out).real.sum(axis=-1))
+    # a single state's norm is a numpy scalar, checked and divided by as one
+    single = isinstance(norm, float)
+    if not (math.isfinite(norm) if single else np.isfinite(norm).all()):
         _raise_nonfinite("state vector", "sse_step_batch", np.isfinite(norm))
-    return out / norm[..., None]
+    return out / (norm if single else norm[..., None])
 
 
 def simulate_truth(model: DiffusiveModel, rho0: np.ndarray, T: float, dt: float,
@@ -234,10 +242,10 @@ def simulate_truth(model: DiffusiveModel, rho0: np.ndarray, T: float, dt: float,
     for k, opT in observables.items():
         exps[k][0] = (opT * rho).sum().real
     try:
-        for i in range(steps):
+        for i, w in enumerate(dWs.tolist()):
             signal = channels.signal(rho)
-            dY[i] = signal[0] * dt + dWs[i]
-            rho = sme_step_batch(model.H, channels, rho, dY[i], dt, signal=signal)
+            dY[i] = y = signal[0] * dt + w
+            rho = sme_step_batch(model.H, channels, rho, y, dt, signal=signal)
             if (i + 1) % store_every == 0 or i + 1 == steps:
                 for k, opT in observables.items():
                     exps[k][i + 1] = (opT * rho).sum().real
@@ -247,7 +255,7 @@ def simulate_truth(model: DiffusiveModel, rho0: np.ndarray, T: float, dt: float,
         times=np.arange(steps + 1) * dt, dY=dY, dW=dWs, expectations=exps)
 
 
-def bloch_angle_step(theta, dM, B: float, kappa: float, dt: float):
+def bloch_angle_step(theta, dM, B: float, kappa: float, dt: float, signal=None):
     """Scalar filter for a monitored qubit restricted to the x-z Bloch circle,
     with theta measured from +x so that <sigma_z> = sin(theta):
 
@@ -256,10 +264,13 @@ def bloch_angle_step(theta, dM, B: float, kappa: float, dt: float):
 
     Accepts scalars or equally-shaped arrays; a float theta is stepped with
     ``math``, which skips numpy's per-call dispatch in scalar loops.
+    ``signal``, if given, is 2 sqrt(kappa) sin(theta) from a caller that
+    already has it.
     """
-    if kappa <= 0:
+    if not kappa > 0:  # NaN fails too
         raise ValueError("kappa must be positive")
     m = math if isinstance(theta, float) else np
-    dW = dM - 2.0 * m.sqrt(kappa) * m.sin(theta) * dt
+    amplitude = 2.0 * math.sqrt(kappa)
+    signal = amplitude * m.sin(theta) if signal is None else signal
     return (theta - 2.0 * B * dt + kappa * m.sin(2.0 * theta) * dt
-            + 2.0 * m.sqrt(kappa) * m.cos(theta) * dW)
+            + amplitude * m.cos(theta) * (dM - signal * dt))

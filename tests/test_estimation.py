@@ -137,6 +137,16 @@ class TestEffectiveSampleSize:
         with pytest.raises(ValueError):
             est.effective_sample_size(np.array([0.5, 0.2]))
 
+    def test_nonfinite_weights_rejected(self):
+        # NaN makes both "sum off 1 > tol" and "some weight < 0" false, so
+        # the checks are written to fail on it
+        for w in ([np.nan, 0.5], [np.nan, np.nan], [np.inf, 0.0], [0.5, 0.5, np.nan]):
+            with pytest.raises(ValueError, match="weights must be normalized"):
+                est.effective_sample_size(np.array(w))
+            with pytest.raises(ValueError, match="weights must be a normalized"):
+                est.ParticleEnsemble(weights=np.array(w), params=np.zeros(len(w)),
+                                     states=np.zeros(len(w)))
+
     @given(st.integers(2, 30), st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_bounds(self, n, seed):
@@ -225,11 +235,14 @@ class TestParticleFilterRun:
         assert np.array_equal(a["mean_trace"], b["mean_trace"])
         assert a["n_resamples"] == b["n_resamples"]
 
-    @pytest.mark.parametrize("kappa,ok", [(9999.0, True), (1e4, False), (1e300, False)])
+    @pytest.mark.parametrize("kappa,ok", [(9999.0, True), (1e4, False), (1e300, False),
+                                          (np.nan, False)])
     def test_bloch_angle_runs_need_kappa_dt_below_one(self, kappa, ok):
         # the Euler drift kappa sin(2 theta) contracts at theta = +-pi/2 only
         # while |1 - 2 kappa dt| < 1; the check runs once per call, on the
-        # truth record and on the filter's own kappa
+        # truth record and on the filter's own kappa.  A NaN kappa is refused
+        # the same way: it gave an all-NaN record and, in the filter, a
+        # DegenerateEnsembleError
         record = est.simulate_qubit_record(1.0, 2.0, 0.002, 1e-4, seed=16)
         model = est.QubitMagnetometerModel(kappa=kappa, prior=("gaussian", 0.0, 1.0))
         runs = (lambda: est.simulate_qubit_record(kappa, 2.0, 0.002, 1e-4, seed=16),

@@ -49,9 +49,10 @@ class TestBenchmarkPins:
         inspect.signature(fn).bind(*args, **kwargs)
 
 
-def run(steps_per_s, correct=True, failed=0):
+def run(steps_per_s, correct=True, failed=0, job_best_s=None):
     return {"steps_per_s": steps_per_s, "setup_s": 0.2, "peak_rss_mb": 36.0,
-            "correct": correct, "failed": failed, "attempted": 10, "job_best_s": {}}
+            "correct": correct, "failed": failed, "attempted": 10,
+            "job_best_s": job_best_s or {}}
 
 
 def pair(seed, parent, change):
@@ -78,6 +79,20 @@ class TestSummarize:
         s = summary["steps_per_s"]
         assert s["pairs"] == 2 and s["change_better_pairs"] == 2
         assert s["change"]["median"] == 125.0
+
+    def test_jobs_show_which_job_moved(self):
+        # per job, over the correct pairs only: each side's median best time,
+        # their ratio and the pairs in which the change ran faster
+        pairs = [pair(k, run(100.0, job_best_s={"a": 0.10, "b": b}),
+                      run(120.0, job_best_s={"a": a, "b": 0.20}))
+                 for k, (a, b) in enumerate([(0.05, 0.20), (0.06, 0.21), (0.11, 0.19)])]
+        pairs.append(pair(9, run(100.0, job_best_s={"a": 9.0, "b": 9.0}),
+                          run(900.0, correct=False, job_best_s={"a": 0.0, "b": 0.0})))
+        jobs = bench_pairs.summarize(pairs)["jobs"]
+        assert jobs["a"] == {"parent_median_s": 0.10, "change_median_s": 0.06,
+                             "ratio_of_medians": pytest.approx(0.6), "change_better_pairs": 2}
+        assert jobs["b"]["ratio_of_medians"] == pytest.approx(1.0)
+        assert jobs["b"]["change_better_pairs"] == 1
 
     def test_no_correct_pair_leaves_only_the_counts(self):
         summary = bench_pairs.summarize([pair(1, run(100.0), run(120.0, correct=False))])

@@ -376,6 +376,12 @@ class TestBlochAngle:
         with pytest.raises(ValueError):
             traj.bloch_angle_step(0.1, 0.0, 0.0, kappa=0.0, dt=1e-4)
 
+    def test_nan_kappa_rejected(self):
+        # "kappa <= 0" let NaN through, on floats and on arrays alike
+        for theta in (0.1, np.array([0.1, 0.2])):
+            with pytest.raises(ValueError, match="kappa must be positive"):
+                traj.bloch_angle_step(theta, 0.0, 0.0, kappa=np.nan, dt=1e-4)
+
     def test_matches_full_filter(self):
         # scalar filter vs the 2x2 density filter on one shared record of
         # two-point weak increments (see test_positivity_and_purity)

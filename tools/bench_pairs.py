@@ -11,7 +11,10 @@ JSON file given by ``--out`` (created if missing), keyed by workload:
                 untraced repetition), so a record shows which job moved
     summary[W]  per metric: median and quartiles of each side, the ratio of
                 the medians (change / parent) and how many pairs the change
-                wins, over the pairs whose runs are both correct; and
+                wins, over the pairs whose runs are both correct; ``jobs``,
+                per job over the same pairs, each side's median
+                ``job_best_s``, their ratio and how many pairs the change
+                ran faster, so a summary shows which job moved; and
                 ``incorrect_runs``, per side, the runs that reported
                 ``correct: false`` or failed jobs, which no statistic counts
     trace_W     with --trace 1: both sides' per-layer metrics (nonzero ones)
@@ -88,9 +91,9 @@ def incorrect(run: dict) -> bool:
 
 
 def summarize(pairs: list) -> dict:
-    """Per metric, the statistics over the pairs whose runs are both correct
-    (none if there are no such pairs), and per side the number of incorrect
-    runs."""
+    """Per metric and per job, the statistics over the pairs whose runs are
+    both correct (none if there are no such pairs), and per side the number
+    of incorrect runs."""
     valid = [p for p in pairs if not incorrect(p["parent"]) and not incorrect(p["change"])]
     out = {"incorrect_runs": {side: sum(incorrect(p[side]) for p in pairs)
                               for side in ("parent", "change")}}
@@ -101,6 +104,16 @@ def summarize(pairs: list) -> dict:
         out[name] = {"parent": quartiles(parent), "change": quartiles(change),
                      "ratio_of_medians": statistics.median(change) / statistics.median(parent),
                      "change_better_pairs": wins, "pairs": len(valid)}
+    if valid:
+        out["jobs"] = {}
+        for job in valid[0]["parent"]["job_best_s"]:
+            parent = [p["parent"]["job_best_s"][job] for p in valid]
+            change = [p["change"]["job_best_s"][job] for p in valid]
+            out["jobs"][job] = {
+                "parent_median_s": statistics.median(parent),
+                "change_median_s": statistics.median(change),
+                "ratio_of_medians": statistics.median(change) / statistics.median(parent),
+                "change_better_pairs": sum(c < p for p, c in zip(parent, change))}
     return out
 
 
@@ -173,6 +186,11 @@ def main(argv=None) -> int:
                       f"change median {s['change']['median']:.6g}, ratio "
                       f"{s['ratio_of_medians']:.3f}, change better in "
                       f"{s['change_better_pairs']}/{s['pairs']}")
+        for job, s in summary.get("jobs", {}).items():
+            print(f"{args.workload} job {job} best_s: parent median {s['parent_median_s']:.6g},"
+                  f" change median {s['change_median_s']:.6g}, ratio"
+                  f" {s['ratio_of_medians']:.3f}, change faster in"
+                  f" {s['change_better_pairs']}/{summary['steps_per_s']['pairs']}")
         bad = summary["incorrect_runs"]
         print(f"{args.workload} incorrect runs (in no statistic): parent {bad['parent']}, "
               f"change {bad['change']}")
