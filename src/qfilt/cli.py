@@ -152,19 +152,17 @@ def _run_magnetometer_kalman(p, seed, workers):
     params = mag.DoublePassParams(F=p["F"], M=p["M"], K=p["K"], B=p["B_true"])
     record = mag.simulate_double_pass_truth(params, p["T"], p["dt"], seed)
     model = mag.smallangle_kalman_model(params)
-    state = kalman.KalmanState(estimate=np.zeros(2),
-                               covariance=np.diag([0.0, p["prior_var"]]))
     dt, every = p["dt"], p["store_every"]
     steps = len(record.dY)
-    # row i: the estimate and covariance after step i + 1
-    states = np.empty((steps, 6))
+    A, gain, V = kalman.correlated_covariance_pass(model, np.diag([0.0, p["prior_var"]]),
+                                                   steps, dt)
+    # row i: the estimate after step i + 1
+    x, est = np.zeros(2), np.empty((steps, 2))
     for i, dz in enumerate(record.dY.tolist()):
-        state = kalman.kalman_correlated_step(model, state, dz, i * dt, dt)
-        states[i, :2] = state.estimate
-        states[i, 2:] = state.covariance.ravel()
-    kalman.raise_if_nonfinite("Kalman state", states, dt)
-    rows = states[every - 1::every]
-    cols = [np.arange(every, steps + 1, every) * dt, rows[:, 0], rows[:, 1], rows[:, 5]]
+        x = est[i] = kalman.kalman_correlated_step(model, x, dz, A[i], gain[i], dt)
+    kalman.raise_if_nonfinite("Kalman estimate", est, dt)
+    rows = est[every - 1::every]
+    cols = [np.arange(every, steps + 1, every) * dt, rows[:, 0], rows[:, 1], V[every::every, 1, 1]]
     return ("magnetometer_kalman.csv", ["time", "theta_est", "B_est", "B_var"], cols,
             {"final_B_est": cols[2][-1], "final_B_sd": float(np.sqrt(cols[3][-1]))})
 

@@ -425,8 +425,12 @@ def finite_set_filter(kappa: float, B_values, record: TrajectoryRecord,
 def simulate_qubit_record(kappa: float, B_true: float, T: float, dt: float, seed) -> TrajectoryRecord:
     """Measurement record of a monitored qubit starting from +x, generated by
     the scalar Bloch-angle filter driven with fresh noise, stepped on Python
-    floats.  Raises ValueError unless kappa dt < 1."""
+    floats.  Raises ValueError unless kappa dt < 1 and 2 |B_true| dt < 1:
+    past a radian of precession per step the record only aliases the field."""
     _check_bloch_angle_dt(kappa, dt)
+    if not 2.0 * abs(B_true) * dt < 1.0:  # NaN fails too
+        raise ValueError(f"2 |B_true| * dt = {2.0 * abs(B_true) * dt:g} is outside the range"
+                         " 2 |B_true| * dt < 1 of the Bloch-angle truth")
     steps = int(round(T / dt))
     rng = rng_stream(seed)
     dW = rng.standard_normal(steps) * np.sqrt(dt)

@@ -1,21 +1,22 @@
 """Kalman-Bucy filtering for linear-Gaussian models: the correlated-noise
-filter step and the Brownian-forcing parameter demo.
+filter and the Brownian-forcing parameter demo.
 
 A ``LinearModel`` is compiled once: its constant entries are converted once,
-and a constant D is checked and inverted once.  Callable entries are
-evaluated, and a callable D checked, at every queried t.  The filter step
-advances by explicit Euler with per-step re-symmetrization of the covariance.
+and D is checked and inverted once.  A and B may be callables of t, which
+are evaluated over a whole time grid in one call.
 
-The demo's Riccati equation is solved by the standard linearization trick:
+Both runs solve their Riccati equation by the standard linearization trick:
 write P = X Y^{-1} and integrate the doubled linear system
 
     d/dt [X; Y] = K [X; Y],    K = [[A, B B^T], [C^T (D D^T)^{-1} C, -A^T]].
 
-The system is linear and autonomous, so one classical RK4 step of length h
-is the fixed (2n x 2n) propagator M = I + hK + (hK)^2/2 + (hK)^3/6 + (hK)^4/24.
-The covariance does not depend on the record, so ``brownian_parameter_demo``
-runs its whole covariance pass before the record loop, as the Moebius map
-P' = (M11 P + M12)(M21 P + M22)^{-1} of the step Z = [P; I] -> M Z.
+One classical RK4 step of length h with K frozen is the (2n x 2n)
+propagator M = I + hK + (hK)^2/2 + (hK)^3/6 + (hK)^4/24.  The covariance
+does not depend on the record, so each run's whole covariance pass is the
+Moebius map P' = (M11 P + M12)(M21 P + M22)^{-1} of the step Z = [P; I] -> M Z,
+walked before the record loop.  The demo's K is constant, so one M serves
+every step; the correlated-noise flow with time-dependent A and B takes one
+M per step, with K frozen at the step's midpoint.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .sde import SdeSystem, euler_step, rng_stream
 
 __all__ = [
     "LinearModel",
-    "KalmanState",
+    "correlated_covariance_pass",
     "kalman_correlated_step",
     "raise_if_nonfinite",
     "brownian_parameter_demo",
@@ -38,22 +39,8 @@ __all__ = [
 _D_CONDITION_LIMIT = 1e12
 
 
-def _at(entry, t: float) -> np.ndarray:
-    """Evaluate a callable(t) matrix entry as a float array of at least two
-    dimensions, as np.atleast_2d would, without re-wrapping one that
-    already is."""
-    m = np.asarray(entry(t), dtype=float)
-    return m if m.ndim > 1 else m.reshape(1, -1)
-
-
-def _inverse(D: np.ndarray, where: str) -> np.ndarray:
-    """D^{-1}, after checking that D is well-conditioned."""
-    if np.linalg.cond(D) > _D_CONDITION_LIMIT:
-        raise ValueError(f"singular observation matrix D {where}")
-    return np.linalg.inv(D)
-
-
-def _read_only(m: np.ndarray) -> np.ndarray:
+def _constant(entry) -> np.ndarray:
+    m = np.atleast_2d(np.array(entry, dtype=float))
     m.setflags(write=False)
     return m
 
@@ -62,8 +49,9 @@ def _read_only(m: np.ndarray) -> np.ndarray:
 class LinearModel:
     """dX = A X dt + B dW,  dY = C X dt + D dV.
 
-    Entries may be constant arrays or callables of t returning arrays.
-    ``D`` must stay invertible (condition number < 1e12) at every queried t.
+    A and B may be constant arrays or callables of t returning arrays, a
+    stack of them over an array t.  C and D are constant, and D must be
+    invertible (condition number < 1e12).
     """
 
     A: object
@@ -74,29 +62,22 @@ class LinearModel:
     @cached_property
     def _compiled(self) -> tuple:
         """(A, B, C, D, D^{-1}) with each constant entry a read-only 2-d
-        array, built on first use; callables are kept, and D^{-1} is None
-        when D is callable."""
-        A, B, C, D = (e if callable(e) else _read_only(np.atleast_2d(np.array(e, dtype=float)))
-                      for e in (self.A, self.B, self.C, self.D))
-        return A, B, C, D, None if callable(D) else _read_only(_inverse(D, "(constant)"))
+        array, built on first use; callable A and B are kept.  Raises
+        ValueError if D is singular."""
+        A, B = (e if callable(e) else _constant(e) for e in (self.A, self.B))
+        C, D = _constant(self.C), _constant(self.D)
+        if np.linalg.cond(D) > _D_CONDITION_LIMIT:
+            raise ValueError("singular observation matrix D")
+        return A, B, C, D, _constant(np.linalg.inv(D))
 
-    def at(self, t: float) -> tuple:
-        """(A, B, C, D, D^{-1}) at t; raises ValueError if D is singular."""
+    def at(self, t) -> tuple:
+        """(A, B, C, D, D^{-1}) at t, a float or an array of times."""
         A, B, C, D, Dinv = self._compiled
-        A, B, C = [_at(e, t) if callable(e) else e for e in (A, B, C)]
-        if Dinv is None:
-            D = _at(D, t)
-            Dinv = _inverse(D, f"at t={t}")
+        A, B = [np.asarray(e(t), dtype=float) if callable(e) else e for e in (A, B)]
         return A, B, C, D, Dinv
 
-    def matrices(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def matrices(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return self.at(t)[:4]
-
-
-@dataclass(frozen=True)
-class KalmanState:
-    estimate: np.ndarray  # n-vector pi_t[X]
-    covariance: np.ndarray  # n x n symmetric P_t
 
 
 def raise_if_nonfinite(what: str, rows, dt: float) -> None:
@@ -109,47 +90,32 @@ def raise_if_nonfinite(what: str, rows, dt: float) -> None:
         raise FloatingPointError(f"non-finite {what} at step {step} (t = {step * dt:g})")
 
 
-def kalman_correlated_step(model: LinearModel, state: KalmanState, dz: float, t: float, dt: float) -> KalmanState:
-    """Kalman step for the case where one white noise drives both the system
-    and the observation: dX = A X dt + B dW, dZ = C X dt + D dW.
-
-    Estimate: dXtilde = A Xtilde dt + (B + V C^T) dWtilde with innovations
-    dWtilde = D^{-1}(dZ - C Xtilde dt); covariance flow
-    Vdot = A V + V A^T + B B^T - (B + V C^T)(B + V C^T)^T.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    A, B, C, _, Dinv = model.at(t)
-    x = np.asarray(state.estimate, dtype=float)
-    V = state.covariance
-    gain = B + V @ C.T
-    innovation = Dinv @ (dz - C @ x * dt)
-    x_next = x + A @ x * dt + gain @ innovation
-    V_next = V + (A @ V + V @ A.T + B @ B.T - gain @ gain.T) * dt
-    V_next = 0.5 * (V_next + V_next.T)
-    return KalmanState(estimate=x_next, covariance=V_next)
-
-
 def _doubled_propagator(A, B, C, D, h: float) -> np.ndarray:
     """The classical RK4 step Z -> M Z of length h for the doubled linear
     system d/dt [X; Y] = K [X; Y], K = [[A, B B^T], [C^T (D D^T)^{-1} C, -A^T]]:
-    M = I + hK + (hK)^2/2 + (hK)^3/6 + (hK)^4/24 = R(hK).
+    M = I + hK + (hK)^2/2 + (hK)^3/6 + (hK)^4/24 = R(hK).  Stacks of A and B
+    (leading axis: steps) give the stack of per-step M.
 
-    Raises ValueError, naming h, unless M contracts every decaying mode of
-    K: |R(h lambda)| < 1 for each eigenvalue lambda with Re lambda < 0.  Real
-    parts within 1e-6 max |h lambda| of zero count as neutral, since a
-    defective zero eigenvalue is computed only to about sqrt(eps).
+    Raises ValueError, naming h, unless each M contracts every decaying mode
+    of its K: |R(h lambda)| < 1 for each eigenvalue lambda with
+    Re lambda < 0.  Real parts within 1e-6 max |h lambda| of zero count as
+    neutral, since a defective zero eigenvalue is computed only to about
+    sqrt(eps).
     """
     gain = C.T @ np.linalg.inv(D @ D.T) @ C
-    hK = h * np.block([[A, B @ B.T], [gain, -A.T]])
+    n = A.shape[-1]
+    hK = np.empty(A.shape[:-2] + (2 * n, 2 * n))
+    hK[..., :n, :n], hK[..., n:, n:] = A, -np.swapaxes(A, -1, -2)
+    hK[..., :n, n:], hK[..., n:, :n] = B @ np.swapaxes(B, -1, -2), gain
+    hK *= h
     z = np.linalg.eigvals(hK)
-    z = z[z.real < -1e-6 * np.abs(z).max()]
+    z = z[z.real < -1e-6 * np.abs(z).max(axis=-1, keepdims=True)]
     growth = np.abs(1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0)
     if np.any(growth >= 1.0):
         raise ValueError(f"dt = {h:g} is outside the RK4 stability range of the covariance"
                          f" propagator: a decaying mode grows by {growth.max():.4g} per step")
     hK2 = hK @ hK
-    return np.eye(len(hK)) + hK + hK2 / 2.0 + hK2 @ hK / 6.0 + hK2 @ hK2 / 24.0
+    return np.eye(2 * n) + hK + hK2 / 2.0 + hK2 @ hK / 6.0 + hK2 @ hK2 / 24.0
 
 
 # Matrices of the Brownian-forcing parameter estimation model: the augmented
@@ -164,18 +130,21 @@ PARAMETER_MODEL = LinearModel(
 
 def _covariance_pass(M: np.ndarray, P0: np.ndarray, steps: int, h: float) -> np.ndarray:
     """Covariances P_0 .. P_steps (steps + 1, 2, 2) of a 2x2 Riccati flow under
-    the doubled-system propagator M, renormalized to Z = [P; I] every step:
-    the Moebius map P' = (M11 P + M12)(M21 P + M22)^{-1}, on Python floats.
-    Each stored P after P_0 is re-symmetrized; the map carries P' as is.
+    the doubled-system propagator M, one (4, 4) for every step or a
+    (steps, 4, 4) stack, renormalized to Z = [P; I] every step: the Moebius
+    map P' = (M11 P + M12)(M21 P + M22)^{-1}, on Python floats.  Each stored
+    P after P_0 is re-symmetrized; the map carries P' as is.
 
     Raises np.linalg.LinAlgError naming the step and t where Y = M21 P + M22
     turns singular, and FloatingPointError at the first non-finite P.
     """
-    (m00, m01, m02, m03), (m10, m11, m12, m13), \
-        (m20, m21, m22, m23), (m30, m31, m32, m33) = M.tolist()
+    Ms = M.reshape(-1, 16).tolist()
+    if len(Ms) == 1:  # one M serves every step
+        Ms *= steps
     (p00, p01), (p10, p11) = P0.tolist()
     rows = [(p00, p01, p10, p11)]
-    for k in range(1, steps + 1):
+    for k, (m00, m01, m02, m03, m10, m11, m12, m13,
+            m20, m21, m22, m23, m30, m31, m32, m33) in enumerate(Ms, 1):
         x00, x01 = m00 * p00 + m01 * p10 + m02, m00 * p01 + m01 * p11 + m03
         x10, x11 = m10 * p00 + m11 * p10 + m12, m10 * p01 + m11 * p11 + m13
         y00, y01 = m20 * p00 + m21 * p10 + m22, m20 * p01 + m21 * p11 + m23
@@ -193,6 +162,38 @@ def _covariance_pass(M: np.ndarray, P0: np.ndarray, steps: int, h: float) -> np.
     P = np.array(rows).reshape(steps + 1, 2, 2)
     raise_if_nonfinite("covariance", P[1:], h)
     return P
+
+
+def correlated_covariance_pass(model: LinearModel, V0: np.ndarray, steps: int,
+                               dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Covariance pass of the Kalman filter for a 2-state model in which one
+    white noise drives both the system and the observation:
+    dX = A X dt + B dW, dZ = C X dt + D dW, with D square.
+
+    The flow Vdot = A V + V A^T + B B^T - G G^T, G = B + V C^T D^{-T}, is
+    the standard one with A' = A - B D^{-1} C and no process noise, so it
+    runs through the doubled-system propagator with K frozen at each step's
+    midpoint t + dt/2.  Returns, for steps 0 .. steps - 1, A and the gain G
+    at the step's start t = k dt, and the covariances V_0 .. V_steps.
+    Raises as ``_doubled_propagator`` and ``_covariance_pass`` do.
+    """
+    # even entries are the step starts, odd ones the midpoints
+    A, B, C, D, Dinv = model.at(np.arange(2 * steps) * (dt / 2.0))
+    A, B = (np.broadcast_to(e, (2 * steps,) + e.shape[-2:]) for e in (A, B))
+    mid = A[1::2] - B[1::2] @ Dinv @ C
+    V = _covariance_pass(_doubled_propagator(mid, np.zeros_like(B[1::2]), C, D, dt),
+                         V0, steps, dt)
+    return A[::2], B[::2] + V[:-1] @ (Dinv @ C).T, V
+
+
+def kalman_correlated_step(model: LinearModel, x: np.ndarray, dz, A: np.ndarray,
+                           gain: np.ndarray, dt: float) -> np.ndarray:
+    """Estimate step of the correlated-noise Kalman filter:
+    dXtilde = A Xtilde dt + G dWtilde with innovations
+    dWtilde = D^{-1}(dZ - C Xtilde dt), where A and the gain G at the step's
+    start come from ``correlated_covariance_pass``."""
+    _, _, C, _, Dinv = model._compiled
+    return x + A @ x * dt + gain @ (Dinv @ (dz - C @ x * dt))
 
 
 def brownian_parameter_demo(xi_true: float, T: float, dt: float, seed,

@@ -182,19 +182,24 @@ def cramer_rao_bound(info: float) -> float:
 def smallangle_kalman_model(params: DoublePassParams) -> LinearModel:
     """Linear model for X = [theta, B] in the small-angle regime; system and
     observation share one white noise, so use it with the correlated-noise
-    Kalman step.  K enters the variance flow A V + V A^T + B B^T -
-    (B + V C^T)(B + V C^T)^T only through 2 F sqrt(KM) in A and -sqrt(K) in
-    B, and the two cancel: the variances do not depend on K."""
+    Kalman filter.  A and B take a float t or an array of times.  K enters
+    the variance flow A V + V A^T + B B^T - (B + V C^T)(B + V C^T)^T only
+    through 2 F sqrt(KM) in A and -sqrt(K) in B, and the two cancel: the
+    variances do not depend on K."""
     F, M, K, gamma = params.F, params.M, params.K, params.gamma
     sqM, sqK, sqKM = np.sqrt([M, K, K * M]).tolist()
     # the t-independent factors once, grouped as the expressions below evaluate them
     drift, rate = 2.0 * F * sqKM, 2.0 * F * M
 
     def A(t):
-        return np.array([[drift - M / (2.0 * (1.0 + rate * t) ** 2), gamma], [0.0, 0.0]])
+        out = np.zeros(np.shape(t) + (2, 2))
+        out[..., 0, 0], out[..., 0, 1] = drift - M / (2.0 * (1.0 + rate * t) ** 2), gamma
+        return out
 
     def Bmat(t):
-        return np.array([[-sqM / (1.0 + rate * t) - sqK], [0.0]])
+        out = np.zeros(np.shape(t) + (2, 1))
+        out[..., 0, 0] = -sqM / (1.0 + rate * t) - sqK
+        return out
 
     C = np.array([[-2.0 * sqM * F, 0.0]])
     D = np.array([[1.0]])

@@ -144,7 +144,7 @@ def test_small_angle_field_variance_independent_of_K(tmp_path):
     of Larmor precession ..."
 
     The linearized (small-angle Kalman) filter gains nothing from the second
-    pass: its field variance is the same at K = 0 and K = 0.1 (4.7e-16
+    pass: its field variance is the same at K = 0 and K = 0.1 (1.4e-16
     relative), while its estimate moves.  So the gain of the double pass
     measured above is a non-linear effect."""
     single = read(run(tmp_path, "magnetometer-kalman", 0, K=0, T=0.2))

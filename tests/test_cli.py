@@ -155,6 +155,10 @@ class TestRun:
                  ("particle-filter", ["kappa=1e300", "T=0.001"],
                   "ValueError: kappa * dt = 1e+296 is outside the Euler stability range"
                   " kappa * dt < 1 of the Bloch-angle filter\n"),
+                 # and so is a truth that precesses by a radian or more per step
+                 ("param-ensemble", ["B_true=1e300", "T=0.002", "store_every=10"],
+                  "ValueError: 2 |B_true| * dt = 2e+295 is outside the range"
+                  " 2 |B_true| * dt < 1 of the Bloch-angle truth\n"),
                  # the double-pass truth and Fisher runs name the slots, the step and t,
                  # and a Fisher run the seed indices of its slots (three per seed) and
                  # its (F, K) point
@@ -192,8 +196,6 @@ class TestRun:
                   "ValueError: 2 dt (kappa c0 + gamma c1) = 4e+295 is outside the Euler"
                   " stability range < 1 of the full QEC filter"),
                  # the Kalman runs name the first bad step and its time
-                 ("magnetometer-kalman", ["T=0.01", "prior_var=1e300"],
-                  "FloatingPointError: non-finite Kalman state at step 2 (t = 0.0002)"),
                  ("kalman-demo", ["xi_true=1e308", "T=2"],
                   "FloatingPointError: non-finite state produced by euler_step at step 1798"
                   " (t = 1.798)"),
@@ -214,6 +216,21 @@ class TestRun:
             assert err.count("\n") == 1
             # pytest records warnings instead of printing them
             assert not recwarn.list, (experiment, [str(w.message) for w in recwarn])
+
+    @pytest.mark.parametrize("items", [["T=0.001", "store_every=1", "prior_var=1e8"],
+                                       ["T=0.01", "prior_var=1e300"]])
+    def test_large_prior_runs_as_the_flat_prior_limit(self, tmp_path, capsys, items):
+        # an Euler covariance step drove B_var negative at prior_var = 1e8 and
+        # overflowed at 1e300; the covariance pass reaches the flat-prior limit
+        out = os.path.join(tmp_path, "mk")
+        args = ["run", "magnetometer-kalman", "--seed", "7", "--out", out]
+        assert cli.main(args + [a for item in items for a in ("--set", item)]) == 0
+        capsys.readouterr()
+        data = np.genfromtxt(os.path.join(out, "magnetometer_kalman.csv"), delimiter=",",
+                             names=True, comments="#")
+        assert len(data) == 10
+        assert np.all(data["B_var"] > 0) and np.all(np.isfinite(data["B_var"]))
+        assert np.all(np.isfinite(data["B_est"]))
 
     @pytest.mark.parametrize("experiment,key", [
         # _between, _floats and plain-float keys

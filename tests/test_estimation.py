@@ -256,6 +256,18 @@ class TestParticleFilterRun:
                     run()
 
 
+    @pytest.mark.parametrize("B_true,ok", [(4999.0, True), (-4999.0, True), (5000.0, False),
+                                           (-1e300, False), (np.nan, False)])
+    def test_truth_record_needs_field_dt_below_a_radian(self, B_true, ok):
+        # the truth turns by -2 B_true dt per step; at B_true = 1e300 it turned
+        # by 2e295 rad and the finite-set run ended on near-uniform weights
+        if ok:
+            record = est.simulate_qubit_record(1.0, B_true, 0.002, 1e-4, seed=16)
+            assert np.all(np.isfinite(record.dY))
+        else:
+            with pytest.raises(ValueError, match=r"2 \|B_true\| \* dt = .* 2 \|B_true\| \* dt < 1"):
+                est.simulate_qubit_record(1.0, B_true, 0.002, 1e-4, seed=16)
+
 class TestObservability:
     def test_trivial_space(self):
         dim, basis = est.observable_space_dim(np.zeros((2, 2), dtype=complex),

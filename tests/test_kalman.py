@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qfilt import kalman
+from qfilt import magnetometry as mag
 from qfilt.sde import SdeSystem, euler_step, rng_stream
 
 
@@ -28,23 +29,19 @@ class TestRiccatiSolve:
 
 
 class TestKalmanStep:
-    def test_correlated_step_rejects_constant_singular_D_at_first_step(self):
-        model = kalman.LinearModel(A=np.zeros((1, 1)), B=np.ones((1, 1)),
-                                   C=np.ones((1, 1)), D=np.zeros((1, 1)))
-        state = kalman.KalmanState(estimate=np.zeros(1), covariance=np.zeros((1, 1)))
+    def test_correlated_pass_rejects_constant_singular_D(self):
+        model = kalman.LinearModel(A=np.zeros((2, 2)), B=np.ones((2, 1)),
+                                   C=np.ones((1, 2)), D=np.zeros((1, 1)))
         with pytest.raises(ValueError, match="singular observation matrix D"):
-            kalman.kalman_correlated_step(model, state, 0.0, 0.0, 1e-3)
+            kalman.correlated_covariance_pass(model, np.eye(2), 3, 1e-3)
 
-    @pytest.mark.parametrize("step", [kalman.kalman_correlated_step])
-    def test_callable_D_checked_at_each_t(self, step):
-        # D vanishes from t = 0.5 on: the steps before it pass
-        model = kalman.LinearModel(A=np.zeros((1, 1)), B=np.ones((1, 1)), C=np.ones((1, 1)),
-                                   D=lambda t: [[1.0 if t < 0.5 else 0.0]])
-        state = kalman.KalmanState(estimate=np.zeros(1), covariance=np.zeros((1, 1)))
-        for i in range(5):
-            state = step(model, state, np.array([0.0]), i * 0.1, 0.1)
-        with pytest.raises(ValueError, match="at t=0.5"):
-            step(model, state, np.array([0.0]), 0.5, 0.1)
+    def test_correlated_step_is_the_estimate_update(self):
+        model = kalman.LinearModel(A=np.zeros((2, 2)), B=np.ones((2, 1)),
+                                   C=np.array([[2.0, 0.5]]), D=4.0 * np.eye(1))
+        A, G, x = np.array([[0.2, 1.0], [0.0, -0.3]]), np.array([[0.5], [1.5]]), np.array([0.3, -1.0])
+        out = kalman.kalman_correlated_step(model, x, 0.01, A, G, 1e-3)
+        innovation = (0.01 - (2.0 * 0.3 - 0.5) * 1e-3) / 4.0
+        assert np.allclose(out, x + A @ x * 1e-3 + G[:, 0] * innovation, rtol=0, atol=1e-15)
 
     def test_constant_entries_compiled_once(self):
         model = kalman.LinearModel(A=np.zeros((2, 2)), B=np.ones((2, 1)),
@@ -199,15 +196,54 @@ class TestPosteriorConsistency:
         assert hits.mean() >= 0.99
 
 
-class TestCorrelatedNoiseKalman:
-    def test_variance_flow_matches_rhs(self):
-        model = kalman.LinearModel(A=np.array([[0.2, 1.0], [0.0, 0.0]]),
-                                   B=np.array([[0.5], [0.0]]),
-                                   C=np.array([[2.0, 0.0]]), D=np.eye(1))
-        state = kalman.KalmanState(estimate=np.zeros(2), covariance=np.diag([0.1, 1.0]))
-        out = kalman.kalman_correlated_step(model, state, 0.0, 0.0, 1e-4)
-        A, B, C, D = model.matrices(0.0)
-        V = state.covariance
+def _riccati_rk4(model, V0, T, h):
+    """Staged classical RK4 of the correlated-noise flow
+    Vdot = A V + V A^T + B B^T - (B + V C^T)(B + V C^T)^T (D = 1), with A and
+    B evaluated at each stage's time; V_0 .. V_steps."""
+    def rhs(t, V):
+        A, B, C, _ = model.matrices(t)
         G = B + V @ C.T
-        expect = V + (A @ V + V @ A.T + B @ B.T - G @ G.T) * 1e-4
-        assert np.max(np.abs(out.covariance - expect)) < 1e-12
+        return A @ V + V @ A.T + B @ B.T - G @ G.T
+
+    V, out = V0, [V0]
+    for k in range(int(round(T / h))):
+        t = k * h
+        k1 = rhs(t, V)
+        k2 = rhs(t + h / 2, V + h / 2 * k1)
+        k3 = rhs(t + h / 2, V + h / 2 * k2)
+        k4 = rhs(t + h, V + h * k3)
+        V = V + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(V)
+    return np.array(out)
+
+
+class TestCorrelatedNoiseKalman:
+    def test_small_angle_pass_matches_fine_rk4_reference(self):
+        # magnetometer-kalman's default model; the reference steps at dt / 10
+        p = mag.DoublePassParams(F=10.0, M=1.0, K=0.0)
+        model = mag.smallangle_kalman_model(p)
+        V0 = np.diag([0.0, 10.0])
+        A, G, V = kalman.correlated_covariance_pass(model, V0, 1000, 1e-4)
+        ref = _riccati_rk4(model, V0, 0.1, 1e-5)[::10]
+        assert np.all(np.abs(V[1:, 1, 1] - ref[1:, 1, 1]) <= 1e-5 * ref[1:, 1, 1])
+        assert np.max(np.abs(V - ref)) <= 1e-5 * np.max(np.abs(ref))
+        # A and the gain B + V C^T are those at each step's start
+        t = np.arange(1000) * 1e-4
+        At, Bt, C, _ = model.matrices(t)
+        assert np.array_equal(A, At)
+        assert np.allclose(G, Bt + V[:-1] @ C.T, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("prior_var", [1e8, 1e300])
+    def test_large_prior_keeps_the_variance_positive(self, prior_var):
+        # the former Euler step drove V negative at prior_var = 1e8
+        model = mag.smallangle_kalman_model(mag.DoublePassParams(F=10.0, M=1.0, K=0.0))
+        _, G, V = kalman.correlated_covariance_pass(model, np.diag([0.0, prior_var]), 100, 1e-4)
+        assert np.all(np.isfinite(G)) and np.all(np.isfinite(V))
+        assert np.all(V[1:, 1, 1] > 0) and np.all(np.linalg.eigvalsh(V[1:]) > -1e-9 * V[1:, 1, 1, None])
+
+    def test_dt_outside_the_rk4_range_is_named(self):
+        # A' = A - B C decays at rate 1e5, so h lambda = -10
+        model = kalman.LinearModel(A=np.diag([-1e5 + 2.0, 0.0]), B=np.array([[1.0], [0.0]]),
+                                   C=np.array([[2.0, 0.0]]), D=np.eye(1))
+        with pytest.raises(ValueError, match=r"dt = 0\.0001 is outside the RK4 stability range"):
+            kalman.correlated_covariance_pass(model, np.diag([0.0, 10.0]), 10, 1e-4)

@@ -262,6 +262,17 @@ class TestSmallAngleKalman:
         assert np.allclose(C, [[-2.0 * np.sqrt(M) * F, 0.0]])
         assert np.allclose(D, [[1.0]])
 
+    def test_matrices_over_a_time_grid(self):
+        # A and B over an array of times are the stack of their values at each t
+        model = mag.smallangle_kalman_model(mag.DoublePassParams(F=4.0, M=1.5, K=0.09))
+        t = np.array([0.0, 0.3, 0.7])
+        A, B, C, D = model.matrices(t)
+        assert A.shape == (3, 2, 2) and B.shape == (3, 2, 1)
+        for i, ti in enumerate(t):
+            Ai, Bi, Ci, Di = model.matrices(ti)
+            assert np.array_equal(A[i], Ai) and np.array_equal(B[i], Bi)
+            assert Ci is C and Di is D
+
     def test_variance_flow_matches_correlated_riccati(self):
         p = mag.DoublePassParams(F=5.0, M=1.0, K=0.1)
         model = mag.smallangle_kalman_model(p)
