@@ -87,6 +87,16 @@ class ParticleEnsemble:
         if not (abs(self.weights.sum() - 1.0) <= 1e-9 and self.weights.min() >= 0.0):
             raise ValueError("weights must be a normalized probability vector")
 
+    @classmethod
+    def _normalized(cls, weights: np.ndarray, params: np.ndarray,
+                    states: np.ndarray) -> ParticleEnsemble:
+        """An ensemble whose weights the caller has just clipped at zero and
+        divided by their finite, positive sum, so ``__post_init__``'s sum
+        and min over them are skipped."""
+        ens = object.__new__(cls)
+        ens.weights, ens.params, ens.states = weights, params, states
+        return ens
+
     @property
     def count(self) -> int:
         return len(self.weights)
@@ -168,7 +178,7 @@ def ensemble_step(model, ens: ParticleEnsemble, dM: float, dt: float) -> Particl
         # the joint filter's signal: each block is renormalized by its own trace
         states = sme_step_batch(H, model.base.channels, ens.states, float(dM), dt,
                                 signal=np.full((ens.count, 1), cbar))
-    return ParticleEnsemble(w, ens.params, states)
+    return ParticleEnsemble._normalized(w, ens.params, states)
 
 
 def effective_sample_size(weights: np.ndarray) -> float:

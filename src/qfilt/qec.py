@@ -42,11 +42,15 @@ the build's memory and time follow the basis size, not 4^n.
 The closed loop compiles both filters' steps once per call of
 ``run_feedback_batch``, for its (gamma, kappa, dt): the full filter keeps its
 state in a signed buffer [r, -r, 0] that each step overwrites
-(``_FullStep``), and the truncated filter folds its constant part
-I + (gamma N + kappa M) dt into one matrix product, gathering only the
-nonzero entries of the feedback and back-action generators, whose
-coefficients change every step (``_TruncatedStep``); the basis keeps those
-generators only as these entries.
+(``_FullStep``), and the truncated filter applies the diagonal of its
+constant part I + (gamma N + kappa M) dt elementwise and gathers only the
+nonzero entries of the rest: the off-diagonal drift entries and the feedback
+and back-action generators, whose coefficients change every step
+(``_TruncatedStep``); the basis keeps those generators only as these entries.
+The loop reads its policy signals, Tr[g_l rho] and fidelities off the rows
+of their tables that hold a nonzero (124 of the 4^5 = 1,024 for the
+five-qubit code's signals), and refuses a feedback strength that would turn
+the state by a radian or more per step (2 |lambda_max| dt >= 1).
 """
 
 from __future__ import annotations
@@ -445,26 +449,15 @@ def untruncated_closure_dim(code: StabilizerCode) -> int:
     return len(seen)
 
 
-def _truncated_policy(basis: TruncatedBasis, p: np.ndarray, lambda_max: float,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """The loop's feedback strengths from a truncated state or a stack of
-    them: ``_bang_bang`` of the policy signal read off the state, and 0 for
-    channels whose commutator vanishes identically; written into ``out``
-    if given."""
-    out = _bang_bang(basis.policy_sign * p[..., basis.policy_index], lambda_max, out)
-    out[..., basis.policy_index < 0] = 0.0
-    return out
-
-
 def truncated_filter_step(basis: TruncatedBasis, p: np.ndarray, dQ: np.ndarray,
                           gamma: float, kappa: float, lambda_max: float,
                           dt: float) -> tuple[np.ndarray, np.ndarray]:
     """One Euler step of the truncated filter; returns (p', lambdas) with the
     feedback strengths computed from the incoming state (zero-order hold)."""
-    lambdas = _truncated_policy(basis, p, lambda_max)
-    out = _TruncatedStep(basis, gamma, kappa, dt)(p[None], np.asarray(dQ, dtype=float)[None],
-                                                  lambdas[None])
-    return out[0], lambdas
+    step = _TruncatedStep(basis, gamma, kappa, dt)
+    lambdas = step.policy(p[None], lambda_max)
+    out = step(p[None], np.asarray(dQ, dtype=float)[None], lambdas)
+    return out[0], lambdas[0]
 
 
 def codeword_fidelity_discrete(t, gamma: float):
@@ -592,20 +585,48 @@ class _FullStep:
 
 
 class _TruncatedStep:
-    """The truncated filter's Euler step, compiled for one (gamma, kappa,
-    dt): the constant part I + (gamma N + kappa M) dt is one (E, E) matrix,
-    and only the ``terms`` of the feedback and back-action generators,
-    their values scaled by dt and sqrt(kappa), are gathered per step."""
+    """The truncated filter's Euler step and feedback policy, compiled for
+    one (gamma, kappa, dt).  The constant part I + (gamma N + kappa M) dt
+    splits into its diagonal, applied elementwise, and its off-diagonal
+    entries, which join the ``terms`` of the feedback and back-action
+    generators under a coefficient column fixed at 1: one gather and one
+    ``reduceat`` per step form every product but the diagonal, the values
+    scaled by dt, sqrt(kappa) or 1.  The off-diagonal entries kept are
+    those ``drift_noise`` or ``drift_meas`` hold, whatever the rates."""
 
     def __init__(self, basis: TruncatedBasis, gamma: float, kappa: float, dt: float):
-        self.k, self.a2, value, self.starts = basis.terms
+        k, a2, value, starts = basis.terms
+        E, n_chan = basis.size, len(basis.code.channel_labels)
         fixed = np.multiply(basis.drift_noise, gamma * dt)
         fixed += np.multiply(basis.drift_meas, kappa * dt)
-        fixed.flat[::basis.size + 1] += 1.0
-        self.fixed = fixed.T
-        self.value = value * np.where(self.k < len(basis.code.channel_labels), dt,
-                                      np.sqrt(kappa))
+        self.diag = fixed.diagonal() + 1.0
+        off = (basis.drift_noise != 0.0) | (basis.drift_meas != 0.0)
+        off.flat[::E + 1] = False
+        a_off, a2_off = np.nonzero(off)
+        a = np.concatenate([np.repeat(np.arange(E), np.diff(starts, append=len(k))), a_off])
+        by_element = np.argsort(a, kind="stable")
+        one = n_chan + basis.code.n_generators  # the coefficient column fixed at 1
+        self.k = np.concatenate([k, np.full(len(a_off), one)])[by_element]
+        self.a2 = np.concatenate([a2, a2_off])[by_element]
+        self.value = np.concatenate([value * np.where(k < n_chan, dt, np.sqrt(kappa)),
+                                     fixed[a_off, a2_off]])[by_element]
+        self.starts = np.unique(a[by_element], return_index=True)[1]
+        self.n_chan, self.width = n_chan, one + 1
+        self.policy_index, self.policy_sign = basis.policy_index, basis.policy_sign
+        self.vanishing = np.flatnonzero(basis.policy_index < 0)
         self.outcomes, self.dt, self.root = basis.code.outcomes, dt, 2.0 * np.sqrt(kappa)
+
+    def policy(self, p: np.ndarray, lambda_max: float,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """The loop's feedback strengths from a stack of truncated states:
+        ``_bang_bang`` of the policy signal read off each state, and 0 for
+        channels whose commutator vanishes identically; written into
+        ``out`` if given."""
+        # clip mode reads index -1 as 0: those channels are set to 0 below
+        signal = self.policy_sign * p.take(self.policy_index, axis=1, mode="clip")
+        out = _bang_bang(signal, lambda_max, out)
+        out[:, self.vanishing] = 0.0
+        return out
 
     def __call__(self, p: np.ndarray, dQ: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
         """dp = (gamma N + kappa M + sum_c lambda_c F_c) p dt
@@ -615,19 +636,23 @@ class _TruncatedStep:
         sum."""
         S = self.outcomes.shape[1]
         means = p[:, :S] @ self.outcomes.T
-        dW = dQ - self.root * means * self.dt
-        coef = np.concatenate([lambdas, dW], axis=1)
-        out = p @ self.fixed
-        out += np.add.reduceat(coef.take(self.k, axis=1) * self.value
-                               * p.take(self.a2, axis=1), self.starts, axis=1)
-        out -= self.root * np.einsum("bl,bl->b", dW, means)[:, None] * p
+        # the coefficients [lambda_c, dW_l, 1] of the gathered terms
+        coef = np.empty((len(p), self.width))
+        coef[:, :self.n_chan] = lambdas
+        dW = np.subtract(dQ, self.root * means * self.dt, out=coef[:, self.n_chan:-1])
+        coef[:, -1] = 1.0
+        prod = coef.take(self.k, axis=1)
+        prod *= self.value
+        prod *= p.take(self.a2, axis=1)
+        out = np.add.reduceat(prod, self.starts, axis=1)
+        out += p * (self.diag - self.root * np.einsum("bl,bl->b", dW, means)[:, None])
         head = out[:, :S]
-        np.clip(head, 0.0, None, out=head)
+        np.maximum(head, 0.0, out=head)
         total = head.sum(axis=1)
-        valid = (total > 0) & np.isfinite(total)
-        if not valid.all():
+        if not (total.min() > 0.0 and total.max() < np.inf):  # NaN fails too
+            bad = ~((total > 0) & np.isfinite(total))
             raise FloatingPointError(
-                f"truncated filter state degenerated at slots {np.flatnonzero(~valid).tolist()}")
+                f"truncated filter state degenerated at slots {np.flatnonzero(bad).tolist()}")
         out /= total[:, None]
         return out
 
@@ -641,6 +666,16 @@ def _bang_bang(vals: np.ndarray, lambda_max: float,
     np.copyto(out, 1.0, where=vals == 0.0)
     out *= lambda_max
     return out
+
+
+def _nonzero_read(table: np.ndarray, buffer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(at, table[live]) for the rows ``live`` of a (4^n, m) read table that
+    hold a nonzero: with r the first 4^n columns of each row of the
+    C-contiguous (B, *) ``buffer``, buffer.take(at, mode="clip") is
+    r[:, live], so that its product with table[live] reads r @ table off
+    those rows alone, in one gather."""
+    live = np.flatnonzero(table.any(axis=1))
+    return np.arange(len(buffer))[:, None] * buffer.shape[1] + live, table[live]
 
 
 def run_feedback_batch(code: StabilizerCode, gamma: float, kappa: float,
@@ -672,13 +707,24 @@ def run_feedback_batch(code: StabilizerCode, gamma: float, kappa: float,
         raise ValueError("truncated controller requires a basis")
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
+    # the Euler feedback rotation grows the rotated pair's norm by
+    # sqrt(1 + (2 lambda dt)^2) per step, so a radian or more per step is
+    # refused before any step, as the full filter's decay is
+    if controller != "none" and not 2.0 * abs(lambda_max) * dt < 1.0:  # NaN fails too
+        raise ValueError(f"2 |lambda_max| * dt = {2.0 * abs(lambda_max) * dt:g} is outside the"
+                         " range 2 |lambda_max| * dt < 1 of the feedback rotation")
     psi0 = logical_zero(code)
     rho0 = np.outer(psi0, psi0.conj())
     frame, n_chan = code.pauli, len(code.channel_labels)
     # both filters are compiled once per call and step in lockstep
     full = _FullStep(frame, np.broadcast_to(frame.to_pauli(rho0), (n_traj, code.dim ** 2)),
                      gamma, kappa, dt)
-    fidelity_rows = np.stack([code.projector_rows(1)[0], frame.to_pauli(rho0)]).T / code.dim
+    # each read takes only the nonzero rows of its table: the policy signals
+    # and Tr[g_l rho] those of ``frame.rows``, the fidelities with Pi_0 and
+    # rho0 those of their own rows
+    read_at, read = _nonzero_read(frame.rows, full.signed)
+    record_at, record = _nonzero_read(
+        np.stack([code.projector_rows(1)[0], frame.to_pauli(rho0)]).T / code.dim, full.signed)
     if controller == "truncated":
         truncated = _TruncatedStep(basis, gamma, kappa, dt)
         p = np.broadcast_to(basis.initial_state(rho0), (n_traj, basis.size)).copy()
@@ -692,15 +738,15 @@ def run_feedback_batch(code: StabilizerCode, gamma: float, kappa: float,
                           for rng in rngs]) * np.sqrt(dt)
         for k, dV in enumerate(np.swapaxes(noise, 0, 1), done):
             # policy signals and generator expectations Tr[g_l rho], one product
-            vals = full.r @ frame.rows
+            vals = full.signed.take(read_at, mode="clip") @ read
             if controller == "full":
                 _bang_bang(vals[:, :n_chan], lambda_max, lambdas)
             elif controller == "truncated":
-                _truncated_policy(basis, p, lambda_max, lambdas)
+                truncated.policy(p, lambda_max, lambdas)
                 _bang_bang(vals[:, :n_chan], lambda_max, signs)
                 agree += np.equal(signs, lambdas, out=same).sum(axis=1) / n_chan
                 agree_steps += 1
-            signal = 2.0 * np.sqrt(kappa) * vals[:, n_chan:]
+            signal = full.root * vals[:, n_chan:]
             dQ = signal * dt + dV
             try:
                 full.step(dQ, lambdas, signal)
@@ -709,7 +755,7 @@ def run_feedback_batch(code: StabilizerCode, gamma: float, kappa: float,
             except FloatingPointError as err:
                 raise FloatingPointError(f"{err}, at step {k + 1} (t = {(k + 1) * dt:.6g})") from err
             if (k + 1) % record_every == 0:
-                fidelities.append(full.r @ fidelity_rows)
+                fidelities.append(full.signed.take(record_at, mode="clip") @ record)
     fidelities = np.array(fidelities).reshape(-1, n_traj, 2)
     out = {
         "times": np.arange(1, len(fidelities) + 1) * record_every * dt,

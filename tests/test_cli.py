@@ -174,14 +174,20 @@ class TestRun:
                   "FloatingPointError: non-finite state vector in sse_step_batch at slots"
                   " [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11] at step 1 (t = 0.0001),"
                   " seed indices [0, 1, 2, 3], in point F = 20, K = 0\n"),
-                 # the closed QEC loop counts steps from 1, as every other run does
+                 # past 2 lambda_max dt = 1 the Euler feedback rotation turns a radian
+                 # or more per step, so the closed QEC loop is refused before any
+                 # step: lambda_max = 1e8 ran to a codespace fidelity of 2.2e85, and
+                 # 1e300 to a non-finite state at step 2 or 3
+                 ("qec-run", ["code=bitflip3", "T=0.0002", "lambda_max=1e8"],
+                  "ValueError: 2 |lambda_max| * dt = 2000 is outside the range"
+                  " 2 |lambda_max| * dt < 1 of the feedback rotation\n"),
                  ("qec-run", ["code=bitflip3", "controller=full", "lambda_max=1e300",
                               "T=0.001"],
-                  "FloatingPointError: non-finite full filter state at slots [0, 1],"
-                  " at step 3 (t = 3e-05)\n"),
+                  "ValueError: 2 |lambda_max| * dt = 2e+295 is outside the range"
+                  " 2 |lambda_max| * dt < 1 of the feedback rotation\n"),
                  ("qec-benchmark", ["code=bitflip3", "lambda_max=1e300", "T=0.001"],
-                  "FloatingPointError: truncated filter state degenerated at slots"
-                  " [0, 1, 2, 3], at step 2 (t = 2e-05)\n"),
+                  "ValueError: 2 |lambda_max| * dt = 2e+295 is outside the range"
+                  " 2 |lambda_max| * dt < 1 of the feedback rotation\n"),
                  # past 2 dt (kappa c0 + gamma c1) = 1 the full filter's Euler step
                  # flips the decaying coefficients, so it is refused before any step:
                  # gamma = 1e8 ran to a codespace fidelity of 2.25e90
@@ -208,9 +214,11 @@ class TestRun:
                   " stability range of the covariance propagator"))
         for experiment, items, exc in cases:
             sets = [arg for item in items for arg in ("--set", item)]
-            code = cli.main(["run", experiment, *sets,
-                             "--out", os.path.join(tmp_path, experiment)])
+            out = os.path.join(tmp_path, experiment)
+            code = cli.main(["run", experiment, *sets, "--out", out])
             assert code == 2, experiment
+            # the runner fails before anything is written
+            assert not os.listdir(out), (experiment, items)
             err = capsys.readouterr().err
             assert err.startswith(f"numeric failure in {experiment}: {exc}")
             assert err.count("\n") == 1

@@ -93,6 +93,10 @@ class TestEnsembleStep:
         out = est.ensemble_step(model, ens, dM=0.5, dt=1e-3)
         assert abs(out.weights.sum() - 1.0) < 1e-12
         assert np.all(out.weights >= 0.0)
+        # the step skips the constructor's check of weights it has just
+        # normalized; an ensemble built from its arrays passes that check
+        assert isinstance(out, est.ParticleEnsemble) and out.params is ens.params
+        est.ParticleEnsemble(weights=out.weights, params=out.params, states=out.states)
 
     def test_exchangeability(self):
         # permuting particle order permutes the outputs and leaves the

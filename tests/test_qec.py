@@ -28,6 +28,27 @@ def bitflip():
     return qec.build_code("bitflip3")
 
 
+@pytest.fixture(scope="module")
+def steane_build():
+    """Steane's truncated basis, built once for the module, with the
+    tracemalloc peak of the build (its code's Pauli frame included)."""
+    code = qec.build_code("steane7")
+    tracemalloc.start()
+    try:
+        basis = qec.build_truncated_basis(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return basis, peak
+
+
+def code_by_name(name, request):
+    """The named code, Steane's from the module's one basis build."""
+    if name == "steane7":
+        return request.getfixturevalue("steane_build")[0].code
+    return qec.build_code(name)
+
+
 def dense_reference(code):
     """The code's dense operators from pauli_string products, independent of
     its masks and sign table: the syndrome projectors prod_j (I +- g_j) / 2,
@@ -63,10 +84,11 @@ def dense_generators(basis):
     return gens[:n_chan], gens[n_chan:]
 
 
-def dense_truncated_step(basis, p, dQ, gamma, kappa, lambdas, dt):
-    """The truncated filter step from dense generator products."""
+def dense_truncated_step(basis, p, dQ, gamma, kappa, lambdas, dt, generators=None):
+    """The truncated filter step from dense generator products, those of
+    ``dense_generators`` unless given."""
     S = basis.code.n_syndromes
-    feedback, meas_H = dense_generators(basis)
+    feedback, meas_H = generators or dense_generators(basis)
     drift = p @ (gamma * basis.drift_noise + kappa * basis.drift_meas).T
     drift += np.einsum("bc,cae,be->ba", lambdas, feedback, p)
     means = p[:, :S] @ basis.code.outcomes.T
@@ -348,13 +370,39 @@ class TestPauliForm:
         full.step(dQ, lambdas, signal)
         assert np.max(np.abs(frame.to_density(full.r) - expect)) <= 1e-13
 
-    @pytest.mark.parametrize("name", ["fivequbit", "bitflip3"])
-    def test_logical_zero_policy_signals_are_exact_zeros(self, name):
-        # the closed loop's first bang-bang step reads these as exact zeros
-        code = qec.build_code(name)
+    @pytest.mark.parametrize("name", ["bitflip3", "fivequbit", "steane7"])
+    def test_logical_zero_policy_signals_are_exact_zeros(self, name, request):
+        # the closed loop's first bang-bang step reads these as exact zeros,
+        # from the dense product and from the loop's read on the nonzero rows
+        code = code_by_name(name, request)
+        n_chan = len(code.channel_labels)
         psi = qec.logical_zero(code)
-        vals = code.pauli.to_pauli(np.outer(psi, psi.conj())) @ code.pauli.rows
-        assert np.array_equal(vals[:len(code.channel_labels)], np.zeros(len(code.channel_labels)))
+        r = np.broadcast_to(code.pauli.to_pauli(np.outer(psi, psi.conj())), (2, code.dim ** 2))
+        full = qec._FullStep(code.pauli, r, 1.0, 100.0, 1e-5)
+        at, rows = qec._nonzero_read(code.pauli.rows, full.signed)
+        assert len(rows) < len(code.pauli.rows)
+        for vals in (r @ code.pauli.rows, full.signed.take(at, mode="clip") @ rows):
+            assert np.array_equal(vals[:, :n_chan], np.zeros((2, n_chan)))
+
+    @pytest.mark.parametrize("name", ["bitflip3", "fivequbit", "steane7"])
+    def test_nonzero_row_read_matches_dense_product(self, name, request):
+        # on a state stepped off the logical zero by noise, feedback and
+        # measurement, the loop's read leaves out only zero terms
+        code = code_by_name(name, request)
+        frame, n_chan, dt = code.pauli, len(code.channel_labels), 1e-5
+        psi = qec.logical_zero(code)
+        r0 = np.broadcast_to(frame.to_pauli(np.outer(psi, psi.conj())), (3, code.dim ** 2))
+        full = qec._FullStep(frame, r0, 1.0, 100.0, dt)
+        rng = np.random.default_rng(4)
+        at, rows = qec._nonzero_read(frame.rows, full.signed)
+        for _ in range(5):
+            lambdas = rng.choice([-200.0, 200.0], size=(3, n_chan))
+            signal = 20.0 * (full.r @ frame.rows)[:, n_chan:]
+            dQ = signal * dt + rng.standard_normal((3, code.n_generators)) * np.sqrt(dt)
+            full.step(dQ, lambdas, signal)
+        expect = full.r @ frame.rows
+        got = full.signed.take(at, mode="clip") @ rows
+        assert np.max(np.abs(got - expect)) <= 1e-15 * np.max(np.abs(expect))
 
     def test_nonfinite_rate_names_slots_with_truncated_controller(self, five, five_basis):
         with pytest.raises(FloatingPointError,
@@ -515,16 +563,10 @@ class TestTruncatedBasis:
         assert basis.columns.shape == (136,)
         assert peak < 4 << 20, peak
 
-    def test_steane_basis(self):
+    def test_steane_basis(self, steane_build):
         # 64 syndrome spaces and 672 merged commutators on 736 of the 4^7 =
         # 16,384 Pauli columns; on all of them the build peaked near 0.8 GB
-        code = qec.build_code("steane7")
-        tracemalloc.start()
-        try:
-            basis = qec.build_truncated_basis(code)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        basis, peak = steane_build
         assert basis.size == 736
         assert basis.columns.shape == (736,)
         assert basis.verification_residual <= qec._VERIFY_TOL
@@ -589,7 +631,7 @@ class TestTruncatedFilterStep:
         rng = np.random.default_rng(12)
         p = np.stack([basis.initial_state(r) for r in random_states(code.dim, B, rng)])
         lambdas = rng.choice([-150.0, 150.0], size=(B, len(code.channel_labels)))
-        # lambda = 0 columns: the vanishing channels, as _truncated_policy
+        # lambda = 0 columns: the vanishing channels, as _TruncatedStep.policy
         # gives them (bitflip3's Z channels), and two more
         lambdas[:, basis.policy_index < 0] = 0.0
         lambdas[:, [1, -1]] = 0.0
@@ -597,6 +639,26 @@ class TestTruncatedFilterStep:
         out = qec._TruncatedStep(basis, gamma, kappa, dt)(p, dQ, lambdas)
         expect = dense_truncated_step(basis, p, dQ, gamma, kappa, lambdas, dt)
         assert np.max(np.abs(out - expect)) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["fivequbit", "steane7"])
+    def test_compiled_step_follows_dense_generators_over_steps(self, name, five_basis,
+                                                                request):
+        # the diagonal applied elementwise and the off-diagonal drift entries
+        # gathered with the feedback and back-action terms, step after step
+        basis = five_basis if name == "fivequbit" else request.getfixturevalue("steane_build")[0]
+        code = basis.code
+        gamma, kappa, dt, B = 1.3, 40.0, 1e-5, 2
+        rng = np.random.default_rng(21)
+        p = np.stack([basis.initial_state(r) for r in random_states(code.dim, B, rng)])
+        expect = p
+        step, generators = qec._TruncatedStep(basis, gamma, kappa, dt), dense_generators(basis)
+        for _ in range(4):
+            lambdas = step.policy(p, 150.0)
+            dQ = rng.standard_normal((B, code.n_generators)) * np.sqrt(dt)
+            p = step(p, dQ, lambdas)
+            expect = dense_truncated_step(basis, expect, dQ, gamma, kappa, lambdas, dt,
+                                          generators)
+        assert np.max(np.abs(p - expect)) <= 1e-12
 
     def test_degenerate_state_names_its_slots(self, five_basis):
         p = np.zeros((3, 136))
@@ -702,6 +764,19 @@ class TestClosedLoop:
             with pytest.raises(ValueError, match="record_every"):
                 qec.run_feedback_batch(bitflip, 1.0, 100.0, 200.0, T=1e-4, dt=1e-5, seed=0,
                                        n_traj=1, controller="full", record_every=record_every)
+
+    def test_feedback_rotation_preflight(self, bitflip):
+        # 2 |lambda_max| dt < 1 whenever a controller applies feedback;
+        # without one lambda_max is never used
+        basis = qec.build_truncated_basis(bitflip)
+        for controller, lam in (("full", 5e4), ("truncated", 1e8), ("full", -5e4)):
+            with pytest.raises(ValueError, match=r"2 \|lambda_max\| \* dt = .* is outside"
+                                                 r" the range 2 \|lambda_max\| \* dt < 1"):
+                qec.run_feedback_batch(bitflip, 1.0, 100.0, lam, T=1e-4, dt=1e-5, seed=0,
+                                       n_traj=1, controller=controller, basis=basis)
+        out = qec.run_feedback_batch(bitflip, 1.0, 100.0, 1e8, T=1e-4, dt=1e-5, seed=0,
+                                     n_traj=1, controller="none")
+        assert np.all(out["codespace"] <= 1.0)
 
     def test_failure_names_step_time_and_slots(self, bitflip):
         with pytest.raises(FloatingPointError, match=r"slots \[0, 1\], at step 1 \(t = 1e-05\)"):

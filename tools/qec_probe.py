@@ -22,6 +22,11 @@ ten warm-up increments (the first call builds the lazy tables and imports
     code, n, basis_size   the code and its truncated-basis element count
     full_ms, truncated_ms the fastest of those runs' wall time per increment
     policy_agreement      the truncated run's mean policy agreement
+    full_step_ms, truncated_step_ms
+                          each filter's step alone, compiled once and timed
+                          the same way over 200 increments at B = 8 from the
+                          logical zero, with fixed feedback strengths and
+                          signals and drawn record increments
 
 The fastest run is reported because load from other processes only ever
 adds time to a run.
@@ -85,6 +90,7 @@ print(json.dumps(out))
 
 LOOP_CHILD = """
 import json, resource, sys, time
+import numpy as np
 name, limit_mb, extra = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 steps, repeats, batch, dt = 200, 7, 8, 1e-5
 resource.setrlimit(resource.RLIMIT_AS, (limit_mb << 20, limit_mb << 20))
@@ -106,6 +112,27 @@ for controller in ("full", "truncated"):
         times.append((time.perf_counter() - t) / steps)
     out[f"{controller}_ms"] = round(1e3 * min(times), 4)
 out["policy_agreement"] = round(float(res["policy_agreement"].mean()), 4)
+psi = qec.logical_zero(code)
+rho0 = np.outer(psi, psi.conj())
+r0 = np.broadcast_to(code.pauli.to_pauli(rho0), (batch, code.dim ** 2))
+p0 = np.broadcast_to(basis.initial_state(rho0), (batch, basis.size))
+lambdas = np.full((batch, len(code.channel_labels)), 200.0)
+signal = np.zeros((batch, code.n_generators))
+dQ = np.random.default_rng(0).standard_normal((steps, batch, code.n_generators)) * np.sqrt(dt)
+def full_steps():
+    full = qec._FullStep(code.pauli, r0, 1.0, 100.0, dt)
+    t = time.perf_counter()
+    for dq in dQ:
+        full.step(dq, lambdas, signal)
+    return time.perf_counter() - t
+def truncated_steps():
+    step, p = qec._TruncatedStep(basis, 1.0, 100.0, dt), p0.copy()
+    t = time.perf_counter()
+    for dq in dQ:
+        p = step(p, dq, lambdas)
+    return time.perf_counter() - t
+for key, timed in (("full_step_ms", full_steps), ("truncated_step_ms", truncated_steps)):
+    out[key] = round(1e3 * min(timed() for _ in range(repeats)) / steps, 4)
 print(json.dumps(out))
 """
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
