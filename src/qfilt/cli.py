@@ -74,8 +74,7 @@ def write_csv(path: str, header: list, columns: list, manifest_name: str) -> Non
 def _run_kalman_demo(p, seed, workers):
     rec = kalman.brownian_parameter_demo(p["xi_true"], p["T"], p["dt"], seed,
                                          prior_var=p["prior_var"])
-    cols = [rec["t"], np.concatenate([[0.0], rec["dY"][1:]]), rec["x_true"],
-            rec["x_est"], rec["xi_est"],
+    cols = [rec["t"], rec["dY"], rec["x_true"], rec["x_est"], rec["xi_est"],
             rec["P"][:, 0, 0], rec["P"][:, 0, 1], rec["P"][:, 1, 1]]
     return ("kalman_demo.csv", ["time", "dY", "x_true", "x_est", "xi_est", "P00", "P01", "P11"],
             cols, {"final_xi_est": rec["xi_est"][-1],
@@ -151,18 +150,11 @@ def _run_magnetometer_fisher(p, seed, workers):
 def _run_magnetometer_kalman(p, seed, workers):
     params = mag.DoublePassParams(F=p["F"], M=p["M"], K=p["K"], B=p["B_true"])
     record = mag.simulate_double_pass_truth(params, p["T"], p["dt"], seed)
-    model = mag.smallangle_kalman_model(params)
     dt, every = p["dt"], p["store_every"]
-    steps = len(record.dY)
-    A, gain, V = kalman.correlated_covariance_pass(model, np.diag([0.0, p["prior_var"]]),
-                                                   steps, dt)
-    # row i: the estimate after step i + 1
-    x, est = np.zeros(2), np.empty((steps, 2))
-    for i, dz in enumerate(record.dY.tolist()):
-        x = est[i] = kalman.kalman_correlated_step(model, x, dz, A[i], gain[i], dt)
-    kalman.raise_if_nonfinite("Kalman estimate", est, dt)
-    rows = est[every - 1::every]
-    cols = [np.arange(every, steps + 1, every) * dt, rows[:, 0], rows[:, 1], V[every::every, 1, 1]]
+    x, V = kalman.kalman_filter(mag.smallangle_kalman_model(params),
+                                np.diag([0.0, p["prior_var"]]), record.dY, dt)
+    cols = [np.arange(every, len(x), every) * dt, x[every::every, 0], x[every::every, 1],
+            V[every::every, 1, 1]]
     return ("magnetometer_kalman.csv", ["time", "theta_est", "B_est", "B_var"], cols,
             {"final_B_est": cols[2][-1], "final_B_sd": float(np.sqrt(cols[3][-1]))})
 
@@ -638,9 +630,11 @@ def main(argv=None) -> int:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             manifest = run_experiment(args.experiment, params, args.seed, args.workers,
                                       args.out)
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError,
+    except (ValueError, ArithmeticError, MemoryError, np.linalg.LinAlgError,
             est.DegenerateEnsembleError) as e:
-        sys.stderr.write(f"numeric failure in {args.experiment}: {type(e).__name__}: {e}\n")
+        # numpy's allocation failure is a private subclass of MemoryError
+        kind = "MemoryError" if isinstance(e, MemoryError) else type(e).__name__
+        sys.stderr.write(f"numeric failure in {args.experiment}: {kind}: {e}\n")
         return 2
     sys.stdout.write(json.dumps(manifest["summary"], sort_keys=True) + "\n")
     return 0

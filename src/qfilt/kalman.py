@@ -1,22 +1,28 @@
-"""Kalman-Bucy filtering for linear-Gaussian models: the correlated-noise
-filter and the Brownian-forcing parameter demo.
+"""Kalman-Bucy filtering for linear-Gaussian models: one filter for the
+2-state, 1-output models of both Kalman runs, and the Brownian-forcing
+parameter demo.
 
-A ``LinearModel`` is compiled once: its constant entries are converted once,
-and D is checked and inverted once.  A and B may be callables of t, which
-are evaluated over a whole time grid in one call.
+A ``LinearModel`` has one noise vector W driving both the state and the
+observation, dX = A X dt + B dW, dY = C X dt + D dW.  It is compiled once:
+its constant entries are converted once, and R = D D^T is checked and
+inverted once.  A and B may be callables of t, which are evaluated over a
+whole time grid in one call.  Independent state and observation noises are
+the block case B = [B_x, 0], D = [0, D_y].
 
-Both runs solve their Riccati equation by the standard linearization trick:
-write P = X Y^{-1} and integrate the doubled linear system
+The filter's Riccati flow is the standard one with A' = A - B D^T R^{-1} C
+and process noise Q = B B^T - B D^T R^{-1} D B^T, solved by the standard
+linearization trick: write P = X Y^{-1} and integrate the doubled linear
+system
 
-    d/dt [X; Y] = K [X; Y],    K = [[A, B B^T], [C^T (D D^T)^{-1} C, -A^T]].
+    d/dt [X; Y] = K [X; Y],    K = [[A', Q], [C^T R^{-1} C, -A'^T]].
 
 One classical RK4 step of length h with K frozen is the (2n x 2n)
 propagator M = I + hK + (hK)^2/2 + (hK)^3/6 + (hK)^4/24.  The covariance
-does not depend on the record, so each run's whole covariance pass is the
-Moebius map P' = (M11 P + M12)(M21 P + M22)^{-1} of the step Z = [P; I] -> M Z,
-walked before the record loop.  The demo's K is constant, so one M serves
-every step; the correlated-noise flow with time-dependent A and B takes one
-M per step, with K frozen at the step's midpoint.
+does not depend on the record, so the whole covariance pass is the Moebius
+map P' = (M11 P + M12)(M21 P + M22)^{-1} of the step Z = [P; I] -> M Z,
+walked before the record loop.  A constant model takes one M for every
+step; a time-dependent one takes one M per step, with K frozen at the
+step's midpoint.
 """
 
 from __future__ import annotations
@@ -30,9 +36,9 @@ from .sde import SdeSystem, euler_step, rng_stream
 
 __all__ = [
     "LinearModel",
-    "correlated_covariance_pass",
+    "covariance_pass",
     "kalman_correlated_step",
-    "raise_if_nonfinite",
+    "kalman_filter",
     "brownian_parameter_demo",
 ]
 
@@ -47,11 +53,12 @@ def _constant(entry) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearModel:
-    """dX = A X dt + B dW,  dY = C X dt + D dV.
+    """dX = A X dt + B dW,  dY = C X dt + D dW, with one noise vector W.
 
     A and B may be constant arrays or callables of t returning arrays, a
-    stack of them over an array t.  C and D are constant, and D must be
-    invertible (condition number < 1e12).
+    stack of them over an array t.  C and D are constant, and D must have
+    full row rank (condition number < 1e12), so that R = D D^T is
+    invertible.
     """
 
     A: object
@@ -61,26 +68,23 @@ class LinearModel:
 
     @cached_property
     def _compiled(self) -> tuple:
-        """(A, B, C, D, D^{-1}) with each constant entry a read-only 2-d
+        """(A, B, C, D, R^{-1}) with each constant entry a read-only 2-d
         array, built on first use; callable A and B are kept.  Raises
         ValueError if D is singular."""
         A, B = (e if callable(e) else _constant(e) for e in (self.A, self.B))
         C, D = _constant(self.C), _constant(self.D)
         if np.linalg.cond(D) > _D_CONDITION_LIMIT:
             raise ValueError("singular observation matrix D")
-        return A, B, C, D, _constant(np.linalg.inv(D))
+        return A, B, C, D, _constant(np.linalg.inv(D @ D.T))
 
     def at(self, t) -> tuple:
-        """(A, B, C, D, D^{-1}) at t, a float or an array of times."""
-        A, B, C, D, Dinv = self._compiled
+        """(A, B, C, D, R^{-1}) at t, a float or an array of times."""
+        A, B, C, D, Rinv = self._compiled
         A, B = [np.asarray(e(t), dtype=float) if callable(e) else e for e in (A, B)]
-        return A, B, C, D, Dinv
-
-    def matrices(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return self.at(t)[:4]
+        return A, B, C, D, Rinv
 
 
-def raise_if_nonfinite(what: str, rows, dt: float) -> None:
+def _raise_if_nonfinite(what: str, rows, dt: float) -> None:
     """Raise FloatingPointError naming the first step, and its end time, whose
     row of ``rows`` is not finite; row i holds the state after step i + 1."""
     finite = np.isfinite(rows)
@@ -90,10 +94,10 @@ def raise_if_nonfinite(what: str, rows, dt: float) -> None:
         raise FloatingPointError(f"non-finite {what} at step {step} (t = {step * dt:g})")
 
 
-def _doubled_propagator(A, B, C, D, h: float) -> np.ndarray:
+def _doubled_propagator(A, Q, S, h: float) -> np.ndarray:
     """The classical RK4 step Z -> M Z of length h for the doubled linear
-    system d/dt [X; Y] = K [X; Y], K = [[A, B B^T], [C^T (D D^T)^{-1} C, -A^T]]:
-    M = I + hK + (hK)^2/2 + (hK)^3/6 + (hK)^4/24 = R(hK).  Stacks of A and B
+    system d/dt [X; Y] = K [X; Y], K = [[A, Q], [S, -A^T]]:
+    M = I + hK + (hK)^2/2 + (hK)^3/6 + (hK)^4/24 = R(hK).  Stacks of A and Q
     (leading axis: steps) give the stack of per-step M.
 
     Raises ValueError, naming h, unless each M contracts every decaying mode
@@ -102,11 +106,10 @@ def _doubled_propagator(A, B, C, D, h: float) -> np.ndarray:
     neutral, since a defective zero eigenvalue is computed only to about
     sqrt(eps).
     """
-    gain = C.T @ np.linalg.inv(D @ D.T) @ C
     n = A.shape[-1]
     hK = np.empty(A.shape[:-2] + (2 * n, 2 * n))
     hK[..., :n, :n], hK[..., n:, n:] = A, -np.swapaxes(A, -1, -2)
-    hK[..., :n, n:], hK[..., n:, :n] = B @ np.swapaxes(B, -1, -2), gain
+    hK[..., :n, n:], hK[..., n:, :n] = Q, S
     hK *= h
     z = np.linalg.eigvals(hK)
     z = z[z.real < -1e-6 * np.abs(z).max(axis=-1, keepdims=True)]
@@ -118,13 +121,14 @@ def _doubled_propagator(A, B, C, D, h: float) -> np.ndarray:
     return np.eye(2 * n) + hK + hK2 / 2.0 + hK2 @ hK / 6.0 + hK2 @ hK2 / 24.0
 
 
-# Matrices of the Brownian-forcing parameter estimation model: the augmented
-# state is [position x, forcing parameter xi].
+# The Brownian-forcing parameter estimation model: the augmented state is
+# [position x, forcing parameter xi], and W = (dW, dV) holds the forcing
+# noise of x and the observation noise.
 PARAMETER_MODEL = LinearModel(
     A=np.array([[0.0, 1.0], [0.0, 0.0]]),
-    B=np.array([[1.0], [0.0]]),
+    B=np.array([[1.0, 0.0], [0.0, 0.0]]),
     C=np.array([[1.0, 0.0]]),
-    D=np.array([[1.0]]),
+    D=np.array([[0.0, 1.0]]),
 )
 
 
@@ -138,9 +142,7 @@ def _covariance_pass(M: np.ndarray, P0: np.ndarray, steps: int, h: float) -> np.
     Raises np.linalg.LinAlgError naming the step and t where Y = M21 P + M22
     turns singular, and FloatingPointError at the first non-finite P.
     """
-    Ms = M.reshape(-1, 16).tolist()
-    if len(Ms) == 1:  # one M serves every step
-        Ms *= steps
+    Ms = M.reshape(-1, 16).tolist() * (steps if M.ndim == 2 else 1)  # one M serves every step
     (p00, p01), (p10, p11) = P0.tolist()
     rows = [(p00, p01, p10, p11)]
     for k, (m00, m01, m02, m03, m10, m11, m12, m13,
@@ -160,84 +162,94 @@ def _covariance_pass(M: np.ndarray, P0: np.ndarray, steps: int, h: float) -> np.
         sym = 0.5 * (p01 + p10)
         rows.append((p00, sym, sym, p11))
     P = np.array(rows).reshape(steps + 1, 2, 2)
-    raise_if_nonfinite("covariance", P[1:], h)
+    _raise_if_nonfinite("covariance", P[1:], h)
     return P
 
 
-def correlated_covariance_pass(model: LinearModel, V0: np.ndarray, steps: int,
-                               dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Covariance pass of the Kalman filter for a 2-state model in which one
-    white noise drives both the system and the observation:
-    dX = A X dt + B dW, dZ = C X dt + D dW, with D square.
-
-    The flow Vdot = A V + V A^T + B B^T - G G^T, G = B + V C^T D^{-T}, is
-    the standard one with A' = A - B D^{-1} C and no process noise, so it
-    runs through the doubled-system propagator with K frozen at each step's
-    midpoint t + dt/2.  Returns, for steps 0 .. steps - 1, A and the gain G
-    at the step's start t = k dt, and the covariances V_0 .. V_steps.
-    Raises as ``_doubled_propagator`` and ``_covariance_pass`` do.
+def covariance_pass(model: LinearModel, V0: np.ndarray, steps: int,
+                    dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Covariance pass of the Kalman-Bucy filter for a 2-state, 1-output
+    model: the Riccati flow of A' = A - B D^T R^{-1} C with process noise
+    Q = B B^T - B D^T R^{-1} D B^T through the doubled-system propagator,
+    one for a constant model, else one per step with K frozen at the step's
+    midpoint t + dt/2.  Returns A and the gain G = (V C^T + B D^T) R^{-1}
+    at each step's start t = k dt (A is a single matrix for a constant
+    model), and the covariances V_0 .. V_steps.  Raises as
+    ``_doubled_propagator`` and ``_covariance_pass`` do.
     """
-    # even entries are the step starts, odd ones the midpoints
-    A, B, C, D, Dinv = model.at(np.arange(2 * steps) * (dt / 2.0))
-    A, B = (np.broadcast_to(e, (2 * steps,) + e.shape[-2:]) for e in (A, B))
-    mid = A[1::2] - B[1::2] @ Dinv @ C
-    V = _covariance_pass(_doubled_propagator(mid, np.zeros_like(B[1::2]), C, D, dt),
-                         V0, steps, dt)
-    return A[::2], B[::2] + V[:-1] @ (Dinv @ C).T, V
+    A, B, C, D, Rinv = model.at(np.arange(2 * steps) * (dt / 2.0))
+    mid = A, B
+    if A.ndim > 2 or B.ndim > 2:
+        # even entries are the step starts, odd ones the midpoints
+        A, B = (np.broadcast_to(e, (2 * steps,) + e.shape[-2:]) for e in (A, B))
+        (A, B), mid = (A[::2], B[::2]), (A[1::2], B[1::2])
+    Am, Bm = mid
+    BmT, BDR = np.swapaxes(Bm, -1, -2), Bm @ D.T @ Rinv
+    M = _doubled_propagator(Am - BDR @ C, Bm @ BmT - BDR @ D @ BmT, C.T @ Rinv @ C, dt)
+    V = _covariance_pass(M, V0, steps, dt)
+    return A, (V[:-1] @ C.T + B @ D.T) @ Rinv, V
 
 
-def kalman_correlated_step(model: LinearModel, x: np.ndarray, dz, A: np.ndarray,
-                           gain: np.ndarray, dt: float) -> np.ndarray:
-    """Estimate step of the correlated-noise Kalman filter:
-    dXtilde = A Xtilde dt + G dWtilde with innovations
-    dWtilde = D^{-1}(dZ - C Xtilde dt), where A and the gain G at the step's
-    start come from ``correlated_covariance_pass``."""
-    _, _, C, _, Dinv = model._compiled
-    return x + A @ x * dt + gain @ (Dinv @ (dz - C @ x * dt))
+def kalman_correlated_step(x: tuple, dy: float, a: list, g: list, c: list,
+                           dt: float) -> tuple:
+    """Estimate step x' = x + A x dt + G (dy - C x dt) of the 2-state,
+    1-output filter on Python floats: x = (x0, x1), A = ((a0, a1), (a2, a3))
+    and the gain G = (g0, g1) at the step's start, C = (c0, c1)."""
+    (x0, x1), (a0, a1, a2, a3), (g0, g1), (c0, c1) = x, a, g, c
+    innovation = dy - (c0 * x0 + c1 * x1) * dt
+    return (x0 + (a0 * x0 + a1 * x1) * dt + g0 * innovation,
+            x1 + (a2 * x0 + a3 * x1) * dt + g1 * innovation)
+
+
+def kalman_filter(model: LinearModel, V0: np.ndarray, dY: np.ndarray,
+                  dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Kalman-Bucy filter of a 2-state, 1-output model over the increments
+    dY (steps,), from the estimate 0 with covariance V0: ``covariance_pass``,
+    then one ``kalman_correlated_step`` per increment.  Returns the
+    estimates (steps + 1, 2) and covariances (steps + 1, 2, 2); row i holds
+    the state after step i.  Raises as ``covariance_pass`` does, then
+    FloatingPointError at the first non-finite estimate.
+    """
+    steps = len(dY)
+    A, G, V = covariance_pass(model, V0, steps, dt)
+    As = A.reshape(-1, 4).tolist() * (steps if A.ndim == 2 else 1)  # one A serves every step
+    c, rows = model._compiled[2].ravel().tolist(), [(0.0, 0.0)]
+    for dy, a, g in zip(dY.tolist(), As, G.reshape(steps, 2).tolist()):
+        rows.append(kalman_correlated_step(rows[-1], dy, a, g, c, dt))
+    X = np.array(rows)
+    _raise_if_nonfinite("estimate", X[1:], dt)
+    return X, V
 
 
 def brownian_parameter_demo(xi_true: float, T: float, dt: float, seed,
-                            prior_var: float = 1e5,
-                            noise_scale: float = 1.0) -> dict[str, np.ndarray]:
+                            prior_var: float = 1e5) -> dict[str, np.ndarray]:
     """Estimate the forcing parameter of a Brownian particle.
 
-    Truth is simulated by euler_step on dx = xi dt + dW; measurements
-    dy = x dt + dV feed the Kalman estimate recursion.  Large initial
-    parameter uncertainty makes the Riccati flow stiff for explicit Euler,
-    so the covariance is propagated through the doubled linear system by the
-    RK4 propagator, with P0 = diag(0, prior_var), in one pass before the
-    record loop (it does not depend on the record).  The noise is drawn as
-    one (steps, 2) array of (dW, dV) pairs, and the estimate is updated on
-    scalars.  Returns a record with keys 't', 'dY', 'x_true', 'x_est',
-    'xi_est', 'P' (stacked covariances).  Raises ValueError, naming dt,
-    before the pass if RK4 at dt does not contract every decaying mode of
-    the doubled system (``_doubled_propagator``), then FloatingPointError at
-    the first non-finite covariance, truth or estimate, and LinAlgError
-    where the covariance pass meets a singular Y, each naming its step and
-    t.
+    Truth is simulated by euler_step on dx = xi dt + dW, with measurements
+    dy = x dt + dV; the noise is drawn as one (steps, 2) array of (dW, dV)
+    pairs, the two components of PARAMETER_MODEL's W.  The record then runs
+    through ``kalman_filter`` with P0 = diag(0, prior_var).  Returns a
+    record with keys 't', 'dY', 'x_true', 'x_est', 'xi_est', 'P' (stacked
+    covariances).  Raises FloatingPointError at the first non-finite truth,
+    then as ``kalman_filter`` does: ValueError, naming dt, if RK4 at dt
+    does not contract every decaying mode of the doubled system,
+    FloatingPointError at the first non-finite covariance or estimate, and
+    LinAlgError where the covariance pass meets a singular Y, each naming
+    its step and t.
     """
     drift, diffusion = np.array([xi_true]), np.array([1.0])
     truth_sys = SdeSystem(state_dim=1, noise_dim=1, drift=lambda t, x: drift,
                           diffusion=lambda t, x, j: diffusion)
-    steps = int(round(T / dt))
-    P = _covariance_pass(_doubled_propagator(*PARAMETER_MODEL.matrices(0.0), dt),
-                         np.diag([0.0, prior_var]), steps, dt)
-    noise = noise_scale * rng_stream(seed).standard_normal((steps, 2)) * np.sqrt(dt)
-    # with A = [[0, 1], [0, 0]] and C = [1, 0] the estimate update
-    # pi' = pi + A pi dt + P C^T (dy - C pi dt) reads off the first column of P
-    x, x_est, xi_est = np.zeros(1), 0.0, 0.0
-    out = []
+    noise = rng_stream(seed).standard_normal((int(round(T / dt)), 2)) * np.sqrt(dt)
+    x, out = np.zeros(1), [(0.0, 0.0)]
     try:
-        for i, ((dW, dV), (g0, g1)) in enumerate(zip(noise.tolist(), P[:-1, :, 0].tolist())):
+        for i, (dW, dV) in enumerate(noise.tolist()):
             dy = x[0] * dt + dV
             x = euler_step(truth_sys, x, i * dt, dt, np.array([dW]))
-            innovation = dy - x_est * dt
-            x_est, xi_est = x_est + xi_est * dt + g0 * innovation, xi_est + g1 * innovation
-            out.append((dy, x[0], x_est, xi_est))
+            out.append((dy, x[0]))
     except FloatingPointError as e:
         raise FloatingPointError(f"{e} at step {i + 1} (t = {(i + 1) * dt:g})") from None
-    cols = np.zeros((4, steps + 1))
-    cols[:, 1:] = np.array(out).reshape(steps, 4).T
-    raise_if_nonfinite("estimate", cols[2:, 1:].T, dt)
-    return {"t": np.arange(steps + 1) * dt, "dY": cols[0], "x_true": cols[1],
-            "x_est": cols[2], "xi_est": cols[3], "P": P}
+    dY, x_true = np.array(out).T
+    X, P = kalman_filter(PARAMETER_MODEL, np.diag([0.0, prior_var]), dY[1:], dt)
+    return {"t": np.arange(len(dY)) * dt, "dY": dY, "x_true": x_true,
+            "x_est": X[:, 0], "xi_est": X[:, 1], "P": P}

@@ -181,8 +181,8 @@ def cramer_rao_bound(info: float) -> float:
 
 def smallangle_kalman_model(params: DoublePassParams) -> LinearModel:
     """Linear model for X = [theta, B] in the small-angle regime; system and
-    observation share one white noise, so use it with the correlated-noise
-    Kalman filter.  A and B take a float t or an array of times.  K enters
+    observation share one white noise (D = 1), and ``kalman.kalman_filter``
+    runs it.  A and B take a float t or an array of times.  K enters
     the variance flow A V + V A^T + B B^T - (B + V C^T)(B + V C^T)^T only
     through 2 F sqrt(KM) in A and -sqrt(K) in B, and the two cancel: the
     variances do not depend on K."""

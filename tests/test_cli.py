@@ -240,6 +240,23 @@ class TestRun:
         assert np.all(data["B_var"] > 0) and np.all(np.isfinite(data["B_var"]))
         assert np.all(np.isfinite(data["B_est"]))
 
+    class _ArrayMemoryError(MemoryError):
+        """Stands in for numpy's private MemoryError subclass."""
+
+    @pytest.mark.parametrize("error", [MemoryError, _ArrayMemoryError])
+    def test_memory_error_is_a_numeric_failure(self, tmp_path, monkeypatch, capsys, error):
+        # a double-pass truth at F = 1e6 asks for a (2F+1)^2 array of 29.1 TiB;
+        # the allocation is stubbed, not attempted
+        def allocate(*args):
+            raise error("Unable to allocate 29.1 TiB for an array with shape (2000001, 2000001)")
+
+        monkeypatch.setattr(cli.mag, "simulate_double_pass_truth", allocate)
+        out = os.path.join(tmp_path, "mk")
+        assert cli.main(["run", "magnetometer-kalman", "--set", "F=1e6", "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "numeric failure in magnetometer-kalman: MemoryError: Unable to allocate 29.1 TiB"
+            " for an array with shape (2000001, 2000001)\n")
+
     @pytest.mark.parametrize("experiment,key", [
         # _between, _floats and plain-float keys
         ("collective-squeeze", "Gamma"), ("particle-filter", "a"),

@@ -33,37 +33,40 @@ class TestKalmanStep:
         model = kalman.LinearModel(A=np.zeros((2, 2)), B=np.ones((2, 1)),
                                    C=np.ones((1, 2)), D=np.zeros((1, 1)))
         with pytest.raises(ValueError, match="singular observation matrix D"):
-            kalman.correlated_covariance_pass(model, np.eye(2), 3, 1e-3)
+            kalman.covariance_pass(model, np.eye(2), 3, 1e-3)
 
     def test_correlated_step_is_the_estimate_update(self):
-        model = kalman.LinearModel(A=np.zeros((2, 2)), B=np.ones((2, 1)),
-                                   C=np.array([[2.0, 0.5]]), D=4.0 * np.eye(1))
-        A, G, x = np.array([[0.2, 1.0], [0.0, -0.3]]), np.array([[0.5], [1.5]]), np.array([0.3, -1.0])
-        out = kalman.kalman_correlated_step(model, x, 0.01, A, G, 1e-3)
-        innovation = (0.01 - (2.0 * 0.3 - 0.5) * 1e-3) / 4.0
-        assert np.allclose(out, x + A @ x * 1e-3 + G[:, 0] * innovation, rtol=0, atol=1e-15)
+        A, G, x = np.array([[0.2, 1.0], [0.0, -0.3]]), np.array([0.5, 1.5]), np.array([0.3, -1.0])
+        out = kalman.kalman_correlated_step(tuple(x.tolist()), 0.01, A.ravel().tolist(),
+                                            G.tolist(), [2.0, 0.5], 1e-3)
+        innovation = 0.01 - (2.0 * 0.3 - 0.5) * 1e-3
+        assert np.allclose(out, x + A @ x * 1e-3 + G * innovation, rtol=0, atol=1e-15)
 
     def test_constant_entries_compiled_once(self):
         model = kalman.LinearModel(A=np.zeros((2, 2)), B=np.ones((2, 1)),
                                    C=np.ones((1, 2)), D=2.0 * np.eye(1))
-        A, B, C, D, Dinv = model.at(0.0)
+        A, B, C, D, Rinv = model.at(0.0)
         again = model.at(1.0)
-        assert all(x is y for x, y in zip((A, B, C, D, Dinv), again))
-        assert np.array_equal(Dinv, [[0.5]]) and not Dinv.flags.writeable
+        assert all(x is y for x, y in zip((A, B, C, D, Rinv), again))
+        assert np.array_equal(Rinv, [[0.25]]) and not Rinv.flags.writeable
 
 
 class TestBrownianParameterDemo:
     def test_model_matrices(self):
-        A, B, C, D = kalman.PARAMETER_MODEL.matrices(0.0)
+        # one noise W = (dW, dV): its first component forces x, its second
+        # is the observation noise
+        A, B, C, D = kalman.PARAMETER_MODEL.at(0.0)[:4]
         assert np.array_equal(A, [[0.0, 1.0], [0.0, 0.0]])
-        assert np.array_equal(B, [[1.0], [0.0]])
+        assert np.array_equal(B, [[1.0, 0.0], [0.0, 0.0]])
         assert np.array_equal(C, [[1.0, 0.0]])
-        assert np.array_equal(D, [[1.0]])
+        assert np.array_equal(D, [[0.0, 1.0]])
 
     def test_zero_noise_zero_parameter(self):
-        rec = kalman.brownian_parameter_demo(0.0, 1.0, 1e-3, seed=0, noise_scale=0.0)
-        assert np.max(np.abs(rec["xi_est"])) == 0.0
-        assert np.max(np.abs(rec["x_est"])) == 0.0
+        # the record of xi = 0 with no noise is dY = 0
+        X, _ = kalman.kalman_filter(kalman.PARAMETER_MODEL, np.diag([0.0, 1e5]),
+                                    np.zeros(1000), 1e-3)
+        assert np.max(np.abs(X[:, 1])) == 0.0
+        assert np.max(np.abs(X[:, 0])) == 0.0
 
     def test_covariance_record_independent(self):
         a = kalman.brownian_parameter_demo(1.0, 1.0, 1e-3, seed=1)
@@ -88,11 +91,10 @@ class TestBrownianParameterDemo:
         assert abs(corr) < 5.0 / np.sqrt(len(innov))
 
 
-def _doubled_rk4(A, B, C, D):
-    """The former per-step RK4 of the doubled system, as a closure over its
-    stage evaluations."""
-    gain = C.T @ np.linalg.inv(D @ D.T) @ C
-    block = np.block([[A, B @ B.T], [gain, -A.T]])
+def _doubled_rk4(A, Q, S):
+    """The former per-step RK4 of the doubled system K = [[A, Q], [S, -A^T]],
+    as a closure over its stage evaluations."""
+    block = np.block([[A, Q], [S, -A.T]])
 
     def step(Z, h):
         k1 = block @ Z
@@ -104,14 +106,22 @@ def _doubled_rk4(A, B, C, D):
     return step
 
 
-def reference_demo(xi_true, T, dt, seed, prior_var=1e5, noise_scale=1.0):
+def _parameter_doubled_rk4():
+    """A, C and the doubled-system RK4 of PARAMETER_MODEL, whose state and
+    observation noises are independent (B D^T = 0): K = [[A, B B^T],
+    [C^T (D D^T)^{-1} C, -A^T]]."""
+    A, B, C, D = kalman.PARAMETER_MODEL.at(0.0)[:4]
+    Q, S = B @ B.T, C.T @ np.linalg.inv(D @ D.T) @ C
+    return A, C, Q, S, _doubled_rk4(A, Q, S)
+
+
+def reference_demo(xi_true, T, dt, seed, prior_var=1e5):
     """The former demo: one RK4 step of the doubled system, renormalized to
     [P; I], and a vector estimate update inside the record loop, with the
     noise drawn one pair at a time."""
     truth_sys = SdeSystem(state_dim=1, noise_dim=1, drift=lambda t, x: np.array([xi_true]),
                           diffusion=lambda t, x, j: np.array([1.0]))
-    A, B, C, D = kalman.PARAMETER_MODEL.matrices(0.0)
-    rk4 = _doubled_rk4(A, B, C, D)
+    A, C, _, _, rk4 = _parameter_doubled_rk4()
     rng = rng_stream(seed)
     steps = int(round(T / dt))
     rec = {key: np.zeros(steps + 1) for key in ("dY", "x_true", "x_est", "xi_est")}
@@ -121,8 +131,8 @@ def reference_demo(xi_true, T, dt, seed, prior_var=1e5, noise_scale=1.0):
     pi, x, sqdt = np.zeros(2), np.zeros(1), np.sqrt(dt)
     for i in range(steps):
         P = rec["P"][i]
-        dW = noise_scale * rng.standard_normal() * sqdt
-        dV = noise_scale * rng.standard_normal() * sqdt
+        dW = rng.standard_normal() * sqdt
+        dV = rng.standard_normal() * sqdt
         dy = x[0] * dt + dV
         x = euler_step(truth_sys, x, i * dt, dt, np.array([dW]))
         innovation = dy - (C @ pi)[0] * dt
@@ -147,20 +157,20 @@ class TestCovariancePass:
             assert np.max(np.abs(new[key] - ref[key])) < 1e-10, key
 
     def test_propagator_is_one_rk4_step(self):
-        A, B, C, D = kalman.PARAMETER_MODEL.matrices(0.0)
+        A, _, Q, S, rk4 = _parameter_doubled_rk4()
         Z = np.vstack([np.array([[0.3, 0.1], [0.1, 2.0]]), np.eye(2)])
         for h in (1e-3, 0.1):
-            M = kalman._doubled_propagator(A, B, C, D, h)
-            assert np.max(np.abs(M @ Z - _doubled_rk4(A, B, C, D)(Z, h))) < 1e-14
+            M = kalman._doubled_propagator(A, Q, S, h)
+            assert np.max(np.abs(M @ Z - rk4(Z, h))) < 1e-14
 
 
 def _batch_estimates(xi_true, T, dt, n_seeds, prior_var=1e5):
     """Vectorized replica of the demo's estimate recursion across seeds,
     sharing the record-independent covariance trace."""
-    P_trace = kalman.brownian_parameter_demo(
-        xi_true, T, dt, seed=0, noise_scale=0.0)["P"]
-    A, B, C, D = kalman.PARAMETER_MODEL.matrices(0.0)
     steps = int(round(T / dt))
+    _, _, P_trace = kalman.covariance_pass(kalman.PARAMETER_MODEL, np.diag([0.0, prior_var]),
+                                           steps, dt)
+    A, _, C = kalman.PARAMETER_MODEL.at(0.0)[:3]
     rngs = rng_stream(77)
     dWs = rngs.standard_normal((n_seeds, steps)) * np.sqrt(dt)
     dVs = rngs.standard_normal((n_seeds, steps)) * np.sqrt(dt)
@@ -179,7 +189,7 @@ class TestPosteriorConsistency:
     def test_batch_matches_demo_single_seed(self):
         # the vectorized harness reproduces the module path step for step
         rec = kalman.brownian_parameter_demo(1.0, 0.5, 1e-3, seed=123)
-        A, B, C, D = kalman.PARAMETER_MODEL.matrices(0.0)
+        A, _, C = kalman.PARAMETER_MODEL.at(0.0)[:3]
         steps = int(round(0.5 / 1e-3))
         pi = np.zeros(2)
         for i in range(steps):
@@ -197,13 +207,13 @@ class TestPosteriorConsistency:
 
 
 def _riccati_rk4(model, V0, T, h):
-    """Staged classical RK4 of the correlated-noise flow
-    Vdot = A V + V A^T + B B^T - (B + V C^T)(B + V C^T)^T (D = 1), with A and
-    B evaluated at each stage's time; V_0 .. V_steps."""
+    """Staged classical RK4 of the joint-noise flow
+    Vdot = A V + V A^T + B B^T - G R G^T, G = (V C^T + B D^T) R^{-1}, with A
+    and B evaluated at each stage's time; V_0 .. V_steps."""
     def rhs(t, V):
-        A, B, C, _ = model.matrices(t)
-        G = B + V @ C.T
-        return A @ V + V @ A.T + B @ B.T - G @ G.T
+        A, B, C, D, Rinv = model.at(t)
+        G = V @ C.T + B @ D.T
+        return A @ V + V @ A.T + B @ B.T - G @ Rinv @ G.T
 
     V, out = V0, [V0]
     for k in range(int(round(T / h))):
@@ -223,13 +233,13 @@ class TestCorrelatedNoiseKalman:
         p = mag.DoublePassParams(F=10.0, M=1.0, K=0.0)
         model = mag.smallangle_kalman_model(p)
         V0 = np.diag([0.0, 10.0])
-        A, G, V = kalman.correlated_covariance_pass(model, V0, 1000, 1e-4)
+        A, G, V = kalman.covariance_pass(model, V0, 1000, 1e-4)
         ref = _riccati_rk4(model, V0, 0.1, 1e-5)[::10]
         assert np.all(np.abs(V[1:, 1, 1] - ref[1:, 1, 1]) <= 1e-5 * ref[1:, 1, 1])
         assert np.max(np.abs(V - ref)) <= 1e-5 * np.max(np.abs(ref))
         # A and the gain B + V C^T are those at each step's start
         t = np.arange(1000) * 1e-4
-        At, Bt, C, _ = model.matrices(t)
+        At, Bt, C = model.at(t)[:3]
         assert np.array_equal(A, At)
         assert np.allclose(G, Bt + V[:-1] @ C.T, rtol=1e-14, atol=0)
 
@@ -237,7 +247,7 @@ class TestCorrelatedNoiseKalman:
     def test_large_prior_keeps_the_variance_positive(self, prior_var):
         # the former Euler step drove V negative at prior_var = 1e8
         model = mag.smallangle_kalman_model(mag.DoublePassParams(F=10.0, M=1.0, K=0.0))
-        _, G, V = kalman.correlated_covariance_pass(model, np.diag([0.0, prior_var]), 100, 1e-4)
+        _, G, V = kalman.covariance_pass(model, np.diag([0.0, prior_var]), 100, 1e-4)
         assert np.all(np.isfinite(G)) and np.all(np.isfinite(V))
         assert np.all(V[1:, 1, 1] > 0) and np.all(np.linalg.eigvalsh(V[1:]) > -1e-9 * V[1:, 1, 1, None])
 
@@ -246,4 +256,36 @@ class TestCorrelatedNoiseKalman:
         model = kalman.LinearModel(A=np.diag([-1e5 + 2.0, 0.0]), B=np.array([[1.0], [0.0]]),
                                    C=np.array([[2.0, 0.0]]), D=np.eye(1))
         with pytest.raises(ValueError, match=r"dt = 0\.0001 is outside the RK4 stability range"):
-            kalman.correlated_covariance_pass(model, np.diag([0.0, 10.0]), 10, 1e-4)
+            kalman.covariance_pass(model, np.diag([0.0, 10.0]), 10, 1e-4)
+
+    def test_joint_noise_pass_matches_fine_rk4_reference(self):
+        # a constant model whose noise drives both rows (B D^T != 0), with R != 1
+        model = kalman.LinearModel(A=np.array([[-0.5, 1.0], [0.0, -0.2]]),
+                                   B=np.array([[1.0, 0.3], [0.2, 0.5]]),
+                                   C=np.array([[1.0, 0.4]]), D=np.array([[0.5, 2.0]]))
+        V0 = np.diag([0.1, 2.0])
+        A, G, V = kalman.covariance_pass(model, V0, 1000, 1e-3)
+        ref = _riccati_rk4(model, V0, 1.0, 1e-4)[::10]
+        assert np.max(np.abs(V - ref)) <= 1e-9 * np.max(np.abs(ref))
+        # one propagator and one A for every step, and the gain at each start
+        _, B, C, D, Rinv = model.at(0.0)
+        assert A is model.at(0.0)[0]
+        assert np.allclose(G, (V[:-1] @ C.T + B @ D.T) @ Rinv, rtol=1e-14, atol=0)
+
+    def test_filter_matches_the_former_numpy_recursion(self):
+        # the float estimate loop against the former vector recursion
+        # x + A x dt + G D^{-1} (dz - C x dt), A and G read off the pass
+        p = mag.DoublePassParams(F=10.0, M=1.0, K=0.1, B=0.5)
+        model = mag.smallangle_kalman_model(p)
+        dY = mag.simulate_double_pass_truth(p, 0.1, 1e-4, seed=5).dY
+        V0 = np.diag([0.0, 10.0])
+        X, _ = kalman.kalman_filter(model, V0, dY, 1e-4)
+        A, G, _ = kalman.covariance_pass(model, V0, len(dY), 1e-4)
+        _, _, C, D, _ = model.at(0.0)
+        x, ref = np.zeros(2), [np.zeros(2)]
+        for i, dz in enumerate(dY):
+            x = x + A[i] @ x * 1e-4 + G[i] @ (np.linalg.inv(D) @ (dz - C @ x * 1e-4))
+            ref.append(x)
+        ref = np.array(ref)
+        assert len(dY) == 1000 and X.shape == ref.shape
+        assert np.all(np.abs(X - ref) <= 1e-12 * np.abs(ref).max(axis=0))

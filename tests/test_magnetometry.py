@@ -253,7 +253,7 @@ class TestSmallAngleKalman:
     def test_model_matrices(self):
         p = mag.DoublePassParams(F=4.0, M=1.5, K=0.09, B=0.0)
         model = mag.smallangle_kalman_model(p)
-        A, B, C, D = model.matrices(0.7)
+        A, B, C, D = model.at(0.7)[:4]
         F, M, K = p.F, p.M, p.K
         u = 1.0 + 2.0 * F * M * 0.7
         assert np.allclose(A, [[2 * F * np.sqrt(K * M) - M / (2 * u * u), 1.0],
@@ -266,10 +266,10 @@ class TestSmallAngleKalman:
         # A and B over an array of times are the stack of their values at each t
         model = mag.smallangle_kalman_model(mag.DoublePassParams(F=4.0, M=1.5, K=0.09))
         t = np.array([0.0, 0.3, 0.7])
-        A, B, C, D = model.matrices(t)
+        A, B, C, D = model.at(t)[:4]
         assert A.shape == (3, 2, 2) and B.shape == (3, 2, 1)
         for i, ti in enumerate(t):
-            Ai, Bi, Ci, Di = model.matrices(ti)
+            Ai, Bi, Ci, Di = model.at(ti)[:4]
             assert np.array_equal(A[i], Ai) and np.array_equal(B[i], Bi)
             assert Ci is C and Di is D
 
@@ -277,7 +277,7 @@ class TestSmallAngleKalman:
         p = mag.DoublePassParams(F=5.0, M=1.0, K=0.1)
         model = mag.smallangle_kalman_model(p)
         V = np.array([[0.3, 0.1], [0.1, 2.0]])
-        A, B, C, D = model.matrices(0.7)
+        A, B, C, D = model.at(0.7)[:4]
         G = B + V @ C.T
         riccati = A @ V + V @ A.T + B @ B.T - G @ G.T
         assert np.max(np.abs(riccati - paper_variance_rhs(p, V, 0.7))) < 1e-12

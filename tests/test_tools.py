@@ -1,7 +1,9 @@
 import importlib
 import importlib.util
 import inspect
+import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -47,6 +49,18 @@ class TestBenchmarkPins:
             "run_feedback_batch"])
     def test_positional_calls_bind(self, fn, args, kwargs):
         inspect.signature(fn).bind(*args, **kwargs)
+
+    def test_small_state_reaches_every_pinned_function(self, tmp_path):
+        # one traced small-state repetition, run the way the benchmark runs it
+        env = dict(os.environ, PYTHONPATH=os.path.join(_ROOT, "src"))
+        proc = subprocess.run(
+            [sys.executable, os.path.join(_ROOT, "perfbench", "worker.py"), "rep",
+             "--workload", "small-state", "--seed", "1", "--out", str(tmp_path), "--trace"],
+            env=env, capture_output=True, text=True, check=True)
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        calls = dict(zip(workloads.TRACED, result["trace"]["calls"]))
+        assert [n for n in workloads.WORKLOADS["small-state"].expected if not calls[n]] == []
+        assert result["problems"] == {}
 
 
 def run(steps_per_s, correct=True, failed=0, job_best_s=None):
