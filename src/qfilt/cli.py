@@ -140,8 +140,9 @@ def _run_magnetometer_fisher(p, seed, workers):
     rows = []
     for (F, K, *_), infos in zip(points, _parallel_map(_fisher_point, points, workers)):
         mean, std = infos.mean(), (infos.std(ddof=1) if len(infos) > 1 else 0.0)
+        # bound = I^{-1/2} / 2 spreads to first order by I^{-3/2} std / 4
         rows.append((F, K, mean, std, mag.cramer_rao_bound(mean),
-                     mean ** -1.5 * std / 2.0))
+                     mean ** -1.5 * std / 4.0))
     cols = list(map(np.array, zip(*rows)))
     return ("fisher_sweep.csv", ["F", "K", "info_mean", "info_std", "bound", "bound_sigma"],
             cols, {"rows": len(rows)})
@@ -159,19 +160,19 @@ def _run_magnetometer_kalman(p, seed, workers):
             {"final_B_est": cols[2][-1], "final_B_sd": float(np.sqrt(cols[3][-1]))})
 
 
-def _qec_batch(p, seed, controller):
-    """All n_traj closed-loop trajectories in one lockstep batch; trajectory
-    k draws from the stream (seed, k)."""
-    code = qec.build_code(p["code"])
+def _qec_batch(name, p, seed, controller):
+    """All n_traj closed-loop trajectories of the code ``name`` in one
+    lockstep batch; trajectory k draws from the stream (seed, k)."""
+    code = qec.build_code(name)
     basis = qec.build_truncated_basis(code) if controller == "truncated" else None
     return qec.run_feedback_batch(code, p["gamma"], p["kappa"], p["lambda_max"], p["T"],
                                   p["dt"], seed, p["n_traj"], controller=controller,
-                                  basis=basis, record_every=_QEC_RECORD_EVERY)
+                                  basis=basis)
 
 
 def _run_qec(p, seed, workers):
     n_traj = p["n_traj"]
-    out = _qec_batch(p, seed, p["controller"])
+    out = _qec_batch(p["code"], p, seed, p["controller"])
     cs, cw = out["codespace"], out["codeword"]
     header = ["time", "codespace_mean", "codeword_mean"] \
         + [f"codespace_{k}" for k in range(n_traj)]
@@ -184,7 +185,8 @@ def _run_qec(p, seed, workers):
 
 
 def _run_qec_benchmark(p, seed, workers):
-    out = _qec_batch(p, seed, "truncated")
+    # the discrete-correction curve is the five-qubit code's closed form
+    out = _qec_batch("fivequbit", p, seed, "truncated")
     times = out["times"]
     cw = out["codeword"].mean(axis=0)
     cs = out["codespace"].mean(axis=0)
@@ -314,9 +316,6 @@ def _choice(*options):
     return conv
 
 
-_QEC_RECORD_EVERY = 10
-_QEC_CODE = (_choice(*qec._CODES), "fivequbit", f"code name ({', '.join(qec._CODES)})")
-
 # every run takes at least one step; "stride" gives the record stride of
 # runners that write rows only at multiples of it, so that a horizon shorter
 # than one stride, which would record nothing, is rejected too
@@ -403,11 +402,12 @@ EXPERIMENTS = {
         },
     },
     "qec-run": {
-        "stride": lambda p: _QEC_RECORD_EVERY,
+        "stride": lambda p: qec.RECORD_EVERY,
         "doc": "continuous error correction trajectories with feedback",
         "runner": _run_qec,
         "schema": {
-            "code": _QEC_CODE,
+            "code": (_choice(*qec._CODES), "fivequbit",
+                     f"code name ({', '.join(qec._CODES)})"),
             "controller": (_choice("truncated", "full", "none"), "truncated", "truncated, full or none"),
             "gamma": (_nonnegative, 1.0, "depolarizing rate"),
             "kappa": (_nonnegative, 100.0, "measurement strength"),
@@ -418,11 +418,12 @@ EXPERIMENTS = {
         },
     },
     "qec-benchmark": {
-        "stride": lambda p: _QEC_RECORD_EVERY,
+        "stride": lambda p: qec.RECORD_EVERY,
         "doc": "feedback vs discrete-time codeword fidelity for the five-qubit code",
         "runner": _run_qec_benchmark,
+        "retired": {"code": "its discrete-correction curve is the five-qubit code's closed"
+                            " form; qec-run takes any code"},
         "schema": {
-            "code": _QEC_CODE,
             "gamma": (_nonnegative, 1.0, "depolarizing rate"),
             "kappa": (_nonnegative, 100.0, "measurement strength"),
             "lambda_max": (_nonnegative, 200.0, "maximum feedback strength"),

@@ -116,9 +116,9 @@ class EstimationModel:
     """Parameter-coupled model H = base.H + xi * H0 with coupling base.L.
 
     ``base`` is the model at xi = 0; every particle steps its compiled
-    ``channels``.  ``prior`` is ("finite", values, weights) or
-    ("gaussian", mu, var).  ``rho0`` is the known
-    initial conditional state shared by every particle.
+    ``channels``.  ``prior`` is ("finite", values), uniform over the values,
+    or ("gaussian", mu, var).  ``rho0`` is the known initial conditional
+    state shared by every particle.
     """
 
     base: DiffusiveModel
@@ -141,18 +141,18 @@ class QubitMagnetometerModel:
 
 
 def sample_prior(prior: tuple, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n parameter values and initial weights from a prior spec."""
-    kind = prior[0]
-    if kind == "finite":
-        values = np.asarray(prior[1], dtype=float)
-        weights = np.asarray(prior[2], dtype=float) if len(prior) > 2 else np.full(len(values), 1.0 / len(values))
+    """Draw n parameter values and uniform initial weights from a prior spec:
+    ("finite", values), one particle per value, or ("gaussian", mu, var).
+    Any other spec, a finite one with a third entry included, is refused."""
+    if prior[0] == "finite" and len(prior) == 2:
+        values = np.array(prior[1], dtype=float)
         if n != len(values):
             raise ValueError("finite prior requires one particle per support point")
-        return values.copy(), weights / weights.sum()
-    if kind == "gaussian":
-        mu, var = prior[1], prior[2]
-        return mu + np.sqrt(var) * rng.standard_normal(n), np.full(n, 1.0 / n)
-    raise ValueError(f"unknown prior kind {prior[0]!r}")
+    elif prior[0] == "gaussian" and len(prior) == 3:
+        values = prior[1] + np.sqrt(prior[2]) * rng.standard_normal(n)
+    else:
+        raise ValueError(f"a prior is ('finite', values) or ('gaussian', mu, var), not {prior!r}")
+    return values, np.full(n, 1.0 / n)
 
 
 def ensemble_step(model, ens: ParticleEnsemble, dM: float, dt: float) -> ParticleEnsemble:
@@ -242,7 +242,8 @@ def particle_filter_run(model, record: TrajectoryRecord, N: int, a: float, h: fl
     ``threshold`` (never if it is 0).  Returns the posterior trace (mean and
     sd per step), the final estimate and uncertainty, and the resample count.
     Deterministic given (record, seed).  A Bloch-angle model raises
-    ValueError unless kappa dt < 1.
+    ValueError unless kappa dt < 1, and, once the prior is drawn, unless
+    every particle's field keeps the truth record's rule 2 |B_i| dt < 1.
     """
     rng = rng_stream(seed)
     dt = float(record.times[1] - record.times[0])
@@ -250,6 +251,9 @@ def particle_filter_run(model, record: TrajectoryRecord, N: int, a: float, h: fl
     if bloch:
         _check_bloch_angle_dt(model.kappa, dt)
     params, weights = sample_prior(model.prior, N, rng)
+    if bloch and not 2.0 * np.abs(params).max() * dt < 1.0:  # NaN fails too
+        raise ValueError(f"2 max |B_i| * dt = {2.0 * np.abs(params).max() * dt:g} is outside"
+                         " the range 2 |B| * dt < 1 of the Bloch-angle particles")
     states = (np.zeros(N) if bloch
               else np.broadcast_to(model.rho0, (N,) + model.rho0.shape).astype(complex).copy())
     ens = ParticleEnsemble(weights=weights, params=params, states=states)

@@ -190,33 +190,37 @@ def covariance_pass(model: LinearModel, V0: np.ndarray, steps: int,
     return A, (V[:-1] @ C.T + B @ D.T) @ Rinv, V
 
 
-def kalman_correlated_step(x: tuple, dy: float, a: list, g: list, c: list,
-                           dt: float) -> tuple:
-    """Estimate step x' = x + A x dt + G (dy - C x dt) of the 2-state,
-    1-output filter on Python floats: x = (x0, x1), A = ((a0, a1), (a2, a3))
-    and the gain G = (g0, g1) at the step's start, C = (c0, c1)."""
-    (x0, x1), (a0, a1, a2, a3), (g0, g1), (c0, c1) = x, a, g, c
-    innovation = dy - (c0 * x0 + c1 * x1) * dt
-    return (x0 + (a0 * x0 + a1 * x1) * dt + g0 * innovation,
-            x1 + (a2 * x0 + a3 * x1) * dt + g1 * innovation)
+def kalman_correlated_step(x: tuple, dY: list, As: list, G: list, c: list,
+                           dt: float) -> list:
+    """Estimate pass of the 2-state, 1-output filter on Python floats: from
+    x = (x0, x1), one step x' = x + A x dt + G (dy - C x dt) per increment
+    dy of dY, with A = ((a0, a1), (a2, a3)) and the gain G = (g0, g1) of
+    that step's start taken from As and G, and C = (c0, c1).  Returns the
+    estimates [x, x_1, ..., x_steps] as (x0, x1) pairs."""
+    (x0, x1), (c0, c1) = x, c
+    rows = [(x0, x1)]
+    for dy, (a0, a1, a2, a3), (g0, g1) in zip(dY, As, G):
+        innovation = dy - (c0 * x0 + c1 * x1) * dt
+        x0, x1 = (x0 + (a0 * x0 + a1 * x1) * dt + g0 * innovation,
+                  x1 + (a2 * x0 + a3 * x1) * dt + g1 * innovation)
+        rows.append((x0, x1))
+    return rows
 
 
 def kalman_filter(model: LinearModel, V0: np.ndarray, dY: np.ndarray,
                   dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Kalman-Bucy filter of a 2-state, 1-output model over the increments
     dY (steps,), from the estimate 0 with covariance V0: ``covariance_pass``,
-    then one ``kalman_correlated_step`` per increment.  Returns the
-    estimates (steps + 1, 2) and covariances (steps + 1, 2, 2); row i holds
-    the state after step i.  Raises as ``covariance_pass`` does, then
-    FloatingPointError at the first non-finite estimate.
+    then the estimate pass ``kalman_correlated_step`` over the record.
+    Returns the estimates (steps + 1, 2) and covariances (steps + 1, 2, 2);
+    row i holds the state after step i.  Raises as ``covariance_pass``
+    does, then FloatingPointError at the first non-finite estimate.
     """
     steps = len(dY)
     A, G, V = covariance_pass(model, V0, steps, dt)
     As = A.reshape(-1, 4).tolist() * (steps if A.ndim == 2 else 1)  # one A serves every step
-    c, rows = model._compiled[2].ravel().tolist(), [(0.0, 0.0)]
-    for dy, a, g in zip(dY.tolist(), As, G.reshape(steps, 2).tolist()):
-        rows.append(kalman_correlated_step(rows[-1], dy, a, g, c, dt))
-    X = np.array(rows)
+    X = np.array(kalman_correlated_step((0.0, 0.0), dY.tolist(), As, G.reshape(steps, 2).tolist(),
+                                        model._compiled[2].ravel().tolist(), dt))
     _raise_if_nonfinite("estimate", X[1:], dt)
     return X, V
 

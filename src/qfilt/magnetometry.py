@@ -4,10 +4,11 @@ particle-filter model for the field.
 
 A probe beam crosses the collective spin twice, giving the dipole operator
 L = sqrt(M) Fz + i sqrt(K) Fy and Hamiltonian
-H = -gamma B Fy - sqrt(KM) (Fz Fy + Fy Fz) / 2 on the 2F+1 dimensional
-space.  K = 0 recovers the single-pass magnetometer.  All rates are in units
-of the chosen inverse time scale and gamma defaults to 1; the initial state
-is always the spin-coherent state along +x.  ``fisher_information_fd``
+H = -B Fy - sqrt(KM) (Fz Fy + Fy Fz) / 2 on the 2F+1 dimensional space.
+K = 0 recovers the single-pass magnetometer.  All rates are in units of the
+chosen inverse time scale, and the field is in units of the spin's
+gyromagnetic coupling (gamma = 1); the initial state is always the
+spin-coherent state along +x.  ``fisher_information_fd``
 steps every seed of one parameter point, each with its three shifted
 fields, as one batch per increment.
 """
@@ -44,13 +45,13 @@ _DRAW_BLOCK = 1000
 
 @dataclass(frozen=True)
 class DoublePassParams:
-    """F: collective spin; M/K: first/second pass coupling strengths; B field."""
+    """F: collective spin; M/K: first/second pass coupling strengths; B field,
+    in units of the gyromagnetic coupling (gamma = 1)."""
 
     F: float
     M: float
     K: float
     B: float = 0.0
-    gamma: float = 1.0
 
     def __post_init__(self):
         if self.M < 0 or self.K < 0 or self.F < 0.5:
@@ -74,8 +75,7 @@ def double_pass_model(params: DoublePassParams) -> DiffusiveModel:
     ops = _spin_cached(int(round(2 * params.F)))
     Fy, Fz = ops["Jy"], ops["Jz"]
     L = np.sqrt(params.M) * Fz + 1j * np.sqrt(params.K) * Fy
-    H = -params.gamma * params.B * Fy \
-        - np.sqrt(params.K * params.M) * anticommutator(Fz, Fy) / 2.0
+    H = -params.B * Fy - np.sqrt(params.K * params.M) * anticommutator(Fz, Fy) / 2.0
     for a in (H, L):
         a.setflags(write=False)
     return DiffusiveModel(H=H, L=L)
@@ -87,7 +87,7 @@ def double_pass_sse_step(params: DoublePassParams, psi: np.ndarray, dW, dt: floa
     <Fy> = 0 (such as real-amplitude states, which the +x coherent state
     starts in and the flow preserves) it reads
 
-        d psi = [ i gamma B Fy - (M/2)(Fz - <Fz>)^2
+        d psi = [ i B Fy - (M/2)(Fz - <Fz>)^2
                   + i sqrt(KM) Fy (Fz + <Fz>) - (K/2) Fy^2 ] psi dt
               + [ sqrt(M)(Fz - <Fz>) + i sqrt(K) Fy ] psi dW.
 
@@ -186,14 +186,14 @@ def smallangle_kalman_model(params: DoublePassParams) -> LinearModel:
     the variance flow A V + V A^T + B B^T - (B + V C^T)(B + V C^T)^T only
     through 2 F sqrt(KM) in A and -sqrt(K) in B, and the two cancel: the
     variances do not depend on K."""
-    F, M, K, gamma = params.F, params.M, params.K, params.gamma
+    F, M, K = params.F, params.M, params.K
     sqM, sqK, sqKM = np.sqrt([M, K, K * M]).tolist()
     # the t-independent factors once, grouped as the expressions below evaluate them
     drift, rate = 2.0 * F * sqKM, 2.0 * F * M
 
     def A(t):
         out = np.zeros(np.shape(t) + (2, 2))
-        out[..., 0, 0], out[..., 0, 1] = drift - M / (2.0 * (1.0 + rate * t) ** 2), gamma
+        out[..., 0, 0], out[..., 0, 1] = drift - M / (2.0 * (1.0 + rate * t) ** 2), 1.0
         return out
 
     def Bmat(t):
@@ -207,10 +207,10 @@ def smallangle_kalman_model(params: DoublePassParams) -> LinearModel:
 
 
 def magnetometry_estimation_model(params: DoublePassParams, prior: tuple) -> EstimationModel:
-    """Particle-filter model for an unknown field B: H = B * (-gamma Fy) plus
-    the field-independent double-pass terms of the B = 0 model."""
+    """Particle-filter model for an unknown field B: H = B * (-Fy) plus the
+    field-independent double-pass terms of the B = 0 model."""
     return EstimationModel(base=double_pass_model(replace(params, B=0.0)),
-                           H0=-params.gamma * _spin_cached(int(round(2 * params.F)))["Jy"],
+                           H0=-_spin_cached(int(round(2 * params.F)))["Jy"],
                            prior=prior,
                            rho0=pure_to_density(coherent_x(params.F)))
 

@@ -95,6 +95,8 @@ _CODES = {
 }
 
 _PAULI_AXES = "XYZ"
+# the closed loop records its fidelities after every RECORD_EVERY-th step
+RECORD_EVERY = 10
 # largest residual a truncated-basis generator may leave against the exact
 # superoperator action: room for rounding, where the bundled codes leave 0
 _VERIFY_TOL = 1e-10
@@ -461,9 +463,10 @@ def truncated_filter_step(basis: TruncatedBasis, p: np.ndarray, dQ: np.ndarray,
 
 
 def codeword_fidelity_discrete(t, gamma: float):
-    """Codeword fidelity of discrete-time correction after depolarizing for a
-    time t: (1/256) e^{-20 t g} (3 + e^{4 t g})^4 (-3 + 4 e^{4 t g});
-    equals 1 at t = 0 and decays monotonically to 1/64."""
+    """Codeword fidelity of discrete-time correction of the five-qubit code
+    after depolarizing for a time t:
+    (1/256) e^{-20 t g} (3 + e^{4 t g})^4 (-3 + 4 e^{4 t g}); equals 1 at
+    t = 0 and decays monotonically to 1/64."""
     x = np.asarray(t, dtype=float) * gamma
     return np.exp(-20.0 * x) * (3.0 + np.exp(4.0 * x)) ** 4 * (4.0 * np.exp(4.0 * x) - 3.0) / 256.0
 
@@ -681,8 +684,7 @@ def _nonzero_read(table: np.ndarray, buffer: np.ndarray) -> tuple[np.ndarray, np
 def run_feedback_batch(code: StabilizerCode, gamma: float, kappa: float,
                        lambda_max: float, T: float, dt: float, seed, n_traj: int,
                        controller: str = "truncated",
-                       basis: TruncatedBasis | None = None,
-                       record_every: int = 10) -> dict:
+                       basis: TruncatedBasis | None = None) -> dict:
     """Closed-loop trajectories in lockstep: the full filter is the physical
     system, the chosen controller computes the feedback strengths from the
     measurement current, and those strengths drive the system.
@@ -695,9 +697,10 @@ def run_feedback_batch(code: StabilizerCode, gamma: float, kappa: float,
     the full state are also recorded for agreement statistics.
 
     Returns time grid, per-trajectory codespace/codeword fidelity traces of
-    shape (n_traj, n_records), per-trajectory policy agreement and the final
-    full states.  The full filter steps on Pauli coefficients (``_PauliFrame``)
-    and converts from and to density matrices only at the run's ends; a
+    shape (n_traj, n_records), recorded after every ``RECORD_EVERY``-th
+    step, per-trajectory policy agreement and the final full states.  The
+    full filter steps on Pauli coefficients (``_PauliFrame``) and converts
+    from and to density matrices only at the run's ends; a
     FloatingPointError from either filter is raised again naming the step,
     counted from 1, the time it reaches and the batch slots.
     """
@@ -705,8 +708,6 @@ def run_feedback_batch(code: StabilizerCode, gamma: float, kappa: float,
         raise ValueError(f"unknown controller {controller!r}; choose truncated, full or none")
     if controller == "truncated" and basis is None:
         raise ValueError("truncated controller requires a basis")
-    if record_every < 1:
-        raise ValueError(f"record_every must be at least 1, got {record_every}")
     # the Euler feedback rotation grows the rotated pair's norm by
     # sqrt(1 + (2 lambda dt)^2) per step, so a radian or more per step is
     # refused before any step, as the full filter's decay is
@@ -754,11 +755,11 @@ def run_feedback_batch(code: StabilizerCode, gamma: float, kappa: float,
                     p = truncated(p, dQ, lambdas)
             except FloatingPointError as err:
                 raise FloatingPointError(f"{err}, at step {k + 1} (t = {(k + 1) * dt:.6g})") from err
-            if (k + 1) % record_every == 0:
+            if (k + 1) % RECORD_EVERY == 0:
                 fidelities.append(full.signed.take(record_at, mode="clip") @ record)
     fidelities = np.array(fidelities).reshape(-1, n_traj, 2)
     out = {
-        "times": np.arange(1, len(fidelities) + 1) * record_every * dt,
+        "times": np.arange(1, len(fidelities) + 1) * RECORD_EVERY * dt,
         "codespace": fidelities[..., 0].T,
         "codeword": fidelities[..., 1].T,
         "final_rho": frame.to_density(full.r),

@@ -14,12 +14,11 @@ B = L - <L> and A = -iH - (L^dag L - 2 <L^dag> L + <L><L^dag>) / 2.
 its own increment dY_l (the terms above summed over l), and an optional
 unmonitored generator term computed by the caller, so every density-matrix
 filter in the package is stepped by this one kernel, and every pure-state
-filter by ``sse_step_batch``.  ``compile_channels`` holds each coupling in
-one dense form, L, L^dag, half the sum of L^dag L and the signal operator
-L + L^dag, whether it comes from a plain array or a model.  A
-``DiffusiveModel`` compiles its coupling once (``channels``), and every
-density-matrix and pure-state filter of a model steps those channels and
-reads its signal from them.
+filter by ``sse_step_batch``.  Both take their coupling compiled once by
+``compile_channels`` into one dense form, L, L^dag, half the sum of L^dag L
+and the signal operator L + L^dag.  A ``DiffusiveModel`` compiles its
+coupling once (``channels``), and every density-matrix and pure-state filter
+of a model steps those channels and reads its signal from them.
 
 Both kernels step states in lockstep over numpy's leading axes, one
 trajectory per slot, each of which must draw from its own noise stream: a
@@ -132,17 +131,16 @@ def _raise_nonfinite(what: str, kernel: str, finite: np.ndarray):
     raise err
 
 
-def sme_step_batch(H: np.ndarray, L: np.ndarray | Channels, rho: np.ndarray,
+def sme_step_batch(H: np.ndarray, L: Channels, rho: np.ndarray,
                    dY: np.ndarray | float, dt: float, unmonitored: np.ndarray | None = None,
                    signal: np.ndarray | None = None) -> np.ndarray:
     """One Euler step of the quantum filter on density matrices rho
     (..., d, d), whose leading axes are the batch: a single state has none.
 
-    L is one coupling operator (d, d), a stack of l monitored channels
-    (l, d, d) or channels compiled once by ``compile_channels``, shared by
-    every slot; dY holds one increment per slot or one per slot and channel
-    (leading axes, then l), and a float is shared by every slot and
-    channel.  H is one matrix or one per slot, broadcast against the
+    L holds the l monitored channels compiled once by ``compile_channels``,
+    shared by every slot; dY holds one increment per slot or one per slot
+    and channel (leading axes, then l), and a float is shared by every slot
+    and channel.  H is one matrix or one per slot, broadcast against the
     states.  The step is written as
 
         rho' = rho + A rho + rho A^dag + sum_l L_l rho L_l^dag dt
@@ -151,17 +149,14 @@ def sme_step_batch(H: np.ndarray, L: np.ndarray | Channels, rho: np.ndarray,
 
     with s_l = Tr[(L_l + L_l^dag) rho] and dW_l = dY_l - s_l dt, which is
     the Euler step of the SME term by term (the first-order part of the
-    Kraus form M rho M^dag with M = I + A).  A plain array is compiled on
-    every call; the package's filters pass channels compiled once.
-    ``signal``, if given, is s_l (leading axes, then l) from a caller that
-    already has it.  ``unmonitored``, if given, is a caller-computed
-    generator term per slot (..., d, d), added times dt.  Trace is
+    Kraus form M rho M^dag with M = I + A).  ``signal``, if given, is s_l
+    (leading axes, then l) from a caller that already has it.
+    ``unmonitored``, if given, is a caller-computed generator term per slot
+    (..., d, d), added times dt.  Trace is
     renormalized and Hermiticity enforced after the step; a non-finite
     entry, checked before the division, raises FloatingPointError naming
     the row-major batch slots.
     """
-    if not isinstance(L, Channels):
-        L = compile_channels(L)
     if signal is None:
         signal = L.signal(rho)
     if not isinstance(dY, float):

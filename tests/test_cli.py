@@ -84,7 +84,7 @@ class TestRun:
         "magnetometer-fisher": ["T=0.0005", "F_values=2,3", "n_seeds=2"],
         "magnetometer-kalman": ["T=0.001", "store_every=1"],
         "qec-run": ["code=bitflip3", "T=0.0002"],
-        "qec-benchmark": ["code=bitflip3", "T=0.0002", "n_traj=2"],
+        "qec-benchmark": ["T=0.0002", "n_traj=2"],
         "collective-cat": ["N=4", "T=0.005", "store_every=1"],
         "collective-squeeze": ["N=6", "T=0.0005", "dt=0.0001", "store_every=1"],
     }
@@ -113,6 +113,19 @@ class TestRun:
         assert cli.main(args + ["--workers", "1", "--out", d1]) == 0
         assert cli.main(args + ["--workers", "2", "--out", d2]) == 0
         _assert_same_bytes(d1, d2, "magnetometer-fisher")
+
+    def test_fisher_bound_sigma_is_the_first_order_spread(self, tmp_path, capsys):
+        # bound = I^{-1/2} / 2 spreads to first order by I^{-3/2} std / 4,
+        # which is bound * info_std / (2 info_mean), on every row
+        out = os.path.join(tmp_path, "fisher")
+        assert cli.main(self._args("magnetometer-fisher") + ["--out", out]) == 0
+        capsys.readouterr()
+        data = np.genfromtxt(os.path.join(out, "fisher_sweep.csv"), delimiter=",",
+                             names=True, comments="#")
+        assert len(data) == 4 and np.all(data["info_std"] > 0)
+        assert np.allclose(data["bound"], 0.5 / np.sqrt(data["info_mean"]), rtol=1e-15, atol=0)
+        expect = data["bound"] * data["info_std"] / (2.0 * data["info_mean"])
+        assert np.allclose(data["bound_sigma"], expect, rtol=1e-14, atol=0)
 
     def test_particle_filter_truth_stream_is_not_the_filter_stream(self, monkeypatch):
         seeds = []
@@ -159,6 +172,15 @@ class TestRun:
                  ("param-ensemble", ["B_true=1e300", "T=0.002", "store_every=10"],
                   "ValueError: 2 |B_true| * dt = 2e+295 is outside the range"
                   " 2 |B_true| * dt < 1 of the Bloch-angle truth\n"),
+                 # and a particle cloud drawn past that rule: prior_mean = 1e300
+                 # ran to an infinite uncertainty, prior_var = 1e300 to an
+                 # estimate of -1.42e149
+                 ("particle-filter", ["prior_mean=1e300", "T=0.01"],
+                  "ValueError: 2 max |B_i| * dt = 2e+296 is outside the range"
+                  " 2 |B| * dt < 1 of the Bloch-angle particles\n"),
+                 ("particle-filter", ["prior_var=1e300", "T=0.01"],
+                  "ValueError: 2 max |B_i| * dt = 4.79647e+146 is outside the range"
+                  " 2 |B| * dt < 1 of the Bloch-angle particles\n"),
                  # the double-pass truth and Fisher runs name the slots, the step and t,
                  # and a Fisher run the seed indices of its slots (three per seed) and
                  # its (F, K) point
@@ -185,7 +207,7 @@ class TestRun:
                               "T=0.001"],
                   "ValueError: 2 |lambda_max| * dt = 2e+295 is outside the range"
                   " 2 |lambda_max| * dt < 1 of the feedback rotation\n"),
-                 ("qec-benchmark", ["code=bitflip3", "lambda_max=1e300", "T=0.001"],
+                 ("qec-benchmark", ["lambda_max=1e300", "T=0.001"],
                   "ValueError: 2 |lambda_max| * dt = 2e+295 is outside the range"
                   " 2 |lambda_max| * dt < 1 of the feedback rotation\n"),
                  # past 2 dt (kappa c0 + gamma c1) = 1 the full filter's Euler step
@@ -198,8 +220,10 @@ class TestRun:
                  ("qec-run", ["code=bitflip3", "kappa=1e300", "T=0.001"],
                   "ValueError: 2 dt (kappa c0 + gamma c1) = 4e+295 is outside the Euler"
                   " stability range < 1 of the full QEC filter"),
-                 ("qec-benchmark", ["code=bitflip3", "kappa=1e300", "T=0.001"],
-                  "ValueError: 2 dt (kappa c0 + gamma c1) = 4e+295 is outside the Euler"
+                 # fivequbit has Pauli strings that anticommute with all four
+                 # generators, where bitflip3's reach two
+                 ("qec-benchmark", ["kappa=1e300", "T=0.001"],
+                  "ValueError: 2 dt (kappa c0 + gamma c1) = 8e+295 is outside the Euler"
                   " stability range < 1 of the full QEC filter"),
                  # the Kalman runs name the first bad step and its time
                  ("kalman-demo", ["xi_true=1e308", "T=2"],
@@ -284,8 +308,8 @@ class TestRun:
         """Each numeric key but the size keys, one at a time, at 0, -1 and
         1e300 on the experiment's BYTE_CASES config: ``main`` returns 0, 1 or
         2 and lets no exception escape.  An exit-0 run may still write
-        unphysical numbers (particle-filter at prior_mean=1e300 reports an
-        infinite uncertainty, for one); asserting that exit 0 means the
+        unphysical numbers (collective-squeeze at Gamma=1e8 reports a
+        squeezing of 7.5e-74, for one); asserting that exit 0 means the
         outputs hold their invariants waits for an output gate that checks
         each runner's columns before its CSV is written (ROADMAP, "Exit 0
         only with physical outputs")."""
@@ -398,10 +422,25 @@ class TestRun:
         assert out.stdout == "[]\n"
 
     def test_qec_code_help_lists_every_code(self):
+        _conv, default, doc = cli.EXPERIMENTS["qec-run"]["schema"]["code"]
+        assert doc == "code name (bitflip3, fivequbit, steane7)"
+        assert default in cli.qec._CODES
+
+    def test_retired_qec_benchmark_code_is_config_error(self, tmp_path, capsys):
+        # the discrete-correction curve is the five-qubit code's closed form:
+        # code=bitflip3 wrote that curve next to bitflip3's feedback run
+        assert "code" not in cli.EXPERIMENTS["qec-benchmark"]["schema"]
+        out = os.path.join(tmp_path, "qb")
+        code = cli.main(["run", "qec-benchmark", "--set", "code=bitflip3", "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: config key 'code' is no longer accepted: its discrete-correction"
+            " curve is the five-qubit code's closed form; qec-run takes any code\n")
+        assert not os.path.exists(out)
+
+    def test_qec_record_stride_is_the_loop_constant(self):
         for experiment in ("qec-run", "qec-benchmark"):
-            _conv, default, doc = cli.EXPERIMENTS[experiment]["schema"]["code"]
-            assert doc == "code name (bitflip3, fivequbit, steane7)"
-            assert default in cli.qec._CODES
+            assert cli.EXPERIMENTS[experiment]["stride"]({}) == cli.qec.RECORD_EVERY == 10
 
     def test_integer_keys(self, tmp_path, capsys):
         params = cli.resolve_params("particle-filter", {"N": "30"})
@@ -472,7 +511,7 @@ class TestRun:
         assert code == 1
         assert "controller" in capsys.readouterr().err
         out = os.path.join(tmp_path, "bogus-code")
-        code = cli.main(["run", "qec-benchmark", "--set", "code=bogus", "--out", out])
+        code = cli.main(["run", "qec-run", "--set", "code=bogus", "--out", out])
         assert code == 1
         assert "code" in capsys.readouterr().err
         assert not os.path.exists(out)

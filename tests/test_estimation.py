@@ -272,6 +272,38 @@ class TestParticleFilterRun:
             with pytest.raises(ValueError, match=r"2 \|B_true\| \* dt = .* 2 \|B_true\| \* dt < 1"):
                 est.simulate_qubit_record(1.0, B_true, 0.002, 1e-4, seed=16)
 
+    @pytest.mark.parametrize("prior,ok", [
+        (("finite", [4999.0, -4999.0]), True), (("finite", [1.0, 5000.0]), False),
+        (("finite", [-1e300, 1.0]), False), (("finite", [np.nan, 1.0]), False),
+        (("gaussian", 1e300, 1.0), False), (("gaussian", 0.0, 1e300), False)])
+    def test_particles_need_field_dt_below_a_radian(self, prior, ok):
+        # the drawn particles keep the truth record's rule 2 |B| dt < 1: a
+        # prior mean of 1e300 ran to an infinite uncertainty, and a prior
+        # variance of 1e300 to an estimate of -1.42e149
+        record = est.simulate_qubit_record(1.0, 2.0, 0.002, 1e-4, seed=16)
+        model = est.QubitMagnetometerModel(kappa=1.0, prior=prior)
+
+        def run():
+            return est.particle_filter_run(model, record, N=2, a=0.98, h=1e-3,
+                                           threshold=0.5, seed=17)
+        if ok:
+            assert np.isfinite(run()["estimate"])
+        else:
+            with pytest.raises(ValueError, match=r"2 max \|B_i\| \* dt = .* is outside the"
+                                                 r" range 2 \|B\| \* dt < 1"):
+                run()
+
+    def test_finite_prior_is_uniform_over_its_values(self):
+        values, weights = est.sample_prior(("finite", [0.5, 1.5, 2.5]), 3, None)
+        assert np.array_equal(values, [0.5, 1.5, 2.5])
+        assert np.array_equal(weights, np.full(3, 1.0 / 3.0))
+        # a weights entry is refused, not ignored
+        with pytest.raises(ValueError, match=r"a prior is \('finite', values\)"):
+            est.sample_prior(("finite", [0.5, 1.5], [0.9, 0.1]), 2, None)
+        with pytest.raises(ValueError, match="one particle per support point"):
+            est.sample_prior(("finite", [0.5, 1.5]), 3, None)
+
+
 class TestObservability:
     def test_trivial_space(self):
         dim, basis = est.observable_space_dim(np.zeros((2, 2), dtype=complex),

@@ -36,11 +36,18 @@ class TestKalmanStep:
             kalman.covariance_pass(model, np.eye(2), 3, 1e-3)
 
     def test_correlated_step_is_the_estimate_update(self):
-        A, G, x = np.array([[0.2, 1.0], [0.0, -0.3]]), np.array([0.5, 1.5]), np.array([0.3, -1.0])
-        out = kalman.kalman_correlated_step(tuple(x.tolist()), 0.01, A.ravel().tolist(),
-                                            G.tolist(), [2.0, 0.5], 1e-3)
-        innovation = 0.01 - (2.0 * 0.3 - 0.5) * 1e-3
-        assert np.allclose(out, x + A @ x * 1e-3 + G * innovation, rtol=0, atol=1e-15)
+        # the estimate pass over three increments, each with its own A and
+        # gain, against x' = x + A x dt + G (dy - C x dt) step by step
+        rng = np.random.default_rng(12)
+        As, G = rng.standard_normal((3, 2, 2)), rng.standard_normal((3, 2))
+        dY, c, dt = [0.01, -0.02, 0.005], np.array([2.0, 0.5]), 1e-3
+        rows = kalman.kalman_correlated_step((0.3, -1.0), dY, As.reshape(3, 4).tolist(),
+                                             G.tolist(), c.tolist(), dt)
+        x = np.array([0.3, -1.0])
+        assert rows[0] == (0.3, -1.0) and len(rows) == 4
+        for k in range(3):
+            x = x + As[k] @ x * dt + G[k] * (dY[k] - c @ x * dt)
+            assert np.allclose(rows[k + 1], x, rtol=0, atol=1e-15)
 
     def test_constant_entries_compiled_once(self):
         model = kalman.LinearModel(A=np.zeros((2, 2)), B=np.ones((2, 1)),

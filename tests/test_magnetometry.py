@@ -16,21 +16,22 @@ def spin_ops(F):
 
 def paper_variance_rhs(params, V, t):
     """The thesis's explicit flow of the small-angle variances
-    (Delta theta^2, Delta B^2, Delta thetaB), independent of K:
+    (Delta theta^2, Delta B^2, Delta thetaB), independent of K, with the
+    field in units of the gyromagnetic coupling (gamma = 1):
 
         d(Dth2)/dt  = -M Dth2 [ (1 + 4F + 8F^2 M t)/(1 + 2FMt)^2 + 4F^2 Dth2 ]
-                      + 2 gamma DthB
+                      + 2 DthB
         d(DB2)/dt   = -4 F^2 M DthB^2
-        d(DthB)/dt  = gamma DB2 - M/(2 (1+2FMt)^2)
+        d(DthB)/dt  = DB2 - M/(2 (1+2FMt)^2)
                       [ 1 + 4F + 8F^2 M t + 8F^2 (1+2FMt)^2 Dth2 ] DthB
     """
-    F, M, gamma = params.F, params.M, params.gamma
+    F, M = params.F, params.M
     u = 1.0 + 2.0 * F * M * t
     poly = 1.0 + 4.0 * F + 8.0 * F * F * M * t
     dth2, dthb, db2 = V[0, 0], V[0, 1], V[1, 1]
-    d_dth2 = -M * dth2 * (poly / u**2 + 4.0 * F * F * dth2) + 2.0 * gamma * dthb
+    d_dth2 = -M * dth2 * (poly / u**2 + 4.0 * F * F * dth2) + 2.0 * dthb
     d_db2 = -4.0 * F * F * M * dthb * dthb
-    d_dthb = gamma * db2 - M / (2.0 * u**2) * (poly + 8.0 * F * F * u**2 * dth2) * dthb
+    d_dthb = db2 - M / (2.0 * u**2) * (poly + 8.0 * F * F * u**2 * dth2) * dthb
     return np.array([[d_dth2, d_dthb], [d_dthb, d_db2]])
 
 
@@ -59,7 +60,7 @@ class TestDoublePassModel:
 class TestDoublePassFilters:
     def test_explicit_form_equals_generic(self):
         # the thesis's explicit double-pass filter
-        #   d rho = i gamma B [Fy, rho] dt + i sqrt(KM) [Fy, {Fz, rho}] dt
+        #   d rho = i B [Fy, rho] dt + i sqrt(KM) [Fy, {Fz, rho}] dt
         #         + M D[Fz] rho dt + K D[Fy] rho dt
         #         + (sqrt(M) M[Fz] rho + i sqrt(K) [Fy, rho]) dW,
         #   dW = dZ - 2 sqrt(M) Tr[Fz rho] dt,
@@ -73,7 +74,7 @@ class TestDoublePassFilters:
         for _ in range(100):
             dZ = rng.normal() * np.sqrt(dt)
             dW = dZ - 2.0 * np.sqrt(p.M) * np.trace(Fz @ rho).real * dt
-            drift = 1j * p.gamma * p.B * op.commutator(Fy, rho) \
+            drift = 1j * p.B * op.commutator(Fy, rho) \
                 + 1j * np.sqrt(p.K * p.M) * op.commutator(Fy, op.anticommutator(Fz, rho)) \
                 + p.M * op.lindblad_D(Fz, rho) + p.K * op.lindblad_D(Fy, rho)
             kick = np.sqrt(p.M) * op.measurement_M(Fz, rho) \
@@ -86,7 +87,7 @@ class TestDoublePassFilters:
             rho = a
 
     def test_pure_larmor_when_uncoupled(self):
-        # M = K = 0: coherent precession about y at rate gamma B
+        # M = K = 0: coherent precession about y at rate B
         p = mag.DoublePassParams(F=3.0, M=0.0, K=0.0, B=0.9)
         ops = spin_ops(p.F)
         psi = mag.coherent_x(p.F)
@@ -94,8 +95,8 @@ class TestDoublePassFilters:
         for _ in range(steps):
             psi = mag.double_pass_sse_step(p, psi, 0.0, dt)
         t = dt * steps
-        # the filter drift is +i gamma B Fy, i.e. evolution under H = -gamma B Fy
-        u = op.expm_hermitian(-p.gamma * p.B * ops["Jy"], scale=-1j * t)
+        # the filter drift is +i B Fy, i.e. evolution under H = -B Fy
+        u = op.expm_hermitian(-p.B * ops["Jy"], scale=-1j * t)
         expect = u @ mag.coherent_x(p.F)
         fz = np.real(psi.conj() @ ops["Jz"] @ psi)
         fz_expect = np.real(expect.conj() @ ops["Jz"] @ expect)
@@ -159,7 +160,7 @@ class TestDoublePassFilters:
 class TestFisherInformation:
     def test_unitary_case_matches_state_derivative_oracle(self):
         # M = K = 0: conditioned dynamics are the deterministic rotation
-        # exp(+i gamma B t Fy); compare against a dense derivative oracle on
+        # exp(+i B t Fy); compare against a dense derivative oracle on
         # that state family
         F, T = 0.5, 1.0
         p = mag.DoublePassParams(F=F, M=0.0, K=0.0, B=0.0)
@@ -308,7 +309,7 @@ class TestMagnetometryParticleFilter:
 
     def test_density_ensemble_matches_dense_kernel(self):
         # three particles on the double-pass base (K > 0, so base.H != 0)
-        # against a plain-array Euler step of the joint filter on
+        # against an Euler step of the joint filter on
         # sum_i p_i |i><i| (x) rho_i: weights are its block traces, states
         # its normalized blocks
         p = mag.DoublePassParams(F=1.0, M=1.2, K=0.4, B=0.0)
@@ -319,6 +320,7 @@ class TestMagnetometryParticleFilter:
                                    states=np.stack([model.rho0] * 3))
         Hext, Lext = est.extended_estimation_operators(model.H0, model.base.L, ens.params)
         Hext = Hext + np.kron(np.eye(3), model.base.H)
+        Lext = traj.compile_channels(Lext)
         d = len(model.rho0)
         w, states = ens.weights, ens.states
         rng = np.random.default_rng(15)

@@ -350,8 +350,9 @@ class TestPauliForm:
     @pytest.mark.parametrize("B", [1, 8])
     @pytest.mark.parametrize("name", ["fivequbit", "bitflip3"])
     def test_step_matches_dense_kernel(self, name, B):
-        # depolarizing, measurement and feedback at once against the
-        # plain-array sme_step_batch with a brute-force depolarizing term
+        # depolarizing, measurement and feedback at once against
+        # sme_step_batch on the dense generators with a brute-force
+        # depolarizing term
         code = qec.build_code(name)
         n_chan, gamma, kappa, dt = len(code.channel_labels), 1.3, 40.0, 1e-5
         rng = np.random.default_rng(30 + B)
@@ -362,8 +363,8 @@ class TestPauliForm:
         P = ref.single_paulis
         H = np.einsum("bc,cij->bij", lambdas, P)
         depol = gamma * (sum(s @ rho @ s for s in P) - n_chan * rho)
-        expect = traj.sme_step_batch(H, np.sqrt(kappa) * ref.gen_ops, rho, dQ, dt,
-                                     unmonitored=depol)
+        expect = traj.sme_step_batch(H, traj.compile_channels(np.sqrt(kappa) * ref.gen_ops),
+                                     rho, dQ, dt, unmonitored=depol)
         frame = code.pauli
         signal = 2.0 * np.sqrt(kappa) * np.einsum("lij,bji->bl", ref.gen_ops, rho).real
         full = qec._FullStep(frame, frame.to_pauli(rho), gamma, kappa, dt)
@@ -707,22 +708,24 @@ class TestClosedLoop:
     @pytest.mark.parametrize("name,controller,n_traj", [("fivequbit", "truncated", 8),
                                                         ("bitflip3", "full", 1)])
     def test_short_loop_matches_dense_kernel(self, name, controller, n_traj, five_basis):
-        # the closed loop against the same loop written with plain-array
-        # sme_step_batch calls, a brute-force depolarizing term, einsum
-        # signals and the dense truncated step, at the shapes of the
-        # benchmark's qec-loop and bitflip3-loop
+        # the closed loop against the same loop written with sme_step_batch
+        # calls on the dense generators, a brute-force depolarizing term,
+        # einsum signals and the dense truncated step, at the shapes of the
+        # benchmark's qec-loop and bitflip3-loop; the loop records every
+        # qec.RECORD_EVERY = 10 steps, three times in 30
         code = qec.build_code(name)
         basis = five_basis if controller == "truncated" else None
         ref = dense_reference(code)
         gamma, kappa, lam, dt, steps, seed = 1.0, 100.0, 200.0, 1e-5, 30, 9
         out = qec.run_feedback_batch(code, gamma, kappa, lam, steps * dt, dt, seed, n_traj,
-                                     controller=controller, basis=basis, record_every=3)
+                                     controller=controller, basis=basis)
         psi0 = qec.logical_zero(code)
         rho0 = np.outer(psi0, psi0.conj())
         rho = np.broadcast_to(rho0, (n_traj, code.dim, code.dim)).copy()
         noise = np.stack([rng_stream(seed, k).standard_normal((steps, code.n_generators))
                           for k in range(n_traj)]) * np.sqrt(dt)
         P = ref.single_paulis
+        channels = traj.compile_channels(np.sqrt(kappa) * ref.gen_ops)
 
         def bang(v):
             return lam * np.where(v == 0.0, 1.0, np.sign(v))
@@ -745,11 +748,12 @@ class TestClosedLoop:
             depol = gamma * (sum(s @ rho @ s for s in P) - len(P) * rho)
             if basis is not None:
                 p = dense_truncated_step(basis, p, dQ, gamma, kappa, lambdas, dt)
-            rho = traj.sme_step_batch(H, np.sqrt(kappa) * ref.gen_ops, rho, dQ, dt,
-                                      unmonitored=depol)
-            if (i + 1) % 3 == 0:
+            rho = traj.sme_step_batch(H, channels, rho, dQ, dt, unmonitored=depol)
+            if (i + 1) % 10 == 0:
                 codespace.append(np.einsum("ij,bji->b", ref.projectors[0], rho).real)
                 codeword.append(np.einsum("ij,bji->b", rho0, rho).real)
+        assert out["codespace"].shape == (n_traj, 3)
+        assert np.array_equal(out["times"], np.array([10, 20, 30]) * dt)
         for got, expect in ((out["codespace"], np.array(codespace).T),
                             (out["codeword"], np.array(codeword).T),
                             (out["final_rho"], rho)):
@@ -758,12 +762,6 @@ class TestClosedLoop:
             assert "policy_agreement" not in out
         else:
             assert np.array_equal(out["policy_agreement"], agree / steps)
-
-    def test_record_every_must_be_positive(self, bitflip):
-        for record_every in (0, -2):
-            with pytest.raises(ValueError, match="record_every"):
-                qec.run_feedback_batch(bitflip, 1.0, 100.0, 200.0, T=1e-4, dt=1e-5, seed=0,
-                                       n_traj=1, controller="full", record_every=record_every)
 
     def test_feedback_rotation_preflight(self, bitflip):
         # 2 |lambda_max| dt < 1 whenever a controller applies feedback;

@@ -149,6 +149,39 @@ class TestMain:
                f"change {expect['change']}" in capsys.readouterr().out
 
 
+class TestReach:
+    def test_kalman_demo_reach(self):
+        # one tiny experiment in a fresh interpreter, so that the package's
+        # module-level statements are traced too
+        proc = subprocess.run([sys.executable, os.path.join(_ROOT, "tools", "reach.py"),
+                               "--experiments", "kalman-demo"],
+                              capture_output=True, text=True, check=True)
+        out = proc.stdout.splitlines()
+        assert out[0] == "# ran kalman-demo at their BYTE_CASES configs"
+        counts = {line.split(":")[0]: line for line in out if not line.startswith(("#", " "))}
+        assert set(counts) == {name for name in os.listdir(os.path.join(_ROOT, "src", "qfilt"))
+                               if name.endswith(".py")} | {"total"}
+        assert counts["__init__.py"] == "__init__.py: 1 statements, 0 not executed"
+        kalman = out[out.index(counts["kalman.py"]) + 1:out.index(counts["magnetometry.py"])]
+        # the demo's model is constant, so the per-step propagator branch never runs
+        assert any("np.broadcast_to(e, (2 * steps,)" in line for line in kalman)
+        # and the filter itself does run
+        assert not any("kalman_correlated_step" in line or "def kalman_filter" in line
+                       for line in kalman)
+        qec = out[out.index(counts["qec.py"]) + 1:out.index(counts["sde.py"])]
+        assert any("def run_feedback_batch(" in line and "[never called]" in line
+                   for line in qec)
+
+    def test_statement_count_leaves_docstrings_out(self):
+        reach = _load("reach", "tools", "reach.py")
+        source = ('"""Module."""\n\n\ndef f(x):\n    """Doc."""\n    if x:\n'
+                  '        return 1\n    return 2\n\n\ndef g():\n    return 3\n')
+        count, entries = reach.unexecuted(source, {4, 6, 8, 11})
+        assert count == 6
+        # the if body never ran; g was defined, never called
+        assert entries == [(7, 7, 7, 1, False), (11, 12, 11, 2, True)]
+
+
 class TestByteCompare:
     def test_reads_the_cli_tests_case_table(self):
         test_cli = _load("test_cli_cases", "tests", "test_cli.py")

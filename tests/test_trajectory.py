@@ -81,7 +81,8 @@ class TestSmeStep:
         U = U + np.swapaxes(U, -1, -2).conj()
         U -= np.einsum("bii->b", U)[:, None, None] * np.eye(d) / d
         dY = rng.standard_normal((B, l)) * np.sqrt(dt)
-        out = traj.sme_step_batch(Hs, Ls, rhos, dY, dt, unmonitored=U)
+        channels = traj.compile_channels(Ls)
+        out = traj.sme_step_batch(Hs, channels, rhos, dY, dt, unmonitored=U)
         for b in range(B):
             rho = rhos[b]
             drho = (-1j * (Hs[b] @ rho - rho @ Hs[b]) + U[b]) * dt
@@ -95,12 +96,13 @@ class TestSmeStep:
             assert np.max(np.abs(out[b] - expect)) <= 1e-13
         # a (2, 3) stack steps as its (6,) flattening, and one H per column
         # broadcasts over the rows as its tiling does
-        rows = traj.sme_step_batch(Hs.reshape(2, 3, d, d), Ls, rhos.reshape(2, 3, d, d),
+        rows = traj.sme_step_batch(Hs.reshape(2, 3, d, d), channels, rhos.reshape(2, 3, d, d),
                                    dY.reshape(2, 3, l), dt, unmonitored=U.reshape(2, 3, d, d))
         assert np.array_equal(rows.reshape(out.shape), out)
-        shared = traj.sme_step_batch(Hs[:3], Ls, rhos.reshape(2, 3, d, d), dY.reshape(2, 3, l),
-                                     dt, unmonitored=U.reshape(2, 3, d, d))
-        tiled = traj.sme_step_batch(np.concatenate([Hs[:3]] * 2), Ls, rhos, dY, dt, unmonitored=U)
+        shared = traj.sme_step_batch(Hs[:3], channels, rhos.reshape(2, 3, d, d),
+                                     dY.reshape(2, 3, l), dt, unmonitored=U.reshape(2, 3, d, d))
+        tiled = traj.sme_step_batch(np.concatenate([Hs[:3]] * 2), channels, rhos, dY, dt,
+                                    unmonitored=U)
         assert np.array_equal(shared.reshape(tiled.shape), tiled)
 
     def test_ensemble_average_matches_master_equation(self):
@@ -118,7 +120,7 @@ class TestSmeStep:
         for _ in range(int(t_final / dt)):
             signal = np.einsum("ij,bji->b", Lsig, rho).real
             dY = signal * dt + rng.standard_normal(n_traj) * np.sqrt(dt)
-            rho = traj.sme_step_batch(model.H, model.L, rho, dY, dt)
+            rho = traj.sme_step_batch(model.H, model.channels, rho, dY, dt)
         mean = rho.mean(axis=0)
         oracle = master_equation_oracle(model.H, model.L, rho0, t_final)
         assert np.max(np.abs(mean - oracle)) < 0.02
@@ -169,22 +171,28 @@ class TestCompiledChannels:
         dY = rng.standard_normal(3) * 1e-2
         gen = lindblad_sum(np.sqrt(0.4) * op.SIGMA_X[None], rho)
         out = traj.sme_step_batch(op.SIGMA_Y, channels, rho, dY, 1e-4, unmonitored=gen)
-        expect = traj.sme_step_batch(op.SIGMA_Y, L, rho, dY, 1e-4, unmonitored=gen)
-        assert np.max(np.abs(out - expect)) <= 1e-13
+        for b in range(3):
+            signal = np.trace((L + op.dag(L)) @ rho[b]).real
+            expect = rho[b] + (-1j * (op.SIGMA_Y @ rho[b] - rho[b] @ op.SIGMA_Y) + gen[b]
+                               + op.lindblad_D(L, rho[b])) * 1e-4 \
+                + op.measurement_M(L, rho[b]) * (dY[b] - signal * 1e-4)
+            expect = 0.5 * (expect + op.dag(expect))
+            expect /= np.trace(expect).real
+            assert np.max(np.abs(out[b] - expect)) <= 1e-13
 
     def test_nonfinite_step_names_its_slots(self):
         rng = np.random.default_rng(4)
         rho = random_density(2, 3, rng)
         dY = np.array([0.01, np.nan, -0.02])
-        for L in (op.SIGMA_Z, traj.compile_channels(op.SIGMA_Z)):
-            with pytest.raises(FloatingPointError, match=r"slots \[1\]"):
-                traj.sme_step_batch(op.SIGMA_Y, L, rho, dY, 1e-4)
+        channels = traj.compile_channels(op.SIGMA_Z)
+        with pytest.raises(FloatingPointError, match=r"slots \[1\]"):
+            traj.sme_step_batch(op.SIGMA_Y, channels, rho, dY, 1e-4)
         # with two leading axes the slot is the row-major index
         rho = random_density(2, 6, rng).reshape(2, 3, 2, 2)
         dY = np.zeros((2, 3))
         dY[1, 1] = np.nan
         with pytest.raises(FloatingPointError, match=r"slots \[4\]$"):
-            traj.sme_step_batch(op.SIGMA_Y, op.SIGMA_Z, rho, dY, 1e-4)
+            traj.sme_step_batch(op.SIGMA_Y, channels, rho, dY, 1e-4)
 
     def test_overflowed_entry_under_finite_trace_names_its_slot(self):
         # slot 1's off-diagonal entries overflow while its trace stays 1: the
@@ -196,7 +204,8 @@ class TestCompiledChannels:
         gen[1] = [[0.0, 1e308], [1e308, 0.0]]
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(FloatingPointError, match=r"in sme_step_batch at slots \[1\]$"):
-            traj.sme_step_batch(np.zeros((2, 2)), np.zeros((2, 2)), rho, np.zeros(3), 1.0,
+            traj.sme_step_batch(np.zeros((2, 2)), traj.compile_channels(np.zeros((2, 2))), rho,
+                                np.zeros(3), 1.0,
                                 unmonitored=gen)
 
 
@@ -318,17 +327,19 @@ class TestCompiledModel:
     @pytest.mark.parametrize("model", [traj.qubit_model(2.3, 0.7), random_model(4, 45)],
                              ids=["qubit", "dense4"])
     def test_simulate_truth_matches_dense_kernel(self, model):
-        # a loop of plain-array steps, each with its own signal Tr[(L+L^dag) rho]
+        # a loop of steps on channels compiled apart from the model, each with
+        # its own signal Tr[(L+L^dag) rho]
         dt, steps, seed = 1e-4, 60, 46
         rho0 = op.pure_to_density(random_pure(model.dim, 47))
         rec = traj.simulate_truth(model, rho0, steps * dt, dt, seed,
                                   observables={"x": model.H})
         dW = rng_stream(seed).standard_normal(steps) * np.sqrt(dt)
         Lsig = model.L + op.dag(model.L)
+        channels = traj.compile_channels(model.L)
         rho, dY, x = rho0, [], [np.trace(model.H @ rho0).real]
         for i in range(steps):
             dY.append(np.trace(Lsig @ rho).real * dt + dW[i])
-            rho = traj.sme_step_batch(model.H, model.L, rho, dY[-1], dt)
+            rho = traj.sme_step_batch(model.H, channels, rho, dY[-1], dt)
             x.append(np.trace(model.H @ rho).real)
         assert np.max(np.abs(rec.dY - dY)) <= 1e-13
         assert np.max(np.abs(rec.expectations["x"] - x)) <= 1e-13
