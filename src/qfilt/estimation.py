@@ -174,9 +174,10 @@ def ensemble_step(model, ens: ParticleEnsemble, dM: float, dt: float) -> Particl
     if ens.states.ndim == 1:
         states = bloch_angle_step(ens.states, dM, ens.params, model.kappa, dt, signal=c)
     else:
-        H = model.H0 * ens.params[:, None, None] + model.base.H
+        channels = model.base.channels
+        G = channels.generator(model.H0 * ens.params[:, None, None] + model.base.H)
         # the joint filter's signal: each block is renormalized by its own trace
-        states = sme_step_batch(H, model.base.channels, ens.states, float(dM), dt,
+        states = sme_step_batch(G, channels, ens.states, float(dM), dt,
                                 signal=np.full((ens.count, 1), cbar))
     return ParticleEnsemble._normalized(w, ens.params, states)
 
@@ -187,7 +188,7 @@ def effective_sample_size(weights: np.ndarray) -> float:
     # written so that a NaN weight fails both tests
     if not (abs(weights.sum() - 1.0) <= 1e-6 and weights.min() >= 0.0):
         raise ValueError("weights must be normalized and non-negative")
-    return float(1.0 / (weights ** 2).sum())
+    return float(1.0 / (weights @ weights))
 
 
 def liu_west_resample(ens: ParticleEnsemble, a: float, h: float, rng) -> ParticleEnsemble:

@@ -94,7 +94,7 @@ def double_pass_sse_step(params: DoublePassParams, psi: np.ndarray, dW, dt: floa
     Accepts one state or a stack of states.
     """
     model = double_pass_model(params)
-    return sse_step_batch(model.H, model.channels, psi, dW, dt)
+    return sse_step_batch(model.G, model.channels, psi, dW, dt)
 
 
 def coherent_x(F: float) -> np.ndarray:
@@ -108,20 +108,21 @@ def simulate_double_pass_truth(params: DoublePassParams, T: float, dt: float,
     the pure-state filter with fresh noise from the +x coherent state.  A
     FloatingPointError from a step is raised again naming the step and the
     time it reaches."""
-    Fz = _spin_cached(int(round(2 * params.F)))["Jz"]
+    # Fz is diagonal and real, so <Fz> is its diagonal against |psi|^2
+    fz_diag = _spin_cached(int(round(2 * params.F)))["Jz"].diagonal().real
     psi = coherent_x(params.F)
     steps = int(round(T / dt))
     rng = rng_stream(seed)
     dWs = rng.standard_normal(steps) * np.sqrt(dt)
     dZ = np.zeros(steps)
     fz = np.zeros(steps + 1)
-    fz[0] = f = np.einsum("i,ij,j->", psi.conj(), Fz, psi).real
+    fz[0] = f = fz_diag @ (psi.conj() * psi).real
     amplitude = 2.0 * np.sqrt(params.M)
     try:
         for i, w in enumerate(dWs.tolist()):
             dZ[i] = amplitude * f * dt + w
             psi = double_pass_sse_step(params, psi, w, dt)
-            fz[i + 1] = f = np.einsum("i,ij,j->", psi.conj(), Fz, psi).real
+            fz[i + 1] = f = fz_diag @ (psi.conj() * psi).real
     except FloatingPointError as e:
         raise FloatingPointError(f"{e} at step {i + 1} (t = {(i + 1) * dt:g})") from None
     return TrajectoryRecord(times=np.arange(steps + 1) * dt, dY=dZ, dW=dWs,
@@ -136,9 +137,9 @@ def fisher_information_fd(params: DoublePassParams, deltaB: float, T: float, dt:
     noise realization, and return Tr[((rho+ - rho-) / (2 deltaB))^2 rho_0],
     clipped at 0.  All seeds advance in lockstep, as one (seeds, 3, d) stack
     stepped by one ``sse_step_batch`` call per increment: the three shifted
-    Hamiltonians are one (3, d, d) array that broadcasts over the seeds, the
-    shifts share the coupling's compiled channels, and noise is drawn in
-    blocks of at most ``_DRAW_BLOCK`` increments per seed.  A
+    generators are one (3, d, d) array, stacked once, that broadcasts over
+    the seeds, the shifts share the coupling's compiled channels, and noise
+    is drawn in blocks of at most ``_DRAW_BLOCK`` increments per seed.  A
     FloatingPointError from a step is raised again naming the step, the time
     it reaches and the indices of the seeds whose states failed.
     """
@@ -148,15 +149,15 @@ def fisher_information_fd(params: DoublePassParams, deltaB: float, T: float, dt:
     rngs = [rng_stream(seed) for seed in seeds]
     models = [double_pass_model(replace(params, B=params.B + dB))
               for dB in (0.0, deltaB, -deltaB)]
-    H = np.stack([m.H for m in models])
+    G = np.stack([m.G for m in models])
     channels = models[0].channels  # L does not depend on B
-    states = np.broadcast_to(coherent_x(params.F), (len(rngs), len(models), H.shape[-1]))
+    states = np.broadcast_to(coherent_x(params.F), (len(rngs), len(models), G.shape[-1]))
     try:
         for done in range(0, steps, _DRAW_BLOCK):
             dWs = np.stack([rng.standard_normal(min(_DRAW_BLOCK, steps - done)) for rng in rngs],
                            axis=1)[..., None] * np.sqrt(dt)
             for i, dW in enumerate(dWs, done):
-                states = sse_step_batch(H, channels, states, dW, dt)
+                states = sse_step_batch(G, channels, states, dW, dt)
     except FloatingPointError as e:
         where = f"{e} at step {i + 1} (t = {(i + 1) * dt:g})"
         if hasattr(e, "slots"):  # the kernel's check; numpy's own errors name no slot

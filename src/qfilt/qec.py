@@ -314,7 +314,9 @@ def build_truncated_basis(code: StabilizerCode) -> TruncatedBasis:
     operator dr, so the residual is a bound on the entrywise error of the
     exact superoperator action in the full space.  Closure is verified
     (residual <= _VERIFY_TOL) for the noise and measurement channels and for
-    feedback acting on the syndrome projectors.
+    feedback acting on the syndrome projectors.  A code whose merged
+    elements are linearly dependent, as in some degenerate codes, raises
+    ValueError naming the code.
     """
     d, S, l = code.dim, code.n_syndromes, code.n_generators
     frame, n_chan, D = code.pauli, len(code.channel_labels), code.dim ** 2
@@ -360,7 +362,14 @@ def build_truncated_basis(code: StabilizerCode) -> TruncatedBasis:
     R = np.zeros((E, C))
     R[element[nonzero], slot[cols[nonzero]]] = vals[nonzero]
     RT = R.T.copy()  # C order, as each action's rows are gathered from it
-    gram_inv = np.linalg.inv(R @ R.T)
+    try:
+        gram_inv = np.linalg.inv(R @ R.T)
+    except np.linalg.LinAlgError as err:
+        # a degenerate code's channels can give dependent commutators
+        raise ValueError(
+            f"code {code.name!r}: its merged first-level elements are linearly dependent"
+            " (singular Gram matrix), so the first-level truncated basis is not defined;"
+            " a degenerate code needs a rank-reduced basis") from err
 
     def project(AT: np.ndarray) -> np.ndarray:
         """Basis coefficients (m, E) of m operators, given their Pauli
@@ -573,7 +582,7 @@ class _FullStep:
         dW = dQ - signal * self.dt
         np.multiply(lambdas, 2.0 * self.dt, out=self.coef[:, :n_chan])
         np.multiply(dW, self.root, out=self.coef[:, n_chan:])
-        out = self.r * (self.keep - np.einsum("bl,bl->b", signal, dW)[:, None])
+        out = self.r * (self.keep - np.vecdot(signal, dW)[:, None])
         # slot by slot, so that the gathered (3n + l, 4^n) temporary reuses freed
         # heap: a (B, 3n + l, 4^n) one costs fresh pages and raises peak memory;
         # every index is in range, and clip mode skips the bounds check
@@ -648,7 +657,7 @@ class _TruncatedStep:
         prod *= self.value
         prod *= p.take(self.a2, axis=1)
         out = np.add.reduceat(prod, self.starts, axis=1)
-        out += p * (self.diag - self.root * np.einsum("bl,bl->b", dW, means)[:, None])
+        out += p * (self.diag - self.root * np.vecdot(dW, means)[:, None])
         head = out[:, :S]
         np.maximum(head, 0.0, out=head)
         total = head.sum(axis=1)

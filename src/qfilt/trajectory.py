@@ -16,14 +16,18 @@ unmonitored generator term computed by the caller, so every density-matrix
 filter in the package is stepped by this one kernel, and every pure-state
 filter by ``sse_step_batch``.  Both take their coupling compiled once by
 ``compile_channels`` into one dense form, L, L^dag, half the sum of L^dag L
-and the signal operator L + L^dag.  A ``DiffusiveModel`` compiles its
-coupling once (``channels``), and every density-matrix and pure-state filter
-of a model steps those channels and reads its signal from them.
+and the signal operator L + L^dag, and in place of H the drift generator
+G = -iH - sum_l L_l^dag L_l / 2 (``Channels.generator``).  A
+``DiffusiveModel`` compiles its coupling and its generator once
+(``channels``, ``G``), and every density-matrix and pure-state filter of a
+model steps those and reads its signal from them.
 
 Both kernels step states in lockstep over numpy's leading axes, one
 trajectory per slot, each of which must draw from its own noise stream: a
-single state has no leading axis, a batch has one or more, and a per-slot H
-or increment broadcasts against them.  A failure names the row-major slots.
+single state has no leading axis, a batch has one or more, and a per-slot G
+or increment broadcasts against them.  No per-increment contraction goes
+through ``np.einsum``, whose call overhead exceeds the arithmetic at these
+sizes.  A failure names the row-major slots.
 Steps renormalize trace/norm and re-Hermitize every step;
 Euler-Maruyama is the scheme, with dt = 1e-5 by default in the problem's
 inverse-rate units.
@@ -58,8 +62,9 @@ __all__ = [
 class DiffusiveModel:
     """Hamiltonian/coupling pair of one diffusive measurement channel, the
     compiled filter model: ``channels`` holds L, L^dag, L^dag L / 2 and the
-    signal operator L + L^dag, compiled on first use and kept for the
-    model's lifetime.  H and L must not be mutated afterwards."""
+    signal operator L + L^dag, and ``G`` the drift generator
+    -iH - L^dag L / 2, each compiled on first use and kept for the model's
+    lifetime.  H and L must not be mutated afterwards."""
 
     H: np.ndarray
     L: np.ndarray
@@ -77,6 +82,10 @@ class DiffusiveModel:
     @cached_property
     def channels(self) -> Channels:
         return compile_channels(self.L)
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        return self.channels.generator(self.H)
 
 
 def qubit_model(kappa: float, B: float) -> DiffusiveModel:
@@ -110,8 +119,15 @@ class Channels(NamedTuple):
 
     def signal(self, rho: np.ndarray) -> np.ndarray:
         """Tr[(L_l + L_l^dag) rho] per slot and monitored channel: the
-        states' leading axes, then l."""
-        return np.einsum("lij,...ji->...l", self.S, rho).real
+        states' leading axes, then l.  S_l is Hermitian, so the trace is
+        the conjugating dot product of the flattened S_l and rho."""
+        flat = rho.reshape(*rho.shape[:-2], 1, -1)
+        return np.vecdot(self.S.reshape(len(self.S), -1), flat).real
+
+    def generator(self, H: np.ndarray) -> np.ndarray:
+        """The drift generator -iH - sum_l L_l^dag L_l / 2 of a Hamiltonian
+        H, one matrix or a stack, that the filter steps take."""
+        return -1j * H - self.K
 
 
 def compile_channels(L: np.ndarray) -> Channels:
@@ -131,7 +147,7 @@ def _raise_nonfinite(what: str, kernel: str, finite: np.ndarray):
     raise err
 
 
-def sme_step_batch(H: np.ndarray, L: Channels, rho: np.ndarray,
+def sme_step_batch(G: np.ndarray, L: Channels, rho: np.ndarray,
                    dY: np.ndarray | float, dt: float, unmonitored: np.ndarray | None = None,
                    signal: np.ndarray | None = None) -> np.ndarray:
     """One Euler step of the quantum filter on density matrices rho
@@ -140,12 +156,13 @@ def sme_step_batch(H: np.ndarray, L: Channels, rho: np.ndarray,
     L holds the l monitored channels compiled once by ``compile_channels``,
     shared by every slot; dY holds one increment per slot or one per slot
     and channel (leading axes, then l), and a float is shared by every slot
-    and channel.  H is one matrix or one per slot, broadcast against the
-    states.  The step is written as
+    and channel.  G is the drift generator -iH - sum_l L_l^dag L_l / 2
+    (``DiffusiveModel.G`` or ``L.generator(H)``), one matrix or one per
+    slot, broadcast against the states.  The step is written as
 
         rho' = rho + A rho + rho A^dag + sum_l L_l rho L_l^dag dt
                - (sum_l s_l dW_l) rho,
-        A = -(i H + sum_l L_l^dag L_l / 2) dt + sum_l dW_l L_l,
+        A = G dt + sum_l dW_l L_l,
 
     with s_l = Tr[(L_l + L_l^dag) rho] and dW_l = dY_l - s_l dt, which is
     the Euler step of the SME term by term (the first-order part of the
@@ -162,17 +179,16 @@ def sme_step_batch(H: np.ndarray, L: Channels, rho: np.ndarray,
     if not isinstance(dY, float):
         dY = np.asarray(dY, dtype=float).reshape(signal.shape)
     dW = dY - signal * dt
-    A = (-1j * H - L.K) * dt + (dW @ L.L.reshape(len(L.L), -1)).reshape(rho.shape)
+    A = G * dt + (dW @ L.L.reshape(len(L.L), -1)).reshape(rho.shape)
     Arho = A @ rho
     out = rho + Arho + Arho.swapaxes(-1, -2).conj() \
-        - np.einsum("...l,...l->...", signal, dW)[..., None, None] * rho
+        - np.vecdot(signal, dW)[..., None, None] * rho
     for Lk, Lkd in zip(L.L, L.Ld):
         out += (Lk @ rho @ Lkd) * dt
     if unmonitored is not None:
         out += unmonitored * dt
     out = 0.5 * (out + out.swapaxes(-1, -2).conj())
-    # einsum, not ndarray.trace, whose sum order differs from d = 4 on
-    tr = np.einsum("...ii->...", out).real
+    tr = out.diagonal(0, -2, -1).sum(axis=-1).real
     # every entry, not just the trace: a finite trace over non-finite
     # off-diagonal parts would leave NaN after the division
     if not np.isfinite(out).all():
@@ -180,24 +196,23 @@ def sme_step_batch(H: np.ndarray, L: Channels, rho: np.ndarray,
     return out / tr[..., None, None]
 
 
-def sse_step_batch(H: np.ndarray, channels: Channels, psi: np.ndarray,
+def sse_step_batch(G: np.ndarray, channels: Channels, psi: np.ndarray,
                    dW: np.ndarray | float, dt: float) -> np.ndarray:
     """One Euler step of the stochastic Schrodinger equation on state
     vectors psi (..., d), whose leading axes are the batch, driven directly
     by the innovation increment dW, which broadcasts against those axes.
 
     ``channels`` is one compiled coupling (``DiffusiveModel.channels``): L is
-    read as ``channels.L[0]`` and L^dag L / 2 as ``channels.K``, so a call
-    forms no operator product.  H is one matrix or one per slot, broadcast
-    against the states.  A non-finite norm raises FloatingPointError naming
-    the row-major batch slots.
+    read as ``channels.L[0]``, so a call forms no operator product.  G is the
+    drift generator -iH - L^dag L / 2 (``DiffusiveModel.G``), one matrix or
+    one per slot, broadcast against the states.  A non-finite norm raises
+    FloatingPointError naming the row-major batch slots.
     """
     Lpsi = psi @ channels.L[0].T
-    expL = np.einsum("...i,...i->...", psi.conj(), Lpsi)[..., None]
+    expL = np.vecdot(psi, Lpsi)[..., None]
     expLd = expL.conj()
-    Hpsi = psi @ H.T if H.ndim == 2 else np.einsum("...ij,...j->...i", H, psi)
-    dpsi = (-1j) * Hpsi * dt
-    dpsi -= (psi @ channels.K.T - expLd * Lpsi + 0.5 * (expL * expLd) * psi) * dt
+    Gpsi = psi @ G.T if G.ndim == 2 else np.matvec(G, psi)
+    dpsi = (Gpsi + expLd * Lpsi - 0.5 * (expL * expLd) * psi) * dt
     if not isinstance(dW, float):
         dW = np.asarray(dW, dtype=float)[..., None]
     dpsi += (Lpsi - expL * psi) * dW
@@ -230,7 +245,7 @@ def simulate_truth(model: DiffusiveModel, rho0: np.ndarray, T: float, dt: float,
     steps = int(round(T / dt))
     rng = rng_stream(seed)
     rho = np.array(rho0, dtype=complex)
-    channels = model.channels
+    channels, G = model.channels, model.G
     dY = np.zeros(steps)
     dWs = rng.standard_normal(steps) * np.sqrt(dt)
     exps = {k: np.full(steps + 1, np.nan) for k in observables}
@@ -240,7 +255,7 @@ def simulate_truth(model: DiffusiveModel, rho0: np.ndarray, T: float, dt: float,
         for i, w in enumerate(dWs.tolist()):
             signal = channels.signal(rho)
             dY[i] = y = signal[0] * dt + w
-            rho = sme_step_batch(model.H, channels, rho, y, dt, signal=signal)
+            rho = sme_step_batch(G, channels, rho, y, dt, signal=signal)
             if (i + 1) % store_every == 0 or i + 1 == steps:
                 for k, opT in observables.items():
                     exps[k][i + 1] = (opT * rho).sum().real

@@ -30,7 +30,7 @@ class TestEnsembleStep:
         for _ in range(200):
             dM = rng.normal() * 1e-2
             ens = est.ensemble_step(model, ens, dM, 1e-4)
-            rho_ref = traj.sme_step_batch(filt.H, filt.channels, rho_ref, dM, 1e-4)
+            rho_ref = traj.sme_step_batch(filt.G, filt.channels, rho_ref, dM, 1e-4)
             assert abs(ens.weights[0] - 1.0) < 1e-15
         assert np.max(np.abs(ens.states[0] - rho_ref)) < 1e-13
 
@@ -80,7 +80,7 @@ class TestEnsembleStep:
         worst = 0.0
         for dM in record.dY:
             ens = est.ensemble_step(model, ens, dM, dt)
-            rho = traj.sme_step_batch(joint.H, joint.channels, rho, dM, dt)
+            rho = traj.sme_step_batch(joint.G, joint.channels, rho, dM, dt)
             blocks = np.einsum("iaia->i", rho.reshape(4, 2, 4, 2)).real
             worst = max(worst, np.max(np.abs(ens.weights - blocks)))
         assert worst < 2e-3
@@ -405,7 +405,7 @@ class TestFiniteSetFilter:
         snaps = est.finite_set_filter(kappa, B_values, record, store_every=1)["weights"]
         worst = 0.0
         for k, dM in enumerate(record.dY):
-            rho = traj.sme_step_batch(joint.H, joint.channels, rho, dM, dt)
+            rho = traj.sme_step_batch(joint.G, joint.channels, rho, dM, dt)
             blocks = np.einsum("iaia->i", rho.reshape(4, 2, 4, 2)).real
             worst = max(worst, np.max(np.abs(snaps[k] - blocks)))
         assert worst < 2e-3

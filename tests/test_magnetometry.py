@@ -82,7 +82,7 @@ class TestDoublePassFilters:
             b = rho + drift * dt + kick * dW
             b = 0.5 * (b + op.dag(b))
             b /= np.trace(b).real
-            a = traj.sme_step_batch(model.H, model.channels, rho, dZ, dt)
+            a = traj.sme_step_batch(model.G, model.channels, rho, dZ, dt)
             assert np.max(np.abs(a - b)) < 1e-12
             rho = a
 
@@ -125,7 +125,7 @@ class TestDoublePassFilters:
         for _ in range(5000):
             dW = rng.choice([-1.0, 1.0]) * np.sqrt(dt)
             dZ = 2.0 * np.sqrt(p.M) * np.trace(ops["Jz"] @ rho).real * dt + dW
-            rho = traj.sme_step_batch(model.H, model.channels, rho, dZ, dt)
+            rho = traj.sme_step_batch(model.G, model.channels, rho, dZ, dt)
             psi = mag.double_pass_sse_step(p, psi, dW, dt)
         assert np.max(np.abs(op.pure_to_density(psi) - rho)) < 1e-4
 
@@ -152,7 +152,7 @@ class TestDoublePassFilters:
         for _ in range(2000):
             dW = rng.choice([-1.0, 1.0]) * np.sqrt(dt)
             dZ = np.trace(Lsig @ rho).real * dt + dW
-            rho = traj.sme_step_batch(model.H, model.channels, rho, dZ, dt)
+            rho = traj.sme_step_batch(model.G, model.channels, rho, dZ, dt)
             psi = mag.double_pass_sse_step(p, psi, dW, dt)
         assert np.max(np.abs(op.pure_to_density(psi) - rho)) < 1e-5
 
@@ -330,7 +330,8 @@ class TestMagnetometryParticleFilter:
             ens = est.ensemble_step(model, ens, dM, dt)
             joint = np.zeros((3, d, 3, d), dtype=complex)
             joint[np.arange(3), :, np.arange(3), :] = w[:, None, None] * states
-            joint = traj.sme_step_batch(Hext, Lext, joint.reshape(3 * d, 3 * d), dM, dt)
+            joint = traj.sme_step_batch(Lext.generator(Hext), Lext, joint.reshape(3 * d, 3 * d),
+                                        dM, dt)
             blocks = joint.reshape(3, d, 3, d)[np.arange(3), :, np.arange(3), :]
             w = np.einsum("bii->b", blocks).real
             states = blocks / w[:, None, None]

@@ -4,7 +4,13 @@ import os
 import pkgutil
 import re
 
+import numpy as np
+
 import qfilt
+from qfilt import magnetometry as mag
+from qfilt import operators as op
+from qfilt import qec
+from qfilt import trajectory as traj
 
 
 def test_every_exported_name_resolves():
@@ -42,3 +48,33 @@ def test_version_matches_pyproject():
     with open(path, encoding="utf-8") as f:
         version = re.search(r'^version\s*=\s*"([^"]+)"', f.read(), re.MULTILINE).group(1)
     assert version == qfilt.__version__
+
+
+def test_no_per_increment_path_calls_einsum(monkeypatch):
+    # at these state sizes np.einsum's per-call overhead exceeds the
+    # arithmetic of one increment, so every per-increment path avoids it
+    code = qec.build_code("bitflip3")
+    basis = qec.build_truncated_basis(code)
+    qubit = traj.qubit_model(1.0, 0.3)
+    params = mag.DoublePassParams(F=2.0, M=1.0, K=0.5)
+    double_pass = mag.double_pass_model(params)
+    rho = op.pure_to_density(op.spin_coherent(0.5, np.pi / 2, 0.0))
+    psi = mag.coherent_x(params.F)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.einsum called on a per-increment path")
+
+    monkeypatch.setattr(np, "einsum", refuse)
+    rhos, psis = np.stack([rho] * 4), np.broadcast_to(psi, (2, 3, len(psi)))
+    G3 = np.stack([double_pass.G] * 3)
+    for _ in range(3):
+        rho = traj.sme_step_batch(qubit.G, qubit.channels, rho, 0.01, 1e-4)
+        rhos = traj.sme_step_batch(qubit.G, qubit.channels, rhos, np.full(4, 0.01), 1e-4)
+        psi = traj.sse_step_batch(double_pass.G, double_pass.channels, psi, 0.01, 1e-4)
+        psis = traj.sse_step_batch(G3, double_pass.channels, psis, np.full((2, 1), 0.01), 1e-4)
+    traj.simulate_truth(qubit, rho, 3e-4, 1e-4, seed=1, observables={"sz": op.SIGMA_Z})
+    mag.simulate_double_pass_truth(params, 3e-4, 1e-4, seed=1)
+    mag.fisher_information_fd(params, 1e-3, 3e-4, 1e-4, seeds=[1, 2])
+    for controller in ("full", "truncated"):
+        qec.run_feedback_batch(code, 1.0, 100.0, 200.0, 3e-5, 1e-5, 1, 2,
+                               controller=controller, basis=basis)

@@ -363,8 +363,9 @@ class TestPauliForm:
         P = ref.single_paulis
         H = np.einsum("bc,cij->bij", lambdas, P)
         depol = gamma * (sum(s @ rho @ s for s in P) - n_chan * rho)
-        expect = traj.sme_step_batch(H, traj.compile_channels(np.sqrt(kappa) * ref.gen_ops),
-                                     rho, dQ, dt, unmonitored=depol)
+        channels = traj.compile_channels(np.sqrt(kappa) * ref.gen_ops)
+        expect = traj.sme_step_batch(channels.generator(H), channels, rho, dQ, dt,
+                                     unmonitored=depol)
         frame = code.pauli
         signal = 2.0 * np.sqrt(kappa) * np.einsum("lij,bji->bl", ref.gen_ops, rho).real
         full = qec._FullStep(frame, frame.to_pauli(rho), gamma, kappa, dt)
@@ -510,6 +511,16 @@ class TestTruncatedBasis:
         z_channels = [c for c, lab in enumerate(bitflip.channel_labels)
                       if lab.strip("I") == "Z"]
         assert all(basis.policy_index[c] == -1 for c in z_channels)
+
+    def test_degenerate_code_names_its_dependent_elements(self, monkeypatch):
+        # ZZI and XXI stabilize a Bell pair on qubits 0 and 1, a degenerate
+        # code whose merged commutators are linearly dependent: the Gram
+        # matrix is singular, which numpy reported as a bare LinAlgError
+        monkeypatch.setitem(qec._CODES, "degenerate3",
+                            {"generators": ["ZZI", "XXI"], "logical_z": "IIZ"})
+        with pytest.raises(ValueError, match=r"^code 'degenerate3': its merged first-level"
+                                             r" elements are linearly dependent"):
+            qec.build_truncated_basis(qec.build_code("degenerate3"))
 
     @pytest.mark.parametrize("name", ["bitflip3", "fivequbit"])
     def test_matches_dense_reference(self, name, five_basis):
@@ -748,7 +759,8 @@ class TestClosedLoop:
             depol = gamma * (sum(s @ rho @ s for s in P) - len(P) * rho)
             if basis is not None:
                 p = dense_truncated_step(basis, p, dQ, gamma, kappa, lambdas, dt)
-            rho = traj.sme_step_batch(H, channels, rho, dQ, dt, unmonitored=depol)
+            rho = traj.sme_step_batch(channels.generator(H), channels, rho, dQ, dt,
+                                      unmonitored=depol)
             if (i + 1) % 10 == 0:
                 codespace.append(np.einsum("ij,bji->b", ref.projectors[0], rho).real)
                 codeword.append(np.einsum("ij,bji->b", rho0, rho).real)

@@ -63,10 +63,10 @@ class TestBenchmarkPins:
         assert result["problems"] == {}
 
 
-def run(steps_per_s, correct=True, failed=0, job_best_s=None):
+def run(steps_per_s, correct=True, failed=0, job_best_s=None, job_median_s=None):
     return {"steps_per_s": steps_per_s, "setup_s": 0.2, "peak_rss_mb": 36.0,
             "correct": correct, "failed": failed, "attempted": 10,
-            "job_best_s": job_best_s or {}}
+            "job_best_s": job_best_s or {}, "job_median_s": job_median_s or job_best_s or {}}
 
 
 def pair(seed, parent, change):
@@ -96,17 +96,32 @@ class TestSummarize:
 
     def test_jobs_show_which_job_moved(self):
         # per job, over the correct pairs only: each side's median best time,
-        # their ratio and the pairs in which the change ran faster
-        pairs = [pair(k, run(100.0, job_best_s={"a": 0.10, "b": b}),
-                      run(120.0, job_best_s={"a": a, "b": 0.20}))
+        # their ratio and the pairs in which the change ran faster, and the
+        # same over each run's median repetition
+        pairs = [pair(k, run(100.0, job_best_s={"a": 0.10, "b": b},
+                             job_median_s={"a": 0.12, "b": 0.30}),
+                      run(120.0, job_best_s={"a": a, "b": 0.20},
+                          job_median_s={"a": 0.12 + k, "b": 0.15}))
                  for k, (a, b) in enumerate([(0.05, 0.20), (0.06, 0.21), (0.11, 0.19)])]
         pairs.append(pair(9, run(100.0, job_best_s={"a": 9.0, "b": 9.0}),
                           run(900.0, correct=False, job_best_s={"a": 0.0, "b": 0.0})))
         jobs = bench_pairs.summarize(pairs)["jobs"]
         assert jobs["a"] == {"parent_median_s": 0.10, "change_median_s": 0.06,
-                             "ratio_of_medians": pytest.approx(0.6), "change_better_pairs": 2}
+                             "ratio_of_medians": pytest.approx(0.6), "change_better_pairs": 2,
+                             "median_rep": {"parent_median_s": 0.12, "change_median_s": 1.12,
+                                            "ratio_of_medians": pytest.approx(1.12 / 0.12),
+                                            "change_better_pairs": 0}}
         assert jobs["b"]["ratio_of_medians"] == pytest.approx(1.0)
         assert jobs["b"]["change_better_pairs"] == 1
+        assert jobs["b"]["median_rep"]["ratio_of_medians"] == pytest.approx(0.5)
+        assert jobs["b"]["median_rep"]["change_better_pairs"] == 3
+
+    def test_end_to_end_records_best_and_median_repetition(self):
+        result = {"correct": True, "failed": 0, "attempted": 3,
+                  "metrics": {name: {"value": 1.0} for name in bench_pairs.METRICS}}
+        record = bench_pairs.end_to_end(result, {"a": [0.3, 0.1, 0.2, 0.5]})
+        assert record["job_best_s"] == {"a": 0.1}
+        assert record["job_median_s"] == {"a": pytest.approx(0.25)}
 
     def test_no_correct_pair_leaves_only_the_counts(self):
         summary = bench_pairs.summarize([pair(1, run(100.0), run(120.0, correct=False))])
@@ -124,7 +139,7 @@ class TestMain:
             side = os.path.basename(checkout)
             result = {"correct": side != bad_side, "failed": 0, "attempted": 5,
                       "metrics": {name: {"value": 1.0} for name in bench_pairs.METRICS}}
-            return {"cpus": "2"}, result, {"job": 0.01}
+            return {"cpus": "2"}, result, {"job": [0.01, 0.02]}
 
         monkeypatch.setattr(bench_pairs, "run_once", run_once)
         monkeypatch.setattr(bench_pairs, "package_version",

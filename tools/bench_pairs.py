@@ -7,14 +7,16 @@ host does not favour one side.  The pairs and a summary are merged into the
 JSON file given by ``--out`` (created if missing), keyed by workload:
 
     pairs[W]    one record per seed with both sides' end-to-end metrics and
-                per-job best times (``job_best_s``, each job's fastest
-                untraced repetition), so a record shows which job moved
+                per-job times (``job_best_s``, each job's fastest untraced
+                repetition, and ``job_median_s``, its median one), so a
+                record shows which job moved
     summary[W]  per metric: median and quartiles of each side, the ratio of
                 the medians (change / parent) and how many pairs the change
                 wins, over the pairs whose runs are both correct; ``jobs``,
                 per job over the same pairs, each side's median
                 ``job_best_s``, their ratio and how many pairs the change
-                ran faster, so a summary shows which job moved; and
+                ran faster, and the same four over ``job_median_s`` under
+                ``median_rep``, so a summary shows which job moved; and
                 ``incorrect_runs``, per side, the runs that reported
                 ``correct: false`` or failed jobs, which no statistic counts
     trace_W     with --trace 1: both sides' per-layer metrics (nonzero ones)
@@ -44,7 +46,8 @@ import sys
 METRICS = {"steps_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
 METHOD = ("parent and change run alternately per seed (odd-indexed seeds run the change "
           "first), each from its own checkout with identical perfbench/ files; steps_per_s "
-          "is the harness's best-of-repetitions statistic, setup_s and peak_rss_mb its medians")
+          "is the harness's best-of-repetitions statistic, setup_s and peak_rss_mb its medians; "
+          "job_best_s and job_median_s are each job's fastest and median untraced repetition")
 
 
 def parse_seeds(text: str) -> list:
@@ -56,9 +59,9 @@ def parse_seeds(text: str) -> list:
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> tuple:
-    """(machine block, result line, per-job best seconds) of one perfbench run
-    in checkout; the best times come from the run's full record in
-    perfbench/.out/."""
+    """(machine block, result line, per-job untraced repetition seconds) of
+    one perfbench run in checkout; the repetition times come from the run's
+    full record in perfbench/.out/."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
@@ -69,14 +72,16 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int
                         f"result-{workload}-seed{seed}-trace{trace}.json")
     with open(path) as f:
         reps = json.load(f)["untraced_reps"]
-    return machine, json.loads(lines[-1]), {job: min(r["jobs"][job] for r in reps)
+    return machine, json.loads(lines[-1]), {job: [r["jobs"][job] for r in reps]
                                             for job in reps[0]["jobs"]}
 
 
-def end_to_end(result: dict, job_best: dict) -> dict:
+def end_to_end(result: dict, job_times: dict) -> dict:
     record = {name: result["metrics"][name]["value"] for name in METRICS}
     record.update(correct=result["correct"], failed=result["failed"],
-                  attempted=result["attempted"], job_best_s=job_best)
+                  attempted=result["attempted"],
+                  job_best_s={job: min(t) for job, t in job_times.items()},
+                  job_median_s={job: statistics.median(t) for job, t in job_times.items()})
     return record
 
 
@@ -105,16 +110,21 @@ def summarize(pairs: list) -> dict:
                      "ratio_of_medians": statistics.median(change) / statistics.median(parent),
                      "change_better_pairs": wins, "pairs": len(valid)}
     if valid:
-        out["jobs"] = {}
-        for job in valid[0]["parent"]["job_best_s"]:
-            parent = [p["parent"]["job_best_s"][job] for p in valid]
-            change = [p["change"]["job_best_s"][job] for p in valid]
-            out["jobs"][job] = {
-                "parent_median_s": statistics.median(parent),
-                "change_median_s": statistics.median(change),
-                "ratio_of_medians": statistics.median(change) / statistics.median(parent),
-                "change_better_pairs": sum(c < p for p, c in zip(parent, change))}
+        out["jobs"] = {job: dict(_job_times(valid, "job_best_s", job),
+                                 median_rep=_job_times(valid, "job_median_s", job))
+                       for job in valid[0]["parent"]["job_best_s"]}
     return out
+
+
+def _job_times(valid: list, field: str, job: str) -> dict:
+    """Each side's median of one job's ``field`` over the pairs, their ratio
+    and the pairs in which the change ran faster."""
+    parent = [p["parent"][field][job] for p in valid]
+    change = [p["change"][field][job] for p in valid]
+    return {"parent_median_s": statistics.median(parent),
+            "change_median_s": statistics.median(change),
+            "ratio_of_medians": statistics.median(change) / statistics.median(parent),
+            "change_better_pairs": sum(c < p for p, c in zip(parent, change))}
 
 
 def git_head(checkout: str):
@@ -145,14 +155,14 @@ def main(argv=None) -> int:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         record = {"seed": seed, "first": order[0]}
         for side in order:
-            machine, result, job_best = run_once(sides[side], args.workload, seed,
-                                                 args.seconds, args.trace)
+            machine, result, job_times = run_once(sides[side], args.workload, seed,
+                                                  args.seconds, args.trace)
             if args.trace:
                 record[side] = {"seed": seed, "correct": result["correct"],
                                 "metrics": {k: m["value"] for k, m in result["metrics"].items()
                                             if m["value"]}}
             else:
-                record[side] = end_to_end(result, job_best)
+                record[side] = end_to_end(result, job_times)
             print(f"{args.workload} seed {seed} {side}: "
                   + (f"correct={result['correct']}" if args.trace else json.dumps(record[side])),
                   flush=True)
@@ -187,10 +197,11 @@ def main(argv=None) -> int:
                       f"{s['ratio_of_medians']:.3f}, change better in "
                       f"{s['change_better_pairs']}/{s['pairs']}")
         for job, s in summary.get("jobs", {}).items():
-            print(f"{args.workload} job {job} best_s: parent median {s['parent_median_s']:.6g},"
-                  f" change median {s['change_median_s']:.6g}, ratio"
-                  f" {s['ratio_of_medians']:.3f}, change faster in"
-                  f" {s['change_better_pairs']}/{summary['steps_per_s']['pairs']}")
+            for stat, t in (("best_s", s), ("median_rep_s", s["median_rep"])):
+                print(f"{args.workload} job {job} {stat}: parent median"
+                      f" {t['parent_median_s']:.6g}, change median {t['change_median_s']:.6g},"
+                      f" ratio {t['ratio_of_medians']:.3f}, change faster in"
+                      f" {t['change_better_pairs']}/{summary['steps_per_s']['pairs']}")
         bad = summary["incorrect_runs"]
         print(f"{args.workload} incorrect runs (in no statistic): parent {bad['parent']}, "
               f"change {bad['change']}")
