@@ -553,6 +553,16 @@ def list_experiments(stream=None) -> None:
         stream.write("\n")
 
 
+def _lines(path: str):
+    """The lines of a UTF-8 text file, read as they are used; any other
+    bytes are a ConfigError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            yield from f
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: {e}") from None
+
+
 def convergence_rate(csv_paths: list, alpha: float = 0.95):
     """Post-processing: fraction of runs in which some weight column exceeds
     alpha, per time row, averaged over the given ensemble CSVs."""
@@ -560,20 +570,20 @@ def convergence_rate(csv_paths: list, alpha: float = 0.95):
     times = None
     for path in csv_paths:
         rows = []
-        with open(path) as f:
-            header = f.readline().strip().split(",")
-            wcols = [i for i, h in enumerate(header) if h.startswith("w_")]
-            if not wcols:
-                raise ConfigError(f"{path}: no weight columns (w_*) found")
-            for lineno, line in enumerate(f, 2):
-                if line.startswith("#"):
-                    continue
-                try:
-                    vals = [float(x) for x in line.strip().split(",")]
-                    rows.append((vals[0], max(vals[i] for i in wcols)))
-                except (ValueError, IndexError):
-                    raise ConfigError(f"{path}: line {lineno} is not a row of"
-                                      f" {len(header)} numbers") from None
+        lines = _lines(path)
+        header = next(lines, "").strip().split(",")
+        wcols = [i for i, h in enumerate(header) if h.startswith("w_")]
+        if not wcols:
+            raise ConfigError(f"{path}: no weight columns (w_*) found")
+        for lineno, line in enumerate(lines, 2):
+            if line.startswith("#"):
+                continue
+            try:
+                vals = [float(x) for x in line.strip().split(",")]
+                rows.append((vals[0], max(vals[i] for i in wcols)))
+            except (ValueError, IndexError):
+                raise ConfigError(f"{path}: line {lineno} is not a row of"
+                                  f" {len(header)} numbers") from None
         t = np.array([r[0] for r in rows])
         if times is None:
             times = t
@@ -612,17 +622,18 @@ def main(argv=None) -> int:
             for t, r in zip(times, rate):
                 sys.stdout.write(f"{_fmt(t)},{_fmt(r)}\n")
             return 0
-        raw = {}
-        if args.config:
-            with open(args.config) as f:
-                raw.update(parse_config_text(f.read()))
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+        raw = parse_config_text("".join(_lines(args.config))) if args.config else {}
         for item in args.set:
             if "=" not in item:
                 raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
             key, _, value = item.partition("=")
             raw[key.strip()] = value.strip()
         params = resolve_params(args.experiment, raw)
-    except (ConfigError, FileNotFoundError) as e:
+        # an unusable output path is refused before any step, as a bad key is
+        os.makedirs(args.out, exist_ok=True)
+    except (ConfigError, OSError) as e:
         sys.stderr.write(f"config error: {e}\n")
         return 1
     try:

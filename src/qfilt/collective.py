@@ -13,9 +13,11 @@ a residual non-collective bilinear evaluated with the three-term g-tensor
 identity, which couples block J to J-1 and J+1 with coefficients built from
 the A/B/D ladder tables and the multiplicity ratios alpha_J / d_J.  One
 table (_g_outputs) holds each output's block step, ladder table and
-prefactor; the element-wise g_tensor_apply and the compiled generator both
-read it.  The g-tensor's z-component is the angular-momentum convention
-(sigma_z / 2); Pauli-z channel coefficients are rescaled internally.
+prefactor; the compiled generator reads it, and so does the element-wise
+reference in tests/reference.py, beside the Clebsch-Gordan embedding into
+the 2^N-dimensional space that the tests check against.  The g-tensor's
+z-component is the angular-momentum convention (sigma_z / 2); Pauli-z
+channel coefficients are rescaled internally.
 
 The generator is linear and time-invariant, and each of its pieces (the
 Hamiltonian commutator, C rho C^dag - {C^dag C, rho}/2, the anticommutator
@@ -66,7 +68,6 @@ __all__ = [
     "CollectiveChannel",
     "irrep_degeneracy",
     "alpha_cumulative",
-    "g_tensor_apply",
     "collective_operator",
     "symmetric_lindblad_apply",
     "collective_lindblad_apply",
@@ -78,9 +79,6 @@ __all__ = [
     "irrep_population",
     "expectation",
     "fidelity_with",
-    "irrep_embeddings",
-    "embed_collective",
-    "project_collective",
 ]
 
 
@@ -106,25 +104,12 @@ def alpha_cumulative(J: float, N: int) -> int:
 class CollectiveDensity:
     """Block-diagonal effective density matrix: blocks[2J] is (2J+1) x (2J+1).
 
-    A valid 2J missing from ``blocks`` is an exactly-zero block; ``zeros``
-    stores every block (complex), for callers that write into them.  Blocks
+    A valid 2J missing from ``blocks`` is an exactly-zero block.  Blocks
     may be real or complex: a real state steps in real arithmetic while its
     generators are real, and the dtype follows the data (see master_rhs)."""
 
     N: int
     blocks: dict = field(default_factory=dict)
-
-    @classmethod
-    def zeros(cls, N: int) -> "CollectiveDensity":
-        return cls(N=N, blocks={tj: np.zeros((tj + 1, tj + 1), dtype=complex)
-                                for tj in range(N % 2, N + 1, 2)})
-
-    def copy(self) -> "CollectiveDensity":
-        return CollectiveDensity(N=self.N, blocks={k: v.copy() for k, v in self.blocks.items()})
-
-    def physical_trace(self) -> float:
-        return float(sum(irrep_degeneracy(tj / 2.0, self.N) * np.trace(b).real
-                         for tj, b in self.blocks.items()))
 
 
 @dataclass(frozen=True)
@@ -163,8 +148,8 @@ class CollectiveChannel:
 
 # ladder coefficient tables of the three-term identity; q in {+, -, z} and
 # the z entry is in the angular-momentum (sigma_z / 2) convention.  M may be
-# a scalar (g_tensor_apply) or an array of projections (the compiled
-# generator).
+# an array of projections (the compiled generator) or a scalar (the tests'
+# element-wise reference).
 def _A(q: str, J: float, M: float) -> float:
     if q == "+":
         return np.sqrt(np.maximum((J - M) * (J + M + 1.0), 0.0))
@@ -205,32 +190,6 @@ def _g_outputs(J: float, N: int) -> list:
             out.append((-1, _B, aJ / (dJ * 2.0 * J)))
     if irrep_degeneracy(J + 1, N) > 0:
         out.append((1, _D, aJ1 / (dJ * 2.0 * (J + 1.0))))
-    return out
-
-
-def g_tensor_apply(q: str, r: str, J: float, M: float, Mp: float, N: int) -> list:
-    """Three-term expansion of sum_n sigma_q^(n) |J,M><J,M'| sigma_r^(n)^dag
-    on an effective density matrix element (the 1/d_J-normalized grouping of
-    the degenerate irreps; the z channel is the angular-momentum component,
-    half the Pauli matrix).
-
-    Returns at most three tuples (J_out, M_out, M'_out, coefficient) for the
-    J, J-1 and J+1 output blocks; the output projections are M_q = M + 1, -1,
-    or 0 for q = +, -, z (and likewise M'_r).  Out-of-range multiplicities
-    are zero, which silently drops invalid blocks.  The prefactors come from
-    _g_outputs, the table the compiled generator also reads; this
-    element-wise form is the reference the compile is tested against.
-    """
-    if q not in _M_SHIFT or r not in _M_SHIFT:
-        raise ValueError(f"channel indices must be in {{+, -, z}}, got {q!r}, {r!r}")
-    if abs(M) > J or abs(Mp) > J or irrep_degeneracy(J, N) == 0:
-        raise ValueError(f"invalid element (J={J}, M={M}, M'={Mp}) for N={N}")
-    Mq, Mpr = M + _M_SHIFT[q], Mp + _M_SHIFT[r]
-    out = []
-    for step, table, pref in _g_outputs(J, N):
-        coeff = pref * table(q, J, M) * table(r, J, Mp)
-        if coeff != 0.0 and abs(Mq) <= J + step and abs(Mpr) <= J + step:
-            out.append((J + step, Mq, Mpr, coeff))
     return out
 
 
@@ -705,73 +664,3 @@ def fidelity_with(rho: CollectiveDensity, ref: CollectiveDensity) -> float:
         d = irrep_degeneracy(two_j / 2.0, rho.N)
         total += d * np.sum(ref.blocks[two_j] * block.T).real
     return float(total)
-
-
-# ---------------------------------------------------------------------------
-# full Hilbert-space embedding via Clebsch-Gordan recursion (the oracle used
-# by tests and for N <= ~12 cross-checks)
-
-
-def irrep_embeddings(N: int) -> dict:
-    """Isometries V of shape (2^N, 2J+1) for every irrep copy, keyed by 2J.
-
-    Built by recursively coupling one spin-1/2 at a time with the closed-form
-    Clebsch-Gordan coefficients for j (x) 1/2; each new qubit is appended as
-    the least significant tensor factor.
-    """
-    sectors = {1: [np.eye(2, dtype=complex)]}  # two_j -> list of isometries
-    dim = 2
-    for _ in range(N - 1):
-        dim *= 2
-        new: dict[int, list[np.ndarray]] = {}
-        up = np.array([1.0, 0.0], dtype=complex)
-        dn = np.array([0.0, 1.0], dtype=complex)
-        for two_j, vlist in sectors.items():
-            j = two_j / 2.0
-            for V in vlist:
-                # couple to J = j + s/2, s = +-1: the |up> part of |J, M>
-                # has s sqrt((j + s M + 1/2) / (2j + 1)), the |dn> part
-                # sqrt((j - s M + 1/2) / (2j + 1))
-                for s in (1, -1) if two_j else (1,):
-                    two_J = two_j + s
-                    cols = []
-                    for Mn in (two_J / 2.0 - k for k in range(two_J + 1)):
-                        col = np.zeros(dim, dtype=complex)
-                        if abs(Mn - 0.5) <= j:
-                            col += (s * np.sqrt((j + s * Mn + 0.5) / (2 * j + 1.0))
-                                    * np.kron(V[:, int(round(j - (Mn - 0.5)))], up))
-                        if abs(Mn + 0.5) <= j:
-                            col += (np.sqrt((j - s * Mn + 0.5) / (2 * j + 1.0))
-                                    * np.kron(V[:, int(round(j - (Mn + 0.5)))], dn))
-                        cols.append(col)
-                    new.setdefault(two_J, []).append(np.stack(cols, axis=1))
-        sectors = new
-    return sectors
-
-
-def embed_collective(rho: CollectiveDensity) -> np.ndarray:
-    """Full 2^N density matrix with every degenerate irrep populated
-    identically by the effective block; missing blocks are zero."""
-    sectors = irrep_embeddings(rho.N)
-    dim = 2 ** rho.N
-    out = np.zeros((dim, dim), dtype=complex)
-    for two_j, vlist in sectors.items():
-        if two_j not in rho.blocks:
-            continue
-        block = rho.blocks[two_j]
-        for V in vlist:
-            out += V @ block @ V.conj().T
-    return out
-
-
-def project_collective(full: np.ndarray, N: int) -> CollectiveDensity:
-    """Effective blocks of a full-space state: the degenerate-irrep average
-    rho_J = (1/d_J) sum_i V_i^dag rho V_i."""
-    sectors = irrep_embeddings(N)
-    rho = CollectiveDensity.zeros(N)
-    for two_j, vlist in sectors.items():
-        acc = np.zeros((two_j + 1, two_j + 1), dtype=complex)
-        for V in vlist:
-            acc += V.conj().T @ full @ V
-        rho.blocks[two_j] = acc / len(vlist)
-    return rho

@@ -1,5 +1,5 @@
-"""Dense complex operator kernel: spin operators, Pauli strings, superoperators
-and spin-coherent states.
+"""Dense complex operator kernel: spin operators, Pauli strings and
+spin-coherent states.
 
 Everything here is a plain ``numpy.ndarray`` of complex128.  Operators are
 square matrices in row-major layout; pure states are 1-d amplitude vectors and
@@ -13,6 +13,9 @@ Conventions
   tensor factor, so ``pauli_string("ZZI")`` is ``sigma_z (x) sigma_z (x) I``.
 * ``Jz`` is diagonal with entries ``j, j-1, ..., -j`` (standard angular
   momentum ordering, highest weight first).
+
+The dense superoperators D[L] and M[L], against which the tests check the
+filter steps, live beside the tests in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -23,16 +26,11 @@ __all__ = [
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
-    "SIGMA_PLUS",
-    "SIGMA_MINUS",
     "dag",
-    "commutator",
     "anticommutator",
     "expm_hermitian",
     "spin_operators",
     "pauli_string",
-    "lindblad_D",
-    "measurement_M",
     "spin_coherent",
     "pure_to_density",
 ]
@@ -40,8 +38,6 @@ __all__ = [
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)
-SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -54,10 +50,6 @@ _PAULI = {
 def dag(a: np.ndarray) -> np.ndarray:
     """Hermitian adjoint."""
     return a.conj().T
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
 
 
 def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -117,25 +109,6 @@ def pauli_string(spec: str) -> np.ndarray:
             raise ValueError(f"unknown Pauli label {label!r} in {spec!r}") from None
         out = np.kron(out, factor)
     return out
-
-
-def _check_conforming(L: np.ndarray, rho: np.ndarray) -> None:
-    if L.shape != rho.shape or L.shape[0] != L.shape[1]:
-        raise ValueError(f"dimension mismatch: L is {L.shape}, rho is {rho.shape}")
-
-
-def lindblad_D(L: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Dissipator D[L]rho = L rho L^dag - (L^dag L rho + rho L^dag L)/2."""
-    _check_conforming(L, rho)
-    LdL = dag(L) @ L
-    return L @ rho @ dag(L) - 0.5 * (LdL @ rho + rho @ LdL)
-
-
-def measurement_M(L: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Conditioning superoperator M[L]rho = L rho + rho L^dag - <L+L^dag> rho."""
-    _check_conforming(L, rho)
-    signal = np.trace((L + dag(L)) @ rho)
-    return L @ rho + rho @ dag(L) - signal * rho
 
 
 def spin_coherent(j: float, theta: float, phi: float) -> np.ndarray:

@@ -28,6 +28,10 @@ state and gives 0 to channels whose commutator vanishes identically.
 A code is held as the Pauli masks of its 2^l-element stabilizer group and
 a +-1 sign table, never as dense 2^n x 2^n matrices: each syndrome
 projector has +-d / 2^l Pauli coefficients on the group and none elsewhere.
+The filters read only the codespace projector's row
+(``StabilizerCode.codespace_row``); every projector's row, and single-state
+adapters of both filters' steps, live beside the tests in
+``tests/reference.py``.
 
 Closing the syndrome projectors under the feedback commutators to first level
 and merging the pairs that act identically yields the truncated filter, whose
@@ -69,10 +73,8 @@ __all__ = [
     "TruncatedBasis",
     "build_code",
     "logical_zero",
-    "full_filter_step",
     "build_truncated_basis",
     "untruncated_closure_dim",
-    "truncated_filter_step",
     "run_feedback_batch",
     "codeword_fidelity_discrete",
 ]
@@ -160,24 +162,19 @@ class StabilizerCode:
     def n_syndromes(self) -> int:
         return self.signs.shape[1]
 
-    @property
-    def error_class(self) -> np.ndarray:
-        """Syndrome space each channel's error maps the codespace into."""
-        return self.syndrome_hop[:, 0]
-
     @cached_property
     def pauli(self) -> _PauliFrame:
         """The Pauli-coefficient tables of the full filter and the truncated
         basis, built on first use."""
         return _PauliFrame(self)
 
-    def projector_rows(self, count: int | None = None) -> np.ndarray:
-        """Pauli coefficients Tr[P_m Pi_s] (count, 4^n) of the first
-        ``count`` syndrome projectors, all by default: d / 2^l times
-        ``signs``, placed on the group masks."""
-        rows = np.zeros((count or self.n_syndromes, self.dim ** 2))
-        rows[:, self.group] = self.dim / len(self.group) * self.signs[:, :len(rows)].T
-        return rows
+    def codespace_row(self) -> np.ndarray:
+        """Pauli coefficients Tr[P_m Pi_0] (4^n,) of the codespace
+        projector: d / 2^l times the group's signs on syndrome space 0,
+        placed on the group masks."""
+        row = np.zeros(self.dim ** 2)
+        row[self.group] = self.dim / len(self.group) * self.signs[:, 0]
+        return row
 
 
 def build_code(name: str) -> StabilizerCode:
@@ -218,21 +215,10 @@ def build_code(name: str) -> StabilizerCode:
 
 def logical_zero(code: StabilizerCode) -> np.ndarray:
     """Encoded |0>: the +1 eigenvector of the logical Z inside the codespace."""
-    pi0 = code.pauli.to_density(code.projector_rows(1))[0]
+    pi0 = code.pauli.to_density(code.codespace_row()[None])[0]
     proj = pi0 @ (np.eye(code.dim) + pauli_string(code.logical_z)) / 2.0
     psi = np.linalg.eigh(proj)[1][:, -1]
     return psi / np.linalg.norm(psi)
-
-
-def full_filter_step(code: StabilizerCode, rho: np.ndarray, dQ: np.ndarray,
-                     gamma: float, kappa: float, lambdas: np.ndarray, dt: float) -> np.ndarray:
-    """One Euler step of the full 2^n-dimensional filter (docstring above),
-    taken on the Pauli coefficients of rho."""
-    frame = code.pauli
-    full = _FullStep(frame, frame.to_pauli(rho[None]), gamma, kappa, dt)
-    signal = 2.0 * np.sqrt(kappa) * (full.r @ frame.rows)[:, len(code.channel_labels):]
-    full.step(np.asarray(dQ, dtype=float)[None], np.asarray(lambdas, dtype=float)[None], signal)
-    return frame.to_density(full.r)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +433,7 @@ def untruncated_closure_dim(code: StabilizerCode) -> int:
         new_frontier = []
         for s, w in frontier:
             for c, e in enumerate(errors):
-                trivial = code.error_class[c] == 0
+                trivial = code.syndrome_hop[c, 0] == 0
                 if trivial and not _phase(e, w, code.n) & 1:
                     continue  # commutator vanishes identically
                 w2 = min(e ^ w ^ st for st in stabilizers)  # coset representative
@@ -458,17 +444,6 @@ def untruncated_closure_dim(code: StabilizerCode) -> int:
                         new_frontier.append(t)
         frontier = new_frontier
     return len(seen)
-
-
-def truncated_filter_step(basis: TruncatedBasis, p: np.ndarray, dQ: np.ndarray,
-                          gamma: float, kappa: float, lambda_max: float,
-                          dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """One Euler step of the truncated filter; returns (p', lambdas) with the
-    feedback strengths computed from the incoming state (zero-order hold)."""
-    step = _TruncatedStep(basis, gamma, kappa, dt)
-    lambdas = step.policy(p[None], lambda_max)
-    out = step(p[None], np.asarray(dQ, dtype=float)[None], lambdas)
-    return out[0], lambdas[0]
 
 
 def codeword_fidelity_discrete(t, gamma: float):
@@ -524,7 +499,7 @@ class _PauliFrame:
         # policy columns i[sigma_c, Pi_0] = -X_c(Pi_0) from Pi_0's row, then
         # the generators' one-hot columns
         cols = np.zeros((len(e), d * d))
-        cols[:n_chan] = -2.0 * sign[:n_chan] * code.projector_rows(1)[0][m ^ e[:n_chan]]
+        cols[:n_chan] = -2.0 * sign[:n_chan] * code.codespace_row()[m ^ e[:n_chan]]
         cols[np.arange(n_chan, len(e)), e[n_chan:, 0]] = d
         self.rows = cols.T / d
 
@@ -734,7 +709,7 @@ def run_feedback_batch(code: StabilizerCode, gamma: float, kappa: float,
     # rho0 those of their own rows
     read_at, read = _nonzero_read(frame.rows, full.signed)
     record_at, record = _nonzero_read(
-        np.stack([code.projector_rows(1)[0], frame.to_pauli(rho0)]).T / code.dim, full.signed)
+        np.stack([code.codespace_row(), frame.to_pauli(rho0)]).T / code.dim, full.signed)
     if controller == "truncated":
         truncated = _TruncatedStep(basis, gamma, kappa, dt)
         p = np.broadcast_to(basis.initial_state(rho0), (n_traj, basis.size)).copy()

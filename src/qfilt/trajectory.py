@@ -75,10 +75,6 @@ class DiffusiveModel:
         if np.max(np.abs(self.H - dag(self.H))) > 1e-12 * max(1.0, np.max(np.abs(self.H))):
             raise ValueError("Hamiltonian must be Hermitian")
 
-    @property
-    def dim(self) -> int:
-        return self.H.shape[0]
-
     @cached_property
     def channels(self) -> Channels:
         return compile_channels(self.L)

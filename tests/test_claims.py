@@ -33,6 +33,7 @@ import pytest
 from qfilt import cli
 from qfilt import estimation as est
 from qfilt import operators as op
+from reference import paper_covariance
 
 
 def run(tmp_path, experiment, seed=0, **sets):
@@ -48,17 +49,6 @@ def run(tmp_path, experiment, seed=0, **sets):
 
 def read(path):
     return np.genfromtxt(path, delimiter=",", names=True, comments="#")
-
-
-def paper_covariance(t, prior_var):
-    """Closed-form covariance of the Brownian-forcing model with
-    P0 = diag(0, prior_var): entries built from coth/tanh."""
-    v = prior_var
-    c = 1.0 / np.tanh(t)
-    return np.array([
-        [1.0 / (c - v / (1.0 + t * v)), v / (c - v + t * c * v)],
-        [v / (c - v + t * c * v), v / (1.0 + t * v - v * np.tanh(t))],
-    ])
 
 
 def infinite_prior_covariance(t):

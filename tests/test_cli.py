@@ -516,6 +516,26 @@ class TestRun:
         assert "code" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("case", ["negative-seed", "config-dir", "config-bytes", "rate-dir",
+                                      "out-file"])
+    def test_bad_seed_or_path_is_one_config_error_line(self, tmp_path, case):
+        # a negative seed exited 2 as a numeric failure, and each path raised
+        # an OSError or UnicodeDecodeError traceback
+        (tmp_path / "bad.cfg").write_bytes(b"T = 0.01\n\xff\n")
+        run = ["run", "kalman-demo", "--set", "T=0.01", "--out", str(tmp_path / "out")]
+        argv = {"negative-seed": run + ["--seed", "-1"],
+                "config-dir": run + ["--config", str(tmp_path)],
+                "config-bytes": run + ["--config", str(tmp_path / "bad.cfg")],
+                "rate-dir": ["rate", str(tmp_path)],
+                "out-file": run + ["--out", str(tmp_path / "bad.cfg")]}[case]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "qfilt.cli", *argv], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert not os.path.exists(tmp_path / "out")
+
     def test_qec_benchmark_defaults_mirror_operating_point(self):
         schema = cli.EXPERIMENTS["qec-benchmark"]["schema"]
         assert schema["kappa"][1] == 100.0

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from qfilt import collective as col
-from qfilt.operators import SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, spin_operators
+from qfilt.operators import SIGMA_Z, spin_operators
+from reference import (SIGMA_MINUS, SIGMA_PLUS, embed_collective, g_tensor_apply,
+                       irrep_embeddings, project_collective)
 
 PAULI_HALF = {"+": SIGMA_PLUS, "-": SIGMA_MINUS, "z": SIGMA_Z / 2.0}
 
@@ -15,7 +17,7 @@ def embed_single(op2, qubit, N):
 
 def random_collective(N, seed):
     rng = np.random.default_rng(seed)
-    rho = col.CollectiveDensity.zeros(N)
+    rho = col.CollectiveDensity(N=N, blocks=dict.fromkeys(range(N % 2, N + 1, 2)))
     total = 0.0
     for tj in rho.blocks:
         d = tj + 1
@@ -77,7 +79,7 @@ class TestGTensor:
         for q, r in (("+", "-"), ("z", "z"), ("-", "+"), ("+", "z")):
             for M in (0.5, -0.5):
                 for Mp in (0.5, -0.5):
-                    terms = col.g_tensor_apply(q, r, 0.5, M, Mp, 1)
+                    terms = g_tensor_apply(q, r, 0.5, M, Mp, 1)
                     got = np.zeros((2, 2), dtype=complex)
                     for (Jo, Mo, Mpo, cf) in terms:
                         assert Jo == 0.5
@@ -90,16 +92,16 @@ class TestGTensor:
     def test_stretched_z_element_has_no_lower_block(self):
         # B_z vanishes at M = J, so q = r = z on the stretched element stays
         # in the same block (plus a possible J+1 term)
-        terms = col.g_tensor_apply("z", "z", 1.0, 1.0, 1.0, 4)
+        terms = g_tensor_apply("z", "z", 1.0, 1.0, 1.0, 4)
         assert all(round(2 * t[0]) != 0 for t in terms if t[0] < 1.0)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            col.g_tensor_apply("x", "z", 1.0, 0.0, 0.0, 4)
+            g_tensor_apply("x", "z", 1.0, 0.0, 0.0, 4)
         with pytest.raises(ValueError):
-            col.g_tensor_apply("z", "z", 1.0, 2.0, 0.0, 4)
+            g_tensor_apply("z", "z", 1.0, 2.0, 0.0, 4)
         with pytest.raises(ValueError):
-            col.g_tensor_apply("z", "z", 0.5, 0.5, 0.5, 4)  # parity mismatch
+            g_tensor_apply("z", "z", 0.5, 0.5, 0.5, 4)  # parity mismatch
         # a negative rate is rejected by either kind of channel
         for channel, kwargs in ((col.SpinChannel, {"s_minus": 1.0}),
                                 (col.CollectiveChannel, {"word_coeffs": ((1.0, "-"),)})):
@@ -112,7 +114,7 @@ class TestGTensor:
         # element (normalized as 1/d sum over degenerate copies) and
         # re-project; the coefficients follow the identity's normalization
         rng = np.random.default_rng(N)
-        sectors = col.irrep_embeddings(N)
+        sectors = irrep_embeddings(N)
         for _ in range(12):
             tjs = [tj for tj in sectors if col.irrep_degeneracy(tj / 2.0, N) > 0]
             tj = int(rng.choice(tjs))
@@ -129,14 +131,14 @@ class TestGTensor:
                 sq = embed_single(PAULI_HALF[q], n, N)
                 sr = embed_single(PAULI_HALF[r], n, N)
                 out += sq @ full @ sr.conj().T
-            got = col.CollectiveDensity.zeros(N)
-            for (Jo, Mo, Mpo, cf) in col.g_tensor_apply(q, r, J, M, Mp, N):
+            got = {tj: np.zeros((tj + 1, tj + 1), dtype=complex) for tj in sectors}
+            for (Jo, Mo, Mpo, cf) in g_tensor_apply(q, r, J, M, Mp, N):
                 tjo = int(round(2 * Jo))
-                got.blocks[tjo][int(round(Jo - Mo)), int(round(Jo - Mpo))] += cf
+                got[tjo][int(round(Jo - Mo)), int(round(Jo - Mpo))] += cf
             # re-project the oracle output in the 1/d-normalized convention
             for tjo, vlist in sectors.items():
                 proj = sum(V.conj().T @ out @ V for V in vlist)
-                assert np.max(np.abs(proj - got.blocks[tjo])) < 1e-12
+                assert np.max(np.abs(proj - got[tjo])) < 1e-12
 
 
 class TestSymmetricLindblad:
@@ -157,8 +159,8 @@ class TestSymmetricLindblad:
                 s_z=complex(rng.normal(), rng.normal()))
             rho = random_collective(N, 100 * N + trial)
             got = col.symmetric_lindblad_apply(ch, rho)
-            full = col.embed_collective(rho)
-            oracle = col.project_collective(full_space_channel_rhs(ch, full, N), N)
+            full = embed_collective(rho)
+            oracle = project_collective(full_space_channel_rhs(ch, full, N), N)
             for tj in got.blocks:
                 assert np.max(np.abs(got.blocks[tj] - oracle.blocks[tj])) < 1e-12
 
@@ -167,8 +169,8 @@ class TestSymmetricLindblad:
         rho = col.coherent_top(2)
         ch = col.SpinChannel(s_z=1.0)
         got = col.symmetric_lindblad_apply(ch, rho)
-        full = col.embed_collective(rho)
-        oracle = col.project_collective(full_space_channel_rhs(ch, full, 2), 2)
+        full = embed_collective(rho)
+        oracle = project_collective(full_space_channel_rhs(ch, full, 2), 2)
         for tj in got.blocks:
             assert np.max(np.abs(got.blocks[tj] - oracle.blocks[tj])) < 1e-12
 
@@ -176,7 +178,7 @@ class TestSymmetricLindblad:
         rho = random_collective(5, 3)
         ch = col.SpinChannel(s_plus=0.3 + 0.1j, s_minus=1.0, s_z=0.2j)
         out = col.symmetric_lindblad_apply(ch, rho)
-        assert abs(out.physical_trace()) < 1e-10
+        assert abs(sum(col.irrep_population(out, tj / 2.0) for tj in out.blocks)) < 1e-10
         for b in out.blocks.values():
             assert np.max(np.abs(b - b.conj().T)) < 1e-10
 
@@ -214,14 +216,14 @@ class TestMasterStep:
         from scipy.integrate import solve_ivp
         ch = col.SpinChannel(s_minus=1.0, s_z=0.3, rate=1.0)
         rho = random_collective(N, 20 + N)
-        full0 = col.embed_collective(rho)
+        full0 = embed_collective(rho)
 
         def rhs(_, y):
             full = y.reshape(full0.shape)
             return full_space_channel_rhs(ch, full, N).ravel()
 
         sol = solve_ivp(rhs, (0.0, 1.0), full0.ravel(), rtol=1e-10, atol=1e-12)
-        oracle = col.project_collective(sol.y[:, -1].reshape(full0.shape), N)
+        oracle = project_collective(sol.y[:, -1].reshape(full0.shape), N)
         state = rho
         dt = 1e-3
         for _ in range(1000):
@@ -235,8 +237,8 @@ class TestMasterStep:
         N = 3
         ch = col.SpinChannel(s_minus=1.0)
         rho = random_collective(N, 31)
-        full = col.embed_collective(rho)
-        sectors = col.irrep_embeddings(N)
+        full = embed_collective(rho)
+        sectors = irrep_embeddings(N)
         out = full_space_channel_rhs(ch, full, N)
         v_top = sectors[3][0]
         for v_low in sectors[1]:
@@ -249,7 +251,7 @@ class TestMasterStep:
         state = rho
         for _ in range(100):
             state = col.collective_master_step([(0.3, "+-")], [ch], state, 1e-3)
-        assert abs(state.physical_trace() - 1.0) < 1e-9
+        assert abs(sum(col.irrep_population(state, tj / 2.0) for tj in state.blocks) - 1.0) < 1e-9
 
     def test_collective_decay_keeps_top_population(self):
         rho = col.coherent_top(4)
@@ -262,7 +264,7 @@ class TestMasterStep:
 
 def random_hermitian_blocks(N, seed):
     rng = np.random.default_rng(seed)
-    rho = col.CollectiveDensity.zeros(N)
+    rho = col.CollectiveDensity(N=N, blocks=dict.fromkeys(range(N % 2, N + 1, 2)))
     for tj in rho.blocks:
         a = rng.standard_normal((tj + 1, tj + 1)) + 1j * rng.standard_normal((tj + 1, tj + 1))
         rho.blocks[tj] = a + a.conj().T
@@ -310,7 +312,7 @@ def dense_reference_rhs(H, channels, rho):
                 for j in range(tj + 1):
                     for q, sq in svec.items():
                         for r, sr in svec.items():
-                            for Jo, Mo, Mpo, cf in col.g_tensor_apply(q, r, J, J - i, J - j, N):
+                            for Jo, Mo, Mpo, cf in g_tensor_apply(q, r, J, J - i, J - j, N):
                                 # d_J-weighted blocks: block changes carry d_in / d_out
                                 ratio = col.irrep_degeneracy(J, N) / col.irrep_degeneracy(Jo, N)
                                 out[int(round(2 * Jo))][int(round(Jo - Mo)), int(round(Jo - Mpo))] \
@@ -382,7 +384,7 @@ class TestCompiledGenerator:
 class TestStatesAndObservables:
     def test_cat_state_normalized(self):
         rho = col.cat_state(6)
-        assert abs(rho.physical_trace() - 1.0) < 1e-12
+        assert abs(sum(col.irrep_population(rho, tj / 2.0) for tj in rho.blocks) - 1.0) < 1e-12
         assert abs(col.fidelity_with(rho, col.cat_state(6)) - 1.0) < 1e-12
 
     def test_coherent_squeezing_reference(self):
@@ -446,7 +448,7 @@ class TestStatesAndObservables:
 class TestEmbeddings:
     @pytest.mark.parametrize("N", [2, 3, 4, 5])
     def test_isometries(self, N):
-        sectors = col.irrep_embeddings(N)
+        sectors = irrep_embeddings(N)
         for tj, vlist in sectors.items():
             assert len(vlist) == col.irrep_degeneracy(tj / 2.0, N)
             for V in vlist:
@@ -454,22 +456,22 @@ class TestEmbeddings:
 
     def test_embed_project_roundtrip(self):
         rho = random_collective(4, 40)
-        back = col.project_collective(col.embed_collective(rho), 4)
+        back = project_collective(embed_collective(rho), 4)
         for tj in rho.blocks:
             assert np.max(np.abs(back.blocks[tj] - rho.blocks[tj])) < 1e-12
 
     def test_embedding_trace(self):
         rho = random_collective(3, 41)
-        full = col.embed_collective(rho)
+        full = embed_collective(rho)
         assert abs(np.trace(full).real - 1.0) < 1e-12
 
 
 def zero_filled(rho):
-    """rho with every block stored, the missing ones as zeros."""
-    full = col.CollectiveDensity.zeros(rho.N)
-    for tj, b in rho.blocks.items():
-        full.blocks[tj] = b.copy()
-    return full
+    """rho with every block stored, the missing ones as complex zeros."""
+    blocks = {tj: np.zeros((tj + 1, tj + 1), dtype=complex)
+              for tj in range(rho.N % 2, rho.N + 1, 2)}
+    blocks.update((tj, b.copy()) for tj, b in rho.blocks.items())
+    return col.CollectiveDensity(N=rho.N, blocks=blocks)
 
 
 class TestSparseBlocks:
@@ -519,7 +521,7 @@ class TestSparseBlocks:
                       (self.N, col.SpinChannel(s_minus=1.0, s_z=0.5))):
             state = col.collective_master_step(((0.4, "++"), (0.4, "--")), [ch],
                                                col.cat_state(N), 1e-2)
-            assert len(state.blocks) < len(col.CollectiveDensity.zeros(N).blocks)
+            assert len(state.blocks) < N // 2 + 1
             dense = zero_filled(state)
             ref, ref_dense = col.cat_state(N), zero_filled(col.cat_state(N))
             fids = {col.fidelity_with(a, b) for a in (state, dense) for b in (ref, ref_dense)}
@@ -530,7 +532,7 @@ class TestSparseBlocks:
             for word in ([(1.0, "z")], [(1.0, "yy")], [(0.5j, "+-"), (1.0, "x")]):
                 assert col.expectation(state, word) == col.expectation(dense, word)
             if N <= 6:
-                assert np.array_equal(col.embed_collective(state), col.embed_collective(dense))
+                assert np.array_equal(embed_collective(state), embed_collective(dense))
 
     def test_irrep_population_of_missing_and_invalid_blocks(self):
         rho = col.coherent_top(6)
@@ -644,7 +646,7 @@ def dense_expectation(rho, word_coeffs, absolute=False):
 def full_space_xi2(rho):
     """xi^2 of embed_collective's 2^N state from the total spin operators."""
     N = rho.N
-    full = col.embed_collective(rho)
+    full = embed_collective(rho)
     Jy = sum(embed_single((SIGMA_PLUS - SIGMA_MINUS) / 2j, n, N) for n in range(N))
     Jz = sum(embed_single(SIGMA_Z / 2.0, n, N) for n in range(N))
 

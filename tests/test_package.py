@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import os
@@ -40,6 +41,23 @@ def test_every_public_definition_is_exported():
         if missing:
             unlisted[info.name] = missing
     assert not unlisted
+
+
+def test_each_test_oracle_has_one_copy():
+    # no name defined in tests/reference.py is also a package module's
+    # name, export or class member
+    with open(os.path.join(os.path.dirname(__file__), "reference.py"), encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    oracles = {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    oracles |= {t.id for n in tree.body if isinstance(n, ast.Assign)
+                for t in n.targets if isinstance(t, ast.Name)}
+    assert oracles
+    for info in pkgutil.iter_modules(qfilt.__path__):
+        module = importlib.import_module(f"qfilt.{info.name}")
+        names = {*vars(module), *getattr(module, "__all__", ())}
+        names.update(*(vars(c) for c in vars(module).values()
+                       if inspect.isclass(c) and c.__module__ == module.__name__))
+        assert not oracles & names, info.name
 
 
 def test_version_matches_pyproject():

@@ -11,6 +11,8 @@ from qfilt import operators as op
 from qfilt import qec
 from qfilt import trajectory as traj
 from qfilt.sde import rng_stream
+from reference import (commutator, full_filter_step, lindblad_D, measurement_M,
+                       projector_rows, random_states, truncated_filter_step)
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +72,7 @@ def five_dense(five):
 
 def dense_projectors(code):
     """The syndrome projectors expanded from the code's Pauli rows."""
-    return code.pauli.to_density(code.projector_rows())
+    return code.pauli.to_density(projector_rows(code))
 
 
 def dense_generators(basis):
@@ -100,12 +102,6 @@ def dense_truncated_step(basis, p, dQ, gamma, kappa, lambdas, dt, generators=Non
     return out / out[:, :S].sum(axis=1)[:, None]
 
 
-def random_states(d, B, rng):
-    a = rng.standard_normal((B, d, d)) + 1j * rng.standard_normal((B, d, d))
-    rho = a @ np.swapaxes(a, -1, -2).conj()
-    return rho / np.einsum("bii->b", rho).real[:, None, None]
-
-
 def dense_truncated_basis(code):
     """The truncated basis built on dense 2^n x 2^n matrices, independent of
     the Pauli tables: the elements, then every action on each (the sums
@@ -121,7 +117,7 @@ def dense_truncated_basis(code):
         for s in range(S):
             if (s, c) in pair:
                 continue
-            C = 1j * op.commutator(P[c], ref.projectors[s])
+            C = 1j * commutator(P[c], ref.projectors[s])
             if np.max(np.abs(C)) < 1e-12:
                 pair[(s, c)] = (-1, 0.0)
                 continue
@@ -142,7 +138,7 @@ def dense_truncated_basis(code):
         acts = np.concatenate([
             [(P @ Xa @ P).sum(axis=0) - n_chan * Xa, (G @ Xa @ G).sum(axis=0) - len(G) * Xa],
             G @ Xa + Xa @ G,
-            1j * op.commutator(P, Xa)])
+            1j * commutator(P, Xa)])
         gens[:, a] = (gram_inv @ (B @ vec(acts).T)).T
     policy_index, policy_sign = map(np.array, zip(*[pair[(0, c)] for c in range(n_chan)]))
     return X, descr, policy_index, policy_sign, gens
@@ -161,8 +157,8 @@ def full_table_basis(code):
         # row index[k, m'] of 2 [X^T, -X^T, 0] is coefficient m' of action k
         return 2.0 * np.concatenate([X.T, -X.T, np.zeros((1, len(X)))])
 
-    table = signed_table(code.projector_rows())
-    rows, pair = list(code.projector_rows()), set()
+    table = signed_table(projector_rows(code))
+    rows, pair = list(projector_rows(code)), set()
     for c in range(n_chan):
         comm = -table[frame.index[c]].T
         for s in range(S):
@@ -188,7 +184,7 @@ class TestBuildCode:
         assert five.n == 5
         assert five.n_syndromes == 16
         # the identity coefficient of Pi_s is its trace
-        ranks = [int(round(t)) for t in five.projector_rows()[:, 0]]
+        ranks = [int(round(t)) for t in projector_rows(five)[:, 0]]
         assert ranks == [2] * 16
 
     @pytest.mark.parametrize("name", ["fivequbit", "bitflip3"])
@@ -196,7 +192,7 @@ class TestBuildCode:
         code = qec.build_code(name)
         ref = dense_reference(code)
         assert np.max(np.abs(dense_projectors(code) - ref.projectors)) < 1e-12
-        assert np.array_equal(code.projector_rows(1), code.projector_rows()[:1])
+        assert np.array_equal(code.codespace_row(), projector_rows(code)[0])
         # the frame's rows: policy signals, then Tr[g_l rho]
         expect = code.pauli.to_pauli(np.concatenate([ref.policy_ops, ref.gen_ops])).T / code.dim
         assert np.max(np.abs(code.pauli.rows - expect)) < 1e-12
@@ -242,7 +238,7 @@ class TestBuildCode:
             "logical_z": "XXXXXXXXX"})
         code = qec.build_code("shor9")
         assert code.n_syndromes == 256
-        assert len({0, *code.error_class.tolist()}) == 22
+        assert len({0, *code.syndrome_hop[:, 0].tolist()}) == 22
         for row in code.syndrome_hop:
             assert np.array_equal(np.sort(row), np.arange(256))
         assert "pauli" not in vars(code)
@@ -262,8 +258,7 @@ class TestBuildCode:
 class TestFullFilter:
     def test_frozen_without_rates(self, five):
         rho = np.outer(qec.logical_zero(five), qec.logical_zero(five).conj())
-        out = qec.full_filter_step(five, rho, np.zeros(4), 0.0, 0.0,
-                                   np.zeros(15), 1e-4)
+        out = full_filter_step(five, rho, np.zeros(4), 0.0, 0.0, np.zeros(15), 1e-4)
         assert np.max(np.abs(out - rho)) < 1e-14
 
     def test_syndrome_eigenstate_fixed_under_measurement(self, five):
@@ -272,7 +267,7 @@ class TestFullFilter:
         kappa = 50.0
         # zero innovation: dQ equals the expected signal
         dQ = 2.0 * np.sqrt(kappa) * h * 1e-5
-        out = qec.full_filter_step(five, rho, dQ, 0.0, kappa, np.zeros(15), 1e-5)
+        out = full_filter_step(five, rho, dQ, 0.0, kappa, np.zeros(15), 1e-5)
         assert np.max(np.abs(out - rho)) < 1e-12
 
     def test_depolarizing_matches_master_equation(self, five, five_dense):
@@ -294,12 +289,10 @@ class TestFullFilter:
         oracle = sol.y[:, -1].reshape(32, 32)
         rho = rho0.copy()
         for _ in range(5000):
-            rho = qec.full_filter_step(five, rho, np.zeros(4), gamma, 0.0,
-                                       np.zeros(15), 1e-5)
+            rho = full_filter_step(five, rho, np.zeros(4), gamma, 0.0, np.zeros(15), 1e-5)
         assert np.max(np.abs(rho - oracle)) < 1e-4
         # initial slope of the codespace fidelity is -3 n gamma
-        drho = qec.full_filter_step(five, rho0, np.zeros(4), gamma, 0.0,
-                                    np.zeros(15), 1e-6) - rho0
+        drho = full_filter_step(five, rho0, np.zeros(4), gamma, 0.0, np.zeros(15), 1e-6) - rho0
         slope = np.trace(five_dense.projectors[0] @ drho).real / 1e-6
         assert abs(slope + 3 * 5 * gamma) < 1e-6 * abs(3 * 5 * gamma) + 1e-3
 
@@ -309,12 +302,10 @@ class TestFullFilter:
         # 15 rho, and -i[sum lambda sigma, rho]
         gamma, kappa, dt = 1.3, 40.0, 1e-5
         rng = np.random.default_rng(8)
-        a = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-        rho = a @ a.conj().T
-        rho /= np.trace(rho).real
+        rho = random_states(32, 1, rng)[0]
         lambdas = rng.choice([-150.0, 150.0], size=15)
         dQ = rng.standard_normal(4) * np.sqrt(dt)
-        out = qec.full_filter_step(five, rho, dQ, gamma, kappa, lambdas, dt)
+        out = full_filter_step(five, rho, dQ, gamma, kappa, lambdas, dt)
         P = five_dense.single_paulis
         H = np.einsum("c,cij->ij", lambdas, P)
         depol = sum(s @ rho @ s for s in P) - 15 * rho
@@ -322,8 +313,8 @@ class TestFullFilter:
         for l, g in enumerate(five_dense.gen_ops):
             L = np.sqrt(kappa) * g
             signal = np.trace((L + op.dag(L)) @ rho).real
-            drho += op.lindblad_D(L, rho) * dt \
-                + op.measurement_M(L, rho) * (dQ[l] - signal * dt)
+            drho += lindblad_D(L, rho) * dt \
+                + measurement_M(L, rho) * (dQ[l] - signal * dt)
         expect = rho + drho
         expect = 0.5 * (expect + op.dag(expect))
         expect /= np.trace(expect).real
@@ -417,9 +408,7 @@ class TestFeedbackPolicy:
     def test_matches_trace_formula(self, five, five_dense):
         # the full controller's rule: bang-bang of the signals r @ rows
         rng = np.random.default_rng(0)
-        a = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-        rho = a @ a.conj().T
-        rho /= np.trace(rho).real
+        rho = random_states(32, 1, rng)[0]
         vals = five.pauli.to_pauli(rho) @ five.pauli.rows
         lam = qec._bang_bang(vals[:15], 7.0)
         pi0 = five_dense.projectors[0]
@@ -437,12 +426,10 @@ class TestFeedbackPolicy:
             code = basis.code
             n_chan, d = len(code.channel_labels), code.dim
             rng = np.random.default_rng(1)
-            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            rho = a @ a.conj().T
-            rho /= np.trace(rho).real
+            rho = random_states(d, 1, rng)[0]
             p = basis.initial_state(rho)
-            _, lam = qec.truncated_filter_step(basis, p, np.zeros(code.n_generators),
-                                               0.0, 0.0, 3.0, 1e-5)
+            _, lam = truncated_filter_step(basis, p, np.zeros(code.n_generators),
+                                           0.0, 0.0, 3.0, 1e-5)
             vals = code.pauli.to_pauli(rho) @ code.pauli.rows
             expect = qec._bang_bang(vals[:n_chan], 3.0)
             expect[~code.pauli.rows[:, :n_chan].any(axis=0)] = 0.0
@@ -458,7 +445,7 @@ class TestWonham:
         # syndrome of channel c flips exactly the generators the error
         # anticommutes with, g sigma = -sigma g
         for c, sig in enumerate(five_dense.single_paulis):
-            s = five.error_class[c]
+            s = five.syndrome_hop[c, 0]
             expect = [-1.0 if np.allclose(g @ sig, -sig @ g) else 1.0 for g in five_dense.gen_ops]
             assert np.array_equal(h[:, s], expect)
 
@@ -618,8 +605,8 @@ class TestTruncatedBasis:
             dV = rng.standard_normal(4) * np.sqrt(dt)
             sig = np.einsum("lij,ji->l", five_dense.gen_ops, rho).real
             dQ = 2.0 * np.sqrt(kappa) * sig * dt + dV
-            rho = qec.full_filter_step(five, rho, dQ, gamma, kappa, np.zeros(15), dt)
-            p, _ = qec.truncated_filter_step(five_basis, p, dQ, gamma, kappa, 0.0, dt)
+            rho = full_filter_step(five, rho, dQ, gamma, kappa, np.zeros(15), dt)
+            p, _ = truncated_filter_step(five_basis, p, dQ, gamma, kappa, 0.0, dt)
             worst = max(worst, np.max(np.abs(p - five_basis.initial_state(rho))))
         assert worst < 1e-12
 
@@ -629,8 +616,7 @@ class TestTruncatedFilterStep:
     def test_frozen_without_rates(self, five_basis):
         p = np.zeros(136)
         p[0] = 1.0
-        out, lam = qec.truncated_filter_step(five_basis, p, np.zeros(4),
-                                             0.0, 0.0, 0.0, 1e-4)
+        out, lam = truncated_filter_step(five_basis, p, np.zeros(4), 0.0, 0.0, 0.0, 1e-4)
         assert np.max(np.abs(out - p)) < 1e-14
         assert np.array_equal(lam, np.zeros(15))
 

@@ -186,6 +186,10 @@ class TestReach:
         qec = out[out.index(counts["qec.py"]) + 1:out.index(counts["sde.py"])]
         assert any("def run_feedback_batch(" in line and "[never called]" in line
                    for line in qec)
+        # the overrides go through a config file, and `qfilt list` runs once
+        cli = out[out.index(counts["cli.py"]) + 1:out.index(counts["collective.py"])]
+        assert not any(f"def {name}(" in line for line in cli
+                       for name in ("parse_config_text", "list_experiments", "_lines"))
 
     def test_statement_count_leaves_docstrings_out(self):
         reach = _load("reach", "tools", "reach.py")

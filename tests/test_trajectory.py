@@ -5,6 +5,7 @@ from scipy.integrate import solve_ivp
 from qfilt import operators as op
 from qfilt import trajectory as traj
 from qfilt.sde import rng_stream
+from reference import SIGMA_MINUS, lindblad_D, measurement_M, random_states
 
 
 def random_model(dim, seed, norm=3.0):
@@ -30,7 +31,7 @@ def master_equation_oracle(H, L, rho0, t):
 
     def rhs(_, y):
         rho = y.reshape(d, d)
-        drho = -1j * (H @ rho - rho @ H) + op.lindblad_D(L, rho)
+        drho = -1j * (H @ rho - rho @ H) + lindblad_D(L, rho)
         return drho.ravel()
 
     sol = solve_ivp(rhs, (0.0, t), rho0.ravel().astype(complex),
@@ -65,8 +66,8 @@ class TestSmeStep:
         Ld = op.dag(model.L)
         signal = np.trace((model.L + Ld) @ rho).real
         dY = signal * 1e-5 + 3e-3
-        drho = (-1j * (model.H @ rho - rho @ model.H) + op.lindblad_D(model.L, rho)) * 1e-5 \
-            + op.measurement_M(model.L, rho) * (dY - signal * 1e-5)
+        drho = (-1j * (model.H @ rho - rho @ model.H) + lindblad_D(model.L, rho)) * 1e-5 \
+            + measurement_M(model.L, rho) * (dY - signal * 1e-5)
         assert abs(np.trace(rho + drho) - 1.0) < 5 * (1e-5) ** 2
 
     def test_channel_stack_matches_superoperator_sum(self):
@@ -89,8 +90,8 @@ class TestSmeStep:
             drho = (-1j * (Hs[b] @ rho - rho @ Hs[b]) + U[b]) * dt
             for k in range(l):
                 signal = np.trace((Ls[k] + op.dag(Ls[k])) @ rho).real
-                drho += op.lindblad_D(Ls[k], rho) * dt \
-                    + op.measurement_M(Ls[k], rho) * (dY[b, k] - signal * dt)
+                drho += lindblad_D(Ls[k], rho) * dt \
+                    + measurement_M(Ls[k], rho) * (dY[b, k] - signal * dt)
             expect = rho + drho
             expect = 0.5 * (expect + op.dag(expect))
             expect /= np.trace(expect).real
@@ -150,12 +151,6 @@ class TestSmeStep:
         assert min_purity > 1.0 - 1e-4
 
 
-def random_density(d, B, rng):
-    a = rng.standard_normal((B, d, d)) + 1j * rng.standard_normal((B, d, d))
-    rho = a @ np.swapaxes(a, -1, -2).conj()
-    return rho / np.einsum("bii->b", rho).real[:, None, None]
-
-
 def lindblad_sum(U, rho):
     """sum_u D[U_u] rho per slot, the dense reference of unmonitored channels."""
     return sum(Uk @ rho @ op.dag(Uk) - 0.5 * (op.dag(Uk) @ Uk @ rho + rho @ op.dag(Uk) @ Uk)
@@ -164,11 +159,11 @@ def lindblad_sum(U, rho):
 
 class TestCompiledChannels:
     def test_non_monomial_channel_stays_dense(self):
-        L = op.SIGMA_MINUS + 0.3 * op.SIGMA_Z
+        L = SIGMA_MINUS + 0.3 * op.SIGMA_Z
         channels = traj.compile_channels(L)
         assert np.array_equal(channels.S[0], L + op.dag(L))
         rng = np.random.default_rng(3)
-        rho = random_density(2, 3, rng)
+        rho = random_states(2, 3, rng)
         dY = rng.standard_normal(3) * 1e-2
         gen = lindblad_sum(np.sqrt(0.4) * op.SIGMA_X[None], rho)
         out = traj.sme_step_batch(channels.generator(op.SIGMA_Y), channels, rho, dY, 1e-4,
@@ -176,22 +171,22 @@ class TestCompiledChannels:
         for b in range(3):
             signal = np.trace((L + op.dag(L)) @ rho[b]).real
             expect = rho[b] + (-1j * (op.SIGMA_Y @ rho[b] - rho[b] @ op.SIGMA_Y) + gen[b]
-                               + op.lindblad_D(L, rho[b])) * 1e-4 \
-                + op.measurement_M(L, rho[b]) * (dY[b] - signal * 1e-4)
+                               + lindblad_D(L, rho[b])) * 1e-4 \
+                + measurement_M(L, rho[b]) * (dY[b] - signal * 1e-4)
             expect = 0.5 * (expect + op.dag(expect))
             expect /= np.trace(expect).real
             assert np.max(np.abs(out[b] - expect)) <= 1e-13
 
     def test_nonfinite_step_names_its_slots(self):
         rng = np.random.default_rng(4)
-        rho = random_density(2, 3, rng)
+        rho = random_states(2, 3, rng)
         dY = np.array([0.01, np.nan, -0.02])
         channels = traj.compile_channels(op.SIGMA_Z)
         G = channels.generator(op.SIGMA_Y)
         with pytest.raises(FloatingPointError, match=r"slots \[1\]"):
             traj.sme_step_batch(G, channels, rho, dY, 1e-4)
         # with two leading axes the slot is the row-major index
-        rho = random_density(2, 6, rng).reshape(2, 3, 2, 2)
+        rho = random_states(2, 6, rng).reshape(2, 3, 2, 2)
         dY = np.zeros((2, 3))
         dY[1, 1] = np.nan
         with pytest.raises(FloatingPointError, match=r"slots \[4\]$"):
@@ -201,7 +196,7 @@ class TestCompiledChannels:
         # slot 1's off-diagonal entries overflow while its trace stays 1: the
         # step that overflowed raises, where a trace check alone would divide
         # and hand on a non-finite state
-        rho = random_density(2, 3, np.random.default_rng(5))
+        rho = random_states(2, 3, np.random.default_rng(5))
         rho[1] = [[0.5, 1e308], [1e308, 0.5]]
         gen = np.zeros((3, 2, 2), dtype=complex)
         gen[1] = [[0.0, 1e308], [1e308, 0.0]]
@@ -353,7 +348,7 @@ class TestCompiledModel:
         # a loop of steps on channels compiled apart from the model, each with
         # its own signal Tr[(L+L^dag) rho]
         dt, steps, seed = 1e-4, 60, 46
-        rho0 = op.pure_to_density(random_pure(model.dim, 47))
+        rho0 = op.pure_to_density(random_pure(model.H.shape[0], 47))
         rec = traj.simulate_truth(model, rho0, steps * dt, dt, seed,
                                   observables={"x": model.H})
         dW = rng_stream(seed).standard_normal(steps) * np.sqrt(dt)

@@ -1,9 +1,10 @@
 """List the statements of src/qfilt that no `qfilt run` experiment executes.
 
 In one interpreter and under ``sys.settrace``, limited to the frames of
-src/qfilt, the tool runs every experiment through ``qfilt.cli.main`` with
-seed 7 at its ``TestRun.BYTE_CASES`` overrides, the table of
-tests/test_cli.py read as ``tools/byte_compare.py`` reads it.  With
+src/qfilt, the tool runs ``qfilt list`` once, with its output discarded, and
+then every experiment through ``qfilt.cli.main`` with seed 7 at its
+``TestRun.BYTE_CASES`` overrides, the table of tests/test_cli.py read as
+``tools/byte_compare.py`` reads it, written to a ``--config`` file.  With
 ``--claims`` it then runs tests/test_claims.py under the same tracer (this
 needs pytest).  The package is imported after the tracer starts, so its
 module-level statements count too.
@@ -107,16 +108,19 @@ def unexecuted(source: str, ran: set) -> tuple[int, list]:
 
 
 def run_experiments(names: list) -> list:
-    """Run each experiment at its BYTE_CASES config; (name, exit code) pairs."""
+    """Run ``qfilt list``, then each experiment at its BYTE_CASES config,
+    given as a config file; (name, exit code) pairs."""
     from qfilt import cli
 
-    cases, codes = byte_cases(), []
-    with tempfile.TemporaryDirectory() as tmp:
+    cases = byte_cases()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        codes = [("list", cli.main(["list"]))]
         for name in names:
-            argv = ["run", name, "--seed", str(SEED), "--out", os.path.join(tmp, name)]
-            argv += [arg for item in cases[name] for arg in ("--set", item)]
-            with contextlib.redirect_stdout(io.StringIO()):
-                codes.append((name, cli.main(argv)))
+            config = os.path.join(tmp, f"{name}.cfg")
+            with open(config, "w", encoding="utf-8") as f:
+                f.write("".join(f"{item}\n" for item in cases[name]))
+            codes.append((name, cli.main(["run", name, "--seed", str(SEED), "--config", config,
+                                          "--out", os.path.join(tmp, name)])))
     return codes
 
 
