@@ -541,16 +541,15 @@ def run_experiment(experiment: str, params: dict, seed: int, workers: int,
     return manifest
 
 
-def list_experiments(stream=None) -> None:
+def list_experiments() -> None:
     """Print every experiment with its keys, defaults and descriptions; each
     block doubles as a config template."""
-    stream = stream or sys.stdout
     for name, info in EXPERIMENTS.items():
-        stream.write(f"## experiment: {name}\n")
-        stream.write(f"# {info['doc']}\n")
+        sys.stdout.write(f"## experiment: {name}\n")
+        sys.stdout.write(f"# {info['doc']}\n")
         for key, (_conv, default, doc) in info["schema"].items():
-            stream.write(f"{key} = {default}  # {doc}\n")
-        stream.write("\n")
+            sys.stdout.write(f"{key} = {default}  # {doc}\n")
+        sys.stdout.write("\n")
 
 
 def _lines(path: str):
@@ -624,6 +623,8 @@ def main(argv=None) -> int:
             return 0
         if args.seed < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be a positive integer, got {args.workers}")
         raw = parse_config_text("".join(_lines(args.config))) if args.config else {}
         for item in args.set:
             if "=" not in item:

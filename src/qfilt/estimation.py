@@ -1,30 +1,22 @@
 """Bayesian parameter estimation from continuous measurement records.
 
-A parameter xi entering the Hamiltonian as H = H_base + xi * H0 is estimated
-by an ensemble of weighted "quantum particles" (xi_i, rho_i), where the base
-model (H_base, L) is a ``DiffusiveModel`` compiled once: every particle steps
-its channels and reads its signal from them.  The ensemble is the joint
-(parameter x system) filter rho = sum_i p_i |xi_i><xi_i| (x) rho_i, an
+A field B on the monitored qubit (H = B sigma_y, L = sqrt(kappa) sigma_z)
+is estimated by an ensemble of weighted "quantum particles" (B_i, theta_i),
+theta_i the particle's Bloch angle from +x.  The ensemble is the joint
+(parameter x system) filter rho = sum_i p_i |B_i><B_i| (x) rho_i, an
 ordinary SME, and by Ito's quotient rule every particle filters the record
 increment dM on its own innovation
 
-    dW_i = dM - c_i dt,    c_i = Tr[(L + L^dag) rho_i],
+    dW_i = dM - c_i dt,    c_i = Tr[(L + L^dag) rho_i] = 2 sqrt(kappa) sin(theta_i),
 
 while the weights follow the joint filter's block traces,
 
     dp_i = (c_i - cbar) p_i (dM - cbar dt),    cbar = sum_j p_j c_j.
 
-A density-matrix particle takes the joint filter's Euler step on its block,
-driven by dM and the joint signal cbar and renormalized by its own trace
-1 + (c_i - cbar)(dM - cbar dt).  This agrees with its own-innovation Euler
-step to first order; that step itself diverged at dt = 2e-3 on the spin-10
-double-pass particle filter, for particles far from the record.  A
-Bloch-angle particle steps its scalar filter on dM.
-
-Degeneracy is monitored with the effective sample size 1/sum(p^2) and relieved
-by Liu-West kernel resampling.  Two state representations are supported:
-dense density matrices (general) and the scalar Bloch angle of the monitored
-qubit, for which parameter and state resample jointly.
+Each particle steps its scalar Bloch-angle filter on dM.  Degeneracy is
+monitored with the effective sample size 1/sum(p^2) and relieved by
+Liu-West kernel resampling, in which parameter and Bloch angle resample
+jointly.
 
 A finite set of candidate fields on the monitored qubit (H = B sigma_y,
 L = sqrt(kappa) sigma_z) needs no particles: in reference-probability form
@@ -42,12 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import dag
-from .trajectory import DiffusiveModel, TrajectoryRecord, bloch_angle_step, sme_step_batch
+from .trajectory import TrajectoryRecord, bloch_angle_step
 from .sde import rng_stream, stream_seed
 
 __all__ = [
     "ParticleEnsemble",
-    "EstimationModel",
     "QubitMagnetometerModel",
     "DegenerateEnsembleError",
     "sample_prior",
@@ -69,11 +60,8 @@ class DegenerateEnsembleError(RuntimeError):
 
 @dataclass
 class ParticleEnsemble:
-    """Weighted set of (parameter, conditional state) pairs.
-
-    ``states`` is (N, d, d) complex density matrices or (N,) float Bloch
-    angles; the kind follows from ``states.ndim``.
-    """
+    """Weighted set of (parameter, conditional state) pairs; ``states``
+    holds the (N,) float Bloch angles of the monitored qubit."""
 
     weights: np.ndarray
     params: np.ndarray
@@ -112,26 +100,6 @@ class ParticleEnsemble:
 
 
 @dataclass(frozen=True)
-class EstimationModel:
-    """Parameter-coupled model H = base.H + xi * H0 with coupling base.L.
-
-    ``base`` is the model at xi = 0; every particle steps its compiled
-    ``channels``.  ``prior`` is ("finite", values), uniform over the values,
-    or ("gaussian", mu, var).  ``rho0`` is the known initial conditional
-    state shared by every particle.
-    """
-
-    base: DiffusiveModel
-    H0: np.ndarray
-    prior: tuple
-    rho0: np.ndarray
-
-    def __post_init__(self):
-        if np.max(np.abs(self.H0 - dag(self.H0))) > 1e-10 * max(1.0, np.max(np.abs(self.H0))):
-            raise ValueError("H0 must be Hermitian")
-
-
-@dataclass(frozen=True)
 class QubitMagnetometerModel:
     """Monitored qubit with H = B sigma_y, L = sqrt(kappa) sigma_z, states
     parameterized by the Bloch angle from +x (initially 0)."""
@@ -155,15 +123,15 @@ def sample_prior(prior: tuple, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return values, np.full(n, 1.0 / n)
 
 
-def ensemble_step(model, ens: ParticleEnsemble, dM: float, dt: float) -> ParticleEnsemble:
+def ensemble_step(model: QubitMagnetometerModel, ens: ParticleEnsemble, dM: float,
+                  dt: float) -> ParticleEnsemble:
     """Advance the full ensemble by one measurement increment dM.
 
-    Each state is stepped by its quantum filter on dM (see the module
+    Each Bloch angle is stepped by its scalar filter on dM (see the module
     docstring); weights are updated, clipped at zero and renormalized.
     """
     # each particle's expectation of the measured observable L + L^dag
-    c = (2.0 * math.sqrt(model.kappa) * np.sin(ens.states) if ens.states.ndim == 1
-         else model.base.channels.signal(ens.states)[:, 0])
+    c = 2.0 * math.sqrt(model.kappa) * np.sin(ens.states)
     cbar = float(ens.weights @ c)
     w = ens.weights * (1.0 + (c - cbar) * (dM - cbar * dt))
     np.maximum(w, 0.0, out=w)
@@ -171,14 +139,7 @@ def ensemble_step(model, ens: ParticleEnsemble, dM: float, dt: float) -> Particl
     if not 0.0 < total < math.inf:
         raise DegenerateEnsembleError("all particle weights collapsed to zero")
     w /= total
-    if ens.states.ndim == 1:
-        states = bloch_angle_step(ens.states, dM, ens.params, model.kappa, dt, signal=c)
-    else:
-        channels = model.base.channels
-        G = channels.generator(model.H0 * ens.params[:, None, None] + model.base.H)
-        # the joint filter's signal: each block is renormalized by its own trace
-        states = sme_step_batch(G, channels, ens.states, float(dM), dt,
-                                signal=np.full((ens.count, 1), cbar))
+    states = bloch_angle_step(ens.states, dM, ens.params, model.kappa, dt, signal=c)
     return ParticleEnsemble._normalized(w, ens.params, states)
 
 
@@ -193,11 +154,9 @@ def effective_sample_size(weights: np.ndarray) -> float:
 
 def liu_west_resample(ens: ParticleEnsemble, a: float, h: float, rng) -> ParticleEnsemble:
     """Kernel resampling: sample source particles from the weights, then draw
-    children from Gaussian kernels with mean a*xi + (1-a)*xibar and variance
-    h^2 * V_t.  Children carry weight 1/N.
-
-    Density-matrix states are copied from their parents; Bloch-angle states
-    resample jointly with the parameter through a 2-d Gaussian kernel.
+    children of the (parameter, Bloch angle) pairs x from 2-d Gaussian
+    kernels with mean a*x + (1-a)*xbar and covariance h^2 * V_t, V_t the
+    pairs' weighted covariance.  Children carry weight 1/N.
     """
     if not (0.0 <= a <= 1.0) or h < 0.0:
         raise ValueError("need 0 <= a <= 1 and h >= 0")
@@ -206,22 +165,16 @@ def liu_west_resample(ens: ParticleEnsemble, a: float, h: float, rng) -> Particl
         raise DegenerateEnsembleError("cannot resample an ensemble with zero weight")
     n = ens.count
     idx = rng.choice(n, size=n, p=ens.weights / total)
-    if ens.states.ndim == 1:
-        xy = np.stack([ens.params, ens.states], axis=1)
-        mean = ens.weights @ xy
-        centered = xy - mean
-        cov = (ens.weights[:, None] * centered).T @ centered
-        kernel_mean = a * xy[idx] + (1.0 - a) * mean
-        w_cov, v_cov = np.linalg.eigh(h * h * cov)
-        root = v_cov * np.sqrt(np.clip(w_cov, 0.0, None))
-        children = kernel_mean + rng.standard_normal((n, 2)) @ root.T
-        params, states = children[:, 0], children[:, 1]
-    else:
-        mean = ens.mean()
-        sd = h * np.sqrt(ens.variance())
-        params = a * ens.params[idx] + (1.0 - a) * mean + sd * rng.standard_normal(n)
-        states = ens.states[idx].copy()
-    return ParticleEnsemble(weights=np.full(n, 1.0 / n), params=params, states=states)
+    xy = np.stack([ens.params, ens.states], axis=1)
+    mean = ens.weights @ xy
+    centered = xy - mean
+    cov = (ens.weights[:, None] * centered).T @ centered
+    kernel_mean = a * xy[idx] + (1.0 - a) * mean
+    w_cov, v_cov = np.linalg.eigh(h * h * cov)
+    root = v_cov * np.sqrt(np.clip(w_cov, 0.0, None))
+    children = kernel_mean + rng.standard_normal((n, 2)) @ root.T
+    return ParticleEnsemble(weights=np.full(n, 1.0 / n), params=children[:, 0],
+                            states=children[:, 1])
 
 
 def _check_bloch_angle_dt(kappa: float, dt: float) -> None:
@@ -234,30 +187,26 @@ def _check_bloch_angle_dt(kappa: float, dt: float) -> None:
                          " kappa * dt < 1 of the Bloch-angle filter")
 
 
-def particle_filter_run(model, record: TrajectoryRecord, N: int, a: float, h: float,
-                        threshold: float, seed) -> dict:
+def particle_filter_run(model: QubitMagnetometerModel, record: TrajectoryRecord, N: int,
+                        a: float, h: float, threshold: float, seed) -> dict:
     """Resampling quantum particle filter over a stored measurement record.
 
     Initializes N particles from the model prior, steps the ensemble through
     every increment of the record, and resamples whenever N_eff/N drops below
     ``threshold`` (never if it is 0).  Returns the posterior trace (mean and
     sd per step), the final estimate and uncertainty, and the resample count.
-    Deterministic given (record, seed).  A Bloch-angle model raises
-    ValueError unless kappa dt < 1, and, once the prior is drawn, unless
-    every particle's field keeps the truth record's rule 2 |B_i| dt < 1.
+    Deterministic given (record, seed).  Raises ValueError unless
+    kappa dt < 1, and, once the prior is drawn, unless every particle's
+    field keeps the truth record's rule 2 |B_i| dt < 1.
     """
     rng = rng_stream(seed)
     dt = float(record.times[1] - record.times[0])
-    bloch = isinstance(model, QubitMagnetometerModel)
-    if bloch:
-        _check_bloch_angle_dt(model.kappa, dt)
+    _check_bloch_angle_dt(model.kappa, dt)
     params, weights = sample_prior(model.prior, N, rng)
-    if bloch and not 2.0 * np.abs(params).max() * dt < 1.0:  # NaN fails too
+    if not 2.0 * np.abs(params).max() * dt < 1.0:  # NaN fails too
         raise ValueError(f"2 max |B_i| * dt = {2.0 * np.abs(params).max() * dt:g} is outside"
                          " the range 2 |B| * dt < 1 of the Bloch-angle particles")
-    states = (np.zeros(N) if bloch
-              else np.broadcast_to(model.rho0, (N,) + model.rho0.shape).astype(complex).copy())
-    ens = ParticleEnsemble(weights=weights, params=params, states=states)
+    ens = ParticleEnsemble(weights=weights, params=params, states=np.zeros(N))
     means, sds = [ens.mean()], [math.sqrt(ens.variance())]
     n_resamples = 0
     for dM in record.dY.tolist():

@@ -1,6 +1,5 @@
 """Double-pass atomic magnetometer: the exact model and its pure-state
-filter, Fisher-information bounds, the small-angle Kalman model and the
-particle-filter model for the field.
+filter, Fisher-information bounds and the small-angle Kalman model.
 
 A probe beam crosses the collective spin twice, giving the dipole operator
 L = sqrt(M) Fz + i sqrt(K) Fy and Hamiltonian
@@ -22,7 +21,6 @@ import numpy as np
 
 from .operators import anticommutator, pure_to_density, spin_coherent, spin_operators
 from .kalman import LinearModel
-from .estimation import EstimationModel
 from .trajectory import DiffusiveModel, TrajectoryRecord, sse_step_batch
 from .sde import rng_stream
 
@@ -35,7 +33,6 @@ __all__ = [
     "fisher_information_fd",
     "cramer_rao_bound",
     "smallangle_kalman_model",
-    "magnetometry_estimation_model",
 ]
 
 
@@ -205,13 +202,4 @@ def smallangle_kalman_model(params: DoublePassParams) -> LinearModel:
     C = np.array([[-2.0 * sqM * F, 0.0]])
     D = np.array([[1.0]])
     return LinearModel(A=A, B=Bmat, C=C, D=D)
-
-
-def magnetometry_estimation_model(params: DoublePassParams, prior: tuple) -> EstimationModel:
-    """Particle-filter model for an unknown field B: H = B * (-Fy) plus the
-    field-independent double-pass terms of the B = 0 model."""
-    return EstimationModel(base=double_pass_model(replace(params, B=0.0)),
-                           H0=-_spin_cached(int(round(2 * params.F)))["Jy"],
-                           prior=prior,
-                           rho0=pure_to_density(coherent_x(params.F)))
 

@@ -17,10 +17,7 @@ Claims stated elsewhere in the suite, left where they are:
   test_element_count_fivequbit`` and ``test_untruncated_closure_count``;
 - the collective model equals the full 2^N-dimensional master equation:
   ``test_collective.py::TestMasterStep::test_evolution_matches_full_space``
-  and ``TestSymmetricLindblad::test_matches_full_space_oracle``;
-- the posterior of the double-pass magnetometer's particle filter narrows:
-  ``test_magnetometry.py::TestMagnetometryParticleFilter::
-  test_posterior_sd_shrinks_on_average``.
+  and ``TestSymmetricLindblad::test_matches_full_space_oracle``.
 
 No other test runs the collective model at N = 100; that claim is here.
 """

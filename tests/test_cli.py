@@ -1,5 +1,4 @@
 import concurrent.futures
-import io
 import json
 import os
 import subprocess
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 
 from qfilt import cli
-from qfilt.sde import rng_stream, stream_seed
+from qfilt.sde import rng_stream
 
 
 ALL_EXPERIMENTS = [
@@ -23,20 +22,18 @@ class TestListAndSchemas:
     def test_all_experiments_registered(self):
         assert sorted(cli.EXPERIMENTS) == sorted(ALL_EXPERIMENTS)
 
-    def test_listing_mentions_every_experiment_and_dt(self):
-        buf = io.StringIO()
-        cli.list_experiments(buf)
-        text = buf.getvalue()
+    def test_listing_mentions_every_experiment_and_dt(self, capsys):
+        cli.list_experiments()
+        text = capsys.readouterr().out
         for name in ALL_EXPERIMENTS:
             assert f"## experiment: {name}" in text
         for name, info in cli.EXPERIMENTS.items():
             assert "dt" in info["schema"], name
 
-    def test_schema_round_trip(self):
+    def test_schema_round_trip(self, capsys):
         # each emitted block re-parses as a valid config for its experiment
-        buf = io.StringIO()
-        cli.list_experiments(buf)
-        blocks = buf.getvalue().split("## experiment: ")[1:]
+        cli.list_experiments()
+        blocks = capsys.readouterr().out.split("## experiment: ")[1:]
         for block in blocks:
             name, _, body = block.partition("\n")
             raw = cli.parse_config_text(body)
@@ -516,14 +513,17 @@ class TestRun:
         assert "code" in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("case", ["negative-seed", "config-dir", "config-bytes", "rate-dir",
-                                      "out-file"])
+    @pytest.mark.parametrize("case", ["negative-seed", "workers-zero", "workers-negative",
+                                      "config-dir", "config-bytes", "rate-dir", "out-file"])
     def test_bad_seed_or_path_is_one_config_error_line(self, tmp_path, case):
-        # a negative seed exited 2 as a numeric failure, and each path raised
-        # an OSError or UnicodeDecodeError traceback
+        # a negative seed exited 2 as a numeric failure, a worker count below
+        # 1 ran serially and exited 0, and each path raised an OSError or
+        # UnicodeDecodeError traceback
         (tmp_path / "bad.cfg").write_bytes(b"T = 0.01\n\xff\n")
         run = ["run", "kalman-demo", "--set", "T=0.01", "--out", str(tmp_path / "out")]
         argv = {"negative-seed": run + ["--seed", "-1"],
+                "workers-zero": run + ["--workers", "0"],
+                "workers-negative": run + ["--workers", "-3"],
                 "config-dir": run + ["--config", str(tmp_path)],
                 "config-bytes": run + ["--config", str(tmp_path / "bad.cfg")],
                 "rate-dir": ["rate", str(tmp_path)],

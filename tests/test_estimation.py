@@ -11,88 +11,65 @@ from qfilt import trajectory as traj
 from qfilt.sde import rng_stream
 
 
-def qubit_estimation_model(kappa=1.0, prior=("finite", [0.5, 1.5])):
+def bloch_model(prior):
+    return est.QubitMagnetometerModel(kappa=1.0, prior=prior)
+
+
+def joint_filter_weights(kappa, B_values, dt):
+    """A truth record at B = 2 and, per step, the block traces of the exact
+    Bayesian filter that embeds the field in the state,
+    rho = sum_i p_i |B_i><B_i| (x) rho_i, an ordinary SME, on it."""
+    n = len(B_values)
     rho0 = op.pure_to_density(op.spin_coherent(0.5, np.pi / 2, 0.0))
-    return est.EstimationModel(base=traj.qubit_model(kappa, 0.0), H0=op.SIGMA_Y,
-                               prior=prior, rho0=rho0)
+    record = traj.simulate_truth(traj.qubit_model(kappa, 2.0), rho0, 0.3, dt, seed=3)
+    Hext, Lext = est.extended_estimation_operators(op.SIGMA_Y, np.sqrt(kappa) * op.SIGMA_Z,
+                                                   B_values)
+    joint = traj.DiffusiveModel(H=Hext, L=Lext)
+    rho = np.kron(np.eye(n) / n, rho0)
+    blocks = []
+    for dM in record.dY:
+        rho = traj.sme_step_batch(joint.G, joint.channels, rho, dM, dt)
+        blocks.append(np.einsum("iaia->i", rho.reshape(n, 2, n, 2)).real)
+    return record, np.array(blocks)
 
 
 class TestEnsembleStep:
     def test_single_particle_reduces_to_filter(self):
-        model = qubit_estimation_model()
-        B = 0.8
-        rho0 = model.rho0.copy()
-        ens = est.ParticleEnsemble(weights=np.array([1.0]), params=np.array([B]),
-                                   states=rho0[None].copy())
-        rho_ref = rho0.copy()
-        filt = traj.DiffusiveModel(H=B * op.SIGMA_Y, L=model.base.L)
+        # a lone particle keeps weight 1, and its angle is the scalar filter's
+        model = bloch_model(("finite", [0.8]))
+        ens = est.ParticleEnsemble(weights=np.array([1.0]), params=np.array([0.8]),
+                                   states=np.zeros(1))
+        theta = np.zeros(1)
         rng = rng_stream(0)
         for _ in range(200):
             dM = rng.normal() * 1e-2
             ens = est.ensemble_step(model, ens, dM, 1e-4)
-            rho_ref = traj.sme_step_batch(filt.G, filt.channels, rho_ref, dM, 1e-4)
-            assert abs(ens.weights[0] - 1.0) < 1e-15
-        assert np.max(np.abs(ens.states[0] - rho_ref)) < 1e-13
+            theta = traj.bloch_angle_step(theta, dM, 0.8, model.kappa, 1e-4)
+            assert ens.weights[0] == 1.0
+        assert np.array_equal(ens.states, theta)
 
-    def test_bloch_kind_matches_density_kind(self):
-        # the scalar Bloch parameterization evolves consistently with the
-        # dense per-particle filter on a shared record
-        kappa = 1.0
-        B_values = np.array([0.5, 2.0])
-        model_d = qubit_estimation_model(kappa, ("finite", B_values))
-        model_b = est.QubitMagnetometerModel(kappa=kappa, prior=("finite", B_values))
-        dens = est.ParticleEnsemble(
-            weights=np.full(2, 0.5), params=B_values.copy(),
-            states=np.broadcast_to(model_d.rho0, (2, 2, 2)).copy())
-        bloch = est.ParticleEnsemble(
-            weights=np.full(2, 0.5), params=B_values.copy(),
-            states=np.zeros(2))
-        rng = rng_stream(1)
-        dt = 1e-4
-        noise = rng.choice([-1.0, 1.0], size=3000) * np.sqrt(dt)
-        for dW in noise:
-            c = 2.0 * np.sqrt(kappa) * np.sin(bloch.states)
-            dM = float(bloch.weights @ c) * dt + dW
-            dens = est.ensemble_step(model_d, dens, dM, dt)
-            bloch = est.ensemble_step(model_b, bloch, dM, dt)
-        sz_dense = np.einsum("ij,bji->b", op.SIGMA_Z, dens.states).real
-        assert np.max(np.abs(np.sin(bloch.states) - sz_dense)) < 1e-3
-        assert np.max(np.abs(bloch.weights - dens.weights)) < 1e-3
-
-    @pytest.mark.parametrize("kind", ["density", "bloch"])
-    def test_weights_track_joint_filter(self, kind):
-        # the exact Bayesian filter embeds the parameter in the state,
-        # rho = sum_i p_i |B_i><B_i| (x) rho_i, and is an ordinary SME; the
-        # ensemble's weights must follow its block traces on one record
-        kappa, B_values, dt = 1.0, np.array([2.0, 5.0, 8.0, 12.0]), 2e-5
-        model = qubit_estimation_model(kappa, ("finite", B_values))
-        record = traj.simulate_truth(traj.qubit_model(kappa, 2.0), model.rho0, 0.3, dt, seed=3)
-        Hext, Lext = est.extended_estimation_operators(model.H0, model.base.L, B_values)
-        joint = traj.DiffusiveModel(H=Hext, L=Lext)
-        rho = np.kron(np.eye(4) / 4.0, model.rho0)
-        if kind == "bloch":
-            model = est.QubitMagnetometerModel(kappa=kappa, prior=("finite", B_values))
-            states = np.zeros(4)
-        else:
-            states = np.broadcast_to(model.rho0, (4, 2, 2)).copy()
+    def test_weights_track_joint_filter(self):
+        # the ensemble's weights must follow the exact joint filter's block
+        # traces on one record
+        B_values, dt = np.array([2.0, 5.0, 8.0, 12.0]), 2e-5
+        record, blocks = joint_filter_weights(1.0, B_values, dt)
+        model = bloch_model(("finite", B_values))
         ens = est.ParticleEnsemble(weights=np.full(4, 0.25), params=B_values.copy(),
-                                   states=states)
+                                   states=np.zeros(4))
         worst = 0.0
-        for dM in record.dY:
+        for dM, w in zip(record.dY, blocks):
             ens = est.ensemble_step(model, ens, dM, dt)
-            rho = traj.sme_step_batch(joint.G, joint.channels, rho, dM, dt)
-            blocks = np.einsum("iaia->i", rho.reshape(4, 2, 4, 2)).real
-            worst = max(worst, np.max(np.abs(ens.weights - blocks)))
+            worst = max(worst, np.max(np.abs(ens.weights - w)))
         assert worst < 2e-3
 
     def test_weights_clip_and_renormalize(self):
-        model = qubit_estimation_model(prior=("finite", [0.0, 5.0]))
+        # the second particle's update factor 1 + (c_2 - cbar) dM is negative
+        model = bloch_model(("finite", [0.0, 5.0]))
         ens = est.ParticleEnsemble(weights=np.array([0.999, 0.001]),
-                                   params=np.array([0.0, 5.0]),
-                                   states=np.broadcast_to(model.rho0, (2, 2, 2)).copy())
-        out = est.ensemble_step(model, ens, dM=0.5, dt=1e-3)
+                                   params=np.array([0.0, 5.0]), states=np.array([0.0, 1.2]))
+        out = est.ensemble_step(model, ens, dM=-1.0, dt=1e-3)
         assert abs(out.weights.sum() - 1.0) < 1e-12
-        assert np.all(out.weights >= 0.0)
+        assert np.all(out.weights >= 0.0) and out.weights[1] == 0.0
         # the step skips the constructor's check of weights it has just
         # normalized; an ensemble built from its arrays passes that check
         assert isinstance(out, est.ParticleEnsemble) and out.params is ens.params
@@ -101,10 +78,10 @@ class TestEnsembleStep:
     def test_exchangeability(self):
         # permuting particle order permutes the outputs and leaves the
         # ensemble mean signal unchanged (up to float summation order)
-        model = qubit_estimation_model(prior=("finite", [0.5, 1.0, 2.0]))
+        model = bloch_model(("finite", [0.5, 1.0, 2.0]))
         w = np.array([0.2, 0.3, 0.5])
         B = np.array([0.5, 1.0, 2.0])
-        states = np.broadcast_to(model.rho0, (3, 2, 2)).copy()
+        states = np.array([0.1, -0.4, 0.7])
         ens = est.ParticleEnsemble(weights=w.copy(), params=B.copy(), states=states.copy())
         perm = np.array([2, 0, 1])
         ens_p = est.ParticleEnsemble(weights=w[perm].copy(), params=B[perm].copy(),
@@ -118,9 +95,9 @@ class TestEnsembleStep:
         # the sign structure of the weight update keeps at least one weight
         # positive for any finite increment, so degeneracy is a numeric
         # failure mode (non-finite record values)
-        model = qubit_estimation_model(prior=("finite", [1.0]))
+        model = bloch_model(("finite", [1.0]))
         ens = est.ParticleEnsemble(weights=np.array([1.0]), params=np.array([1.0]),
-                                   states=np.broadcast_to(model.rho0, (1, 2, 2)).copy())
+                                   states=np.zeros(1))
         with pytest.raises(est.DegenerateEnsembleError):
             est.ensemble_step(model, ens, dM=np.nan, dt=1e-3)
 
@@ -161,15 +138,11 @@ class TestEffectiveSampleSize:
 
 
 class TestLiuWestResample:
-    def _ensemble(self, n, seed, kind="density"):
+    def _ensemble(self, n, seed):
         rng = np.random.default_rng(seed)
         w = rng.dirichlet(np.ones(n))
         params = rng.normal(5.0, 2.0, size=n)
-        if kind == "bloch":
-            states = rng.normal(0.0, 0.3, size=n)
-        else:
-            rho = op.pure_to_density(op.spin_coherent(0.5, np.pi / 2, 0.0))
-            states = np.broadcast_to(rho, (n, 2, 2)).copy()
+        states = rng.normal(0.0, 0.3, size=n)
         return est.ParticleEnsemble(weights=w, params=params, states=states)
 
     def test_point_mass_limit(self):
@@ -197,7 +170,7 @@ class TestLiuWestResample:
         assert abs(out.mean() - ens.mean()) < tol
 
     def test_bloch_joint_resampling(self):
-        ens = self._ensemble(400, 6, kind="bloch")
+        ens = self._ensemble(400, 6)
         rng = np.random.default_rng(7)
         out = est.liu_west_resample(ens, a=0.9, h=np.sqrt(1 - 0.81), rng=rng)
         # thetas move with their parameters: children stay near the joint cloud
@@ -395,20 +368,9 @@ class TestFiniteSetFilter:
 
     def test_weights_track_joint_filter(self):
         # the record and bound of TestEnsembleStep::test_weights_track_joint_filter
-        kappa, B_values, dt = 1.0, np.array(self.B_values), 2e-5
-        rho0 = op.pure_to_density(op.spin_coherent(0.5, np.pi / 2, 0.0))
-        base = traj.qubit_model(kappa, 0.0)
-        record = traj.simulate_truth(traj.qubit_model(kappa, 2.0), rho0, 0.3, dt, seed=3)
-        Hext, Lext = est.extended_estimation_operators(op.SIGMA_Y, base.L, B_values)
-        joint = traj.DiffusiveModel(H=Hext, L=Lext)
-        rho = np.kron(np.eye(4) / 4.0, rho0)
-        snaps = est.finite_set_filter(kappa, B_values, record, store_every=1)["weights"]
-        worst = 0.0
-        for k, dM in enumerate(record.dY):
-            rho = traj.sme_step_batch(joint.G, joint.channels, rho, dM, dt)
-            blocks = np.einsum("iaia->i", rho.reshape(4, 2, 4, 2)).real
-            worst = max(worst, np.max(np.abs(snaps[k] - blocks)))
-        assert worst < 2e-3
+        record, blocks = joint_filter_weights(1.0, self.B_values, 2e-5)
+        snaps = est.finite_set_filter(1.0, self.B_values, record, store_every=1)["weights"]
+        assert np.max(np.abs(snaps - blocks)) < 2e-3
 
     @pytest.mark.parametrize("cap", [None, 64])
     def test_chunking_does_not_change_weights(self, cap, monkeypatch):

@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qfilt import estimation as est
 from qfilt import magnetometry as mag
 from qfilt import operators as op
 from qfilt import trajectory as traj
@@ -284,72 +283,3 @@ class TestSmallAngleKalman:
         riccati = A @ V + V @ A.T + B @ B.T - G @ G.T
         assert np.max(np.abs(riccati - paper_variance_rhs(p, V, 0.7))) < 1e-12
 
-
-class TestMagnetometryParticleFilter:
-    def test_single_particle_at_truth(self):
-        p = mag.DoublePassParams(F=1.0, M=1.0, K=0.0, B=0.8)
-        record = mag.simulate_double_pass_truth(p, T=0.2, dt=1e-3, seed=9)
-        model = mag.magnetometry_estimation_model(p, ("finite", [0.8]))
-        out = est.particle_filter_run(model, record, N=1, a=0.98, h=1e-3,
-                                      threshold=0.5, seed=10)
-        assert np.max(np.abs(out["mean_trace"] - 0.8)) < 1e-12
-
-    def test_paired_single_vs_double_pass_runs(self):
-        # one truth record configuration, two passes over it: K = 0 and
-        # K > 0 filters produce distinct posterior traces
-        p0 = mag.DoublePassParams(F=2.0, M=1.0, K=0.0, B=0.0)
-        p1 = mag.DoublePassParams(F=2.0, M=1.0, K=0.1, B=0.0)
-        rec0 = mag.simulate_double_pass_truth(p0, T=0.2, dt=1e-3, seed=11)
-        rec1 = mag.simulate_double_pass_truth(p1, T=0.2, dt=1e-3, seed=11)
-        assert np.array_equal(rec0.dW, rec1.dW)  # shared noise realization
-        prior = ("gaussian", 0.0, 4.0)
-        out0, out1 = (est.particle_filter_run(mag.magnetometry_estimation_model(q, prior), rec,
-                                              N=40, a=0.98, h=1e-3, threshold=0.5, seed=12)
-                      for q, rec in ((p0, rec0), (p1, rec1)))
-        assert not np.allclose(out0["sd_trace"], out1["sd_trace"])
-
-    def test_density_ensemble_matches_dense_kernel(self):
-        # three particles on the double-pass base (K > 0, so base.H != 0)
-        # against an Euler step of the joint filter on
-        # sum_i p_i |i><i| (x) rho_i: weights are its block traces, states
-        # its normalized blocks
-        p = mag.DoublePassParams(F=1.0, M=1.2, K=0.4, B=0.0)
-        model = mag.magnetometry_estimation_model(p, ("finite", [0.3, -0.5, 1.1]))
-        assert np.max(np.abs(model.base.H)) > 0
-        ens = est.ParticleEnsemble(weights=np.array([0.2, 0.5, 0.3]),
-                                   params=np.array([0.3, -0.5, 1.1]),
-                                   states=np.stack([model.rho0] * 3))
-        Hext, Lext = est.extended_estimation_operators(model.H0, model.base.L, ens.params)
-        Hext = Hext + np.kron(np.eye(3), model.base.H)
-        Lext = traj.compile_channels(Lext)
-        d = len(model.rho0)
-        w, states = ens.weights, ens.states
-        rng = np.random.default_rng(15)
-        dt = 1e-4
-        for _ in range(40):
-            dM = rng.normal() * np.sqrt(dt)
-            ens = est.ensemble_step(model, ens, dM, dt)
-            joint = np.zeros((3, d, 3, d), dtype=complex)
-            joint[np.arange(3), :, np.arange(3), :] = w[:, None, None] * states
-            joint = traj.sme_step_batch(Lext.generator(Hext), Lext, joint.reshape(3 * d, 3 * d),
-                                        dM, dt)
-            blocks = joint.reshape(3, d, 3, d)[np.arange(3), :, np.arange(3), :]
-            w = np.einsum("bii->b", blocks).real
-            states = blocks / w[:, None, None]
-            assert np.max(np.abs(ens.states - states)) <= 1e-13
-            assert np.max(np.abs(ens.weights - w)) <= 1e-13
-
-    def test_posterior_sd_shrinks_on_average(self):
-        # average over seeds of the posterior sd decreases with time, with
-        # one violation allowed across the checkpoints
-        p = mag.DoublePassParams(F=10.0, M=1.0, K=0.0, B=0.0)
-        sds = []
-        for seed in range(20):
-            rec = mag.simulate_double_pass_truth(p, T=0.3, dt=2e-3, seed=(13, seed))
-            out = est.particle_filter_run(
-                mag.magnetometry_estimation_model(p, ("gaussian", 0.0, 4.0)), rec,
-                N=60, a=0.98, h=1e-3, threshold=2.0 / 3.0, seed=(14, seed))
-            sds.append(out["sd_trace"][::30])
-        mean_sd = np.mean(sds, axis=0)
-        violations = int(np.sum(np.diff(mean_sd) > 0))
-        assert violations <= 1

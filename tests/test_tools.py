@@ -163,6 +163,32 @@ class TestMain:
         assert f"w incorrect runs (in no statistic): parent {expect['parent']}, " \
                f"change {expect['change']}" in capsys.readouterr().out
 
+    def test_trace_records_every_seed_and_the_median(self, tmp_path, monkeypatch):
+        # one layer that both sides record, one only the change records on
+        # one seed, and one no run records
+        def run_once(checkout, workload, seed, seconds, trace):
+            change = os.path.basename(checkout) == "change"
+            metrics = {"a.self_s": 10.0 * seed + change, "b.calls": float(change and seed == 2),
+                       "c.calls": 0.0}
+            result = {"correct": not (change and seed == 3),
+                      "metrics": {k: {"value": v} for k, v in metrics.items()}}
+            return {"cpus": "2"}, result, {"job": [0.01]}
+
+        self.fake_run(monkeypatch, None)
+        monkeypatch.setattr(bench_pairs, "run_once", run_once)
+        out = str(tmp_path / "bench.json")
+        argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w-x",
+                "--seeds", "1-3", "--trace", "1", "--out", out]
+        assert bench_pairs.main(argv) == 1
+        with open(out) as f:
+            trace = bench_pairs.json.load(f)["trace_w_x"]
+        assert trace["seeds"] == [1, 2, 3]
+        assert trace["parent"] == {"correct": [True] * 3, "metrics": {
+            "a.self_s": {"values": [10.0, 20.0, 30.0], "median": 20.0}}}
+        assert trace["change"] == {"correct": [True, True, False], "metrics": {
+            "a.self_s": {"values": [11.0, 21.0, 31.0], "median": 21.0},
+            "b.calls": {"values": [0.0, 1.0, 0.0], "median": 0.0}}}
+
 
 class TestReach:
     def test_kalman_demo_reach(self):

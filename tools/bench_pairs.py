@@ -19,8 +19,10 @@ JSON file given by ``--out`` (created if missing), keyed by workload:
                 ``median_rep``, so a summary shows which job moved; and
                 ``incorrect_runs``, per side, the runs that reported
                 ``correct: false`` or failed jobs, which no statistic counts
-    trace_W     with --trace 1: both sides' per-layer metrics (nonzero ones)
-                for the first seed only
+    trace_W     with --trace 1, per side: each run's correctness and, for
+                every metric nonzero in some run, its value per seed (in
+                seed order) and their median, since one traced pair does
+                not resolve a layer on a noisy host
 
 The record holds the package version of both checkouts (``version``,
 ``parent_version``) and the parent's git commit where it has one.  perfbench
@@ -138,6 +140,16 @@ def package_version(checkout: str) -> str:
         return re.search(r'__version__ = "([^"]+)"', f.read()).group(1)
 
 
+def trace_layers(runs: list) -> dict:
+    """One side's traced runs, in seed order: whether each was correct and,
+    per metric nonzero in some run, its value in each run and their median."""
+    names = [k for k in runs[0]["metrics"] if any(r["metrics"][k] for r in runs)]
+    return {"correct": [r["correct"] for r in runs],
+            "metrics": {k: {"values": [r["metrics"][k] for r in runs],
+                            "median": statistics.median(r["metrics"][k] for r in runs)}
+                        for k in names}}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
@@ -151,16 +163,16 @@ def main(argv=None) -> int:
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
 
     pairs, machine = [], None
-    for i, seed in enumerate(args.seeds[:1] if args.trace else args.seeds):
+    for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         record = {"seed": seed, "first": order[0]}
         for side in order:
             machine, result, job_times = run_once(sides[side], args.workload, seed,
                                                   args.seconds, args.trace)
             if args.trace:
-                record[side] = {"seed": seed, "correct": result["correct"],
-                                "metrics": {k: m["value"] for k, m in result["metrics"].items()
-                                            if m["value"]}}
+                record[side] = {"correct": result["correct"],
+                                "metrics": {k: m["value"] or 0.0
+                                            for k, m in result["metrics"].items()}}
             else:
                 record[side] = end_to_end(result, job_times)
             print(f"{args.workload} seed {seed} {side}: "
@@ -176,10 +188,11 @@ def main(argv=None) -> int:
                  parent_version=package_version(sides["parent"]),
                  parent_commit=git_head(sides["parent"]), machine=machine)
     if args.trace:
-        bench[f"trace_{args.workload.replace('-', '_')}"] = {
-            "command": f"python3 perfbench/run.py --workload {args.workload} "
-                       f"--seed {args.seeds[0]} --seconds {args.seconds:g} --trace 1",
-            "parent": pairs[0]["parent"], "change": pairs[0]["change"]}
+        bench[f"trace_{args.workload.replace('-', '_')}"] = dict(
+            command=f"python3 perfbench/run.py --workload {args.workload} --seed S "
+                    f"--seconds {args.seconds:g} --trace 1",
+            seeds=args.seeds,
+            **{side: trace_layers([p[side] for p in pairs]) for side in ("parent", "change")})
     else:
         bench.update(command="python3 perfbench/run.py --workload W --seed S "
                              f"--seconds {args.seconds:g} --trace 0", method=METHOD)
