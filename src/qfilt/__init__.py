@@ -7,4 +7,4 @@ with feedback, and O(N^2) collective-spin dynamics.  The ``qfilt`` CLI runs
 the bundled experiments; see ``qfilt list``.
 """
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

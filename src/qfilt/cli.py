@@ -34,7 +34,7 @@ from . import kalman
 from . import magnetometry as mag
 from . import qec
 from . import trajectory as traj
-from .operators import SIGMA_X, SIGMA_Z, pure_to_density, spin_coherent
+from .operators import SIGMA_X, SIGMA_Z, doubled_spin, pure_to_density, spin_coherent
 from .sde import stream_seed
 
 
@@ -264,14 +264,14 @@ def _finite(text) -> float:
     return value
 
 
-def _floats(lo=float("-inf")):
-    """Converter accepting a non-empty comma-separated list of finite floats >= lo."""
+def _floats(each=_finite):
+    """Converter accepting a non-empty comma-separated list of distinct
+    values, each read by ``each``: a repeated candidate would be stepped and
+    written twice."""
     def conv(text) -> list:
-        values = [_finite(x) for x in str(text).split(",") if x.strip() != ""]
-        if not values:
-            raise ValueError("the list is empty")
-        if not all(v >= lo for v in values):
-            raise ValueError(f"{values} has an entry below {lo}")
+        values = [each(x) for x in str(text).split(",") if x.strip() != ""]
+        if not values or len(set(values)) < len(values):
+            raise ValueError(f"{values} is empty or repeats an entry")
         return values
     return conv
 
@@ -305,6 +305,12 @@ def _between(lo, hi=float("inf")):
 
 # rates, strengths and variances
 _nonnegative = _between(0.0)
+
+
+def _spin(text) -> float:
+    """A collective spin size: a finite float >= 1/2 whose double is an
+    integer to within 1e-9 (``doubled_spin``), read as that half-integer."""
+    return doubled_spin(_between(0.5)(text)) / 2.0
 
 
 def _choice(*options):
@@ -376,8 +382,8 @@ EXPERIMENTS = {
         "doc": "finite-difference Fisher information of the double-pass magnetometer",
         "runner": _run_magnetometer_fisher,
         "schema": {
-            "F_values": (_floats(0.5), "10,20", "collective spin sizes, at least 1/2"),
-            "K_values": (_floats(0.0), "0,0.0001", "second-pass strengths"),
+            "F_values": (_floats(_spin), "10,20", "collective spin sizes, half-integers >= 1/2"),
+            "K_values": (_floats(_nonnegative), "0,0.0001", "second-pass strengths"),
             "M": (_nonnegative, 1.0, "first-pass strength"),
             "B": (_finite, 0.0, "operating field"),
             "deltaB": (_positive, 1e-3, "finite-difference offset"),
@@ -391,7 +397,7 @@ EXPERIMENTS = {
         "doc": "small-angle Kalman field estimate on a double-pass record",
         "runner": _run_magnetometer_kalman,
         "schema": {
-            "F": (_between(0.5), 10.0, "collective spin size, at least 1/2"),
+            "F": (_spin, 10.0, "collective spin size, a half-integer >= 1/2"),
             "M": (_nonnegative, 1.0, "first-pass strength"),
             "K": (_nonnegative, 0.0, "second-pass strength"),
             "B_true": (_finite, 0.0, "true field value"),
@@ -616,7 +622,11 @@ def main(argv=None) -> int:
         return 0
     try:
         if args.command == "rate":
-            times, rate = convergence_rate(args.csv, args.alpha)
+            try:
+                alpha = _between(0.0, 1.0)(args.alpha)
+            except ValueError as e:
+                raise ConfigError(f"--alpha: {e}") from None
+            times, rate = convergence_rate(args.csv, alpha)
             sys.stdout.write("time,rate\n")
             for t, r in zip(times, rate):
                 sys.stdout.write(f"{_fmt(t)},{_fmt(r)}\n")

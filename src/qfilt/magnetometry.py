@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import anticommutator, pure_to_density, spin_coherent, spin_operators
+from .operators import anticommutator, doubled_spin, pure_to_density, spin_coherent, spin_operators
 from .kalman import LinearModel
 from .trajectory import DiffusiveModel, TrajectoryRecord, sse_step_batch
 from .sde import rng_stream
@@ -42,8 +42,8 @@ _DRAW_BLOCK = 1000
 
 @dataclass(frozen=True)
 class DoublePassParams:
-    """F: collective spin; M/K: first/second pass coupling strengths; B field,
-    in units of the gyromagnetic coupling (gamma = 1)."""
+    """F: collective spin, a half-integer; M/K: first/second pass coupling
+    strengths; B field, in units of the gyromagnetic coupling (gamma = 1)."""
 
     F: float
     M: float
@@ -51,7 +51,8 @@ class DoublePassParams:
     B: float = 0.0
 
     def __post_init__(self):
-        if self.M < 0 or self.K < 0 or self.F < 0.5:
+        # doubled_spin refuses an F that is not a half-integer
+        if self.M < 0 or self.K < 0 or doubled_spin(self.F) < 1:
             raise ValueError("need M >= 0, K >= 0 and F >= 1/2")
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "dag",
     "anticommutator",
     "expm_hermitian",
+    "doubled_spin",
     "spin_operators",
     "pauli_string",
     "spin_coherent",
@@ -65,6 +66,15 @@ def expm_hermitian(h: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     return (v * np.exp(scale * w)) @ dag(v)
 
 
+def doubled_spin(j: float) -> int:
+    """2j for a spin size j; a j whose double is not a non-negative integer,
+    to within 1e-9, raises ValueError."""
+    two_j = 2.0 * j
+    if two_j < 0 or abs(two_j - round(two_j)) > 1e-9:
+        raise ValueError(f"total spin must be a non-negative half-integer, got {j}")
+    return int(round(two_j))
+
+
 def spin_operators(j: float) -> dict[str, np.ndarray]:
     """Spin-j operators {Jx, Jy, Jz, Jplus, Jminus} of dimension 2j+1.
 
@@ -76,10 +86,7 @@ def spin_operators(j: float) -> dict[str, np.ndarray]:
     ValueError
         If 2j is not a non-negative integer.
     """
-    two_j = 2.0 * j
-    if two_j < 0 or abs(two_j - round(two_j)) > 1e-9:
-        raise ValueError(f"total spin must be a non-negative half-integer, got {j}")
-    dim = int(round(two_j)) + 1
+    dim = doubled_spin(j) + 1
     m = j - np.arange(dim)  # j, j-1, ..., -j
     jz = np.diag(m).astype(complex)
     # raising operator: <m+1| J+ |m>, one step above the diagonal

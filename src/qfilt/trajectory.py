@@ -10,17 +10,17 @@ The filter for a system with Hamiltonian H and coupling operator L is
 and its pure-state unraveling is d|psi> = A |psi> dt + B |psi> dW with
 B = L - <L> and A = -iH - (L^dag L - 2 <L^dag> L + <L><L^dag>) / 2.
 
-``sme_step_batch`` also takes a stack of monitored channels L_l, each with
-its own increment dY_l (the terms above summed over l), and an optional
-unmonitored generator term computed by the caller, so every density-matrix
-filter in the package is stepped by this one kernel, and every pure-state
-filter by ``sse_step_batch``.  Both take their coupling compiled once by
-``compile_channels`` into one dense form, L, L^dag, half the sum of L^dag L
-and the signal operator L + L^dag, and in place of H the drift generator
-G = -iH - sum_l L_l^dag L_l / 2 (``Channels.generator``).  A
-``DiffusiveModel`` compiles its coupling and its generator once
-(``channels``, ``G``), and every density-matrix and pure-state filter of a
-model steps those and reads its signal from them.
+Every diffusive model ``qfilt run`` steps has one coupling L, so these
+filter steps condition on one record: the density-matrix filter is stepped
+by ``sme_step_batch`` and the pure-state filter by ``sse_step_batch`` (the
+QEC filter, with its several generators and unmonitored noise, steps its
+own Pauli-coefficient form in ``qec``).  Both take their coupling compiled
+once by ``compile_channels`` into one dense form, L, L^dag, L^dag L / 2 and
+the signal operator L + L^dag, and in place of H the drift generator
+G = -iH - L^dag L / 2 (``Channels.generator``).  A ``DiffusiveModel``
+compiles its coupling and its generator once (``channels``, ``G``), and
+every density-matrix and pure-state filter of a model steps those and reads
+its signal from them.
 
 Both kernels step states in lockstep over numpy's leading axes, one
 trajectory per slot, each of which must draw from its own noise stream: a
@@ -104,9 +104,9 @@ class TrajectoryRecord:
 
 
 class Channels(NamedTuple):
-    """Lindblad channels compiled once for the filter steps: ``L`` holds
-    the l monitored channels (l, d, d), ``Ld`` their adjoints, ``K`` half
-    the sum of their L^dag L and ``S`` the signal operators L + L^dag."""
+    """One monitored coupling compiled once for the filter steps, each part
+    (d, d): ``L``, its adjoint ``Ld``, ``K`` = L^dag L / 2 and the signal
+    operator ``S`` = L + L^dag."""
 
     L: np.ndarray
     Ld: np.ndarray
@@ -114,23 +114,21 @@ class Channels(NamedTuple):
     S: np.ndarray
 
     def signal(self, rho: np.ndarray) -> np.ndarray:
-        """Tr[(L_l + L_l^dag) rho] per slot and monitored channel: the
-        states' leading axes, then l.  S_l is Hermitian, so the trace is
-        the conjugating dot product of the flattened S_l and rho."""
-        flat = rho.reshape(*rho.shape[:-2], 1, -1)
-        return np.vecdot(self.S.reshape(len(self.S), -1), flat).real
+        """Tr[(L + L^dag) rho], one value per slot over the states' leading
+        axes.  S is Hermitian, so the trace is the conjugating dot product
+        of the flattened S and rho."""
+        return np.vecdot(self.S.reshape(-1), rho.reshape(*rho.shape[:-2], -1)).real
 
     def generator(self, H: np.ndarray) -> np.ndarray:
-        """The drift generator -iH - sum_l L_l^dag L_l / 2 of a Hamiltonian
-        H, one matrix or a stack, that the filter steps take."""
+        """The drift generator -iH - L^dag L / 2 of a Hamiltonian H, one
+        matrix or a stack, that the filter steps take."""
         return -1j * H - self.K
 
 
 def compile_channels(L: np.ndarray) -> Channels:
-    """Compile monitored channels L (d, d) or (l, d, d) for ``sme_step_batch``."""
-    Ls = L[None] if L.ndim == 2 else np.asarray(L)
-    Lds = np.swapaxes(Ls, -1, -2).conj()
-    return Channels(Ls, Lds, 0.5 * (Lds @ Ls).sum(axis=0), Ls + Lds)
+    """Compile one monitored coupling L (d, d) for the filter steps."""
+    Ld = L.T.conj()
+    return Channels(L, Ld, 0.5 * (Ld @ L), L + Ld)
 
 
 def _raise_nonfinite(what: str, kernel: str, finite: np.ndarray):
@@ -144,45 +142,33 @@ def _raise_nonfinite(what: str, kernel: str, finite: np.ndarray):
 
 
 def sme_step_batch(G: np.ndarray, L: Channels, rho: np.ndarray,
-                   dY: np.ndarray | float, dt: float, unmonitored: np.ndarray | None = None,
+                   dY: np.ndarray | float, dt: float,
                    signal: np.ndarray | None = None) -> np.ndarray:
     """One Euler step of the quantum filter on density matrices rho
     (..., d, d), whose leading axes are the batch: a single state has none.
 
-    L holds the l monitored channels compiled once by ``compile_channels``,
-    shared by every slot; dY holds one increment per slot or one per slot
-    and channel (leading axes, then l), and a float is shared by every slot
-    and channel.  G is the drift generator -iH - sum_l L_l^dag L_l / 2
+    L is the monitored coupling compiled once by ``compile_channels``,
+    shared by every slot; dY holds one increment per slot, and a float is
+    shared by every slot.  G is the drift generator -iH - L^dag L / 2
     (``DiffusiveModel.G`` or ``L.generator(H)``), one matrix or one per
     slot, broadcast against the states.  The step is written as
 
-        rho' = rho + A rho + rho A^dag + sum_l L_l rho L_l^dag dt
-               - (sum_l s_l dW_l) rho,
-        A = G dt + sum_l dW_l L_l,
+        rho' = rho + A rho + rho A^dag + L rho L^dag dt - s dW rho,
+        A = G dt + dW L,
 
-    with s_l = Tr[(L_l + L_l^dag) rho] and dW_l = dY_l - s_l dt, which is
-    the Euler step of the SME term by term (the first-order part of the
-    Kraus form M rho M^dag with M = I + A).  ``signal``, if given, is s_l
-    (leading axes, then l) from a caller that already has it.
-    ``unmonitored``, if given, is a caller-computed generator term per slot
-    (..., d, d), added times dt.  Trace is
-    renormalized and Hermiticity enforced after the step; a non-finite
-    entry, checked before the division, raises FloatingPointError naming
-    the row-major batch slots.
+    with s = Tr[(L + L^dag) rho] and dW = dY - s dt, which is the Euler step
+    of the SME term by term (the first-order part of the Kraus form
+    M rho M^dag with M = I + A).  ``signal``, if given, is s per slot from a
+    caller that already has it.  Trace is renormalized and Hermiticity
+    enforced after the step; a non-finite entry, checked before the
+    division, raises FloatingPointError naming the row-major batch slots.
     """
     if signal is None:
         signal = L.signal(rho)
-    if not isinstance(dY, float):
-        dY = np.asarray(dY, dtype=float).reshape(signal.shape)
     dW = dY - signal * dt
-    A = G * dt + (dW @ L.L.reshape(len(L.L), -1)).reshape(rho.shape)
-    Arho = A @ rho
-    out = rho + Arho + Arho.swapaxes(-1, -2).conj() \
-        - np.vecdot(signal, dW)[..., None, None] * rho
-    for Lk, Lkd in zip(L.L, L.Ld):
-        out += (Lk @ rho @ Lkd) * dt
-    if unmonitored is not None:
-        out += unmonitored * dt
+    Arho = (G * dt + dW[..., None, None] * L.L) @ rho
+    out = rho + Arho + Arho.swapaxes(-1, -2).conj() - (signal * dW)[..., None, None] * rho
+    out += (L.L @ rho @ L.Ld) * dt
     out = 0.5 * (out + out.swapaxes(-1, -2).conj())
     tr = out.diagonal(0, -2, -1).sum(axis=-1).real
     # every entry, not just the trace: a finite trace over non-finite
@@ -198,13 +184,13 @@ def sse_step_batch(G: np.ndarray, channels: Channels, psi: np.ndarray,
     vectors psi (..., d), whose leading axes are the batch, driven directly
     by the innovation increment dW, which broadcasts against those axes.
 
-    ``channels`` is one compiled coupling (``DiffusiveModel.channels``): L is
-    read as ``channels.L[0]``, so a call forms no operator product.  G is the
-    drift generator -iH - L^dag L / 2 (``DiffusiveModel.G``), one matrix or
-    one per slot, broadcast against the states.  A non-finite norm raises
+    ``channels`` is one compiled coupling (``DiffusiveModel.channels``), so
+    a call forms no operator product.  G is the drift generator
+    -iH - L^dag L / 2 (``DiffusiveModel.G``), one matrix or one per slot,
+    broadcast against the states.  A non-finite norm raises
     FloatingPointError naming the row-major batch slots.
     """
-    Lpsi = psi @ channels.L[0].T
+    Lpsi = psi @ channels.L.T
     expL = np.vecdot(psi, Lpsi)[..., None]
     expLd = expL.conj()
     Gpsi = psi @ G.T if G.ndim == 2 else np.matvec(G, psi)
@@ -250,7 +236,7 @@ def simulate_truth(model: DiffusiveModel, rho0: np.ndarray, T: float, dt: float,
     try:
         for i, w in enumerate(dWs.tolist()):
             signal = channels.signal(rho)
-            dY[i] = y = signal[0] * dt + w
+            dY[i] = y = signal * dt + w
             rho = sme_step_batch(G, channels, rho, y, dt, signal=signal)
             if (i + 1) % store_every == 0 or i + 1 == steps:
                 for k, opT in observables.items():

@@ -67,6 +67,25 @@ def measurement_M(L: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return L @ rho + rho @ dag(L) - signal * rho
 
 
+def sme_euler_step(H: np.ndarray, Ls, rho: np.ndarray, dY, dt: float,
+                   unmonitored=()) -> np.ndarray:
+    """One Euler step of the SME on one state, written term by term:
+    rho + (-i[H, rho] + sum_u D[U_u] rho + sum_l D[L_l] rho) dt
+    + sum_l M[L_l] rho dW_l with dW_l = dY_l - Tr[(L_l + L_l^dag) rho] dt,
+    Hermitized and renormalized.  Ls are the monitored channels, each with
+    its increment in dY, and ``unmonitored`` the channels U_u no record
+    conditions on."""
+    drho = -1j * commutator(H, rho) * dt
+    for U in unmonitored:
+        drho += lindblad_D(U, rho) * dt
+    for L, y in zip(Ls, dY):
+        signal = np.trace((L + dag(L)) @ rho).real
+        drho += lindblad_D(L, rho) * dt + measurement_M(L, rho) * (y - signal * dt)
+    out = rho + drho
+    out = 0.5 * (out + dag(out))
+    return out / np.trace(out).real
+
+
 # ---------------------------------------------------------------------------
 # collective states: the element-wise g-tensor identity and the full
 # Hilbert-space embedding via Clebsch-Gordan recursion (N <= ~12)

@@ -342,6 +342,9 @@ class TestRun:
                  ("qec-run", "lambda_max=-1"), ("qec-benchmark", "lambda_max=-1"),
                  ("magnetometer-kalman", "prior_var=-1"), ("magnetometer-fisher", "F_values=0.2"),
                  ("magnetometer-fisher", "F_values=10,0.4"), ("magnetometer-kalman", "F=0.2"),
+                 # a spin size is a half-integer
+                 ("magnetometer-kalman", "F=10.3"), ("magnetometer-fisher", "F_values=2.3"),
+                 ("magnetometer-fisher", "F_values=2,3.2"),
                  ("particle-filter", "threshold=-1"), ("particle-filter", "threshold=1.5"),
                  # the Fisher finite-difference offset
                  ("magnetometer-fisher", "deltaB=0"))
@@ -353,6 +356,18 @@ class TestRun:
             assert err.startswith("config error") and f"'{item.split('=')[0]}'" in err
             assert err.count("\n") == 1
             assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("experiment,item", [
+        ("param-ensemble", "B_values=2,2,5"), ("magnetometer-fisher", "F_values=2,3,2"),
+        ("magnetometer-fisher", "K_values=0,0.0001,0")])
+    def test_repeated_list_entry_is_config_error(self, tmp_path, capsys, experiment, item):
+        # a repeated candidate would be stepped twice and written as two
+        # columns or rows of one name
+        out = os.path.join(tmp_path, experiment)
+        assert cli.main(self._args(experiment) + ["--set", item, "--out", out]) == 1
+        key, _, value = item.partition("=")
+        assert capsys.readouterr().err == f"config error: bad value for key '{key}': '{value}'\n"
+        assert not os.path.exists(out)
 
     def test_retired_kernel_bandwidth_is_config_error(self, tmp_path, capsys):
         out = os.path.join(tmp_path, "pf")
@@ -609,3 +624,12 @@ class TestRate:
             assert err.count("\n") == 1
         assert cli.main(["rate", str(tmp_path / "short.csv"), str(tmp_path / "short.csv")]) == 0
         assert capsys.readouterr().out == "time,rate\n0.10000000000000001,0\n0.20000000000000001,0\n"
+
+    @pytest.mark.parametrize("alpha", ["nan", "1.5", "inf", "-1"])
+    def test_alpha_outside_the_unit_interval_is_config_error(self, tmp_path, capsys, alpha):
+        path = tmp_path / "short.csv"
+        path.write_text("time,w_B=2,w_B=5\n0.1,0.5,0.5\n# manifest: m.json\n")
+        assert cli.main(["rate", "--alpha", alpha, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: --alpha: ") and captured.err.count("\n") == 1

@@ -56,6 +56,14 @@ class TestDoublePassModel:
         model = mag.double_pass_model(p)
         assert abs(np.trace(model.L + op.dag(model.L))) < 1e-13
 
+    @pytest.mark.parametrize("F", [10.3, 0.0, -1.5])
+    def test_spin_size_must_be_a_half_integer_at_least_one_half(self, F):
+        # 10.3 would otherwise run the spin-10.5 model beside a Kalman model
+        # of spin 10.3
+        with pytest.raises(ValueError, match="half-integer|F >= 1/2"):
+            mag.DoublePassParams(F=F, M=1.0, K=0.0)
+        mag.DoublePassParams(F=10.5, M=1.0, K=0.0)
+
 
 class TestDoublePassFilters:
     def test_explicit_form_equals_generic(self):

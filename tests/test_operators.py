@@ -51,6 +51,12 @@ class TestSpinOperators:
         with pytest.raises(ValueError):
             op.spin_operators(-0.5)
 
+    def test_doubled_spin(self):
+        assert op.doubled_spin(10.5) == 21 and op.doubled_spin(0.5 + 1e-12) == 1
+        for j in (10.3, -0.5):
+            with pytest.raises(ValueError, match="half-integer"):
+                op.doubled_spin(j)
+
 
 class TestPauliString:
     def test_zzi_eigenvalue(self):

@@ -9,10 +9,9 @@ from scipy.integrate import solve_ivp
 
 from qfilt import operators as op
 from qfilt import qec
-from qfilt import trajectory as traj
 from qfilt.sde import rng_stream
-from reference import (commutator, full_filter_step, lindblad_D, measurement_M,
-                       projector_rows, random_states, truncated_filter_step)
+from reference import (commutator, full_filter_step, projector_rows, random_states,
+                       sme_euler_step, truncated_filter_step)
 
 
 @pytest.fixture(scope="module")
@@ -298,8 +297,8 @@ class TestFullFilter:
 
     def test_all_terms_match_superoperator_reference(self, five, five_dense):
         # depolarizing, measurement and feedback at once against a per-term
-        # reference: D/M per generator, brute-force sum_c sigma rho sigma -
-        # 15 rho, and -i[sum lambda sigma, rho]
+        # reference: D/M per generator, D per single-qubit Pauli, and
+        # -i[sum lambda sigma, rho]
         gamma, kappa, dt = 1.3, 40.0, 1e-5
         rng = np.random.default_rng(8)
         rho = random_states(32, 1, rng)[0]
@@ -308,16 +307,8 @@ class TestFullFilter:
         out = full_filter_step(five, rho, dQ, gamma, kappa, lambdas, dt)
         P = five_dense.single_paulis
         H = np.einsum("c,cij->ij", lambdas, P)
-        depol = sum(s @ rho @ s for s in P) - 15 * rho
-        drho = (gamma * depol - 1j * (H @ rho - rho @ H)) * dt
-        for l, g in enumerate(five_dense.gen_ops):
-            L = np.sqrt(kappa) * g
-            signal = np.trace((L + op.dag(L)) @ rho).real
-            drho += lindblad_D(L, rho) * dt \
-                + measurement_M(L, rho) * (dQ[l] - signal * dt)
-        expect = rho + drho
-        expect = 0.5 * (expect + op.dag(expect))
-        expect /= np.trace(expect).real
+        expect = sme_euler_step(H, np.sqrt(kappa) * five_dense.gen_ops, rho, dQ, dt,
+                                unmonitored=np.sqrt(gamma) * P)
         assert np.max(np.abs(out - expect)) <= 1e-12
 
 
@@ -341,9 +332,9 @@ class TestPauliForm:
     @pytest.mark.parametrize("B", [1, 8])
     @pytest.mark.parametrize("name", ["fivequbit", "bitflip3"])
     def test_step_matches_dense_kernel(self, name, B):
-        # depolarizing, measurement and feedback at once against
-        # sme_step_batch on the dense generators with a brute-force
-        # depolarizing term
+        # depolarizing, measurement and feedback at once against the dense
+        # Euler step on the generators, with the depolarizing Paulis as
+        # unmonitored channels
         code = qec.build_code(name)
         n_chan, gamma, kappa, dt = len(code.channel_labels), 1.3, 40.0, 1e-5
         rng = np.random.default_rng(30 + B)
@@ -353,10 +344,8 @@ class TestPauliForm:
         ref = dense_reference(code)
         P = ref.single_paulis
         H = np.einsum("bc,cij->bij", lambdas, P)
-        depol = gamma * (sum(s @ rho @ s for s in P) - n_chan * rho)
-        channels = traj.compile_channels(np.sqrt(kappa) * ref.gen_ops)
-        expect = traj.sme_step_batch(channels.generator(H), channels, rho, dQ, dt,
-                                     unmonitored=depol)
+        expect = np.stack([sme_euler_step(H[b], np.sqrt(kappa) * ref.gen_ops, rho[b], dQ[b], dt,
+                                          unmonitored=np.sqrt(gamma) * P) for b in range(B)])
         frame = code.pauli
         signal = 2.0 * np.sqrt(kappa) * np.einsum("lij,bji->bl", ref.gen_ops, rho).real
         full = qec._FullStep(frame, frame.to_pauli(rho), gamma, kappa, dt)
@@ -705,9 +694,9 @@ class TestClosedLoop:
     @pytest.mark.parametrize("name,controller,n_traj", [("fivequbit", "truncated", 8),
                                                         ("bitflip3", "full", 1)])
     def test_short_loop_matches_dense_kernel(self, name, controller, n_traj, five_basis):
-        # the closed loop against the same loop written with sme_step_batch
-        # calls on the dense generators, a brute-force depolarizing term,
-        # einsum signals and the dense truncated step, at the shapes of the
+        # the closed loop against the same loop written with dense Euler
+        # steps on the generators, the depolarizing Paulis as unmonitored
+        # channels, einsum signals and the dense truncated step, at the shapes of the
         # benchmark's qec-loop and bitflip3-loop; the loop records every
         # qec.RECORD_EVERY = 10 steps, three times in 30
         code = qec.build_code(name)
@@ -722,7 +711,7 @@ class TestClosedLoop:
         noise = np.stack([rng_stream(seed, k).standard_normal((steps, code.n_generators))
                           for k in range(n_traj)]) * np.sqrt(dt)
         P = ref.single_paulis
-        channels = traj.compile_channels(np.sqrt(kappa) * ref.gen_ops)
+        Ls, Us = np.sqrt(kappa) * ref.gen_ops, np.sqrt(gamma) * P
 
         def bang(v):
             return lam * np.where(v == 0.0, 1.0, np.sign(v))
@@ -742,11 +731,10 @@ class TestClosedLoop:
             signal = np.einsum("lij,bji->bl", ref.gen_ops, rho).real
             dQ = 2.0 * np.sqrt(kappa) * signal * dt + noise[:, i]
             H = np.einsum("bc,cij->bij", lambdas, P)
-            depol = gamma * (sum(s @ rho @ s for s in P) - len(P) * rho)
             if basis is not None:
                 p = dense_truncated_step(basis, p, dQ, gamma, kappa, lambdas, dt)
-            rho = traj.sme_step_batch(channels.generator(H), channels, rho, dQ, dt,
-                                      unmonitored=depol)
+            rho = np.stack([sme_euler_step(H[b], Ls, rho[b], dQ[b], dt, unmonitored=Us)
+                            for b in range(n_traj)])
             if (i + 1) % 10 == 0:
                 codespace.append(np.einsum("ij,bji->b", ref.projectors[0], rho).real)
                 codeword.append(np.einsum("ij,bji->b", rho0, rho).real)

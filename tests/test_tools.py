@@ -217,6 +217,17 @@ class TestReach:
         assert not any(f"def {name}(" in line for line in cli
                        for name in ("parse_config_text", "list_experiments", "_lines"))
 
+    def test_rate_runs_after_param_ensemble(self):
+        # `qfilt rate` is a command too: its code is not reported unreached
+        proc = subprocess.run([sys.executable, os.path.join(_ROOT, "tools", "reach.py"),
+                               "--experiments", "param-ensemble"],
+                              capture_output=True, text=True, check=True)
+        out = proc.stdout.splitlines()
+        counts = {line.split(":")[0]: line for line in out if not line.startswith(("#", " "))}
+        cli = out[out.index(counts["cli.py"]) + 1:out.index(counts["collective.py"])]
+        assert any("def _run_kalman_demo(" in line for line in cli)
+        assert not any("convergence_rate" in line for line in cli)
+
     def test_statement_count_leaves_docstrings_out(self):
         reach = _load("reach", "tools", "reach.py")
         source = ('"""Module."""\n\n\ndef f(x):\n    """Doc."""\n    if x:\n'

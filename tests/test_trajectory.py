@@ -5,7 +5,7 @@ from scipy.integrate import solve_ivp
 from qfilt import operators as op
 from qfilt import trajectory as traj
 from qfilt.sde import rng_stream
-from reference import SIGMA_MINUS, lindblad_D, measurement_M, random_states
+from reference import SIGMA_MINUS, lindblad_D, measurement_M, random_states, sme_euler_step
 
 
 def random_model(dim, seed, norm=3.0):
@@ -70,41 +70,29 @@ class TestSmeStep:
             + measurement_M(model.L, rho) * (dY - signal * 1e-5)
         assert abs(np.trace(rho + drho) - 1.0) < 5 * (1e-5) ** 2
 
-    def test_channel_stack_matches_superoperator_sum(self):
-        # l = 3 monitored channels, per-slot H and an unmonitored generator
-        # term against the sum of D[L_l] dt + M[L_l] dW_l over the channels
-        d, l, B, dt = 4, 3, 6, 1e-4
+    def test_batch_matches_superoperator_sum(self):
+        # per-slot H against D[L] dt + M[L] dW, written term by term, slot
+        # by slot
+        d, B, dt = 4, 6, 1e-4
         rng = np.random.default_rng(11)
         Hs = np.stack([random_model(d, 20 + k).H for k in range(B)])
-        Ls = np.stack([random_model(d, 30 + k).L for k in range(l)])
+        L = random_model(d, 30).L
         rhos = np.stack([op.pure_to_density(random_pure(d, 40 + k)) for k in range(B)])
-        U = rng.standard_normal((B, d, d)) + 1j * rng.standard_normal((B, d, d))
-        U = U + np.swapaxes(U, -1, -2).conj()
-        U -= np.einsum("bii->b", U)[:, None, None] * np.eye(d) / d
-        dY = rng.standard_normal((B, l)) * np.sqrt(dt)
-        channels = traj.compile_channels(Ls)
+        dY = rng.standard_normal(B) * np.sqrt(dt)
+        channels = traj.compile_channels(L)
         Gs = channels.generator(Hs)
-        out = traj.sme_step_batch(Gs, channels, rhos, dY, dt, unmonitored=U)
+        out = traj.sme_step_batch(Gs, channels, rhos, dY, dt)
         for b in range(B):
-            rho = rhos[b]
-            drho = (-1j * (Hs[b] @ rho - rho @ Hs[b]) + U[b]) * dt
-            for k in range(l):
-                signal = np.trace((Ls[k] + op.dag(Ls[k])) @ rho).real
-                drho += lindblad_D(Ls[k], rho) * dt \
-                    + measurement_M(Ls[k], rho) * (dY[b, k] - signal * dt)
-            expect = rho + drho
-            expect = 0.5 * (expect + op.dag(expect))
-            expect /= np.trace(expect).real
+            expect = sme_euler_step(Hs[b], [L], rhos[b], [dY[b]], dt)
             assert np.max(np.abs(out[b] - expect)) <= 1e-13
         # a (2, 3) stack steps as its (6,) flattening, and one G per column
         # broadcasts over the rows as its tiling does
         rows = traj.sme_step_batch(Gs.reshape(2, 3, d, d), channels, rhos.reshape(2, 3, d, d),
-                                   dY.reshape(2, 3, l), dt, unmonitored=U.reshape(2, 3, d, d))
+                                   dY.reshape(2, 3), dt)
         assert np.array_equal(rows.reshape(out.shape), out)
         shared = traj.sme_step_batch(Gs[:3], channels, rhos.reshape(2, 3, d, d),
-                                     dY.reshape(2, 3, l), dt, unmonitored=U.reshape(2, 3, d, d))
-        tiled = traj.sme_step_batch(np.concatenate([Gs[:3]] * 2), channels, rhos, dY, dt,
-                                    unmonitored=U)
+                                     dY.reshape(2, 3), dt)
+        tiled = traj.sme_step_batch(np.concatenate([Gs[:3]] * 2), channels, rhos, dY, dt)
         assert np.array_equal(shared.reshape(tiled.shape), tiled)
 
     def test_ensemble_average_matches_master_equation(self):
@@ -151,30 +139,17 @@ class TestSmeStep:
         assert min_purity > 1.0 - 1e-4
 
 
-def lindblad_sum(U, rho):
-    """sum_u D[U_u] rho per slot, the dense reference of unmonitored channels."""
-    return sum(Uk @ rho @ op.dag(Uk) - 0.5 * (op.dag(Uk) @ Uk @ rho + rho @ op.dag(Uk) @ Uk)
-               for Uk in U)
-
-
 class TestCompiledChannels:
     def test_non_monomial_channel_stays_dense(self):
         L = SIGMA_MINUS + 0.3 * op.SIGMA_Z
         channels = traj.compile_channels(L)
-        assert np.array_equal(channels.S[0], L + op.dag(L))
+        assert np.array_equal(channels.S, L + op.dag(L))
         rng = np.random.default_rng(3)
         rho = random_states(2, 3, rng)
         dY = rng.standard_normal(3) * 1e-2
-        gen = lindblad_sum(np.sqrt(0.4) * op.SIGMA_X[None], rho)
-        out = traj.sme_step_batch(channels.generator(op.SIGMA_Y), channels, rho, dY, 1e-4,
-                                  unmonitored=gen)
+        out = traj.sme_step_batch(channels.generator(op.SIGMA_Y), channels, rho, dY, 1e-4)
         for b in range(3):
-            signal = np.trace((L + op.dag(L)) @ rho[b]).real
-            expect = rho[b] + (-1j * (op.SIGMA_Y @ rho[b] - rho[b] @ op.SIGMA_Y) + gen[b]
-                               + lindblad_D(L, rho[b])) * 1e-4 \
-                + measurement_M(L, rho[b]) * (dY[b] - signal * 1e-4)
-            expect = 0.5 * (expect + op.dag(expect))
-            expect /= np.trace(expect).real
+            expect = sme_euler_step(op.SIGMA_Y, [L], rho[b], [dY[b]], 1e-4)
             assert np.max(np.abs(out[b] - expect)) <= 1e-13
 
     def test_nonfinite_step_names_its_slots(self):
@@ -193,18 +168,16 @@ class TestCompiledChannels:
             traj.sme_step_batch(G, channels, rho, dY, 1e-4)
 
     def test_overflowed_entry_under_finite_trace_names_its_slot(self):
-        # slot 1's off-diagonal entries overflow while its trace stays 1: the
-        # step that overflowed raises, where a trace check alone would divide
-        # and hand on a non-finite state
+        # slot 1's off-diagonal entries overflow while its trace stays
+        # finite: the step that overflowed raises, where a trace check alone
+        # would divide and hand on a non-finite state
         rho = random_states(2, 3, np.random.default_rng(5))
         rho[1] = [[0.5, 1e308], [1e308, 0.5]]
-        gen = np.zeros((3, 2, 2), dtype=complex)
-        gen[1] = [[0.0, 1e308], [1e308, 0.0]]
+        G = np.zeros((3, 2, 2), dtype=complex)
+        G[1] = np.eye(2)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(FloatingPointError, match=r"in sme_step_batch at slots \[1\]$"):
-            traj.sme_step_batch(np.zeros((2, 2)), traj.compile_channels(np.zeros((2, 2))), rho,
-                                np.zeros(3), 1.0,
-                                unmonitored=gen)
+            traj.sme_step_batch(G, traj.compile_channels(np.zeros((2, 2))), rho, np.zeros(3), 1.0)
 
 
 class TestSseStep:

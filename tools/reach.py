@@ -1,10 +1,11 @@
-"""List the statements of src/qfilt that no `qfilt run` experiment executes.
+"""List the statements of src/qfilt that no `qfilt` command executes.
 
 In one interpreter and under ``sys.settrace``, limited to the frames of
 src/qfilt, the tool runs ``qfilt list`` once, with its output discarded, and
 then every experiment through ``qfilt.cli.main`` with seed 7 at its
 ``TestRun.BYTE_CASES`` overrides, the table of tests/test_cli.py read as
-``tools/byte_compare.py`` reads it, written to a ``--config`` file.  With
+``tools/byte_compare.py`` reads it, written to a ``--config`` file.  After
+``param-ensemble`` it runs ``qfilt rate`` on the CSV that run wrote.  With
 ``--claims`` it then runs tests/test_claims.py under the same tracer (this
 needs pytest).  The package is imported after the tracer starts, so its
 module-level statements count too.
@@ -109,7 +110,8 @@ def unexecuted(source: str, ran: set) -> tuple[int, list]:
 
 def run_experiments(names: list) -> list:
     """Run ``qfilt list``, then each experiment at its BYTE_CASES config,
-    given as a config file; (name, exit code) pairs."""
+    given as a config file, and ``qfilt rate`` on param-ensemble's CSV;
+    (name, exit code) pairs."""
     from qfilt import cli
 
     cases = byte_cases()
@@ -121,6 +123,9 @@ def run_experiments(names: list) -> list:
                 f.write("".join(f"{item}\n" for item in cases[name]))
             codes.append((name, cli.main(["run", name, "--seed", str(SEED), "--config", config,
                                           "--out", os.path.join(tmp, name)])))
+            if name == "param-ensemble":
+                csv = os.path.join(tmp, name, "param_ensemble.csv")
+                codes.append(("rate", cli.main(["rate", csv])))
     return codes
 
 
